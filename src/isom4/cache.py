@@ -1,4 +1,4 @@
-"""Disk cache for group tables and verification results.
+"""Disk cache for verification results.
 
 Everything is JSON on disk, one file per key, so cache state stays
 inspectable and survives across runs.  Keys that need group identity
@@ -13,55 +13,17 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .groups import FiniteGroup
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "ResultCache",
-    "group_from_json",
-    "group_to_json",
 ]
 
 CACHE_FORMAT_VERSION = 1
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
 _SLUG_MAX = 120
-
-
-def group_to_json(g: FiniteGroup) -> dict:
-    """Versioned table form; labels survive the round trip."""
-    return {
-        "version": CACHE_FORMAT_VERSION,
-        "size": g.size,
-        "identity": g.identity,
-        "table": g.table.tolist(),
-        "labels": list(g.labels) if g.labels is not None else None,
-    }
-
-
-def group_from_json(data: dict) -> FiniteGroup:
-    if not isinstance(data, dict):
-        raise InvalidInputError("group record must be a JSON object")
-    try:
-        version = data["version"]
-        size = data["size"]
-        identity = data["identity"]
-        table = data["table"]
-    except KeyError as missing:
-        raise InvalidInputError(f"group record lacks field {missing}") from None
-    if version != CACHE_FORMAT_VERSION:
-        raise InvalidInputError(f"unsupported group record version {version!r}")
-    labels = data.get("labels")
-    g = FiniteGroup(
-        np.array(table, dtype=np.int32),
-        tuple(labels) if labels is not None else None,
-    )
-    if g.size != size or g.identity != identity:
-        raise InvalidInputError("group record is inconsistent")
-    return g
 
 
 class ResultCache:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import sys
 
 from .cache import ResultCache
 from .claims import ClassificationQuery, classify
-from .cohomology import classify_central_extensions, cohomology_record, group_digest
+from .cohomology import classify_central_extensions
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
@@ -44,19 +45,17 @@ from .sphere import (
     extent_upper_bound,
     scan_extent,
 )
-from .verify import VerifyConfig, exit_code, verify_all
+from .verify import H2_TABLE, VerifyConfig, exit_code, h2_record, h2_tag, verify_all
 
 SCAN_CSV_HEADER = ("n", "k", "l", "q", "upper_bound", "threshold", "pass")
 
+_ALIASES = {"a4": "tetra", "s4": "octa", "a5": "icosa", "quaternion8": "q8"}
+
 _NAMED_GROUPS = {
-    "a4": lambda: alternating(4),
     "tetra": lambda: alternating(4),
-    "s4": lambda: symmetric(4),
     "octa": lambda: symmetric(4),
-    "a5": lambda: alternating(5),
     "icosa": lambda: alternating(5),
     "q8": quaternion_group,
-    "quaternion8": quaternion_group,
     "binary-tetra": binary_tetrahedral,
     "binary-octa": binary_octahedral,
     "binary-icosa": binary_icosahedral,
@@ -73,14 +72,20 @@ _PARAMETRIC_GROUPS = {
 }
 
 
+def _split_spec(spec: str) -> tuple[str, str, str]:
+    """(canonical family name, ':' or '', parameter text) of a group spec."""
+    name, sep, tail = spec.partition(":")
+    key = name.strip().lower()
+    return _ALIASES.get(key, key), sep, tail
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Build a group from a compact spec.
 
     Named: A4/tetra, S4/octa, A5/icosa, Q8, binary-tetra/octa/icosa.
     Parametric: cyclic:12, abelian:3,9, dihedral:8, binary-dihedral:12,
     metacyclic:7,3,2, klein-by-3power:1, q8-by-3power:2."""
-    name, sep, tail = spec.partition(":")
-    key = name.strip().lower()
+    key, sep, tail = _split_spec(spec)
     if not sep:
         try:
             return _NAMED_GROUPS[key]()
@@ -94,7 +99,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     except ValueError:
         raise InvalidInputError(f"non-integer parameter in {spec!r}") from None
     if arity is not None and len(params) != arity:
-        raise InvalidInputError(f"{name} takes {arity} parameter(s), got {len(params)}")
+        raise InvalidInputError(f"{key} takes {arity} parameter(s), got {len(params)}")
     return build(params)
 
 
@@ -136,8 +141,8 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = ("seed", "threshold_n", "scan_max", "q", "batch_count",
-                "optimizer_spot_checks", "optimizer_restarts")
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(VerifyConfig)
+                     if field.name != "cache")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -197,55 +202,16 @@ def _cmd_scan_extent(args) -> int:
     return 1 if failures else 0
 
 
-def _predicted_factors(spec: str, m: int):
-    """Advertised H^2 value for the groups in the lemma table, or None.
-
-    Returns (factors, advertised_factors): the two differ only where the
-    documented octahedral conflict lives."""
-    name, _, tail = spec.partition(":")
-    key = name.strip().lower()
-    if key == "cyclic":
-        d = math.gcd(int(tail), m)
-        value = (d,) if d > 1 else ()
-        return value, value
-    if key in ("a4", "tetra"):
-        d = math.gcd(6, m)
-        value = (d,) if d > 1 else ()
-        return value, value
-    if key in ("a5", "icosa"):
-        d = math.gcd(2, m)
-        value = (d,) if d > 1 else ()
-        return value, value
-    if key in ("s4", "octa"):
-        if m % 2:
-            return (), ()
-        return (2, 2), (2,)  # computed rank 2; advertised single Z_2
-    if key == "dihedral":
-        order = int(tail)
-        if m % 2:
-            return (), ()
-        value = (2,) if (order // 2) % 2 else (2, 2, 2)
-        return value, value
-    return None, None
-
-
 def _cmd_h2(args) -> int:
     group = parse_group_spec(args.group)
-    if args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir)
-        key = f"h2-{group_digest(group)}-m{args.m}"
-        record, _ = cache.get_or_compute(
-            key, lambda: cohomology_record(group, args.m))
-    else:
-        record = cohomology_record(group, args.m)
-    computed = tuple(record["invariant_factors"])
-    predicted, advertised = _predicted_factors(args.group, args.m)
-    if predicted is None:
-        tag = None
-    elif computed == predicted:
-        tag = "PASS" if predicted == advertised else "DISCREPANCY"
-    else:
-        tag = "FAIL"
+    cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
+    record = h2_record(group, args.m, cache)
+    family, _, tail = _split_spec(args.group)
+    predicted = advertised = tag = None
+    if family in H2_TABLE:
+        _, rule = H2_TABLE[family]
+        predicted, advertised = rule(int(tail) if tail else None, args.m)
+        tag = h2_tag(record["invariant_factors"], predicted, advertised)
     # fixed field order so cached and fresh runs print identically
     _emit_json({
         "group_id": record["group_id"],

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 

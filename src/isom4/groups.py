@@ -26,6 +26,7 @@ from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .snf import kernel_mod_p
 
 ORDER_CAP = 512
+_JSON_VERSION = 1
 
 __all__ = [
     "FiniteGroup",
@@ -231,8 +232,9 @@ class FiniteGroup:
         return tuple(found[::-1])
 
     def to_json(self) -> dict:
+        """Versioned table form; labels survive the round trip."""
         return {
-            "version": 1,
+            "version": _JSON_VERSION,
             "size": self.size,
             "identity": int(self.identity),
             "table": self.table.tolist(),
@@ -241,8 +243,23 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteGroup":
+        """Inverse of :meth:`to_json`; a malformed record raises InvalidInputError."""
+        if not isinstance(data, dict):
+            raise InvalidInputError("group record must be a JSON object")
+        try:
+            version = data["version"]
+            size = data["size"]
+            identity = data["identity"]
+            table = data["table"]
+        except KeyError as missing:
+            raise InvalidInputError(f"group record lacks field {missing}") from None
+        if version != _JSON_VERSION:
+            raise InvalidInputError(f"unsupported group record version {version!r}")
         labels = tuple(data["labels"]) if data.get("labels") else None
-        return FiniteGroup(np.array(data["table"], dtype=np.int32), labels)
+        g = FiniteGroup(np.array(table, dtype=np.int32), labels)
+        if g.size != size or g.identity != identity:
+            raise InvalidInputError("group record is inconsistent")
+        return g
 
 
 @dataclass(frozen=True)

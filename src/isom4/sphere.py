@@ -317,20 +317,26 @@ class ScanEntry:
         return self.upper_bound < self.threshold
 
 
-def scan_extent(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
-    """Evaluate the closed-form bound on every canonical quotient in range."""
+def _bounds_by_n(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
+    # the bound depends only on (n, q): one evaluation per deck order
     if n_min < 3:
         raise InvalidInputError("scan starts at deck order 3")
     if n_max < n_min:
         raise InvalidInputError("empty scan range")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        exps = _canonical_exponents(n)
-        for i, k in enumerate(exps):
-            for l in exps[i:]:
-                value = extent_upper_bound(LensParams(n, k, l), q)
-                rows.append(ScanEntry(n, k, l, q, value, threshold))
-    return rows
+    return [(n, extent_upper_bound(LensParams(n, 1, 1), q))
+            for n in range(n_min, n_max + 1)]
+
+
+def _rows_at(n: int, q: int, value: float, threshold: float) -> list[ScanEntry]:
+    exps = _canonical_exponents(n)
+    return [ScanEntry(n, k, l, q, value, threshold)
+            for i, k in enumerate(exps) for l in exps[i:]]
+
+
+def scan_extent(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
+    """Evaluate the closed-form bound on every canonical quotient in range."""
+    return [row for n, value in _bounds_by_n(n_min, n_max, q)
+            for row in _rows_at(n, q, value, threshold)]
 
 
 def scan_extent_threshold(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
@@ -338,7 +344,9 @@ def scan_extent_threshold(n_min: int, n_max: int, q: int, threshold: float) -> l
 
     An empty return certifies the bound on the whole range.
     """
-    return [row for row in scan_extent(n_min, n_max, q, threshold) if not row.passes]
+    return [row for n, value in _bounds_by_n(n_min, n_max, q)
+            if not value < threshold
+            for row in _rows_at(n, q, value, threshold)]
 
 
 def isolated_fixed_point_budget(extent_bound: float) -> dict:

@@ -1,4 +1,8 @@
 import hypothesis
+import pytest
+
+from isom4.cache import ResultCache
+from isom4.verify import VerifyConfig, verify_all
 
 hypothesis.settings.register_profile(
     "suite",
@@ -7,3 +11,14 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture(scope="session")
+def report_and_rerun(tmp_path_factory):
+    """A small verify-all report run into an empty cache, then rerun warm."""
+    cache = ResultCache(tmp_path_factory.mktemp("verify-cache"))
+    small = dict(scan_max=80, batch_count=50,
+                 optimizer_spot_checks=1, optimizer_restarts=4)
+    cold = verify_all(VerifyConfig(**small, cache=cache))
+    warm = verify_all(VerifyConfig(**small, cache=cache))
+    return cold, warm

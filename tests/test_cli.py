@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 
@@ -11,8 +12,17 @@ from isom4.cli import (
 )
 from isom4.errors import InvalidInputError
 from isom4.groups import is_isomorphic, quaternion_group, symmetric
+from isom4.verify import _SUITE, H2_TABLE
 
 BOUND_61 = 1.0455854008586938
+
+# the verify-all H^2 table rows whose group has order at most 24
+SMALL_H2_ROWS = [
+    (check_id, family, parameter, m)
+    for check_id, check, _ in _SUITE if isinstance(check, partial)
+    for _, family, parameter, m in check.args[0]
+    if H2_TABLE[family][0](parameter).size <= 24
+]
 
 
 def run(capsys, *argv):
@@ -142,6 +152,19 @@ def test_h2_command_discrepancy(capsys):
     assert data["predicted"] == [2, 2]
     assert data["advertised"] == [2]
     assert data["tag"] == "DISCREPANCY"
+
+
+@pytest.mark.parametrize("check_id, family, parameter, m", SMALL_H2_ROWS)
+def test_h2_command_tags_like_verify(capsys, report_and_rerun,
+                                     check_id, family, parameter, m):
+    spec = family if parameter is None else f"{family}:{parameter}"
+    code, data = run_json(capsys, "h2", "--group", spec, "--m", str(m))
+    assert code == 0
+    assert data["invariant_factors"] == data["predicted"]
+    octa_even = family == "octa" and m % 2 == 0
+    assert data["tag"] == ("DISCREPANCY" if octa_even else "PASS")
+    status = {c["id"]: c["status"] for c in report_and_rerun[0]["checks"]}
+    assert status[check_id] == ("DISCREPANCY" if family == "octa" else "PASS")
 
 
 def test_h2_cache_round_trip(capsys, tmp_path):

@@ -168,7 +168,10 @@ def test_scan_clean_above_61():
 
 def test_scan_catches_60():
     bad = scan_extent_threshold(60, 61, 5, THRESHOLD)
-    assert bad and all(r.n == 60 for r in bad)
+    exps = [k for k in range(1, 30) if math.gcd(k, 60) == 1]
+    canonical = [(60, k, l) for i, k in enumerate(exps) for l in exps[i:]]
+    assert len(canonical) == 36
+    assert [(r.n, r.k, r.l) for r in bad] == canonical
 
 
 def test_scan_rejects_degenerate_ranges():

@@ -2,7 +2,6 @@ import copy
 
 import pytest
 
-from isom4.cache import ResultCache
 from isom4.errors import InvalidInputError
 from isom4.verify import (
     REPORT_VERSION,
@@ -11,7 +10,6 @@ from isom4.verify import (
     VerifyConfig,
     _check_extent_scan,
     exit_code,
-    verify_all,
 )
 
 EXPECTED_NON_PASS = {
@@ -20,21 +18,6 @@ EXPECTED_NON_PASS = {
     "extension-dicyclic-m4": "DISCREPANCY",
     "embed-two-group-unsupported": "UNSUPPORTED",
 }
-
-
-def small_config(**overrides):
-    base = dict(scan_max=80, batch_count=50,
-                optimizer_spot_checks=1, optimizer_restarts=4)
-    base.update(overrides)
-    return VerifyConfig(**base)
-
-
-@pytest.fixture(scope="module")
-def report_and_rerun(tmp_path_factory):
-    cache = ResultCache(tmp_path_factory.mktemp("verify-cache"))
-    cold = verify_all(small_config(cache=cache))
-    warm = verify_all(small_config(cache=cache))
-    return cold, warm
 
 
 def test_report_schema(report_and_rerun):
@@ -92,7 +75,7 @@ def test_warm_rerun_identical_modulo_runtime(report_and_rerun):
 
 
 def test_scan_check_fails_below_sharp_threshold():
-    status, _, actual = _check_extent_scan(small_config(threshold_n=60))
+    status, _, actual = _check_extent_scan(VerifyConfig(threshold_n=60, scan_max=80))
     assert status == "FAIL"
     assert "60" in actual
 
