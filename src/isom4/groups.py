@@ -18,12 +18,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import mpmath
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .snf import kernel_mod_p
+
+if TYPE_CHECKING:
+    import mpmath
 
 ORDER_CAP = 512
 _JSON_VERSION = 1
@@ -629,6 +632,8 @@ def log10_universal_constant() -> mpmath.mpf:
     """log10 of 61^8 * |GL(F_3, N)| with N = 10^2560, using
     log10|GL(F_3, N)| ~ N^2 log10(3).  An order-of-magnitude figure:
     the dominant term is about 0.477 * 10^5120."""
+    import mpmath  # its only user; kept out of ``import isom4``
+
     with mpmath.workdps(5200):
         n_squared = mpmath.mpf(10) ** 5120
         return 8 * mpmath.log10(61) + n_squared * mpmath.log10(3)

@@ -4,7 +4,11 @@ Integer Smith normal form is pure Python with arbitrary precision
 arithmetic and is only meant for small matrices.  The mod-p and mod-p^k
 routines are vectorized with numpy; they are the workhorses behind the
 cohomology computations, where relation matrices reach a few thousand
-rows and columns.
+rows and columns.  Systems are reduced into the narrowest integer dtype
+that holds [0, p^k), duplicate rows are dropped by comparing each row
+as one byte string, and a kernel over Z/p^k comes back as at most n
+generators (n the number of unknowns), obtained by a column echelon
+over the local ring at every lifting step.
 """
 
 from __future__ import annotations
@@ -46,17 +50,52 @@ def _inverse_table(p):
     return inv
 
 
+def _reduce(a, mod):
+    """Entries of ``a`` mod ``mod``, in the narrowest signed integer
+    dtype that holds [0, mod)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" or np.iinfo(a.dtype).max < mod:
+        a = a.astype(np.int64)
+    narrow = next((t for t in (np.int8, np.int16, np.int32)
+                   if mod <= np.iinfo(t).max + 1), np.int64)
+    if a.size and (a.min() < 0 or a.max() >= mod):
+        # in two's complement a power of two reduces by masking
+        a = a & (mod - 1) if mod & (mod - 1) == 0 else a % mod
+    return a.astype(narrow, copy=False)
+
+
+def _work_dtype(mod, terms):
+    """int64 when sums of ``terms`` products of residues mod ``mod``
+    cannot overflow it, else exact Python integers."""
+    return np.int64 if terms * (mod - 1) ** 2 < 2**63 else object
+
+
+def _valuation(p, k):
+    """Elementwise p-adic valuation on Z/p^k, with v(0) = k."""
+    mod = p**k
+    if mod <= 1 << 16:
+        table = np.zeros(mod, dtype=np.int8)
+        for e in range(1, k + 1):
+            table[:: p**e] += 1
+        return table.take
+    return lambda x: sum((x % p**e == 0).astype(np.int64) for e in range(1, k + 1))
+
+
 def _imatmul(x, y):
     """Exact integer matrix product, through BLAS when bounds allow."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.size == 0 or y.size == 0:
         return np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-    bound = float(np.abs(x).max()) * float(np.abs(y).max()) * x.shape[1]
-    if bound < 2.0**52:
-        prod = x.astype(np.float64) @ y.astype(np.float64)
+    bound = (max(-int(x.min()), int(x.max())) * max(-int(y.min()), int(y.max()))
+             * x.shape[1])
+    if bound < 2**52:
+        # every partial sum is an integer of magnitude <= bound, so the
+        # float product is exact; float32 already is below 2^24
+        fl = np.float32 if bound < 2**24 else np.float64
+        prod = x.astype(fl) @ y.astype(fl)
         return np.rint(prod).astype(np.int64)
-    return x @ y
+    return x.astype(np.int64) @ y.astype(np.int64)
 
 
 def smith_normal_form(a):
@@ -187,9 +226,8 @@ def rref_mod_p(a, p):
     normalized to 1 and cleared below, not above.
     """
     _require_prime(p)
-    r = np.asarray(a, dtype=np.int64) % p
     # products below stay within (p-1)^2, so int16 is safe for small p
-    r = r.astype(np.int16 if p < 128 else np.int64)
+    r = _reduce(a, p).astype(np.int16 if p < 128 else np.int64)
     m, n = r.shape
     inv = _inverse_table(p)
     pivots = []
@@ -219,12 +257,22 @@ def rank_mod_p(a, p):
     return len(rref_mod_p(a, p)[1])
 
 
-def _drop_redundant_rows(a):
+def _drop_redundant_rows(a, p):
+    """The distinct nonzero rows of ``a`` (entries in [0, p)), sorted as
+    ``np.unique(a, axis=0)`` sorts them.
+
+    Each row is compared as one opaque byte string, in a dtype whose
+    byte order is the numeric order: int8 below 128, big-endian
+    unsigned above.
+    """
     if a.size == 0:
         return a
     a = a[np.any(a != 0, axis=1)]
     if a.shape[0] > 1:
-        a = np.unique(a, axis=0)
+        dt = np.dtype(np.int8 if p < 128 else ">u2" if p <= 1 << 16 else ">u8")
+        rows = np.ascontiguousarray(a, dtype=dt)
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * dt.itemsize))).ravel()
+        a = np.unique(keys).view(dt).reshape(-1, rows.shape[1])
     return a
 
 
@@ -232,10 +280,10 @@ def kernel_mod_p(a, p):
     """Basis of the right kernel over GF(p), as columns with entries in
     [0, p)."""
     _require_prime(p)
-    a = np.asarray(a, dtype=np.int64) % p
+    a = _reduce(a, p)
     if p == 2:
         return _kernel_gf2(a)
-    a = _drop_redundant_rows(a)
+    a = _drop_redundant_rows(a, p)
     r, pivots = rref_mod_p(a, p)
     n = r.shape[1]
     pivot_set = set(pivots)
@@ -247,13 +295,12 @@ def kernel_mod_p(a, p):
     ker[free, np.arange(k)] = 1
     nr = len(pivots)
     if nr:
-        rr = r.astype(np.int64)
         pc = np.array(pivots, dtype=np.int64)
         x = np.zeros((nr, k), dtype=np.int64)
         for i in range(nr - 1, -1, -1):
-            acc = rr[i, free].copy()
+            acc = r[i, free].astype(np.int64)
             if i + 1 < nr:
-                acc += rr[i, pc[i + 1 :]] @ x[i + 1 :]
+                acc += r[i, pc[i + 1 :]] @ x[i + 1 :]
             x[i] = (-acc) % p
         ker[pc] = x
     return ker
@@ -261,7 +308,7 @@ def kernel_mod_p(a, p):
 
 def _kernel_gf2(a):
     """GF(2) kernel with rows packed into bytes; XOR elimination."""
-    a = _drop_redundant_rows(a % 2)
+    a = _drop_redundant_rows(a, 2)
     m, n = a.shape
     if m == 0 or n == 0:
         ker = np.eye(n, dtype=np.int64)
@@ -309,35 +356,67 @@ def _exact_div(a, p):
     return q
 
 
+def _span_columns(gens, p, k):
+    """At most one column per row spanning the same Z/p^k-module as the
+    columns of ``gens``.
+
+    Column echelon by unimodular column operations: row by row, the
+    column whose entry has least p-adic valuation becomes the pivot
+    (scaled so the entry is p^e) and clears that row in the columns
+    after it, which it can because their entries are multiples of p^e.
+    """
+    mod = p**k
+    val = _valuation(p, k)
+    g = np.array(gens.T, dtype=_work_dtype(mod, 2))  # one generator per row
+    top = 0
+    for j in range(g.shape[1]):
+        if top == g.shape[0]:
+            break
+        col = g[top:, j]
+        if not col.any():
+            continue
+        v = val(col)
+        i = top + int(np.argmin(v))
+        e = int(v[i - top])
+        if i != top:
+            g[[top, i]] = g[[i, top]]
+        unit = int(g[top, j]) // p**e
+        if unit != 1:
+            g[top, j:] = g[top, j:] * pow(unit, -1, mod) % mod
+        f = g[top + 1 :, j] // p**e
+        rows = np.nonzero(f)[0]
+        if rows.size:
+            f, rows = f[rows], rows + top + 1
+            g[rows, j:] = (g[rows, j:] - np.outer(f, g[top, j:])) % mod
+        top += 1
+    return g[:top].T.astype(np.int64)
+
+
 def kernel_mod_prime_power(a, p, k):
     """Generating set for {x : a @ x == 0 mod p^k}, as columns.
 
-    The columns generate the solution module over Z/p^k but are not in
-    general independent.  Recursion on k: solutions mod p^k are lifts
-    x = f c + p y of mod-p kernel vectors, where (c, y) runs over the
-    kernel of [g | a] mod p^{k-1} with g = (a @ f) / p, plus the
-    multiples p^{k-1} f.
+    The columns generate the solution module over Z/p^k; there are at
+    most n of them (n = a.shape[1]) and none is zero, but they are not
+    in general independent.  Recursion on k: solutions mod p^k are
+    lifts x = f c + p y of mod-p kernel vectors, where (c, y) runs over
+    the kernel of [g | a] mod p^{k-1} with g = (a @ f) / p, plus the
+    multiples p^{k-1} f.  At every level those generators are cut back
+    to at most n by a column echelon over Z/p^k that keeps their span.
     """
     _require_prime(p)
     if k < 1:
         raise InvalidParametersError("exponent must be at least 1")
-    mod = p**k
-    a = np.asarray(a, dtype=np.int64) % mod
     if k == 1:
         return kernel_mod_p(a, p)
+    mod = p**k
+    a = _reduce(a, mod)
     f = kernel_mod_p(a, p)
-    n = a.shape[1]
-    if f.shape[1] == 0 and n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    g = _exact_div(_imatmul(a, f) % (p * p ** (k - 1)), p) if f.shape[1] else np.zeros((a.shape[0], 0), dtype=np.int64)
-    inner = kernel_mod_prime_power(np.hstack([g, a]), p, k - 1)
+    g = _exact_div(_imatmul(a, f) % mod, p)
+    inner = kernel_mod_prime_power(np.hstack([g.astype(a.dtype), a]), p, k - 1)
     c, y = inner[: f.shape[1]], inner[f.shape[1] :]
     lifted = (_imatmul(f, c) + p * y) % mod
     extra = (p ** (k - 1) * f) % mod
-    gens = np.hstack([lifted, extra])
-    if gens.shape[1]:
-        gens = gens[:, np.any(gens != 0, axis=0)]
-    return gens
+    return _span_columns(np.hstack([lifted, extra]), p, k)
 
 
 def solve_mod_prime_power(a, b, p, k):
@@ -371,72 +450,44 @@ def module_presentation_local(rel, p, k, dim=None):
     """
     _require_prime(p)
     mod = p**k
-    rel = np.asarray(rel, dtype=np.int64) if rel is not None else np.zeros((dim, 0), dtype=np.int64)
+    if rel is None:
+        if dim is None:
+            raise InvalidInputError("pass a relation matrix or its row count dim")
+        rel = np.zeros((dim, 0), dtype=np.int64)
+    rel = np.asarray(rel, dtype=np.int64)
     d, r = rel.shape
-    m = [[int(x) % mod for x in row] for row in rel]
-    pinv = [[int(i == j) for j in range(d)] for i in range(d)]
-
-    def valuation(x):
-        if x == 0:
-            return k
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
+    dt = _work_dtype(mod, d + 1)
+    m = rel.astype(dt) % mod
+    pinv = np.eye(d, dtype=dt)
+    val = _valuation(p, k)
 
     t = 0
     while t < min(d, r):
-        pivot, best = None, k
-        for i in range(t, d):
-            row = m[i]
-            for j in range(t, r):
-                if row[j]:
-                    v = valuation(row[j])
-                    if v < best:
-                        pivot, best = (i, j), v
-                        if v == 0:
-                            break
-            if best == 0:
-                break
-        if pivot is None:
+        # first entry of least valuation in row-major order
+        block = val(m[t:, t:])
+        flat = int(np.argmin(block))
+        v = int(block.flat[flat])
+        if v == k:
             break
-        i0, j0 = pivot
+        i0, j0 = t + flat // (r - t), t + flat % (r - t)
         if i0 != t:
-            m[i0], m[t] = m[t], m[i0]
-            for row in pinv:
-                row[i0], row[t] = row[t], row[i0]
+            m[[t, i0]] = m[[i0, t]]
+            pinv[:, [t, i0]] = pinv[:, [i0, t]]
         if j0 != t:
-            for row in m:
-                row[j0], row[t] = row[t], row[j0]
-        v = best
-        unit = m[t][t] // p**v
-        uinv = pow(unit, -1, mod)
-        m[t] = [(uinv * x) % mod for x in m[t]]
-        for row in pinv:
-            row[t] = (row[t] * unit) % mod
-        for i in range(t + 1, d):
-            if m[i][t]:
-                f = m[i][t] // p**v
-                mi, mt = m[i], m[t]
-                for j in range(t, r):
-                    mi[j] = (mi[j] - f * mt[j]) % mod
-                for row in pinv:
-                    row[t] = (row[t] + f * row[i]) % mod
-        mt = m[t]
-        for j in range(t + 1, r):
-            if mt[j]:
-                f = mt[j] // p**v
-                for row in m:
-                    row[j] = (row[j] - f * row[t]) % mod
+            m[:, [t, j0]] = m[:, [j0, t]]
+        unit = int(m[t, t]) // p**v
+        m[t, t:] = m[t, t:] * pow(unit, -1, mod) % mod
+        pinv[:, t] = pinv[:, t] * unit % mod
+        f = m[t + 1 :, t] // p**v
+        m[t + 1 :, t:] = (m[t + 1 :, t:] - np.outer(f, m[t, t:])) % mod
+        pinv[:, t] = (pinv[:, t] + pinv[:, t + 1 :] @ f) % mod
+        # every entry of row t is a multiple of the pivot p^v, so the
+        # column operations against the pivot column zero the row
+        m[t, t + 1 :] = 0
         t += 1
 
-    orders = []
-    cols = []
-    for i in range(d):
-        v = valuation(m[i][i]) if i < t else k
-        if v > 0:
-            orders.append(p**v)
-            cols.append([pinv[row][i] for row in range(d)])
-    gens = np.array(cols, dtype=np.int64).T if cols else np.zeros((d, 0), dtype=np.int64)
-    return orders, gens
+    vals = np.full(d, k)
+    vals[:t] = val(m.diagonal()[:t])
+    keep = np.nonzero(vals > 0)[0]
+    orders = [p ** int(v) for v in vals[keep]]
+    return orders, pinv[:, keep].astype(np.int64)

@@ -1,4 +1,8 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -266,6 +270,26 @@ def test_log10_constant_leading_term():
     with mpmath.workdps(60):
         ratio = val / mpmath.mpf(10) ** 5120
         assert abs(ratio - mpmath.log10(3)) < mpmath.mpf("1e-30")
+
+
+def test_package_import_loads_only_numpy_beyond_stdlib():
+    # mpmath is imported inside its one user, so a fresh `import isom4`
+    # pays for numpy and the standard library only (modules that site
+    # hooks load before the import are not the package's doing)
+    import isom4
+
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import isom4\n"
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isom4.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    loaded = ast.literal_eval(out.stdout.strip())
+    assert "isom4" in loaded and "numpy" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names
+            and m not in ("numpy", "isom4")] == []
 
 
 # --- isomorphism testing ----------------------------------------------------

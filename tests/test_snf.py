@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.snf import (
+    _drop_redundant_rows,
     det_exact,
     kernel_mod_p,
     kernel_mod_prime_power,
@@ -74,23 +77,28 @@ def test_kernel_mod_prime_power(rows, pk):
     assert np.all((a.astype(object) @ gens.astype(object)) % mod == 0)
 
 
+def _span(gens, mod):
+    """Every Z/mod-combination of the columns of gens, by closure."""
+    zero = (0,) * gens.shape[0]
+    spanned, frontier = {zero}, [zero]
+    cols = [tuple(int(x) % mod for x in gens[:, j]) for j in range(gens.shape[1])]
+    while frontier:
+        base = frontier.pop()
+        for col in cols:
+            nxt = tuple((b + c) % mod for b, c in zip(base, col))
+            if nxt not in spanned:
+                spanned.add(nxt)
+                frontier.append(nxt)
+    return spanned
+
+
 def test_kernel_mod_prime_power_counts_solutions():
     # brute force over (Z/8)^2 for a small matrix
     a = np.array([[2, 4], [0, 4]], dtype=np.int64)
     gens = kernel_mod_prime_power(a, 2, 3)
-    spanned = {(0, 0)}
-    frontier = [(0, 0)]
-    cols = [tuple(int(x) % 8 for x in gens[:, j]) for j in range(gens.shape[1])]
-    while frontier:
-        base = frontier.pop()
-        for col in cols:
-            nxt = tuple((b + c) % 8 for b, c in zip(base, col))
-            if nxt not in spanned:
-                spanned.add(nxt)
-                frontier.append(nxt)
     truth = {(x, y) for x in range(8) for y in range(8)
              if (2 * x + 4 * y) % 8 == 0 and (4 * y) % 8 == 0}
-    assert spanned == truth
+    assert _span(gens, 8) == truth
 
 
 @given(int_matrices, st.sampled_from([(2, 2), (3, 2)]))
@@ -132,6 +140,151 @@ def test_module_presentation_free_case():
 def test_module_presentation_trivial_quotient():
     orders, _ = module_presentation_local(np.eye(2, dtype=np.int64), 5, 1)
     assert list(orders) == []
+
+
+small_systems = st.integers(min_value=0, max_value=3).flatmap(
+    lambda m: st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.lists(st.integers(min_value=-12, max_value=12),
+                           min_size=m * n, max_size=m * n).map(
+            lambda xs: np.array(xs, dtype=np.int64).reshape(m, n))))
+
+
+@given(small_systems, st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                       (5, 1), (7, 1)]))
+@example(np.zeros((0, 3), dtype=np.int64), (2, 2))  # gave 9 columns before
+def test_kernel_mod_prime_power_at_most_n_generators(a, pk):
+    p, k = pk
+    mod = p**k
+    gens = kernel_mod_prime_power(a, p, k)
+    n = a.shape[1]
+    assert gens.shape[0] == n and gens.shape[1] <= n
+    truth = {x for x in itertools.product(range(mod), repeat=n)
+             if all(sum(int(c) * v for c, v in zip(row, x)) % mod == 0
+                    for row in a)}
+    assert _span(gens, mod) == truth
+
+
+local_relations = st.tuples(
+    st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4),
+    st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 1)])).flatmap(
+    lambda drk: st.tuples(
+        st.lists(st.integers(min_value=0, max_value=drk[2][0] ** drk[2][1] - 1),
+                 min_size=drk[0] * drk[1], max_size=drk[0] * drk[1]).map(
+            lambda xs: np.array(xs, dtype=np.int64).reshape(drk[0], drk[1])),
+        st.just(drk[2])))
+
+
+@given(local_relations)
+def test_module_presentation_matches_integer_snf(case):
+    rel, (p, k) = case
+    d = rel.shape[0]
+    orders, gens = module_presentation_local(rel, p, k, dim=d)
+    # independent route: (Z/p^k)^d / span(rel) is the cokernel over Z
+    # of [rel | p^k I]
+    full = np.hstack([rel, p**k * np.eye(d, dtype=np.int64)])
+    diag, _, _ = smith_normal_form(full.tolist())
+    assert list(orders) == [int(diag[i, i]) for i in range(d) if diag[i, i] != 1]
+    assert gens.shape == (d, len(orders))
+
+
+def _presentation_reference(rel, p, k):
+    """Entry-by-entry loop form of module_presentation_local: the same
+    pivot rule and operations on Python integers."""
+    mod = p**k
+    d, r = rel.shape
+    m = [[int(x) % mod for x in row] for row in rel]
+    pinv = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def valuation(x):
+        v = 0
+        while x and x % p == 0:
+            x //= p
+            v += 1
+        return v if x else k
+
+    t = 0
+    while t < min(d, r):
+        cands = [(valuation(m[i][j]), i, j) for i in range(t, d) for j in range(t, r)]
+        v, i0, j0 = min(cands)  # least valuation, then row-major order
+        if v == k:
+            break
+        m[i0], m[t] = m[t], m[i0]
+        for row in pinv:
+            row[i0], row[t] = row[t], row[i0]
+        for row in m:
+            row[j0], row[t] = row[t], row[j0]
+        unit = m[t][t] // p**v
+        m[t] = [x * pow(unit, -1, mod) % mod for x in m[t]]
+        for row in pinv:
+            row[t] = row[t] * unit % mod
+        for i in range(t + 1, d):
+            f = m[i][t] // p**v
+            m[i] = [(x - f * y) % mod for x, y in zip(m[i], m[t])]
+            for row in pinv:
+                row[t] = (row[t] + f * row[i]) % mod
+        for j in range(t + 1, r):
+            f = m[t][j] // p**v
+            for row in m:
+                row[j] = (row[j] - f * row[t]) % mod
+        t += 1
+    keep = [i for i in range(d) if (valuation(m[i][i]) if i < t else k) > 0]
+    orders = [p ** (valuation(m[i][i]) if i < t else k) for i in keep]
+    return orders, [[pinv[row][i] for i in keep] for row in range(d)]
+
+
+@given(local_relations)
+def test_module_presentation_matches_loop_reference(case):
+    rel, (p, k) = case
+    orders, gens = module_presentation_local(rel, p, k, dim=rel.shape[0])
+    want_orders, want_gens = _presentation_reference(rel, p, k)
+    assert orders == want_orders
+    assert gens.tolist() == want_gens
+
+
+def test_local_kernels_beyond_int64_products():
+    # products of residues mod 2^40 or 65537^2 overflow int64; both
+    # local reductions still come out exact
+    mod = 2**40
+    rel = np.array([[2**3, 2**20], [2**5, 2**39]], dtype=np.int64)
+    orders, _ = module_presentation_local(rel, 2, 40)
+    diag, _, _ = smith_normal_form(np.hstack([rel, mod * np.eye(2, dtype=np.int64)]).tolist())
+    assert orders == [int(diag[i, i]) for i in range(2) if diag[i, i] != 1]
+    # the same over Z/p^2 for p = 65537: 5p x + 3 y = 0 has the free
+    # solution module spanned by (1, -5p / 3), one generator with a
+    # unit first entry
+    p = 65537
+    a = np.array([[5 * p, 3]], dtype=np.int64)
+    gens = kernel_mod_prime_power(a, p, 2)
+    assert gens.shape == (2, 1) and gens[0, 0] % p != 0
+    assert np.all((a.astype(object) @ gens.astype(object)) % p**2 == 0)
+
+
+@given(st.lists(st.lists(st.integers(min_value=-400, max_value=400),
+                         min_size=4, max_size=4), min_size=1, max_size=12))
+def test_kernel_mod_p_above_byte_range(rows):
+    # p = 131 has residues above 127, where rows are compared as
+    # big-endian 16-bit records; repeat rows to exercise the dedup
+    a = np.array(rows + rows[:3], dtype=np.int64)
+    ker = kernel_mod_p(a, 131)
+    assert np.all((a.astype(object) @ ker.astype(object)) % 131 == 0)
+    assert ker.shape[1] == a.shape[1] - rank_mod_p(a, 131)
+
+
+@given(st.sampled_from([2, 3, 127, 131, 65537]),
+       st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_drop_redundant_rows_matches_unique(p, m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(m, n)) * rng.integers(0, 2, size=(m, n))
+    a = np.vstack([a, a[: m // 2], np.zeros((1, n), dtype=np.int64)])
+    want = np.unique(a[np.any(a != 0, axis=1)], axis=0)
+    got = _drop_redundant_rows(a, p)
+    assert np.array_equal(got, want)
+
+
+def test_module_presentation_needs_rel_or_dim():
+    with pytest.raises(InvalidInputError):
+        module_presentation_local(None, 2, 1)
 
 
 def test_prime_validation():
