@@ -59,8 +59,7 @@ def _reduce(a, mod):
     narrow = next((t for t in (np.int8, np.int16, np.int32)
                    if mod <= np.iinfo(t).max + 1), np.int64)
     if a.size and (a.min() < 0 or a.max() >= mod):
-        # in two's complement a power of two reduces by masking
-        a = a & (mod - 1) if mod & (mod - 1) == 0 else a % mod
+        a = a % mod
     return a.astype(narrow, copy=False)
 
 
@@ -91,9 +90,8 @@ def _imatmul(x, y):
              * x.shape[1])
     if bound < 2**52:
         # every partial sum is an integer of magnitude <= bound, so the
-        # float product is exact; float32 already is below 2^24
-        fl = np.float32 if bound < 2**24 else np.float64
-        prod = x.astype(fl) @ y.astype(fl)
+        # float product is exact
+        prod = x.astype(np.float64) @ y.astype(np.float64)
         return np.rint(prod).astype(np.int64)
     return x.astype(np.int64) @ y.astype(np.int64)
 

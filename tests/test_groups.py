@@ -287,7 +287,7 @@ def test_package_import_loads_only_numpy_beyond_stdlib():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     loaded = ast.literal_eval(out.stdout.strip())
-    assert "isom4" in loaded and "numpy" in loaded
+    assert "isom4" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names
             and m not in ("numpy", "isom4")] == []
 
