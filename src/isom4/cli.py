@@ -22,22 +22,7 @@ from .cohomology import classify_central_extensions
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
-from .groups import (
-    FiniteGroup,
-    abelian,
-    alternating,
-    binary_dihedral,
-    binary_icosahedral,
-    binary_octahedral,
-    binary_tetrahedral,
-    build_metacyclic,
-    cyclic,
-    dihedral,
-    klein_by_cyclic3,
-    q8_by_cyclic3,
-    quaternion_group,
-    symmetric,
-)
+from .groups import FiniteGroup, _canonical_name, build_group
 from .sphere import (
     ExtentConfig,
     LensParams,
@@ -49,58 +34,26 @@ from .verify import H2_TABLE, VerifyConfig, exit_code, h2_record, h2_tag, verify
 
 SCAN_CSV_HEADER = ("n", "k", "l", "q", "upper_bound", "threshold", "pass")
 
-_ALIASES = {"a4": "tetra", "s4": "octa", "a5": "icosa", "quaternion8": "q8"}
 
-_NAMED_GROUPS = {
-    "tetra": lambda: alternating(4),
-    "octa": lambda: symmetric(4),
-    "icosa": lambda: alternating(5),
-    "q8": quaternion_group,
-    "binary-tetra": binary_tetrahedral,
-    "binary-octa": binary_octahedral,
-    "binary-icosa": binary_icosahedral,
-}
-
-_PARAMETRIC_GROUPS = {
-    "cyclic": (1, lambda p: cyclic(p[0])),
-    "abelian": (None, lambda p: abelian(p)),
-    "dihedral": (1, lambda p: dihedral(p[0])),
-    "binary-dihedral": (1, lambda p: binary_dihedral(p[0])),
-    "metacyclic": (3, lambda p: build_metacyclic(p[0], p[1], p[2])),
-    "klein-by-3power": (1, lambda p: klein_by_cyclic3(p[0])),
-    "q8-by-3power": (1, lambda p: q8_by_cyclic3(p[0])),
-}
-
-
-def _split_spec(spec: str) -> tuple[str, str, str]:
-    """(canonical family name, ':' or '', parameter text) of a group spec."""
+def _split_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    """(table name, integer parameters) of a group spec 'name:p1,p2'."""
     name, sep, tail = spec.partition(":")
-    key = name.strip().lower()
-    return _ALIASES.get(key, key), sep, tail
+    try:
+        params = tuple(int(piece) for piece in tail.split(",")) if sep else ()
+    except ValueError:
+        raise InvalidInputError(f"non-integer parameter in {spec!r}") from None
+    return _canonical_name(name), params
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
-    """Build a group from a compact spec.
+    """Build a group from a compact spec: a name of the group table in
+    ``isom4.groups``, then ':' and its comma-separated parameters.
 
-    Named: A4/tetra, S4/octa, A5/icosa, Q8, binary-tetra/octa/icosa.
+    Named: A4/tetra, S4/octa, A5/icosa, Q8/quaternion8, binary-tetra/octa/icosa.
     Parametric: cyclic:12, abelian:3,9, dihedral:8, binary-dihedral:12,
     metacyclic:7,3,2, klein-by-3power:1, q8-by-3power:2."""
-    key, sep, tail = _split_spec(spec)
-    if not sep:
-        try:
-            return _NAMED_GROUPS[key]()
-        except KeyError:
-            raise InvalidInputError(f"unknown group spec {spec!r}") from None
-    if key not in _PARAMETRIC_GROUPS:
-        raise InvalidInputError(f"unknown group spec {spec!r}")
-    arity, build = _PARAMETRIC_GROUPS[key]
-    try:
-        params = [int(piece) for piece in tail.split(",")]
-    except ValueError:
-        raise InvalidInputError(f"non-integer parameter in {spec!r}") from None
-    if arity is not None and len(params) != arity:
-        raise InvalidInputError(f"{key} takes {arity} parameter(s), got {len(params)}")
-    return build(params)
+    name, params = _split_spec(spec)
+    return build_group(name, *params)
 
 
 def parse_hint_spec(spec: str) -> dict:
@@ -203,14 +156,13 @@ def _cmd_scan_extent(args) -> int:
 
 
 def _cmd_h2(args) -> int:
-    group = parse_group_spec(args.group)
+    family, params = _split_spec(args.group)
+    group = build_group(family, *params)
     cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
     record = h2_record(group, args.m, cache)
-    family, _, tail = _split_spec(args.group)
     predicted = advertised = tag = None
     if family in H2_TABLE:
-        _, rule = H2_TABLE[family]
-        predicted, advertised = rule(int(tail) if tail else None, args.m)
+        predicted, advertised = H2_TABLE[family](params[0] if params else None, args.m)
         tag = h2_tag(record["invariant_factors"], predicted, advertised)
     # fixed field order so cached and fresh runs print identically
     _emit_json({

@@ -23,9 +23,7 @@ from .groups import (
     FiniteGroup,
     alternating,
     binary_dihedral,
-    binary_icosahedral,
-    binary_octahedral,
-    binary_tetrahedral,
+    build_group,
     central_product,
     cyclic,
     dihedral,
@@ -35,7 +33,6 @@ from .groups import (
     minimal_generating_set,
     q8_by_cyclic3,
     semidirect_product,
-    symmetric,
 )
 from .snf import (
     kernel_mod_prime_power,
@@ -464,8 +461,7 @@ def _unique_nontrivial_extension(
 
 
 def _binary_polyhedral_target(kind: str, m: int) -> FiniteGroup:
-    lift = {"octa": binary_octahedral, "icosa": binary_icosahedral,
-            "tetra": binary_tetrahedral}[kind]()
+    lift = build_group("binary-" + kind)
     if m == 2:
         return lift
     zg = m // 2
@@ -502,7 +498,7 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
             raise InvalidParametersError("kind must be octa or icosa")
         if m < 2 or m % 2:
             raise InvalidParametersError("m must be even")
-        base = symmetric(4) if kind == "octa" else alternating(5)
+        base = build_group(kind)
         found = _unique_nontrivial_extension(base, m)
         target = _binary_polyhedral_target(kind, m)
         return found is not None and is_isomorphic(found, target)

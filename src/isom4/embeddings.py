@@ -28,11 +28,10 @@ from .groups import (
     ORDER_CAP,
     FiniteGroup,
     GroupKind,
-    _HALF,
+    _BINARY_QUAT_GENS,
     _QI,
     _QJ,
-    _binary_icosahedral_generators,
-    _quat_mul,
+    _close_unitary,
     build_metacyclic,
     find_isomorphism,
     pu3_presentation_valid,
@@ -51,9 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
-# matrix entries are short trig/golden-ratio expressions, so 1e-6 is a
-# comfortable dedup scale while float error stays near machine epsilon
-DEDUP_DECIMALS = 6
 _INJECTIVITY_MARGIN = 10.0
 
 
@@ -72,6 +68,17 @@ class QuatPair:
             if abs(math.sqrt(sum(x * x for x in raw)) - 1.0) > 1e-12:
                 raise InvalidInputError("quaternions must be unit norm")
             object.__setattr__(self, name, raw)
+
+
+def _quat_mul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
 
 
 def quat_pair_to_so4(pair: QuatPair) -> np.ndarray:
@@ -204,58 +211,8 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
     return gap > _INJECTIVITY_MARGIN * rep.tolerance
 
 
-# ---------------------------------------------------------------------------
-# matrix group closure
-
-
-def _mat_key(mat: np.ndarray) -> bytes:
-    arr = np.asarray(mat)
-    re = np.round(arr.real, DEDUP_DECIMALS) + 0.0
-    im = np.round(arr.imag, DEDUP_DECIMALS) + 0.0
-    return re.tobytes() + im.tobytes()
-
-
-def _close_matrix_group(generators, complex_entries: bool) -> tuple[FiniteGroup, np.ndarray]:
-    """Close generators under multiplication; the abstract table comes
-    straight from matrix products, so the rep is faithful by build."""
-    dtype = np.complex128 if complex_entries else np.float64
-    gens = [np.asarray(g, dtype=dtype) for g in generators]
-    d = gens[0].shape[0]
-    eye = np.eye(d, dtype=dtype)
-    for g in gens:
-        if g.shape != (d, d):
-            raise InvalidInputError("generators must be square and equally sized")
-        if np.max(np.abs(g.conj().T @ g - eye)) > DEFAULT_TOLERANCE:
-            raise InvalidInputError("generators must be orthogonal/unitary")
-    elements = [eye]
-    index = {_mat_key(eye): 0}
-    frontier = [eye]
-    while frontier:
-        fresh = []
-        for mat in frontier:
-            for g in gens:
-                prod = mat @ g
-                key = _mat_key(prod)
-                if key not in index:
-                    if len(elements) >= ORDER_CAP:
-                        raise BudgetError("matrix closure exceeds the order cap")
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    arr = np.stack(elements)
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        prods = arr[i] @ arr
-        row = table[i]
-        for j in range(n):
-            row[j] = index[_mat_key(prods[j])]
-    return FiniteGroup(table), arr
-
-
-def _closed_rep(generators, *, complex_entries: bool, expected_order: int) -> tuple[FiniteGroup, np.ndarray]:
-    group, mats = _close_matrix_group(generators, complex_entries)
+def _closed_rep(generators, expected_order: int) -> tuple[FiniteGroup, np.ndarray]:
+    group, mats = _close_unitary(generators)
     if group.size != expected_order:
         raise InvalidInputError(
             f"closure has order {group.size}, expected {expected_order}")
@@ -350,7 +307,7 @@ def polyhedral_so3(kind: GroupKind) -> MatrixRep:
     coordinate permutations, and the icosahedral group combines the
     coordinate 3-cycle with a 5-fold golden-ratio vertex rotation."""
     gens, expected = _so3_generators(kind)
-    group, mats = _closed_rep(gens, complex_entries=False, expected_order=expected)
+    group, mats = _closed_rep(gens, expected_order=expected)
     return MatrixRep(group=group, dimension=3, field_tag="real",
                      projective=False, matrices=mats)
 
@@ -419,16 +376,9 @@ def _recipe_so3xso2(kind: GroupKind | None = None, cyclic_order: int | None = No
         # one generator carries the 3-cycle and the rotation together,
         # so only a third of the rotation block commutes with the signs
         gens.append(_block_diag(_P3, _rot2(2.0 * math.pi / t)))
-    group, mats = _closed_rep(gens, complex_entries=False, expected_order=expected)
+    group, mats = _closed_rep(gens, expected_order=expected)
     return MatrixRep(group=group, dimension=5, field_tag="real",
                      projective=False, matrices=mats)
-
-
-_BINARY_QUAT_GENS = {
-    "tetra": (lambda: [_HALF, _QI], 24),
-    "octa": (lambda: [_HALF, _QI, (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0, 0.0)], 48),
-    "icosa": (lambda: _binary_icosahedral_generators(), 120),
-}
 
 
 def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
@@ -437,7 +387,7 @@ def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
     m = int(m)
     if m < 2 or m % 2:
         raise InvalidParametersError("m must be even and >= 2")
-    quat_gens, lift_order = _BINARY_QUAT_GENS[kind][0](), _BINARY_QUAT_GENS[kind][1]
+    quat_gens, lift_order = _BINARY_QUAT_GENS[kind]
     expected = m * lift_order // 2
     if expected > ORDER_CAP:
         raise BudgetError("central product order exceeds the group cap")
@@ -445,7 +395,7 @@ def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
     zeta = (math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m), 0.0, 0.0)
     gens = [quat_pair_to_so4(QuatPair(zeta, one))]
     gens.extend(quat_pair_to_so4(QuatPair(one, g)) for g in quat_gens)
-    group, mats = _closed_rep(gens, complex_entries=False, expected_order=expected)
+    group, mats = _closed_rep(gens, expected_order=expected)
     return MatrixRep(group=group, dimension=4, field_tag="real",
                      projective=False, matrices=mats)
 
@@ -467,7 +417,7 @@ def _recipe_u2(r: int, s: int, m_plus: int = 1) -> MatrixRep:
     lam = np.exp(2j * np.pi / 3 ** (s + 1))
     scalar = np.exp(2j * np.pi / (2**r * mp)) * np.eye(2)
     gens = [scalar, _su2(_QI), _su2(_QJ), lam * _su2(_W_QUAT)]
-    group, cmats = _closed_rep(gens, complex_entries=True, expected_order=expected)
+    group, cmats = _closed_rep(gens, expected_order=expected)
     mats = np.stack([_realify(c) for c in cmats])
     return MatrixRep(group=group, dimension=4, field_tag="real",
                      projective=False, matrices=mats)
@@ -508,7 +458,7 @@ def _recipe_o4_in_so5(m: int, k: int) -> MatrixRep:
         if abs(abs(det) - 1.0) > DEFAULT_TOLERANCE:
             raise InvalidInputError("generators must be orthogonal")
         padded.append(_block_diag(g, np.array([[1.0 if det > 0 else -1.0]])))
-    group, mats = _closed_rep(padded, complex_entries=False, expected_order=expected)
+    group, mats = _closed_rep(padded, expected_order=expected)
     return MatrixRep(group=group, dimension=5, field_tag="real",
                      projective=False, matrices=mats)
 
@@ -580,7 +530,7 @@ def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
         gens.append(block)
     if not gens:
         gens.append(np.eye(5))
-    group, mats = _closed_rep(gens, complex_entries=False, expected_order=g.size)
+    group, mats = _closed_rep(gens, expected_order=g.size)
     return MatrixRep(group=group, dimension=5, field_tag="real",
                      projective=False, matrices=mats)
 

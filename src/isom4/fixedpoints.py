@@ -4,8 +4,10 @@ Two closed models are in scope: the 4-sphere acted on by SO(5), and
 the complex projective plane acted on by U(3) (plus the anti-linear
 conjugation involution as a catalog constant).  Fixed sets come from
 eigenvalue multiplicities, Euler characteristics from the standard
-table, and each check compares that count with the trace-level
-prediction computed independently.
+table, and each check compares that count with the Lefschetz number.
+That number is not computed from the action: it is the constant every
+orientation-preserving map of S^4 has (2) or every unitary map of CP^2
+has (3), since such maps act trivially on rational cohomology.
 """
 
 from __future__ import annotations

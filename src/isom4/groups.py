@@ -8,7 +8,9 @@ structural question into a finite scan.
 Constructors cover cyclic, abelian, dihedral, symmetric/alternating,
 the binary polyhedral groups (built from unit-quaternion models and
 exactified into tables), metacyclic presentations, direct/semidirect
-products, and central products over a shared involution.
+products, and central products over a shared involution.  The named
+groups live in one table, read through :func:`build_group`, and every
+matrix or quaternion model is closed into a table by one routine.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ _JSON_VERSION = 1
 __all__ = [
     "FiniteGroup",
     "GroupKind",
-    "build_standard",
+    "build_group",
     "cyclic",
     "abelian",
     "dihedral",
@@ -336,81 +338,138 @@ def _perm_sign(p) -> int:
 
 def _permutation_group(perms) -> FiniteGroup:
     perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    if n > ORDER_CAP:
+    if len(perms) > ORDER_CAP:
         raise BudgetError("permutation group exceeds the order cap")
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[x] for x in q)]
+    # the empty permutation (of no points) keys as the identity of one point
+    perms = np.array([p or (0,) for p in perms], dtype=np.int64)
+    # (p q)(x) = p(q(x)); the permutation itself is its key
+    return _cayley_table(perms, lambda s, t: perms[s:t, perms].reshape(-1, perms.shape[1]))
+
+
+# --- closing generators into a table ----------------------------------------
+
+# matrix entries are short trig/golden-ratio expressions, so 1e-6 is a
+# comfortable dedup scale while float error stays near machine epsilon
+DEDUP_DECIMALS = 6
+_UNITARY_TOL = 1e-9
+
+
+def _key_rows(keys: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one byte-string record."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
+
+def _key_index(keys: np.ndarray):
+    """Lookup from key rows to the index of the equal row of ``keys``,
+    through one sort of the byte records."""
+    records = _key_rows(keys)
+    order = np.argsort(records)
+    ordered = records[order]
+
+    def lookup(queries: np.ndarray) -> np.ndarray:
+        found = _key_rows(queries)
+        pos = np.minimum(np.searchsorted(ordered, found), ordered.size - 1)
+        if not np.array_equal(ordered[pos], found):
+            raise InvalidInputError("a product falls outside the closed element set")
+        return order[pos]
+
+    return lookup
+
+
+def _cayley_table(keys: np.ndarray, products) -> FiniteGroup:
+    """Table of the group whose element i has key row ``keys[i]``;
+    ``products(s, t)`` gives the key rows of elements s..t-1 times every
+    element, row-major, for blocks of about 2^20 key entries."""
+    n = keys.shape[0]
+    lookup = _key_index(keys)
+    step = max(1, (1 << 20) // (n * keys.shape[1]))
+    table = np.empty((n, n), dtype=np.int32)
+    for s in range(0, n, step):
+        table[s : s + step] = lookup(products(s, s + step)).reshape(-1, n)
     return FiniteGroup(table)
+
+
+def _matrix_keys(mats: np.ndarray) -> np.ndarray:
+    """Dedup key per matrix: its entries (real, then imaginary parts)
+    rounded to DEDUP_DECIMALS, with -0.0 folded into 0.0."""
+    flat = mats.reshape(mats.shape[0], -1)
+    if np.iscomplexobj(flat):
+        flat = np.hstack([flat.real, flat.imag])
+    return np.round(flat, DEDUP_DECIMALS) + 0.0
+
+
+def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
+    """Close square orthogonal/unitary generators under multiplication.
+
+    Breadth first: each level multiplies the new elements on the right
+    by every generator, in order, and keeps the products whose key is
+    new.  The table comes straight from matrix products, so the
+    returned matrices (one per element) form a faithful representation."""
+    gens = [np.asarray(g) for g in generators]
+    dtype = np.complex128 if any(np.iscomplexobj(g) for g in gens) else np.float64
+    d = gens[0].shape[0]
+    if any(g.shape != (d, d) for g in gens):
+        raise InvalidInputError("generators must be square and equally sized")
+    gens = np.stack(gens).astype(dtype)
+    eye = np.eye(d, dtype=dtype)
+    if np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye)) > _UNITARY_TOL:
+        raise InvalidInputError("generators must be orthogonal/unitary")
+    levels = [eye[None]]
+    seen = {_matrix_keys(eye[None]).tobytes()}
+    while levels[-1].shape[0]:
+        prods = (levels[-1][:, None] @ gens[None]).reshape(-1, d, d)
+        fresh = []
+        for i, key in enumerate(_matrix_keys(prods)):
+            key = key.tobytes()
+            if key not in seen:
+                if len(seen) >= ORDER_CAP:
+                    raise BudgetError("matrix closure exceeds the order cap")
+                seen.add(key)
+                fresh.append(i)
+        levels.append(prods[fresh])
+    mats = np.concatenate(levels)
+    group = _cayley_table(
+        _matrix_keys(mats),
+        lambda s, t: _matrix_keys((mats[s:t, None] @ mats[None]).reshape(-1, d, d)))
+    return group, mats
 
 
 # --- unit-quaternion models -------------------------------------------------
 
 
-def _quat_mul(p, q):
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-
-
-def _quat_key(q):
-    return tuple((np.round(q, 6) + 0.0).tolist())
+def _left_mul(q) -> np.ndarray:
+    """4x4 matrix of x -> q x; its first column is q itself."""
+    a, b, c, d = (float(x) for x in q)
+    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
 
 
 def group_from_quaternions(generators) -> tuple[FiniteGroup, np.ndarray]:
     """Close a set of unit quaternions under multiplication and return
     the abstract group together with the quaternion per element.
 
-    Coordinates are deduplicated at 1e-6, far coarser than the float
-    error accumulated over these short products."""
-    one = (1.0, 0.0, 0.0, 0.0)
-    elements = [one]
-    index = {_quat_key(one): 0}
-    frontier = [one]
-    gens = [tuple(float(x) for x in g) for g in generators]
-    for g in gens:
-        if abs(sum(x * x for x in g) - 1.0) > 1e-9:
-            raise InvalidInputError("generators must be unit quaternions")
-    while frontier:
-        fresh = []
-        for q in frontier:
-            for g in gens:
-                prod = _quat_mul(q, g)
-                key = _quat_key(prod)
-                if key not in index:
-                    if len(elements) >= ORDER_CAP:
-                        raise BudgetError("quaternion closure exceeds the order cap")
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            table[i, j] = index[_quat_key(_quat_mul(p, q))]
-    return FiniteGroup(table), np.array(elements, dtype=np.float64)
+    The closure runs on the left-multiplication matrices, whose entries
+    are the coordinates up to sign, so coordinates are deduplicated at
+    1e-6, far coarser than the float error of these short products."""
+    group, mats = _close_unitary([_left_mul(q) for q in generators])
+    return group, np.ascontiguousarray(mats[:, :, 0])
 
 
 _HALF = (0.5, 0.5, 0.5, 0.5)
 _QI = (0.0, 1.0, 0.0, 0.0)
 _QJ = (0.0, 0.0, 1.0, 0.0)
+_R2 = 1.0 / math.sqrt(2.0)
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_ICOSA_AXIS = np.array([0.0, 1.0, _PHI]) / math.sqrt(2.0 + _PHI)
+_SIN5 = math.sin(math.pi / 5.0)
 
-
-def _binary_icosahedral_generators():
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    axis = np.array([0.0, 1.0, phi]) / math.sqrt(2.0 + phi)
-    s = math.sin(math.pi / 5.0)
-    rot5 = (math.cos(math.pi / 5.0), s * axis[0], s * axis[1], s * axis[2])
-    return [_HALF, rot5]
+# unit-quaternion generators of each binary polyhedral group, keyed by
+# the rotation group it double-covers, with the order of their closure
+_BINARY_QUAT_GENS = {
+    "tetra": ((_HALF, _QI), 24),
+    "octa": ((_HALF, _QI, (_R2, _R2, 0.0, 0.0)), 48),
+    "icosa": ((_HALF, (math.cos(math.pi / 5.0), *(_SIN5 * _ICOSA_AXIS))), 120),
+}
 
 
 def quaternion_group() -> FiniteGroup:
@@ -429,55 +488,24 @@ def binary_dihedral(order: int) -> FiniteGroup:
     return g
 
 
-def binary_tetrahedral() -> FiniteGroup:
-    return _checked_quat_group([_HALF, _QI], 24)
-
-
-def binary_octahedral() -> FiniteGroup:
-    r2 = 1.0 / math.sqrt(2.0)
-    return _checked_quat_group([_HALF, _QI, (r2, r2, 0.0, 0.0)], 48)
-
-
-def binary_icosahedral() -> FiniteGroup:
-    return _checked_quat_group(_binary_icosahedral_generators(), 120)
-
-
-def _checked_quat_group(gens, expected: int) -> FiniteGroup:
+def _binary_polyhedral(kind: str) -> FiniteGroup:
+    gens, expected = _BINARY_QUAT_GENS[kind]
     g, _ = group_from_quaternions(gens)
     if g.size != expected:
         raise InvalidInputError(f"quaternion closure has order {g.size}, expected {expected}")
     return g
 
 
-def build_standard(kind: GroupKind) -> FiniteGroup:
-    tag = kind.tag
-    if tag == "cyclic":
-        if kind.order_param is None:
-            raise InvalidParametersError("cyclic kind needs an order")
-        return cyclic(kind.order_param)
-    if tag == "dihedral":
-        if kind.order_param is None:
-            raise InvalidParametersError("dihedral kind needs an order")
-        return dihedral(kind.order_param)
-    if tag == "tetra":
-        return alternating(4)
-    if tag == "octa":
-        return symmetric(4)
-    if tag == "icosa":
-        return alternating(5)
-    if tag == "quaternion8":
-        return quaternion_group()
-    if tag == "binary-tetra":
-        return binary_tetrahedral()
-    if tag == "binary-octa":
-        return binary_octahedral()
-    if tag == "binary-icosa":
-        return binary_icosahedral()
-    if tag == "binary-dihedral":
-        if kind.order_param is None:
-            raise InvalidParametersError("binary-dihedral kind needs an order")
-        return binary_dihedral(kind.order_param)
-    raise InvalidInputError(f"unknown group kind {tag!r}")
+def binary_tetrahedral() -> FiniteGroup:
+    return _binary_polyhedral("tetra")
+
+
+def binary_octahedral() -> FiniteGroup:
+    return _binary_polyhedral("octa")
+
+
+def binary_icosahedral() -> FiniteGroup:
+    return _binary_polyhedral("icosa")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -589,17 +617,55 @@ def q8_by_cyclic3(power: int) -> FiniteGroup:
     action factors through Z_3."""
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
-    q8, quats = group_from_quaternions([_QI, _QJ])
-    w = (-0.5, 0.5, 0.5, 0.5)
-    w_conj = (-0.5, -0.5, -0.5, -0.5)
-    index = {_quat_key(q): i for i, q in enumerate(quats)}
-    cyc = np.array(
-        [index[_quat_key(_quat_mul(_quat_mul(w, tuple(q)), w_conj))] for q in quats]
-    )
+    q8, mats = _close_unitary([_left_mul(_QI), _left_mul(_QJ)])
+    conj = _left_mul((-0.5, 0.5, 0.5, 0.5)) @ mats @ _left_mul((-0.5, -0.5, -0.5, -0.5))
+    cyc = _key_index(_matrix_keys(mats))(_matrix_keys(conj))
     h = cyclic(3**power)
     pows = _powers_of_permutation(cyc, 3)
     action = np.array([pows[b % 3] for b in range(h.size)])
     return semidirect_product(q8, h, action)
+
+
+# The one table of group names: canonical name -> (parameter count,
+# builder); None counts one or more parameters.
+_GROUP_TABLE = {
+    "cyclic": (1, cyclic),
+    "abelian": (None, lambda *invariants: abelian(invariants)),
+    "dihedral": (1, dihedral),
+    "tetra": (0, lambda: alternating(4)),
+    "octa": (0, lambda: symmetric(4)),
+    "icosa": (0, lambda: alternating(5)),
+    "q8": (0, quaternion_group),
+    "binary-tetra": (0, binary_tetrahedral),
+    "binary-octa": (0, binary_octahedral),
+    "binary-icosa": (0, binary_icosahedral),
+    "binary-dihedral": (1, binary_dihedral),
+    "metacyclic": (3, build_metacyclic),
+    "klein-by-3power": (1, klein_by_cyclic3),
+    "q8-by-3power": (1, q8_by_cyclic3),
+}
+_GROUP_ALIASES = {"a4": "tetra", "s4": "octa", "a5": "icosa", "quaternion8": "q8"}
+
+
+def _canonical_name(name: str) -> str:
+    """Table name of ``name`` (case-insensitive, aliases resolved)."""
+    key = name.strip().lower()
+    key = _GROUP_ALIASES.get(key, key)
+    if key not in _GROUP_TABLE:
+        raise InvalidInputError(f"unknown group name {name!r}")
+    return key
+
+
+def build_group(name: str, *params: int) -> FiniteGroup:
+    """The group a table name (or alias) and its integer parameters
+    denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``."""
+    key = _canonical_name(name)
+    arity, build = _GROUP_TABLE[key]
+    fits = bool(params) if arity is None else len(params) == arity
+    if not fits:
+        want = "one or more" if arity is None else arity
+        raise InvalidParametersError(f"{key} takes {want} parameter(s), got {len(params)}")
+    return build(*params)
 
 
 def pu3_presentation_valid(m: int, n: int, r: int) -> bool:

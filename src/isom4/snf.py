@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParametersError
+from .errors import BudgetError, InvalidInputError, InvalidParametersError
 
 __all__ = [
     "smith_normal_form",
@@ -390,6 +390,15 @@ def _span_columns(gens, p, k):
     return g[:top].T.astype(np.int64)
 
 
+# Most unknowns one lifting level of kernel_mod_prime_power may have.
+# Each level adds the mod-p kernel dimension to the unknowns, so the
+# width can double per level, and time and memory grow with it: the
+# 1 x 2 system [2^20, 3] reaches 8,193 unknowns mod 2^14 (8 s) and
+# asks for 2 GiB mod 2^16.  The widest level the check suite reaches
+# is 3,541 (the A5 cocycle system with its kernel, m = 4).
+_LEVEL_WIDTH_CAP = 4096
+
+
 def kernel_mod_prime_power(a, p, k):
     """Generating set for {x : a @ x == 0 mod p^k}, as columns.
 
@@ -409,6 +418,10 @@ def kernel_mod_prime_power(a, p, k):
     mod = p**k
     a = _reduce(a, mod)
     f = kernel_mod_p(a, p)
+    width = f.shape[1] + a.shape[1]
+    if width > _LEVEL_WIDTH_CAP:
+        raise BudgetError(f"lifting mod {p}^{k} needs {width} unknowns, "
+                          f"above the cap of {_LEVEL_WIDTH_CAP}")
     g = _exact_div(_imatmul(a, f) % mod, p)
     inner = kernel_mod_prime_power(np.hstack([g.astype(a.dtype), a]), p, k - 1)
     c, y = inner[: f.shape[1]], inner[f.shape[1] :]

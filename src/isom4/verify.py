@@ -40,6 +40,7 @@ from .groups import (
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
+    build_group,
     build_metacyclic,
     central_product,
     cyclic,
@@ -246,19 +247,23 @@ def _same(factors):
     return factors, factors
 
 
-# The published H^2(Q; Z_m) values, one entry per group family:
-# (constructor of the family parameter, rule (parameter, m) ->
-# (computed, advertised) invariant factors).  The two values differ
-# only for the octahedral group at even m.
+# The published H^2(Q; Z_m) values, one rule per group family (a name
+# of the group table in ``groups``): (parameter, m) -> (computed,
+# advertised) invariant factors.  The two values differ only for the
+# octahedral group at even m.
 H2_TABLE = {
-    "cyclic": (cyclic, lambda n, m: _same(_gcd_factor(n, m))),
-    "dihedral": (dihedral, lambda order, m: _same(
-        _even_only(m, (2,) if order // 2 % 2 else (2, 2, 2)))),
-    "tetra": (lambda _: alternating(4), lambda _, m: _same(_gcd_factor(6, m))),
-    "octa": (lambda _: symmetric(4),
-             lambda _, m: (_even_only(m, (2, 2)), _even_only(m, (2,)))),
-    "icosa": (lambda _: alternating(5), lambda _, m: _same(_gcd_factor(2, m))),
+    "cyclic": lambda n, m: _same(_gcd_factor(n, m)),
+    "dihedral": lambda order, m: _same(
+        _even_only(m, (2,) if order // 2 % 2 else (2, 2, 2))),
+    "tetra": lambda _, m: _same(_gcd_factor(6, m)),
+    "octa": lambda _, m: (_even_only(m, (2, 2)), _even_only(m, (2,))),
+    "icosa": lambda _, m: _same(_gcd_factor(2, m)),
 }
+
+
+def _row_group(family: str, parameter=None):
+    """The group of an H2_TABLE row: ``family`` with its one parameter, if any."""
+    return build_group(family) if parameter is None else build_group(family, parameter)
 
 
 def h2_tag(got, computed, advertised) -> str:
@@ -284,10 +289,9 @@ def _h2_verdict(rows, factors):
     wanted = []
     bad = []
     for label, family, parameter, m in rows:
-        build, rule = H2_TABLE[family]
         if (family, parameter) not in built:
-            built[family, parameter] = build(parameter)
-        computed, advertised = rule(parameter, m)
+            built[family, parameter] = _row_group(family, parameter)
+        computed, advertised = H2_TABLE[family](parameter, m)
         got = tuple(factors(built[family, parameter], m))
         tags.append(h2_tag(got, computed, advertised))
         wanted.append(f"{label} m={m} -> {computed}")

@@ -21,9 +21,8 @@ from isom4.fixedpoints import (
     lefschetz_check_cp2,
 )
 from isom4.groups import (
-    GroupKind,
     alternating,
-    build_standard,
+    build_group,
     cyclic,
     direct_product,
     is_isomorphic,
@@ -132,14 +131,14 @@ def test_criterion_05_extension_classification():
         and is_isomorphic(split[0].group,
                           direct_product(cyclic(2), alternating(5)))
         and is_isomorphic(twisted[0].group,
-                          build_standard(GroupKind("binary-icosa")))
+                          build_group("binary-icosa"))
     )
     octa = classify_central_extensions(symmetric(4), 2)
     octa_ok = (
         len(octa) == 4
         and any(is_isomorphic(c.group, direct_product(cyclic(2), symmetric(4)))
                 for c in octa)
-        and any(is_isomorphic(c.group, build_standard(GroupKind("binary-octa")))
+        and any(is_isomorphic(c.group, build_group("binary-octa"))
                 for c in octa)
     )
     ok = icosa_ok and octa_ok

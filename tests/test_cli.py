@@ -11,8 +11,8 @@ from isom4.cli import (
     read_config_file,
 )
 from isom4.errors import InvalidInputError
-from isom4.groups import is_isomorphic, quaternion_group, symmetric
-from isom4.verify import _SUITE, H2_TABLE
+from isom4.groups import is_isomorphic, quaternion_group
+from isom4.verify import _SUITE, _row_group
 
 BOUND_61 = 1.0455854008586938
 
@@ -21,7 +21,7 @@ SMALL_H2_ROWS = [
     (check_id, family, parameter, m)
     for check_id, check, _ in _SUITE if isinstance(check, partial)
     for _, family, parameter, m in check.args[0]
-    if H2_TABLE[family][0](parameter).size <= 24
+    if _row_group(family, parameter).size <= 24
 ]
 
 

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from isom4.cli import parse_group_spec
+from isom4.cohomology import group_digest
+from isom4.embeddings import build_recipe_rep
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
+    _GROUP_ALIASES,
+    _GROUP_TABLE,
     ORDER_CAP,
     FiniteGroup,
     GroupKind,
@@ -21,8 +26,8 @@ from isom4.groups import (
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
+    build_group,
     build_metacyclic,
-    build_standard,
     central_product,
     cyclic,
     dihedral,
@@ -43,6 +48,7 @@ from isom4.groups import (
     semidirect_product,
     symmetric,
 )
+from isom4.verify import H2_TABLE
 
 
 # --- table validation ---------------------------------------------------
@@ -129,6 +135,8 @@ def test_permutation_groups():
     assert s4.abelian_invariants == (2,)
     assert a4.abelian_invariants == (3,)
     assert a5.abelian_invariants == ()
+    assert [symmetric(n).size for n in range(4)] == [1, 1, 2, 6]
+    assert [alternating(n).size for n in range(4)] == [1, 1, 1, 3]
 
 
 def test_quaternion_structure():
@@ -161,15 +169,57 @@ def test_binary_dihedral_8_is_quaternion():
     assert is_isomorphic(binary_dihedral(8), quaternion_group())
 
 
-def test_build_standard_dispatch():
-    assert build_standard(GroupKind("icosa")).size == 60
-    assert build_standard(GroupKind("cyclic", 7)).size == 7
+def test_build_group_dispatch():
+    assert build_group("icosa").size == 60
+    assert build_group("cyclic", 7).size == 7
     with pytest.raises(InvalidParametersError):
-        build_standard(GroupKind("cyclic"))
+        build_group("cyclic")
     with pytest.raises(InvalidInputError):
-        build_standard(GroupKind("frieze"))
+        build_group("frieze")
     with pytest.raises(InvalidParametersError):
         GroupKind("cyclic", 0)
+
+
+# one sample parameter text per parametric name of the group table
+SAMPLE_PARAMS = {"cyclic": "12", "abelian": "3,9", "dihedral": "8",
+                 "binary-dihedral": "12", "metacyclic": "7,3,2",
+                 "klein-by-3power": "1", "q8-by-3power": "2"}
+
+
+def test_every_group_name_parses():
+    assert {name for name, (arity, _) in _GROUP_TABLE.items() if arity != 0} \
+        == set(SAMPLE_PARAMS)
+    for name in [*_GROUP_TABLE, *_GROUP_ALIASES]:
+        params = SAMPLE_PARAMS.get(_GROUP_ALIASES.get(name, name))
+        spec = f"{name.upper()}:{params}" if params else name.upper()
+        args = [int(p) for p in params.split(",")] if params else []
+        assert parse_group_spec(spec).to_json() == build_group(name, *args).to_json()
+    assert set(H2_TABLE) <= set(_GROUP_TABLE)
+
+
+# group_digest is the H^2 cache key, so the element order each closure
+# produces is pinned: a change would orphan every cached entry
+@pytest.mark.parametrize("build,digest", [
+    (lambda: build_group("binary-icosa"), "da2a0052476b0933"),
+    (lambda: build_group("binary-octa"), "be5e9cc1b3112cab"),
+    (lambda: build_group("binary-tetra"), "2ffe03eb0f2bdb84"),
+    (lambda: build_group("q8"), "bcbc4efc22bc440f"),
+    (lambda: build_group("binary-dihedral", 12), "8077e384603dabe4"),
+    (lambda: build_group("q8-by-3power", 2), "b8b23a84373c0859"),
+    (lambda: build_group("octa"), "43f3b9992593e80b"),
+    (lambda: build_group("icosa"), "6a6deac0c444348f"),
+    (lambda: build_recipe_rep("so4-central-product", kind="icosa", m=4).group,
+     "19b53a10ec482a41"),
+    (lambda: build_recipe_rep("so4-central-product", kind="octa", m=2).group,
+     "df7cea5aa4d11193"),
+    (lambda: build_recipe_rep("u2", r=1, s=1).group, "2f07e781817ea7b8"),
+    (lambda: build_recipe_rep("so3xso2", kind=GroupKind("icosa")).group,
+     "36e352eb6fae211f"),
+], ids=["binary-icosa", "binary-octa", "binary-tetra", "q8", "binary-dihedral-12",
+        "q8-by-3power-2", "octa", "icosa", "so4-icosa-4", "so4-octa-2", "u2-1-1",
+        "so3xso2-icosa"])
+def test_closure_tables_are_pinned(build, digest):
+    assert group_digest(build()) == digest
 
 
 # --- products and extensions ----------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from isom4.errors import InvalidInputError, InvalidParametersError
+from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.snf import (
     _drop_redundant_rows,
     det_exact,
@@ -257,6 +258,17 @@ def test_local_kernels_beyond_int64_products():
     gens = kernel_mod_prime_power(a, p, 2)
     assert gens.shape == (2, 1) and gens[0, 0] % p != 0
     assert np.all((a.astype(object) @ gens.astype(object)) % p**2 == 0)
+
+
+@pytest.mark.parametrize("k", [16, 40])
+def test_kernel_mod_prime_power_refuses_wide_levels(k):
+    # the unknowns of [2^20, 3] grow as 2^(k-1) + 1 over the lifting
+    # levels; past the width cap the call stops early, before any level
+    # large enough to cost seconds or gigabytes is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        kernel_mod_prime_power(np.array([[2**20, 3]]), 2, k)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(st.lists(st.lists(st.integers(min_value=-400, max_value=400),
