@@ -22,7 +22,7 @@ from .cohomology import classify_central_extensions
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
-from .groups import FiniteGroup, _canonical_name, build_group
+from .groups import FiniteGroup, build_group, canonical_group_name
 from .sphere import (
     ExtentConfig,
     LensParams,
@@ -36,13 +36,13 @@ SCAN_CSV_HEADER = ("n", "k", "l", "q", "upper_bound", "threshold", "pass")
 
 
 def _split_spec(spec: str) -> tuple[str, tuple[int, ...]]:
-    """(table name, integer parameters) of a group spec 'name:p1,p2'."""
+    """(name, integer parameters) of a group spec 'name:p1,p2'."""
     name, sep, tail = spec.partition(":")
     try:
         params = tuple(int(piece) for piece in tail.split(",")) if sep else ()
     except ValueError:
         raise InvalidInputError(f"non-integer parameter in {spec!r}") from None
-    return _canonical_name(name), params
+    return name, params
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -156,7 +156,8 @@ def _cmd_scan_extent(args) -> int:
 
 
 def _cmd_h2(args) -> int:
-    family, params = _split_spec(args.group)
+    name, params = _split_spec(args.group)
+    family = canonical_group_name(name)
     group = build_group(family, *params)
     cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
     record = h2_record(group, args.m, cache)

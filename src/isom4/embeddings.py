@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .groups import (
+    DEFAULT_TOLERANCE,
     ORDER_CAP,
     FiniteGroup,
     GroupKind,
@@ -49,7 +50,6 @@ __all__ = [
     "embed_into_so5",
 ]
 
-DEFAULT_TOLERANCE = 1e-9
 _INJECTIVITY_MARGIN = 10.0
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "FiniteGroup",
     "GroupKind",
     "build_group",
+    "canonical_group_name",
     "cyclic",
     "abelian",
     "dihedral",
@@ -351,7 +352,8 @@ def _permutation_group(perms) -> FiniteGroup:
 # matrix entries are short trig/golden-ratio expressions, so 1e-6 is a
 # comfortable dedup scale while float error stays near machine epsilon
 DEDUP_DECIMALS = 6
-_UNITARY_TOL = 1e-9
+# float residual below which a matrix identity counts as exact
+DEFAULT_TOLERANCE = 1e-9
 
 
 def _key_rows(keys: np.ndarray) -> np.ndarray:
@@ -413,7 +415,8 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
         raise InvalidInputError("generators must be square and equally sized")
     gens = np.stack(gens).astype(dtype)
     eye = np.eye(d, dtype=dtype)
-    if np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye)) > _UNITARY_TOL:
+    drift = np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye))
+    if drift > DEFAULT_TOLERANCE:
         raise InvalidInputError("generators must be orthogonal/unitary")
     levels = [eye[None]]
     seen = {_matrix_keys(eye[None]).tobytes()}
@@ -647,7 +650,7 @@ _GROUP_TABLE = {
 _GROUP_ALIASES = {"a4": "tetra", "s4": "octa", "a5": "icosa", "quaternion8": "q8"}
 
 
-def _canonical_name(name: str) -> str:
+def canonical_group_name(name: str) -> str:
     """Table name of ``name`` (case-insensitive, aliases resolved)."""
     key = name.strip().lower()
     key = _GROUP_ALIASES.get(key, key)
@@ -659,7 +662,7 @@ def _canonical_name(name: str) -> str:
 def build_group(name: str, *params: int) -> FiniteGroup:
     """The group a table name (or alias) and its integer parameters
     denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``."""
-    key = _canonical_name(name)
+    key = canonical_group_name(name)
     arity, build = _GROUP_TABLE[key]
     fits = bool(params) if arity is None else len(params) == arity
     if not fits:

@@ -394,9 +394,13 @@ def _span_columns(gens, p, k):
 # Each level adds the mod-p kernel dimension to the unknowns, so the
 # width can double per level, and time and memory grow with it: the
 # 1 x 2 system [2^20, 3] reaches 8,193 unknowns mod 2^14 (8 s) and
-# asks for 2 GiB mod 2^16.  The widest level the check suite reaches
-# is 3,541 (the A5 cocycle system with its kernel, m = 4).
-_LEVEL_WIDTH_CAP = 4096
+# asks for 2 GiB mod 2^16.  The cap must admit every H^2 the cohomology
+# caps accept (group order n <= 60, m <= 64).  The widest levels there
+# lift the cocycle system of an order-60 group mod 2^6: its 3,481
+# unknowns plus 1 + 2 + 4 + 8 + 16 = 31 times its mod-2 cocycle
+# dimension (at most 62), so at most 5,403.  Measured: 5,326 for A5,
+# Z2 x Z30, D60 and A4 x Z5 at m = 64; 4,374 for A5 at m = 32.
+_LEVEL_WIDTH_CAP = 6144
 
 
 def kernel_mod_prime_power(a, p, k):

@@ -56,6 +56,12 @@ def test_icosahedral_small_moduli():
     assert factors(a5, 3) == ()
 
 
+def test_icosahedral_large_two_power():
+    # lifting the 3,481-unknown cocycle system mod 2^5 passes levels of
+    # up to 4,374 unknowns, all inside the snf width cap
+    assert factors(alternating(5), 32) == (2,)
+
+
 def test_dihedral_tables():
     for order in (6, 10):
         assert factors(dihedral(order), 3) == ()

@@ -28,6 +28,7 @@ from isom4.groups import (
     binary_tetrahedral,
     build_group,
     build_metacyclic,
+    canonical_group_name,
     central_product,
     cyclic,
     dihedral,
@@ -194,6 +195,8 @@ def test_every_group_name_parses():
         spec = f"{name.upper()}:{params}" if params else name.upper()
         args = [int(p) for p in params.split(",")] if params else []
         assert parse_group_spec(spec).to_json() == build_group(name, *args).to_json()
+        assert canonical_group_name(f" {name.upper()} ") \
+            == _GROUP_ALIASES.get(name, name)
     assert set(H2_TABLE) <= set(_GROUP_TABLE)
 
 
