@@ -17,7 +17,6 @@ from isom4.sphere import (
     ExtentConfig,
     LensParams,
     extent_lower_bound,
-    extent_upper_bound,
     scan_extent,
 )
 

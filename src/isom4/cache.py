@@ -20,7 +20,8 @@ __all__ = [
     "ResultCache",
 ]
 
-CACHE_FORMAT_VERSION = 1
+# version 2: H^2 entries hold CohomologyResult.to_json() payloads
+CACHE_FORMAT_VERSION = 2
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
 _SLUG_MAX = 120

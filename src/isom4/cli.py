@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -18,7 +17,7 @@ import sys
 
 from .cache import ResultCache
 from .claims import ClassificationQuery, classify
-from .cohomology import classify_central_extensions
+from .cohomology import classify_central_extensions, group_digest
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
@@ -68,34 +67,6 @@ def parse_hint_spec(spec: str) -> dict:
             value = value.strip()
             hint[key.strip()] = int(value) if value.lstrip("-").isdigit() else value
     return hint
-
-
-def read_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; # starts a comment; values are ints."""
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-                try:
-                    values[key.strip()] = int(value.strip())
-                except ValueError:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: value for {key.strip()!r} is not an integer"
-                    ) from None
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read config file: {exc}") from None
-    return values
-
-
-_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(VerifyConfig)
-                     if field.name != "cache")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -167,11 +138,11 @@ def _cmd_h2(args) -> int:
         tag = h2_tag(record["invariant_factors"], predicted, advertised)
     # fixed field order so cached and fresh runs print identically
     _emit_json({
-        "group_id": record["group_id"],
-        "m": record["m"],
+        "group_id": group_digest(group),
+        "m": args.m,
         "invariant_factors": list(record["invariant_factors"]),
-        "class_count": record["class_count"],
-        "iso_class_count": record["iso_class_count"],
+        # the central extension classes number |H^2|
+        "class_count": record["order"],
         "predicted": None if predicted is None else list(predicted),
         "advertised": None if advertised is None else list(advertised),
         "tag": tag,
@@ -254,23 +225,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    values = dict.fromkeys(_CONFIG_KEYS)
-    if args.config is not None:
-        file_values = read_config_file(args.config)
-        unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
-        if unknown:
-            raise InvalidInputError(f"unknown config keys: {', '.join(unknown)}")
-        values.update(file_values)
-    # explicit flags beat the config file
-    for key, flag in (("seed", args.seed), ("threshold_n", args.threshold_n),
-                      ("scan_max", args.scan_max),
-                      ("batch_count", args.batch_count),
-                      ("q", args.q),
-                      ("optimizer_spot_checks", args.spot_checks),
-                      ("optimizer_restarts", args.restarts)):
-        if flag is not None:
-            values[key] = flag
-    kwargs = {key: value for key, value in values.items() if value is not None}
+    flags = {"seed": args.seed, "threshold_n": args.threshold_n,
+             "scan_max": args.scan_max, "batch_count": args.batch_count,
+             "optimizer_spot_checks": args.spot_checks,
+             "optimizer_restarts": args.restarts}
+    kwargs = {key: value for key, value in flags.items() if value is not None}
     if args.cache_dir is not None:
         kwargs["cache"] = ResultCache(args.cache_dir)
     report = verify_all(VerifyConfig(**kwargs))
@@ -368,12 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("verify-all", help="run the whole check suite")
     p.add_argument("--threshold-n", type=int, default=None, dest="threshold_n")
     p.add_argument("--scan-max", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
     p.add_argument("--batch-count", type=int, default=None)
     p.add_argument("--spot-checks", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--config", default=None,
-                   help="flat key = value file for budgets and caps")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify_all)
 

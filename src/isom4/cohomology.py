@@ -54,7 +54,6 @@ __all__ = [
     "classify_central_extensions",
     "verify_extension_isomorphism",
     "group_digest",
-    "cohomology_record",
 ]
 
 GROUP_ORDER_CAP = 60
@@ -218,6 +217,11 @@ def _coboundary_matrix(group: FiniteGroup) -> np.ndarray:
     return out
 
 
+# Process-global reuse of the local H^2 bases, keyed by table digest and
+# prime power.  It pays within one verify-all run: clearing it before
+# each check costs about 3 s of a cold seed-1 run, almost all of it in
+# extension-binary-covers and extensions-icosahedral-m2 rebuilding the A5
+# bases that h2-icosahedral-table already solved.
 _LOCAL_CACHE: dict[tuple, tuple] = {}
 
 
@@ -590,15 +594,3 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
 
     raise InvalidInputError(f"unknown verification tag: {tag}")
 
-
-def cohomology_record(group: FiniteGroup, m: int) -> dict:
-    """JSON-ready summary used by the disk cache and the CLI."""
-    result = second_cohomology(group, m)
-    classes = classify_central_extensions(group, m)
-    return {
-        "group_id": group_digest(group),
-        "m": m,
-        "invariant_factors": list(result.invariant_factors),
-        "class_count": sum(c.class_count for c in classes),
-        "iso_class_count": len(classes),
-    }

@@ -12,7 +12,6 @@ has (3), since such maps act trivially on rational cohomology.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -11,8 +11,7 @@ turns the q = 5 bound into a fixed-point count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,21 +203,24 @@ def deck_transform(params: LensParams, j: int, p: SpherePoint) -> SpherePoint:
     return SpherePoint((z1.real, z1.imag, z2.real, z2.imag))
 
 
-@lru_cache(maxsize=64)
-def _deck_phases(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    js = np.arange(n)
+def _deck_phases(params: LensParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation phases (w1^j, w2^j) of the n deck transformations;
+    callers compute them once and pass them to :func:`_orbit_dots`."""
+    js = np.arange(params.n)
     return (
-        np.exp(2j * np.pi * k * js / n),
-        np.exp(2j * np.pi * l * js / n),
+        np.exp(2j * np.pi * params.k * js / params.n),
+        np.exp(2j * np.pi * params.l * js / params.n),
     )
 
 
-def _orbit_dots(params: LensParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _orbit_dots(phases: tuple[np.ndarray, np.ndarray], a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
     """Max over the deck orbit of <a, g_j b>, vectorized over leading axes.
 
-    a, b: real arrays (..., 4) holding sphere points.
+    phases: :func:`_deck_phases` of the quotient; a, b: real arrays
+    (..., 4) holding sphere points.
     """
-    w1, w2 = _deck_phases(params.n, params.k, params.l)
+    w1, w2 = phases
     az1 = a[..., 0] + 1j * a[..., 1]
     az2 = a[..., 2] + 1j * a[..., 3]
     bz1 = b[..., 0] + 1j * b[..., 1]
@@ -232,7 +234,7 @@ def _orbit_dots(params: LensParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def lens_distance(params: LensParams, p: SpherePoint, q: SpherePoint) -> float:
     """Quotient distance: min over the deck orbit of q of the S^3 distance."""
-    best = _orbit_dots(params, p.as_array(), q.as_array())
+    best = _orbit_dots(_deck_phases(params), p.as_array(), q.as_array())
     return math.acos(max(-1.0, min(1.0, float(best))))
 
 
@@ -366,16 +368,16 @@ def isolated_fixed_point_budget(extent_bound: float) -> dict:
     }
 
 
-def _pairwise_mean(params: LensParams, pts: np.ndarray) -> float:
+def _pairwise_mean(phases, pts: np.ndarray) -> float:
     q = pts.shape[0]
     iu, ju = np.triu_indices(q, k=1)
-    dots = _orbit_dots(params, pts[iu], pts[ju])
+    dots = _orbit_dots(phases, pts[iu], pts[ju])
     return float(np.arccos(np.clip(dots, -1.0, 1.0)).mean())
 
 
-def _point_to_rest(params: LensParams, cand: np.ndarray, rest: np.ndarray) -> np.ndarray:
+def _point_to_rest(phases, cand: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Sum of distances from each candidate (c, 4) to every rest point."""
-    dots = _orbit_dots(params, cand[:, None, :], rest[None, :, :])
+    dots = _orbit_dots(phases, cand[:, None, :], rest[None, :, :])
     return np.arccos(np.clip(dots, -1.0, 1.0)).sum(axis=1)
 
 
@@ -397,6 +399,7 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     """
     q = cfg.q
     pair_norm = q * (q - 1) / 2.0
+    phases = _deck_phases(params)
     best_val = -1.0
     best_pts = None
     sweeps_total = 0
@@ -405,7 +408,7 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
         pts = rng.standard_normal((q, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         # track the total over unordered pairs; mean = total / C(q,2)
-        total = _pairwise_mean(params, pts) * pair_norm
+        total = _pairwise_mean(phases, pts) * pair_norm
         step = _INITIAL_STEP
         for _ in range(cfg.max_iters):
             if step < cfg.step_tolerance:
@@ -414,14 +417,14 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
             improved = False
             for i in range(q):
                 rest = np.delete(pts, i, axis=0)
-                base = _point_to_rest(params, pts[i : i + 1], rest)[0]
+                base = _point_to_rest(phases, pts[i : i + 1], rest)[0]
                 dirs = rng.standard_normal((_DIRECTIONS_PER_STEP, 4))
                 dirs -= np.outer(dirs @ pts[i], pts[i])
                 norms = np.linalg.norm(dirs, axis=1, keepdims=True)
                 dirs /= np.where(norms < 1e-12, 1.0, norms)
                 cand = math.cos(step) * pts[i] + math.sin(step) * dirs
                 cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                vals = _point_to_rest(params, cand, rest)
+                vals = _point_to_rest(phases, cand, rest)
                 j = int(np.argmax(vals))
                 if vals[j] > base + _IMPROVEMENT_EPS:
                     pts[i] = cand[j]
@@ -430,7 +433,7 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
             if not improved:
                 step *= 0.5
         # re-evaluate exactly; the incremental total accumulates drift
-        val = _pairwise_mean(params, pts)
+        val = _pairwise_mean(phases, pts)
         if val > best_val:
             best_val = val
             best_pts = pts.copy()

@@ -21,7 +21,6 @@ from .cache import ResultCache
 from .claims import ClassificationQuery, classify
 from .cohomology import (
     classify_central_extensions,
-    cohomology_record,
     group_digest,
     second_cohomology,
     verify_extension_isomorphism,
@@ -77,6 +76,8 @@ REPORT_VERSION = 1
 STATUSES = ("PASS", "FAIL", "DISCREPANCY", "UNSUPPORTED")
 
 _THRESHOLD = math.pi / 3.0
+# points in the extent bound; the sphere legends state the 5-point bound
+_Q = 5
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,13 @@ class VerifyConfig:
 
     ``threshold_n`` is the first deck order the scan must certify; the
     default 61 is the sharp value, and lowering it to 60 makes the scan
-    fail on the 36 canonical quotients there.  ``cache`` short-circuits
-    the cohomology and scan recomputation when set."""
+    fail on the 36 canonical quotients there.  ``cache``, when set,
+    holds the H^2 tables and the two binary-cover comparisons across
+    runs; every other check is recomputed."""
 
     seed: int = 0
     threshold_n: int = 61
     scan_max: int = 300
-    q: int = 5
     batch_count: int = 1000
     optimizer_spot_checks: int = 3
     optimizer_restarts: int = 32
@@ -128,8 +129,6 @@ class VerifyConfig:
             raise InvalidInputError("threshold_n must be at least 3")
         if self.scan_max < self.threshold_n:
             raise InvalidInputError("scan_max must be at least threshold_n")
-        if self.q < 2:
-            raise InvalidInputError("q must be at least 2")
         if self.batch_count < 1:
             raise InvalidInputError("batch_count must be positive")
         if self.optimizer_spot_checks < 0 or self.optimizer_restarts < 1:
@@ -150,7 +149,7 @@ def _cached(cache: ResultCache | None, key: str, compute):
 # ---------------------------------------------------------------- sphere
 
 def _check_extent_sharp_low(cfg):
-    value = extent_upper_bound(LensParams(60, 1, 1), cfg.q)
+    value = extent_upper_bound(LensParams(60, 1, 1), _Q)
     ok = value >= _THRESHOLD
     return ("PASS" if ok else "FAIL",
             f"upper bound at deck order 60 >= pi/3 = {_fmt(_THRESHOLD)}",
@@ -158,7 +157,7 @@ def _check_extent_sharp_low(cfg):
 
 
 def _check_extent_sharp_high(cfg):
-    value = extent_upper_bound(LensParams(61, 1, 1), cfg.q)
+    value = extent_upper_bound(LensParams(61, 1, 1), _Q)
     ok = value < _THRESHOLD
     return ("PASS" if ok else "FAIL",
             f"upper bound at deck order 61 < pi/3 = {_fmt(_THRESHOLD)}",
@@ -166,29 +165,19 @@ def _check_extent_sharp_high(cfg):
 
 
 def _check_extent_scan(cfg):
-    key = f"scan-n{cfg.threshold_n}-{cfg.scan_max}-q{cfg.q}"
-
-    def compute():
-        bad = scan_extent_threshold(cfg.threshold_n, cfg.scan_max, cfg.q,
-                                    _THRESHOLD)
-        summary = {"violations": len(bad)}
-        if bad:
-            worst = max(bad, key=lambda row: row.upper_bound)
-            summary["first"] = (f"(n,k,l)=({worst.n},{worst.k},{worst.l}) "
-                                f"bound {_fmt(worst.upper_bound)}")
-        return summary
-
-    summary = _cached(cfg.cache, key, compute)
-    count = summary["violations"]
+    bad = scan_extent_threshold(cfg.threshold_n, cfg.scan_max, _Q, _THRESHOLD)
     expected = (f"0 quotients with bound >= pi/3 for deck order in "
                 f"[{cfg.threshold_n}, {cfg.scan_max}]")
-    if count == 0:
+    if not bad:
         return "PASS", expected, "0 violations"
-    return "FAIL", expected, f"{count} violations, e.g. {summary['first']}"
+    worst = max(bad, key=lambda row: row.upper_bound)
+    return ("FAIL", expected,
+            f"{len(bad)} violations, e.g. (n,k,l)=({worst.n},{worst.k},{worst.l}) "
+            f"bound {_fmt(worst.upper_bound)}")
 
 
 def _check_budget(cfg):
-    bound = extent_upper_bound(LensParams(61, 1, 1), cfg.q)
+    bound = extent_upper_bound(LensParams(61, 1, 1), _Q)
     budget = isolated_fixed_point_budget(bound)
     ok = budget["contradiction"]
     return ("PASS" if ok else "FAIL",
@@ -210,7 +199,7 @@ def _check_optimizer_consistency(cfg):
             if math.gcd(k, n) == 1 and math.gcd(l, n) == 1:
                 break
         params = canonicalize_lens(n, k, l)
-        ecfg = ExtentConfig(q=cfg.q, restarts=cfg.optimizer_restarts,
+        ecfg = ExtentConfig(q=_Q, restarts=cfg.optimizer_restarts,
                             seed=int(rng.integers(2**63)))
         report = extent_lower_bound(params, ecfg)
         gap = report.lower_bound - report.upper_bound
@@ -275,9 +264,10 @@ def h2_tag(got, computed, advertised) -> str:
 
 
 def h2_record(group, m, cache=None) -> dict:
-    """:func:`cohomology_record`, read through ``cache`` when one is given."""
+    """``second_cohomology(group, m).to_json()``, read through ``cache``
+    when one is given."""
     return _cached(cache, f"h2-{group_digest(group)}-m{m}",
-                   lambda: cohomology_record(group, m))
+                   lambda: second_cohomology(group, m).to_json())
 
 
 def _h2_verdict(rows, factors):
@@ -401,11 +391,8 @@ def _check_extension_klein_exponent(cfg):
 def _check_extension_dicyclic_m2(cfg):
     bad = []
     for k in (3, 5):
-        key = f"ext-dicyclic-m2-k{k}"
-        ok = _cached(cfg.cache, key, lambda kk=k: bool(
-            verify_extension_isomorphism("dihedral-central-product",
-                                         m=2, k=kk, variant="printed")))
-        if not ok:
+        if not verify_extension_isomorphism("dihedral-central-product",
+                                            m=2, k=k, variant="printed"):
             bad.append(f"k={k}")
     expected = ("nontrivial extension of the dihedral group of order 2k by "
                 "Z_2 is the dicyclic group of order 4k, k in {3, 5}")

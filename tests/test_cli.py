@@ -3,15 +3,16 @@ from functools import partial
 
 import pytest
 
+from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
 from isom4.cli import (
     SCAN_CSV_HEADER,
     main,
     parse_group_spec,
     parse_hint_spec,
-    read_config_file,
 )
+from isom4.cohomology import group_digest
 from isom4.errors import InvalidInputError
-from isom4.groups import is_isomorphic, quaternion_group
+from isom4.groups import build_group, is_isomorphic, quaternion_group
 from isom4.verify import _SUITE, _row_group
 
 BOUND_61 = 1.0455854008586938
@@ -68,27 +69,6 @@ def test_parse_hint_spec():
     assert parse_hint_spec("abelian") == {"kind": "abelian"}
     with pytest.raises(InvalidInputError):
         parse_hint_spec("u2-mixed:r")
-
-
-def test_read_config_file(tmp_path):
-    path = tmp_path / "suite.cfg"
-    path.write_text(
-        "# comment line\n"
-        "seed = 3\n"
-        "scan_max=80  # trailing comment\n"
-        "\n",
-        encoding="utf-8")
-    assert read_config_file(str(path)) == {"seed": 3, "scan_max": 80}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("scan_max\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError):
-        read_config_file(str(bad))
-    notint = tmp_path / "notint.cfg"
-    notint.write_text("seed = three\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError):
-        read_config_file(str(notint))
-    with pytest.raises(InvalidInputError):
-        read_config_file(str(tmp_path / "absent.cfg"))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -177,6 +157,28 @@ def test_h2_cache_round_trip(capsys, tmp_path):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_h2_recomputes_over_a_version_1_entry(capsys, tmp_path):
+    # a version-1 entry at the same key holds the old summary record,
+    # with class counts and no order; it must miss, not raise KeyError
+    group = build_group("tetra")
+    key = f"h2-{group_digest(group)}-m2"
+    old = {"version": 1, "key": key,
+           "payload": {"group_id": group_digest(group), "m": 2,
+                       "invariant_factors": [2], "class_count": 2,
+                       "iso_class_count": 2}}
+    path = ResultCache(tmp_path)._path(key)
+    path.write_text(json.dumps(old), encoding="utf-8")
+    code, data = run_json(capsys, "h2", "--group", "A4", "--m", "2",
+                          "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert data == {"group_id": group_digest(group), "m": 2,
+                    "invariant_factors": [2], "class_count": 2,
+                    "predicted": [2], "advertised": [2], "tag": "PASS"}
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    assert entry["version"] == CACHE_FORMAT_VERSION
+    assert entry["payload"] == {"invariant_factors": [2], "order": 2}
+
+
 def test_extensions_command(capsys):
     code, data = run_json(capsys, "extensions", "--group", "dihedral:6",
                           "--m", "2")
@@ -240,13 +242,6 @@ def test_classify_command(capsys):
 
 def test_classify_rejects_bad_b2(capsys):
     code, _ = run(capsys, "classify", "--b2", "9", "--parity", "odd")
-    assert code == 2
-
-
-def test_verify_all_rejects_unknown_config_key(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("volume = 3\n", encoding="utf-8")
-    code, _ = run(capsys, "verify-all", "--config", str(cfg))
     assert code == 2
 
 

@@ -11,7 +11,6 @@ from isom4.cohomology import (
     build_central_extension,
     classify_central_extensions,
     cocycle_representatives,
-    cohomology_record,
     group_digest,
     second_cohomology,
     verify_extension_isomorphism,
@@ -22,6 +21,7 @@ from isom4.groups import (
     alternating,
     binary_icosahedral,
     binary_octahedral,
+    binary_tetrahedral,
     cyclic,
     dihedral,
     direct_product,
@@ -147,6 +147,18 @@ def test_icosahedral_classification():
     assert is_isomorphic(twisted[0].group, binary_icosahedral())
 
 
+def test_tetrahedral_classification():
+    # H^2(A4; Z_2) = Z_2: the split Z2 x A4 and the binary tetrahedral
+    # group, so two classes in two isomorphism types
+    classes = classify_central_extensions(alternating(4), 2)
+    assert len(classes) == 2
+    assert sum(c.class_count for c in classes) == 2
+    assert sorted(c.class_orders for c in classes) == [(1,), (2,)]
+    assert any(is_isomorphic(c.group, direct_product(cyclic(2), alternating(4)))
+               for c in classes)
+    assert any(is_isomorphic(c.group, binary_tetrahedral()) for c in classes)
+
+
 def test_octahedral_classification():
     classes = classify_central_extensions(symmetric(4), 2)
     assert len(classes) == 4
@@ -235,18 +247,9 @@ def test_cohomology_result_validation():
         CohomologyResult((4, 2))
 
 
-def test_cohomology_record_shape():
-    rec = cohomology_record(alternating(4), 2)
-    assert set(rec) == {"group_id", "m", "invariant_factors",
-                       "class_count", "iso_class_count"}
-    assert rec["invariant_factors"] == [2]
-    assert rec["class_count"] == 2
-    assert rec["iso_class_count"] == 2
-    assert len(rec["group_id"]) == 16
-
-
 def test_group_digest_stability():
     a = group_digest(cyclic(5))
     assert a == group_digest(cyclic(5))
     assert a != group_digest(cyclic(6))
     assert all(c in "0123456789abcdef" for c in a)
+    assert len(a) == 16

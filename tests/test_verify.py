@@ -2,14 +2,18 @@ import copy
 
 import pytest
 
+from isom4.cache import ResultCache
 from isom4.errors import InvalidInputError
+from isom4.groups import alternating
 from isom4.verify import (
     REPORT_VERSION,
     STATUSES,
     CheckRecord,
     VerifyConfig,
+    _check_extension_dicyclic_m2,
     _check_extent_scan,
     exit_code,
+    h2_record,
 )
 
 EXPECTED_NON_PASS = {
@@ -93,10 +97,21 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         VerifyConfig(scan_max=50)  # below the default threshold of 61
     with pytest.raises(InvalidInputError):
-        VerifyConfig(q=1)
-    with pytest.raises(InvalidInputError):
         VerifyConfig(batch_count=0)
     with pytest.raises(InvalidInputError):
         VerifyConfig(seed=-1)
     with pytest.raises(InvalidInputError):
         VerifyConfig(optimizer_restarts=0)
+
+
+def test_cache_holds_only_h2(tmp_path):
+    # the scan and the dicyclic comparisons cost milliseconds and are
+    # recomputed; an H^2 entry is the CohomologyResult JSON
+    cfg = VerifyConfig(scan_max=80, cache=ResultCache(tmp_path))
+    assert _check_extent_scan(cfg)[0] == "PASS"
+    assert _check_extension_dicyclic_m2(cfg)[0] == "PASS"
+    assert not list(tmp_path.iterdir())
+    record = h2_record(alternating(4), 6, cfg.cache)
+    assert record == {"invariant_factors": [6], "order": 6}
+    assert [p.name[:3] for p in tmp_path.iterdir()] == ["h2-"]
+    assert h2_record(alternating(4), 6, cfg.cache) == record
