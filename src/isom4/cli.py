@@ -143,6 +143,7 @@ def _cmd_h2(args) -> int:
         "invariant_factors": list(record["invariant_factors"]),
         # the central extension classes number |H^2|
         "class_count": record["order"],
+        "route": record["route"],
         "predicted": None if predicted is None else list(predicted),
         "advertised": None if advertised is None else list(advertised),
         "tag": tag,
@@ -153,6 +154,7 @@ def _cmd_h2(args) -> int:
 def _cmd_extensions(args) -> int:
     group = parse_group_spec(args.group)
     classes = classify_central_extensions(group, args.m)
+    keys = [cls.key for cls in classes]
     _emit_json({
         "group": args.group,
         "m": args.m,
@@ -166,6 +168,10 @@ def _cmd_extensions(args) -> int:
             for cls in classes
         ],
         "class_total": sum(cls.class_count for cls in classes),
+        # positions of types whose ordering keys coincide: their relative
+        # order is that of their first cohomology class, not canonical
+        "key_ties": [[i for i, k in enumerate(keys) if k == key]
+                     for key in dict.fromkeys(keys) if keys.count(key) > 1],
     }, args)
     return 0
 

@@ -1,13 +1,26 @@
 """Second cohomology with cyclic coefficients and central extensions.
 
-Everything runs on normalized bar cochains: a 2-cochain is a map
+H^2(Q; Z_m) is read off universal coefficients,
+H^2(Q; Z_m) = Hom(M(Q), Z_m) + Ext(H_1 Q, Z_m), with H_1 Q the
+abelianization and M(Q) the Schur multiplier.  The p-part of M(Q) has
+exponent dividing that of M(P) for a Sylow p-subgroup P (restriction to
+P is injective on p-primary cohomology; K. Brown, *Cohomology of
+Groups*, III.10), so one small cochain solve on P and one solve on Q at
+the exponent of M(P) give M(Q)_p, and nothing is solved when P is
+cyclic.  The cochain route, one solve per prime power of m, stays as
+the independent second route.
+
+Cochains are normalized bar cochains: a 2-cochain is a map
 f : Q x Q -> Z_m vanishing whenever an argument is the identity, cut
 down to the (|Q|-1)^2 pairs of nonidentity elements.  The cocycle
-system is reduced before any linear algebra: the integer row lattice of
-the full coboundary map d2 is generated by the rows attached to a
-generating set of Q (rows compose along products), which shrinks the
-worst case here from ~2*10^5 rows to ~7*10^3.  Kernels are computed per
-prime power and merged by CRT, avoiding one huge integer Smith form.
+system is reduced before any linear algebra.  Its rows: the integer row
+lattice of the full coboundary map d2 is generated by the rows attached
+to a generating set of Q (rows compose along products).  Its unknowns:
+a cocycle is determined by its values on the pairs (s, k) with s a
+generator, so the system is solved in those, |gens| (|Q|-1) unknowns
+instead of (|Q|-1)^2 (118 instead of 3,481 for A5).  Kernels are
+computed per prime power and merged by CRT, avoiding one huge integer
+Smith form.
 """
 
 from __future__ import annotations
@@ -33,8 +46,10 @@ from .groups import (
     minimal_generating_set,
     q8_by_cyclic3,
     semidirect_product,
+    sylow_subgroup,
 )
 from .snf import (
+    _imatmul,
     kernel_mod_prime_power,
     module_presentation_local,
     solve_mod_prime_power,
@@ -104,9 +119,12 @@ class Cochain2:
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Invariant factors of H^2(Q; Z_m), ascending divisibility."""
+    """Invariant factors of H^2(Q; Z_m), ascending divisibility, and the
+    route that computed them: "uct" (universal coefficients) or
+    "cochain" (the full cochain complex)."""
 
     invariant_factors: tuple[int, ...]
+    route: str = "uct"
 
     def __post_init__(self):
         fac = tuple(int(x) for x in self.invariant_factors)
@@ -115,6 +133,8 @@ class CohomologyResult:
         for a, b in zip(fac, fac[1:]):
             if b % a:
                 raise InvalidInputError("factors must form a divisibility chain")
+        if self.route not in ("uct", "cochain"):
+            raise InvalidInputError(f"unknown H^2 route {self.route!r}")
         object.__setattr__(self, "invariant_factors", fac)
 
     @property
@@ -122,7 +142,8 @@ class CohomologyResult:
         return math.prod(self.invariant_factors)
 
     def to_json(self) -> dict:
-        return {"invariant_factors": list(self.invariant_factors), "order": self.order}
+        return {"invariant_factors": list(self.invariant_factors), "order": self.order,
+                "route": self.route}
 
 
 @dataclass(frozen=True)
@@ -133,6 +154,15 @@ class ExtensionClass:
     class_count: int
     class_orders: tuple[int, ...]
     sample: Cochain2
+
+    @property
+    def key(self) -> tuple:
+        """Invariants of the group alone that order the listing: number
+        of conjugacy classes, sorted element orders, order of the center."""
+        g = self.group
+        # Burnside: the classes number the commuting pairs over |G|
+        classes = int((g.table == g.table.T).sum()) // g.size
+        return classes, tuple(sorted(g.element_orders.tolist())), int(g.center.size)
 
 
 def group_digest(group: FiniteGroup) -> str:
@@ -157,43 +187,66 @@ def _prime_powers(m: int) -> list[tuple[int, int]]:
 
 
 def _nonidentity(group: FiniteGroup) -> np.ndarray:
-    return np.array([x for x in range(group.size) if x != group.identity])
+    return np.flatnonzero(np.arange(group.size) != group.identity)
 
 
-def _cocycle_rows(group: FiniteGroup) -> np.ndarray:
-    """Generating rows of the integer row lattice of the d2 map.
+def _cocycle_system(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cocycle system in the values of f on generator pairs.
 
-    Variables are pairs (g, h) of nonidentity elements, flattened as
-    pos(g) * (n-1) + pos(h).  For each generator s of Q the rows run
-    over all pairs (h, k); rows for arbitrary first arguments are
-    integer combinations of these, so the kernel is unchanged.
+    The unknowns y are the values f(s, k), s in a generating set and k
+    nonidentity.  The cocycle identity at (s, h, k) reads
+    f(sh, k) = f(h, k) + f(s, hk) - f(s, h), so a breadth-first walk from
+    the generators writes every f(g, k) as an integer form in y.
+    Returns (forms, rows, sel):
+    - forms, shape ((n-1)^2, len(y)): the cochain on all pairs (g, k)
+      of nonidentity elements, flattened as pos(g) * (n-1) + pos(k), is
+      forms @ y;
+    - rows: the cocycle identities for each generator s at every pair
+      (h, k), written in y, zero rows dropped.  Identities with other
+      first arguments are integer combinations of these (rows compose
+      along products), so forms @ y is a cocycle exactly when
+      rows @ y = 0;
+    - sel: the positions of the pairs (s, k) among all pairs, in the
+      order of y.
     """
     n = group.size
     e = group.identity
-    noni = _nonidentity(group)
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[noni] = np.arange(n - 1)
-    width = (n - 1) * (n - 1)
-    gens = minimal_generating_set(group)
-    if not gens:
-        return np.zeros((0, width), dtype=np.int8)
     table = group.table
+    noni = _nonidentity(group)
+    gens = minimal_generating_set(group)
+    # ycol[i, k]: index in y of f(s_i, k)
+    ycol = np.full((len(gens), n), -1, dtype=np.int64)
+    ycol[:, noni] = np.arange(len(gens) * (n - 1)).reshape(len(gens), n - 1)
+    # forms[g, k]: f(g, k) as a form in y, zero at the identity; each
+    # step of the walk moves a coefficient by at most 1, so they stay
+    # below n in size and the rows below 4n
+    forms = np.zeros((n, n, len(gens) * (n - 1)), dtype=np.int16)
+    for i, s in enumerate(gens):
+        forms[s, noni, ycol[i, noni]] = 1
+    reached = np.zeros(n, dtype=bool)
+    reached[[e, *gens]] = True
+    queue = list(gens)
+    for h in queue:
+        hk = table[h, noni]
+        keep = hk != e
+        for i, s in enumerate(gens):
+            g = int(table[s, h])
+            if reached[g]:
+                continue
+            reached[g] = True
+            queue.append(g)
+            forms[g] = forms[h]
+            forms[g, noni[keep], ycol[i, hk[keep]]] += 1
+            forms[g, noni, ycol[i, h]] -= 1
     hh = np.repeat(noni, n - 1)
     kk = np.tile(noni, n - 1)
-    rows_per_gen = width
-    out = np.zeros((len(gens) * rows_per_gen, width), dtype=np.int8)
-    row_base = np.arange(rows_per_gen)
-    for gi, s in enumerate(gens):
-        rows = gi * rows_per_gen + row_base
-        np.add.at(out, (rows, pos[hh] * (n - 1) + pos[kk]), 1)
-        sh = table[s, hh]
-        keep = sh != e
-        np.add.at(out, (rows[keep], pos[sh[keep]] * (n - 1) + pos[kk[keep]]), -1)
-        hk = table[hh, kk]
-        keep = hk != e
-        np.add.at(out, (rows[keep], pos[s] * (n - 1) + pos[hk[keep]]), 1)
-        np.add.at(out, (rows, pos[s] * (n - 1) + pos[hh]), -1)
-    return out
+    hk = table[hh, kk]
+    rows = np.vstack([forms[hh, kk] - forms[table[s, hh], kk] + forms[s, hk] - forms[s, hh]
+                      for s in gens])
+    rows = rows[rows.any(axis=1)]
+    pos = np.searchsorted(noni, gens)
+    sel = (pos[:, None] * (n - 1) + np.arange(n - 1)).reshape(-1)
+    return forms[np.ix_(noni, noni)].reshape((n - 1) ** 2, -1), rows, sel
 
 
 def _coboundary_matrix(group: FiniteGroup) -> np.ndarray:
@@ -218,10 +271,11 @@ def _coboundary_matrix(group: FiniteGroup) -> np.ndarray:
 
 
 # Process-global reuse of the local H^2 bases, keyed by table digest and
-# prime power.  It pays within one verify-all run: clearing it before
-# each check costs about 3 s of a cold seed-1 run, almost all of it in
-# extension-binary-covers and extensions-icosahedral-m2 rebuilding the A5
-# bases that h2-icosahedral-table already solved.
+# prime power.  A solve costs milliseconds (A5 mod 2: ~25 ms on a 2-vCPU
+# VM), so the reuse saves little: clearing it before each check of a
+# cold seed-1 run costs about 0.15 s, mostly extension-binary-covers
+# (~0.41 -> ~0.48 s) and extensions-icosahedral-m2 (~0.08 -> ~0.12 s)
+# solving A5 and its Sylow 2-subgroup again.
 _LOCAL_CACHE: dict[tuple, tuple] = {}
 
 
@@ -229,26 +283,23 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     """H^2(Q; Z_{p^a}) as (orders, generator cocycle columns).
 
     orders are ascending prime-power invariant factors; the matching
-    columns have length (n-1)^2 with entries mod p^a.
+    columns have length (n-1)^2 with entries mod p^a.  The solve runs in
+    the values on generator pairs (``_cocycle_system``): a cocycle
+    vanishing there vanishes everywhere, so it is a coboundary exactly
+    when its values there are those of one.
     """
     key = (group_digest(group), p, a)
     hit = _LOCAL_CACHE.get(key)
     if hit is not None:
         return hit
-    rows = _cocycle_rows(group)
-    bnd = _coboundary_matrix(group)
+    forms, rows, sel = _cocycle_system(group)
     mod = p**a
     kernel = kernel_mod_prime_power(rows, p, a)
-    if kernel.shape[1] == 0:
-        result = ((), np.zeros((bnd.shape[0], 0), dtype=np.int64))
-        _LOCAL_CACHE[key] = result
-        return result
-    stacked = np.hstack([kernel, np.asarray(bnd, dtype=np.int64)])
+    bnd = np.asarray(_coboundary_matrix(group)[sel], dtype=np.int64)
+    stacked = np.hstack([kernel, bnd])
     lam = kernel_mod_prime_power(stacked, p, a)[: kernel.shape[1]]
     orders, coeffs = module_presentation_local(lam, p, a, dim=kernel.shape[1])
-    gens = (kernel @ coeffs) % mod if coeffs.shape[1] else np.zeros(
-        (kernel.shape[0], 0), dtype=np.int64
-    )
+    gens = _imatmul(forms % mod, (kernel @ coeffs) % mod) % mod
     result = (tuple(int(o) for o in orders), gens)
     _LOCAL_CACHE[key] = result
     return result
@@ -261,6 +312,46 @@ def _check_caps(group: FiniteGroup, m: int):
         raise BudgetError(f"modulus must lie in [1, {MODULUS_CAP}]")
 
 
+def _without(factors, removed) -> tuple[int, ...]:
+    """The multiset ``factors`` less ``removed``; both list cyclic
+    prime-power factors, so the decomposition is unique."""
+    rest = list(factors)
+    for f in removed:
+        if f not in rest:
+            raise RuntimeError("internal error: H_1 is not a summand of H^2")
+        rest.remove(f)
+    return tuple(rest)
+
+
+def _sylow_schur_exponent(group: FiniteGroup, p: int) -> int:
+    """e with p^e = exp M(P) for a Sylow p-subgroup P; 0 when P is cyclic.
+
+    At c = log_p |P| the solve H^2(P; Z_{p^c}) = M(P) + H_1(P) is exact,
+    since |P| annihilates both.
+    """
+    els = sylow_subgroup(group, p)
+    if int(group.element_orders[els].max()) == els.size:
+        return 0
+    sub, _ = group.restrict(els)
+    orders, _ = _local_cohomology(sub, p, _prime_powers(els.size)[0][1])
+    schur = _without(orders, sub.abelian_invariants)
+    return max((_prime_powers(o)[0][1] for o in schur), default=0)
+
+
+def _schur_part(group: FiniteGroup, p: int) -> tuple[int, ...]:
+    """Elementary divisors of M(Q)_p, the p-part of the Schur multiplier.
+
+    Its exponent divides p^e = exp M(P), so H^2(Q; Z_{p^e}) holds all of
+    it beside H_1(Q)/p^e, which is known.
+    """
+    e = _sylow_schur_exponent(group, p)
+    if e == 0:
+        return ()
+    orders, _ = _local_cohomology(group, p, e)
+    return _without(orders, [math.gcd(h, p**e) for h in group.abelian_invariants
+                             if h % p == 0])
+
+
 @dataclass(frozen=True)
 class _ClassBasis:
     """Direct-sum basis of H^2(Q; Z_m) with mod-m lifted generators."""
@@ -270,30 +361,36 @@ class _ClassBasis:
 
 
 def _class_basis(group: FiniteGroup, m: int) -> _ClassBasis:
-    n = group.size
-    width = (n - 1) * (n - 1)
-    if n == 1 or m == 1:
-        return _ClassBasis((), np.zeros((width, 0), dtype=np.int64))
+    width = (group.size - 1) ** 2
+    h1_order = math.prod(group.abelian_invariants)
     orders = []
     gens = []
     for p, a in _prime_powers(m):
-        local_orders, local_gens = _local_cohomology(group, p, a)
+        c = a
+        if h1_order % p:
+            # H^2(Q; Z_{p^a}) = Hom(M(Q)_p, Z_{p^a}), and Z_{p^e} -> Z_{p^a},
+            # x -> p^(a-e) x, is an isomorphism on it for a > e: the basis
+            # at p^e times p^(a-e) is a basis at p^a, orders unchanged
+            c = min(a, _sylow_schur_exponent(group, p))
+        if c == 0:
+            continue
+        local_orders, local_gens = _local_cohomology(group, p, c)
         if not local_orders:
             continue
         q = p**a
         rest = m // q
         lift = rest * pow(rest, -1, q)  # CRT idempotent: 1 mod q, 0 mod m/q
         orders.extend(local_orders)
-        gens.append((local_gens * lift) % m)
+        gens.append((local_gens * p ** (a - c) * lift) % m)
     if not orders:
         return _ClassBasis((), np.zeros((width, 0), dtype=np.int64))
     return _ClassBasis(tuple(orders), np.hstack(gens))
 
 
-def _merge_invariant_factors(basis: _ClassBasis) -> tuple[int, ...]:
-    """CRT-merge per-prime factor lists into one divisibility chain."""
+def _merge_invariant_factors(orders) -> tuple[int, ...]:
+    """CRT-merge prime-power factors into one divisibility chain."""
     per_prime: dict[int, list[int]] = {}
-    for o in basis.factor_orders:
+    for o in orders:
         p = _prime_powers(o)[0][0]
         per_prime.setdefault(p, []).append(o)
     if not per_prime:
@@ -312,10 +409,28 @@ def _merge_invariant_factors(basis: _ClassBasis) -> tuple[int, ...]:
 
 
 def second_cohomology(group: FiniteGroup, m: int) -> CohomologyResult:
-    """H^2(Q; Z_m) for the trivial action, as invariant factors."""
+    """H^2(Q; Z_m) for the trivial action, as invariant factors, by
+    universal coefficients: Hom(M(Q), Z_m) + Ext(H_1 Q, Z_m), where each
+    cyclic factor Z_d of M(Q) or H_1 Q contributes Z_gcd(d, m)."""
     _check_caps(group, m)
-    basis = _class_basis(group, m)
-    return CohomologyResult(_merge_invariant_factors(basis))
+    orders = []
+    for p, a in _prime_powers(m):
+        if group.size % p:
+            continue
+        h1 = [h for h in group.abelian_invariants if h % p == 0]
+        orders += [math.gcd(d, p**a) for d in (*_schur_part(group, p), *h1)]
+    return CohomologyResult(_merge_invariant_factors(orders))
+
+
+def _cochain_second_cohomology(group: FiniteGroup, m: int) -> CohomologyResult:
+    """H^2(Q; Z_m) from the cochain complex alone, one solve per prime
+    power of m: the second route, independent of universal coefficients."""
+    _check_caps(group, m)
+    orders = []
+    if group.size > 1:
+        for p, a in _prime_powers(m):
+            orders.extend(_local_cohomology(group, p, a)[0])
+    return CohomologyResult(_merge_invariant_factors(orders), route="cochain")
 
 
 def _vector_to_table(group: FiniteGroup, vec: np.ndarray, m: int) -> np.ndarray:
@@ -421,7 +536,9 @@ def classify_central_extensions(group: FiniteGroup, m: int) -> list[ExtensionCla
     """Central extensions of Z_m by Q up to isomorphism.
 
     Builds one group per cohomology class and merges isomorphic ones,
-    keeping the number of classes behind each type visible.
+    keeping the number of classes behind each type visible.  Types are
+    listed by ``ExtensionClass.key``; types with equal keys keep the
+    order in which their first class appears.
     """
     reps = cocycle_representatives(group, m)
     out: list[dict] = []
@@ -434,7 +551,7 @@ def classify_central_extensions(group: FiniteGroup, m: int) -> list[ExtensionCla
                 break
         else:
             out.append({"group": ext, "count": 1, "orders": [f.class_order], "sample": f})
-    return [
+    classes = [
         ExtensionClass(
             group=e["group"],
             class_count=e["count"],
@@ -443,6 +560,7 @@ def classify_central_extensions(group: FiniteGroup, m: int) -> list[ExtensionCla
         )
         for e in out
     ]
+    return sorted(classes, key=lambda c: c.key)
 
 
 def _unique_nontrivial_extension(

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
-from .snf import kernel_mod_p
+from .snf import _require_prime, kernel_mod_p
 
 if TYPE_CHECKING:
     import mpmath
@@ -62,6 +62,7 @@ __all__ = [
     "normal_cyclic_subgroups",
     "max_cyclic_normal_index",
     "index_two_subgroups",
+    "sylow_subgroup",
     "matches_family",
     "order_gl",
     "log10_universal_constant",
@@ -836,6 +837,32 @@ def max_cyclic_normal_index(g: FiniteGroup) -> int:
     for sub in normal_cyclic_subgroups(g):
         best = max(best, sub.size)
     return g.size // best
+
+
+def sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
+    """Element set of one Sylow p-subgroup (just the identity when p does
+    not divide |G|).
+
+    Grows a p-subgroup H one element at a time: while H is not Sylow, p
+    divides [N(H) : H], so N(H) holds an element x outside H of p-power
+    order, and H<x> is again a p-subgroup.
+    """
+    _require_prime(p)
+    rest = g.size
+    while rest % p == 0:
+        rest //= p
+    full = g.size // rest  # the p-part of |G|
+    # an element order divides |G|, so it is a power of p iff it divides full
+    p_power = full % g.element_orders == 0
+    sub = np.array([g.identity])
+    while sub.size < full:
+        inside = np.zeros(g.size, dtype=bool)
+        inside[sub] = True
+        conj = g.table[g.table[:, sub], g.inverses[:, None]]
+        normalizer = inside[conj].all(axis=1)
+        x = int(np.flatnonzero(normalizer & p_power & ~inside)[0])
+        sub = g.closure(np.append(sub, x))
+    return sub
 
 
 def index_two_subgroups(g: FiniteGroup) -> list[np.ndarray]:

@@ -395,11 +395,12 @@ def _span_columns(gens, p, k):
 # width can double per level, and time and memory grow with it: the
 # 1 x 2 system [2^20, 3] reaches 8,193 unknowns mod 2^14 (8 s) and
 # asks for 2 GiB mod 2^16.  The cap must admit every H^2 the cohomology
-# caps accept (group order n <= 60, m <= 64).  The widest levels there
-# lift the cocycle system of an order-60 group mod 2^6: its 3,481
-# unknowns plus 1 + 2 + 4 + 8 + 16 = 31 times its mod-2 cocycle
-# dimension (at most 62), so at most 5,403.  Measured: 5,326 for A5,
-# Z2 x Z30, D60 and A4 x Z5 at m = 64; 4,374 for A5 at m = 32.
+# caps accept (group order n <= 60, m <= 64).  The cocycle system
+# there has |gens| (n-1) unknowns, the values on generator pairs, and its
+# widest level mod 2^6 adds 1 + 2 + 4 + 8 + 16 = 31 times its mod-2
+# cocycle dimension.  Measured at m = 64: 1,979 for A5, Z2 x Z30, D60
+# and A4 x Z5, 1,918 for Z2 x Z2 x Z14.  The cap dates from when the
+# system had all (n-1)^2 unknowns (5,326 for those groups) and is kept.
 _LEVEL_WIDTH_CAP = 6144
 
 

@@ -158,25 +158,29 @@ def test_h2_cache_round_trip(capsys, tmp_path):
 
 
 def test_h2_recomputes_over_a_version_1_entry(capsys, tmp_path):
-    # a version-1 entry at the same key holds the old summary record,
-    # with class counts and no order; it must miss, not raise KeyError
+    # a version-1 entry at the key holds the old summary record, with
+    # class counts and no order; it must miss, not raise KeyError.  The
+    # untagged key, where earlier versions stored cochain-route results,
+    # is never read, even when it holds a wrong value.
     group = build_group("tetra")
-    key = f"h2-{group_digest(group)}-m2"
+    key = f"h2-uct-{group_digest(group)}-m2"
     old = {"version": 1, "key": key,
            "payload": {"group_id": group_digest(group), "m": 2,
                        "invariant_factors": [2], "class_count": 2,
                        "iso_class_count": 2}}
-    path = ResultCache(tmp_path)._path(key)
+    cache = ResultCache(tmp_path)
+    path = cache._path(key)
     path.write_text(json.dumps(old), encoding="utf-8")
+    cache.put(f"h2-{group_digest(group)}-m2", {"invariant_factors": [4], "order": 4})
     code, data = run_json(capsys, "h2", "--group", "A4", "--m", "2",
                           "--cache-dir", str(tmp_path))
     assert code == 0
     assert data == {"group_id": group_digest(group), "m": 2,
-                    "invariant_factors": [2], "class_count": 2,
+                    "invariant_factors": [2], "class_count": 2, "route": "uct",
                     "predicted": [2], "advertised": [2], "tag": "PASS"}
     entry = json.loads(path.read_text(encoding="utf-8"))
     assert entry["version"] == CACHE_FORMAT_VERSION
-    assert entry["payload"] == {"invariant_factors": [2], "order": 2}
+    assert entry["payload"] == {"invariant_factors": [2], "order": 2, "route": "uct"}
 
 
 def test_extensions_command(capsys):
@@ -186,6 +190,18 @@ def test_extensions_command(capsys):
     assert data["class_total"] == 2
     assert len(data["isomorphism_types"]) == 2
     assert all(t["order"] == 12 for t in data["isomorphism_types"])
+    assert data["key_ties"] == []
+
+
+def test_extensions_command_reports_key_ties(capsys):
+    # Z2 x Q8 and Z4 x| Z4 have 10 classes, element orders 1, 2^3, 4^12
+    # and a center of order 4, so their order in the listing is not
+    # canonical, and the output says so
+    code, data = run_json(capsys, "extensions", "--group", "q8", "--m", "2")
+    assert code == 0
+    types = data["isomorphism_types"]
+    assert sorted(tuple(t["abelian_invariants"]) for t in types) == [(2, 2, 2), (2, 4)]
+    assert data["key_ties"] == [[0, 1]]
 
 
 def test_embed_command_pass(capsys):

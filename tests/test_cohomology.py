@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import isom4.cohomology
 from isom4.cohomology import (
     Cochain2,
     CohomologyResult,
+    _class_basis,
+    _cochain_second_cohomology,
+    _local_cohomology,
     build_central_extension,
     classify_central_extensions,
     cocycle_representatives,
@@ -17,15 +21,18 @@ from isom4.cohomology import (
 )
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
+    _GROUP_TABLE,
     abelian,
     alternating,
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
+    build_group,
     cyclic,
     dihedral,
     direct_product,
     is_isomorphic,
+    sylow_subgroup,
     symmetric,
 )
 
@@ -57,9 +64,84 @@ def test_icosahedral_small_moduli():
 
 
 def test_icosahedral_large_two_power():
-    # lifting the 3,481-unknown cocycle system mod 2^5 passes levels of
-    # up to 4,374 unknowns, all inside the snf width cap
+    # universal coefficients: M(A5) = Z_2 and H_1 = 0, found from one
+    # solve on the Klein four Sylow subgroup mod 4 and one on A5 mod 2;
+    # nothing is solved mod 2^5
     assert factors(alternating(5), 32) == (2,)
+
+
+# one group per table name of order at most 60 (binary-icosa has 120),
+# two parameters where the name takes one
+ROUTE_GROUPS = [
+    ("cyclic", 12), ("cyclic", 8), ("abelian", 2, 2, 4), ("abelian", 3, 3),
+    ("abelian", 4, 4), ("dihedral", 8), ("dihedral", 12), ("dihedral", 24),
+    ("tetra",), ("octa",), ("icosa",), ("q8",), ("binary-tetra",),
+    ("binary-octa",), ("binary-dihedral", 12), ("binary-dihedral", 16),
+    ("metacyclic", 7, 3, 2), ("metacyclic", 13, 3, 3), ("klein-by-3power", 1),
+    ("klein-by-3power", 2), ("q8-by-3power", 1),
+]
+
+
+def test_route_groups_cover_the_group_table():
+    assert {spec[0] for spec in ROUTE_GROUPS} == set(_GROUP_TABLE) - {"binary-icosa"}
+    assert all(build_group(*spec).size <= 60 for spec in ROUTE_GROUPS)
+
+
+@pytest.mark.parametrize("spec", ROUTE_GROUPS, ids=lambda spec: ":".join(map(str, spec)))
+def test_routes_agree(spec):
+    group = build_group(*spec)
+    for m in (2, 3, 4, 6, 8, 9, 12):
+        uct = second_cohomology(group, m)
+        cochain = _cochain_second_cohomology(group, m)
+        assert (uct.route, cochain.route) == ("uct", "cochain")
+        assert uct.invariant_factors == cochain.invariant_factors, f"m={m}"
+
+
+@pytest.mark.parametrize("spec", [("icosa",), ("octa",), ("binary-octa",),
+                                  ("dihedral", 24), ("metacyclic", 7, 3, 2),
+                                  ("q8-by-3power", 1), ("abelian", 2, 30),
+                                  ("cyclic", 1)])
+def test_sylow_subgroup_has_full_prime_power_order(spec):
+    group = build_group(*spec)
+    for p in (2, 3, 5, 7, 11):
+        els = sylow_subgroup(group, p)
+        full = p ** max((a for a in range(8) if group.size % p**a == 0))
+        assert els.size == full, f"p={p}"
+        assert group.is_subgroup(els)
+        assert all(full % o == 0 for o in group.element_orders[els])
+
+
+def test_sylow_subgroup_needs_a_prime():
+    with pytest.raises(InvalidParametersError):
+        sylow_subgroup(alternating(5), 4)
+
+
+def test_icosahedral_bases_carry_across_two_powers():
+    # H_1(A5) = 0 and M(A5) = Z_2, so the basis mod 2^a is 2^(a-1) times
+    # the basis mod 2; each representative is still checked exactly
+    a5 = alternating(5)
+    base = cocycle_representatives(a5, 2)[1].values
+    for m in (4, 8, 32, 64):
+        reps = cocycle_representatives(a5, m)
+        assert [r.class_order for r in reps] == [1, 2], f"m={m}"
+        assert all(r.is_cocycle() for r in reps)
+        assert np.array_equal(reps[1].values, (m // 2) * base)
+
+
+@pytest.mark.parametrize("group", [dihedral(8), direct_product(cyclic(2), alternating(4))],
+                         ids=["D8", "Z2xA4"])
+def test_prime_dividing_h1_solves_at_full_power(group):
+    # 2 divides |H_1|, so Ext(H_1, Z_8) is not zero and the basis mod 8
+    # is the full solve mod 8, not a carried one
+    basis = _class_basis(group, 8)
+    orders, gens = _local_cohomology(group, 2, 3)
+    assert basis.factor_orders == orders
+    assert np.array_equal(basis.generators, gens)
+    assert second_cohomology(group, 8) == CohomologyResult(
+        _cochain_second_cohomology(group, 8).invariant_factors)
+    reps = cocycle_representatives(group, 8)
+    assert len(reps) == math.prod(orders)
+    assert all(r.is_cocycle() for r in reps)
 
 
 def test_dihedral_tables():
@@ -86,6 +168,12 @@ def test_klein_rank_three():
 
 def test_trivial_modulus():
     assert factors(alternating(4), 1) == ()
+
+
+def test_trivial_group():
+    reps = cocycle_representatives(cyclic(1), 3)
+    assert len(reps) == 1 and reps[0].class_order == 1
+    assert factors(cyclic(1), 4) == _cochain_second_cohomology(cyclic(1), 4).invariant_factors == ()
 
 
 # --- representatives and extensions ------------------------------------------
@@ -157,6 +245,23 @@ def test_tetrahedral_classification():
     assert any(is_isomorphic(c.group, direct_product(cyclic(2), alternating(4)))
                for c in classes)
     assert any(is_isomorphic(c.group, binary_tetrahedral()) for c in classes)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_dihedral_listing_ignores_representative_order(monkeypatch, m):
+    # the types are listed by invariants of each extension group, so
+    # feeding the representatives in reverse changes nothing
+    def listing():
+        return [(c.group.size, c.group.abelian_invariants, c.class_count, c.class_orders)
+                for c in classify_central_extensions(dihedral(8), m)]
+
+    forward = listing()
+    reps = cocycle_representatives(dihedral(8), m)
+    monkeypatch.setattr(isom4.cohomology, "cocycle_representatives",
+                        lambda group, mm: reps[::-1])
+    assert listing() == forward
+    keys = [c.key for c in classify_central_extensions(dihedral(8), m)]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_octahedral_classification():
@@ -241,6 +346,10 @@ def test_cochain_validation():
 def test_cohomology_result_validation():
     assert CohomologyResult((2, 4)).order == 8
     assert CohomologyResult(()).order == 1
+    assert CohomologyResult((2,), route="cochain").to_json() == {
+        "invariant_factors": [2], "order": 2, "route": "cochain"}
+    with pytest.raises(InvalidInputError):
+        CohomologyResult((2,), route="spectral")
     with pytest.raises(InvalidInputError):
         CohomologyResult((1, 2))
     with pytest.raises(InvalidInputError):

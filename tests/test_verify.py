@@ -106,12 +106,13 @@ def test_config_validation():
 
 def test_cache_holds_only_h2(tmp_path):
     # the scan and the dicyclic comparisons cost milliseconds and are
-    # recomputed; an H^2 entry is the CohomologyResult JSON
+    # recomputed; an H^2 entry is the CohomologyResult JSON, and both
+    # its key and its record name the universal-coefficient route
     cfg = VerifyConfig(scan_max=80, cache=ResultCache(tmp_path))
     assert _check_extent_scan(cfg)[0] == "PASS"
     assert _check_extension_dicyclic_m2(cfg)[0] == "PASS"
     assert not list(tmp_path.iterdir())
     record = h2_record(alternating(4), 6, cfg.cache)
-    assert record == {"invariant_factors": [6], "order": 6}
-    assert [p.name[:3] for p in tmp_path.iterdir()] == ["h2-"]
+    assert record == {"invariant_factors": [6], "order": 6, "route": "uct"}
+    assert [p.name[:7] for p in tmp_path.iterdir()] == ["h2-uct-"]
     assert h2_record(alternating(4), 6, cfg.cache) == record
