@@ -6,9 +6,9 @@ abelianization and M(Q) the Schur multiplier.  The p-part of M(Q) has
 exponent dividing that of M(P) for a Sylow p-subgroup P (restriction to
 P is injective on p-primary cohomology; K. Brown, *Cohomology of
 Groups*, III.10), so one small cochain solve on P and one solve on Q at
-the exponent of M(P) give M(Q)_p, and nothing is solved when P is
-cyclic.  The cochain route, one solve per prime power of m, stays as
-the independent second route.
+the exponent of M(P) give M(Q)_p, the first alone when P = Q, and
+nothing is solved when P is cyclic.  The cochain route, one solve per
+prime power of m, stays as the independent second route.
 
 Cochains are normalized bar cochains: a 2-cochain is a map
 f : Q x Q -> Z_m vanishing whenever an argument is the identity, cut
@@ -270,15 +270,6 @@ def _coboundary_matrix(group: FiniteGroup) -> np.ndarray:
     return out
 
 
-# Process-global reuse of the local H^2 bases, keyed by table digest and
-# prime power.  A solve costs milliseconds (A5 mod 2: ~25 ms on a 2-vCPU
-# VM), so the reuse saves little: clearing it before each check of a
-# cold seed-1 run costs about 0.15 s, mostly extension-binary-covers
-# (~0.41 -> ~0.48 s) and extensions-icosahedral-m2 (~0.08 -> ~0.12 s)
-# solving A5 and its Sylow 2-subgroup again.
-_LOCAL_CACHE: dict[tuple, tuple] = {}
-
-
 def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     """H^2(Q; Z_{p^a}) as (orders, generator cocycle columns).
 
@@ -288,10 +279,6 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     vanishing there vanishes everywhere, so it is a coboundary exactly
     when its values there are those of one.
     """
-    key = (group_digest(group), p, a)
-    hit = _LOCAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     forms, rows, sel = _cocycle_system(group)
     mod = p**a
     kernel = kernel_mod_prime_power(rows, p, a)
@@ -300,9 +287,7 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     lam = kernel_mod_prime_power(stacked, p, a)[: kernel.shape[1]]
     orders, coeffs = module_presentation_local(lam, p, a, dim=kernel.shape[1])
     gens = _imatmul(forms % mod, (kernel @ coeffs) % mod) % mod
-    result = (tuple(int(o) for o in orders), gens)
-    _LOCAL_CACHE[key] = result
-    return result
+    return tuple(int(o) for o in orders), gens
 
 
 def _check_caps(group: FiniteGroup, m: int):
@@ -323,30 +308,38 @@ def _without(factors, removed) -> tuple[int, ...]:
     return tuple(rest)
 
 
-def _sylow_schur_exponent(group: FiniteGroup, p: int) -> int:
-    """e with p^e = exp M(P) for a Sylow p-subgroup P; 0 when P is cyclic.
+def _exponent(orders) -> int:
+    """log_p of the largest of ``orders``, powers of one prime p; 0 when
+    there are none."""
+    return max((_prime_powers(o)[0][1] for o in orders), default=0)
+
+
+def _sylow_schur(group: FiniteGroup, p: int) -> tuple[int, ...]:
+    """Elementary divisors of M(P) for a Sylow p-subgroup P; () when P is
+    cyclic.
 
     At c = log_p |P| the solve H^2(P; Z_{p^c}) = M(P) + H_1(P) is exact,
     since |P| annihilates both.
     """
     els = sylow_subgroup(group, p)
     if int(group.element_orders[els].max()) == els.size:
-        return 0
-    sub, _ = group.restrict(els)
+        return ()
+    sub = group if els.size == group.size else group.restrict(els)[0]
     orders, _ = _local_cohomology(sub, p, _prime_powers(els.size)[0][1])
-    schur = _without(orders, sub.abelian_invariants)
-    return max((_prime_powers(o)[0][1] for o in schur), default=0)
+    return _without(orders, sub.abelian_invariants)
 
 
 def _schur_part(group: FiniteGroup, p: int) -> tuple[int, ...]:
     """Elementary divisors of M(Q)_p, the p-part of the Schur multiplier.
 
-    Its exponent divides p^e = exp M(P), so H^2(Q; Z_{p^e}) holds all of
-    it beside H_1(Q)/p^e, which is known.
+    When Q is a p-group this is M(P).  Otherwise its exponent divides
+    p^e = exp M(P), so H^2(Q; Z_{p^e}) holds all of it beside
+    H_1(Q)/p^e, which is known.
     """
-    e = _sylow_schur_exponent(group, p)
-    if e == 0:
-        return ()
+    schur = _sylow_schur(group, p)
+    if not schur or len(_prime_powers(group.size)) == 1:
+        return schur
+    e = _exponent(schur)
     orders, _ = _local_cohomology(group, p, e)
     return _without(orders, [math.gcd(h, p**e) for h in group.abelian_invariants
                              if h % p == 0])
@@ -371,7 +364,7 @@ def _class_basis(group: FiniteGroup, m: int) -> _ClassBasis:
             # H^2(Q; Z_{p^a}) = Hom(M(Q)_p, Z_{p^a}), and Z_{p^e} -> Z_{p^a},
             # x -> p^(a-e) x, is an isomorphism on it for a > e: the basis
             # at p^e times p^(a-e) is a basis at p^a, orders unchanged
-            c = min(a, _sylow_schur_exponent(group, p))
+            c = min(a, _exponent(_sylow_schur(group, p)))
         if c == 0:
             continue
         local_orders, local_gens = _local_cohomology(group, p, c)

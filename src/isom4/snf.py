@@ -5,17 +5,17 @@ arithmetic and is only meant for small matrices.  The mod-p and mod-p^k
 routines are vectorized with numpy; they are the workhorses behind the
 cohomology computations, where relation matrices reach a few thousand
 rows and columns.  Systems are reduced into the narrowest integer dtype
-that holds [0, p^k), duplicate rows are dropped by comparing each row
-as one byte string, and a kernel over Z/p^k comes back as at most n
-generators (n the number of unknowns), obtained by a column echelon
-over the local ring at every lifting step.
+that holds [0, p^k) and duplicate rows are dropped by comparing each row
+as one byte string.  Over Z/p^k with k >= 2 a single elimination, which
+pivots on entries of least p-adic valuation, serves both the kernel and
+the cyclic decomposition of a quotient module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, InvalidInputError, InvalidParametersError
+from .errors import InvalidInputError, InvalidParametersError
 
 __all__ = [
     "smith_normal_form",
@@ -347,61 +347,58 @@ def _kernel_gf2(a):
     return ker
 
 
-def _exact_div(a, p):
-    q, r = np.divmod(a, p)
-    if np.any(r):
-        raise InvalidInputError("matrix entries are not divisible as required")
-    return q
+def _local_elimination(a, p, k):
+    """Diagonalize a d x r matrix over the local ring Z/p^k.
 
-
-def _span_columns(gens, p, k):
-    """At most one column per row spanning the same Z/p^k-module as the
-    columns of ``gens``.
-
-    Column echelon by unimodular column operations: row by row, the
-    column whose entry has least p-adic valuation becomes the pivot
-    (scaled so the entry is p^e) and clears that row in the columns
-    after it, which it can because their entries are multiples of p^e.
+    Returns ``(vals, pmat, pinv)`` with ``pmat @ a @ Q == diag(p^vals)``
+    mod p^k for some invertible Q, ``pinv`` the inverse of ``pmat`` and
+    ``vals[i] = k`` past the last pivot.  Each step pivots on the first
+    entry of least p-adic valuation in row-major order, so unit inverses
+    always exist and the running entries stay reduced mod p^k.  Row
+    operations act on the rows of ``pmat`` and, inverted, on the columns
+    of ``pinv``; column operations need no record.
     """
     mod = p**k
+    d, r = a.shape
+    dt = _work_dtype(mod, d + 1)
+    m = np.asarray(a).astype(dt) % mod
+    pmat = np.eye(d, dtype=dt)
+    pinv = np.eye(d, dtype=dt)
     val = _valuation(p, k)
-    g = np.array(gens.T, dtype=_work_dtype(mod, 2))  # one generator per row
-    top = 0
-    for j in range(g.shape[1]):
-        if top == g.shape[0]:
+    vals = np.full(d, k)
+
+    t = 0
+    while t < min(d, r):
+        block = val(m[t:, t:])
+        flat = int(np.argmin(block))
+        v = int(block.flat[flat])
+        if v == k:
             break
-        col = g[top:, j]
-        if not col.any():
-            continue
-        v = val(col)
-        i = top + int(np.argmin(v))
-        e = int(v[i - top])
-        if i != top:
-            g[[top, i]] = g[[i, top]]
-        unit = int(g[top, j]) // p**e
-        if unit != 1:
-            g[top, j:] = g[top, j:] * pow(unit, -1, mod) % mod
-        f = g[top + 1 :, j] // p**e
-        rows = np.nonzero(f)[0]
+        i0, j0 = t + flat // (r - t), t + flat % (r - t)
+        if i0 != t:
+            m[[t, i0]] = m[[i0, t]]
+            pmat[[t, i0]] = pmat[[i0, t]]
+            pinv[:, [t, i0]] = pinv[:, [i0, t]]
+        if j0 != t:
+            m[:, [t, j0]] = m[:, [j0, t]]
+        unit = int(m[t, t]) // p**v
+        inverse = pow(unit, -1, mod)
+        m[t, t:] = m[t, t:] * inverse % mod
+        pmat[t] = pmat[t] * inverse % mod
+        pinv[:, t] = pinv[:, t] * unit % mod
+        f = m[t + 1 :, t] // p**v
+        rows = t + 1 + np.flatnonzero(f)
         if rows.size:
-            f, rows = f[rows], rows + top + 1
-            g[rows, j:] = (g[rows, j:] - np.outer(f, g[top, j:])) % mod
-        top += 1
-    return g[:top].T.astype(np.int64)
-
-
-# Most unknowns one lifting level of kernel_mod_prime_power may have.
-# Each level adds the mod-p kernel dimension to the unknowns, so the
-# width can double per level, and time and memory grow with it: the
-# 1 x 2 system [2^20, 3] reaches 8,193 unknowns mod 2^14 (8 s) and
-# asks for 2 GiB mod 2^16.  The cap must admit every H^2 the cohomology
-# caps accept (group order n <= 60, m <= 64).  The cocycle system
-# there has |gens| (n-1) unknowns, the values on generator pairs, and its
-# widest level mod 2^6 adds 1 + 2 + 4 + 8 + 16 = 31 times its mod-2
-# cocycle dimension.  Measured at m = 64: 1,979 for A5, Z2 x Z30, D60
-# and A4 x Z5, 1,918 for Z2 x Z2 x Z14.  The cap dates from when the
-# system had all (n-1)^2 unknowns (5,326 for those groups) and is kept.
-_LEVEL_WIDTH_CAP = 6144
+            f = f[rows - t - 1]
+            m[rows, t:] = (m[rows, t:] - np.outer(f, m[t, t:])) % mod
+            pmat[rows] = (pmat[rows] - np.outer(f, pmat[t])) % mod
+            pinv[:, t] = (pinv[:, t] + pinv[:, rows] @ f) % mod
+        # every entry of row t is a multiple of the pivot p^v, so the
+        # column operations against the pivot column zero the row
+        m[t, t + 1 :] = 0
+        vals[t] = v
+        t += 1
+    return vals, pmat, pinv
 
 
 def kernel_mod_prime_power(a, p, k):
@@ -409,11 +406,12 @@ def kernel_mod_prime_power(a, p, k):
 
     The columns generate the solution module over Z/p^k; there are at
     most n of them (n = a.shape[1]) and none is zero, but they are not
-    in general independent.  Recursion on k: solutions mod p^k are
-    lifts x = f c + p y of mod-p kernel vectors, where (c, y) runs over
-    the kernel of [g | a] mod p^{k-1} with g = (a @ f) / p, plus the
-    multiples p^{k-1} f.  At every level those generators are cut back
-    to at most n by a column echelon over Z/p^k that keeps their span.
+    in general independent.  For k >= 2 one local elimination of the
+    transpose gives P a^T Q = diag(p^v) with P invertible, so x = P^T y
+    solves the system exactly when p^(v_i) y_i = 0 for every i: the
+    kernel is generated by the columns p^(k - v_i) P[i]^T with v_i > 0,
+    where v_i = k for rows of P never pivoted.  At k = 1 the mod-p kernel is
+    a basis already.
     """
     _require_prime(p)
     if k < 1:
@@ -421,18 +419,11 @@ def kernel_mod_prime_power(a, p, k):
     if k == 1:
         return kernel_mod_p(a, p)
     mod = p**k
-    a = _reduce(a, mod)
-    f = kernel_mod_p(a, p)
-    width = f.shape[1] + a.shape[1]
-    if width > _LEVEL_WIDTH_CAP:
-        raise BudgetError(f"lifting mod {p}^{k} needs {width} unknowns, "
-                          f"above the cap of {_LEVEL_WIDTH_CAP}")
-    g = _exact_div(_imatmul(a, f) % mod, p)
-    inner = kernel_mod_prime_power(np.hstack([g.astype(a.dtype), a]), p, k - 1)
-    c, y = inner[: f.shape[1]], inner[f.shape[1] :]
-    lifted = (_imatmul(f, c) + p * y) % mod
-    extra = (p ** (k - 1) * f) % mod
-    return _span_columns(np.hstack([lifted, extra]), p, k)
+    a = _drop_redundant_rows(_reduce(a, mod), mod)
+    vals, pmat, _ = _local_elimination(a.T, p, k)
+    keep = np.nonzero(vals > 0)[0]
+    scale = np.array([p ** (k - int(v)) for v in vals[keep]], dtype=pmat.dtype)
+    return (pmat[keep].T * scale % mod).astype(np.int64)
 
 
 def solve_mod_prime_power(a, b, p, k):
@@ -456,54 +447,15 @@ def module_presentation_local(rel, p, k, dim=None):
     ``dim`` instead when there are no relations.  Returns
     ``(orders, gens)`` where orders[i] > 1 is the size of the i-th
     cyclic factor, ascending, and gens[:, i] generates it in the
-    original coordinates.
-
-    Diagonalization over the local ring Z/p^k pivots on entries of
-    minimal p-adic valuation, so unit inverses always exist and the
-    running entries stay reduced mod p^k.  Row operations are mirrored
-    as column operations on the inverse transform, whose columns are
-    exactly the factor generators.
+    original coordinates: P rel Q = diag(p^v) makes the columns of
+    P^(-1) the factor generators.
     """
     _require_prime(p)
-    mod = p**k
     if rel is None:
         if dim is None:
             raise InvalidInputError("pass a relation matrix or its row count dim")
         rel = np.zeros((dim, 0), dtype=np.int64)
-    rel = np.asarray(rel, dtype=np.int64)
-    d, r = rel.shape
-    dt = _work_dtype(mod, d + 1)
-    m = rel.astype(dt) % mod
-    pinv = np.eye(d, dtype=dt)
-    val = _valuation(p, k)
-
-    t = 0
-    while t < min(d, r):
-        # first entry of least valuation in row-major order
-        block = val(m[t:, t:])
-        flat = int(np.argmin(block))
-        v = int(block.flat[flat])
-        if v == k:
-            break
-        i0, j0 = t + flat // (r - t), t + flat % (r - t)
-        if i0 != t:
-            m[[t, i0]] = m[[i0, t]]
-            pinv[:, [t, i0]] = pinv[:, [i0, t]]
-        if j0 != t:
-            m[:, [t, j0]] = m[:, [j0, t]]
-        unit = int(m[t, t]) // p**v
-        m[t, t:] = m[t, t:] * pow(unit, -1, mod) % mod
-        pinv[:, t] = pinv[:, t] * unit % mod
-        f = m[t + 1 :, t] // p**v
-        m[t + 1 :, t:] = (m[t + 1 :, t:] - np.outer(f, m[t, t:])) % mod
-        pinv[:, t] = (pinv[:, t] + pinv[:, t + 1 :] @ f) % mod
-        # every entry of row t is a multiple of the pivot p^v, so the
-        # column operations against the pivot column zero the row
-        m[t, t + 1 :] = 0
-        t += 1
-
-    vals = np.full(d, k)
-    vals[:t] = val(m.diagonal()[:t])
+    vals, _, pinv = _local_elimination(np.asarray(rel, dtype=np.int64), p, k)
     keep = np.nonzero(vals > 0)[0]
     orders = [p ** int(v) for v in vals[keep]]
     return orders, pinv[:, keep].astype(np.int64)

@@ -90,11 +90,30 @@ def test_route_groups_cover_the_group_table():
 @pytest.mark.parametrize("spec", ROUTE_GROUPS, ids=lambda spec: ":".join(map(str, spec)))
 def test_routes_agree(spec):
     group = build_group(*spec)
-    for m in (2, 3, 4, 6, 8, 9, 12):
+    for m in (2, 3, 4, 6, 8, 9, 12, 16, 32, 64):
         uct = second_cohomology(group, m)
         cochain = _cochain_second_cohomology(group, m)
         assert (uct.route, cochain.route) == ("uct", "cochain")
         assert uct.invariant_factors == cochain.invariant_factors, f"m={m}"
+
+
+@pytest.mark.parametrize("spec", [("dihedral", 8), ("q8",), ("abelian", 2, 2, 4)],
+                         ids=lambda spec: ":".join(map(str, spec)))
+def test_p_group_solves_once_per_prime(spec, monkeypatch):
+    # Q is its own Sylow 2-subgroup, so the solve mod |Q| already gives
+    # M(Q) + H_1(Q) and nothing is solved again at the exponent of M(Q)
+    group = build_group(*spec)
+    calls = []
+
+    def counted(g, p, a):
+        calls.append(p)
+        return _local_cohomology(g, p, a)
+
+    monkeypatch.setattr(isom4.cohomology, "_local_cohomology", counted)
+    uct = second_cohomology(group, 8)
+    assert calls == [2]
+    monkeypatch.undo()
+    assert uct.invariant_factors == _cochain_second_cohomology(group, 8).invariant_factors
 
 
 @pytest.mark.parametrize("spec", [("icosa",), ("octa",), ("binary-octa",),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
+from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.snf import (
     _drop_redundant_rows,
     det_exact,
@@ -150,8 +150,8 @@ small_systems = st.integers(min_value=0, max_value=3).flatmap(
             lambda xs: np.array(xs, dtype=np.int64).reshape(m, n))))
 
 
-@given(small_systems, st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
-                                       (5, 1), (7, 1)]))
+@given(small_systems, st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                       (3, 2), (5, 1), (7, 1)]))
 @example(np.zeros((0, 3), dtype=np.int64), (2, 2))  # gave 9 columns before
 def test_kernel_mod_prime_power_at_most_n_generators(a, pk):
     p, k = pk
@@ -261,14 +261,18 @@ def test_local_kernels_beyond_int64_products():
 
 
 @pytest.mark.parametrize("k", [16, 40])
-def test_kernel_mod_prime_power_refuses_wide_levels(k):
-    # the unknowns of [2^20, 3] grow as 2^(k-1) + 1 over the lifting
-    # levels; past the width cap the call stops early, before any level
-    # large enough to cost seconds or gigabytes is built
+def test_kernel_mod_prime_power_at_large_exponents(k):
+    # 3 is a unit, so y = -2^20 x / 3 and the solutions of [2^20, 3] form
+    # a free module of 2^k elements; one elimination step finds it
+    a = np.array([[2**20, 3]])
     start = time.perf_counter()
-    with pytest.raises(BudgetError):
-        kernel_mod_prime_power(np.array([[2**20, 3]]), 2, k)
+    gens = kernel_mod_prime_power(a, 2, k)
     assert time.perf_counter() - start < 1.0
+    assert gens.shape[0] == 2 and 1 <= gens.shape[1] <= 2
+    assert np.all((a.astype(object) @ gens.astype(object)) % 2**k == 0)
+    # the solution module is cyclic, so the span is all of it exactly
+    # when some generator has a unit entry
+    assert np.any(gens % 2 == 1)
 
 
 @given(st.lists(st.lists(st.integers(min_value=-400, max_value=400),
