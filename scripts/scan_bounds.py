@@ -3,7 +3,9 @@
 For each canonical lens quotient in an order range this prints the
 upper bound, a seeded lower bound, and the gap.  The gap is expected
 to be nonnegative (the optimizer never certifies more than the bound)
-and to shrink as the restart budget grows.
+and never to grow as the restart budget grows, since adding restarts
+leaves the ones already run unchanged.  A bad range or budget exits
+with status 2 and the error message.
 
     python3 scripts/scan_bounds.py --n-min 5 --n-max 40 --out gaps.csv
 """
@@ -13,6 +15,7 @@ import csv
 import math
 import sys
 
+from isom4.errors import InvalidInputError
 from isom4.sphere import (
     ExtentConfig,
     LensParams,
@@ -31,11 +34,16 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args(argv)
 
-    rows = []
-    threshold = math.pi / 3.0
-    for entry in scan_extent(args.n_min, args.n_max, args.q, threshold):
-        params = LensParams(entry.n, entry.k, entry.l)
+    try:
         cfg = ExtentConfig(q=args.q, restarts=args.restarts, seed=args.seed)
+        entries = scan_extent(args.n_min, args.n_max, args.q, math.pi / 3.0)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    rows = []
+    for entry in entries:
+        params = LensParams(entry.n, entry.k, entry.l)
         report = extent_lower_bound(params, cfg)
         gap = report.upper_bound - report.lower_bound
         rows.append((entry.n, entry.k, entry.l, report.upper_bound,

@@ -375,12 +375,6 @@ def _pairwise_mean(phases, pts: np.ndarray) -> float:
     return float(np.arccos(np.clip(dots, -1.0, 1.0)).mean())
 
 
-def _point_to_rest(phases, cand: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """Sum of distances from each candidate (c, 4) to every rest point."""
-    dots = _orbit_dots(phases, cand[:, None, :], rest[None, :, :])
-    return np.arccos(np.clip(dots, -1.0, 1.0)).sum(axis=1)
-
-
 _DIRECTIONS_PER_STEP = 8
 _IMPROVEMENT_EPS = 1e-12
 _INITIAL_STEP = 0.5
@@ -389,64 +383,76 @@ _INITIAL_STEP = 0.5
 def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     """Seeded multi-start ascent on the mean pairwise quotient distance.
 
-    Each restart draws a fresh q-tuple, then repeatedly sweeps the
-    points; a sweep proposes 8 random tangent directions per point at
-    the current step size and keeps the best strict improvement.  The
-    step halves after a sweep with no improvement and the restart stops
-    once it drops below cfg.step_tolerance.  Reported value is the best
-    mean over all restarts; it is a certified lower bound because the
-    achieving configuration is returned with it.
+    Restart r draws a fresh q-tuple from its own ``default_rng([seed, r])``
+    stream, then repeatedly sweeps the points; a sweep proposes 8 random
+    tangent directions per point at the restart's step size and keeps
+    the best strict improvement.  The step halves after a sweep with no
+    improvement, and the restart stops once it drops below
+    cfg.step_tolerance or after cfg.max_iters sweeps.  All restarts
+    advance together as one (R, q, 4) array, each with its own stream,
+    step and stopping rule, so the result is the one restarts run one
+    after another would give.  Reported value is the best mean over all
+    restarts; it is a certified lower bound because the achieving
+    configuration is returned with it.
     """
     q = cfg.q
-    pair_norm = q * (q - 1) / 2.0
     phases = _deck_phases(params)
-    best_val = -1.0
-    best_pts = None
+    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
+    pts = np.stack([rng.standard_normal((q, 4)) for rng in rngs])
+    pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+    steps = np.full(cfg.restarts, _INITIAL_STEP)
+    # others[i]: the indices of every point but i
+    others = np.array([[j for j in range(q) if j != i] for i in range(q)])
     sweeps_total = 0
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        pts = rng.standard_normal((q, 4))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        # track the total over unordered pairs; mean = total / C(q,2)
-        total = _pairwise_mean(phases, pts) * pair_norm
-        step = _INITIAL_STEP
-        for _ in range(cfg.max_iters):
-            if step < cfg.step_tolerance:
-                break
-            sweeps_total += 1
-            improved = False
-            for i in range(q):
-                rest = np.delete(pts, i, axis=0)
-                base = _point_to_rest(phases, pts[i : i + 1], rest)[0]
-                dirs = rng.standard_normal((_DIRECTIONS_PER_STEP, 4))
-                dirs -= np.outer(dirs @ pts[i], pts[i])
-                norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-                dirs /= np.where(norms < 1e-12, 1.0, norms)
-                cand = math.cos(step) * pts[i] + math.sin(step) * dirs
-                cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                vals = _point_to_rest(phases, cand, rest)
-                j = int(np.argmax(vals))
-                if vals[j] > base + _IMPROVEMENT_EPS:
-                    pts[i] = cand[j]
-                    total += vals[j] - base
-                    improved = True
-            if not improved:
-                step *= 0.5
-        # re-evaluate exactly; the incremental total accumulates drift
-        val = _pairwise_mean(phases, pts)
-        if val > best_val:
-            best_val = val
-            best_pts = pts.copy()
+    for _ in range(cfg.max_iters):
+        active = np.flatnonzero(steps >= cfg.step_tolerance)
+        if active.size == 0:
+            break
+        sweeps_total += active.size
+        cur = pts[active]
+        # a sweep moves point i only at step i, so every candidate of the
+        # sweep can be drawn and placed from the points it starts with;
+        # each restart draws from its own stream in the order a
+        # point-by-point loop would
+        dirs = np.stack([rngs[r].standard_normal((q, _DIRECTIONS_PER_STEP, 4))
+                         for r in active])
+        dirs -= (dirs @ cur[..., None]) * cur[:, :, None, :]
+        norms = np.linalg.norm(dirs, axis=3, keepdims=True)
+        dirs /= np.where(norms < 1e-12, 1.0, norms)
+        # math.cos/sin per restart: numpy's vectorized ones need not
+        # round the same on every platform, and the outputs are pinned
+        cos_s = np.array([math.cos(s) for s in steps[active]])[:, None, None, None]
+        sin_s = np.array([math.sin(s) for s in steps[active]])[:, None, None, None]
+        cand = cos_s * cur[:, :, None, :] + sin_s * dirs
+        cand /= np.linalg.norm(cand, axis=3, keepdims=True)
+        # trial[:, i, 0] is point i itself, trial[:, i, 1:] its candidates
+        trial = np.concatenate([cur[:, :, None, :], cand], axis=2)
+        rows = np.arange(active.size)
+        improved = np.zeros(active.size, dtype=bool)
+        for i in range(q):
+            rest = cur[:, others[i]]
+            dots = _orbit_dots(phases, trial[:, i, :, None, :], rest[:, None, :, :])
+            vals = np.arccos(np.clip(dots, -1.0, 1.0)).sum(axis=2)
+            j = np.argmax(vals[:, 1:], axis=1) + 1
+            up = vals[rows, j] > vals[:, 0] + _IMPROVEMENT_EPS
+            cur[up, i] = trial[up, i, j[up]]
+            improved |= up
+        pts[active] = cur
+        steps[active[~improved]] *= 0.5
+    # scored one restart at a time: a batched mean sums the pairs in
+    # another order and moves the last bit
+    means = [_pairwise_mean(phases, p) for p in pts]
+    best = int(np.argmax(means))
     if params.n >= 3:
         upper = extent_upper_bound(params, q)
     else:
         upper = math.pi  # diameter bound; the closed form needs n >= 3
-    config = tuple(SpherePoint.from_array(row) for row in best_pts)
+    config = tuple(SpherePoint.from_array(row) for row in pts[best])
     return ExtentReport(
         params=params,
         q=q,
         upper_bound=upper,
-        lower_bound=min(best_val, math.pi),
+        lower_bound=min(means[best], math.pi),
         best_config=config,
         iterations_used=sweeps_total,
     )

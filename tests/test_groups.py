@@ -70,17 +70,97 @@ def test_rejects_missing_identity():
         FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
 
+# order-5 loop: unit, two-sided inverses, but (a*b)*b != a*(b*b)
+_ORDER_5_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_rejects_non_associative_loop():
-    # order-5 loop: unit, two-sided inverses, but (a*b)*b != a*(b*b)
-    loop = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(InvalidInputError):
-        FiniteGroup(loop)
+        FiniteGroup(_ORDER_5_LOOP)
+
+
+def _reduced_latin_squares(n, order=None):
+    """Latin squares on 0..n-1 whose first row and column are 0..n-1, so
+    that 0 is a two-sided identity.  Cells are filled row by row, trying
+    symbols in order(cell) if given, else 0..n-1."""
+    sq = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield [row[:] for row in sq]
+            return
+        i, j = cells[c]
+        used = set(sq[i][:j]) | {sq[r][j] for r in range(i)}
+        for v in (order(c) if order else range(n)):
+            if v not in used:
+                sq[i][j] = v
+                yield from fill(c + 1)
+
+    return fill(0)
+
+
+def _is_associative(table):
+    # the n^3 reference: t[t[i, j], k] == t[i, t[j, k]] for every triple
+    t = np.asarray(table)
+    return np.array_equal(t[t], t[:, t])
+
+
+def _refusal(table):
+    """The message FiniteGroup must refuse a non-associative loop with."""
+    t = np.asarray(table)
+    inv = np.argmax(t == 0, axis=1)
+    two_sided = np.all(t[inv, np.arange(len(t))] == 0)
+    return "not associative" if two_sided else "inverses"
+
+
+def test_order_5_loops_accepted_iff_associative():
+    loops = list(_reduced_latin_squares(5))
+    assert len(loops) == 56
+    assert sum(_is_associative(t) for t in loops) == 6  # Z5, relabelled
+    for t in loops:
+        if _is_associative(t):
+            assert FiniteGroup(t).is_abelian
+        else:
+            with pytest.raises(InvalidInputError, match=_refusal(t)):
+                FiniteGroup(t)
+
+
+@given(st.integers(min_value=5, max_value=8), st.randoms(use_true_random=False))
+def test_random_non_associative_loops_refused(n, rnd):
+    table = next(_reduced_latin_squares(n, lambda c: rnd.sample(range(n), n)))
+    assume(not _is_associative(table))
+    with pytest.raises(InvalidInputError, match=_refusal(table)):
+        FiniteGroup(table)
+
+
+# with the group coordinate running fastest, the first generators the
+# associativity test picks lie in the group factor and pass; only a later
+# one, from the loop factor, exposes the failure
+@pytest.mark.parametrize("order", [2, 3, 6])
+def test_loop_factor_refused_after_group_generators(order):
+    loop = np.array(_ORDER_5_LOOP)
+    group = (cyclic(order) if order < 6 else symmetric(3)).table
+    product = (loop[:, None, :, None] * order + group[None, :, None, :])
+    with pytest.raises(InvalidInputError, match="not associative"):
+        FiniteGroup(product.reshape(5 * order, 5 * order))
+
+
+# the associativity test picks its generators by element index, so
+# relabelling a group changes them; every labelling must pass
+@given(st.sampled_from(["q8", "binary-tetra", "octa"]), st.data())
+def test_relabelled_groups_accepted(name, data):
+    g = build_group(name)
+    perm = np.array(data.draw(st.permutations(range(g.size))))
+    relabelled = np.empty_like(g.table)
+    relabelled[perm[:, None], perm[None, :]] = perm[g.table]
+    assert FiniteGroup(relabelled).identity == perm[g.identity]
 
 
 def test_order_cap_enforced():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isom4.errors import InvalidInputError, InvalidParametersError
@@ -212,11 +212,82 @@ def test_optimizer_recovers_sphere_diameter():
     assert report.lower_bound >= math.pi - 1e-3
 
 
-def test_optimizer_deterministic_for_seed():
-    cfg = ExtentConfig(q=3, restarts=4, seed=11)
-    a = extent_lower_bound(LensParams(9, 1, 2), cfg)
-    b = extent_lower_bound(LensParams(9, 1, 2), cfg)
-    assert a.lower_bound == b.lower_bound
+# float.hex() of lower_bound and best_config, and iterations_used, as the
+# optimizer gave them when it ran its restarts one after another; running
+# them together must not move a bit
+PINNED_OPTIMIZER = [
+    ((17, 2, 5), dict(q=5, restarts=8, seed=3), "0x1.feee9b0f8e6b8p-1", 634, [
+        ["-0x1.3debb0abb9806p-3", "-0x1.f9cb185b3316cp-1",
+         "-0x1.7520b065efd26p-20", "0x1.178308be7e804p-19"],
+        ["0x1.1205cbe850082p-20", "-0x1.61aadbd29a942p-21",
+         "0x1.3d1e46730a2bbp-1", "0x1.91f85c3fb8444p-1"],
+        ["-0x1.bc9b0eb3f8f69p-19", "-0x1.07979509e7d61p-19",
+         "-0x1.e9fb9f4d2f257p-1", "0x1.290eaa79417bcp-2"],
+        ["0x1.19298de5c285cp-19", "0x1.19b1703cc16c0p-21",
+         "-0x1.5c97abe893e12p-2", "0x1.e16b6a580167ep-1"],
+        ["-0x1.4dd67e3c13c2bp-1", "-0x1.84323968da2b1p-1",
+         "0x1.db3ac38763bacp-20", "-0x1.cce0e721e1935p-20"],
+    ]),
+    ((9, 1, 2), dict(q=3, restarts=4, seed=11), "0x1.1cdb180e8949cp+0", 204, [
+        ["-0x1.359c4afc8adeap-3", "0x1.680af1d43b055p-3",
+         "0x1.b5f2a23508f1cp-1", "0x1.da5a50fa51066p-2"],
+        ["-0x1.7f11ef4fddb72p-1", "-0x1.4b53f5e10630cp-1",
+         "0x1.fa188a444093fp-4", "0x1.421890fca082bp-4"],
+        ["0x1.1cffd34fb2ccbp-2", "-0x1.6c8dded960978p-2",
+         "0x1.90f91c9864372p-1", "0x1.b56ad8995b83dp-2"],
+    ]),
+    ((1, 1, 1), dict(q=2, seed=0), "0x1.921f9d046d0bcp+1", 1123, [
+        ["0x1.b657bb54051d1p-1", "-0x1.e95686a7d2fafp-2",
+         "0x1.77531c48a1992p-3", "0x1.24063160320e2p-4"],
+        ["-0x1.b657c8d54d3b7p-1", "0x1.e9566398b044bp-2",
+         "-0x1.775258f65b436p-3", "-0x1.2408b815c550ep-4"],
+    ]),
+    ((73, 5, 22), dict(q=5, restarts=6, seed=7), "0x1.e9282b80dfaa5p-1", 374, [
+        ["0x1.0ae62aa93f886p-19", "-0x1.efbacbee744e0p-20",
+         "-0x1.770cc1a28585cp-1", "-0x1.5c8ac9de6fb7ep-1"],
+        ["-0x1.95680b2c75a48p-6", "-0x1.ffd7de477ce0bp-1",
+         "0x1.1accd755d81afp-21", "0x1.1fd9c107cbf51p-19"],
+        ["-0x1.02c946c990ef3p-1", "-0x1.b9c8df552da7ap-1",
+         "-0x1.65fe914bc1f7cp-23", "0x1.17c1d4ae30c3ep-18"],
+        ["0x1.1ca48b8353444p-2", "-0x1.ebd25dab1c5bbp-1",
+         "-0x1.5622776b969a3p-20", "-0x1.ba8d595620cf6p-19"],
+        ["-0x1.9ba5f6fec8175p-20", "-0x1.b6e2b11f86058p-20",
+         "-0x1.1c1d405b521a2p-8", "-0x1.fffec4aeaf3f1p-1"],
+    ]),
+]
+
+
+@pytest.mark.parametrize("nkl,cfg,lower,iterations,config", PINNED_OPTIMIZER,
+                         ids=["17-2-5", "9-1-2", "1-1-1", "73-5-22"])
+def test_optimizer_outputs_pinned(nkl, cfg, lower, iterations, config):
+    params, cfg = LensParams(*nkl), ExtentConfig(**cfg)
+    report = extent_lower_bound(params, cfg)
+    assert report.lower_bound.hex() == lower
+    assert report.iterations_used == iterations
+    assert [[x.hex() for x in p.coords] for p in report.best_config] == config
+    # the same seed gives the same report
+    assert extent_lower_bound(params, cfg).to_json() == report.to_json()
+
+
+restart_pairs = st.integers(min_value=1, max_value=5).flatmap(
+    lambda r1: st.tuples(st.just(r1), st.integers(min_value=r1 + 1, max_value=6)))
+
+
+# restart r reads only its own stream default_rng([seed, r]), so adding
+# restarts can neither lower the best mean nor cut the sweeps of the
+# restarts already there
+@settings(max_examples=15)
+@given(params_st, st.sampled_from([2, 3, 5]), restart_pairs,
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_restarts_are_independent(params, q, restarts, seed):
+    r1, r2 = restarts
+    fewer = extent_lower_bound(params, ExtentConfig(q=q, restarts=r1, seed=seed))
+    more = extent_lower_bound(params, ExtentConfig(q=q, restarts=r2, seed=seed))
+    assert more.lower_bound >= fewer.lower_bound
+    assert more.iterations_used >= fewer.iterations_used
+    one_sweep = extent_lower_bound(
+        params, ExtentConfig(q=q, restarts=r2, seed=seed, max_iters=1))
+    assert one_sweep.iterations_used == r2
 
 
 def test_non_canonical_params_refused():
