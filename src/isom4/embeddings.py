@@ -14,7 +14,7 @@ injectivity at a fixed dedup margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,14 +95,15 @@ def quat_pair_to_so4(pair: QuatPair) -> np.ndarray:
     return np.array(cols, dtype=np.float64).T
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MatrixRep:
     """A checked matrix representation aligned with a group table.
 
     ``matrices[i]`` is the image of element ``i``.  Construction
     verifies orthogonality/unitarity, determinant +1 for real reps, and
     the homomorphism identity on all pairs; projective reps may be off
-    by a unit scalar per pair.
+    by a unit scalar per pair.  The rep is frozen and its matrices are
+    read-only, so the residual computed here stays the rep's residual.
     """
 
     group: FiniteGroup
@@ -111,6 +112,7 @@ class MatrixRep:
     projective: bool
     matrices: np.ndarray
     tolerance: float = DEFAULT_TOLERANCE
+    _residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.field_tag not in ("real", "complex"):
@@ -140,10 +142,13 @@ class MatrixRep:
             raise InvalidInputError(
                 f"homomorphism residual {residual:.3e} exceeds tolerance {self.tolerance:.3e}")
         mats.setflags(write=False)
-        self.matrices = mats
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_residual", residual)
 
     def homomorphism_residual(self) -> float:
-        return _homomorphism_residual(self.group.table, self.matrices, self.projective)
+        """Worst deviation from the homomorphism identity over all pairs,
+        as computed when the rep was validated."""
+        return self._residual
 
     def to_json(self) -> dict:
         if self.field_tag == "real":
@@ -504,16 +509,18 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
 # top-level dispatch
 
 
-def _padded_to_so5(rep: MatrixRep) -> MatrixRep:
+def _padded_to_so5(rep: MatrixRep) -> np.ndarray:
+    """The rep's matrices with an identity block below them, up to 5x5.
+
+    Padding keeps orthogonality, determinant and the homomorphism
+    identity, so the caller validates only the relabelled result."""
     if rep.dimension == 5:
-        return rep
+        return rep.matrices
     if rep.field_tag != "real" or rep.projective:
         raise InvalidInputError("only real non-projective reps can be padded")
-    n = rep.group.size
-    mats = np.tile(np.eye(5), (n, 1, 1))
+    mats = np.tile(np.eye(5), (rep.group.size, 1, 1))
     mats[:, : rep.dimension, : rep.dimension] = rep.matrices
-    return MatrixRep(group=rep.group, dimension=5, field_tag="real",
-                     projective=False, matrices=mats, tolerance=rep.tolerance)
+    return mats
 
 
 def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
@@ -576,9 +583,9 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
             "2-groups with an index-2 cyclic subgroup have no explicit recipe here")
     else:
         raise UnsupportedCaseError(f"no embedding recipe for structure hint {kind!r}")
-    rep = _padded_to_so5(rep)
+    mats = _padded_to_so5(rep)
     phi = find_isomorphism(g, rep.group)
     if phi is None:
         raise InvalidInputError("structure hint does not match the group")
     return MatrixRep(group=g, dimension=5, field_tag="real", projective=False,
-                     matrices=rep.matrices[phi], tolerance=rep.tolerance)
+                     matrices=mats[phi], tolerance=rep.tolerance)

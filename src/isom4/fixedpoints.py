@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidParametersError
 
 __all__ = [
     "CLUSTER_TOL",
@@ -42,6 +42,11 @@ __all__ = [
 CLUSTER_TOL = 1e-9
 
 _ALLOWED_DIMENSIONS = (0, 1, 2, 4)
+
+# every orientation-preserving map of S^4 and every unitary map of CP^2
+# acts trivially on rational cohomology
+_LEFSCHETZ_S4 = 2
+_LEFSCHETZ_CP2 = 3
 
 
 @dataclass(frozen=True)
@@ -84,14 +89,29 @@ class InvolutionTraceData:
             raise InvalidInputError("definite form: signature must equal the H^2 trace")
 
 
+def _require_special_orthogonal(mats: np.ndarray) -> None:
+    """Refuse a stack (N, 5, 5) unless every matrix is orthogonal and of
+    determinant +1 within the cluster tolerance."""
+    gram = np.swapaxes(mats, 1, 2) @ mats
+    if np.max(np.abs(gram - np.eye(5))) > CLUSTER_TOL:
+        raise InvalidInputError("matrix must be orthogonal within 1e-9")
+    if np.max(np.abs(np.linalg.det(mats) - 1.0)) > CLUSTER_TOL:
+        raise InvalidInputError("matrix must have determinant +1")
+
+
+def _require_unitary(mats: np.ndarray) -> None:
+    """Refuse a stack (N, 3, 3) unless every matrix is unitary within the
+    cluster tolerance."""
+    gram = np.swapaxes(mats, 1, 2).conj() @ mats
+    if np.max(np.abs(gram - np.eye(3))) > CLUSTER_TOL:
+        raise InvalidInputError("matrix must be unitary within 1e-9")
+
+
 def _as_special_orthogonal_5(g) -> np.ndarray:
     mat = np.asarray(g, dtype=np.float64)
     if mat.shape != (5, 5):
         raise InvalidInputError("expected a 5x5 matrix")
-    if np.max(np.abs(mat.T @ mat - np.eye(5))) > CLUSTER_TOL:
-        raise InvalidInputError("matrix must be orthogonal within 1e-9")
-    if abs(np.linalg.det(mat) - 1.0) > CLUSTER_TOL:
-        raise InvalidInputError("matrix must have determinant +1")
+    _require_special_orthogonal(mat[None])
     return mat
 
 
@@ -99,8 +119,7 @@ def _as_unitary_3(u) -> np.ndarray:
     mat = np.asarray(u, dtype=np.complex128)
     if mat.shape != (3, 3):
         raise InvalidInputError("expected a 3x3 matrix")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(3))) > CLUSTER_TOL:
-        raise InvalidInputError("matrix must be unitary within 1e-9")
+    _require_unitary(mat[None])
     return mat
 
 
@@ -116,14 +135,29 @@ class LinearSphereAction:
             mats = mats[None]
         if mats.ndim != 3 or mats.shape[1:] != (5, 5):
             raise InvalidInputError("expected one or more 5x5 matrices")
-        for mat in mats:
-            _as_special_orthogonal_5(mat)
+        _require_special_orthogonal(mats)
         mats.setflags(write=False)
         self.matrices = mats
 
     @property
     def count(self) -> int:
         return int(self.matrices.shape[0])
+
+
+def _unit_multiplicity(eigvals: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues within the cluster tolerance of 1, per row
+    of a stack (..., 5) of eigenvalues."""
+    return np.count_nonzero(np.abs(eigvals - 1.0) < CLUSTER_TOL, axis=-1)
+
+
+def _s4_fixed_set(d: int) -> FixedSetDescriptor:
+    """Fixed set on the sphere of a rotation whose eigenvalue 1 has
+    multiplicity d: the eigenspace meets the sphere in S^(d-1)."""
+    if d == 0:
+        return FixedSetDescriptor(())
+    sphere_dim = d - 1
+    euler = 2 if sphere_dim % 2 == 0 else 0
+    return FixedSetDescriptor((FixComponent(sphere_dim, euler, f"S^{sphere_dim}"),))
 
 
 def fixed_set_s4(g) -> FixedSetDescriptor:
@@ -134,13 +168,7 @@ def fixed_set_s4(g) -> FixedSetDescriptor:
     odd eigenvalue-1 multiplicity, so the fixed set is never empty and
     its sphere has even dimension."""
     mat = _as_special_orthogonal_5(g)
-    eigvals = np.linalg.eigvals(mat)
-    d = int(np.count_nonzero(np.abs(eigvals - 1.0) < CLUSTER_TOL))
-    if d == 0:
-        return FixedSetDescriptor(())
-    sphere_dim = d - 1
-    euler = 2 if sphere_dim % 2 == 0 else 0
-    return FixedSetDescriptor((FixComponent(sphere_dim, euler, f"S^{sphere_dim}"),))
+    return _s4_fixed_set(int(_unit_multiplicity(np.linalg.eigvals(mat))))
 
 
 def lefschetz_check_s4(g) -> dict:
@@ -149,12 +177,41 @@ def lefschetz_check_s4(g) -> dict:
     Orientation-preserving maps act trivially on top cohomology, so
     the alternating trace sum collapses to 1 + 1 = 2."""
     fix = fixed_set_s4(g)
-    lefschetz = 2
     return {
-        "lefschetz": lefschetz,
+        "lefschetz": _LEFSCHETZ_S4,
         "fix_euler": fix.euler_char,
-        "pass": fix.euler_char == lefschetz,
+        "pass": fix.euler_char == _LEFSCHETZ_S4,
     }
+
+
+def _cluster_count(eigvals: np.ndarray) -> np.ndarray:
+    """Number of eigenvalue clusters per row of a stack (..., k).
+
+    Eigenvalues are taken in order; each joins the first earlier cluster
+    whose first member lies within the cluster tolerance, or else starts
+    a new cluster."""
+    k = eigvals.shape[-1]
+    # owner[..., j]: index of the first member of j's cluster
+    owner = np.empty(eigvals.shape, dtype=np.intp)
+    for j in range(k):
+        owner[..., j] = j
+        for i in reversed(range(j)):
+            near = np.abs(eigvals[..., j] - eigvals[..., i]) < CLUSTER_TOL
+            owner[..., j] = np.where(near & (owner[..., i] == i), i, owner[..., j])
+    return np.count_nonzero(owner == np.arange(k), axis=-1)
+
+
+def _cp2_fixed_set(clusters: int) -> FixedSetDescriptor:
+    """Fixed set on the plane of a unitary with the given number of
+    eigenvalue clusters: three give three points, two a line and a
+    point, one the whole plane."""
+    if clusters == 3:
+        return FixedSetDescriptor(tuple(FixComponent(0, 1, "point") for _ in range(3)))
+    if clusters == 2:
+        return FixedSetDescriptor((FixComponent(2, 2, "CP^1"), FixComponent(0, 1, "point")))
+    if clusters == 1:
+        return FixedSetDescriptor((FixComponent(4, 3, "CP^2"),))
+    raise InvalidInputError(f"unexpected eigenvalue cluster count {clusters}")
 
 
 def fixed_set_cp2(u) -> FixedSetDescriptor:
@@ -162,25 +219,7 @@ def fixed_set_cp2(u) -> FixedSetDescriptor:
     multiplicity pattern: (1,1,1) gives three points, (2,1) a line and
     a point, (3) the whole plane.  Every pattern totals three."""
     mat = _as_unitary_3(u)
-    eigvals = np.linalg.eigvals(mat)
-    clusters: list[list[complex]] = []
-    for lam in eigvals:
-        for cluster in clusters:
-            if abs(lam - cluster[0]) < CLUSTER_TOL:
-                cluster.append(lam)
-                break
-        else:
-            clusters.append([lam])
-    pattern = tuple(sorted((len(c) for c in clusters), reverse=True))
-    if pattern == (1, 1, 1):
-        comps = tuple(FixComponent(0, 1, "point") for _ in range(3))
-    elif pattern == (2, 1):
-        comps = (FixComponent(2, 2, "CP^1"), FixComponent(0, 1, "point"))
-    elif pattern == (3,):
-        comps = (FixComponent(4, 3, "CP^2"),)
-    else:
-        raise InvalidInputError(f"unexpected eigenvalue pattern {pattern}")
-    return FixedSetDescriptor(comps)
+    return _cp2_fixed_set(int(_cluster_count(np.linalg.eigvals(mat))))
 
 
 def lefschetz_check_cp2(u) -> dict:
@@ -189,11 +228,10 @@ def lefschetz_check_cp2(u) -> dict:
     Unitary (hence homologically trivial) actions have alternating
     trace sum 1 + 1 + 1 = 3 over the three even cohomology groups."""
     fix = fixed_set_cp2(u)
-    lefschetz = 3
     return {
-        "lefschetz": lefschetz,
+        "lefschetz": _LEFSCHETZ_CP2,
         "fix_euler": fix.euler_char,
-        "pass": fix.euler_char == lefschetz,
+        "pass": fix.euler_char == _LEFSCHETZ_CP2,
     }
 
 
@@ -240,40 +278,71 @@ def involution_catalog() -> list[dict]:
     return entries
 
 
+# matrices drawn and classified at a time, so a batch of any count runs
+# in bounded memory
+_BATCH_CHUNK = 4096
+
+
+def _so5_stack(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count Haar-ish rotations: QR of Gaussian matrices with the R
+    diagonal signs fixed, reflected into the determinant +1 component.
+    The draws are those of count one-matrix calls, in order."""
+    q, r = np.linalg.qr(rng.normal(size=(count, 5, 5)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
+
+
+def _u3_stack(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count Haar unitaries: QR of complex Gaussians with the R diagonal
+    phases divided out.  Each matrix draws its real parts, then its
+    imaginary parts, as one-matrix calls do."""
+    x = rng.normal(size=(count, 2, 3, 3))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d.conjugate() / np.abs(d))[:, None, :]
+
+
 def random_so5(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish rotation: QR of a Gaussian matrix with the R diagonal
     sign fixed, reflected into the determinant +1 component."""
-    q, r = np.linalg.qr(rng.normal(size=(5, 5)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    return _so5_stack(rng, 1)[0]
 
 
 def random_u3(rng: np.random.Generator) -> np.ndarray:
     """Haar unitary: QR of a complex Gaussian with R diagonal phases
     divided out."""
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d.conjugate() / np.abs(d))
+    return _u3_stack(rng, 1)[0]
+
+
+def _batch(count: int, seed: int, sample, require, invariant, fixed_set,
+           lefschetz: int) -> dict:
+    """Draw count matrices from ``default_rng(seed)`` chunk by chunk,
+    validate each chunk and list the indices whose fixed set misses the
+    Lefschetz number.  ``invariant`` maps a stack of eigenvalues to the
+    integer ``fixed_set`` classifies, as the one-matrix functions do."""
+    if count < 1:
+        raise InvalidParametersError("batch count must be positive")
+    if not 0 <= seed < 2**64:
+        raise InvalidParametersError("seed must fit in 64 unsigned bits")
+    rng = np.random.default_rng(seed)
+    failures = []
+    for start in range(0, count, _BATCH_CHUNK):
+        mats = sample(rng, min(_BATCH_CHUNK, count - start))
+        require(mats)
+        values, where = np.unique(invariant(np.linalg.eigvals(mats)), return_inverse=True)
+        euler = np.array([fixed_set(int(v)).euler_char for v in values])[where]
+        failures.extend((start + np.flatnonzero(euler != lefschetz)).tolist())
+    return {"count": count, "failures": failures, "all_pass": not failures}
 
 
 def batch_lefschetz_s4(count: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    failures = []
-    for i in range(count):
-        record = lefschetz_check_s4(random_so5(rng))
-        if not record["pass"]:
-            failures.append(i)
-    return {"count": count, "failures": failures, "all_pass": not failures}
+    """:func:`lefschetz_check_s4` on count random rotations."""
+    return _batch(count, seed, _so5_stack, _require_special_orthogonal,
+                  _unit_multiplicity, _s4_fixed_set, _LEFSCHETZ_S4)
 
 
 def batch_lefschetz_cp2(count: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    failures = []
-    for i in range(count):
-        record = lefschetz_check_cp2(random_u3(rng))
-        if not record["pass"]:
-            failures.append(i)
-    return {"count": count, "failures": failures, "all_pass": not failures}
+    """:func:`lefschetz_check_cp2` on count random unitaries."""
+    return _batch(count, seed, _u3_stack, _require_unitary,
+                  _cluster_count, _cp2_fixed_set, _LEFSCHETZ_CP2)

@@ -213,12 +213,22 @@ def _deck_phases(params: LensParams) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _orbit_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work space of :func:`_orbit_dots` for products of the given
+    shape: the two complex phase products and the real dots."""
+    return (np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128),
+            np.empty(shape))
+
+
 def _orbit_dots(phases: tuple[np.ndarray, np.ndarray], a: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
+                b: np.ndarray, buffers=None) -> np.ndarray:
     """Max over the deck orbit of <a, g_j b>, vectorized over leading axes.
 
     phases: :func:`_deck_phases` of the quotient; a, b: real arrays
-    (..., 4) holding sphere points.
+    (..., 4) holding sphere points; buffers: :func:`_orbit_buffers` of
+    shape (broadcast leading shape, n), allocated here when None.  The
+    optimizer passes the same buffers to every call, so the large
+    temporaries are not handed back to the OS and faulted in again.
     """
     w1, w2 = phases
     az1 = a[..., 0] + 1j * a[..., 1]
@@ -228,7 +238,14 @@ def _orbit_dots(phases: tuple[np.ndarray, np.ndarray], a: np.ndarray,
     # <a, g_j b> = Re(conj(az1) bz1 w1^j) + Re(conj(az2) bz2 w2^j)
     pair1 = np.conj(az1) * bz1
     pair2 = np.conj(az2) * bz2
-    dots = (pair1[..., None] * w1 + pair2[..., None] * w2).real
+    if buffers is None:
+        buffers = _orbit_buffers(pair1.shape + w1.shape)
+    terms1, terms2, dots = buffers
+    np.multiply(pair1[..., None], w1, out=terms1)
+    np.multiply(pair2[..., None], w2, out=terms2)
+    # the real part of a complex sum is the sum of the real parts, bit
+    # for bit
+    np.add(terms1.real, terms2.real, out=dots)
     return dots.max(axis=-1)
 
 
@@ -403,6 +420,9 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     steps = np.full(cfg.restarts, _INITIAL_STEP)
     # others[i]: the indices of every point but i
     others = np.array([[j for j in range(q) if j != i] for i in range(q)])
+    # one set of _orbit_dots buffers for the whole call, sliced to the
+    # active restarts
+    buffers = _orbit_buffers((cfg.restarts, 1 + _DIRECTIONS_PER_STEP, q - 1, params.n))
     sweeps_total = 0
     for _ in range(cfg.max_iters):
         active = np.flatnonzero(steps >= cfg.step_tolerance)
@@ -428,10 +448,12 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
         # trial[:, i, 0] is point i itself, trial[:, i, 1:] its candidates
         trial = np.concatenate([cur[:, :, None, :], cand], axis=2)
         rows = np.arange(active.size)
+        views = tuple(buf[:active.size] for buf in buffers)
         improved = np.zeros(active.size, dtype=bool)
         for i in range(q):
             rest = cur[:, others[i]]
-            dots = _orbit_dots(phases, trial[:, i, :, None, :], rest[:, None, :, :])
+            dots = _orbit_dots(phases, trial[:, i, :, None, :], rest[:, None, :, :],
+                               views)
             vals = np.arccos(np.clip(dots, -1.0, 1.0)).sum(axis=2)
             j = np.argmax(vals[:, 1:], axis=1) + 1
             up = vals[rows, j] > vals[:, 0] + _IMPROVEMENT_EPS

@@ -532,8 +532,13 @@ def _check_embed_two_group(cfg):
 
 # ----------------------------------------------------------- fixed points
 
+def _batch_seed(cfg, offset):
+    # the batches take 64-bit seeds; below 2^64 - offset this is seed + offset
+    return (cfg.seed + offset) % 2**64
+
+
 def _check_fixedpoint_sphere_batch(cfg):
-    result = batch_lefschetz_s4(cfg.batch_count, cfg.seed + 3)
+    result = batch_lefschetz_s4(cfg.batch_count, _batch_seed(cfg, 3))
     ok = result["all_pass"]
     return ("PASS" if ok else "FAIL",
             f"chi(Fix) = 2 = Lefschetz number for {cfg.batch_count} random "
@@ -542,7 +547,7 @@ def _check_fixedpoint_sphere_batch(cfg):
 
 
 def _check_fixedpoint_plane_batch(cfg):
-    result = batch_lefschetz_cp2(cfg.batch_count, cfg.seed + 4)
+    result = batch_lefschetz_cp2(cfg.batch_count, _batch_seed(cfg, 4))
     ok = result["all_pass"]
     return ("PASS" if ok else "FAIL",
             f"chi(Fix) = 3 = Lefschetz number for {cfg.batch_count} random "

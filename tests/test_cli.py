@@ -247,6 +247,20 @@ def test_fixedpoint_batches(capsys):
     assert data["count"] == 20
 
 
+@pytest.mark.parametrize("manifold", ["s4", "cp2"])
+@pytest.mark.parametrize("argv,message", [
+    (["--count", "-5"], "batch count must be positive"),
+    (["--count", "0"], "batch count must be positive"),
+    (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
+    (["--seed", str(2**64)], "seed must fit in 64 unsigned bits"),
+], ids=["count-negative", "count-zero", "seed-negative", "seed-2^64"])
+def test_fixedpoint_refuses_bad_batches(capsys, manifold, argv, message):
+    assert main(["fixedpoint", "--manifold", manifold, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_classify_command(capsys):
     code, data = run_json(capsys, "classify", "--b2", "2", "--parity", "odd",
                           "--pseudofree", "true", "--form", "odd")

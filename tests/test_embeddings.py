@@ -1,8 +1,12 @@
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from isom4 import embeddings
 from isom4.embeddings import (
     DEFAULT_TOLERANCE,
     MatrixRep,
@@ -32,6 +36,9 @@ from isom4.groups import (
     klein_by_cyclic3,
     q8_by_cyclic3,
 )
+
+EMBEDDING_RESIDUALS = (Path(__file__).resolve().parent.parent / "scripts"
+                       / "embedding_residuals.py")
 
 
 def random_unit_quat(rng):
@@ -120,6 +127,55 @@ def test_rep_matrices_frozen():
     rep = polyhedral_so3(GroupKind("tetra"))
     with pytest.raises(ValueError):
         rep.matrices[0, 0, 0] = 5.0
+
+
+def test_rep_fields_frozen():
+    rep = polyhedral_so3(GroupKind("tetra"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.matrices = np.tile(np.eye(3), (12, 1, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.projective = True
+
+
+def _residual_script_cases():
+    spec = importlib.util.spec_from_file_location("embedding_residuals",
+                                                  EMBEDDING_RESIDUALS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [pytest.param(group, hint, id=label) for label, group, hint in module.cases()
+            if hint["kind"] != "two-group"]
+
+
+@pytest.mark.parametrize("group,hint", _residual_script_cases())
+def test_stored_residual_is_fresh_residual(group, hint):
+    rep = embed_into_so5(group, hint)
+    fresh = embeddings._homomorphism_residual(rep.group.table, rep.matrices,
+                                              rep.projective)
+    assert rep.homomorphism_residual().hex() == fresh.hex()
+
+
+def test_embedding_validates_recipe_and_result_only(monkeypatch):
+    # a dimension-4 recipe: its rep and the relabelled 5x5 rep are
+    # validated, the padded intermediate is not, and reading the
+    # residual afterwards computes nothing
+    calls = []
+    residual = embeddings._homomorphism_residual
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return residual(*args)
+
+    monkeypatch.setattr(embeddings, "_homomorphism_residual", counting)
+    rep = embed_into_so5(binary_dihedral(12), {"kind": "dihedral-mixed",
+                                               "m": 2, "k": 3})
+    assert calls == [(12, 5, 5), (12, 5, 5)]
+    calls.clear()
+    group = q8_by_cyclic3(2)
+    rep = embed_into_so5(group, {"kind": "u2-mixed", "r": 1, "s": 1, "m_plus": 1})
+    assert calls == [(group.size, 4, 4), (group.size, 5, 5)]
+    assert is_faithful_rep(rep)
+    assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
+    assert len(calls) == 2
 
 
 # --- the projective unitary model ---------------------------------------------

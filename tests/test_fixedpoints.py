@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from isom4.errors import InvalidInputError
+from isom4 import fixedpoints
+from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.fixedpoints import (
     FixComponent,
     FixedSetDescriptor,
@@ -150,6 +153,132 @@ def test_batch_cp2_small():
 
 def test_batches_deterministic():
     assert batch_lefschetz_s4(10, seed=3) == batch_lefschetz_s4(10, seed=3)
+
+
+@pytest.mark.parametrize("batch", [batch_lefschetz_s4, batch_lefschetz_cp2])
+@pytest.mark.parametrize("count,seed,message", [
+    (0, 1, "batch count must be positive"),
+    (-5, 1, "batch count must be positive"),
+    (3, -1, "seed must fit in 64 unsigned bits"),
+    (3, 2**64, "seed must fit in 64 unsigned bits"),
+])
+def test_batches_refuse_bad_inputs(batch, count, seed, message):
+    with pytest.raises(InvalidParametersError, match=message):
+        batch(count, seed)
+
+
+def test_batches_accept_seed_range_ends():
+    assert batch_lefschetz_s4(2, 0)["all_pass"]
+    assert batch_lefschetz_cp2(2, 2**64 - 1)["all_pass"]
+
+
+# the per-matrix code the stacked batches replaced, kept as the reference
+
+
+def _reference_so5(rng):
+    q, r = np.linalg.qr(rng.normal(size=(5, 5)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _reference_u3(rng):
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d.conjugate() / np.abs(d))
+
+
+def _reference_euler_s4(mat):
+    d = int(np.count_nonzero(np.abs(np.linalg.eigvals(mat) - 1.0) < 1e-9))
+    return 2 if d > 0 and (d - 1) % 2 == 0 else 0
+
+
+def _reference_clusters(eigvals):
+    clusters = []
+    for lam in eigvals:
+        for cluster in clusters:
+            if abs(lam - cluster[0]) < 1e-9:
+                cluster.append(lam)
+                break
+        else:
+            clusters.append([lam])
+    return clusters
+
+
+def _reference_euler_cp2(mat):
+    pattern = sorted(len(c) for c in _reference_clusters(np.linalg.eigvals(mat)))
+    return {(1, 1, 1): 1 + 1 + 1, (1, 2): 2 + 1, (3,): 3}[tuple(pattern)]
+
+
+REFERENCES = {
+    "s4": (batch_lefschetz_s4, fixedpoints._so5_stack, _reference_so5,
+           _reference_euler_s4, 2),
+    "cp2": (batch_lefschetz_cp2, fixedpoints._u3_stack, _reference_u3,
+            _reference_euler_cp2, 3),
+}
+
+
+def _check_against_reference(manifold, count, seed, chunk):
+    batch, stack, sample, euler, lefschetz = REFERENCES[manifold]
+    rng = np.random.default_rng(seed)
+    reference = [sample(rng) for _ in range(count)]
+    failures = [i for i, mat in enumerate(reference) if euler(mat) != lefschetz]
+    rng = np.random.default_rng(seed)
+    stacked = np.concatenate([stack(rng, min(chunk, count - start))
+                              for start in range(0, count, chunk)])
+    assert np.array_equal(stacked, np.stack(reference))
+    assert batch(count, seed) == {"count": count, "failures": failures,
+                                  "all_pass": not failures}
+
+
+@pytest.mark.parametrize("manifold", ["s4", "cp2"])
+@pytest.mark.parametrize("count", [1, 7, 12])
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_batches_match_per_matrix_code(monkeypatch, manifold, count, seed):
+    # a 5-matrix chunk makes count 12 cross two chunk boundaries
+    monkeypatch.setattr(fixedpoints, "_BATCH_CHUNK", 5)
+    _check_against_reference(manifold, count, seed, 5)
+
+
+@pytest.mark.parametrize("manifold", ["s4", "cp2"])
+def test_stacked_batches_cross_the_real_chunk(manifold):
+    chunk = fixedpoints._BATCH_CHUNK
+    _check_against_reference(manifold, chunk + 1, 0, chunk)
+
+
+def test_single_samplers_are_the_stacked_ones():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(random_so5(rng), _reference_so5(ref))
+        assert np.array_equal(random_u3(rng), _reference_u3(ref))
+
+
+near_unit = st.sampled_from([0.0, 1e-10, -4e-10, 6e-10, 2e-9, 0.3, -0.3, 1.0])
+
+
+@given(st.lists(st.tuples(near_unit, near_unit), min_size=3, max_size=3))
+def test_cluster_count_matches_greedy_clustering(offsets):
+    # eigenvalues at and around 1 and 1 + 1e-9 i, where the greedy rule's
+    # order matters: a chain a ~ b ~ c need not put c with a
+    eigvals = np.array([1.0 + re + 1j * im for re, im in offsets])
+    assert fixedpoints._cluster_count(eigvals) == len(_reference_clusters(eigvals))
+
+
+def test_linear_sphere_action_refuses_any_bad_matrix():
+    rng = np.random.default_rng(11)
+    good = np.stack([random_so5(rng) for _ in range(4)])
+    skewed = good.copy()
+    skewed[2, 0, 0] += 1e-6
+    with pytest.raises(InvalidInputError, match="orthogonal within 1e-9"):
+        LinearSphereAction(skewed)
+    reflected = good.copy()
+    reflected[3, :, 0] *= -1.0
+    with pytest.raises(InvalidInputError, match="determinant \\+1"):
+        LinearSphereAction(reflected)
+    assert LinearSphereAction(good).count == 4
 
 
 # --- involution identities --------------------------------------------------------

@@ -12,6 +12,8 @@ from isom4.verify import (
     VerifyConfig,
     _check_extension_dicyclic_m2,
     _check_extent_scan,
+    _check_fixedpoint_plane_batch,
+    _check_fixedpoint_sphere_batch,
     exit_code,
     h2_record,
 )
@@ -82,6 +84,14 @@ def test_scan_check_fails_below_sharp_threshold():
     status, _, actual = _check_extent_scan(VerifyConfig(threshold_n=60, scan_max=80))
     assert status == "FAIL"
     assert "60" in actual
+
+
+def test_fixedpoint_checks_take_the_largest_seed():
+    # the batches take 64-bit seeds, so the check's seed offset wraps
+    cfg = VerifyConfig(seed=2**64 - 1, batch_count=3)
+    for check in (_check_fixedpoint_sphere_batch, _check_fixedpoint_plane_batch):
+        status, _, actual = check(cfg)
+        assert (status, actual) == ("PASS", "3/3 pass")
 
 
 def test_check_record_validation():
