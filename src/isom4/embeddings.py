@@ -33,6 +33,7 @@ from .groups import (
     _QI,
     _QJ,
     _close_unitary,
+    _require_within,
     build_metacyclic,
     find_isomorphism,
     pu3_presentation_valid,
@@ -65,8 +66,8 @@ class QuatPair:
             raw = tuple(float(x) for x in getattr(self, name))
             if len(raw) != 4:
                 raise InvalidInputError("quaternions have four coordinates")
-            if abs(math.sqrt(sum(x * x for x in raw)) - 1.0) > 1e-12:
-                raise InvalidInputError("quaternions must be unit norm")
+            _require_within(abs(math.sqrt(sum(x * x for x in raw)) - 1.0), 1e-12,
+                            "quaternions must be unit norm")
             object.__setattr__(self, name, raw)
 
 
@@ -131,16 +132,16 @@ class MatrixRep:
             raise InvalidInputError("need one dimension x dimension matrix per element")
         eye = np.eye(d)
         gram = np.einsum("nji,njk->nik", mats.conj(), mats)
-        if np.max(np.abs(gram - eye)) > self.tolerance:
-            raise InvalidInputError("matrices must be orthogonal/unitary within tolerance")
+        _require_within(np.max(np.abs(gram - eye)), self.tolerance,
+                        "matrices must be orthogonal/unitary within tolerance")
         if self.field_tag == "real":
             dets = np.linalg.det(mats)
-            if np.max(np.abs(dets - 1.0)) > self.tolerance:
-                raise InvalidInputError("real matrices must have determinant +1")
+            _require_within(np.max(np.abs(dets - 1.0)), self.tolerance,
+                            "real matrices must have determinant +1")
         residual = _homomorphism_residual(self.group.table, mats, self.projective)
-        if residual > self.tolerance:
-            raise InvalidInputError(
-                f"homomorphism residual {residual:.3e} exceeds tolerance {self.tolerance:.3e}")
+        _require_within(
+            residual, self.tolerance,
+            f"homomorphism residual {residual:.3e} exceeds tolerance {self.tolerance:.3e}")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_residual", residual)
@@ -167,6 +168,7 @@ class MatrixRep:
 
 def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool) -> float:
     n, d = mats.shape[0], mats.shape[1]
+    # np.maximum, unlike Python's max, keeps a NaN block maximum
     worst = 0.0
     step = max(1, (1 << 20) // max(1, n * d * d))
     for s in range(0, n, step):
@@ -175,12 +177,12 @@ def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool
         tgt = mats[table[s : s + step]]
         if projective:
             lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / d
-            worst = max(worst, float(np.max(np.abs(np.abs(lam) - 1.0))))
+            worst = np.maximum(worst, np.max(np.abs(np.abs(lam) - 1.0)))
             prod = prod - lam[..., None, None] * tgt
-            worst = max(worst, float(np.max(np.abs(prod))))
+            worst = np.maximum(worst, np.max(np.abs(prod)))
         else:
-            worst = max(worst, float(np.max(np.abs(prod - tgt))))
-    return worst
+            worst = np.maximum(worst, np.max(np.abs(prod - tgt)))
+    return float(worst)
 
 
 def _phase_normalized(mats: np.ndarray) -> np.ndarray:
@@ -199,7 +201,7 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
     Injectivity asks every pair of distinct elements to sit farther
     apart than ten times the rep tolerance, after phase normalization
     when the rep is projective."""
-    if rep.homomorphism_residual() > rep.tolerance:
+    if not rep.homomorphism_residual() <= rep.tolerance:
         return False
     mats = _phase_normalized(rep.matrices) if rep.projective else rep.matrices
     n = mats.shape[0]
@@ -460,8 +462,7 @@ def _recipe_o4_in_so5(m: int, k: int) -> MatrixRep:
     padded = []
     for g in gens4:
         det = float(np.linalg.det(g))
-        if abs(abs(det) - 1.0) > DEFAULT_TOLERANCE:
-            raise InvalidInputError("generators must be orthogonal")
+        _require_within(abs(abs(det) - 1.0), DEFAULT_TOLERANCE, "generators must be orthogonal")
         padded.append(_block_diag(g, np.array([[1.0 if det > 0 else -1.0]])))
     group, mats = _closed_rep(padded, expected_order=expected)
     return MatrixRep(group=group, dimension=5, field_tag="real",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParametersError
+from .groups import _require_within
 
 __all__ = [
     "CLUSTER_TOL",
@@ -93,18 +94,18 @@ def _require_special_orthogonal(mats: np.ndarray) -> None:
     """Refuse a stack (N, 5, 5) unless every matrix is orthogonal and of
     determinant +1 within the cluster tolerance."""
     gram = np.swapaxes(mats, 1, 2) @ mats
-    if np.max(np.abs(gram - np.eye(5))) > CLUSTER_TOL:
-        raise InvalidInputError("matrix must be orthogonal within 1e-9")
-    if np.max(np.abs(np.linalg.det(mats) - 1.0)) > CLUSTER_TOL:
-        raise InvalidInputError("matrix must have determinant +1")
+    _require_within(np.max(np.abs(gram - np.eye(5))), CLUSTER_TOL,
+                    "matrix must be orthogonal within 1e-9")
+    _require_within(np.max(np.abs(np.linalg.det(mats) - 1.0)), CLUSTER_TOL,
+                    "matrix must have determinant +1")
 
 
 def _require_unitary(mats: np.ndarray) -> None:
     """Refuse a stack (N, 3, 3) unless every matrix is unitary within the
     cluster tolerance."""
     gram = np.swapaxes(mats, 1, 2).conj() @ mats
-    if np.max(np.abs(gram - np.eye(3))) > CLUSTER_TOL:
-        raise InvalidInputError("matrix must be unitary within 1e-9")
+    _require_within(np.max(np.abs(gram - np.eye(3))), CLUSTER_TOL,
+                    "matrix must be unitary within 1e-9")
 
 
 def _as_special_orthogonal_5(g) -> np.ndarray:

@@ -379,6 +379,16 @@ DEDUP_DECIMALS = 6
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _require_within(err: float, tol: float, message: str) -> None:
+    """Refuse unless err <= tol.  Written so that a NaN error, which
+    every comparison calls False, is refused too: non-finite input
+    makes the error NaN or inf, and the refusal then says so."""
+    if not err <= tol:
+        if not math.isfinite(err):
+            message = f"{message} (input is not finite)"
+        raise InvalidInputError(message)
+
+
 def _key_rows(keys: np.ndarray) -> np.ndarray:
     """Each row of a 2-D array as one byte-string record."""
     keys = np.ascontiguousarray(keys)
@@ -439,8 +449,7 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
     gens = np.stack(gens).astype(dtype)
     eye = np.eye(d, dtype=dtype)
     drift = np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye))
-    if drift > DEFAULT_TOLERANCE:
-        raise InvalidInputError("generators must be orthogonal/unitary")
+    _require_within(drift, DEFAULT_TOLERANCE, "generators must be orthogonal/unitary")
     levels = [eye[None]]
     seen = {_matrix_keys(eye[None]).tobytes()}
     while levels[-1].shape[0]:

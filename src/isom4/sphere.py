@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedCaseError
+from .groups import _require_within
 
 __all__ = [
     "SpherePoint",
@@ -54,8 +55,8 @@ class SpherePoint:
         c = tuple(float(x) for x in self.coords)
         if len(c) != 4:
             raise InvalidInputError("a sphere point needs exactly 4 coordinates")
-        if abs(math.sqrt(sum(x * x for x in c)) - 1.0) > _UNIT_TOL:
-            raise InvalidInputError("sphere point is not unit length")
+        _require_within(abs(math.sqrt(sum(x * x for x in c)) - 1.0), _UNIT_TOL,
+                        "sphere point is not unit length")
         object.__setattr__(self, "coords", c)
 
     @staticmethod
@@ -203,50 +204,82 @@ def deck_transform(params: LensParams, j: int, p: SpherePoint) -> SpherePoint:
     return SpherePoint((z1.real, z1.imag, z2.real, z2.imag))
 
 
-def _deck_phases(params: LensParams) -> tuple[np.ndarray, np.ndarray]:
-    """The rotation phases (w1^j, w2^j) of the n deck transformations;
-    callers compute them once and pass them to :func:`_orbit_dots`."""
+def _deck_phases(params: LensParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rotation phases (w1^j, w2^j) of the n deck transformations and
+    their (4, n) real table [Re w1; -Im w1; Re w2; -Im w2]; callers
+    compute them once and pass them to :func:`_orbit_dots`."""
     js = np.arange(params.n)
-    return (
-        np.exp(2j * np.pi * params.k * js / params.n),
-        np.exp(2j * np.pi * params.l * js / params.n),
-    )
+    w1 = np.exp(2j * np.pi * params.k * js / params.n)
+    w2 = np.exp(2j * np.pi * params.l * js / params.n)
+    return w1, w2, np.stack([w1.real, -w1.imag, w2.real, -w2.imag])
 
 
-def _orbit_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work space of :func:`_orbit_dots` for products of the given
-    shape: the two complex phase products and the real dots."""
-    return (np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128),
-            np.empty(shape))
+# forward-error constant gamma_4 = 4u / (1 - 4u) of a 4-term real dot
+# product in any order, with or without fused multiply-adds (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1)
+_GAMMA_4 = 4 * 2.0**-53 / (1 - 4 * 2.0**-53)
+# 2 (delta_screen + delta_ref) <= 4 gamma_4 |x|_1 plus 16 half-subnormals
+# of underflow; doubled to absorb the rounding of the window and the gap
+_WINDOW_PER_NORM = 2 * 4 * _GAMMA_4
+_WINDOW_FLOOR = 2 * 16 * 2.0**-1075
 
 
-def _orbit_dots(phases: tuple[np.ndarray, np.ndarray], a: np.ndarray,
-                b: np.ndarray, buffers=None) -> np.ndarray:
+def _complex_dots(pair1, pair2, w1, w2) -> np.ndarray:
+    """<a, g_j b> = Re(P1 w1^j) + Re(P2 w2^j) for the phases w1, w2 given:
+    the one arithmetic definition of the orbit dots."""
+    return (pair1 * w1).real + (pair2 * w2).real
+
+
+def _orbit_dots(phases: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
     """Max over the deck orbit of <a, g_j b>, vectorized over leading axes.
 
     phases: :func:`_deck_phases` of the quotient; a, b: real arrays
-    (..., 4) holding sphere points; buffers: :func:`_orbit_buffers` of
-    shape (broadcast leading shape, n), allocated here when None.  The
-    optimizer passes the same buffers to every call, so the large
-    temporaries are not handed back to the OS and faulted in again.
+    (..., 4) of points, not necessarily unit but far from overflow
+    (|x|_1 below about 2^1000).  The value is the complex formula
+    max_j Re(P1 w1^j) + Re(P2 w2^j) with P1 = conj(az1) bz1 and
+    P2 = conj(az2) bz2, bit for bit, but it is evaluated at one j per
+    row:
+
+    - screen: the same sum is the real product x . T[:, j] with
+      x = (Re P1, Im P1, Re P2, Im P2) and T the phase table, so one
+      GEMM (rows, 4) @ (4, n) scores every j; its argmax is j1 and a
+      second argmax with j1 masked is the runner-up;
+    - window: the screen and the complex formula are both 4-term dot
+      products of x with a column of T, whose entries are at most 1, so
+      each lies within delta <= gamma_4 |x|_1 of the exact sum.  If the
+      runner-up trails the screened max by more than
+      W >= 2 (delta_screen + delta_ref), every other j has a smaller
+      complex value than j1, and the formula at j1 is the max;
+    - fallback: rows within W of a tie take the formula over every j
+      and its max; so do rows with non-finite input, whose gap or
+      window is NaN or inf.
     """
-    w1, w2 = phases
+    w1, w2, table = phases
     az1 = a[..., 0] + 1j * a[..., 1]
     az2 = a[..., 2] + 1j * a[..., 3]
     bz1 = b[..., 0] + 1j * b[..., 1]
     bz2 = b[..., 2] + 1j * b[..., 3]
     # <a, g_j b> = Re(conj(az1) bz1 w1^j) + Re(conj(az2) bz2 w2^j)
     pair1 = np.conj(az1) * bz1
-    pair2 = np.conj(az2) * bz2
-    if buffers is None:
-        buffers = _orbit_buffers(pair1.shape + w1.shape)
-    terms1, terms2, dots = buffers
-    np.multiply(pair1[..., None], w1, out=terms1)
-    np.multiply(pair2[..., None], w2, out=terms2)
-    # the real part of a complex sum is the sum of the real parts, bit
-    # for bit
-    np.add(terms1.real, terms2.real, out=dots)
-    return dots.max(axis=-1)
+    shape = np.shape(pair1)
+    pair1 = np.reshape(pair1, -1)
+    pair2 = np.reshape(np.conj(az2) * bz2, -1)
+    # rows of (Re P1, Im P1, Re P2, Im P2)
+    x = np.stack([pair1, pair2], axis=1).view(np.float64)
+    screen = x @ table
+    rows = np.arange(len(x))
+    j1 = screen.argmax(axis=1)
+    top = screen[rows, j1]
+    screen[rows, j1] = -np.inf
+    runner_up = screen[rows, screen.argmax(axis=1)]
+    # |x|_1 as a product with ones: 3x faster than a sum over 4 columns
+    window = _WINDOW_PER_NORM * (np.abs(x) @ np.ones(4)) + _WINDOW_FLOOR
+    dots = _complex_dots(pair1, pair2, w1[j1], w2[j1])
+    tie = ~(top - runner_up > window)
+    if tie.any():
+        dots[tie] = _complex_dots(pair1[tie, None], pair2[tie, None], w1, w2).max(axis=1)
+    return dots.reshape(shape)
 
 
 def lens_distance(params: LensParams, p: SpherePoint, q: SpherePoint) -> float:
@@ -336,8 +369,10 @@ class ScanEntry:
         return self.upper_bound < self.threshold
 
 
-def _bounds_by_n(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
+def _bounds_by_n(n_min: int, n_max: int, q: int, threshold: float) -> list[tuple[int, float]]:
     # the bound depends only on (n, q): one evaluation per deck order
+    if not math.isfinite(threshold):
+        raise InvalidInputError("scan threshold must be finite")
     if n_min < 3:
         raise InvalidInputError("scan starts at deck order 3")
     if n_max < n_min:
@@ -354,7 +389,7 @@ def _rows_at(n: int, q: int, value: float, threshold: float) -> list[ScanEntry]:
 
 def scan_extent(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
     """Evaluate the closed-form bound on every canonical quotient in range."""
-    return [row for n, value in _bounds_by_n(n_min, n_max, q)
+    return [row for n, value in _bounds_by_n(n_min, n_max, q, threshold)
             for row in _rows_at(n, q, value, threshold)]
 
 
@@ -363,7 +398,7 @@ def scan_extent_threshold(n_min: int, n_max: int, q: int, threshold: float) -> l
 
     An empty return certifies the bound on the whole range.
     """
-    return [row for n, value in _bounds_by_n(n_min, n_max, q)
+    return [row for n, value in _bounds_by_n(n_min, n_max, q, threshold)
             if not value < threshold
             for row in _rows_at(n, q, value, threshold)]
 
@@ -420,9 +455,6 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     steps = np.full(cfg.restarts, _INITIAL_STEP)
     # others[i]: the indices of every point but i
     others = np.array([[j for j in range(q) if j != i] for i in range(q)])
-    # one set of _orbit_dots buffers for the whole call, sliced to the
-    # active restarts
-    buffers = _orbit_buffers((cfg.restarts, 1 + _DIRECTIONS_PER_STEP, q - 1, params.n))
     sweeps_total = 0
     for _ in range(cfg.max_iters):
         active = np.flatnonzero(steps >= cfg.step_tolerance)
@@ -448,12 +480,10 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
         # trial[:, i, 0] is point i itself, trial[:, i, 1:] its candidates
         trial = np.concatenate([cur[:, :, None, :], cand], axis=2)
         rows = np.arange(active.size)
-        views = tuple(buf[:active.size] for buf in buffers)
         improved = np.zeros(active.size, dtype=bool)
         for i in range(q):
             rest = cur[:, others[i]]
-            dots = _orbit_dots(phases, trial[:, i, :, None, :], rest[:, None, :, :],
-                               views)
+            dots = _orbit_dots(phases, trial[:, i, :, None, :], rest[:, None, :, :])
             vals = np.arccos(np.clip(dots, -1.0, 1.0)).sum(axis=2)
             j = np.argmax(vals[:, 1:], axis=1) + 1
             up = vals[rows, j] > vals[:, 0] + _IMPROVEMENT_EPS

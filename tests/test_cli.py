@@ -275,6 +275,14 @@ def test_classify_rejects_bad_b2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_scan_extent_refuses_non_finite_threshold(capsys, bad):
+    assert main(["scan-extent", "--min", "61", "--max", "62", f"--threshold={bad}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan threshold must be finite\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan-extent"])  # missing required --min/--max

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isom4 import embeddings
 from isom4.embeddings import (
@@ -79,6 +81,17 @@ def test_quat_pair_validation():
         QuatPair((2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(NON_FINITE, st.integers(min_value=0, max_value=7))
+def test_quat_pair_refuses_non_finite(bad, position):
+    coords = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    coords[position] = bad
+    with pytest.raises(InvalidInputError, match="not finite"):
+        QuatPair(tuple(coords[:4]), tuple(coords[4:]))
+
+
 # --- checked reps -----------------------------------------------------------
 
 
@@ -114,13 +127,33 @@ def test_rep_rejects_non_homomorphism():
                   projective=False, matrices=[np.eye(2), rot, rot])
 
 
+# every tolerance test is written "not err <= tol", which NaN fails; an
+# all-NaN rep used to pass with residual 0.0
+@given(NON_FINITE, st.sampled_from(["real", "complex"]), st.booleans(),
+       st.integers(min_value=0, max_value=7))
+def test_rep_refuses_non_finite(bad, field_tag, projective, position):
+    mats = np.stack([np.eye(2), -np.eye(2)]).astype(
+        np.float64 if field_tag == "real" else np.complex128)
+    mats.reshape(-1)[position] = bad
+    with pytest.raises(InvalidInputError, match="not finite"):
+        MatrixRep(group=cyclic(2), dimension=2, field_tag=field_tag,
+                  projective=projective, matrices=mats)
+
+
+def test_residual_keeps_nan():
+    mats = np.full((2, 2, 2), np.nan)
+    for projective in (False, True):
+        assert math.isnan(embeddings._homomorphism_residual(cyclic(2).table, mats, projective))
+
+
 def test_rep_parameter_validation():
     with pytest.raises(InvalidInputError):
         MatrixRep(group=cyclic(1), dimension=1, field_tag="rational",
                   projective=False, matrices=[np.eye(1)])
-    with pytest.raises(InvalidParametersError):
-        MatrixRep(group=cyclic(1), dimension=1, field_tag="real",
-                  projective=False, matrices=[np.eye(1)], tolerance=2.0)
+    for tolerance in (2.0, math.nan, math.inf):
+        with pytest.raises(InvalidParametersError):
+            MatrixRep(group=cyclic(1), dimension=1, field_tag="real",
+                      projective=False, matrices=[np.eye(1)], tolerance=tolerance)
 
 
 def test_rep_matrices_frozen():

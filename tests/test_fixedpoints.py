@@ -267,6 +267,29 @@ def test_cluster_count_matches_greedy_clustering(offsets):
     assert fixedpoints._cluster_count(eigvals) == len(_reference_clusters(eigvals))
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+# NaN makes every "err > tol" test False, so an all-NaN matrix used to
+# be accepted and fixed_set_s4 of it died in numpy's eigvals
+@given(NON_FINITE, st.integers(min_value=0, max_value=24))
+def test_sphere_inputs_refuse_non_finite(bad, position):
+    mat = np.eye(5)
+    mat.reshape(-1)[position] = bad
+    for build in (LinearSphereAction, fixed_set_s4, lefschetz_check_s4):
+        with pytest.raises(InvalidInputError, match="not finite"):
+            build(mat)
+
+
+@given(NON_FINITE, st.integers(min_value=0, max_value=8), st.booleans())
+def test_plane_inputs_refuse_non_finite(bad, position, imaginary):
+    mat = np.eye(3, dtype=np.complex128)
+    mat.reshape(-1)[position] = complex(0.0, bad) if imaginary else bad
+    for build in (fixed_set_cp2, lefschetz_check_cp2):
+        with pytest.raises(InvalidInputError, match="not finite"):
+            build(mat)
+
+
 def test_linear_sphere_action_refuses_any_bad_matrix():
     rng = np.random.default_rng(11)
     good = np.stack([random_so5(rng) for _ in range(4)])

@@ -34,6 +34,7 @@ from isom4.groups import (
     dihedral,
     direct_product,
     find_isomorphism,
+    group_from_quaternions,
     index_two_subgroups,
     is_isomorphic,
     klein_by_cyclic3,
@@ -208,6 +209,17 @@ def test_dihedral_structure(k):
 def test_dihedral_rejects_odd_order():
     with pytest.raises(InvalidParametersError):
         dihedral(7)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(NON_FINITE, st.integers(min_value=0, max_value=3))
+def test_quaternion_closure_refuses_non_finite(bad, position):
+    q = [0.0, 1.0, 0.0, 0.0]
+    q[position] = bad
+    with pytest.raises(InvalidInputError, match="not finite"):
+        group_from_quaternions([(0.0, 0.0, 1.0, 0.0), tuple(q)])
 
 
 def test_permutation_groups():

@@ -1,8 +1,11 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no private helper is left
+behind.
 
 A stdlib ``ast`` scan over the package, the scripts and the tests: every
 name an import binds must be referenced somewhere in the same module,
-or be listed in the module's ``__all__`` (a re-export).
+or be listed in the module's ``__all__`` (a re-export).  A second scan
+over the package: every module-level ``_private`` function or class must
+be referenced somewhere in the package besides its definition.
 """
 
 import ast
@@ -50,5 +53,41 @@ def test_no_unused_imports():
         for folder in SCANNED
         for path in sorted((ROOT / folder).rglob("*.py"))
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every module-level ``_private`` function or class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names ``source`` reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_scan_flags_unreferenced_private_helpers():
+    source = ("def _used():\n    pass\ndef _left():\n    pass\nclass _Kept:\n    pass\n"
+              "def __dunder__():\n    pass\ndef public():\n    return _used(), m._Kept\n")
+    private = private_definitions(source)
+    assert private == [(1, "_used"), (3, "_left"), (5, "_Kept")]
+    used = referenced_names(source)
+    assert [name for _, name in private if name not in used] == ["_left"]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src/isom4").rglob("*.py"))}
+    used = set().union(*(referenced_names(text) for text in sources.values()))
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path, text in sources.items()
+        for line, name in private_definitions(text)
+        if name not in used
     ]
     assert found == []

@@ -271,25 +271,105 @@ def test_optimizer_outputs_pinned(nkl, cfg, lower, iterations, config):
     assert extent_lower_bound(params, cfg).to_json() == report.to_json()
 
 
-def test_orbit_dots_buffers_keep_the_complex_sum():
-    # the per-call form: the real part of the complex sum of the two
-    # phase products, in fresh temporaries
+def complex_orbit_max(phases, a, b):
+    """The orbit kernel as a plain formula: the real part of the complex
+    sum of the two phase products over every deck element, then the max."""
+    w1, w2, _ = phases
+    pair1 = np.conj(a[..., 0] + 1j * a[..., 1]) * (b[..., 0] + 1j * b[..., 1])
+    pair2 = np.conj(a[..., 2] + 1j * a[..., 3]) * (b[..., 2] + 1j * b[..., 3])
+    return (pair1[..., None] * w1 + pair2[..., None] * w2).real.max(axis=-1)
+
+
+def test_orbit_dots_keeps_the_complex_sum():
+    # the optimizer's broadcast shape: trial points against the others
     rng = np.random.default_rng(2)
     phases = sphere._deck_phases(LensParams(37, 5, 11))
     a = rng.standard_normal((3, 9, 1, 4))
     b = rng.standard_normal((3, 1, 4, 4))
-    pair1 = np.conj(a[..., 0] + 1j * a[..., 1]) * (b[..., 0] + 1j * b[..., 1])
-    pair2 = np.conj(a[..., 2] + 1j * a[..., 3]) * (b[..., 2] + 1j * b[..., 3])
-    expected = (pair1[..., None] * phases[0] + pair2[..., None] * phases[1]).real.max(axis=-1)
-    assert np.array_equal(sphere._orbit_dots(phases, a, b), expected)
-    buffers = sphere._orbit_buffers((5, 9, 4, 37))
-    views = tuple(buf[:3] for buf in buffers)
-    assert np.array_equal(sphere._orbit_dots(phases, a, b, views), expected)
+    dots = sphere._orbit_dots(phases, a, b)
+    assert dots.shape == (3, 9, 4)
+    assert np.array_equal(dots, complex_orbit_max(phases, a, b))
 
 
-# one optimizer call reuses its _orbit_dots buffers; allocating the
-# multi-MB temporaries afresh on every _orbit_dots call cost 237,815
-# minor faults on this optimizer call, the buffered kernel about 1,100
+def unit_rows(seed, count, scale):
+    rows = np.random.default_rng(seed).standard_normal((count, 4))
+    return scale * rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+AXES = np.vstack([np.eye(4), -np.eye(4)])
+small_lenses = st.sampled_from([LensParams(1, 1, 1), LensParams(2, 1, 1)])
+# (n, 1, 1) lenses, whose deck orbits of axis points hold exact ties
+axis_lenses = st.integers(min_value=3, max_value=60).map(lambda n: LensParams(n, 1, 1))
+random_pairs = st.tuples(st.integers(min_value=0, max_value=2**32 - 1),
+                         st.integers(min_value=1, max_value=40),
+                         st.sampled_from([1.0, 1e-150, 1e150]))
+axis_pairs = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      min_size=1, max_size=64)
+half_steps = st.tuples(st.integers(min_value=0, max_value=2**32 - 1),
+                       st.integers(min_value=1, max_value=64))
+
+
+def half_step_points(n, seed, count):
+    """Pairs of points exp(i pi r / n) on one circle, z1 or z2, of S^3:
+    their dots with neighbouring deck images tie but for rounding."""
+    rng = np.random.default_rng(seed)
+    angles = math.pi * rng.integers(0, 2 * n, size=(2, count)) / n
+    circle = 2 * rng.integers(0, 2, size=count)
+    points = np.zeros((2, count, 4))
+    rows = np.arange(count)
+    points[:, rows, circle] = np.cos(angles)
+    points[:, rows, circle + 1] = np.sin(angles)
+    return points
+
+
+def assert_orbit_dots_bitwise(params, a, b):
+    phases = sphere._deck_phases(params)
+    got = sphere._orbit_dots(phases, a, b)
+    want = complex_orbit_max(phases, a, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# the screen only chooses where to evaluate the complex formula, so the
+# kernel returns the formula's max bit for bit: on random points of any
+# scale, on the tiny lenses, on the exact ties of axis points, where rows
+# must take the full-orbit fallback, and on the near ties of half-step
+# points, where the screen and the formula may order two j differently
+def test_orbit_dots_is_the_complex_max_bitwise(monkeypatch):
+    fallback_rows = []
+    complex_dots = sphere._complex_dots
+
+    def counting(pair1, pair2, w1, w2):
+        if np.ndim(pair1) == 2:  # the fallback: every row against every phase
+            fallback_rows.append(len(pair1))
+        return complex_dots(pair1, pair2, w1, w2)
+
+    monkeypatch.setattr(sphere, "_complex_dots", counting)
+
+    @given(st.one_of(small_lenses, params_st), random_pairs)
+    def on_random_points(params, draw):
+        seed, count, scale = draw
+        assert_orbit_dots_bitwise(params, unit_rows(seed, count, scale),
+                                  unit_rows(seed + 1, count, 1.0))
+
+    @given(st.one_of(small_lenses, axis_lenses), axis_pairs)
+    def on_axis_points(params, pairs):
+        i, j = np.array(pairs).T
+        assert_orbit_dots_bitwise(params, AXES[i], AXES[j])
+
+    @given(st.one_of(small_lenses, axis_lenses), half_steps)
+    def on_half_steps(params, draw):
+        a, b = half_step_points(params.n, *draw)
+        assert_orbit_dots_bitwise(params, a, b)
+
+    on_random_points()
+    on_axis_points()
+    on_half_steps()
+    assert sum(fallback_rows) > 0
+
+
+# allocating the multi-MB temporaries afresh on every orbit-kernel call
+# cost 237,815 minor faults on this optimizer call; the complex kernel
+# with reused buffers took about 1,100, the screened kernel about 420
 OPTIMIZER_FAULT_BOUND = 8_000
 
 
@@ -351,3 +431,24 @@ def test_sphere_point_validation():
         SpherePoint((1.0, 1.0, 0.0, 0.0))
     with pytest.raises(InvalidInputError):
         SpherePoint((1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_sphere_point_refuses_non_finite(bad, position):
+    coords = [1.0, 0.0, 0.0, 0.0]
+    coords[position] = bad
+    with pytest.raises(InvalidInputError, match="not finite"):
+        SpherePoint(tuple(coords))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_inputs_refuse_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        scan_extent(61, 62, 5, bad)
+    with pytest.raises(InvalidInputError):
+        scan_extent_threshold(61, 62, 5, bad)
+    with pytest.raises(InvalidInputError):
+        ExtentConfig(q=5, step_tolerance=bad)
+    with pytest.raises(InvalidInputError):
+        isolated_fixed_point_budget(bad)
