@@ -34,6 +34,7 @@ from .groups import (
     _QJ,
     _close_unitary,
     _require_within,
+    _table_residual,
     build_metacyclic,
     find_isomorphism,
     pu3_presentation_valid,
@@ -167,6 +168,10 @@ class MatrixRep:
 
 
 def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool) -> float:
+    """Worst deviation from M_a M_b = M_ab over all pairs; a projective
+    rep may be off by a unit scalar per pair."""
+    if not projective:
+        return _table_residual(table, mats)
     n, d = mats.shape[0], mats.shape[1]
     # np.maximum, unlike Python's max, keeps a NaN block maximum
     worst = 0.0
@@ -175,13 +180,10 @@ def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool
         blk = mats[s : s + step]
         prod = np.einsum("aij,bjk->abik", blk, mats)
         tgt = mats[table[s : s + step]]
-        if projective:
-            lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / d
-            worst = np.maximum(worst, np.max(np.abs(np.abs(lam) - 1.0)))
-            prod = prod - lam[..., None, None] * tgt
-            worst = np.maximum(worst, np.max(np.abs(prod)))
-        else:
-            worst = np.maximum(worst, np.max(np.abs(prod - tgt)))
+        lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / d
+        worst = np.maximum(worst, np.max(np.abs(np.abs(lam) - 1.0)))
+        prod = prod - lam[..., None, None] * tgt
+        worst = np.maximum(worst, np.max(np.abs(prod)))
     return float(worst)
 
 

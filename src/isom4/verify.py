@@ -330,13 +330,14 @@ def _check_extensions_icosahedral(cfg):
     a5 = alternating(5)
     classes = classify_central_extensions(a5, 2)
     split = direct_product(cyclic(2), a5)
+    binary = binary_icosahedral()
     names = []
     found_split = found_binary = False
     for cls in classes:
         if is_isomorphic(cls.group, split):
             found_split = True
             names.append("Z2 x A5")
-        elif is_isomorphic(cls.group, binary_icosahedral()):
+        elif is_isomorphic(cls.group, binary):
             found_binary = True
             names.append("binary icosahedral")
         else:
@@ -353,9 +354,9 @@ def _check_extensions_octahedral(cfg):
     s4 = symmetric(4)
     classes = classify_central_extensions(s4, 2)
     split = direct_product(cyclic(2), s4)
+    binary = binary_octahedral()
     found_split = any(is_isomorphic(c.group, split) for c in classes)
-    found_binary = any(is_isomorphic(c.group, binary_octahedral())
-                       for c in classes)
+    found_binary = any(is_isomorphic(c.group, binary) for c in classes)
     total = sum(c.class_count for c in classes)
     ok = found_split and found_binary and total == 4
     return ("PASS" if ok else "FAIL",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isom4 import embeddings
+from isom4 import embeddings, verify
 from isom4.embeddings import (
     DEFAULT_TOLERANCE,
     MatrixRep,
@@ -185,6 +185,39 @@ def test_stored_residual_is_fresh_residual(group, hint):
     fresh = embeddings._homomorphism_residual(rep.group.table, rep.matrices,
                                               rep.projective)
     assert rep.homomorphism_residual().hex() == fresh.hex()
+
+
+# (order, float.hex of the stored residual) of every rep the embed-*
+# checks build at seed 1, in suite order
+EMBED_RESIDUALS_SEED1 = [
+    (9, "0x1.0000000000000p-50"), (24, "0x1.6000000000000p-50"),
+    (82, "0x1.5000000000000p-49"), (63, "0x1.4000000000000p-50"),
+    (10, "0x1.0000000000000p-52"), (44, "0x1.6000000000000p-49"),
+    (49, "0x1.4000000000000p-51"), (18, "0x1.e8930a2f4f66ap-51"),
+    (77, "0x1.0800000000000p-48"), (12, "0x1.6000000000000p-50"),
+    (48, "0x1.b504f333f9de5p-52"), (96, "0x1.0000000000000p-51"),
+    (120, "0x1.8000000000000p-51"), (240, "0x1.e000000000000p-51"),
+    (12, "0x1.6000000000000p-51"), (60, "0x1.4000000000000p-50"),
+    (84, "0x1.a000000000000p-50"), (36, "0x1.0000000000000p-50"),
+    (72, "0x1.c000000000000p-50"), (12, "0x1.c000000000000p-51"),
+]
+
+
+def test_embed_check_residuals_pinned(monkeypatch):
+    # the report prints these residuals; their arithmetic must not drift
+    reps = []
+
+    def recording(group, hint):
+        reps.append(embed_into_so5(group, hint))
+        return reps[-1]
+
+    monkeypatch.setattr(verify, "embed_into_so5", recording)
+    cfg = verify.VerifyConfig(seed=1)
+    for check_id, check, _ in verify._SUITE:
+        if check_id.startswith("embed-"):
+            check(cfg)
+    assert [(rep.group.size, rep.homomorphism_residual().hex()) for rep in reps] \
+        == EMBED_RESIDUALS_SEED1
 
 
 def test_embedding_validates_recipe_and_result_only(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from isom4.cli import parse_group_spec
 from isom4.cohomology import group_digest
+from isom4 import embeddings, groups
 from isom4.embeddings import build_recipe_rep
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
@@ -50,6 +51,7 @@ from isom4.groups import (
     semidirect_product,
     symmetric,
 )
+from isom4.snf import smith_normal_form
 from isom4.verify import H2_TABLE
 
 
@@ -214,6 +216,7 @@ def test_dihedral_rejects_odd_order():
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(NON_FINITE, st.integers(min_value=0, max_value=3))
 def test_quaternion_closure_refuses_non_finite(bad, position):
     q = [0.0, 1.0, 0.0, 0.0]
@@ -317,6 +320,52 @@ def test_closure_tables_are_pinned(build, digest):
     assert group_digest(build()) == digest
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_group("binary-icosa"),
+    lambda: build_group("binary-octa"),
+    lambda: build_group("binary-tetra"),
+    lambda: build_group("q8"),
+    lambda: build_group("binary-dihedral", 12),
+    lambda: build_group("q8-by-3power", 2),
+    lambda: build_recipe_rep("so4-central-product", kind="icosa", m=4),
+    lambda: build_recipe_rep("so4-central-product", kind="octa", m=2),
+    lambda: build_recipe_rep("u2", r=1, s=1),
+    lambda: build_recipe_rep("so3xso2", kind=GroupKind("icosa")),
+], ids=["binary-icosa", "binary-octa", "binary-tetra", "q8", "binary-dihedral-12",
+        "q8-by-3power-2", "so4-icosa-4", "so4-octa-2", "u2-1-1", "so3xso2-icosa"])
+def test_closure_tables_match_all_pairs(build, monkeypatch):
+    # the matrix closures pinned above (octa and icosa are permutation
+    # tables): each table, derived from generator steps, equals the one
+    # read off every product's key
+    closures = []
+    close = groups._close_unitary
+
+    def recording(generators):
+        closures.append(close(generators))
+        return closures[-1]
+
+    monkeypatch.setattr(groups, "_close_unitary", recording)
+    monkeypatch.setattr(embeddings, "_close_unitary", recording)
+    build()
+    assert closures
+    for group, mats in closures:
+        n, d = mats.shape[0], mats.shape[1]
+        lookup = groups._key_index(groups._matrix_keys(mats))
+        pairs = (mats[:, None] @ mats[None]).reshape(-1, d, d)
+        assert np.array_equal(group.table, lookup(groups._matrix_keys(pairs)).reshape(n, n))
+
+
+def test_closure_refuses_merged_elements(monkeypatch):
+    # at 0 decimals the powers of a 2pi/7 rotation share keys, so the
+    # closure stops early and some product is no element of it
+    monkeypatch.setattr(groups, "DEDUP_DECIMALS", 0)
+    theta = 2.0 * math.pi / 7.0
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    with pytest.raises(InvalidInputError, match="outside the closed element set"):
+        groups._close_unitary([rot])
+
+
 # --- products and extensions ----------------------------------------------
 
 
@@ -330,6 +379,37 @@ def test_abelian_invariant_factors_ascending():
     assert abelian([2, 4]).abelian_invariants == (2, 4)
     assert abelian([8, 3]).abelian_invariants == (24,)
     assert abelian([2, 2, 3]).abelian_invariants == (2, 6)
+
+
+@st.composite
+def _cyclic_orders(draw):
+    a = draw(st.integers(min_value=1, max_value=240))
+    b = draw(st.integers(min_value=1, max_value=240 // a))
+    c = draw(st.integers(min_value=1, max_value=240 // (a * b)))
+    return a, b, c
+
+
+@given(_cyclic_orders())
+def test_abelian_invariants_match_smith_form(orders):
+    diagonal = smith_normal_form(np.diag(orders))[0].diagonal()
+    assert abelian(orders).abelian_invariants == tuple(int(x) for x in diagonal if x != 1)
+
+
+@pytest.mark.parametrize("build,invariants", [
+    (lambda: direct_product(symmetric(4), cyclic(6)), (2, 6)),
+    (lambda: direct_product(alternating(5), cyclic(4)), (4,)),
+    (lambda: direct_product(quaternion_group(), cyclic(3)), (2, 6)),
+    (lambda: direct_product(dihedral(8), cyclic(2)), (2, 2, 2)),
+    (lambda: direct_product(binary_tetrahedral(), cyclic(9)), (3, 9)),
+    (lambda: direct_product(build_metacyclic(7, 3, 2), cyclic(3)), (3, 3)),
+    (binary_icosahedral, ()),
+    (binary_octahedral, (2,)),
+    (lambda: q8_by_cyclic3(2), (9,)),
+    (lambda: cyclic(1), ()),
+], ids=["s4-z6", "a5-z4", "q8-z3", "d8-z2", "binary-tetra-z9", "metacyclic-z3",
+        "binary-icosa", "binary-octa", "q8-by-9", "trivial"])
+def test_abelian_invariants_of_nonabelian_products(build, invariants):
+    assert build().abelian_invariants == invariants
 
 
 def test_semidirect_trivial_action_is_direct():
