@@ -50,6 +50,7 @@ from .groups import (
 )
 from .snf import (
     _imatmul,
+    _row_blocks,
     kernel_mod_prime_power,
     module_presentation_local,
     solve_mod_prime_power,
@@ -109,12 +110,17 @@ class Cochain2:
         return int(self.values[g, h])
 
     def is_cocycle(self) -> bool:
-        """Exact check of f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 mod m."""
+        """Exact check of f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 mod m,
+        over blocks of g of about ``snf._BLOCK_ENTRIES`` triples."""
         f = self.values
         t = self.group.table
-        # axes (g, h, k): f[t][g,h,k] = f(gh, k); f[:, t][g,h,k] = f(g, hk)
-        lhs = f[None, :, :] - f[t] + f[:, t] - f[:, :, None]
-        return bool((lhs % self.modulus == 0).all())
+        n = f.shape[0]
+        for g in _row_blocks(n, n * n):
+            # axes (g, h, k): f[t[g]][g,h,k] = f(gh, k); f[g][:, t][g,h,k] = f(g, hk)
+            lhs = f[None, :, :] - f[t[g]] + f[g][:, t] - f[g][:, :, None]
+            if (lhs % self.modulus).any():
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -238,15 +244,23 @@ def _cocycle_system(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndar
             forms[g] = forms[h]
             forms[g, noni[keep], ycol[i, hk[keep]]] += 1
             forms[g, noni, ycol[i, h]] -= 1
+    flat = forms[np.ix_(noni, noni)].reshape((n - 1) ** 2, -1)
     hh = np.repeat(noni, n - 1)
     kk = np.tile(noni, n - 1)
     hk = table[hh, kk]
-    rows = np.vstack([forms[hh, kk] - forms[table[s, hh], kk] + forms[s, hk] - forms[s, hh]
-                      for s in gens])
-    rows = rows[rows.any(axis=1)]
+    # formed in row blocks, each cut to its nonzero rows at once, so no
+    # temporary the size of the whole system is made (about half the
+    # identities of A5 are zero)
+    rows = []
+    for s in gens:
+        for blk in _row_blocks(flat.shape[0], flat.shape[1]):
+            r = flat[blk] - forms[table[s, hh[blk]], kk[blk]]
+            r += forms[s, hk[blk]]
+            r -= forms[s, hh[blk]]
+            rows.append(r[r.any(axis=1)])
     pos = np.searchsorted(noni, gens)
     sel = (pos[:, None] * (n - 1) + np.arange(n - 1)).reshape(-1)
-    return forms[np.ix_(noni, noni)].reshape((n - 1) ** 2, -1), rows, sel
+    return flat, np.vstack(rows), sel
 
 
 def _coboundary_matrix(group: FiniteGroup) -> np.ndarray:
@@ -286,7 +300,8 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     stacked = np.hstack([kernel, bnd])
     lam = kernel_mod_prime_power(stacked, p, a)[: kernel.shape[1]]
     orders, coeffs = module_presentation_local(lam, p, a, dim=kernel.shape[1])
-    gens = _imatmul(forms % mod, (kernel @ coeffs) % mod) % mod
+    # forms enters unreduced: the product is reduced mod p^a anyway
+    gens = _imatmul(forms, (kernel @ coeffs) % mod) % mod
     return tuple(int(o) for o in orders), gens
 
 
@@ -473,7 +488,7 @@ def _verify_distinct_classes(group: FiniteGroup, m: int, reps: list[Cochain2]):
     if len(reps) <= 1 or group.size == 1:
         return
     noni = _nonidentity(group)
-    bnd = np.asarray(_coboundary_matrix(group), dtype=np.int64)
+    bnd = _coboundary_matrix(group)
     tables = [r.values[np.ix_(noni, noni)].reshape(-1) for r in reps]
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):

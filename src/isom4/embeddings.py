@@ -39,6 +39,7 @@ from .groups import (
     find_isomorphism,
     pu3_presentation_valid,
 )
+from .snf import _row_blocks
 
 __all__ = [
     "MatrixRep",
@@ -169,20 +170,21 @@ class MatrixRep:
 
 def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool) -> float:
     """Worst deviation from M_a M_b = M_ab over all pairs; a projective
-    rep may be off by a unit scalar per pair."""
+    rep may be off by a unit scalar per pair.  Both branches run over
+    row blocks of about ``snf._BLOCK_ENTRIES`` product entries, and
+    every entry is formed within one block, so the value is the one of
+    a single pass over all pairs."""
     if not projective:
         return _table_residual(table, mats)
     n, d = mats.shape[0], mats.shape[1]
     # np.maximum, unlike Python's max, keeps a NaN block maximum
     worst = 0.0
-    step = max(1, (1 << 20) // max(1, n * d * d))
-    for s in range(0, n, step):
-        blk = mats[s : s + step]
-        prod = np.einsum("aij,bjk->abik", blk, mats)
-        tgt = mats[table[s : s + step]]
+    for blk in _row_blocks(n, n * d * d):
+        prod = np.einsum("aij,bjk->abik", mats[blk], mats)
+        tgt = mats[table[blk]]
         lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / d
         worst = np.maximum(worst, np.max(np.abs(np.abs(lam) - 1.0)))
-        prod = prod - lam[..., None, None] * tgt
+        prod -= lam[..., None, None] * tgt
         worst = np.maximum(worst, np.max(np.abs(prod)))
     return float(worst)
 
@@ -202,7 +204,8 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
 
     Injectivity asks every pair of distinct elements to sit farther
     apart than ten times the rep tolerance, after phase normalization
-    when the rep is projective."""
+    when the rep is projective.  The distances are formed in row blocks
+    of about ``snf._BLOCK_ENTRIES`` entries."""
     if not rep.homomorphism_residual() <= rep.tolerance:
         return False
     mats = _phase_normalized(rep.matrices) if rep.projective else rep.matrices
@@ -210,11 +213,9 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
     if n == 1:
         return True
     gap = math.inf
-    step = max(1, (1 << 20) // max(1, n * rep.dimension**2))
-    for s in range(0, n, step):
-        blk = mats[s : s + step]
-        dist = np.max(np.abs(blk[:, None] - mats[None, :]), axis=(2, 3))
-        rows = np.arange(s, min(s + step, n))
+    for blk in _row_blocks(n, n * rep.dimension**2):
+        dist = np.max(np.abs(mats[blk, None] - mats[None, :]), axis=(2, 3))
+        rows = np.arange(blk.start, blk.stop)
         dist[np.arange(rows.size), rows] = math.inf
         gap = min(gap, float(dist.min()))
     return gap > _INJECTIVITY_MARGIN * rep.tolerance

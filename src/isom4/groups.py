@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
-from .snf import _require_prime, kernel_mod_p
+from .snf import _require_prime, _row_blocks, kernel_mod_p
 
 if TYPE_CHECKING:
     import mpmath
@@ -450,13 +450,13 @@ def _key_index(keys: np.ndarray):
 def _cayley_table(keys: np.ndarray, products) -> FiniteGroup:
     """Table of the group whose element i has key row ``keys[i]``;
     ``products(s, t)`` gives the key rows of elements s..t-1 times every
-    element, row-major, for blocks of about 2^20 key entries."""
+    element, row-major, in blocks of about ``snf._BLOCK_ENTRIES`` key
+    entries."""
     n = keys.shape[0]
     lookup = _key_index(keys)
-    step = max(1, (1 << 20) // (n * keys.shape[1]))
     table = np.empty((n, n), dtype=np.int32)
-    for s in range(0, n, step):
-        table[s : s + step] = lookup(products(s, s + step)).reshape(-1, n)
+    for rows in _row_blocks(n, n * keys.shape[1]):
+        table[rows] = lookup(products(rows.start, rows.stop)).reshape(-1, n)
     return FiniteGroup(table)
 
 
@@ -477,19 +477,18 @@ def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
     one outer product per j.  No fused multiply-add enters, so the value
     is bit for bit the one of np.einsum("aij,bjk->abik"), formed about
     2.6 times faster; a BLAS matmul fuses and moves the last bits.
-    Blocks of about 2^16 entries stay in cache, and np.maximum, unlike
-    Python's max, keeps a NaN block maximum."""
+    Blocks of about ``snf._BLOCK_ENTRIES`` entries stay in cache, and
+    np.maximum, unlike Python's max, keeps a NaN block maximum."""
     n, d = mats.shape[0], mats.shape[1]
     cols = mats.transpose(1, 0, 2).reshape(d, n * d)  # cols[j, (b, k)] = M_b[j, k]
     worst = 0.0
-    step = max(1, (1 << 16) // (n * d * d))
-    for s in range(0, n, step):
-        rows = mats[s : s + step].transpose(2, 0, 1).reshape(d, -1)  # rows[j, (a, i)] = M_a[i, j]
+    for blk in _row_blocks(n, n * d * d):
+        rows = mats[blk].transpose(2, 0, 1).reshape(d, -1)  # rows[j, (a, i)] = M_a[i, j]
         prod = np.multiply.outer(rows[0], cols[0])
         term = np.empty_like(prod)
         for j in range(1, d):
             prod += np.multiply.outer(rows[j], cols[j], out=term)
-        prod -= mats[table[s : s + step]].transpose(0, 2, 1, 3).reshape(prod.shape)
+        prod -= mats[table[blk]].transpose(0, 2, 1, 3).reshape(prod.shape)
         worst = np.maximum(worst, np.max(np.abs(prod)))
     return float(worst)
 

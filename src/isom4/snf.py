@@ -59,14 +59,18 @@ def _reduce(a, mod):
     narrow = next((t for t in (np.int8, np.int16, np.int32)
                    if mod <= np.iinfo(t).max + 1), np.int64)
     if a.size and (a.min() < 0 or a.max() >= mod):
-        a = a % mod
+        # written straight into the narrow dtype: no full-width copy
+        return np.remainder(a, mod, out=np.empty(a.shape, dtype=narrow), casting="unsafe")
     return a.astype(narrow, copy=False)
 
 
 def _work_dtype(mod, terms):
-    """int64 when sums of ``terms`` products of residues mod ``mod``
-    cannot overflow it, else exact Python integers."""
-    return np.int64 if terms * (mod - 1) ** 2 < 2**63 else object
+    """The narrowest of int16, int32 and int64 in which sums of
+    ``terms`` products of residues mod ``mod`` cannot overflow, else
+    exact Python integers."""
+    bound = terms * (mod - 1) ** 2
+    return next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max),
+                object)
 
 
 def _valuation(p, k):
@@ -80,20 +84,40 @@ def _valuation(p, k):
     return lambda x: sum((x % p**e == 0).astype(np.int64) for e in range(1, k + 1))
 
 
+# entries in one block of a blocked kernel: 2^16 float64 entries (512 KB)
+# stay in a core's L2 cache, and no temporary grows with the whole input
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(rows, per_row):
+    """Consecutive slices covering range(rows), each of about
+    _BLOCK_ENTRIES entries at ``per_row`` entries a row (at least one
+    row a slice)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, per_row))
+    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
 def _imatmul(x, y):
-    """Exact integer matrix product, through BLAS when bounds allow."""
+    """Exact integer matrix product, through BLAS when bounds allow.
+
+    x is converted and multiplied in row blocks of about _BLOCK_ENTRIES
+    entries (the one block budget of the blocked kernels), so no full
+    float64 or int64 copy of x is made.  Each entry of the product is
+    formed whole within its block, so the blocks change no bit."""
     x = np.asarray(x)
     y = np.asarray(y)
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
     if x.size == 0 or y.size == 0:
-        return np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+        return out
     bound = (max(-int(x.min()), int(x.max())) * max(-int(y.min()), int(y.max()))
              * x.shape[1])
-    if bound < 2**52:
-        # every partial sum is an integer of magnitude <= bound, so the
-        # float product is exact
-        prod = x.astype(np.float64) @ y.astype(np.float64)
-        return np.rint(prod).astype(np.int64)
-    return x.astype(np.int64) @ y.astype(np.int64)
+    # below 2^52 every partial sum is an integer the float product holds
+    # exactly
+    dt = np.float64 if bound < 2**52 else np.int64
+    y = y.astype(dt)
+    for rows in _row_blocks(x.shape[0], x.shape[1] + y.shape[1]):
+        out[rows] = x[rows].astype(dt) @ y
+    return out
 
 
 def smith_normal_form(a):
@@ -361,7 +385,8 @@ def _local_elimination(a, p, k):
     mod = p**k
     d, r = a.shape
     dt = _work_dtype(mod, d + 1)
-    m = np.asarray(a).astype(dt) % mod
+    # reduced before it is narrowed to dt, so no entry wraps
+    m = np.asarray(a).astype(object) % mod if dt is object else _reduce(a, mod).astype(dt)
     pmat = np.eye(d, dtype=dt)
     pinv = np.eye(d, dtype=dt)
     val = _valuation(p, k)
@@ -429,9 +454,10 @@ def kernel_mod_prime_power(a, p, k):
 def solve_mod_prime_power(a, b, p, k):
     """One solution of a @ x == b mod p^k, or None if none exists."""
     mod = p**k
-    a = np.asarray(a, dtype=np.int64) % mod
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % mod
-    aug = np.hstack([a, (-b.reshape(-1, 1)) % mod])
+    # kept in _reduce's narrow dtype: no int64 copy of a is made
+    a = _reduce(a, mod)
+    b = _reduce(np.asarray(b).reshape(-1, 1), mod)
+    aug = np.hstack([a, _reduce(-b, mod)])
     gens = kernel_mod_prime_power(aug, p, k)
     for j in range(gens.shape[1]):
         t = int(gens[-1, j])

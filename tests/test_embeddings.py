@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from isom4.groups import (
     klein_by_cyclic3,
     q8_by_cyclic3,
 )
+from isom4.snf import _row_blocks
 
 EMBEDDING_RESIDUALS = (Path(__file__).resolve().parent.parent / "scripts"
                        / "embedding_residuals.py")
@@ -271,6 +273,74 @@ def test_pu3_validation():
         pu3_metacyclic(9, 3, 4)  # gcd(n(r-1), m) = 3
     with pytest.raises(InvalidParametersError):
         pu3_metacyclic(7, 3, 1)  # trivial twist
+
+
+# --- all-pairs kernels in row blocks -------------------------------------------
+
+# tracemalloc peak of one all-pairs kernel above what was allocated
+# before the call.  With 2^20-entry blocks the injectivity scan of the
+# order-240 central product traced 14.1 MB and the projective residual
+# of the order-309 PU(3) model 53.9 MB; with 2^16-entry blocks they
+# trace 1.0 MB and 3.2 MB
+ALL_PAIRS_TRACED_BOUND = 4 << 20
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def central_product_240():
+    return build_recipe_rep("so4-central-product", kind="icosa", m=4)
+
+
+@pytest.fixture(scope="module")
+def pu3_309():
+    return pu3_metacyclic(103, 3, 46)
+
+
+def _rotation_rep(order: int, angle: float) -> MatrixRep:
+    """Z_order -> SO(2), i -> rotation by i * angle."""
+    c, s = np.cos(np.arange(order) * angle), np.sin(np.arange(order) * angle)
+    mats = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
+    return MatrixRep(group=cyclic(order), dimension=2, field_tag="real",
+                     projective=False, matrices=mats)
+
+
+def test_injectivity_checked_across_row_blocks():
+    # i -> rot(2 pi i / m) on Z_2m sends i and i + m to one rotation; at
+    # m = 128 a row block holds at most m rows, so each such pair lies
+    # in two different blocks
+    m = 128
+    assert max(b.stop - b.start for b in _row_blocks(2 * m, 2 * m * 2 * 2)) <= m
+    assert not is_faithful_rep(_rotation_rep(2 * m, 2 * math.pi / m))
+    assert is_faithful_rep(_rotation_rep(2 * m, math.pi / m))
+
+
+def test_all_pairs_kernels_stay_within_block_budget(central_product_240, pu3_309):
+    assert central_product_240.group.size == 240 and pu3_309.group.size == 309
+    assert _traced_peak(lambda: is_faithful_rep(central_product_240)) < ALL_PAIRS_TRACED_BOUND
+    table, mats = pu3_309.group.table, pu3_309.matrices
+    assert _traced_peak(
+        lambda: embeddings._homomorphism_residual(table, mats, True)) < ALL_PAIRS_TRACED_BOUND
+
+
+def test_blocked_projective_residual_is_one_pass_bitwise(pu3_309):
+    table, mats = pu3_309.group.table, pu3_309.matrices
+    assert len(_row_blocks(mats.shape[0], mats.shape[0] * 9)) > 1
+    prod = np.einsum("aij,bjk->abik", mats, mats)
+    tgt = mats[table]
+    lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / 3
+    one_pass = max(np.max(np.abs(np.abs(lam) - 1.0)),
+                   np.max(np.abs(prod - lam[..., None, None] * tgt)))
+    blocked = embeddings._homomorphism_residual(table, mats, True)
+    assert blocked.hex() == float(one_pass).hex()
 
 
 # --- recipes into SO(5) --------------------------------------------------------

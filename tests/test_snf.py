@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.snf import (
     _drop_redundant_rows,
+    _imatmul,
+    _row_blocks,
     det_exact,
     kernel_mod_p,
     kernel_mod_prime_power,
@@ -240,6 +242,37 @@ def test_module_presentation_matches_loop_reference(case):
     want_orders, want_gens = _presentation_reference(rel, p, k)
     assert orders == want_orders
     assert gens.tolist() == want_gens
+
+
+@pytest.mark.parametrize("p,k,d", [(127, 1, 1), (127, 1, 2), (3, 9, 1), (3, 9, 5), (2, 20, 1)],
+                         ids=["int16", "int32-rows", "int32", "int64", "int64-exponent"])
+def test_local_elimination_reduces_before_narrowing(p, k, d):
+    # the work dtype is the narrowest holding (d + 1) (p^k - 1)^2; entries
+    # outside [0, p^k) and outside that dtype must be reduced, not
+    # wrapped.  Their residues are multiples of p, so the quotient is
+    # nontrivial, and wrapping would move most of them off p Z
+    mod = p**k
+    rng = np.random.default_rng(p + k + d)
+    rel = mod * rng.integers(-2**20, 2**20, size=(d, 4)) + p * rng.integers(0, mod, size=(d, 4)) % mod
+    orders, gens = module_presentation_local(rel, p, k, dim=d)
+    want_orders, want_gens = _presentation_reference(rel, p, k)
+    assert orders == want_orders
+    assert gens.tolist() == want_gens
+    ker = kernel_mod_prime_power(rel, p, k)
+    assert np.all((rel.astype(object) @ ker.astype(object)) % mod == 0)
+    assert orders
+
+
+@pytest.mark.parametrize("y_max", [50, 2**44], ids=["float", "int64"])
+def test_imatmul_blocks_change_no_bit(y_max):
+    rng = np.random.default_rng(y_max)
+    x = rng.integers(-50, 50, size=(3000, 70), endpoint=True).astype(np.int16)
+    y = rng.integers(-y_max, y_max, size=(70, 3), endpoint=True)
+    x[0, 0], y[0, 0] = 50, y_max
+    # y_max = 2^44 puts the bound past 2^52, onto the int64 path
+    assert (50 * y_max * x.shape[1] < 2**52) == (y_max == 50)
+    assert len(_row_blocks(x.shape[0], x.shape[1] + y.shape[1])) > 2
+    assert _imatmul(x, y).tolist() == (x.astype(object) @ y.astype(object)).tolist()
 
 
 def test_local_kernels_beyond_int64_products():
