@@ -25,6 +25,7 @@ Smith form.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -69,6 +70,7 @@ __all__ = [
     "build_central_extension",
     "classify_central_extensions",
     "verify_extension_isomorphism",
+    "verify_extension_models",
     "group_digest",
 ]
 
@@ -329,6 +331,23 @@ def _exponent(orders) -> int:
     return max((_prime_powers(o)[0][1] for o in orders), default=0)
 
 
+def _held_by_group(part: str):
+    """Keep the value of a function of (group, p) on the group object,
+    in ``group.schur_parts``: the Schur multiplier depends on the group
+    alone, not on the coefficients, so one solve serves every modulus
+    for as long as the object lives."""
+    def wrap(solve):
+        @functools.wraps(solve)
+        def held(group: FiniteGroup, p: int) -> tuple[int, ...]:
+            key = (part, p)
+            if key not in group.schur_parts:
+                group.schur_parts[key] = solve(group, p)
+            return group.schur_parts[key]
+        return held
+    return wrap
+
+
+@_held_by_group("sylow")
 def _sylow_schur(group: FiniteGroup, p: int) -> tuple[int, ...]:
     """Elementary divisors of M(P) for a Sylow p-subgroup P; () when P is
     cyclic.
@@ -344,6 +363,7 @@ def _sylow_schur(group: FiniteGroup, p: int) -> tuple[int, ...]:
     return _without(orders, sub.abelian_invariants)
 
 
+@_held_by_group("group")
 def _schur_part(group: FiniteGroup, p: int) -> tuple[int, ...]:
     """Elementary divisors of M(Q)_p, the p-part of the Schur multiplier.
 
@@ -621,6 +641,30 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
         (Z_k x| Z_{2^(r+1)}) x Z_{m'} with m = 2^r m', true for all
         even m.
     """
+    variant = params.pop("variant", _DEFAULT_VARIANT.get(tag))
+    return verify_extension_models(tag, (variant,), **params)[0]
+
+
+# the variant each tag compares against when none is named
+_DEFAULT_VARIANT = {"klein-3power": "corrected", "dihedral-central-product": "printed"}
+
+
+def verify_extension_models(tag: str, variants, **params) -> tuple[bool, ...]:
+    """:func:`verify_extension_isomorphism` against each of ``variants``
+    ("printed" or "corrected") in turn, the extension classified once."""
+    realized, model = _extension_and_model(tag, params)
+    if tag in _DEFAULT_VARIANT:
+        for variant in variants:
+            if variant not in ("printed", "corrected"):
+                raise InvalidParametersError("variant must be printed or corrected")
+    found = realized()
+    return tuple(found is not None and is_isomorphic(found, model(v)) for v in variants)
+
+
+def _extension_and_model(tag: str, params: dict):
+    """The parameters of ``tag`` checked, then (a thunk classifying the
+    realized nontrivial extension, None when it is not unique; variant
+    -> model group) for :func:`verify_extension_isomorphism`."""
     if tag == "polyhedral-double-cover":
         kind = params["kind"]
         m = int(params["m"])
@@ -628,27 +672,19 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
             raise InvalidParametersError("kind must be octa or icosa")
         if m < 2 or m % 2:
             raise InvalidParametersError("m must be even")
-        base = build_group(kind)
-        found = _unique_nontrivial_extension(base, m)
-        target = _binary_polyhedral_target(kind, m)
-        return found is not None and is_isomorphic(found, target)
+        return (lambda: _unique_nontrivial_extension(build_group(kind), m),
+                lambda _: _binary_polyhedral_target(kind, m))
 
     if tag == "klein-3power":
         r = int(params["r"])
         m_plus = int(params["m_plus"])
-        variant = params.get("variant", "corrected")
         if r < 0 or m_plus < 1 or math.gcd(m_plus, 6) != 1:
             raise InvalidParametersError("need r >= 0 and m_plus coprime to 6")
-        if variant not in ("printed", "corrected"):
-            raise InvalidParametersError("variant must be printed or corrected")
         m = 3**r * m_plus
-        if r == 0:
-            # no 3-torsion classes exist; nothing to compare
-            return False
-        found = _unique_nontrivial_extension(alternating(4), m)
-        power = r if variant == "printed" else r + 1
-        target = direct_product(klein_by_cyclic3(power), cyclic(m_plus))
-        return found is not None and is_isomorphic(found, target)
+        # at r = 0 no 3-torsion classes exist; nothing to compare
+        return (lambda: _unique_nontrivial_extension(alternating(4), m) if r else None,
+                lambda variant: direct_product(
+                    klein_by_cyclic3(r if variant == "printed" else r + 1), cyclic(m_plus)))
 
     if tag == "tstar-2power":
         r = int(params["r"])
@@ -656,11 +692,10 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
         if r < 1 or m_plus < 1 or m_plus % 2 == 0:
             raise InvalidParametersError("need r >= 1 and odd m_plus")
         m = 2**r * m_plus
-        found = _unique_nontrivial_extension(
-            alternating(4), m, order_filter=lambda o: o == 2
-        )
-        target = direct_product(cyclic(m_plus), _binary_polyhedral_target("tetra", 2**r))
-        return found is not None and is_isomorphic(found, target)
+        return (lambda: _unique_nontrivial_extension(
+                    alternating(4), m, order_filter=lambda o: o == 2),
+                lambda _: direct_product(
+                    cyclic(m_plus), _binary_polyhedral_target("tetra", 2**r)))
 
     if tag == "q8-mixed":
         r = int(params["r"])
@@ -669,40 +704,34 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
         if r < 1 or s < 1 or m_plus < 1 or math.gcd(m_plus, 6) != 1:
             raise InvalidParametersError("need r, s >= 1 and m_plus coprime to 6")
         m = 2**r * 3**s * m_plus
-        found = _unique_nontrivial_extension(
-            alternating(4), m, order_filter=lambda o: o % 6 == 0
-        )
-        twist = q8_by_cyclic3(s + 1)
-        zg_group = cyclic(2**r * m_plus)
-        zh = int(np.flatnonzero(twist.element_orders == 2)[0])
-        target = central_product(zg_group, twist, 2 ** (r - 1) * m_plus, zh)
-        return found is not None and is_isomorphic(found, target)
+
+        def q8_model(_):
+            twist = q8_by_cyclic3(s + 1)
+            zh = int(np.flatnonzero(twist.element_orders == 2)[0])
+            return central_product(cyclic(2**r * m_plus), twist, 2 ** (r - 1) * m_plus, zh)
+        return (lambda: _unique_nontrivial_extension(
+                    alternating(4), m, order_filter=lambda o: o % 6 == 0),
+                q8_model)
 
     if tag == "dihedral-central-product":
         m = int(params["m"])
         k = int(params["k"])
-        variant = str(params.get("variant", "printed"))
         if k < 3 or k % 2 == 0:
             raise InvalidParametersError("k must be odd and >= 3")
         if m < 2 or m % 2:
             raise InvalidParametersError("m must be even")
-        if variant not in ("printed", "corrected"):
-            raise InvalidParametersError("variant must be printed or corrected")
-        found = _unique_nontrivial_extension(dihedral(2 * k), m)
-        if found is None:
-            return False
-        if variant == "printed":
-            # the advertised model reads the order-4k factor as the
-            # dicyclic group; with the ordinary dihedral group the
-            # product is already the split extension, so only this
-            # reading can hold at all
-            lift = binary_dihedral(4 * k)
-            if m == 2:
-                target = lift
-            else:
+
+        def dihedral_model(variant):
+            if variant == "printed":
+                # the advertised model reads the order-4k factor as the
+                # dicyclic group; with the ordinary dihedral group the
+                # product is already the split extension, so only this
+                # reading can hold at all
+                lift = binary_dihedral(4 * k)
+                if m == 2:
+                    return lift
                 zh = int(np.flatnonzero(lift.element_orders == 2)[0])
-                target = central_product(cyclic(m), lift, m // 2, zh)
-        else:
+                return central_product(cyclic(m), lift, m // 2, zh)
             # the central-product model collapses to the split
             # extension once 4 | m; the group realized by the
             # nontrivial class is (Z_k x| Z_{2^(r+1)}) x Z_{m'}
@@ -716,7 +745,7 @@ def verify_extension_isomorphism(tag: str, **params) -> bool:
             target = semidirect_product(cyclic(k), cyclic(order_h), act)
             if m_odd > 1:
                 target = direct_product(target, cyclic(m_odd))
-        return is_isomorphic(found, target)
+            return target
+        return lambda: _unique_nontrivial_extension(dihedral(2 * k), m), dihedral_model
 
     raise InvalidInputError(f"unknown verification tag: {tag}")
-

@@ -334,8 +334,13 @@ def _batch(count: int, seed: int, sample, require, invariant, fixed_set,
     for start in range(0, count, _BATCH_CHUNK):
         mats = sample(rng, min(_BATCH_CHUNK, count - start))
         require(mats)
-        values, where = np.unique(invariant(np.linalg.eigvals(mats)), return_inverse=True)
-        euler = np.array([fixed_set(int(v)).euler_char for v in values])[where]
+        keys = invariant(np.linalg.eigvals(mats))
+        # one fixed_set per distinct key: the sorted keys, each first of
+        # a run of equal neighbours
+        values = np.sort(keys)
+        values = values[np.append(True, values[1:] != values[:-1])]
+        euler = np.array([fixed_set(int(v)).euler_char for v in values])
+        euler = euler[np.searchsorted(values, keys)]
         failures.extend((start + np.flatnonzero(euler != lefschetz)).tolist())
     return {"count": count, "failures": failures, "all_pass": not failures}
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -69,6 +69,22 @@ __all__ = [
 ]
 
 
+def _index_mask(n: int, indices) -> np.ndarray:
+    """The length-n boolean mask of an index list: the element set as
+    numpy holds it without sorting.  Indices outside [0, n) are refused,
+    negative ones included, which numpy would otherwise wrap.
+
+    One counting pass builds it: np.bincount refuses negative entries
+    itself, and an index >= n shows as a count past position n."""
+    try:
+        counts = np.bincount(np.asarray(indices, dtype=np.int64).ravel(), minlength=n)
+    except ValueError:
+        counts = None
+    if counts is None or counts.size > n:
+        raise InvalidInputError(f"element indices must lie in [0, {n})")
+    return counts.astype(bool)
+
+
 def _require_associative(table: np.ndarray, identity: int) -> None:
     """Light's associativity test (A. H. Clifford and G. B. Preston, *The
     Algebraic Theory of Semigroups*, vol. 1, 1961, section 1.2).
@@ -80,8 +96,8 @@ def _require_associative(table: np.ndarray, identity: int) -> None:
     element not yet reached each time, and the closure multiplies only
     by them, so finding them assumes nothing.  Each test costs n^2.
     """
-    reached = np.zeros(table.shape[0], dtype=bool)
-    reached[identity] = True
+    n = table.shape[0]
+    reached = _index_mask(n, [identity])
     gens = []
     while not reached.all():
         a = int(np.argmin(reached))
@@ -91,15 +107,19 @@ def _require_associative(table: np.ndarray, identity: int) -> None:
         reached[a] = True
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            prods = table[frontier][:, gens].ravel()
-            frontier = np.unique(prods[~reached[prods]])
-            reached[frontier] = True
+            fresh = _index_mask(n, table[frontier][:, gens].ravel()) & ~reached
+            frontier = np.flatnonzero(fresh)
+            reached |= fresh
 
 
 @dataclass(eq=False)
 class FiniteGroup:
     table: np.ndarray
     labels: tuple[str, ...] | None = None
+    # p-parts of the Schur multiplier M(Q), of Q and of its Sylow
+    # p-subgroup, keyed by cohomology as (part, p): they depend on the
+    # group alone, so each is solved once per group object
+    schur_parts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int32)
@@ -170,82 +190,78 @@ class FiniteGroup:
         return np.nonzero((self.table == self.table.T).all(axis=1))[0]
 
     @cached_property
+    def _class_names(self) -> np.ndarray:
+        """The least element of each element's conjugacy class: column x
+        of the (n, n) table of g x g^-1 is the class of x."""
+        return self.table[self.table, self.inverses[:, None]].min(axis=0)
+
+    @cached_property
     def conjugacy_classes(self) -> list[np.ndarray]:
-        inv = self.inverses
-        seen = np.zeros(self.size, dtype=bool)
-        out = []
-        for r in range(self.size):
-            if seen[r]:
-                continue
-            cls = np.unique(self.table[self.table[:, r], inv])
-            seen[cls] = True
-            out.append(cls)
-        return out
+        """Classes in order of their least element, each ascending."""
+        names = self._class_names
+        sizes = np.bincount(names)
+        return np.split(np.argsort(names, kind="stable"), np.cumsum(sizes[sizes > 0])[:-1])
 
     @cached_property
     def class_sizes_by_element(self) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.int64)
-        for cls in self.conjugacy_classes:
-            out[cls] = len(cls)
-        return out
+        return np.bincount(self._class_names)[self._class_names]
 
     @cached_property
     def commutator_subgroup(self) -> np.ndarray:
         inv = self.inverses
-        gh = self.table
-        ghg = self.table[gh, inv[:, None]]
-        comms = np.unique(self.table[ghg, inv[None, :]])
-        return self.closure(comms)
+        ghg = self.table[self.table, inv[:, None]]
+        return self.closure(self.table[ghg, inv[None, :]].ravel())
 
     def closure(self, gens) -> np.ndarray:
-        member = np.zeros(self.size, dtype=bool)
+        """Ascending elements of the subgroup the given indices generate."""
+        member = _index_mask(self.size, gens)
         member[self.identity] = True
-        gens = np.unique(np.asarray(list(gens) + [self.identity], dtype=np.int64))
-        member[gens] = True
-        frontier = gens
+        frontier = np.flatnonzero(member)
         while frontier.size:
-            cur = np.nonzero(member)[0]
-            prods = np.unique(self.table[np.ix_(cur, frontier)])
-            frontier = prods[~member[prods]]
-            member[frontier] = True
-        return np.nonzero(member)[0]
+            prods = self.table[np.ix_(np.flatnonzero(member), frontier)].ravel()
+            fresh = _index_mask(self.size, prods) & ~member
+            frontier = np.flatnonzero(fresh)
+            member |= fresh
+        return np.flatnonzero(member)
+
+    def _is_closed(self, inside: np.ndarray) -> bool:
+        """Whether the masked element set is a subgroup."""
+        els = np.flatnonzero(inside)
+        return bool(inside[self.identity] and inside[self.table[np.ix_(els, els)]].all())
+
+    def _is_normal(self, inside: np.ndarray) -> bool:
+        """Whether the masked element set is a normal subgroup."""
+        if not self._is_closed(inside):
+            return False
+        conj = self.table[self.table[:, np.flatnonzero(inside)], self.inverses[:, None]]
+        return bool(inside[conj].all())
 
     def is_subgroup(self, elements) -> bool:
-        els = np.unique(np.asarray(elements, dtype=np.int64))
-        if els.size == 0 or self.identity not in els:
-            return False
-        inside = np.zeros(self.size, dtype=bool)
-        inside[els] = True
-        return bool(inside[self.table[np.ix_(els, els)]].all())
+        return self._is_closed(_index_mask(self.size, elements))
 
     def is_normal(self, elements) -> bool:
-        els = np.unique(np.asarray(elements, dtype=np.int64))
-        if not self.is_subgroup(els):
-            return False
-        inside = np.zeros(self.size, dtype=bool)
-        inside[els] = True
-        conj = self.table[self.table[:, els], self.inverses[:, None]]
-        return bool(inside[conj].all())
+        return self._is_normal(_index_mask(self.size, elements))
 
     def restrict(self, elements) -> tuple["FiniteGroup", np.ndarray]:
         """Subgroup on the given (closed) element set, reindexed densely."""
-        els = np.unique(np.asarray(elements, dtype=np.int64))
-        if not self.is_subgroup(els):
+        inside = _index_mask(self.size, elements)
+        if not self._is_closed(inside):
             raise InvalidInputError("element set is not a subgroup")
-        pos = -np.ones(self.size, dtype=np.int64)
-        pos[els] = np.arange(els.size)
+        els = np.flatnonzero(inside)
+        pos = np.cumsum(inside) - 1  # pos[x]: the rank of x in els
         sub = pos[self.table[np.ix_(els, els)]]
         labels = tuple(self.labels[i] for i in els) if self.labels else None
         return FiniteGroup(sub, labels), els
 
     def quotient(self, normal_elements) -> tuple["FiniteGroup", np.ndarray]:
         """Quotient by a normal subgroup; returns (group, projection)."""
-        els = np.unique(np.asarray(normal_elements, dtype=np.int64))
-        if not self.is_normal(els):
+        inside = _index_mask(self.size, normal_elements)
+        if not self._is_normal(inside):
             raise InvalidInputError("quotient requires a normal subgroup")
-        rep = self.table[:, els].min(axis=1)
-        reps = np.unique(rep)
-        proj = np.searchsorted(reps, rep)
+        rep = self.table[:, np.flatnonzero(inside)].min(axis=1)
+        is_rep = _index_mask(self.size, rep)
+        reps = np.flatnonzero(is_rep)
+        proj = (np.cumsum(is_rep) - 1)[rep]
         qtable = proj[self.table[np.ix_(reps, reps)]]
         return FiniteGroup(qtable), proj
 
@@ -261,8 +277,7 @@ class FiniteGroup:
         j-th largest p-factors of all primes multiply to the j-th
         largest invariant factor."""
         n = self.size
-        inside = np.zeros(n, dtype=bool)
-        inside[self.commutator_subgroup] = True
+        inside = _index_mask(n, self.commutator_subgroup)
         derived = int(np.count_nonzero(inside))
         # the element_orders loop, stopped on membership in G'
         idx = np.arange(n)
@@ -680,8 +695,9 @@ def central_product(g: FiniteGroup, h: FiniteGroup, zg: int, zh: int) -> FiniteG
     a, b = np.divmod(pair, nh)
     partner = g.table[a, zg].astype(np.int64) * nh + h.table[b, zh]
     rep = np.minimum(pair, partner)
-    reps = np.unique(rep)
-    pos = np.searchsorted(reps, rep)
+    is_rep = _index_mask(total, rep)
+    reps = np.flatnonzero(is_rep)
+    pos = np.cumsum(is_rep) - 1  # pos[x]: the rank of x in reps
     ra, rb = np.divmod(reps, nh)
     prod = (g.table[np.ix_(ra, ra)].astype(np.int64) * nh + h.table[np.ix_(rb, rb)]).ravel()
     table = pos[rep[prod]].reshape(reps.size, reps.size)
@@ -882,15 +898,10 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
         pool = np.nonzero((h_ord == g_ord[s]) & (h_cs == g_cs[s]))[0]
         if level == 0:
             # any iso can be post-composed with an inner automorphism,
-            # so one candidate per conjugacy class suffices here
-            seen = np.zeros(h.size, dtype=bool)
-            keep = []
-            for c in pool:
-                if not seen[c]:
-                    keep.append(c)
-                    cls = np.unique(h.table[h.table[:, c], h.inverses])
-                    seen[cls] = True
-            pool = np.array(keep, dtype=np.int64)
+            # so one candidate per conjugacy class suffices here; the
+            # pool holds whole classes (order and class size are class
+            # functions), so each class's least element stands for it
+            pool = pool[h._class_names[pool] == pool]
         candidates.append(pool)
     sub_sizes = [g.closure(gens[: i + 1]).size for i in range(len(gens))]
 
@@ -899,7 +910,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
             phi = _induced_map(g, h, gens, imgs)
             if phi is None or np.any(phi < 0):
                 return None
-            if np.unique(phi).size != g.size:
+            if not _index_mask(h.size, phi).all():
                 return None
             if np.array_equal(h.table[phi[:, None], phi[None, :]], phi[g.table]):
                 return phi
@@ -912,7 +923,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
             assigned = phi >= 0
             if assigned.sum() != sub_sizes[level]:
                 continue
-            if np.unique(phi[assigned]).size != assigned.sum():
+            if np.count_nonzero(_index_mask(h.size, phi[assigned])) != assigned.sum():
                 continue
             out = backtrack(level + 1, chosen)
             if out is not None:
@@ -931,18 +942,23 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
 
 
 def normal_cyclic_subgroups(g: FiniteGroup) -> list[np.ndarray]:
-    """All normal cyclic subgroups, one entry per subgroup."""
-    seen = set()
-    out = []
-    for x in range(g.size):
-        sub = g.closure([x])
-        key = sub.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        if g.is_normal(sub):
-            out.append(sub)
-    return out
+    """All normal cyclic subgroups, one entry per subgroup, in order of
+    their least generator.
+
+    One power table answers for every element at once: row x of the
+    (n, n) mask ``member`` is <x>, filled by max order steps of
+    x -> x^k.  <x> = <y> exactly when each holds the other, and <x> is
+    normal exactly when it holds every conjugate g x g^-1."""
+    n = g.size
+    idx = np.arange(n)
+    member = np.zeros((n, n), dtype=bool)
+    cur = idx
+    for _ in range(int(g.element_orders.max())):
+        member[idx, cur] = True
+        cur = g.table[cur, idx]
+    first = np.argmax(member & member.T, axis=1) == idx
+    normal = member[idx, g.table[g.table, g.inverses[:, None]]].all(axis=0)
+    return [np.flatnonzero(member[x]) for x in np.flatnonzero(first & normal)]
 
 
 def max_cyclic_normal_index(g: FiniteGroup) -> int:
@@ -969,8 +985,7 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
     p_power = full % g.element_orders == 0
     sub = np.array([g.identity])
     while sub.size < full:
-        inside = np.zeros(g.size, dtype=bool)
-        inside[sub] = True
+        inside = _index_mask(g.size, sub)
         conj = g.table[g.table[:, sub], g.inverses[:, None]]
         normalizer = inside[conj].all(axis=1)
         x = int(np.flatnonzero(normalizer & p_power & ~inside)[0])

@@ -285,7 +285,8 @@ def _drop_redundant_rows(a, p):
 
     Each row is compared as one opaque byte string, in a dtype whose
     byte order is the numeric order: int8 below 128, big-endian
-    unsigned above.
+    unsigned above.  The sorted records keep each first of a run of
+    equal neighbours.
     """
     if a.size == 0:
         return a
@@ -293,8 +294,9 @@ def _drop_redundant_rows(a, p):
     if a.shape[0] > 1:
         dt = np.dtype(np.int8 if p < 128 else ">u2" if p <= 1 << 16 else ">u8")
         rows = np.ascontiguousarray(a, dtype=dt)
-        keys = rows.view(np.dtype((np.void, rows.shape[1] * dt.itemsize))).ravel()
-        a = np.unique(keys).view(dt).reshape(-1, rows.shape[1])
+        keys = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * dt.itemsize))).ravel())
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        a = keys.view(dt).reshape(-1, rows.shape[1])
     return a
 
 

@@ -256,17 +256,17 @@ def _orbit_dots(phases: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray
       window is NaN or inf.
     """
     w1, w2, table = phases
-    az1 = a[..., 0] + 1j * a[..., 1]
-    az2 = a[..., 2] + 1j * a[..., 3]
-    bz1 = b[..., 0] + 1j * b[..., 1]
-    bz2 = b[..., 2] + 1j * b[..., 3]
+    # (z1, z2) of each point, formed as x + 1j * y: a complex view of
+    # the coordinates would flip the sign of zero imaginary parts
+    az = a[..., 0::2] + 1j * a[..., 1::2]
+    bz = b[..., 0::2] + 1j * b[..., 1::2]
     # <a, g_j b> = Re(conj(az1) bz1 w1^j) + Re(conj(az2) bz2 w2^j)
-    pair1 = np.conj(az1) * bz1
-    shape = np.shape(pair1)
-    pair1 = np.reshape(pair1, -1)
-    pair2 = np.reshape(np.conj(az2) * bz2, -1)
+    pairs = np.conj(az) * bz
+    shape = pairs.shape[:-1]
+    pairs = pairs.reshape(-1, 2)
+    pair1, pair2 = pairs[:, 0], pairs[:, 1]
     # rows of (Re P1, Im P1, Re P2, Im P2)
-    x = np.stack([pair1, pair2], axis=1).view(np.float64)
+    x = pairs.view(np.float64)
     screen = x @ table
     rows = np.arange(len(x))
     j1 = screen.argmax(axis=1)
@@ -428,6 +428,7 @@ def _pairwise_mean(phases, pts: np.ndarray) -> float:
 
 
 _DIRECTIONS_PER_STEP = 8
+_SWEEPS_PER_DRAW = 16
 _IMPROVEMENT_EPS = 1e-12
 _INITIAL_STEP = 0.5
 
@@ -455,8 +456,10 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     steps = np.full(cfg.restarts, _INITIAL_STEP)
     # others[i]: the indices of every point but i
     others = np.array([[j for j in range(q) if j != i] for i in range(q)])
+    drawn = np.empty((cfg.restarts, min(_SWEEPS_PER_DRAW, cfg.max_iters), q,
+                      _DIRECTIONS_PER_STEP, 4))
     sweeps_total = 0
-    for _ in range(cfg.max_iters):
+    for sweep in range(cfg.max_iters):
         active = np.flatnonzero(steps >= cfg.step_tolerance)
         if active.size == 0:
             break
@@ -465,9 +468,16 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
         # a sweep moves point i only at step i, so every candidate of the
         # sweep can be drawn and placed from the points it starts with;
         # each restart draws from its own stream in the order a
-        # point-by-point loop would
-        dirs = np.stack([rngs[r].standard_normal((q, _DIRECTIONS_PER_STEP, 4))
-                         for r in active])
+        # point-by-point loop would.  Every active restart is at the
+        # same sweep, and one draw of k sweeps equals k draws of one,
+        # so the directions come _SWEEPS_PER_DRAW sweeps at a time; a
+        # restart that stops early leaves the rest of its last draw
+        # unused, and nothing else reads its stream
+        if sweep % _SWEEPS_PER_DRAW == 0:
+            k = min(_SWEEPS_PER_DRAW, cfg.max_iters - sweep)
+            for r in active:
+                rngs[r].standard_normal(out=drawn[r, :k])
+        dirs = drawn[active, sweep % _SWEEPS_PER_DRAW]
         dirs -= (dirs @ cur[..., None]) * cur[:, :, None, :]
         norms = np.linalg.norm(dirs, axis=3, keepdims=True)
         dirs /= np.where(norms < 1e-12, 1.0, norms)

@@ -25,6 +25,7 @@ from .cohomology import (
     group_digest,
     second_cohomology,
     verify_extension_isomorphism,
+    verify_extension_models,
 )
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import InvalidInputError, UnsupportedCaseError
@@ -385,10 +386,8 @@ def _check_extension_binary_covers(cfg):
 
 
 def _check_extension_klein_exponent(cfg):
-    printed = verify_extension_isomorphism("klein-3power", r=1, m_plus=1,
-                                           variant="printed")
-    corrected = verify_extension_isomorphism("klein-3power", r=1, m_plus=1,
-                                             variant="corrected")
+    printed, corrected = verify_extension_models("klein-3power", ("printed", "corrected"),
+                                                 r=1, m_plus=1)
     if printed is False and corrected is True:
         return ("DISCREPANCY",
                 "advertised 3-power extension of the tetrahedral group "
@@ -414,10 +413,8 @@ def _check_extension_dicyclic_m2(cfg):
 
 
 def _check_extension_dicyclic_m4(cfg):
-    printed = verify_extension_isomorphism("dihedral-central-product",
-                                           m=4, k=3, variant="printed")
-    corrected = verify_extension_isomorphism("dihedral-central-product",
-                                             m=4, k=3, variant="corrected")
+    printed, corrected = verify_extension_models("dihedral-central-product",
+                                                 ("printed", "corrected"), m=4, k=3)
     if printed is False and corrected is True:
         return ("DISCREPANCY",
                 "advertised model at m=4, k=3 is Z_4 joined with the "
@@ -581,20 +578,23 @@ def _check_gl_order(cfg):
             str(value))
 
 
+# the groups of cyclic-normal-index-catalog, as (name, constructor)
+CYCLIC_INDEX_CATALOG = (
+    ("Z30", partial(cyclic, 30)),
+    ("D24", partial(dihedral, 24)),
+    ("dicyclic24", partial(binary_dihedral, 24)),
+    ("A4", partial(alternating, 4)),
+    ("S4", partial(symmetric, 4)),
+    ("A5", partial(alternating, 5)),
+    ("binary tetrahedral", binary_tetrahedral),
+    ("binary octahedral", binary_octahedral),
+    ("binary icosahedral", binary_icosahedral),
+    ("metacyclic(7,3,2)", partial(build_metacyclic, 7, 3, 2)),
+)
+
+
 def _check_cyclic_index_catalog(cfg):
-    catalog = [
-        ("Z30", cyclic(30)),
-        ("D24", dihedral(24)),
-        ("dicyclic24", binary_dihedral(24)),
-        ("A4", alternating(4)),
-        ("S4", symmetric(4)),
-        ("A5", alternating(5)),
-        ("binary tetrahedral", binary_tetrahedral()),
-        ("binary octahedral", binary_octahedral()),
-        ("binary icosahedral", binary_icosahedral()),
-        ("metacyclic(7,3,2)", build_metacyclic(7, 3, 2)),
-    ]
-    indices = {name: max_cyclic_normal_index(g) for name, g in catalog}
+    indices = {name: max_cyclic_normal_index(build()) for name, build in CYCLIC_INDEX_CATALOG}
     worst = max(indices.values())
     a5 = indices["A5"]
     ok = worst <= 120 and a5 == 60

@@ -18,6 +18,7 @@ from isom4.cohomology import (
     group_digest,
     second_cohomology,
     verify_extension_isomorphism,
+    verify_extension_models,
 )
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
@@ -114,6 +115,50 @@ def test_p_group_solves_once_per_prime(spec, monkeypatch):
     assert calls == [2]
     monkeypatch.undo()
     assert uct.invariant_factors == _cochain_second_cohomology(group, 8).invariant_factors
+
+
+def counting_local_solves(monkeypatch):
+    """Record (group object, p, a) for every _local_cohomology solve."""
+    calls = []
+
+    def counted(g, p, a):
+        calls.append((g, p, a))
+        return _local_cohomology(g, p, a)
+
+    monkeypatch.setattr(isom4.cohomology, "_local_cohomology", counted)
+    return calls
+
+
+def test_schur_multiplier_solved_once_per_group_object(monkeypatch):
+    # M(A5)_2 is found by solving A5 mod 2 once; m = 4 and m = 6 read it
+    # off the object, and a fresh A5 object solves again
+    calls = counting_local_solves(monkeypatch)
+    a5 = alternating(5)
+    results = [second_cohomology(a5, m).invariant_factors for m in (2, 4, 6)]
+    assert results == [(2,), (2,), (2,)]
+    assert [(p, a) for g, p, a in calls if g is a5] == [(2, 1)]
+    assert second_cohomology(alternating(5), 4).invariant_factors == (2,)
+    assert [(p, a) for g, p, a in calls if g.size == 60] == [(2, 1), (2, 1)]
+
+
+def test_cochain_route_solves_at_every_modulus(monkeypatch):
+    # the cross-check reads nothing the group object holds
+    calls = counting_local_solves(monkeypatch)
+    a5 = alternating(5)
+    second_cohomology(a5, 2)
+    del calls[:]
+    for m in (2, 4, 6):
+        _cochain_second_cohomology(a5, m)
+    assert [(p, a) for g, p, a in calls] == [(2, 1), (2, 2), (2, 1), (3, 1)]
+
+
+def test_class_basis_reads_the_held_sylow_part(monkeypatch):
+    # Q8 x| Z_3 has H_1 = Z_3 and Sylow 2-subgroup Q8 with M(Q8) = 0, so
+    # the class basis at m = 2 and m = 4 rests on one solve of Q8 mod 8
+    calls = counting_local_solves(monkeypatch)
+    group = build_group("q8-by-3power", 1)
+    assert [len(cocycle_representatives(group, m)) for m in (2, 4)] == [1, 1]
+    assert [(g.size, p, a) for g, p, a in calls] == [(8, 2, 3)]
 
 
 @pytest.mark.parametrize("spec", [("icosa",), ("octa",), ("binary-octa",),
@@ -318,6 +363,32 @@ def test_klein_exponent_variants():
         "klein-3power", r=1, m_plus=1, variant="printed")
     assert verify_extension_isomorphism(
         "klein-3power", r=1, m_plus=1, variant="corrected")
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("klein-3power", dict(r=1, m_plus=1)),
+    ("dihedral-central-product", dict(m=4, k=3)),
+    ("dihedral-central-product", dict(m=2, k=3)),
+])
+def test_extension_models_classify_once(tag, params, monkeypatch):
+    one_by_one = tuple(verify_extension_isomorphism(tag, variant=v, **params)
+                       for v in ("printed", "corrected"))
+    calls = []
+    classify = isom4.cohomology.classify_central_extensions
+
+    def counted(group, m):
+        calls.append(m)
+        return classify(group, m)
+
+    monkeypatch.setattr(isom4.cohomology, "classify_central_extensions", counted)
+    both = verify_extension_models(tag, ("printed", "corrected"), **params)
+    assert both == one_by_one
+    assert len(calls) == 1
+
+
+def test_extension_models_refuse_unknown_variants():
+    with pytest.raises(InvalidParametersError):
+        verify_extension_models("klein-3power", ("printed", "reprinted"), r=1, m_plus=1)
 
 
 def test_tstar_model():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -52,7 +53,7 @@ from isom4.groups import (
     symmetric,
 )
 from isom4.snf import smith_normal_form
-from isom4.verify import H2_TABLE
+from isom4.verify import CYCLIC_INDEX_CATALOG, H2_TABLE
 
 
 # --- table validation ---------------------------------------------------
@@ -588,6 +589,78 @@ def test_index_two_subgroups():
     assert is_isomorphic(sub, alternating(4))
     assert index_two_subgroups(alternating(4)) == []
     assert len(index_two_subgroups(dihedral(8))) == 3
+
+
+# element-set entry points and the index lists they must refuse: a
+# negative index would wrap to the end, one past the order would index
+# out of bounds
+ELEMENT_SET_CALLS = {
+    "closure": lambda g, els: g.closure(els),
+    "is_subgroup": lambda g, els: g.is_subgroup(els),
+    "is_normal": lambda g, els: g.is_normal(els),
+    "restrict": lambda g, els: g.restrict(els),
+    "quotient": lambda g, els: g.quotient(els),
+}
+
+
+@pytest.mark.parametrize("call", ELEMENT_SET_CALLS.values(), ids=ELEMENT_SET_CALLS.keys())
+@pytest.mark.parametrize("elements", [[0, -3], [-1], [7], [0, 6]],
+                         ids=["minus-3", "minus-1", "past-7", "past-6"])
+def test_element_sets_refuse_indices_outside_the_group(call, elements):
+    with pytest.raises(InvalidInputError, match=r"\[0, 6\)"):
+        call(cyclic(6), elements)
+
+
+def test_element_sets_accept_repeats_and_any_order():
+    g = cyclic(6)
+    assert list(g.closure([4, 2, 4])) == [0, 2, 4]
+    assert g.is_subgroup([4, 0, 2, 2]) and g.is_normal(np.array([3, 0, 3]))
+    assert not g.is_subgroup([]) and not g.is_subgroup([2, 4])
+    sub, members = g.restrict([3, 0, 3])
+    assert sub.size == 2 and list(members) == [0, 3]
+
+
+def reference_classes(g):
+    """Conjugacy classes one representative at a time, least first."""
+    seen, out = set(), []
+    for r in range(g.size):
+        if r not in seen:
+            cls = sorted({g.op(g.op(x, r), int(g.inverses[x])) for x in range(g.size)})
+            seen.update(cls)
+            out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("build", [partial(symmetric, 4), binary_octahedral,
+                                   partial(build_metacyclic, 7, 3, 2), partial(cyclic, 9),
+                                   partial(q8_by_cyclic3, 1)],
+                         ids=["S4", "binary-octa", "metacyclic-7-3-2", "Z9", "q8-by-3"])
+def test_conjugacy_classes_match_one_class_at_a_time(build):
+    g = build()
+    classes = reference_classes(g)
+    assert [c.tolist() for c in g.conjugacy_classes] == classes
+    sizes = {x: len(c) for c in classes for x in c}
+    assert g.class_sizes_by_element.tolist() == [sizes[x] for x in range(g.size)]
+
+
+def reference_normal_cyclic_subgroups(g):
+    """One closure per element, kept when new and normal."""
+    seen, out = set(), []
+    for x in range(g.size):
+        sub = g.closure([x])
+        if sub.tobytes() not in seen:
+            seen.add(sub.tobytes())
+            if g.is_normal(sub):
+                out.append(sub)
+    return out
+
+
+@pytest.mark.parametrize("name,build", CYCLIC_INDEX_CATALOG,
+                         ids=[name for name, _ in CYCLIC_INDEX_CATALOG])
+def test_normal_cyclic_subgroups_match_closures(name, build):
+    g = build()
+    found = normal_cyclic_subgroups(g)
+    assert [s.tolist() for s in found] == [s.tolist() for s in reference_normal_cyclic_subgroups(g)]
 
 
 def test_minimal_generating_set_generates():

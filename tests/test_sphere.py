@@ -256,11 +256,24 @@ PINNED_OPTIMIZER = [
         ["-0x1.9ba5f6fec8175p-20", "-0x1.b6e2b11f86058p-20",
          "-0x1.1c1d405b521a2p-8", "-0x1.fffec4aeaf3f1p-1"],
     ]),
+    # max_iters not a multiple of the 16 sweeps drawn at once, every
+    # restart running to the cap: the last draw is a short one
+    ((11, 2, 3), dict(q=4, restarts=5, max_iters=37, seed=3, step_tolerance=1e-7),
+     "0x1.246cade78b761p+0", 185, [
+        ["-0x1.8bfcd87410c7bp-14", "0x1.582032f84d3ddp-18",
+         "-0x1.c6f830b5d492ep-1", "-0x1.d5aabc5d3a06ap-2"],
+        ["0x1.3a750a75685e6p-14", "-0x1.f04cff4f4155ep-15",
+         "0x1.ff72f4c48ac39p-2", "0x1.bb905e215693bp-1"],
+        ["0x1.e71e9bc0508c6p-1", "0x1.3b54ee4fff797p-2",
+         "0x1.607be00cf4771p-16", "0x1.027dd4a46c849p-15"],
+        ["-0x1.ef062db58fd5bp-1", "0x1.057f1a3e00a3dp-2",
+         "-0x1.ecd92caef9f78p-15", "0x1.c925c99d3c5c0p-15"],
+    ]),
 ]
 
 
 @pytest.mark.parametrize("nkl,cfg,lower,iterations,config", PINNED_OPTIMIZER,
-                         ids=["17-2-5", "9-1-2", "1-1-1", "73-5-22"])
+                         ids=["17-2-5", "9-1-2", "1-1-1", "73-5-22", "11-2-3-short-draw"])
 def test_optimizer_outputs_pinned(nkl, cfg, lower, iterations, config):
     params, cfg = LensParams(*nkl), ExtentConfig(**cfg)
     report = extent_lower_bound(params, cfg)

@@ -1,6 +1,11 @@
 import copy
+import os
+import subprocess
+import sys
 
 import pytest
+
+import isom4
 
 from isom4.cache import ResultCache
 from isom4.errors import InvalidInputError
@@ -126,3 +131,17 @@ def test_cache_holds_only_h2(tmp_path):
     assert record == {"invariant_factors": [6], "order": 6, "route": "uct"}
     assert [p.name[:7] for p in tmp_path.iterdir()] == ["h2-uct-"]
     assert h2_record(alternating(4), 6, cfg.cache) == record
+
+
+def test_verify_run_never_imports_numpy_ma():
+    # np.unique reads np.ma.is_masked, so one call would import numpy.ma
+    # (about 13 ms) in a fresh process; element sets are masks instead
+    code = ("import sys\n"
+            "from isom4.verify import VerifyConfig, verify_all\n"
+            "verify_all(VerifyConfig(seed=1))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isom4.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.strip() == "False"
