@@ -280,8 +280,8 @@ def rank_mod_p(a, p):
 
 
 def _drop_redundant_rows(a, p):
-    """The distinct nonzero rows of ``a`` (entries in [0, p)), sorted as
-    ``np.unique(a, axis=0)`` sorts them.
+    """The distinct nonzero rows of ``a`` (entries in [0, p)), in
+    lexicographic order of their entries.
 
     Each row is compared as one opaque byte string, in a dtype whose
     byte order is the numeric order: int8 below 128, big-endian
