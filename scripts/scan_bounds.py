@@ -12,11 +12,12 @@ with status 2 and the error message.
 
 import argparse
 import csv
-import math
 import sys
 
 from isom4.errors import InvalidInputError
 from isom4.sphere import (
+    EXTENT_Q,
+    EXTENT_THRESHOLD,
     ExtentConfig,
     LensParams,
     extent_lower_bound,
@@ -28,7 +29,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-min", type=int, default=5)
     ap.add_argument("--n-max", type=int, default=30)
-    ap.add_argument("--q", type=int, default=5)
+    ap.add_argument("--q", type=int, default=EXTENT_Q)
     ap.add_argument("--restarts", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional CSV path")
@@ -36,7 +37,7 @@ def main(argv=None):
 
     try:
         cfg = ExtentConfig(q=args.q, restarts=args.restarts, seed=args.seed)
-        entries = scan_extent(args.n_min, args.n_max, args.q, math.pi / 3.0)
+        entries = scan_extent(args.n_min, args.n_max, args.q, EXTENT_THRESHOLD)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,10 +88,14 @@ class StatementRecord:
 _LARGE = "the group order is at least a universal constant"
 
 
-def _odd_order_structure(q: ClassificationQuery):
-    if q.order_parity != "odd":
-        return None
-    return StatementRecord(
+def _odd(q: ClassificationQuery) -> bool:
+    return q.order_parity == "odd"
+
+
+# (predicate on the query, the statement it unlocks), in report order;
+# a statement whose conclusion depends on the query has one row per case
+_TABLE = (
+    (_odd, StatementRecord(
         id="odd-order-structure",
         hypothesis=f"the group has odd order and {_LARGE}",
         conclusion=(
@@ -101,24 +105,14 @@ def _odd_order_structure(q: ClassificationQuery):
             "parameters"
         ),
         families=("abelian-rank-le-2", "metacyclic-odd-projective"),
-    )
-
-
-def _odd_sphere_abelian(q: ClassificationQuery):
-    if q.order_parity != "odd" or q.b2 != 0:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: _odd(q) and q.b2 == 0, StatementRecord(
         id="odd-b2-0-abelian",
         hypothesis="the group has odd order and the manifold has b2 = 0",
         conclusion="the group is abelian of rank at most 2",
         families=("abelian-rank-le-2",),
-    )
-
-
-def _odd_sphere_pseudofree(q: ClassificationQuery):
-    if q.order_parity != "odd" or q.b2 != 0 or q.pseudofree is not True:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: _odd(q) and q.b2 == 0 and q.pseudofree is True, StatementRecord(
         id="odd-b2-0-pseudofree-cyclic",
         hypothesis=(
             "the group has odd order, the manifold has b2 = 0, and the "
@@ -129,13 +123,8 @@ def _odd_sphere_pseudofree(q: ClassificationQuery):
             "4-sphere, hence is cyclic by oddness"
         ),
         families=("odd-cyclic",),
-    )
-
-
-def _odd_rank2_model(q: ClassificationQuery):
-    if q.order_parity != "odd" or q.b2 > 1:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: _odd(q) and q.b2 <= 1, StatementRecord(
         id="odd-abelian-rank2-model",
         hypothesis=(
             f"the group has odd order, is abelian of rank 2, and {_LARGE}"
@@ -145,13 +134,8 @@ def _odd_rank2_model(q: ClassificationQuery):
             "projective plane"
         ),
         families=("abelian-rank-le-2",),
-    )
-
-
-def _odd_nonabelian_plane(q: ClassificationQuery):
-    if q.order_parity != "odd" or q.b2 != 1:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: _odd(q) and q.b2 == 1, StatementRecord(
         id="odd-nonabelian-projective-plane",
         hypothesis=f"the group has odd order, is non-abelian, and {_LARGE}",
         conclusion=(
@@ -159,13 +143,8 @@ def _odd_nonabelian_plane(q: ClassificationQuery):
             "and the group embeds into PU(3) with a metacyclic presentation"
         ),
         families=("metacyclic-odd-projective",),
-    )
-
-
-def _odd_b2_two_cyclic(q: ClassificationQuery):
-    if q.order_parity != "odd" or q.b2 != 2:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: _odd(q) and q.b2 == 2, StatementRecord(
         id="odd-b2-2-cyclic",
         hypothesis=(
             f"the group has odd order, the manifold has b2 = 2, and {_LARGE}"
@@ -175,13 +154,8 @@ def _odd_b2_two_cyclic(q: ClassificationQuery):
             "normal subgroup of finite index, and is itself cyclic"
         ),
         families=("odd-cyclic",),
-    )
-
-
-def _odd_b2_high_abelian(q: ClassificationQuery):
-    if q.order_parity != "odd" or q.b2 < 3:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: _odd(q) and q.b2 >= 3, StatementRecord(
         id="odd-b2-high-abelian",
         hypothesis=(
             f"the group has odd order, the manifold has b2 >= 3, and {_LARGE}"
@@ -191,13 +165,8 @@ def _odd_b2_high_abelian(q: ClassificationQuery):
             "in SO(4) and is abelian of rank at most 2"
         ),
         families=("abelian-rank-le-2",),
-    )
-
-
-def _index_two_so5(q: ClassificationQuery):
-    if q.b2 < 2:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: q.b2 >= 2, StatementRecord(
         id="index-two-so5",
         hypothesis=(
             "the manifold is not homeomorphic to the 4-sphere or the complex "
@@ -208,13 +177,8 @@ def _index_two_so5(q: ClassificationQuery):
             "to a subgroup of SO(5)"
         ),
         bounds=(("subgroup_index", 2),),
-    )
-
-
-def _normal_cyclic_index(q: ClassificationQuery):
-    if q.b2 < 1:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: q.b2 >= 1, StatementRecord(
         id="normal-cyclic-index-120",
         hypothesis=(
             f"the manifold is not homeomorphic to the 4-sphere, and {_LARGE}"
@@ -223,13 +187,8 @@ def _normal_cyclic_index(q: ClassificationQuery):
             "the group contains a normal cyclic subgroup of index at most 120"
         ),
         bounds=(("cyclic_normal_index", 120),),
-    )
-
-
-def _definite_two_rank(q: ClassificationQuery):
-    if q.intersection_form != "definite":
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: q.intersection_form == "definite", StatementRecord(
         id="definite-elementary-two-rank",
         hypothesis=(
             "the intersection form is definite and an elementary abelian "
@@ -237,15 +196,9 @@ def _definite_two_rank(q: ClassificationQuery):
         ),
         conclusion="k is at most 4",
         bounds=(("elementary_two_rank", 4),),
-    )
-
-
-def _odd_form_pseudofree_families(q: ClassificationQuery):
-    if q.b2 not in (2, 3) or q.intersection_form != "odd":
-        return None
-    if q.pseudofree is not True:
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: (q.b2 in (2, 3) and q.intersection_form == "odd"
+                and q.pseudofree is True), StatementRecord(
         id="odd-form-pseudofree-families",
         hypothesis=(
             "the manifold has 2 <= b2 <= 3 with odd intersection form, no "
@@ -262,13 +215,8 @@ def _odd_form_pseudofree_families(q: ClassificationQuery):
             "odd-cyclic-by-z4",
             "odd-cyclic-by-klein",
         ),
-    )
-
-
-def _even_form_extensions(q: ClassificationQuery):
-    if q.b2 != 2 or q.intersection_form != "even":
-        return None
-    return StatementRecord(
+    )),
+    (lambda q: q.b2 == 2 and q.intersection_form == "even", StatementRecord(
         id="even-form-b2-2-extensions",
         hypothesis=(
             "the manifold has b2 = 2 with even intersection form, and "
@@ -285,43 +233,22 @@ def _even_form_extensions(q: ClassificationQuery):
             "binary-dihedral-times-odd-cyclic",
             "odd-metacyclic-2power-by-z2",
         ),
-    )
-
-
-def _homologically_trivial(q: ClassificationQuery):
-    if q.b2 >= 3:
-        conclusion = "the group is cyclic"
-        families = ("cyclic",)
-    else:
-        conclusion = (
+    )),
+    (lambda q: q.b2 >= 3, StatementRecord(
+        id="homologically-trivial-structure",
+        hypothesis=f"the group acts trivially on second homology and {_LARGE}",
+        conclusion="the group is cyclic",
+        families=("cyclic",),
+    )),
+    (lambda q: q.b2 < 3, StatementRecord(
+        id="homologically-trivial-structure",
+        hypothesis=f"the group acts trivially on second homology and {_LARGE}",
+        conclusion=(
             "the group is a polyhedral group, or a non-cyclic subgroup of "
             "PU(3)"
-        )
-        families = ("polyhedral", "metacyclic-odd-projective")
-    return StatementRecord(
-        id="homologically-trivial-structure",
-        hypothesis=(
-            f"the group acts trivially on second homology and {_LARGE}"
         ),
-        conclusion=conclusion,
-        families=families,
-    )
-
-
-_BUILDERS = (
-    _odd_order_structure,
-    _odd_sphere_abelian,
-    _odd_sphere_pseudofree,
-    _odd_rank2_model,
-    _odd_nonabelian_plane,
-    _odd_b2_two_cyclic,
-    _odd_b2_high_abelian,
-    _index_two_so5,
-    _normal_cyclic_index,
-    _definite_two_rank,
-    _odd_form_pseudofree_families,
-    _even_form_extensions,
-    _homologically_trivial,
+        families=("polyhedral", "metacyclic-odd-projective"),
+    )),
 )
 
 
@@ -333,9 +260,4 @@ def classify(query: ClassificationQuery) -> list[StatementRecord]:
     matches any query."""
     if not isinstance(query, ClassificationQuery):
         raise InvalidInputError("query must be a ClassificationQuery")
-    records = []
-    for build in _BUILDERS:
-        record = build(query)
-        if record is not None:
-            records.append(record)
-    return records
+    return [record for matches, record in _TABLE if matches(query)]

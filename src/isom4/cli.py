@@ -3,7 +3,8 @@
 One subcommand per claim family plus ``verify-all`` for the whole
 suite.  Exit codes: 0 when nothing failed (documented discrepancies
 included), 1 when at least one check failed, 2 on usage or input
-errors.
+errors and on inputs outside the implemented scope.  Each subcommand
+accepts only the options its handler reads.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
-import math
 import sys
 
 from .cache import ResultCache
@@ -23,6 +24,8 @@ from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
 from .groups import FiniteGroup, build_group, canonical_group_name
 from .sphere import (
+    EXTENT_Q,
+    EXTENT_THRESHOLD,
     ExtentConfig,
     LensParams,
     extent_lower_bound,
@@ -30,8 +33,6 @@ from .sphere import (
     scan_extent,
 )
 from .verify import H2_TABLE, VerifyConfig, exit_code, h2_record, h2_tag, verify_all
-
-SCAN_CSV_HEADER = ("n", "k", "l", "q", "upper_bound", "threshold", "pass")
 
 
 def _split_spec(spec: str) -> tuple[str, tuple[int, ...]]:
@@ -84,6 +85,20 @@ def _emit_json(data, args) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=False), args.out)
 
 
+def _emit_csv(rows, args) -> None:
+    """One header line of the first row's keys, then one line per row;
+    booleans print as true/false.  ``rows`` may be a generator, so a
+    long scan is never held as dicts."""
+    rows = iter(rows)
+    first = next(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(first)
+    writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row.values()]
+                     for row in itertools.chain([first], rows))
+    _emit(buf.getvalue(), args.out)
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_extent(args) -> int:
@@ -102,25 +117,14 @@ def _cmd_extent(args) -> int:
 
 
 def _cmd_scan_extent(args) -> int:
-    threshold = math.pi / 3.0 if args.threshold is None else args.threshold
-    rows = scan_extent(args.min, args.max, args.q, threshold)
+    rows = scan_extent(args.min, args.max, args.q, args.threshold)
     failures = sum(not row.passes for row in rows)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(SCAN_CSV_HEADER)
-        for row in rows:
-            writer.writerow([row.n, row.k, row.l, row.q,
-                             repr(row.upper_bound), repr(row.threshold),
-                             "true" if row.passes else "false"])
-        _emit(buf.getvalue(), args.out)
+        _emit_csv((row.to_json() for row in rows), args)
     else:
         _emit_json({
-            "threshold": threshold,
-            "rows": [{"n": r.n, "k": r.k, "l": r.l, "q": r.q,
-                      "upper_bound": r.upper_bound,
-                      "threshold": r.threshold, "pass": r.passes}
-                     for r in rows],
+            "threshold": args.threshold,
+            "rows": [row.to_json() for row in rows],
             "violations": failures,
         }, args)
     return 1 if failures else 0
@@ -222,7 +226,7 @@ def _cmd_classify(args) -> int:
     query = ClassificationQuery(
         b2=args.b2,
         order_parity=args.parity,
-        pseudofree=args.pseudofree,
+        pseudofree=None if args.pseudofree is None else args.pseudofree == "true",
         intersection_form=args.form,
     )
     records = classify(query)
@@ -240,13 +244,7 @@ def _cmd_verify_all(args) -> int:
         kwargs["cache"] = ResultCache(args.cache_dir)
     report = verify_all(VerifyConfig(**kwargs))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("id", "status", "expected", "actual", "runtime_ms"))
-        for check in report["checks"]:
-            writer.writerow((check["id"], check["status"], check["expected"],
-                             check["actual"], check["runtime_ms"]))
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(report["checks"], args)
     else:
         _emit_json(report, args)
     if args.out is not None:
@@ -258,13 +256,23 @@ def _cmd_verify_all(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default 0)")
-    sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--cache-dir", default=None,
-                     help="directory for cached results")
+# the options that more than one subcommand reads
+_SHARED = {
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--cache-dir": dict(default=None, help="directory for cached results"),
+}
+
+
+def _subcommand(subparsers, name, fn, help, shared=()):
+    """A subcommand parser with ``--out`` and the listed shared options;
+    each subcommand declares only the options its handler reads."""
+    p = subparsers.add_parser(name, help=help)
+    p.add_argument("--out", default=None, help="write output to this path")
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,83 +283,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser("extent", help="closed-form extent bound of one lens quotient")
+    p = _subcommand(subparsers, "extent", _cmd_extent,
+                    "closed-form extent bound of one lens quotient", ("--seed",))
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.add_argument("--q", type=int, default=5)
+    p.add_argument("--q", type=int, default=EXTENT_Q)
     p.add_argument("--optimize", action="store_true",
                    help="also run the lower-bound optimizer")
     p.add_argument("--restarts", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_extent)
 
-    p = subparsers.add_parser("scan-extent", help="bound every canonical quotient in a range")
+    p = _subcommand(subparsers, "scan-extent", _cmd_scan_extent,
+                    "bound every canonical quotient in a range", ("--format",))
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--q", type=int, default=EXTENT_Q)
+    p.add_argument("--threshold", type=float, default=EXTENT_THRESHOLD,
                    help="pass threshold (default pi/3)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_scan_extent)
 
-    p = subparsers.add_parser("h2", help="degree-2 cohomology of a group with Z_m coefficients")
+    p = _subcommand(subparsers, "h2", _cmd_h2,
+                    "degree-2 cohomology of a group with Z_m coefficients", ("--cache-dir",))
     p.add_argument("--group", required=True, help="group spec, e.g. A4 or dihedral:8")
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_h2)
 
-    p = subparsers.add_parser("extensions", help="classify central extensions of a group by Z_m")
+    p = _subcommand(subparsers, "extensions", _cmd_extensions,
+                    "classify central extensions of a group by Z_m")
     p.add_argument("--group", required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_extensions)
 
-    p = subparsers.add_parser("embed", help="faithful SO(5) model of a hinted group")
+    p = _subcommand(subparsers, "embed", _cmd_embed, "faithful SO(5) model of a hinted group")
     p.add_argument("--group", required=True)
     p.add_argument("--hint", required=True,
                    help="structure hint, e.g. abelian or central-product:poly=octa,m=2")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_embed)
 
-    p = subparsers.add_parser("fixedpoint", help="Lefschetz fixed-point batches")
+    p = _subcommand(subparsers, "fixedpoint", _cmd_fixedpoint,
+                    "Lefschetz fixed-point batches", ("--seed",))
     p.add_argument("--manifold", choices=("s4", "cp2"), default="s4")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--catalog", action="store_true",
                    help="print the involution trace catalog instead")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fixedpoint)
 
-    p = subparsers.add_parser("classify", help="statement records matching a manifold/action query")
+    p = _subcommand(subparsers, "classify", _cmd_classify,
+                    "statement records matching a manifold/action query")
     p.add_argument("--b2", type=int, required=True)
     p.add_argument("--parity", choices=("odd", "even"), required=True)
     p.add_argument("--pseudofree", choices=("true", "false"), default=None)
     p.add_argument("--form", choices=("odd", "even", "definite"), default=None)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_classify)
 
-    p = subparsers.add_parser("verify-all", help="run the whole check suite")
+    p = _subcommand(subparsers, "verify-all", _cmd_verify_all, "run the whole check suite",
+                    ("--seed", "--format", "--cache-dir"))
     p.add_argument("--threshold-n", type=int, default=None, dest="threshold_n")
     p.add_argument("--scan-max", type=int, default=None)
     p.add_argument("--batch-count", type=int, default=None)
     p.add_argument("--spot-checks", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify_all)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "pseudofree", None) is not None:
-        args.pseudofree = args.pseudofree == "true"
-    if getattr(args, "seed", None) is None and args.command != "verify-all":
-        args.seed = 0
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, BudgetError) as exc:
+    except (InvalidInputError, BudgetError, UnsupportedCaseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

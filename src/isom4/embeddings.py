@@ -153,20 +153,6 @@ class MatrixRep:
         as computed when the rep was validated."""
         return self._residual
 
-    def to_json(self) -> dict:
-        if self.field_tag == "real":
-            mats = self.matrices.tolist()
-        else:
-            mats = np.stack([self.matrices.real, self.matrices.imag], axis=-1).tolist()
-        return {
-            "order": self.group.size,
-            "dimension": self.dimension,
-            "field_tag": self.field_tag,
-            "projective": self.projective,
-            "tolerance": self.tolerance,
-            "matrices": mats,
-        }
-
 
 def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool) -> float:
     """Worst deviation from M_a M_b = M_ab over all pairs; a projective
@@ -546,47 +532,78 @@ def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
                      projective=False, matrices=mats)
 
 
+# hint kind -> (required fields, optional fields with their defaults,
+# the recipe called with every field); ``poly`` names a polyhedral
+# kind, every other field is an integer
+_HINTS = {
+    "abelian": ((), {}, _abelian_rank2_rep),
+    "polyhedral-product": (
+        ("poly",), {"order_param": None, "cyclic_order": 1},
+        lambda g, poly, order_param, cyclic_order: build_recipe_rep(
+            "so3xso2", kind=GroupKind(poly, order_param), cyclic_order=cyclic_order)),
+    "klein-3power": (
+        ("power",), {"m_plus": 1},
+        lambda g, power, m_plus: build_recipe_rep(
+            "so3xso2", klein_power=power, m_plus=m_plus)),
+    "central-product": (
+        ("poly", "m"), {},
+        lambda g, poly, m: build_recipe_rep("so4-central-product", kind=poly, m=m)),
+    "u2-mixed": (
+        ("r", "s"), {"m_plus": 1},
+        lambda g, r, s, m_plus: build_recipe_rep("u2", r=r, s=s, m_plus=m_plus)),
+    "dihedral-mixed": (
+        ("m", "k"), {},
+        lambda g, m, k: build_recipe_rep("o4-in-so5", m=m, k=k)),
+}
+
+
+def _hint_fields(kind: str, hint: dict) -> dict:
+    """The hint's fields with defaults filled in; a missing, unknown or
+    mistyped field raises InvalidInputError."""
+    required, optional, _ = _HINTS[kind]
+    missing = [name for name in required if name not in hint]
+    if missing:
+        raise InvalidInputError(f"hint {kind!r} lacks field {missing[0]!r}")
+    unknown = [name for name in hint if name not in required and name not in optional]
+    if unknown:
+        raise InvalidInputError(f"hint {kind!r} has no field {unknown[0]!r}")
+    for name, value in hint.items():
+        if name == "poly" and not isinstance(value, str):
+            raise InvalidInputError("hint field 'poly' must be a name")
+        if name != "poly" and (not isinstance(value, (int, np.integer))
+                               or isinstance(value, bool)):
+            raise InvalidInputError(f"hint field {name!r} must be an integer")
+    return {**optional, **hint}
+
+
 def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
     """Faithful special-orthogonal 5-dimensional rep of ``g``.
 
     The hint names which construction produced the group; the recipe
     builds the matrix model, the model's closure group is matched to
     ``g`` by an explicit isomorphism, and the matrices are relabeled
-    so the returned rep is indexed by ``g`` itself.  Hints:
+    so the returned rep is indexed by ``g`` itself.  Hints (fields in
+    brackets are optional):
 
       {"kind": "abelian"}                          rank <= 2
-      {"kind": "polyhedral-product", "poly", "order_param", "cyclic_order"}
-      {"kind": "klein-3power", "power", "m_plus"}
+      {"kind": "polyhedral-product", "poly", ["order_param", "cyclic_order"]}
+      {"kind": "klein-3power", "power", ["m_plus"]}
       {"kind": "central-product", "poly", "m"}
-      {"kind": "u2-mixed", "r", "s", "m_plus"}
+      {"kind": "u2-mixed", "r", "s", ["m_plus"]}
       {"kind": "dihedral-mixed", "m", "k"}
 
+    A missing, unknown or mistyped field raises InvalidInputError.
     2-groups with an index-2 cyclic subgroup have no printed recipe
     and raise the unsupported-case error, as does any unknown hint.
     """
     hint = dict(structure_hint)
     kind = hint.pop("kind", None)
-    if kind == "abelian":
-        rep = _abelian_rank2_rep(g)
-    elif kind == "polyhedral-product":
-        poly = GroupKind(hint["poly"], hint.get("order_param"))
-        rep = build_recipe_rep("so3xso2", kind=poly,
-                               cyclic_order=hint.get("cyclic_order", 1))
-    elif kind == "klein-3power":
-        rep = build_recipe_rep("so3xso2", klein_power=hint["power"],
-                               m_plus=hint.get("m_plus", 1))
-    elif kind == "central-product":
-        rep = build_recipe_rep("so4-central-product", kind=hint["poly"], m=hint["m"])
-    elif kind == "u2-mixed":
-        rep = build_recipe_rep("u2", r=hint["r"], s=hint["s"],
-                               m_plus=hint.get("m_plus", 1))
-    elif kind == "dihedral-mixed":
-        rep = build_recipe_rep("o4-in-so5", m=hint["m"], k=hint["k"])
-    elif kind == "two-group":
+    if kind == "two-group":
         raise UnsupportedCaseError(
             "2-groups with an index-2 cyclic subgroup have no explicit recipe here")
-    else:
+    if kind not in _HINTS:
         raise UnsupportedCaseError(f"no embedding recipe for structure hint {kind!r}")
+    rep = _HINTS[kind][2](g, **_hint_fields(kind, hint))
     mats = _padded_to_so5(rep)
     phi = find_isomorphism(g, rep.group)
     if phi is None:

@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     import mpmath
 
 ORDER_CAP = 512
-_JSON_VERSION = 1
 
 __all__ = [
     "FiniteGroup",
@@ -115,7 +114,6 @@ def _require_associative(table: np.ndarray, identity: int) -> None:
 @dataclass(eq=False)
 class FiniteGroup:
     table: np.ndarray
-    labels: tuple[str, ...] | None = None
     # p-parts of the Schur multiplier M(Q), of Q and of its Sylow
     # p-subgroup, keyed by cohomology as (part, p): they depend on the
     # group alone, so each is solved once per group object
@@ -147,10 +145,6 @@ class FiniteGroup:
         _require_associative(table, self.identity)
         table.setflags(write=False)
         self.table = table
-        if self.labels is not None:
-            self.labels = tuple(str(x) for x in self.labels)
-            if len(self.labels) != n:
-                raise InvalidInputError("labels length must match group order")
 
     @property
     def size(self) -> int:
@@ -250,8 +244,7 @@ class FiniteGroup:
         els = np.flatnonzero(inside)
         pos = np.cumsum(inside) - 1  # pos[x]: the rank of x in els
         sub = pos[self.table[np.ix_(els, els)]]
-        labels = tuple(self.labels[i] for i in els) if self.labels else None
-        return FiniteGroup(sub, labels), els
+        return FiniteGroup(sub), els
 
     def quotient(self, normal_elements) -> tuple["FiniteGroup", np.ndarray]:
         """Quotient by a normal subgroup; returns (group, projection)."""
@@ -309,36 +302,6 @@ class FiniteGroup:
                 else:
                     factors.append(power)
         return tuple(factors[::-1])
-
-    def to_json(self) -> dict:
-        """Versioned table form; labels survive the round trip."""
-        return {
-            "version": _JSON_VERSION,
-            "size": self.size,
-            "identity": int(self.identity),
-            "table": self.table.tolist(),
-            "labels": list(self.labels) if self.labels else None,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "FiniteGroup":
-        """Inverse of :meth:`to_json`; a malformed record raises InvalidInputError."""
-        if not isinstance(data, dict):
-            raise InvalidInputError("group record must be a JSON object")
-        try:
-            version = data["version"]
-            size = data["size"]
-            identity = data["identity"]
-            table = data["table"]
-        except KeyError as missing:
-            raise InvalidInputError(f"group record lacks field {missing}") from None
-        if version != _JSON_VERSION:
-            raise InvalidInputError(f"unsupported group record version {version!r}")
-        labels = tuple(data["labels"]) if data.get("labels") else None
-        g = FiniteGroup(np.array(table, dtype=np.int32), labels)
-        if g.size != size or g.identity != identity:
-            raise InvalidInputError("group record is inconsistent")
-        return g
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,15 @@ __all__ = [
     "scan_extent",
     "scan_extent_threshold",
     "isolated_fixed_point_budget",
+    "EXTENT_Q",
+    "EXTENT_THRESHOLD",
 ]
 
 DECK_ORDER_CAP = 10**5
+# the published extent statement: the 5-point bound of a quotient of
+# deck order n >= 61 lies strictly below pi/3
+EXTENT_Q = 5
+EXTENT_THRESHOLD = math.pi / 3.0
 _UNIT_TOL = 1e-12
 
 
@@ -367,6 +373,11 @@ class ScanEntry:
     @property
     def passes(self) -> bool:
         return self.upper_bound < self.threshold
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "k": self.k, "l": self.l, "q": self.q,
+                "upper_bound": self.upper_bound, "threshold": self.threshold,
+                "pass": self.passes}
 
 
 def _bounds_by_n(n_min: int, n_max: int, q: int, threshold: float) -> list[tuple[int, float]]:

@@ -57,6 +57,8 @@ from .groups import (
     symmetric,
 )
 from .sphere import (
+    EXTENT_Q,
+    EXTENT_THRESHOLD,
     ExtentConfig,
     LensParams,
     canonicalize_lens,
@@ -76,10 +78,6 @@ __all__ = [
 
 REPORT_VERSION = 1
 STATUSES = ("PASS", "FAIL", "DISCREPANCY", "UNSUPPORTED")
-
-_THRESHOLD = math.pi / 3.0
-# points in the extent bound; the sphere legends state the 5-point bound
-_Q = 5
 
 
 @dataclass(frozen=True)
@@ -151,23 +149,23 @@ def _cached(cache: ResultCache | None, key: str, compute):
 # ---------------------------------------------------------------- sphere
 
 def _check_extent_sharp_low(cfg):
-    value = extent_upper_bound(LensParams(60, 1, 1), _Q)
-    ok = value >= _THRESHOLD
+    value = extent_upper_bound(LensParams(60, 1, 1), EXTENT_Q)
+    ok = value >= EXTENT_THRESHOLD
     return ("PASS" if ok else "FAIL",
-            f"upper bound at deck order 60 >= pi/3 = {_fmt(_THRESHOLD)}",
+            f"upper bound at deck order 60 >= pi/3 = {_fmt(EXTENT_THRESHOLD)}",
             _fmt(value))
 
 
 def _check_extent_sharp_high(cfg):
-    value = extent_upper_bound(LensParams(61, 1, 1), _Q)
-    ok = value < _THRESHOLD
+    value = extent_upper_bound(LensParams(61, 1, 1), EXTENT_Q)
+    ok = value < EXTENT_THRESHOLD
     return ("PASS" if ok else "FAIL",
-            f"upper bound at deck order 61 < pi/3 = {_fmt(_THRESHOLD)}",
+            f"upper bound at deck order 61 < pi/3 = {_fmt(EXTENT_THRESHOLD)}",
             _fmt(value))
 
 
 def _check_extent_scan(cfg):
-    bad = scan_extent_threshold(cfg.threshold_n, cfg.scan_max, _Q, _THRESHOLD)
+    bad = scan_extent_threshold(cfg.threshold_n, cfg.scan_max, EXTENT_Q, EXTENT_THRESHOLD)
     expected = (f"0 quotients with bound >= pi/3 for deck order in "
                 f"[{cfg.threshold_n}, {cfg.scan_max}]")
     if not bad:
@@ -179,7 +177,7 @@ def _check_extent_scan(cfg):
 
 
 def _check_budget(cfg):
-    bound = extent_upper_bound(LensParams(61, 1, 1), _Q)
+    bound = extent_upper_bound(LensParams(61, 1, 1), EXTENT_Q)
     budget = isolated_fixed_point_budget(bound)
     ok = budget["contradiction"]
     return ("PASS" if ok else "FAIL",
@@ -201,7 +199,7 @@ def _check_optimizer_consistency(cfg):
             if math.gcd(k, n) == 1 and math.gcd(l, n) == 1:
                 break
         params = canonicalize_lens(n, k, l)
-        ecfg = ExtentConfig(q=_Q, restarts=cfg.optimizer_restarts,
+        ecfg = ExtentConfig(q=EXTENT_Q, restarts=cfg.optimizer_restarts,
                             seed=int(rng.integers(2**63)))
         report = extent_lower_bound(params, ecfg)
         gap = report.lower_bound - report.upper_bound

@@ -1,52 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
 from isom4.errors import InvalidInputError
-from isom4.groups import FiniteGroup, dihedral, quaternion_group
-
-
-# --- group serialization --------------------------------------------------
-
-
-def test_group_round_trip():
-    g = quaternion_group()
-    back = FiniteGroup.from_json(g.to_json())
-    assert np.array_equal(back.table, g.table)
-    assert back.identity == g.identity
-
-
-def test_group_round_trip_with_labels():
-    g = FiniteGroup([[0, 1], [1, 0]], labels=("e", "x"))
-    back = FiniteGroup.from_json(g.to_json())
-    assert back.labels == ("e", "x")
-
-
-def test_group_json_survives_text_encoding():
-    g = dihedral(6)
-    back = FiniteGroup.from_json(json.loads(json.dumps(g.to_json())))
-    assert np.array_equal(back.table, g.table)
-
-
-def test_group_record_validation():
-    good = dihedral(6).to_json()
-    with pytest.raises(InvalidInputError):
-        FiniteGroup.from_json([1, 2, 3])
-    missing = dict(good)
-    del missing["table"]
-    with pytest.raises(InvalidInputError):
-        FiniteGroup.from_json(missing)
-    stale = dict(good, version=good["version"] + 1)
-    with pytest.raises(InvalidInputError):
-        FiniteGroup.from_json(stale)
-    corrupt = dict(good, identity=3)
-    with pytest.raises(InvalidInputError):
-        FiniteGroup.from_json(corrupt)
-
-
-# --- the disk cache ----------------------------------------------------------
 
 
 def test_cache_round_trip(tmp_path):

@@ -138,6 +138,15 @@ def test_records_are_statement_records(q):
         assert isinstance(r.bounds, tuple)
 
 
+@given(queries)
+def test_records_are_table_constants(q):
+    # the table's records are built once: two lookups return the same
+    # objects, and exactly one of the two trivial-action rows matches
+    first, second = classify(q), classify(q)
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert [r.id for r in first].count("homologically-trivial-structure") == 1
+
+
 def test_all_declared_family_tags_resolve():
     tags = set()
     for b2 in range(B2_MAX + 1):

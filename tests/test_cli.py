@@ -1,15 +1,11 @@
+import csv
 import json
 from functools import partial
 
 import pytest
 
 from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
-from isom4.cli import (
-    SCAN_CSV_HEADER,
-    main,
-    parse_group_spec,
-    parse_hint_spec,
-)
+from isom4.cli import build_parser, main, parse_group_spec, parse_hint_spec
 from isom4.cohomology import group_digest
 from isom4.errors import InvalidInputError
 from isom4.groups import build_group, is_isomorphic, quaternion_group
@@ -113,7 +109,7 @@ def test_scan_extent_csv_header(capsys, tmp_path):
                   "--format", "csv", "--out", str(out))
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ",".join(SCAN_CSV_HEADER)
+    assert lines[0] == "n,k,l,q,upper_bound,threshold,pass"
     assert len(lines) > 1
     assert lines[1].endswith("true")
 
@@ -287,3 +283,92 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan-extent"])  # missing required --min/--max
     assert exc.value.code == 2
+
+
+# --- each subcommand accepts only the options its handler reads ---------------
+
+OPTIONS = {
+    "extent": {"--out", "--seed", "--q", "--optimize", "--restarts"},
+    "scan-extent": {"--out", "--format", "--min", "--max", "--q", "--threshold"},
+    "h2": {"--out", "--cache-dir", "--group", "--m"},
+    "extensions": {"--out", "--group", "--m"},
+    "embed": {"--out", "--group", "--hint"},
+    "fixedpoint": {"--out", "--seed", "--manifold", "--count", "--catalog"},
+    "classify": {"--out", "--b2", "--parity", "--pseudofree", "--form"},
+    "verify-all": {"--out", "--seed", "--format", "--cache-dir", "--threshold-n",
+                   "--scan-max", "--batch-count", "--spot-checks", "--restarts"},
+}
+
+
+def test_subcommand_options():
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "command")
+    declared = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 40
+
+
+HEADS = {
+    "extent": ["extent", "61", "1", "1"],
+    "scan-extent": ["scan-extent", "--min", "61", "--max", "62"],
+    "h2": ["h2", "--group", "A4", "--m", "2"],
+    "extensions": ["extensions", "--group", "A4", "--m", "2"],
+    "embed": ["embed", "--group", "cyclic:12", "--hint", "abelian"],
+    "fixedpoint": ["fixedpoint", "--catalog"],
+    "classify": ["classify", "--b2", "2", "--parity", "odd"],
+}
+UNREAD = [(name, flag) for name in HEADS
+          for flag in ("--seed", "--format", "--cache-dir") if flag not in OPTIONS[name]]
+
+
+@pytest.mark.parametrize("name, flag", UNREAD, ids=[" ".join(u) for u in UNREAD])
+def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
+    monkeypatch.chdir(tmp_path)
+    value = {"--seed": "9", "--format": "csv", "--cache-dir": "d"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*HEADS[name], flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "--group", "binary-octa", "--hint", "central-product"],
+     "hint 'central-product' lacks field 'poly'"),
+    (["embed", "--group", "binary-octa", "--hint", "central-product:poly=octa,m=x"],
+     "hint field 'm' must be an integer"),
+    (["embed", "--group", "binary-octa", "--hint", "central-product:poly=2,m=2"],
+     "hint field 'poly' must be a name"),
+    (["embed", "--group", "q8-by-3power:2", "--hint", "u2-mixed:r=1,s=1,bogus=3"],
+     "hint 'u2-mixed' has no field 'bogus'"),
+    (["extent", "2", "1", "1"], "closed-form bound requires deck order >= 3"),
+], ids=["hint-missing-field", "hint-non-integer", "hint-poly-not-a-name",
+        "hint-unknown-field", "extent-n-2-unsupported"])
+def test_refused_input_exits_two(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_all_command_csv(capsys, tmp_path, report_and_rerun):
+    # the flags match the session report's small config
+    out = tmp_path / "report.csv"
+    code, echo = run(capsys, "verify-all", "--scan-max", "80", "--batch-count", "50",
+                     "--spot-checks", "1", "--restarts", "4", "--format", "csv",
+                     "--out", str(out))
+    assert code == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["id", "status", "expected", "actual", "runtime_ms"]
+    assert len(rows) == 32
+    assert [row[:4] for row in rows] == [
+        [c["id"], c["status"], c["expected"], c["actual"]]
+        for c in report_and_rerun[0]["checks"]]
+    assert echo.splitlines() == [f"{status:<12} {check_id}" for check_id, status, *_ in rows]
