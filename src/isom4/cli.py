@@ -101,14 +101,30 @@ def _emit_csv(rows, args) -> None:
 
 # ------------------------------------------------------------ subcommands
 
+def _given(args, *names) -> dict:
+    """The options of ``names`` set on the command line.  Each defaults
+    to None, so a value means it was given, and the callee's default
+    applies to the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _refuse(given: dict, why: str):
+    """Refuse options given in a mode that does not read them."""
+    if given:
+        raise InvalidInputError(", ".join(f"--{name}" for name in given) + f": {why}")
+
+
 def _cmd_extent(args) -> int:
+    optimizer = _given(args, "restarts", "seed")
+    if not args.optimize:
+        _refuse(optimizer, "read only with --optimize")
     params = LensParams(args.n, args.k, args.l)
     record = {
         "n": params.n, "k": params.k, "l": params.l, "q": args.q,
         "upper_bound": extent_upper_bound(params, args.q),
     }
     if args.optimize:
-        cfg = ExtentConfig(q=args.q, restarts=args.restarts, seed=args.seed)
+        cfg = ExtentConfig(q=args.q, **optimizer)
         report = extent_lower_bound(params, cfg)
         record["lower_bound"] = report.lower_bound
         record["optimizer_iterations"] = report.iterations_used
@@ -200,6 +216,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_fixedpoint(args) -> int:
     if args.catalog:
+        _refuse(_given(args, "manifold", "count", "seed"), "not read with --catalog")
         entries = involution_catalog()
         _emit_json([
             {
@@ -216,8 +233,8 @@ def _cmd_fixedpoint(args) -> int:
         mismatch = any(e["result"]["eq_pass"] != e["expected_pass"]
                        for e in entries)
         return 1 if mismatch else 0
-    batch = batch_lefschetz_s4 if args.manifold == "s4" else batch_lefschetz_cp2
-    result = batch(args.count, args.seed)
+    batch = batch_lefschetz_cp2 if args.manifold == "cp2" else batch_lefschetz_s4
+    result = batch(1000 if args.count is None else args.count, args.seed or 0)
     _emit_json(result, args)
     return 0 if result["all_pass"] else 1
 
@@ -258,7 +275,7 @@ def _cmd_verify_all(args) -> int:
 
 # the options that more than one subcommand reads
 _SHARED = {
-    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--seed": dict(type=int, default=None, help="RNG seed (default 0)"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--cache-dir": dict(default=None, help="directory for cached results"),
 }
@@ -291,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=EXTENT_Q)
     p.add_argument("--optimize", action="store_true",
                    help="also run the lower-bound optimizer")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="optimizer restarts (default 32)")
 
     p = _subcommand(subparsers, "scan-extent", _cmd_scan_extent,
                     "bound every canonical quotient in a range", ("--format",))
@@ -318,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(subparsers, "fixedpoint", _cmd_fixedpoint,
                     "Lefschetz fixed-point batches", ("--seed",))
-    p.add_argument("--manifold", choices=("s4", "cp2"), default="s4")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--manifold", choices=("s4", "cp2"), default=None,
+                   help="default s4")
+    p.add_argument("--count", type=int, default=None, help="batch size (default 1000)")
     p.add_argument("--catalog", action="store_true",
                    help="print the involution trace catalog instead")
 

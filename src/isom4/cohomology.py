@@ -205,7 +205,7 @@ def _cocycle_system(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndar
     nonidentity.  The cocycle identity at (s, h, k) reads
     f(sh, k) = f(h, k) + f(s, hk) - f(s, h), so a breadth-first walk from
     the generators writes every f(g, k) as an integer form in y.
-    Returns (forms, rows, sel):
+    Returns (forms, rows, gens):
     - forms, shape ((n-1)^2, len(y)): the cochain on all pairs (g, k)
       of nonidentity elements, flattened as pos(g) * (n-1) + pos(k), is
       forms @ y;
@@ -214,8 +214,12 @@ def _cocycle_system(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndar
       first arguments are integer combinations of these (rows compose
       along products), so forms @ y is a cocycle exactly when
       rows @ y = 0;
-    - sel: the positions of the pairs (s, k) among all pairs, in the
-      order of y.
+    - gens: the generating set, from ``minimal_generating_set``; y lists
+      f(s, k) for s in gens, then k nonidentity ascending.
+
+    The walk also proves the lemma the solves rest on: a cocycle is
+    determined by its values on the generator pairs, so it is a
+    coboundary exactly when it agrees with one there.
     """
     n = group.size
     e = group.identity
@@ -260,24 +264,26 @@ def _cocycle_system(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndar
             r += forms[s, hk[blk]]
             r -= forms[s, hh[blk]]
             rows.append(r[r.any(axis=1)])
-    pos = np.searchsorted(noni, gens)
-    sel = (pos[:, None] * (n - 1) + np.arange(n - 1)).reshape(-1)
-    return flat, np.vstack(rows), sel
+    return flat, np.vstack(rows), gens
 
 
-def _coboundary_matrix(group: FiniteGroup) -> np.ndarray:
-    """d1 on normalized 1-cochains: column c gives the coboundary of the
-    indicator cochain of the nonidentity element c."""
+def _coboundary_matrix(group: FiniteGroup, firsts) -> np.ndarray:
+    """The rows of d1 on normalized 1-cochains at the pairs (g, h), g in
+    ``firsts`` (in that order) and h nonidentity ascending: column c
+    gives the coboundary of the indicator cochain of the nonidentity
+    element c.  ``firsts`` a generating set gives the generator-pair
+    rows that decide coboundaries (``_cocycle_system``); all nonidentity
+    elements give the whole of d1."""
     n = group.size
     e = group.identity
     noni = _nonidentity(group)
     pos = np.full(n, -1, dtype=np.int64)
     pos[noni] = np.arange(n - 1)
-    width = (n - 1) * (n - 1)
-    gg = np.repeat(noni, n - 1)
-    hh = np.tile(noni, n - 1)
-    pair = pos[gg] * (n - 1) + pos[hh]
-    out = np.zeros((width, n - 1), dtype=np.int8)
+    firsts = np.asarray(firsts, dtype=np.int64)
+    gg = np.repeat(firsts, n - 1)
+    hh = np.tile(noni, firsts.size)
+    pair = np.arange(gg.size)
+    out = np.zeros((gg.size, n - 1), dtype=np.int8)
     np.add.at(out, (pair, pos[hh]), 1)
     np.add.at(out, (pair, pos[gg]), 1)
     gh = group.table[gg, hh]
@@ -295,10 +301,10 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     vanishing there vanishes everywhere, so it is a coboundary exactly
     when its values there are those of one.
     """
-    forms, rows, sel = _cocycle_system(group)
+    forms, rows, gens = _cocycle_system(group)
     mod = p**a
     kernel = kernel_mod_prime_power(rows, p, a)
-    bnd = np.asarray(_coboundary_matrix(group)[sel], dtype=np.int64)
+    bnd = np.asarray(_coboundary_matrix(group, gens), dtype=np.int64)
     stacked = np.hstack([kernel, bnd])
     lam = kernel_mod_prime_power(stacked, p, a)[: kernel.shape[1]]
     orders, coeffs = module_presentation_local(lam, p, a, dim=kernel.shape[1])
@@ -332,17 +338,18 @@ def _exponent(orders) -> int:
 
 
 def _held_by_group(part: str):
-    """Keep the value of a function of (group, p) on the group object,
-    in ``group.schur_parts``: the Schur multiplier depends on the group
-    alone, not on the coefficients, so one solve serves every modulus
-    for as long as the object lives."""
+    """Keep the value of a function of (group, p, ...) on the group
+    object, in ``group.cohomology_parts``: the Schur multiplier and the
+    local H^2 bases depend on the group and the prime power alone, not
+    on the modulus asked for, so one solve serves every modulus for as
+    long as the object lives."""
     def wrap(solve):
         @functools.wraps(solve)
-        def held(group: FiniteGroup, p: int) -> tuple[int, ...]:
-            key = (part, p)
-            if key not in group.schur_parts:
-                group.schur_parts[key] = solve(group, p)
-            return group.schur_parts[key]
+        def held(group: FiniteGroup, *params):
+            key = (part, *params)
+            if key not in group.cohomology_parts:
+                group.cohomology_parts[key] = solve(group, *params)
+            return group.cohomology_parts[key]
         return held
     return wrap
 
@@ -380,6 +387,12 @@ def _schur_part(group: FiniteGroup, p: int) -> tuple[int, ...]:
                              if h % p == 0])
 
 
+# the local solve behind class enumeration: moduli with the same
+# p-part exponent c (m = 2 and m = 4 for A5 both reach c = 1) read one
+# solve; the cochain route calls _local_cohomology itself and reads none
+_local_basis = _held_by_group("basis")(_local_cohomology)
+
+
 @dataclass(frozen=True)
 class _ClassBasis:
     """Direct-sum basis of H^2(Q; Z_m) with mod-m lifted generators."""
@@ -402,7 +415,7 @@ def _class_basis(group: FiniteGroup, m: int) -> _ClassBasis:
             c = min(a, _exponent(_sylow_schur(group, p)))
         if c == 0:
             continue
-        local_orders, local_gens = _local_cohomology(group, p, c)
+        local_orders, local_gens = _local_basis(group, p, c)
         if not local_orders:
             continue
         q = p**a
@@ -472,9 +485,10 @@ def _vector_to_table(group: FiniteGroup, vec: np.ndarray, m: int) -> np.ndarray:
 def cocycle_representatives(group: FiniteGroup, m: int) -> list[Cochain2]:
     """One normalized cocycle per cohomology class, zero class first.
 
-    Distinctness is re-verified independently: for every pair, the
-    difference is checked to not be a coboundary by solving the d1
-    system at each prime power of m.
+    Distinctness is re-verified independently of the basis solve by
+    ``_verify_distinct_classes``: for every pair, the difference is
+    checked to not be a coboundary on the generator-pair rows of d1,
+    at each prime power of m.
     """
     _check_caps(group, m)
     basis = _class_basis(group, m)
@@ -505,11 +519,20 @@ def cocycle_representatives(group: FiniteGroup, m: int) -> list[Cochain2]:
 
 
 def _verify_distinct_classes(group: FiniteGroup, m: int, reps: list[Cochain2]):
+    """Raise unless no two of ``reps`` differ by a coboundary.
+
+    Each difference is solved against the rows of d1 at the generator
+    pairs (s, k) only, |gens| (|Q|-1) rows (118 for A5, not 3,481).  The
+    difference of two cocycles is a cocycle, and a cocycle that agrees
+    with a coboundary on the generator pairs is that coboundary
+    (``_cocycle_system``), so this decides exactly what the whole d1
+    system decides.  A difference solvable on the whole system is
+    solvable on these rows, so no cohomologous pair passes."""
     if len(reps) <= 1 or group.size == 1:
         return
-    noni = _nonidentity(group)
-    bnd = _coboundary_matrix(group)
-    tables = [r.values[np.ix_(noni, noni)].reshape(-1) for r in reps]
+    gens = minimal_generating_set(group)
+    bnd = _coboundary_matrix(group, gens)
+    tables = [r.values[np.ix_(gens, _nonidentity(group))].reshape(-1) for r in reps]
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             diff = (tables[i] - tables[j]) % m
@@ -527,9 +550,9 @@ def _verify_distinct_classes(group: FiniteGroup, m: int, reps: list[Cochain2]):
 def build_central_extension(group: FiniteGroup, m: int, f: Cochain2) -> FiniteGroup:
     """Group on Z_m x Q with multiplication twisted by the cocycle f.
 
-    The construction is checked on the result: the fiber {(a, 1)} is a
-    central cyclic subgroup of order m and the quotient by it is
-    isomorphic to Q.
+    The construction is checked on the result by ``_checked_extension``:
+    the fiber {(a, 1)} is central and cyclic of order m, and the
+    projection (a, q) -> q is a homomorphism onto Q with that kernel.
     """
     if f.group is not group and not np.array_equal(f.group.table, group.table):
         raise InvalidInputError("cochain belongs to a different group")
@@ -547,15 +570,27 @@ def build_central_extension(group: FiniteGroup, m: int, f: Cochain2) -> FiniteGr
     a_out = (a1 + a2 + f.values[q1, q2]) % m
     q_out = group.table[q1, q2]
     table = np.broadcast_to(a_out * n + q_out, (m, n, m, n)).reshape(m * n, m * n)
+    return _checked_extension(group, m, table)
+
+
+def _checked_extension(group: FiniteGroup, m: int, table: np.ndarray) -> FiniteGroup:
+    """The group of ``table``, element a |Q| + q standing for (a, q),
+    checked to be a central extension of Z_m by Q.
+
+    The projection (a, q) -> q must be a homomorphism on all pairs.  Its
+    kernel is the fiber {(a, 1)} by the indexing, so it is an explicit
+    isomorphism from the quotient by the fiber onto Q; in particular the
+    fiber is a subgroup of order m.  The fiber must be central and hold
+    an element of order m, so it is cyclic of order m."""
+    n = group.size
     ext = FiniteGroup(table)
     fiber = np.arange(m) * n + group.identity
     if not all(x in ext.center for x in fiber.tolist()):
         raise InvalidInputError("extension fiber is not central")
-    sub, _ = ext.restrict(fiber)
-    if int(sub.element_orders.max()) != m:
+    if int(ext.element_orders[fiber].max()) != m:
         raise InvalidInputError("extension fiber is not cyclic of order m")
-    quot, _ = ext.quotient(fiber)
-    if not is_isomorphic(quot, group):
+    proj = np.arange(m * n) % n
+    if not np.array_equal(proj[ext.table], group.table[np.ix_(proj, proj)]):
         raise InvalidInputError("extension quotient is not the base group")
     return ext
 

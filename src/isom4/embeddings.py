@@ -107,6 +107,13 @@ class MatrixRep:
     the homomorphism identity on all pairs; projective reps may be off
     by a unit scalar per pair.  The rep is frozen and its matrices are
     read-only, so the residual computed here stays the rep's residual.
+
+    Inside this module the all-pairs residual is formed once per
+    distinct matrix set (``_measured``): a rep on the matrices
+    ``_close_unitary`` returned reads the residual the closure measured
+    on them, and ``embed_into_so5``'s relabelled rep carries its model's
+    residual through an explicit isomorphism.  Every other check runs
+    on every rep.
     """
 
     group: FiniteGroup
@@ -118,6 +125,27 @@ class MatrixRep:
     _residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._validate(None)
+
+    @classmethod
+    def _measured(cls, group: FiniteGroup, matrices: np.ndarray, residual: float,
+                  tolerance: float = DEFAULT_TOLERANCE) -> "MatrixRep":
+        """The linear rep of ``group`` on ``matrices``, whose all-pairs
+        residual against ``group.table`` is already known to be
+        ``residual`` to the bit: every check of the constructor runs
+        except that pass over the n^2 products."""
+        rep = object.__new__(cls)
+        fields = {"group": group, "dimension": matrices.shape[1],
+                  "field_tag": "complex" if np.iscomplexobj(matrices) else "real",
+                  "projective": False, "matrices": matrices, "tolerance": tolerance}
+        for name, value in fields.items():
+            object.__setattr__(rep, name, value)
+        rep._validate(residual)
+        return rep
+
+    def _validate(self, residual: float | None):
+        """The constructor's checks; the all-pairs residual is formed
+        here unless it is passed in."""
         if self.field_tag not in ("real", "complex"):
             raise InvalidInputError("field_tag must be 'real' or 'complex'")
         if self.dimension < 1:
@@ -140,7 +168,8 @@ class MatrixRep:
             dets = np.linalg.det(mats)
             _require_within(np.max(np.abs(dets - 1.0)), self.tolerance,
                             "real matrices must have determinant +1")
-        residual = _homomorphism_residual(self.group.table, mats, self.projective)
+        if residual is None:
+            residual = _homomorphism_residual(self.group.table, mats, self.projective)
         _require_within(
             residual, self.tolerance,
             f"homomorphism residual {residual:.3e} exceeds tolerance {self.tolerance:.3e}")
@@ -207,12 +236,15 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
     return gap > _INJECTIVITY_MARGIN * rep.tolerance
 
 
-def _closed_rep(generators, expected_order: int) -> tuple[FiniteGroup, np.ndarray]:
-    group, mats = _close_unitary(generators)
+def _closed_rep(generators, expected_order: int) -> MatrixRep:
+    """The linear rep that closing the generators gives, on the
+    closure's own matrices, so it reads the residual the closure
+    measured."""
+    group, mats, residual = _close_unitary(generators)
     if group.size != expected_order:
         raise InvalidInputError(
             f"closure has order {group.size}, expected {expected_order}")
-    return group, mats
+    return MatrixRep._measured(group, mats, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +335,7 @@ def polyhedral_so3(kind: GroupKind) -> MatrixRep:
     coordinate permutations, and the icosahedral group combines the
     coordinate 3-cycle with a 5-fold golden-ratio vertex rotation."""
     gens, expected = _so3_generators(kind)
-    group, mats = _closed_rep(gens, expected_order=expected)
-    return MatrixRep(group=group, dimension=3, field_tag="real",
-                     projective=False, matrices=mats)
+    return _closed_rep(gens, expected_order=expected)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +402,7 @@ def _recipe_so3xso2(kind: GroupKind | None = None, cyclic_order: int | None = No
         # one generator carries the 3-cycle and the rotation together,
         # so only a third of the rotation block commutes with the signs
         gens.append(_block_diag(_P3, _rot2(2.0 * math.pi / t)))
-    group, mats = _closed_rep(gens, expected_order=expected)
-    return MatrixRep(group=group, dimension=5, field_tag="real",
-                     projective=False, matrices=mats)
+    return _closed_rep(gens, expected_order=expected)
 
 
 def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
@@ -391,9 +419,7 @@ def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
     zeta = (math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m), 0.0, 0.0)
     gens = [quat_pair_to_so4(QuatPair(zeta, one))]
     gens.extend(quat_pair_to_so4(QuatPair(one, g)) for g in quat_gens)
-    group, mats = _closed_rep(gens, expected_order=expected)
-    return MatrixRep(group=group, dimension=4, field_tag="real",
-                     projective=False, matrices=mats)
+    return _closed_rep(gens, expected_order=expected)
 
 
 _W_QUAT = (-0.5, 0.5, 0.5, 0.5)
@@ -413,9 +439,10 @@ def _recipe_u2(r: int, s: int, m_plus: int = 1) -> MatrixRep:
     lam = np.exp(2j * np.pi / 3 ** (s + 1))
     scalar = np.exp(2j * np.pi / (2**r * mp)) * np.eye(2)
     gens = [scalar, _su2(_QI), _su2(_QJ), lam * _su2(_W_QUAT)]
-    group, cmats = _closed_rep(gens, expected_order=expected)
-    mats = np.stack([_realify(c) for c in cmats])
-    return MatrixRep(group=group, dimension=4, field_tag="real",
+    unitary = _closed_rep(gens, expected_order=expected)
+    # realified matrices are a new matrix set, so this rep forms its own residual
+    mats = np.stack([_realify(c) for c in unitary.matrices])
+    return MatrixRep(group=unitary.group, dimension=4, field_tag="real",
                      projective=False, matrices=mats)
 
 
@@ -453,9 +480,7 @@ def _recipe_o4_in_so5(m: int, k: int) -> MatrixRep:
         det = float(np.linalg.det(g))
         _require_within(abs(abs(det) - 1.0), DEFAULT_TOLERANCE, "generators must be orthogonal")
         padded.append(_block_diag(g, np.array([[1.0 if det > 0 else -1.0]])))
-    group, mats = _closed_rep(padded, expected_order=expected)
-    return MatrixRep(group=group, dimension=5, field_tag="real",
-                     projective=False, matrices=mats)
+    return _closed_rep(padded, expected_order=expected)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +528,12 @@ def _padded_to_so5(rep: MatrixRep) -> np.ndarray:
     """The rep's matrices with an identity block below them, up to 5x5.
 
     Padding keeps orthogonality, determinant and the homomorphism
-    identity, so the caller validates only the relabelled result."""
-    if rep.dimension == 5:
-        return rep.matrices
+    residual to the bit: every product entry gains only exact zero
+    terms, and the new entries are exactly those of the identity."""
     if rep.field_tag != "real" or rep.projective:
         raise InvalidInputError("only real non-projective reps can be padded")
+    if rep.dimension == 5:
+        return rep.matrices
     mats = np.tile(np.eye(5), (rep.group.size, 1, 1))
     mats[:, : rep.dimension, : rep.dimension] = rep.matrices
     return mats
@@ -527,9 +553,7 @@ def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
         gens.append(block)
     if not gens:
         gens.append(np.eye(5))
-    group, mats = _closed_rep(gens, expected_order=g.size)
-    return MatrixRep(group=group, dimension=5, field_tag="real",
-                     projective=False, matrices=mats)
+    return _closed_rep(gens, expected_order=g.size)
 
 
 # hint kind -> (required fields, optional fields with their defaults,
@@ -582,8 +606,11 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
     The hint names which construction produced the group; the recipe
     builds the matrix model, the model's closure group is matched to
     ``g`` by an explicit isomorphism, and the matrices are relabeled
-    so the returned rep is indexed by ``g`` itself.  Hints (fields in
-    brackets are optional):
+    so the returned rep is indexed by ``g`` itself.  The isomorphism is
+    checked on the integer tables, so it permutes the pairs of elements
+    and the relabelled rep carries the model's all-pairs residual
+    instead of forming the products again.  Hints (fields in brackets
+    are optional):
 
       {"kind": "abelian"}                          rank <= 2
       {"kind": "polyhedral-product", "poly", ["order_param", "cyclic_order"]}
@@ -606,7 +633,11 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
     rep = _HINTS[kind][2](g, **_hint_fields(kind, hint))
     mats = _padded_to_so5(rep)
     phi = find_isomorphism(g, rep.group)
-    if phi is None:
+    # phi must be a bijection onto the model that maps g.table onto the
+    # model's table
+    if phi is None or not (
+            rep.group.size == g.size
+            and np.array_equal(np.sort(phi), np.arange(g.size))
+            and np.array_equal(rep.group.table[np.ix_(phi, phi)], phi[g.table])):
         raise InvalidInputError("structure hint does not match the group")
-    return MatrixRep(group=g, dimension=5, field_tag="real", projective=False,
-                     matrices=mats[phi], tolerance=rep.tolerance)
+    return MatrixRep._measured(g, mats[phi], rep.homomorphism_residual(), rep.tolerance)

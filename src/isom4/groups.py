@@ -20,15 +20,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .snf import _require_prime, _row_blocks, kernel_mod_p
-
-if TYPE_CHECKING:
-    import mpmath
 
 ORDER_CAP = 512
 
@@ -64,7 +60,6 @@ __all__ = [
     "sylow_subgroup",
     "matches_family",
     "order_gl",
-    "log10_universal_constant",
 ]
 
 
@@ -115,9 +110,10 @@ def _require_associative(table: np.ndarray, identity: int) -> None:
 class FiniteGroup:
     table: np.ndarray
     # p-parts of the Schur multiplier M(Q), of Q and of its Sylow
-    # p-subgroup, keyed by cohomology as (part, p): they depend on the
-    # group alone, so each is solved once per group object
-    schur_parts: dict = field(default_factory=dict, init=False, repr=False)
+    # p-subgroup, and the local bases of H^2(Q; Z_{p^c}) that class
+    # enumeration reads, keyed by cohomology as (part, p, ...): they
+    # depend on the group alone, so each is solved once per group object
+    cohomology_parts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int32)
@@ -130,10 +126,16 @@ class FiniteGroup:
             raise BudgetError(f"group order {n} exceeds cap {ORDER_CAP}")
         if table.min() < 0 or table.max() >= n:
             raise InvalidInputError("table entries must be element indices")
+        # a row or column of n entries in [0, n) is a permutation exactly
+        # when it holds every value: one boolean scatter per axis, marking
+        # hit[r * n + v] when line r holds v
+        starts = np.arange(0, n * n, n, dtype=np.int32)[:, None]
+        for lines in (table, table.T):
+            hit = np.zeros(n * n, dtype=bool)
+            hit[starts + lines] = True
+            if not hit.all():
+                raise InvalidInputError("table is not a Latin square")
         idx = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(np.sort(table, axis=1), np.broadcast_to(idx, (n, n)))
-                and np.array_equal(np.sort(table, axis=0), np.broadcast_to(idx[:, None], (n, n)))):
-            raise InvalidInputError("table is not a Latin square")
         left_ids = np.nonzero((table == idx).all(axis=1))[0]
         ids = [int(e) for e in left_ids if np.array_equal(table[:, e], idx)]
         if len(ids) != 1:
@@ -471,7 +473,7 @@ def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
     return float(worst)
 
 
-def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
+def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray, float]:
     """Close square orthogonal/unitary generators under multiplication.
 
     Breadth first: each level multiplies the new elements on the right
@@ -486,7 +488,9 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
     Theory*, 2005).  The whole table is then checked against the
     matrices, |M_a M_b - M_table[a, b]| <= DEFAULT_TOLERANCE for all
     pairs, so the returned matrices (one per element) form a faithful
-    representation."""
+    representation.  Returns (group, matrices, that all-pairs residual):
+    a caller that keeps these very matrices reads the residual instead
+    of forming the n^2 products again."""
     gens = [np.asarray(g) for g in generators]
     dtype = np.complex128 if any(np.iscomplexobj(g) for g in gens) else np.float64
     d = gens[0].shape[0]
@@ -525,9 +529,9 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray]:
     table[:, 0] = np.arange(n)
     for b in range(1, n):
         table[:, b] = right[table[:, parent[b]], via[b]]
-    _require_within(_table_residual(table, mats), DEFAULT_TOLERANCE,
-                    "a product falls outside the closed element set")
-    return FiniteGroup(table), mats
+    residual = _table_residual(table, mats)
+    _require_within(residual, DEFAULT_TOLERANCE, "a product falls outside the closed element set")
+    return FiniteGroup(table), mats, residual
 
 
 # --- unit-quaternion models -------------------------------------------------
@@ -546,7 +550,7 @@ def group_from_quaternions(generators) -> tuple[FiniteGroup, np.ndarray]:
     The closure runs on the left-multiplication matrices, whose entries
     are the coordinates up to sign, so coordinates are deduplicated at
     1e-6, far coarser than the float error of these short products."""
-    group, mats = _close_unitary([_left_mul(q) for q in generators])
+    group, mats, _ = _close_unitary([_left_mul(q) for q in generators])
     return group, np.ascontiguousarray(mats[:, :, 0])
 
 
@@ -713,7 +717,7 @@ def q8_by_cyclic3(power: int) -> FiniteGroup:
     action factors through Z_3."""
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
-    q8, mats = _close_unitary([_left_mul(_QI), _left_mul(_QJ)])
+    q8, mats, _ = _close_unitary([_left_mul(_QI), _left_mul(_QJ)])
     conj = _left_mul((-0.5, 0.5, 0.5, 0.5)) @ mats @ _left_mul((-0.5, -0.5, -0.5, -0.5))
     cyc = _key_index(_matrix_keys(mats))(_matrix_keys(conj))
     h = cyclic(3**power)
@@ -788,17 +792,6 @@ def order_gl(n: int, p: int) -> int:
     for i in range(n):
         out *= pn - p**i
     return out
-
-
-def log10_universal_constant() -> mpmath.mpf:
-    """log10 of 61^8 * |GL(F_3, N)| with N = 10^2560, using
-    log10|GL(F_3, N)| ~ N^2 log10(3).  An order-of-magnitude figure:
-    the dominant term is about 0.477 * 10^5120."""
-    import mpmath  # its only user; kept out of ``import isom4``
-
-    with mpmath.workdps(5200):
-        n_squared = mpmath.mpf(10) ** 5120
-        return 8 * mpmath.log10(61) + n_squared * mpmath.log10(3)
 
 
 # ---------------------------------------------------------------------------

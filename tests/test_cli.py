@@ -348,8 +348,14 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
     (["embed", "--group", "q8-by-3power:2", "--hint", "u2-mixed:r=1,s=1,bogus=3"],
      "hint 'u2-mixed' has no field 'bogus'"),
     (["extent", "2", "1", "1"], "closed-form bound requires deck order >= 3"),
+    (["extent", "61", "1", "1", "--restarts", "0", "--seed", "7"],
+     "--restarts, --seed: read only with --optimize"),
+    (["fixedpoint", "--catalog", "--manifold", "cp2", "--count", "5", "--seed", "3"],
+     "--manifold, --count, --seed: not read with --catalog"),
+    (["fixedpoint", "--catalog", "--seed", "0"], "--seed: not read with --catalog"),
 ], ids=["hint-missing-field", "hint-non-integer", "hint-poly-not-a-name",
-        "hint-unknown-field", "extent-n-2-unsupported"])
+        "hint-unknown-field", "extent-n-2-unsupported", "extent-optimizer-options-alone",
+        "fixedpoint-catalog-with-batch-options", "fixedpoint-catalog-with-default-seed"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

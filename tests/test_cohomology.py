@@ -9,9 +9,14 @@ import isom4.cohomology
 from isom4.cohomology import (
     Cochain2,
     CohomologyResult,
+    _checked_extension,
     _class_basis,
+    _coboundary_matrix,
     _cochain_second_cohomology,
     _local_cohomology,
+    _nonidentity,
+    _prime_powers,
+    _verify_distinct_classes,
     build_central_extension,
     classify_central_extensions,
     cocycle_representatives,
@@ -23,6 +28,7 @@ from isom4.cohomology import (
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
     _GROUP_TABLE,
+    FiniteGroup,
     abelian,
     alternating,
     binary_icosahedral,
@@ -33,9 +39,11 @@ from isom4.groups import (
     dihedral,
     direct_product,
     is_isomorphic,
+    minimal_generating_set,
     sylow_subgroup,
     symmetric,
 )
+from isom4.snf import solve_mod_prime_power
 
 
 def factors(group, m):
@@ -285,6 +293,79 @@ def test_extension_rejects_non_cocycle():
     assert not f.is_cocycle()
     with pytest.raises(InvalidInputError):
         build_central_extension(z3, 2, f)
+
+
+def _coboundary_of(group, c, m):
+    """The table of the coboundary of the 1-cochain c, zero at the
+    identity: (g, h) -> c(g) + c(h) - c(gh) mod m."""
+    c = np.array(c, dtype=np.int64)
+    c[group.identity] = 0
+    return (c[:, None] + c[None, :] - c[group.table]) % m
+
+
+def _solvable(bnd, vec, m):
+    return all(solve_mod_prime_power(bnd, vec, p, a) is not None for p, a in _prime_powers(m))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("spec", [("cyclic", 4), ("cyclic", 6), ("dihedral", 6),
+                                  ("dihedral", 8), ("tetra",), ("octa",)],
+                         ids=lambda spec: ":".join(map(str, spec)))
+def test_generator_pair_rows_decide_coboundaries(spec, m):
+    # a difference of representatives, plus a planted coboundary or not,
+    # is a coboundary on the generator-pair rows of d1 exactly when it
+    # is one on the whole d1 system, and exactly when the two
+    # representatives are the same
+    group = build_group(*spec)
+    reps = cocycle_representatives(group, m)
+    gens, noni = minimal_generating_set(group), _nonidentity(group)
+    full, rows = _coboundary_matrix(group, noni), _coboundary_matrix(group, gens)
+    assert full.shape == ((group.size - 1) ** 2, group.size - 1)
+    assert rows.shape == (len(gens) * (group.size - 1), group.size - 1)
+    rng = np.random.default_rng(group.size * m)
+    for a in reps:
+        for b in reps:
+            for c in (np.zeros(group.size), rng.integers(0, m, group.size)):
+                diff = (a.values - b.values + _coboundary_of(group, c, m)) % m
+                on_full = _solvable(full, diff[np.ix_(noni, noni)].reshape(-1), m)
+                on_gens = _solvable(rows, diff[np.ix_(gens, noni)].reshape(-1), m)
+                assert on_full == on_gens == (a is b)
+
+
+@pytest.mark.parametrize("spec, m", [(("tetra",), 6), (("dihedral", 8), 2), (("icosa",), 4)],
+                         ids=["tetra-6", "dihedral:8-2", "icosa-4"])
+def test_planted_cohomologous_pair_is_refused(spec, m):
+    group = build_group(*spec)
+    reps = cocycle_representatives(group, m)
+    c = np.random.default_rng(m).integers(1, m, group.size)
+    twin = Cochain2(group, m, reps[-1].values + _coboundary_of(group, c, m))
+    assert twin.is_cocycle() and not np.array_equal(twin.values, reps[-1].values)
+    with pytest.raises(RuntimeError, match="representatives are cohomologous"):
+        _verify_distinct_classes(group, m, [*reps, twin])
+
+
+def test_extension_refuses_a_projection_off_the_base_group():
+    # relabel (a, q) -> (a, tau(q)) in the twisted table, tau swapping a
+    # rotation and a reflection of D6, so no automorphism: the result
+    # is still a group, its fiber is still central and cyclic, and its
+    # quotient by the fiber is still isomorphic to D6, but (a, q) -> q
+    # is no longer a homomorphism
+    group, m = dihedral(6), 2
+    ext = build_central_extension(group, m, cocycle_representatives(group, m)[-1])
+    n = group.size
+    rotation, reflection = 1, 3
+    assert group.element_orders[[rotation, reflection]].tolist() == [3, 2]
+    a, q = np.divmod(np.arange(m * n), n)
+    tau = np.arange(n)
+    tau[[rotation, reflection]] = [reflection, rotation]
+    sigma = a * n + tau[q]
+    relabelled = np.empty_like(ext.table)
+    relabelled[np.ix_(sigma, sigma)] = sigma[ext.table]
+    fiber = np.arange(m) * n + group.identity
+    assert is_isomorphic(FiniteGroup(relabelled).quotient(fiber)[0], group)
+    with pytest.raises(InvalidInputError, match="extension quotient is not the base group"):
+        _checked_extension(group, m, relabelled)
+    assert _checked_extension(group, m, ext.table).size == m * n
 
 
 def test_icosahedral_classification():

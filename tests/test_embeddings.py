@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isom4 import embeddings, verify
+from isom4 import embeddings, groups, verify
 from isom4.embeddings import (
     DEFAULT_TOLERANCE,
     MatrixRep,
@@ -223,24 +223,25 @@ def test_embed_check_residuals_pinned(monkeypatch):
 
 
 def test_embedding_validates_recipe_and_result_only(monkeypatch):
-    # a dimension-4 recipe: its rep and the relabelled 5x5 rep are
-    # validated, the padded intermediate is not, and reading the
-    # residual afterwards computes nothing
+    # one all-pairs residual per distinct matrix set: the closure forms
+    # it, the recipe rep on the closure's matrices reads it, and the
+    # padded, relabelled 5x5 rep carries it; u2 realifies its unitary
+    # closure, a second matrix set with a pass of its own
+    dicyclic, group = binary_dihedral(12), q8_by_cyclic3(2)
     calls = []
-    residual = embeddings._homomorphism_residual
+    residual = groups._table_residual
 
-    def counting(*args):
-        calls.append(args[1].shape)
-        return residual(*args)
+    def counting(table, mats):
+        calls.append(mats.shape)
+        return residual(table, mats)
 
-    monkeypatch.setattr(embeddings, "_homomorphism_residual", counting)
-    rep = embed_into_so5(binary_dihedral(12), {"kind": "dihedral-mixed",
-                                               "m": 2, "k": 3})
-    assert calls == [(12, 5, 5), (12, 5, 5)]
+    monkeypatch.setattr(groups, "_table_residual", counting)
+    monkeypatch.setattr(embeddings, "_table_residual", counting)
+    rep = embed_into_so5(dicyclic, {"kind": "dihedral-mixed", "m": 2, "k": 3})
+    assert calls == [(12, 5, 5)]
     calls.clear()
-    group = q8_by_cyclic3(2)
     rep = embed_into_so5(group, {"kind": "u2-mixed", "r": 1, "s": 1, "m_plus": 1})
-    assert calls == [(group.size, 4, 4), (group.size, 5, 5)]
+    assert calls == [(group.size, 2, 2), (group.size, 4, 4)]
     assert is_faithful_rep(rep)
     assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
     assert len(calls) == 2

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from functools import partial
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -40,7 +39,6 @@ from isom4.groups import (
     index_two_subgroups,
     is_isomorphic,
     klein_by_cyclic3,
-    log10_universal_constant,
     matches_family,
     max_cyclic_normal_index,
     minimal_generating_set,
@@ -67,6 +65,36 @@ def test_rejects_non_square():
 def test_rejects_non_latin():
     with pytest.raises(InvalidInputError):
         FiniteGroup([[0, 0], [1, 1]])
+
+
+def test_rejects_latin_rows_over_repeated_columns():
+    # every row is a permutation, the first two columns are not
+    with pytest.raises(InvalidInputError, match="not a Latin square"):
+        FiniteGroup([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+
+
+def _latin_by_sorting(t):
+    # the reference: every row and every column sorts to 0..n-1
+    n = t.shape[0]
+    return (np.array_equal(np.sort(t, axis=1), np.broadcast_to(np.arange(n), (n, n)))
+            and np.array_equal(np.sort(t, axis=0), np.broadcast_to(np.arange(n)[:, None], (n, n))))
+
+
+@given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False),
+       st.booleans())
+def test_latin_test_agrees_with_sorting(n, rnd, transpose):
+    # rows (or columns) are permutations, so only the other axis decides
+    t = np.array([rnd.sample(range(n), n) for _ in range(n)])
+    if transpose:
+        t = t.T
+    if _latin_by_sorting(t):
+        try:
+            FiniteGroup(t)
+        except InvalidInputError as exc:
+            assert "Latin" not in str(exc)
+    else:
+        with pytest.raises(InvalidInputError, match="not a Latin square"):
+            FiniteGroup(t)
 
 
 def test_rejects_missing_identity():
@@ -338,7 +366,7 @@ def test_closure_tables_match_all_pairs(build, monkeypatch):
     monkeypatch.setattr(embeddings, "_close_unitary", recording)
     build()
     assert closures
-    for group, mats in closures:
+    for group, mats, _ in closures:
         n, d = mats.shape[0], mats.shape[1]
         lookup = groups._key_index(groups._matrix_keys(mats))
         pairs = (mats[:, None] @ mats[None]).reshape(-1, d, d)
@@ -480,17 +508,10 @@ def test_order_gl_values():
         order_gl(2, 1)
 
 
-def test_log10_constant_leading_term():
-    val = log10_universal_constant()
-    with mpmath.workdps(60):
-        ratio = val / mpmath.mpf(10) ** 5120
-        assert abs(ratio - mpmath.log10(3)) < mpmath.mpf("1e-30")
-
-
 def test_package_import_loads_only_numpy_beyond_stdlib():
-    # mpmath is imported inside its one user, so a fresh `import isom4`
-    # pays for numpy and the standard library only (modules that site
-    # hooks load before the import are not the package's doing)
+    # a fresh `import isom4` pays for numpy and the standard library
+    # only (modules that site hooks load before the import are not the
+    # package's doing)
     import isom4
 
     code = ("import sys\n"

@@ -7,6 +7,7 @@ import pytest
 
 import isom4
 
+from isom4 import cohomology, verify
 from isom4.cache import ResultCache
 from isom4.errors import InvalidInputError
 from isom4.groups import alternating
@@ -15,6 +16,7 @@ from isom4.verify import (
     STATUSES,
     CheckRecord,
     VerifyConfig,
+    _check_extension_binary_covers,
     _check_extension_dicyclic_m2,
     _check_extent_scan,
     _check_fixedpoint_plane_batch,
@@ -131,6 +133,24 @@ def test_cache_holds_only_h2(tmp_path):
     assert record == {"invariant_factors": [6], "order": 6, "route": "uct"}
     assert [p.name[:7] for p in tmp_path.iterdir()] == ["h2-uct-"]
     assert h2_record(alternating(4), 6, cfg.cache) == record
+
+
+def test_binary_covers_build_a5_once_and_only_on_a_miss(tmp_path, monkeypatch):
+    # both moduli classify one A5 object, so its Sylow 2-subgroup V4 and
+    # A5 itself are each solved once; a warm call builds and solves nothing
+    built, solved = [], []
+    monkeypatch.setattr(verify, "alternating", lambda n: built.append(n) or alternating(n))
+    system = cohomology._cocycle_system
+    monkeypatch.setattr(cohomology, "_cocycle_system",
+                        lambda group: solved.append(group.size) or system(group))
+    cfg = VerifyConfig(cache=ResultCache(tmp_path))
+    for want_built, want_solved in (([5], [4, 60]), ([], [])):
+        assert _check_extension_binary_covers(cfg)[0] == "PASS"
+        assert (built, solved) == (want_built, want_solved)
+        built.clear()
+        solved.clear()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ext-double-cover-icosa-m2.json", "ext-double-cover-icosa-m4.json"]
 
 
 def test_verify_run_never_imports_numpy_ma():
