@@ -8,8 +8,6 @@ so); anything above 1e-9 is a construction bug, not roundoff.
 
 import sys
 
-import numpy as np
-
 from isom4.embeddings import embed_into_so5, is_faithful_rep
 from isom4.errors import UnsupportedCaseError
 from isom4.groups import (
@@ -17,8 +15,8 @@ from isom4.groups import (
     binary_dihedral,
     binary_icosahedral,
     binary_octahedral,
-    central_product,
     cyclic,
+    cyclic_central_product,
     dihedral,
     direct_product,
     klein_by_cyclic3,
@@ -31,10 +29,8 @@ def cases():
     yield "cyclic Z97", cyclic(97), {"kind": "abelian"}
     for poly, lift in (("octa", binary_octahedral()),
                        ("icosa", binary_icosahedral())):
-        zh = int(np.flatnonzero(lift.element_orders == 2)[0])
         for m in (2, 4):
-            group = central_product(cyclic(m), lift, m // 2, zh)
-            yield (f"Z{m} x_Z2 binary-{poly}", group,
+            yield (f"Z{m} x_Z2 binary-{poly}", cyclic_central_product(m, lift),
                    {"kind": "central-product", "poly": poly, "m": m})
     for r, m_plus in ((1, 1), (1, 5), (2, 1)):
         group = direct_product(klein_by_cyclic3(r), cyclic(m_plus))

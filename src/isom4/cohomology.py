@@ -21,6 +21,10 @@ generator, so the system is solved in those, |gens| (|Q|-1) unknowns
 instead of (|Q|-1)^2 (118 instead of 3,481 for A5).  Kernels are
 computed per prime power and merged by CRT, avoiding one huge integer
 Smith form.
+
+A model the paper prints for an extension is compared by building it
+with the ``groups`` constructors and testing it for isomorphism with
+``unique_nontrivial_extension``'s result.
 """
 
 from __future__ import annotations
@@ -35,18 +39,8 @@ import numpy as np
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .groups import (
     FiniteGroup,
-    alternating,
-    binary_dihedral,
-    build_group,
-    central_product,
-    cyclic,
-    dihedral,
-    direct_product,
     is_isomorphic,
-    klein_by_cyclic3,
     minimal_generating_set,
-    q8_by_cyclic3,
-    semidirect_product,
     sylow_subgroup,
 )
 from .snf import (
@@ -69,8 +63,7 @@ __all__ = [
     "cocycle_representatives",
     "build_central_extension",
     "classify_central_extensions",
-    "verify_extension_isomorphism",
-    "verify_extension_models",
+    "unique_nontrivial_extension",
     "group_digest",
 ]
 
@@ -550,16 +543,18 @@ def _verify_distinct_classes(group: FiniteGroup, m: int, reps: list[Cochain2]):
 def build_central_extension(group: FiniteGroup, m: int, f: Cochain2) -> FiniteGroup:
     """Group on Z_m x Q with multiplication twisted by the cocycle f.
 
-    The construction is checked on the result by ``_checked_extension``:
-    the fiber {(a, 1)} is central and cyclic of order m, and the
-    projection (a, q) -> q is a homomorphism onto Q with that kernel.
+    A normalized f makes the twisted table a Latin square with two-sided
+    identity (0, 1), and that table is associative exactly when f is a
+    cocycle, so the table's own validation as a group decides the
+    cocycle identity.  The construction is checked on the result by
+    ``_checked_extension``: the fiber {(a, 1)} is central and cyclic of
+    order m, and the projection (a, q) -> q is a homomorphism onto Q
+    with that kernel.
     """
     if f.group is not group and not np.array_equal(f.group.table, group.table):
         raise InvalidInputError("cochain belongs to a different group")
     if f.modulus != m:
         raise InvalidInputError("cochain modulus mismatch")
-    if not f.is_cocycle():
-        raise InvalidInputError("cochain does not satisfy the cocycle identity")
     n = group.size
     if m * n > EXTENSION_ORDER_CAP:
         raise BudgetError(f"extension order {m * n} exceeds {EXTENSION_ORDER_CAP}")
@@ -570,12 +565,16 @@ def build_central_extension(group: FiniteGroup, m: int, f: Cochain2) -> FiniteGr
     a_out = (a1 + a2 + f.values[q1, q2]) % m
     q_out = group.table[q1, q2]
     table = np.broadcast_to(a_out * n + q_out, (m, n, m, n)).reshape(m * n, m * n)
-    return _checked_extension(group, m, table)
+    try:
+        ext = FiniteGroup(table)
+    except InvalidInputError as exc:
+        raise InvalidInputError("cochain does not satisfy the cocycle identity") from exc
+    return _checked_extension(group, m, ext)
 
 
-def _checked_extension(group: FiniteGroup, m: int, table: np.ndarray) -> FiniteGroup:
-    """The group of ``table``, element a |Q| + q standing for (a, q),
-    checked to be a central extension of Z_m by Q.
+def _checked_extension(group: FiniteGroup, m: int, ext: FiniteGroup) -> FiniteGroup:
+    """``ext``, element a |Q| + q standing for (a, q), checked to be a
+    central extension of Z_m by Q.
 
     The projection (a, q) -> q must be a homomorphism on all pairs.  Its
     kernel is the fiber {(a, 1)} by the indexing, so it is an explicit
@@ -583,7 +582,6 @@ def _checked_extension(group: FiniteGroup, m: int, table: np.ndarray) -> FiniteG
     fiber is a subgroup of order m.  The fiber must be central and hold
     an element of order m, so it is cyclic of order m."""
     n = group.size
-    ext = FiniteGroup(table)
     fiber = np.arange(m) * n + group.identity
     if not all(x in ext.center for x in fiber.tolist()):
         raise InvalidInputError("extension fiber is not central")
@@ -626,11 +624,14 @@ def classify_central_extensions(group: FiniteGroup, m: int) -> list[ExtensionCla
     return sorted(classes, key=lambda c: c.key)
 
 
-def _unique_nontrivial_extension(
+def unique_nontrivial_extension(
     group: FiniteGroup, m: int, order_filter=None
 ) -> FiniteGroup | None:
-    """The single nontrivial extension type, optionally filtered by the
-    order of the realizing classes; None when not unique or absent."""
+    """The single nontrivial central extension type of Z_m by ``group``,
+    counting only types some of whose classes have an order that
+    ``order_filter`` accepts when it is given; None when there is no
+    such type or more than one.  The group is classified once, so one
+    result can be compared with several models."""
     classes = classify_central_extensions(group, m)
     hits = []
     for entry in classes:
@@ -643,144 +644,3 @@ def _unique_nontrivial_extension(
     if len(hits) != 1:
         return None
     return hits[0]
-
-
-def _binary_polyhedral_target(kind: str, m: int) -> FiniteGroup:
-    lift = build_group("binary-" + kind)
-    if m == 2:
-        return lift
-    zg = m // 2
-    zh = int(np.flatnonzero(lift.element_orders == 2)[0])
-    return central_product(cyclic(m), lift, zg, zh)
-
-
-def verify_extension_isomorphism(tag: str, **params) -> bool:
-    """Compare a classified nontrivial central extension against the
-    predicted model group.
-
-    Tags:
-      polyhedral-double-cover: kind in {octa, icosa}, even m; base S4/A5,
-        model Z_m x_{Z2} (binary octa/icosa).  True only when the
-        nontrivial extension type is unique and matches.
-      klein-3power: r >= 0, m_plus coprime to 6, m = 3^r * m_plus odd;
-        base A4, model ((Z2)^2 x| Z_{3^e}) x Z_{m_plus} with e = r for
-        variant "printed" and e = r + 1 for variant "corrected".
-      tstar-2power: r >= 1, m_plus odd, m = 2^r * m_plus; base A4,
-        class order exactly 2, model Z_{m_plus} x (Z_{2^r} x_{Z2} T*).
-      q8-mixed: r, s >= 1, m_plus coprime to 6, m = 2^r 3^s m_plus;
-        base A4, class order divisible by 6, model
-        Z_{2^r m_plus} x_{Z2} (Q8 x| Z_{3^(s+1)}).
-      dihedral-central-product: odd k >= 3, even m; base D_{2k}.
-        variant "printed" tests the model Z_m x_{Z2} (dicyclic of
-        order 4k), true exactly when m == 2 mod 4; "corrected" tests
-        (Z_k x| Z_{2^(r+1)}) x Z_{m'} with m = 2^r m', true for all
-        even m.
-    """
-    variant = params.pop("variant", _DEFAULT_VARIANT.get(tag))
-    return verify_extension_models(tag, (variant,), **params)[0]
-
-
-# the variant each tag compares against when none is named
-_DEFAULT_VARIANT = {"klein-3power": "corrected", "dihedral-central-product": "printed"}
-
-
-def verify_extension_models(tag: str, variants, **params) -> tuple[bool, ...]:
-    """:func:`verify_extension_isomorphism` against each of ``variants``
-    ("printed" or "corrected") in turn, the extension classified once."""
-    realized, model = _extension_and_model(tag, params)
-    if tag in _DEFAULT_VARIANT:
-        for variant in variants:
-            if variant not in ("printed", "corrected"):
-                raise InvalidParametersError("variant must be printed or corrected")
-    found = realized()
-    return tuple(found is not None and is_isomorphic(found, model(v)) for v in variants)
-
-
-def _extension_and_model(tag: str, params: dict):
-    """The parameters of ``tag`` checked, then (a thunk classifying the
-    realized nontrivial extension, None when it is not unique; variant
-    -> model group) for :func:`verify_extension_isomorphism`."""
-    if tag == "polyhedral-double-cover":
-        kind = params["kind"]
-        m = int(params["m"])
-        if kind not in ("octa", "icosa"):
-            raise InvalidParametersError("kind must be octa or icosa")
-        if m < 2 or m % 2:
-            raise InvalidParametersError("m must be even")
-        return (lambda: _unique_nontrivial_extension(build_group(kind), m),
-                lambda _: _binary_polyhedral_target(kind, m))
-
-    if tag == "klein-3power":
-        r = int(params["r"])
-        m_plus = int(params["m_plus"])
-        if r < 0 or m_plus < 1 or math.gcd(m_plus, 6) != 1:
-            raise InvalidParametersError("need r >= 0 and m_plus coprime to 6")
-        m = 3**r * m_plus
-        # at r = 0 no 3-torsion classes exist; nothing to compare
-        return (lambda: _unique_nontrivial_extension(alternating(4), m) if r else None,
-                lambda variant: direct_product(
-                    klein_by_cyclic3(r if variant == "printed" else r + 1), cyclic(m_plus)))
-
-    if tag == "tstar-2power":
-        r = int(params["r"])
-        m_plus = int(params["m_plus"])
-        if r < 1 or m_plus < 1 or m_plus % 2 == 0:
-            raise InvalidParametersError("need r >= 1 and odd m_plus")
-        m = 2**r * m_plus
-        return (lambda: _unique_nontrivial_extension(
-                    alternating(4), m, order_filter=lambda o: o == 2),
-                lambda _: direct_product(
-                    cyclic(m_plus), _binary_polyhedral_target("tetra", 2**r)))
-
-    if tag == "q8-mixed":
-        r = int(params["r"])
-        s = int(params["s"])
-        m_plus = int(params["m_plus"])
-        if r < 1 or s < 1 or m_plus < 1 or math.gcd(m_plus, 6) != 1:
-            raise InvalidParametersError("need r, s >= 1 and m_plus coprime to 6")
-        m = 2**r * 3**s * m_plus
-
-        def q8_model(_):
-            twist = q8_by_cyclic3(s + 1)
-            zh = int(np.flatnonzero(twist.element_orders == 2)[0])
-            return central_product(cyclic(2**r * m_plus), twist, 2 ** (r - 1) * m_plus, zh)
-        return (lambda: _unique_nontrivial_extension(
-                    alternating(4), m, order_filter=lambda o: o % 6 == 0),
-                q8_model)
-
-    if tag == "dihedral-central-product":
-        m = int(params["m"])
-        k = int(params["k"])
-        if k < 3 or k % 2 == 0:
-            raise InvalidParametersError("k must be odd and >= 3")
-        if m < 2 or m % 2:
-            raise InvalidParametersError("m must be even")
-
-        def dihedral_model(variant):
-            if variant == "printed":
-                # the advertised model reads the order-4k factor as the
-                # dicyclic group; with the ordinary dihedral group the
-                # product is already the split extension, so only this
-                # reading can hold at all
-                lift = binary_dihedral(4 * k)
-                if m == 2:
-                    return lift
-                zh = int(np.flatnonzero(lift.element_orders == 2)[0])
-                return central_product(cyclic(m), lift, m // 2, zh)
-            # the central-product model collapses to the split
-            # extension once 4 | m; the group realized by the
-            # nontrivial class is (Z_k x| Z_{2^(r+1)}) x Z_{m'}
-            # with m = 2^r m', the 2-power acting by inversion
-            # through its quotient of order 2
-            r = (m & -m).bit_length() - 1
-            m_odd = m >> r
-            order_h = 2 ** (r + 1)
-            act = np.tile(np.arange(k, dtype=np.int64), (order_h, 1))
-            act[1::2] = (-act[1::2]) % k
-            target = semidirect_product(cyclic(k), cyclic(order_h), act)
-            if m_odd > 1:
-                target = direct_product(target, cyclic(m_odd))
-            return target
-        return lambda: _unique_nontrivial_extension(dihedral(2 * k), m), dihedral_model
-
-    raise InvalidInputError(f"unknown verification tag: {tag}")

@@ -1,9 +1,10 @@
 """Explicit matrix models for the group families in this package.
 
 Covers the polyhedral rotation groups in SO(3), the unit-quaternion
-double cover of SO(4), four block/unitary recipes that land every
-supported central extension inside SO(5), and the diagonal-plus-shift
-projective model in PU(3).
+double cover of SO(4), five block/unitary recipes that land every
+supported central extension inside SO(5) (``embed_into_so5`` calls the
+one its structure hint names), and the diagonal-plus-shift projective
+model in PU(3).
 
 Nothing here is taken on faith: every returned representation is
 closed under products, checked against the abstract multiplication
@@ -47,7 +48,11 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "quat_pair_to_so4",
     "polyhedral_so3",
-    "build_recipe_rep",
+    "so3_times_rotation",
+    "klein_twist",
+    "so4_central_product",
+    "u2_mixed",
+    "o4_in_so5",
     "pu3_metacyclic",
     "is_faithful_rep",
     "embed_into_so5",
@@ -339,73 +344,49 @@ def polyhedral_so3(kind: GroupKind) -> MatrixRep:
 
 
 # ---------------------------------------------------------------------------
-# the four block recipes into SO(4)/SO(5)
+# the block and unitary recipes into SO(4)/SO(5)
 
 
-def build_recipe_rep(recipe: str, **params) -> MatrixRep:
-    """Dispatch on the four explicit embedding recipes.
-
-    so3xso2: block diagonal rotations, either a polyhedral group times
-      a cyclic rotation block (``kind``, ``cyclic_order``) or the
-      twisted family generated by the Klein four-group of diagonal
-      signs together with diag(P3, R(2pi/(3^power * m_plus)))
-      (``klein_power``, ``m_plus``).
-    so4-central-product: image of quaternion pairs (zeta_m, 1) and
-      (1, binary polyhedral generators); the shared sign in the kernel
-      of the pair map realizes the central product (``kind``, ``m``).
-    u2: scalars of order 2^r * m_plus joined with the quaternion group
-      and the twisted 3-power element exp(2pi i/3^(s+1)) * W inside
-      U(2), realified to SO(4) (``r``, ``s``, ``m_plus``).
-    o4-in-so5: the dihedral-by-cyclic families as orthogonal 4x4
-      blocks, padded by the determinant to land in SO(5) (``m``,
-      ``k``).
-    """
-    if recipe == "so3xso2":
-        return _recipe_so3xso2(**params)
-    if recipe == "so4-central-product":
-        return _recipe_so4_central_product(**params)
-    if recipe == "u2":
-        return _recipe_u2(**params)
-    if recipe == "o4-in-so5":
-        return _recipe_o4_in_so5(**params)
-    raise InvalidInputError(f"unknown recipe {recipe!r}")
-
-
-def _recipe_so3xso2(kind: GroupKind | None = None, cyclic_order: int | None = None,
-                    klein_power: int | None = None, m_plus: int = 1) -> MatrixRep:
-    block_mode = kind is not None
-    klein_mode = klein_power is not None
-    if block_mode == klein_mode:
-        raise InvalidParametersError(
-            "pass either kind/cyclic_order or klein_power/m_plus")
-    if block_mode:
-        t = 1 if cyclic_order is None else int(cyclic_order)
-        if t < 1:
-            raise InvalidParametersError("cyclic order must be positive")
-        so3_gens, poly_order = _so3_generators(kind)
-        expected = poly_order * t
-        if expected > ORDER_CAP:
-            raise BudgetError("product order exceeds the group cap")
-        gens = [_block_diag(g, np.eye(2)) for g in so3_gens]
-        gens.append(_block_diag(np.eye(3), _rot2(2.0 * math.pi / t)))
-    else:
-        r, mp = int(klein_power), int(m_plus)
-        if r < 1:
-            raise InvalidParametersError("klein_power must be >= 1")
-        if mp < 1 or math.gcd(mp, 6) != 1:
-            raise InvalidParametersError("m_plus must be positive and prime to 6")
-        t = 3**r * mp
-        expected = 4 * t
-        if expected > ORDER_CAP:
-            raise BudgetError("product order exceeds the group cap")
-        gens = [_block_diag(g, np.eye(2)) for g in _KLEIN_SIGNS]
-        # one generator carries the 3-cycle and the rotation together,
-        # so only a third of the rotation block commutes with the signs
-        gens.append(_block_diag(_P3, _rot2(2.0 * math.pi / t)))
+def so3_times_rotation(kind: GroupKind, cyclic_order: int) -> MatrixRep:
+    """A polyhedral rotation group in SO(3) times the cyclic group of
+    rotations by 2pi/cyclic_order in SO(2), block diagonal in SO(5)."""
+    t = int(cyclic_order)
+    if t < 1:
+        raise InvalidParametersError("cyclic order must be positive")
+    so3_gens, poly_order = _so3_generators(kind)
+    expected = poly_order * t
+    if expected > ORDER_CAP:
+        raise BudgetError("product order exceeds the group cap")
+    gens = [_block_diag(g, np.eye(2)) for g in so3_gens]
+    gens.append(_block_diag(np.eye(3), _rot2(2.0 * math.pi / t)))
     return _closed_rep(gens, expected_order=expected)
 
 
-def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
+def klein_twist(power: int, m_plus: int) -> MatrixRep:
+    """The Klein four-group of diagonal signs on R^3, joined with
+    diag(P3, R(2pi/(3^power * m_plus))), P3 the coordinate 3-cycle:
+    (Z2 + Z2) x| Z_{3^power} times Z_{m_plus}, block diagonal in SO(5)."""
+    r, mp = int(power), int(m_plus)
+    if r < 1:
+        raise InvalidParametersError("power must be >= 1")
+    if mp < 1 or math.gcd(mp, 6) != 1:
+        raise InvalidParametersError("m_plus must be positive and prime to 6")
+    t = 3**r * mp
+    expected = 4 * t
+    if expected > ORDER_CAP:
+        raise BudgetError("product order exceeds the group cap")
+    gens = [_block_diag(g, np.eye(2)) for g in _KLEIN_SIGNS]
+    # one generator carries the 3-cycle and the rotation together,
+    # so only a third of the rotation block commutes with the signs
+    gens.append(_block_diag(_P3, _rot2(2.0 * math.pi / t)))
+    return _closed_rep(gens, expected_order=expected)
+
+
+def so4_central_product(kind: str, m: int) -> MatrixRep:
+    """Z_m joined with a binary polyhedral group over the central
+    involution, in SO(4): the images of the quaternion pairs (zeta_m, 1)
+    and (1, g) for the binary generators g.  The shared sign in the
+    kernel of the pair map realizes the central product."""
     if kind not in _BINARY_QUAT_GENS:
         raise InvalidInputError(f"no binary quaternion model for kind {kind!r}")
     m = int(m)
@@ -425,7 +406,10 @@ def _recipe_so4_central_product(kind: str, m: int) -> MatrixRep:
 _W_QUAT = (-0.5, 0.5, 0.5, 0.5)
 
 
-def _recipe_u2(r: int, s: int, m_plus: int = 1) -> MatrixRep:
+def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
+    """Scalars of order 2^r * m_plus joined with the quaternion group and
+    the twisted 3-power element exp(2pi i/3^(s+1)) W inside U(2), W the
+    unit quaternion cycling i -> j -> k, realified to SO(4)."""
     r, s, mp = int(r), int(s), int(m_plus)
     if r < 1:
         raise InvalidParametersError("r must be >= 1")
@@ -446,7 +430,11 @@ def _recipe_u2(r: int, s: int, m_plus: int = 1) -> MatrixRep:
                      projective=False, matrices=mats)
 
 
-def _recipe_o4_in_so5(m: int, k: int) -> MatrixRep:
+def o4_in_so5(m: int, k: int) -> MatrixRep:
+    """The dihedral-by-cyclic group of order 2km, k odd, as orthogonal
+    4 x 4 blocks padded by the determinant to land in SO(5): two O(2)
+    blocks for odd m, a unitary pair whose swap carries a 2-power phase
+    for even m."""
     m, k = int(m), int(k)
     if k < 3 or k % 2 == 0:
         raise InvalidParametersError("k must be odd and >= 3")
@@ -563,21 +551,20 @@ _HINTS = {
     "abelian": ((), {}, _abelian_rank2_rep),
     "polyhedral-product": (
         ("poly",), {"order_param": None, "cyclic_order": 1},
-        lambda g, poly, order_param, cyclic_order: build_recipe_rep(
-            "so3xso2", kind=GroupKind(poly, order_param), cyclic_order=cyclic_order)),
+        lambda g, poly, order_param, cyclic_order: so3_times_rotation(
+            GroupKind(poly, order_param), cyclic_order)),
     "klein-3power": (
         ("power",), {"m_plus": 1},
-        lambda g, power, m_plus: build_recipe_rep(
-            "so3xso2", klein_power=power, m_plus=m_plus)),
+        lambda g, power, m_plus: klein_twist(power, m_plus)),
     "central-product": (
         ("poly", "m"), {},
-        lambda g, poly, m: build_recipe_rep("so4-central-product", kind=poly, m=m)),
+        lambda g, poly, m: so4_central_product(poly, m)),
     "u2-mixed": (
         ("r", "s"), {"m_plus": 1},
-        lambda g, r, s, m_plus: build_recipe_rep("u2", r=r, s=s, m_plus=m_plus)),
+        lambda g, r, s, m_plus: u2_mixed(r, s, m_plus)),
     "dihedral-mixed": (
         ("m", "k"), {},
-        lambda g, m, k: build_recipe_rep("o4-in-so5", m=m, k=k)),
+        lambda g, m, k: o4_in_so5(m, k)),
 }
 
 

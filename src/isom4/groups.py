@@ -46,6 +46,8 @@ __all__ = [
     "direct_product",
     "semidirect_product",
     "central_product",
+    "cyclic_central_product",
+    "inverted_odd_cycle",
     "klein_by_cyclic3",
     "q8_by_cyclic3",
     "build_metacyclic",
@@ -338,10 +340,21 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def abelian(invariants) -> FiniteGroup:
-    g = cyclic(1)
-    for k in invariants:
-        g = direct_product(g, cyclic(int(k)))
-    return g
+    """Z_{k1} x ... x Z_{kr} in one mixed-radix table, the last
+    coordinate running fastest, so its elements come in the order of
+    ``direct_product`` chained from ``cyclic(1)``."""
+    orders = [int(k) for k in invariants]
+    if any(k < 1 for k in orders):
+        raise InvalidParametersError("cyclic order must be positive")
+    if math.prod(orders) > ORDER_CAP:
+        raise BudgetError("abelian group exceeds the order cap")
+    table = np.zeros((1, 1), dtype=np.int64)
+    for k in orders:
+        idx = np.arange(k)
+        step = (idx[:, None] + idx[None, :]) % k
+        size = table.shape[0] * k
+        table = (table[:, None, :, None] * k + step[None, :, None, :]).reshape(size, size)
+    return FiniteGroup(table)
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -669,6 +682,41 @@ def central_product(g: FiniteGroup, h: FiniteGroup, zg: int, zh: int) -> FiniteG
     prod = (g.table[np.ix_(ra, ra)].astype(np.int64) * nh + h.table[np.ix_(rb, rb)]).ravel()
     table = pos[rep[prod]].reshape(reps.size, reps.size)
     return FiniteGroup(table)
+
+
+def cyclic_central_product(m: int, g: FiniteGroup) -> FiniteGroup:
+    """Z_m joined with g over the central involution, for even m and a
+    group g with a single involution (which is therefore central); g
+    itself at m = 2.  The binary polyhedral covers, the printed dicyclic
+    models and the Q8 twist are compared in this form."""
+    if m < 2 or m % 2:
+        raise InvalidParametersError("m must be even and >= 2")
+    involutions = np.flatnonzero(g.element_orders == 2)
+    if involutions.size != 1:
+        raise InvalidInputError("group must have exactly one involution")
+    if m == 2:
+        return g
+    return central_product(cyclic(m), g, m // 2, int(involutions[0]))
+
+
+def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
+    """(Z_k x| Z_{2^(r+1)}) x Z_{m'} for odd k >= 3 and even m = 2^r m'
+    with m' odd, the 2-power cycle inverting Z_k through its quotient
+    of order 2: the group the nontrivial central extension of Z_m by the
+    dihedral group of order 2k realizes, for every even m."""
+    if k < 3 or k % 2 == 0:
+        raise InvalidParametersError("k must be odd and >= 3")
+    if m < 2 or m % 2:
+        raise InvalidParametersError("m must be even and >= 2")
+    r = (m & -m).bit_length() - 1
+    m_odd = m >> r
+    order_h = 2 ** (r + 1)
+    act = np.tile(np.arange(k, dtype=np.int64), (order_h, 1))
+    act[1::2] = (-act[1::2]) % k
+    target = semidirect_product(cyclic(k), cyclic(order_h), act)
+    if m_odd > 1:
+        target = direct_product(target, cyclic(m_odd))
+    return target
 
 
 def build_metacyclic(m: int, n: int, r: int) -> FiniteGroup:

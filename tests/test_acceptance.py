@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from isom4.claims import ClassificationQuery, classify
-from isom4.cohomology import classify_central_extensions, verify_extension_isomorphism
+from isom4.cohomology import classify_central_extensions, unique_nontrivial_extension
 from isom4.embeddings import is_faithful_rep, pu3_metacyclic
 from isom4.fixedpoints import (
     batch_lefschetz_cp2,
@@ -22,9 +22,13 @@ from isom4.fixedpoints import (
 )
 from isom4.groups import (
     alternating,
+    binary_dihedral,
     build_group,
     cyclic,
+    cyclic_central_product,
+    dihedral,
     direct_product,
+    inverted_odd_cycle,
     is_isomorphic,
     symmetric,
 )
@@ -148,15 +152,19 @@ def test_criterion_05_extension_classification():
            f"(rank-2 coefficient group, so 4 not 2)")
 
 
+def _realized_is(m, k, model):
+    """Whether the unique nontrivial extension of Z_m by the dihedral
+    group of order 2k is isomorphic to ``model``."""
+    found = unique_nontrivial_extension(dihedral(2 * k), m)
+    return found is not None and is_isomorphic(found, model)
+
+
 def test_criterion_06_dicyclic_products():
-    ok_23 = verify_extension_isomorphism(
-        "dihedral-central-product", m=2, k=3, variant="printed")
-    ok_25 = verify_extension_isomorphism(
-        "dihedral-central-product", m=2, k=5, variant="printed")
-    printed_43 = verify_extension_isomorphism(
-        "dihedral-central-product", m=4, k=3, variant="printed")
-    corrected_43 = verify_extension_isomorphism(
-        "dihedral-central-product", m=4, k=3, variant="corrected")
+    # the printed model: Z_m joined with the dicyclic group of order 4k
+    ok_23 = _realized_is(2, 3, cyclic_central_product(2, binary_dihedral(12)))
+    ok_25 = _realized_is(2, 5, cyclic_central_product(2, binary_dihedral(20)))
+    printed_43 = _realized_is(4, 3, cyclic_central_product(4, binary_dihedral(12)))
+    corrected_43 = _realized_is(4, 3, inverted_odd_cycle(3, 4))
     ok = ok_23 and ok_25 and (not printed_43) and corrected_43
     report(6, ok,
            f"(m,k)=(2,3): printed model holds = {ok_23}; (2,5): {ok_25}; "

@@ -22,8 +22,7 @@ from isom4.cohomology import (
     cocycle_representatives,
     group_digest,
     second_cohomology,
-    verify_extension_isomorphism,
-    verify_extension_models,
+    unique_nontrivial_extension,
 )
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
@@ -31,19 +30,29 @@ from isom4.groups import (
     FiniteGroup,
     abelian,
     alternating,
+    binary_dihedral,
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
     build_group,
     cyclic,
+    cyclic_central_product,
     dihedral,
     direct_product,
+    inverted_odd_cycle,
     is_isomorphic,
+    klein_by_cyclic3,
     minimal_generating_set,
+    q8_by_cyclic3,
     sylow_subgroup,
     symmetric,
 )
 from isom4.snf import solve_mod_prime_power
+from isom4.verify import (
+    VerifyConfig,
+    _check_extension_dicyclic_m4,
+    _check_extension_klein_exponent,
+)
 
 
 def factors(group, m):
@@ -295,6 +304,47 @@ def test_extension_rejects_non_cocycle():
         build_central_extension(z3, 2, f)
 
 
+_SMALL_BASES = (lambda: cyclic(3), lambda: cyclic(4), lambda: dihedral(6),
+                lambda: abelian([2, 2]), lambda: dihedral(8))
+
+
+@st.composite
+def _normalized_cochains(draw):
+    """(group, m, f): f a class representative, a representative with
+    one value moved, or a random normalized cochain."""
+    group = draw(st.sampled_from(_SMALL_BASES))()
+    m = draw(st.sampled_from([2, 3, 4]))
+    n = group.size
+    source = draw(st.sampled_from(["representative", "perturbed", "random"]))
+    if source == "random":
+        values = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+    else:
+        reps = cocycle_representatives(group, m)
+        values = reps[draw(st.integers(0, len(reps) - 1))].values.copy()
+        if source == "perturbed":
+            values[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += \
+                draw(st.integers(1, m - 1))
+    values[group.identity, :] = 0
+    values[:, group.identity] = 0
+    return group, m, Cochain2(group, m, values)
+
+
+@given(_normalized_cochains())
+def test_extension_refused_exactly_off_the_cocycles(case):
+    # the twisted table's validation as a group decides the cocycle
+    # identity: build_central_extension refuses exactly the cochains
+    # is_cocycle rejects
+    group, m, f = case
+    try:
+        build_central_extension(group, m, f)
+    except InvalidInputError as exc:
+        assert str(exc) == "cochain does not satisfy the cocycle identity"
+        assert not f.is_cocycle()
+    else:
+        assert f.is_cocycle()
+
+
 def _coboundary_of(group, c, m):
     """The table of the coboundary of the 1-cochain c, zero at the
     identity: (g, h) -> c(g) + c(h) - c(gh) mod m."""
@@ -364,8 +414,8 @@ def test_extension_refuses_a_projection_off_the_base_group():
     fiber = np.arange(m) * n + group.identity
     assert is_isomorphic(FiniteGroup(relabelled).quotient(fiber)[0], group)
     with pytest.raises(InvalidInputError, match="extension quotient is not the base group"):
-        _checked_extension(group, m, relabelled)
-    assert _checked_extension(group, m, ext.table).size == m * n
+        _checked_extension(group, m, FiniteGroup(relabelled))
+    assert _checked_extension(group, m, ext) is ext
 
 
 def test_icosahedral_classification():
@@ -424,36 +474,31 @@ def test_octahedral_classification():
 
 def test_double_cover_not_unique_for_octahedral():
     # four distinct extension types, so the uniqueness premise fails
-    assert not verify_extension_isomorphism(
-        "polyhedral-double-cover", kind="octa", m=2)
+    assert unique_nontrivial_extension(symmetric(4), 2) is None
 
 
 def test_dicyclic_model_by_residue():
-    assert verify_extension_isomorphism(
-        "dihedral-central-product", m=2, k=3, variant="printed")
-    assert verify_extension_isomorphism(
-        "dihedral-central-product", m=2, k=3, variant="corrected")
-    assert not verify_extension_isomorphism(
-        "dihedral-central-product", m=4, k=3, variant="printed")
-    assert verify_extension_isomorphism(
-        "dihedral-central-product", m=4, k=3, variant="corrected")
+    # Z_m joined with the dicyclic group of order 12 is the realized
+    # group only when m = 2 mod 4; the corrected model holds at every m
+    for m, printed in ((2, True), (4, False)):
+        found = unique_nontrivial_extension(dihedral(6), m)
+        assert is_isomorphic(found, cyclic_central_product(m, binary_dihedral(12))) == printed
+        assert is_isomorphic(found, inverted_odd_cycle(3, m))
 
 
 def test_klein_exponent_variants():
-    assert not verify_extension_isomorphism(
-        "klein-3power", r=1, m_plus=1, variant="printed")
-    assert verify_extension_isomorphism(
-        "klein-3power", r=1, m_plus=1, variant="corrected")
+    # the printed exponent 3^r fails at r = 1; the realized group needs 3^(r+1)
+    found = unique_nontrivial_extension(alternating(4), 3)
+    assert not is_isomorphic(found, klein_by_cyclic3(1))
+    assert is_isomorphic(found, klein_by_cyclic3(2))
 
 
-@pytest.mark.parametrize("tag,params", [
-    ("klein-3power", dict(r=1, m_plus=1)),
-    ("dihedral-central-product", dict(m=4, k=3)),
-    ("dihedral-central-product", dict(m=2, k=3)),
-])
-def test_extension_models_classify_once(tag, params, monkeypatch):
-    one_by_one = tuple(verify_extension_isomorphism(tag, variant=v, **params)
-                       for v in ("printed", "corrected"))
+@pytest.mark.parametrize("check", [_check_extension_klein_exponent,
+                                   _check_extension_dicyclic_m4],
+                         ids=["klein-exponent", "dicyclic-m4"])
+def test_extension_checks_classify_once(check, monkeypatch):
+    # each check compares one realized extension with a printed and a
+    # corrected model, so it classifies that extension once
     calls = []
     classify = isom4.cohomology.classify_central_extensions
 
@@ -462,37 +507,20 @@ def test_extension_models_classify_once(tag, params, monkeypatch):
         return classify(group, m)
 
     monkeypatch.setattr(isom4.cohomology, "classify_central_extensions", counted)
-    both = verify_extension_models(tag, ("printed", "corrected"), **params)
-    assert both == one_by_one
+    assert check(VerifyConfig())[0] == "DISCREPANCY"
     assert len(calls) == 1
 
 
-def test_extension_models_refuse_unknown_variants():
-    with pytest.raises(InvalidParametersError):
-        verify_extension_models("klein-3power", ("printed", "reprinted"), r=1, m_plus=1)
-
-
 def test_tstar_model():
-    assert verify_extension_isomorphism("tstar-2power", r=1, m_plus=1)
+    # A4 by Z_2, class order exactly 2: the binary tetrahedral group
+    found = unique_nontrivial_extension(alternating(4), 2, order_filter=lambda o: o == 2)
+    assert is_isomorphic(found, binary_tetrahedral())
 
 
 def test_q8_mixed_model():
-    assert verify_extension_isomorphism("q8-mixed", r=1, s=1, m_plus=1)
-
-
-def test_verification_tag_validation():
-    with pytest.raises(InvalidInputError):
-        verify_extension_isomorphism("unknown-model")
-    with pytest.raises(InvalidParametersError):
-        verify_extension_isomorphism("polyhedral-double-cover", kind="cube", m=2)
-    with pytest.raises(InvalidParametersError):
-        verify_extension_isomorphism("polyhedral-double-cover", kind="octa", m=3)
-    with pytest.raises(InvalidParametersError):
-        verify_extension_isomorphism("dihedral-central-product", m=2, k=4)
-    with pytest.raises(InvalidParametersError):
-        verify_extension_isomorphism("klein-3power", r=1, m_plus=2)
-    # no 3-part in the modulus: nothing to verify, reported as a miss
-    assert not verify_extension_isomorphism("klein-3power", r=0, m_plus=5)
+    # A4 by Z_6, class order divisible by 6: Q8 extended by a 9-cycle
+    found = unique_nontrivial_extension(alternating(4), 6, order_filter=lambda o: o % 6 == 0)
+    assert is_isomorphic(found, q8_by_cyclic3(2))
 
 
 # --- guardrails and records ----------------------------------------------------

@@ -14,12 +14,16 @@ from isom4.embeddings import (
     DEFAULT_TOLERANCE,
     MatrixRep,
     QuatPair,
-    build_recipe_rep,
     embed_into_so5,
     is_faithful_rep,
+    klein_twist,
+    o4_in_so5,
     polyhedral_so3,
     pu3_metacyclic,
     quat_pair_to_so4,
+    so3_times_rotation,
+    so4_central_product,
+    u2_mixed,
 )
 from isom4.errors import (
     InvalidInputError,
@@ -298,7 +302,7 @@ def _traced_peak(fn) -> int:
 
 @pytest.fixture(scope="module")
 def central_product_240():
-    return build_recipe_rep("so4-central-product", kind="icosa", m=4)
+    return so4_central_product("icosa", 4)
 
 
 @pytest.fixture(scope="module")
@@ -347,23 +351,23 @@ def test_blocked_projective_residual_is_one_pass_bitwise(pu3_309):
 # --- recipes into SO(5) --------------------------------------------------------
 
 
-def test_recipe_dispatch_validation():
-    with pytest.raises(InvalidInputError):
-        build_recipe_rep("so6")
-    with pytest.raises(InvalidInputError):
-        build_recipe_rep("so3xso2", kind=GroupKind("tetra"), klein_power=1)
-    with pytest.raises(InvalidInputError):
-        build_recipe_rep("so3xso2")
+def test_recipe_parameter_validation():
     with pytest.raises(InvalidParametersError):
-        build_recipe_rep("u2", r=0, s=1)
+        so3_times_rotation(GroupKind("tetra"), 0)
     with pytest.raises(InvalidParametersError):
-        build_recipe_rep("u2", r=1, s=1, m_plus=3)
+        klein_twist(0, 1)
     with pytest.raises(InvalidParametersError):
-        build_recipe_rep("o4-in-so5", m=2, k=4)
+        klein_twist(1, 2)
+    with pytest.raises(InvalidParametersError):
+        u2_mixed(0, 1, 1)
+    with pytest.raises(InvalidParametersError):
+        u2_mixed(1, 1, 3)
+    with pytest.raises(InvalidParametersError):
+        o4_in_so5(2, 4)
     with pytest.raises(InvalidInputError):
-        build_recipe_rep("so4-central-product", kind="cube", m=2)
+        so4_central_product("cube", 2)
     with pytest.raises(InvalidParametersError):
-        build_recipe_rep("so4-central-product", kind="tetra", m=3)
+        so4_central_product("tetra", 3)
 
 
 def check_embedding(group, hint):

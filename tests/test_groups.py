@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from isom4.cli import parse_group_spec
 from isom4.cohomology import group_digest
 from isom4 import embeddings, groups
-from isom4.embeddings import build_recipe_rep
+from isom4.embeddings import so3_times_rotation, so4_central_product, u2_mixed
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
     _GROUP_ALIASES,
@@ -32,11 +32,13 @@ from isom4.groups import (
     canonical_group_name,
     central_product,
     cyclic,
+    cyclic_central_product,
     dihedral,
     direct_product,
     find_isomorphism,
     group_from_quaternions,
     index_two_subgroups,
+    inverted_odd_cycle,
     is_isomorphic,
     klein_by_cyclic3,
     matches_family,
@@ -324,13 +326,10 @@ def test_every_group_name_parses():
     (lambda: build_group("q8-by-3power", 2), "b8b23a84373c0859"),
     (lambda: build_group("octa"), "43f3b9992593e80b"),
     (lambda: build_group("icosa"), "6a6deac0c444348f"),
-    (lambda: build_recipe_rep("so4-central-product", kind="icosa", m=4).group,
-     "19b53a10ec482a41"),
-    (lambda: build_recipe_rep("so4-central-product", kind="octa", m=2).group,
-     "df7cea5aa4d11193"),
-    (lambda: build_recipe_rep("u2", r=1, s=1).group, "2f07e781817ea7b8"),
-    (lambda: build_recipe_rep("so3xso2", kind=GroupKind("icosa")).group,
-     "36e352eb6fae211f"),
+    (lambda: so4_central_product("icosa", 4).group, "19b53a10ec482a41"),
+    (lambda: so4_central_product("octa", 2).group, "df7cea5aa4d11193"),
+    (lambda: u2_mixed(1, 1, 1).group, "2f07e781817ea7b8"),
+    (lambda: so3_times_rotation(GroupKind("icosa"), 1).group, "36e352eb6fae211f"),
 ], ids=["binary-icosa", "binary-octa", "binary-tetra", "q8", "binary-dihedral-12",
         "q8-by-3power-2", "octa", "icosa", "so4-icosa-4", "so4-octa-2", "u2-1-1",
         "so3xso2-icosa"])
@@ -345,10 +344,10 @@ def test_closure_tables_are_pinned(build, digest):
     lambda: build_group("q8"),
     lambda: build_group("binary-dihedral", 12),
     lambda: build_group("q8-by-3power", 2),
-    lambda: build_recipe_rep("so4-central-product", kind="icosa", m=4),
-    lambda: build_recipe_rep("so4-central-product", kind="octa", m=2),
-    lambda: build_recipe_rep("u2", r=1, s=1),
-    lambda: build_recipe_rep("so3xso2", kind=GroupKind("icosa")),
+    lambda: so4_central_product("icosa", 4),
+    lambda: so4_central_product("octa", 2),
+    lambda: u2_mixed(1, 1, 1),
+    lambda: so3_times_rotation(GroupKind("icosa"), 1),
 ], ids=["binary-icosa", "binary-octa", "binary-tetra", "q8", "binary-dihedral-12",
         "q8-by-3power-2", "so4-icosa-4", "so4-octa-2", "u2-1-1", "so3xso2-icosa"])
 def test_closure_tables_match_all_pairs(build, monkeypatch):
@@ -391,6 +390,29 @@ def test_closure_refuses_merged_elements(monkeypatch):
 def test_coprime_direct_product_is_cyclic(a, b):
     assume(math.gcd(a, b) == 1)
     assert is_isomorphic(direct_product(cyclic(a), cyclic(b)), cyclic(a * b))
+
+
+def _chained_abelian(invariants):
+    """The reference construction: direct products chained from Z_1."""
+    g = cyclic(1)
+    for k in invariants:
+        g = direct_product(g, cyclic(k))
+    return g
+
+
+@pytest.mark.parametrize("invariants", [
+    [], [1], [5], [1, 5], [5, 1], [2, 2], [2, 4, 8], [3, 9], [2, 2, 2], [4, 15],
+    [2, 3, 5, 7], [2, 256],
+])
+def test_abelian_table_is_the_chained_product(invariants):
+    assert np.array_equal(abelian(invariants).table, _chained_abelian(invariants).table)
+
+
+def test_abelian_refuses_bad_orders():
+    with pytest.raises(InvalidParametersError):
+        abelian([3, 0])
+    with pytest.raises(BudgetError):
+        abelian([2, 300])
 
 
 def test_abelian_invariant_factors_ascending():
@@ -458,6 +480,30 @@ def test_central_product_identifies_involutions():
     assert g.size == 16
     with pytest.raises(InvalidInputError):
         central_product(z4, q, 1, zq)  # order 4, not an involution
+
+
+def test_cyclic_central_product_is_the_central_product():
+    # a comparison target built either way has one table, so an
+    # isomorphism search against it tries the same candidates
+    lift = binary_octahedral()
+    zh = int(np.flatnonzero(lift.element_orders == 2)[0])
+    assert cyclic_central_product(2, lift) is lift
+    assert np.array_equal(cyclic_central_product(4, lift).table,
+                          central_product(cyclic(4), lift, 2, zh).table)
+
+
+def test_model_constructors_refuse_bad_parameters():
+    lift = binary_dihedral(12)
+    for m in (0, 3):
+        with pytest.raises(InvalidParametersError):
+            cyclic_central_product(m, lift)
+    # three involutions, then none: no single central involution to join over
+    for g in (abelian([2, 2]), cyclic(3)):
+        with pytest.raises(InvalidInputError, match="exactly one involution"):
+            cyclic_central_product(4, g)
+    for k, m in ((4, 2), (1, 2), (3, 3), (3, 0)):
+        with pytest.raises(InvalidParametersError):
+            inverted_odd_cycle(k, m)
 
 
 def test_metacyclic_twist_relation():
