@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from isom4.errors import InvalidInputError
+from isom4.errors import BudgetError, InvalidInputError
 from isom4.sphere import (
     EXTENT_Q,
     EXTENT_THRESHOLD,
@@ -38,7 +38,7 @@ def main(argv=None):
     try:
         cfg = ExtentConfig(q=args.q, restarts=args.restarts, seed=args.seed)
         entries = scan_extent(args.n_min, args.n_max, args.q, EXTENT_THRESHOLD)
-    except InvalidInputError as exc:
+    except (InvalidInputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from .claims import ClassificationQuery, classify
 from .cohomology import classify_central_extensions, group_digest
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
-from .fixedpoints import batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
+from .fixedpoints import BATCH_COUNT, batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
 from .groups import FiniteGroup, build_group, canonical_group_name
 from .sphere import (
     EXTENT_Q,
@@ -234,7 +234,7 @@ def _cmd_fixedpoint(args) -> int:
                        for e in entries)
         return 1 if mismatch else 0
     batch = batch_lefschetz_cp2 if args.manifold == "cp2" else batch_lefschetz_s4
-    result = batch(1000 if args.count is None else args.count, args.seed or 0)
+    result = batch(**_given(args, "count", "seed"))
     _emit_json(result, args)
     return 0 if result["all_pass"] else 1
 
@@ -252,11 +252,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    flags = {"seed": args.seed, "threshold_n": args.threshold_n,
-             "scan_max": args.scan_max, "batch_count": args.batch_count,
-             "optimizer_spot_checks": args.spot_checks,
-             "optimizer_restarts": args.restarts}
-    kwargs = {key: value for key, value in flags.items() if value is not None}
+    kwargs = _given(args, "seed")
     if args.cache_dir is not None:
         kwargs["cache"] = ResultCache(args.cache_dir)
     report = verify_all(VerifyConfig(**kwargs))
@@ -338,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lefschetz fixed-point batches", ("--seed",))
     p.add_argument("--manifold", choices=("s4", "cp2"), default=None,
                    help="default s4")
-    p.add_argument("--count", type=int, default=None, help="batch size (default 1000)")
+    p.add_argument("--count", type=int, default=None,
+                   help=f"batch size (default {BATCH_COUNT})")
     p.add_argument("--catalog", action="store_true",
                    help="print the involution trace catalog instead")
 
@@ -349,13 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseudofree", choices=("true", "false"), default=None)
     p.add_argument("--form", choices=("odd", "even", "definite"), default=None)
 
-    p = _subcommand(subparsers, "verify-all", _cmd_verify_all, "run the whole check suite",
-                    ("--seed", "--format", "--cache-dir"))
-    p.add_argument("--threshold-n", type=int, default=None, dest="threshold_n")
-    p.add_argument("--scan-max", type=int, default=None)
-    p.add_argument("--batch-count", type=int, default=None)
-    p.add_argument("--spot-checks", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
+    _subcommand(subparsers, "verify-all", _cmd_verify_all, "run the whole check suite",
+                ("--seed", "--format", "--cache-dir"))
 
     return parser
 

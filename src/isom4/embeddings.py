@@ -107,11 +107,13 @@ def quat_pair_to_so4(pair: QuatPair) -> np.ndarray:
 class MatrixRep:
     """A checked matrix representation aligned with a group table.
 
-    ``matrices[i]`` is the image of element ``i``.  Construction
-    verifies orthogonality/unitarity, determinant +1 for real reps, and
-    the homomorphism identity on all pairs; projective reps may be off
-    by a unit scalar per pair.  The rep is frozen and its matrices are
-    read-only, so the residual computed here stays the rep's residual.
+    ``matrices[i]`` is the image of element ``i``; the dimension and
+    the field (real or complex) are read off their shape and dtype.
+    Construction verifies orthogonality/unitarity, determinant +1 for
+    real reps, and the homomorphism identity on all pairs, each within
+    ``DEFAULT_TOLERANCE``; projective reps may be off by a unit scalar
+    per pair.  The rep is frozen and its matrices are read-only, so the
+    residual computed here stays the rep's residual.
 
     Inside this module the all-pairs residual is formed once per
     distinct matrix set (``_measured``): a rep on the matrices
@@ -122,62 +124,57 @@ class MatrixRep:
     """
 
     group: FiniteGroup
-    dimension: int
-    field_tag: str
-    projective: bool
     matrices: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
+    projective: bool
     _residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self._validate(None)
 
     @classmethod
-    def _measured(cls, group: FiniteGroup, matrices: np.ndarray, residual: float,
-                  tolerance: float = DEFAULT_TOLERANCE) -> "MatrixRep":
+    def _measured(cls, group: FiniteGroup, matrices: np.ndarray, residual: float) -> "MatrixRep":
         """The linear rep of ``group`` on ``matrices``, whose all-pairs
         residual against ``group.table`` is already known to be
         ``residual`` to the bit: every check of the constructor runs
         except that pass over the n^2 products."""
         rep = object.__new__(cls)
-        fields = {"group": group, "dimension": matrices.shape[1],
-                  "field_tag": "complex" if np.iscomplexobj(matrices) else "real",
-                  "projective": False, "matrices": matrices, "tolerance": tolerance}
-        for name, value in fields.items():
-            object.__setattr__(rep, name, value)
+        object.__setattr__(rep, "group", group)
+        object.__setattr__(rep, "matrices", matrices)
+        object.__setattr__(rep, "projective", False)
         rep._validate(residual)
         return rep
+
+    @property
+    def dimension(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def field_tag(self) -> str:
+        return "complex" if np.iscomplexobj(self.matrices) else "real"
 
     def _validate(self, residual: float | None):
         """The constructor's checks; the all-pairs residual is formed
         here unless it is passed in."""
-        if self.field_tag not in ("real", "complex"):
-            raise InvalidInputError("field_tag must be 'real' or 'complex'")
-        if self.dimension < 1:
-            raise InvalidParametersError("dimension must be positive")
-        if not (0.0 < self.tolerance < 1.0):
-            raise InvalidParametersError("tolerance must lie in (0, 1)")
-        dtype = np.float64 if self.field_tag == "real" else np.complex128
         try:
-            mats = np.asarray(self.matrices, dtype=dtype)
+            mats = np.asarray(self.matrices)
+            mats = np.asarray(mats, np.complex128 if np.iscomplexobj(mats) else np.float64)
         except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"matrices do not fit a {self.field_tag} array") from exc
-        n, d = self.group.size, self.dimension
-        if mats.shape != (n, d, d):
-            raise InvalidInputError("need one dimension x dimension matrix per element")
-        eye = np.eye(d)
+            raise InvalidInputError("matrices do not fit a numeric array") from exc
+        n = self.group.size
+        if mats.ndim != 3 or mats.shape[0] != n or not 0 < mats.shape[1] == mats.shape[2]:
+            raise InvalidInputError("need one square matrix per element")
         gram = np.einsum("nji,njk->nik", mats.conj(), mats)
-        _require_within(np.max(np.abs(gram - eye)), self.tolerance,
+        _require_within(np.max(np.abs(gram - np.eye(mats.shape[1]))), DEFAULT_TOLERANCE,
                         "matrices must be orthogonal/unitary within tolerance")
-        if self.field_tag == "real":
+        if not np.iscomplexobj(mats):
             dets = np.linalg.det(mats)
-            _require_within(np.max(np.abs(dets - 1.0)), self.tolerance,
+            _require_within(np.max(np.abs(dets - 1.0)), DEFAULT_TOLERANCE,
                             "real matrices must have determinant +1")
         if residual is None:
             residual = _homomorphism_residual(self.group.table, mats, self.projective)
         _require_within(
-            residual, self.tolerance,
-            f"homomorphism residual {residual:.3e} exceeds tolerance {self.tolerance:.3e}")
+            residual, DEFAULT_TOLERANCE,
+            f"homomorphism residual {residual:.3e} exceeds tolerance {DEFAULT_TOLERANCE:.3e}")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_residual", residual)
@@ -223,10 +220,10 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
     """Homomorphism identity on all pairs plus injectivity.
 
     Injectivity asks every pair of distinct elements to sit farther
-    apart than ten times the rep tolerance, after phase normalization
+    apart than ten times ``DEFAULT_TOLERANCE``, after phase normalization
     when the rep is projective.  The distances are formed in row blocks
     of about ``snf._BLOCK_ENTRIES`` entries."""
-    if not rep.homomorphism_residual() <= rep.tolerance:
+    if not rep.homomorphism_residual() <= DEFAULT_TOLERANCE:
         return False
     mats = _phase_normalized(rep.matrices) if rep.projective else rep.matrices
     n = mats.shape[0]
@@ -238,7 +235,7 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
         rows = np.arange(blk.start, blk.stop)
         dist[np.arange(rows.size), rows] = math.inf
         gap = min(gap, float(dist.min()))
-    return gap > _INJECTIVITY_MARGIN * rep.tolerance
+    return gap > _INJECTIVITY_MARGIN * DEFAULT_TOLERANCE
 
 
 def _closed_rep(generators, expected_order: int) -> MatrixRep:
@@ -426,8 +423,7 @@ def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
     unitary = _closed_rep(gens, expected_order=expected)
     # realified matrices are a new matrix set, so this rep forms its own residual
     mats = np.stack([_realify(c) for c in unitary.matrices])
-    return MatrixRep(group=unitary.group, dimension=4, field_tag="real",
-                     projective=False, matrices=mats)
+    return MatrixRep(group=unitary.group, matrices=mats, projective=False)
 
 
 def o4_in_so5(m: int, k: int) -> MatrixRep:
@@ -504,8 +500,7 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
         diag = np.exp(2j * np.pi * exps[a] / m)
         for b in range(3):
             mats[a * 3 + b] = diag[:, None] * shift_pows[b]
-    return MatrixRep(group=group, dimension=3, field_tag="complex",
-                     projective=True, matrices=mats)
+    return MatrixRep(group=group, matrices=mats, projective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -627,4 +622,4 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
             and np.array_equal(np.sort(phi), np.arange(g.size))
             and np.array_equal(rep.group.table[np.ix_(phi, phi)], phi[g.table])):
         raise InvalidInputError("structure hint does not match the group")
-    return MatrixRep._measured(g, mats[phi], rep.homomorphism_residual(), rep.tolerance)
+    return MatrixRep._measured(g, mats[phi], rep.homomorphism_residual())

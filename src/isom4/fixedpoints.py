@@ -24,7 +24,6 @@ __all__ = [
     "FixComponent",
     "FixedSetDescriptor",
     "InvolutionTraceData",
-    "LinearSphereAction",
     "fixed_set_s4",
     "lefschetz_check_s4",
     "fixed_set_cp2",
@@ -125,27 +124,6 @@ def _as_unitary_3(u) -> np.ndarray:
         raise InvalidInputError("expected a 3x3 matrix")
     _require_unitary(mat[None])
     return mat
-
-
-@dataclass(eq=False)
-class LinearSphereAction:
-    """A batch of special-orthogonal 5x5 matrices acting on the sphere."""
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=np.float64)
-        if mats.ndim == 2:
-            mats = mats[None]
-        if mats.ndim != 3 or mats.shape[1:] != (5, 5):
-            raise InvalidInputError("expected one or more 5x5 matrices")
-        _require_special_orthogonal(mats)
-        mats.setflags(write=False)
-        self.matrices = mats
-
-    @property
-    def count(self) -> int:
-        return int(self.matrices.shape[0])
 
 
 def _unit_multiplicity(eigvals: np.ndarray) -> np.ndarray:
@@ -285,6 +263,8 @@ def involution_catalog() -> list[dict]:
 # matrices drawn and classified at a time, so a batch of any count runs
 # in bounded memory
 _BATCH_CHUNK = 4096
+# the default size of a random Lefschetz batch
+BATCH_COUNT = 1000
 
 
 def _so5_stack(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -345,13 +325,13 @@ def _batch(count: int, seed: int, sample, require, invariant, fixed_set,
     return {"count": count, "failures": failures, "all_pass": not failures}
 
 
-def batch_lefschetz_s4(count: int, seed: int) -> dict:
+def batch_lefschetz_s4(count: int = BATCH_COUNT, seed: int = 0) -> dict:
     """:func:`lefschetz_check_s4` on count random rotations."""
     return _batch(count, seed, _so5_stack, _require_special_orthogonal,
                   _unit_multiplicity, _s4_fixed_set, _LEFSCHETZ_S4)
 
 
-def batch_lefschetz_cp2(count: int, seed: int) -> dict:
+def batch_lefschetz_cp2(count: int = BATCH_COUNT, seed: int = 0) -> dict:
     """:func:`lefschetz_check_cp2` on count random unitaries."""
     return _batch(count, seed, _u3_stack, _require_unitary,
                   _cluster_count, _cp2_fixed_set, _LEFSCHETZ_CP2)

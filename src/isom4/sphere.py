@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParametersError, UnsupportedCaseError
+from .errors import BudgetError, InvalidInputError, InvalidParametersError, UnsupportedCaseError
 from .groups import _require_within
 
 __all__ = [
@@ -37,13 +37,17 @@ __all__ = [
     "isolated_fixed_point_budget",
     "EXTENT_Q",
     "EXTENT_THRESHOLD",
+    "EXTENT_SHARP_N",
 ]
 
 DECK_ORDER_CAP = 10**5
 # the published extent statement: the 5-point bound of a quotient of
-# deck order n >= 61 lies strictly below pi/3
+# deck order n >= 61 lies strictly below pi/3, and not at n = 60
 EXTENT_Q = 5
 EXTENT_THRESHOLD = math.pi / 3.0
+EXTENT_SHARP_N = 61
+# rows one scan_extent call may build; [3, 400] holds 1,152,548
+SCAN_ROW_CAP = 1_500_000
 _UNIT_TOL = 1e-12
 
 
@@ -380,14 +384,17 @@ class ScanEntry:
                 "pass": self.passes}
 
 
-def _bounds_by_n(n_min: int, n_max: int, q: int, threshold: float) -> list[tuple[int, float]]:
-    # the bound depends only on (n, q): one evaluation per deck order
+def _require_scan_range(n_min: int, n_max: int, threshold: float) -> None:
     if not math.isfinite(threshold):
         raise InvalidInputError("scan threshold must be finite")
     if n_min < 3:
         raise InvalidInputError("scan starts at deck order 3")
     if n_max < n_min:
         raise InvalidInputError("empty scan range")
+
+
+def _bounds_by_n(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
+    # the bound depends only on (n, q): one evaluation per deck order
     return [(n, extent_upper_bound(LensParams(n, 1, 1), q))
             for n in range(n_min, n_max + 1)]
 
@@ -399,8 +406,20 @@ def _rows_at(n: int, q: int, value: float, threshold: float) -> list[ScanEntry]:
 
 
 def scan_extent(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
-    """Evaluate the closed-form bound on every canonical quotient in range."""
-    return [row for n, value in _bounds_by_n(n_min, n_max, q, threshold)
+    """Evaluate the closed-form bound on every canonical quotient in range.
+
+    The rows are counted first, c(c+1)/2 for c canonical exponents at
+    each deck order, and a range of more than ``SCAN_ROW_CAP`` rows is
+    refused before any is built: the count grows as n_max^3."""
+    _require_scan_range(n_min, n_max, threshold)
+    rows = 0
+    for n in range(n_min, n_max + 1):
+        c = len(_canonical_exponents(n))
+        rows += c * (c + 1) // 2
+        if rows > SCAN_ROW_CAP:
+            raise BudgetError(f"scan of deck orders [{n_min}, {n_max}] exceeds "
+                              f"{SCAN_ROW_CAP} rows")
+    return [row for n, value in _bounds_by_n(n_min, n_max, q)
             for row in _rows_at(n, q, value, threshold)]
 
 
@@ -409,7 +428,8 @@ def scan_extent_threshold(n_min: int, n_max: int, q: int, threshold: float) -> l
 
     An empty return certifies the bound on the whole range.
     """
-    return [row for n, value in _bounds_by_n(n_min, n_max, q, threshold)
+    _require_scan_range(n_min, n_max, threshold)
+    return [row for n, value in _bounds_by_n(n_min, n_max, q)
             if not value < threshold
             for row in _rows_at(n, q, value, threshold)]
 

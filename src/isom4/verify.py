@@ -59,6 +59,7 @@ from .groups import (
 )
 from .sphere import (
     EXTENT_Q,
+    EXTENT_SHARP_N,
     EXTENT_THRESHOLD,
     ExtentConfig,
     LensParams,
@@ -79,6 +80,11 @@ __all__ = [
 
 REPORT_VERSION = 1
 STATUSES = ("PASS", "FAIL", "DISCREPANCY", "UNSUPPORTED")
+# the scan certifies the extent bound on every deck order from
+# EXTENT_SHARP_N to SCAN_MAX_N; the optimizer is checked on
+# OPTIMIZER_CASES random quotients
+SCAN_MAX_N = 300
+OPTIMIZER_CASES = 3
 
 
 @dataclass(frozen=True)
@@ -107,33 +113,24 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for the full suite.
+    """The two inputs of a run; the suite itself has one size.
 
-    ``threshold_n`` is the first deck order the scan must certify; the
-    default 61 is the sharp value, and lowering it to 60 makes the scan
-    fail on the 36 canonical quotients there.  ``cache``, when set,
-    holds the H^2 tables and the two binary-cover comparisons across
-    runs; every other check is recomputed."""
+    ``seed`` draws the random cases (optimizer quotients, cyclic H^2
+    pairs, abelian embeddings, Lefschetz batches).  ``cache``, when
+    set, holds the H^2 tables and the two binary-cover comparisons
+    across runs; every other check is recomputed.  The sizes the
+    report states are module constants: the scan covers deck orders
+    ``EXTENT_SHARP_N`` to ``SCAN_MAX_N``, the optimizer check draws
+    ``OPTIMIZER_CASES`` quotients at ``ExtentConfig``'s default
+    restarts, and each Lefschetz batch takes the batch functions'
+    default count."""
 
     seed: int = 0
-    threshold_n: int = 61
-    scan_max: int = 300
-    batch_count: int = 1000
-    optimizer_spot_checks: int = 3
-    optimizer_restarts: int = 32
     cache: ResultCache | None = None
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidInputError("seed must fit in 64 unsigned bits")
-        if self.threshold_n < 3:
-            raise InvalidInputError("threshold_n must be at least 3")
-        if self.scan_max < self.threshold_n:
-            raise InvalidInputError("scan_max must be at least threshold_n")
-        if self.batch_count < 1:
-            raise InvalidInputError("batch_count must be positive")
-        if self.optimizer_spot_checks < 0 or self.optimizer_restarts < 1:
-            raise InvalidInputError("optimizer knobs must be positive")
 
 
 def _fmt(value: float) -> str:
@@ -150,25 +147,26 @@ def _cached(cache: ResultCache | None, key: str, compute):
 # ---------------------------------------------------------------- sphere
 
 def _check_extent_sharp_low(cfg):
-    value = extent_upper_bound(LensParams(60, 1, 1), EXTENT_Q)
+    n = EXTENT_SHARP_N - 1
+    value = extent_upper_bound(LensParams(n, 1, 1), EXTENT_Q)
     ok = value >= EXTENT_THRESHOLD
     return ("PASS" if ok else "FAIL",
-            f"upper bound at deck order 60 >= pi/3 = {_fmt(EXTENT_THRESHOLD)}",
+            f"upper bound at deck order {n} >= pi/3 = {_fmt(EXTENT_THRESHOLD)}",
             _fmt(value))
 
 
 def _check_extent_sharp_high(cfg):
-    value = extent_upper_bound(LensParams(61, 1, 1), EXTENT_Q)
+    value = extent_upper_bound(LensParams(EXTENT_SHARP_N, 1, 1), EXTENT_Q)
     ok = value < EXTENT_THRESHOLD
     return ("PASS" if ok else "FAIL",
-            f"upper bound at deck order 61 < pi/3 = {_fmt(EXTENT_THRESHOLD)}",
+            f"upper bound at deck order {EXTENT_SHARP_N} < pi/3 = {_fmt(EXTENT_THRESHOLD)}",
             _fmt(value))
 
 
 def _check_extent_scan(cfg):
-    bad = scan_extent_threshold(cfg.threshold_n, cfg.scan_max, EXTENT_Q, EXTENT_THRESHOLD)
+    bad = scan_extent_threshold(EXTENT_SHARP_N, SCAN_MAX_N, EXTENT_Q, EXTENT_THRESHOLD)
     expected = (f"0 quotients with bound >= pi/3 for deck order in "
-                f"[{cfg.threshold_n}, {cfg.scan_max}]")
+                f"[{EXTENT_SHARP_N}, {SCAN_MAX_N}]")
     if not bad:
         return "PASS", expected, "0 violations"
     worst = max(bad, key=lambda row: row.upper_bound)
@@ -178,7 +176,7 @@ def _check_extent_scan(cfg):
 
 
 def _check_budget(cfg):
-    bound = extent_upper_bound(LensParams(61, 1, 1), EXTENT_Q)
+    bound = extent_upper_bound(LensParams(EXTENT_SHARP_N, 1, 1), EXTENT_Q)
     budget = isolated_fixed_point_budget(bound)
     ok = budget["contradiction"]
     return ("PASS" if ok else "FAIL",
@@ -192,7 +190,7 @@ def _check_optimizer_consistency(cfg):
     rng = np.random.default_rng(cfg.seed)
     worst_gap = -math.inf
     cases = []
-    for _ in range(cfg.optimizer_spot_checks):
+    for _ in range(OPTIMIZER_CASES):
         n = int(rng.integers(3, 201))
         while True:
             k = int(rng.integers(1, n))
@@ -200,8 +198,7 @@ def _check_optimizer_consistency(cfg):
             if math.gcd(k, n) == 1 and math.gcd(l, n) == 1:
                 break
         params = canonicalize_lens(n, k, l)
-        ecfg = ExtentConfig(q=EXTENT_Q, restarts=cfg.optimizer_restarts,
-                            seed=int(rng.integers(2**63)))
+        ecfg = ExtentConfig(q=EXTENT_Q, seed=int(rng.integers(2**63)))
         report = extent_lower_bound(params, ecfg)
         gap = report.lower_bound - report.upper_bound
         worst_gap = max(worst_gap, gap)
@@ -546,19 +543,19 @@ def _batch_seed(cfg, offset):
 
 
 def _check_fixedpoint_sphere_batch(cfg):
-    result = batch_lefschetz_s4(cfg.batch_count, _batch_seed(cfg, 3))
+    result = batch_lefschetz_s4(seed=_batch_seed(cfg, 3))
     ok = result["all_pass"]
     return ("PASS" if ok else "FAIL",
-            f"chi(Fix) = 2 = Lefschetz number for {cfg.batch_count} random "
+            f"chi(Fix) = 2 = Lefschetz number for {result['count']} random "
             "rotations of the 4-sphere",
             f"{result['count'] - len(result['failures'])}/{result['count']} pass")
 
 
 def _check_fixedpoint_plane_batch(cfg):
-    result = batch_lefschetz_cp2(cfg.batch_count, _batch_seed(cfg, 4))
+    result = batch_lefschetz_cp2(seed=_batch_seed(cfg, 4))
     ok = result["all_pass"]
     return ("PASS" if ok else "FAIL",
-            f"chi(Fix) = 3 = Lefschetz number for {cfg.batch_count} random "
+            f"chi(Fix) = 3 = Lefschetz number for {result['count']} random "
             "unitary maps of the projective plane",
             f"{result['count'] - len(result['failures'])}/{result['count']} pass")
 

@@ -13,15 +13,10 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("suite")
 
 
-# the small verify-all config of the session report
-SMALL_CONFIG = dict(scan_max=80, batch_count=50,
-                    optimizer_spot_checks=1, optimizer_restarts=4)
-
-
 @pytest.fixture(scope="session")
 def report_and_rerun(tmp_path_factory):
-    """A small verify-all report run into an empty cache, then rerun warm."""
+    """The verify-all report (seed 0) run into an empty cache, then rerun warm."""
     cache = ResultCache(tmp_path_factory.mktemp("verify-cache"))
-    cold = verify_all(VerifyConfig(**SMALL_CONFIG, cache=cache))
-    warm = verify_all(VerifyConfig(**SMALL_CONFIG, cache=cache))
+    cold = verify_all(VerifyConfig(cache=cache))
+    warm = verify_all(VerifyConfig(cache=cache))
     return cold, warm

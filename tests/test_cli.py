@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
 from isom4.cli import build_parser, main, parse_group_spec, parse_hint_spec
 from isom4.cohomology import group_digest
 from isom4.errors import InvalidInputError
+from isom4.fixedpoints import batch_lefschetz_s4
 from isom4.groups import build_group, is_isomorphic, quaternion_group
 from isom4.verify import _SUITE, _row_group
 
@@ -241,6 +244,9 @@ def test_fixedpoint_batches(capsys):
     code, data = run_json(capsys, "fixedpoint", "--count", "20")
     assert code == 0
     assert data["count"] == 20
+    code, data = run_json(capsys, "fixedpoint")
+    assert code == 0
+    assert data == batch_lefschetz_s4(1000, 0)
 
 
 @pytest.mark.parametrize("manifold", ["s4", "cp2"])
@@ -271,6 +277,13 @@ def test_classify_rejects_bad_b2(capsys):
     assert code == 2
 
 
+def test_scan_extent_refuses_a_range_past_the_row_cap(capsys):
+    assert main(["scan-extent", "--min", "3", "--max", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan of deck orders [3, 100000] exceeds 1500000 rows\n"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_scan_extent_refuses_non_finite_threshold(capsys, bad):
     assert main(["scan-extent", "--min", "61", "--max", "62", f"--threshold={bad}"]) == 2
@@ -295,21 +308,59 @@ OPTIONS = {
     "embed": {"--out", "--group", "--hint"},
     "fixedpoint": {"--out", "--seed", "--manifold", "--count", "--catalog"},
     "classify": {"--out", "--b2", "--parity", "--pseudofree", "--form"},
-    "verify-all": {"--out", "--seed", "--format", "--cache-dir", "--threshold-n",
-                   "--scan-max", "--batch-count", "--spot-checks", "--restarts"},
+    "verify-all": {"--out", "--seed", "--format", "--cache-dir"},
 }
 
 
-def test_subcommand_options():
+def declared_options() -> dict[str, set[str]]:
+    """The options each subcommand parser declares, without --help."""
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "command")
-    declared = {
+    return {
         name: {flag for action in sub._actions for flag in action.option_strings}
         - {"-h", "--help"}
         for name, sub in subparsers.choices.items()
     }
+
+
+def test_subcommand_options():
+    declared = declared_options()
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 40
+    assert sum(map(len, declared.values())) == 35
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_option_table() -> dict[str, set[str]]:
+    """Subcommand -> the options its row of README's option table lists."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    table = {}
+    for line in lines[lines.index("| subcommand | options |") + 2:]:
+        if not line.startswith("|"):
+            break
+        # an escaped "\|" inside a cell has no spaces around it
+        name_cell, options_cell = line.split(" | ", 1)
+        name = re.search(r"`([\w-]+)", name_cell).group(1)
+        table[name] = {code.split()[0] for code in re.findall(r"`(--[^`]*)`", options_cell)}
+    return table
+
+
+def test_readme_option_table_matches_parsers():
+    declared = {name: flags - {"--out"} for name, flags in declared_options().items()}
+    assert readme_option_table() == declared
+
+
+@pytest.mark.parametrize("flag", ["--threshold-n", "--scan-max", "--batch-count",
+                                  "--spot-checks", "--restarts"])
+def test_removed_verify_all_flags_exit_two(capsys, flag):
+    # the suite has one size; the report states it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", flag, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 1" in captured.err
 
 
 HEADS = {
@@ -364,11 +415,8 @@ def test_refused_input_exits_two(capsys, argv, message):
 
 
 def test_verify_all_command_csv(capsys, tmp_path, report_and_rerun):
-    # the flags match the session report's small config
     out = tmp_path / "report.csv"
-    code, echo = run(capsys, "verify-all", "--scan-max", "80", "--batch-count", "50",
-                     "--spot-checks", "1", "--restarts", "4", "--format", "csv",
-                     "--out", str(out))
+    code, echo = run(capsys, "verify-all", "--format", "csv", "--out", str(out))
     assert code == 0
     with open(out, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))

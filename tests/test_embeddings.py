@@ -113,15 +113,13 @@ def test_polyhedral_so3_models():
 
 def test_rep_rejects_non_orthogonal():
     with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(1), dimension=2, field_tag="real",
-                  projective=False, matrices=[2.0 * np.eye(2)])
+        MatrixRep(group=cyclic(1), matrices=[2.0 * np.eye(2)], projective=False)
 
 
 def test_rep_rejects_negative_determinant():
     mats = [np.eye(2), np.diag([1.0, -1.0])]
     with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(2), dimension=2, field_tag="real",
-                  projective=False, matrices=mats)
+        MatrixRep(group=cyclic(2), matrices=mats, projective=False)
 
 
 def test_rep_rejects_non_homomorphism():
@@ -129,8 +127,7 @@ def test_rep_rejects_non_homomorphism():
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(3), dimension=2, field_tag="real",
-                  projective=False, matrices=[np.eye(2), rot, rot])
+        MatrixRep(group=cyclic(3), matrices=[np.eye(2), rot, rot], projective=False)
 
 
 # every tolerance test is written "not err <= tol", which NaN fails; an
@@ -142,8 +139,7 @@ def test_rep_refuses_non_finite(bad, field_tag, projective, position):
         np.float64 if field_tag == "real" else np.complex128)
     mats.reshape(-1)[position] = bad
     with pytest.raises(InvalidInputError, match="not finite"):
-        MatrixRep(group=cyclic(2), dimension=2, field_tag=field_tag,
-                  projective=projective, matrices=mats)
+        MatrixRep(group=cyclic(2), matrices=mats, projective=projective)
 
 
 def test_residual_keeps_nan():
@@ -152,14 +148,14 @@ def test_residual_keeps_nan():
         assert math.isnan(embeddings._homomorphism_residual(cyclic(2).table, mats, projective))
 
 
-def test_rep_parameter_validation():
-    with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(1), dimension=1, field_tag="rational",
-                  projective=False, matrices=[np.eye(1)])
-    for tolerance in (2.0, math.nan, math.inf):
-        with pytest.raises(InvalidParametersError):
-            MatrixRep(group=cyclic(1), dimension=1, field_tag="real",
-                      projective=False, matrices=[np.eye(1)], tolerance=tolerance)
+def test_rep_reads_dimension_and_field_off_the_matrices():
+    real = MatrixRep(group=cyclic(1), matrices=[np.eye(3)], projective=False)
+    assert (real.dimension, real.field_tag) == (3, "real")
+    unitary = MatrixRep(group=cyclic(1), matrices=[np.eye(2, dtype=complex)], projective=False)
+    assert (unitary.dimension, unitary.field_tag) == (2, "complex")
+    for bad in (np.ones((1, 2, 3)), np.ones((1, 0, 0)), np.eye(2), np.ones((2, 1, 1))):
+        with pytest.raises(InvalidInputError, match="one square matrix per element"):
+            MatrixRep(group=cyclic(1), matrices=bad, projective=False)
 
 
 def test_rep_matrices_frozen():
@@ -314,8 +310,7 @@ def _rotation_rep(order: int, angle: float) -> MatrixRep:
     """Z_order -> SO(2), i -> rotation by i * angle."""
     c, s = np.cos(np.arange(order) * angle), np.sin(np.arange(order) * angle)
     mats = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
-    return MatrixRep(group=cyclic(order), dimension=2, field_tag="real",
-                     projective=False, matrices=mats)
+    return MatrixRep(group=cyclic(order), matrices=mats, projective=False)
 
 
 def test_injectivity_checked_across_row_blocks():

@@ -11,7 +11,6 @@ from isom4.fixedpoints import (
     FixComponent,
     FixedSetDescriptor,
     InvolutionTraceData,
-    LinearSphereAction,
     batch_lefschetz_cp2,
     batch_lefschetz_s4,
     fixed_set_cp2,
@@ -86,19 +85,6 @@ def test_sphere_rejects_bad_matrices():
     reflect = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(InvalidInputError):
         fixed_set_s4(reflect)
-
-
-def test_linear_sphere_action_batches():
-    rng = np.random.default_rng(6)
-    mats = np.stack([random_so5(rng) for _ in range(3)])
-    action = LinearSphereAction(mats)
-    assert action.count == 3
-    single = LinearSphereAction(np.eye(5))
-    assert single.count == 1
-    with pytest.raises(ValueError):
-        action.matrices[0, 0, 0] = 2.0
-    with pytest.raises(InvalidInputError):
-        LinearSphereAction(np.eye(4))
 
 
 # --- projective plane side -----------------------------------------------------
@@ -277,7 +263,7 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 def test_sphere_inputs_refuse_non_finite(bad, position):
     mat = np.eye(5)
     mat.reshape(-1)[position] = bad
-    for build in (LinearSphereAction, fixed_set_s4, lefschetz_check_s4):
+    for build in (fixed_set_s4, lefschetz_check_s4):
         with pytest.raises(InvalidInputError, match="not finite"):
             build(mat)
 
@@ -292,18 +278,17 @@ def test_plane_inputs_refuse_non_finite(bad, position, imaginary):
             build(mat)
 
 
-def test_linear_sphere_action_refuses_any_bad_matrix():
-    rng = np.random.default_rng(11)
-    good = np.stack([random_so5(rng) for _ in range(4)])
+def test_fixed_set_s4_refuses_skewed_and_reflected():
+    good = random_so5(np.random.default_rng(11))
     skewed = good.copy()
-    skewed[2, 0, 0] += 1e-6
+    skewed[0, 0] += 1e-6
     with pytest.raises(InvalidInputError, match="orthogonal within 1e-9"):
-        LinearSphereAction(skewed)
+        fixed_set_s4(skewed)
     reflected = good.copy()
-    reflected[3, :, 0] *= -1.0
+    reflected[:, 0] *= -1.0
     with pytest.raises(InvalidInputError, match="determinant \\+1"):
-        LinearSphereAction(reflected)
-    assert LinearSphereAction(good).count == 4
+        fixed_set_s4(reflected)
+    assert fixed_set_s4(good).euler_char == 2
 
 
 # --- involution identities --------------------------------------------------------

@@ -1,11 +1,13 @@
-"""No module imports a name it never uses, and no private helper is left
-behind.
+"""No module imports a name it never uses, no private helper is left
+behind, and no ``__all__`` entry names something that is gone.
 
 A stdlib ``ast`` scan over the package, the scripts and the tests: every
 name an import binds must be referenced somewhere in the same module,
 or be listed in the module's ``__all__`` (a re-export).  A second scan
 over the package: every module-level ``_private`` function or class must
-be referenced somewhere in the package besides its definition.
+be referenced somewhere in the package besides its definition.  A third
+scan over the package: every ``__all__`` entry must name something its
+module defines or imports at top level.
 """
 
 import ast
@@ -89,5 +91,38 @@ def test_no_unreferenced_private_helpers():
         for path, text in sources.items()
         for line, name in private_definitions(text)
         if name not in used
+    ]
+    assert found == []
+
+
+def bound_names(source: str) -> set[str]:
+    """Names the top level of ``source`` defines, assigns or imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {leaf.id for target in targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)}
+    return names
+
+
+def test_scan_flags_stale_exports():
+    source = ("from json import dumps\nimport os.path\nLIMIT, (A, B) = 1, (2, 3)\n"
+              "N: int = 4\nclass C:\n    pass\ndef f():\n    pass\n"
+              "__all__ = ['dumps', 'os', 'LIMIT', 'B', 'N', 'C', 'f', 'gone']\n")
+    tree = ast.parse(source)
+    assert sorted(_exported(tree) - bound_names(source)) == ["gone"]
+
+
+def test_every_export_is_bound():
+    found = [
+        f"{path.relative_to(ROOT)} {name}"
+        for path in sorted((ROOT / "src/isom4").rglob("*.py"))
+        for text in [path.read_text(encoding="utf-8")]
+        for name in sorted(_exported(ast.parse(text)) - bound_names(text))
     ]
     assert found == []

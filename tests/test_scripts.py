@@ -27,7 +27,9 @@ def peak_memory():
     (["--n-min", "2"], "scan starts at deck order 3"),
     (["--n-min", "5", "--n-max", "4"], "empty scan range"),
     (["--q", "1"], "tuple size q must be at least 2"),
-], ids=["below-3", "empty", "q-1"])
+    (["--n-min", "3", "--n-max", "100000"],
+     "scan of deck orders [3, 100000] exceeds 1500000 rows"),
+], ids=["below-3", "empty", "q-1", "past-row-cap"])
 def test_scan_bounds_refuses_bad_input(scan_bounds, capsys, argv, message):
     assert scan_bounds.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isom4 import sphere
-from isom4.errors import InvalidInputError, InvalidParametersError
+from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.sphere import (
     ExtentConfig,
     LensParams,
@@ -181,6 +182,21 @@ def test_scan_rejects_degenerate_ranges():
         scan_extent(2, 10, 5, THRESHOLD)
     with pytest.raises(InvalidInputError):
         scan_extent(10, 9, 5, THRESHOLD)
+
+
+def test_scan_counts_rows_before_building_any(monkeypatch):
+    # the rows grow as n_max^3: [3, 400] holds 1,152,548 and is admitted,
+    # [3, 100000] is refused before a row is built
+    built = []
+    monkeypatch.setattr(sphere, "_rows_at", lambda n, *rest: built.append(n) or [])
+    assert scan_extent(3, 400, 5, THRESHOLD) == []
+    assert built == list(range(3, 401))
+    built.clear()
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"\[3, 100000\] exceeds 1500000 rows"):
+        scan_extent(3, 100000, 5, THRESHOLD)
+    assert time.perf_counter() - start < 1.0
+    assert built == []
 
 
 def test_budget_contradiction_at_61():

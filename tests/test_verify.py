@@ -1,4 +1,6 @@
+import ast
 import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -87,18 +89,20 @@ def test_warm_rerun_identical_modulo_runtime(report_and_rerun):
     assert strip(cold) == strip(warm)
 
 
-def test_scan_check_fails_below_sharp_threshold():
-    status, _, actual = _check_extent_scan(VerifyConfig(threshold_n=60, scan_max=80))
+def test_scan_check_fails_below_sharp_threshold(monkeypatch):
+    # deck order 60 holds the 36 canonical quotients whose bound reaches pi/3
+    monkeypatch.setattr(verify, "EXTENT_SHARP_N", 60)
+    status, _, actual = _check_extent_scan(VerifyConfig())
     assert status == "FAIL"
     assert "60" in actual
 
 
 def test_fixedpoint_checks_take_the_largest_seed():
     # the batches take 64-bit seeds, so the check's seed offset wraps
-    cfg = VerifyConfig(seed=2**64 - 1, batch_count=3)
+    cfg = VerifyConfig(seed=2**64 - 1)
     for check in (_check_fixedpoint_sphere_batch, _check_fixedpoint_plane_batch):
         status, _, actual = check(cfg)
-        assert (status, actual) == ("PASS", "3/3 pass")
+        assert (status, actual) == ("PASS", "1000/1000 pass")
 
 
 def test_check_record_validation():
@@ -108,24 +112,28 @@ def test_check_record_validation():
         CheckRecord("x", "PASS", "a", "b", -1)
 
 
+def test_config_holds_only_seed_and_cache():
+    # every suite size is a constant the report states; the checks read
+    # nothing else off the config
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == ["seed", "cache"]
+    with open(verify.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    assert read == {"seed", "cache"}
+
+
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        VerifyConfig(threshold_n=2)
-    with pytest.raises(InvalidInputError):
-        VerifyConfig(scan_max=50)  # below the default threshold of 61
-    with pytest.raises(InvalidInputError):
-        VerifyConfig(batch_count=0)
-    with pytest.raises(InvalidInputError):
-        VerifyConfig(seed=-1)
-    with pytest.raises(InvalidInputError):
-        VerifyConfig(optimizer_restarts=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidInputError):
+            VerifyConfig(seed=seed)
 
 
 def test_cache_holds_only_h2(tmp_path):
     # the scan and the dicyclic comparisons cost milliseconds and are
     # recomputed; an H^2 entry is the CohomologyResult JSON, and both
     # its key and its record name the universal-coefficient route
-    cfg = VerifyConfig(scan_max=80, cache=ResultCache(tmp_path))
+    cfg = VerifyConfig(cache=ResultCache(tmp_path))
     assert _check_extent_scan(cfg)[0] == "PASS"
     assert _check_extension_dicyclic_m2(cfg)[0] == "PASS"
     assert not list(tmp_path.iterdir())
