@@ -3,7 +3,8 @@
 Builds every supported embedding case, prints the group order, the
 homomorphism residual, and whether the representation separates
 elements.  Residuals should sit at the float noise floor (1e-14 or
-so); anything above 1e-9 is a construction bug, not roundoff.
+so); anything above ``groups.DEFAULT_TOLERANCE`` (1e-9) is a
+construction bug, not roundoff.
 """
 
 import sys
@@ -11,6 +12,7 @@ import sys
 from isom4.embeddings import embed_into_so5, is_faithful_rep
 from isom4.errors import UnsupportedCaseError
 from isom4.groups import (
+    DEFAULT_TOLERANCE,
     abelian,
     binary_dihedral,
     binary_icosahedral,
@@ -59,7 +61,7 @@ def main():
         print(f"{label:>28} {group.size:>6} {residual:>10.2e} "
               f"{str(is_faithful_rep(rep)):>9}")
     print(f"\nmax residual {worst:.3e}")
-    return 0 if worst < 1e-9 else 1
+    return 0 if worst < DEFAULT_TOLERANCE else 1
 
 
 if __name__ == "__main__":

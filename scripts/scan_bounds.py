@@ -18,6 +18,7 @@ from isom4.errors import BudgetError, InvalidInputError
 from isom4.sphere import (
     EXTENT_Q,
     EXTENT_THRESHOLD,
+    LOWER_BOUND_SLACK,
     ExtentConfig,
     LensParams,
     extent_lower_bound,
@@ -56,7 +57,7 @@ def main(argv=None):
     gaps = [r[5] for r in rows]
     print(f"\n{len(rows)} quotients, max gap {max(gaps):.3e}, "
           f"median gap {sorted(gaps)[len(gaps) // 2]:.3e}")
-    if min(gaps) < -1e-9:
+    if min(gaps) < -LOWER_BOUND_SLACK:
         print("WARNING: lower bound exceeded upper bound", file=sys.stderr)
         return 1
 

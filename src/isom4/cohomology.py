@@ -101,9 +101,6 @@ class Cochain2:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def value(self, g: int, h: int) -> int:
-        return int(self.values[g, h])
-
     def is_cocycle(self) -> bool:
         """Exact check of f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 mod m,
         over blocks of g of about ``snf._BLOCK_ENTRIES`` triples."""
@@ -154,7 +151,6 @@ class ExtensionClass:
     group: FiniteGroup
     class_count: int
     class_orders: tuple[int, ...]
-    sample: Cochain2
 
     @property
     def key(self) -> tuple:
@@ -300,7 +296,7 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
     bnd = np.asarray(_coboundary_matrix(group, gens), dtype=np.int64)
     stacked = np.hstack([kernel, bnd])
     lam = kernel_mod_prime_power(stacked, p, a)[: kernel.shape[1]]
-    orders, coeffs = module_presentation_local(lam, p, a, dim=kernel.shape[1])
+    orders, coeffs = module_presentation_local(lam, p, a)
     # forms enters unreduced: the product is reduced mod p^a anyway
     gens = _imatmul(forms, (kernel @ coeffs) % mod) % mod
     return tuple(int(o) for o in orders), gens
@@ -611,36 +607,23 @@ def classify_central_extensions(group: FiniteGroup, m: int) -> list[ExtensionCla
                 entry["orders"].append(f.class_order)
                 break
         else:
-            out.append({"group": ext, "count": 1, "orders": [f.class_order], "sample": f})
+            out.append({"group": ext, "count": 1, "orders": [f.class_order]})
     classes = [
         ExtensionClass(
             group=e["group"],
             class_count=e["count"],
             class_orders=tuple(sorted(e["orders"])),
-            sample=e["sample"],
         )
         for e in out
     ]
     return sorted(classes, key=lambda c: c.key)
 
 
-def unique_nontrivial_extension(
-    group: FiniteGroup, m: int, order_filter=None
-) -> FiniteGroup | None:
-    """The single nontrivial central extension type of Z_m by ``group``,
-    counting only types some of whose classes have an order that
-    ``order_filter`` accepts when it is given; None when there is no
-    such type or more than one.  The group is classified once, so one
-    result can be compared with several models."""
-    classes = classify_central_extensions(group, m)
-    hits = []
-    for entry in classes:
-        orders = [o for o in entry.class_orders if o > 1]
-        if not orders:
-            continue
-        if order_filter is not None and not any(order_filter(o) for o in orders):
-            continue
-        hits.append(entry.group)
-    if len(hits) != 1:
-        return None
-    return hits[0]
+def unique_nontrivial_extension(group: FiniteGroup, m: int) -> FiniteGroup | None:
+    """The single central extension type of Z_m by ``group`` with a
+    nontrivial class; None when there is no such type or more than one.
+    The group is classified once, so one result can be compared with
+    several models."""
+    hits = [entry.group for entry in classify_central_extensions(group, m)
+            if any(o > 1 for o in entry.class_orders)]
+    return hits[0] if len(hits) == 1 else None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParametersError
-from .groups import _require_within
+from .groups import _require_within, _tolerance_text
 
 __all__ = [
     "CLUSTER_TOL",
@@ -96,7 +96,7 @@ def _require_special_orthogonal(mats: np.ndarray) -> None:
     with np.errstate(invalid="ignore", over="ignore"):
         gram = np.swapaxes(mats, 1, 2) @ mats
     _require_within(np.max(np.abs(gram - np.eye(5))), CLUSTER_TOL,
-                    "matrix must be orthogonal within 1e-9")
+                    f"matrix must be orthogonal within {_tolerance_text(CLUSTER_TOL)}")
     _require_within(np.max(np.abs(np.linalg.det(mats) - 1.0)), CLUSTER_TOL,
                     "matrix must have determinant +1")
 
@@ -107,7 +107,7 @@ def _require_unitary(mats: np.ndarray) -> None:
     with np.errstate(invalid="ignore", over="ignore"):
         gram = np.swapaxes(mats, 1, 2).conj() @ mats
     _require_within(np.max(np.abs(gram - np.eye(3))), CLUSTER_TOL,
-                    "matrix must be unitary within 1e-9")
+                    f"matrix must be unitary within {_tolerance_text(CLUSTER_TOL)}")
 
 
 def _as_special_orthogonal_5(g) -> np.ndarray:

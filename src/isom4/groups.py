@@ -407,6 +407,12 @@ DEDUP_DECIMALS = 6
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _tolerance_text(value: float) -> str:
+    """A tolerance as messages and reports print it: 1e-9, not 1e-09."""
+    mantissa, exponent = f"{value:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 def _require_within(err: float, tol: float, message: str) -> None:
     """Refuse unless err <= tol.  Written so that a NaN error, which
     every comparison calls False, is refused too: non-finite input
@@ -720,23 +726,17 @@ def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
 
 
 def build_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
-    """Group on pairs (a, b) with (a1,b1)(a2,b2) = (a1 + r^b1 a2, b1 + b2),
-    a mod m and b mod n; requires r^n = 1 mod m."""
+    """Z_m x| Z_n on pairs (a, b) with (a1,b1)(a2,b2) = (a1 + r^b1 a2,
+    b1 + b2), a mod m and b mod n; requires r^n = 1 mod m."""
     if m < 1 or n < 1:
         raise InvalidParametersError("metacyclic orders must be positive")
     if pow(r, n, m) != 1 % m:
         raise InvalidParametersError("metacyclic twist must satisfy r^n = 1 mod m")
     if m * n > ORDER_CAP:
         raise BudgetError("metacyclic group exceeds the order cap")
-    rp = np.array([pow(r, b, m) for b in range(n)], dtype=np.int64)
-    a1 = np.arange(m)[:, None, None, None]
-    b1 = np.arange(n)[None, :, None, None]
-    a2 = np.arange(m)[None, None, :, None]
-    b2 = np.arange(n)[None, None, None, :]
-    prod_a = (a1 + rp[b1] * a2) % m
-    prod_b = (b1 + b2) % n
-    table = np.broadcast_to(prod_a * n + prod_b, (m, n, m, n))
-    return FiniteGroup(table.reshape(m * n, m * n))
+    powers = np.array([pow(r, b, m) for b in range(n)], dtype=np.int64)
+    # b acts on Z_m as multiplication by r^b
+    return semidirect_product(cyclic(m), cyclic(n), powers[:, None] * np.arange(m) % m)
 
 
 def _powers_of_permutation(perm: np.ndarray, count: int) -> list[np.ndarray]:

@@ -468,21 +468,17 @@ def solve_mod_prime_power(a, b, p, k):
     return None
 
 
-def module_presentation_local(rel, p, k, dim=None):
+def module_presentation_local(rel, p, k):
     """Cyclic decomposition of (Z/p^k)^d modulo the column span of rel.
 
-    ``rel`` is a d x r integer matrix whose columns are relations; pass
-    ``dim`` instead when there are no relations.  Returns
-    ``(orders, gens)`` where orders[i] > 1 is the size of the i-th
-    cyclic factor, ascending, and gens[:, i] generates it in the
-    original coordinates: P rel Q = diag(p^v) makes the columns of
-    P^(-1) the factor generators.
+    ``rel`` is a d x r integer matrix whose columns are relations; a
+    free module is a d x 0 matrix.  Returns ``(orders, gens)`` where
+    orders[i] > 1 is the size of the i-th cyclic factor, ascending, and
+    gens[:, i] generates it in the original coordinates:
+    P rel Q = diag(p^v) makes the columns of P^(-1) the factor
+    generators.
     """
     _require_prime(p)
-    if rel is None:
-        if dim is None:
-            raise InvalidInputError("pass a relation matrix or its row count dim")
-        rel = np.zeros((dim, 0), dtype=np.int64)
     vals, _, pinv = _local_elimination(np.asarray(rel, dtype=np.int64), p, k)
     keep = np.nonzero(vals > 0)[0]
     orders = [p ** int(v) for v in vals[keep]]

@@ -5,7 +5,10 @@ acting by (z1, z2) -> (w^k z1, w^l z2) with w = exp(2*pi*i/n).  The
 module provides exact-formula upper bounds and a seeded numerical
 optimizer for lower bounds on the q-extent (the maximal average
 pairwise distance among q points), plus the six-point angle budget that
-turns the q = 5 bound into a fixed-point count.
+turns the q = 5 bound into a fixed-point count.  The published values
+(q = 5, pi/3, the sharp deck order 61, the budget's triangles and
+angles) and the optimizer's sweep budget and slack are module
+constants, which verify-all's record texts print.
 """
 
 from __future__ import annotations
@@ -46,8 +49,18 @@ DECK_ORDER_CAP = 10**5
 EXTENT_Q = 5
 EXTENT_THRESHOLD = math.pi / 3.0
 EXTENT_SHARP_N = 61
+# six isolated fixed points span twenty geodesic triangles, sixty angles
+BUDGET_TRIANGLES = 20
+BUDGET_ANGLES = 3 * BUDGET_TRIANGLES
 # rows one scan_extent call may build; [3, 400] holds 1,152,548
 SCAN_ROW_CAP = 1_500_000
+# the optimizer's budget: a restart stops after MAX_SWEEPS sweeps or
+# once its step falls below STEP_TOLERANCE
+MAX_SWEEPS = 200
+STEP_TOLERANCE = 1e-5
+# how far an optimized lower bound may exceed the closed-form upper
+# bound before a report is refused
+LOWER_BOUND_SLACK = 1e-9
 _UNIT_TOL = 1e-12
 
 
@@ -127,23 +140,20 @@ class LensParams:
 
 @dataclass(frozen=True)
 class ExtentConfig:
-    """Budget knobs for the extent optimizer; all runs are seeded."""
+    """One optimizer run: tuple size, restarts and seed; the sweep budget
+    is ``MAX_SWEEPS`` and ``STEP_TOLERANCE``."""
 
     q: int
     restarts: int = 32
-    max_iters: int = 200
     seed: int = 0
-    step_tolerance: float = 1e-5
 
     def __post_init__(self):
         if self.q < 2:
             raise InvalidParametersError("tuple size q must be at least 2")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InvalidParametersError("budget fields must be positive")
+        if self.restarts < 1:
+            raise InvalidParametersError("restarts must be positive")
         if not 0 <= self.seed < 2**64:
             raise InvalidParametersError("seed must fit in 64 unsigned bits")
-        if not 0 < self.step_tolerance < 1e-2:
-            raise InvalidParametersError("step_tolerance must lie in (0, 1e-2)")
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,7 @@ class ExtentReport:
     iterations_used: int
 
     def __post_init__(self):
-        if self.lower_bound > self.upper_bound + 1e-9:
+        if self.lower_bound > self.upper_bound + LOWER_BOUND_SLACK:
             raise InvalidInputError("lower bound exceeds upper bound")
         if not 0.0 <= self.lower_bound <= math.pi:
             raise InvalidInputError("lower bound outside [0, pi]")
@@ -444,10 +454,10 @@ def isolated_fixed_point_budget(extent_bound: float) -> dict:
     """
     if not 0.0 < extent_bound < math.pi:
         raise InvalidInputError("extent bound must lie in (0, pi)")
-    budget = 6.0 * 10.0 * extent_bound
+    budget = BUDGET_ANGLES * extent_bound
     return {
         "six_point_budget": budget,
-        "contradiction": budget <= 20.0 * math.pi * (1.0 + 1e-12),
+        "contradiction": budget <= BUDGET_TRIANGLES * math.pi * (1.0 + 1e-12),
     }
 
 
@@ -472,7 +482,7 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     tangent directions per point at the restart's step size and keeps
     the best strict improvement.  The step halves after a sweep with no
     improvement, and the restart stops once it drops below
-    cfg.step_tolerance or after cfg.max_iters sweeps.  All restarts
+    ``STEP_TOLERANCE`` or after ``MAX_SWEEPS`` sweeps.  All restarts
     advance together as one (R, q, 4) array, each with its own stream,
     step and stopping rule, so the result is the one restarts run one
     after another would give.  Reported value is the best mean over all
@@ -487,11 +497,11 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     steps = np.full(cfg.restarts, _INITIAL_STEP)
     # others[i]: the indices of every point but i
     others = np.array([[j for j in range(q) if j != i] for i in range(q)])
-    drawn = np.empty((cfg.restarts, min(_SWEEPS_PER_DRAW, cfg.max_iters), q,
+    drawn = np.empty((cfg.restarts, min(_SWEEPS_PER_DRAW, MAX_SWEEPS), q,
                       _DIRECTIONS_PER_STEP, 4))
     sweeps_total = 0
-    for sweep in range(cfg.max_iters):
-        active = np.flatnonzero(steps >= cfg.step_tolerance)
+    for sweep in range(MAX_SWEEPS):
+        active = np.flatnonzero(steps >= STEP_TOLERANCE)
         if active.size == 0:
             break
         sweeps_total += active.size
@@ -505,7 +515,7 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
         # restart that stops early leaves the rest of its last draw
         # unused, and nothing else reads its stream
         if sweep % _SWEEPS_PER_DRAW == 0:
-            k = min(_SWEEPS_PER_DRAW, cfg.max_iters - sweep)
+            k = min(_SWEEPS_PER_DRAW, MAX_SWEEPS - sweep)
             for r in active:
                 rngs[r].standard_normal(out=drawn[r, :k])
         dirs = drawn[active, sweep % _SWEEPS_PER_DRAW]

@@ -5,19 +5,24 @@ printable expected/actual values.  DISCREPANCY marks the documented
 places where the computation contradicts the advertised value without
 failing the run; UNSUPPORTED marks inputs that are out of scope by
 design.  For a fixed seed the report is deterministic modulo the
-runtime fields.
+runtime fields.  A record's text formats every count, case, bound and
+tolerance from the value its check computes with, and checks of one
+shape (sharp threshold, SO(5) sweep, printed versus corrected model,
+unique extension, Lefschetz batch) share one function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
 from .cache import ResultCache
+from .claims import _TABLE as _STATEMENTS
 from .claims import ClassificationQuery, classify
 from .cohomology import (
     _cochain_second_cohomology,
@@ -29,11 +34,15 @@ from .cohomology import (
 from .embeddings import embed_into_so5, is_faithful_rep
 from .errors import InvalidInputError, UnsupportedCaseError
 from .fixedpoints import (
+    _LEFSCHETZ_CP2,
+    _LEFSCHETZ_S4,
     batch_lefschetz_cp2,
     batch_lefschetz_s4,
     involution_catalog,
 )
 from .groups import (
+    DEFAULT_TOLERANCE,
+    _tolerance_text,
     abelian,
     alternating,
     binary_dihedral,
@@ -42,7 +51,6 @@ from .groups import (
     binary_tetrahedral,
     build_group,
     build_metacyclic,
-    central_product,
     cyclic,
     cyclic_central_product,
     dihedral,
@@ -58,9 +66,12 @@ from .groups import (
     symmetric,
 )
 from .sphere import (
+    BUDGET_ANGLES,
+    BUDGET_TRIANGLES,
     EXTENT_Q,
     EXTENT_SHARP_N,
     EXTENT_THRESHOLD,
+    LOWER_BOUND_SLACK,
     ExtentConfig,
     LensParams,
     canonicalize_lens,
@@ -85,6 +96,13 @@ STATUSES = ("PASS", "FAIL", "DISCREPANCY", "UNSUPPORTED")
 # OPTIMIZER_CASES random quotients
 SCAN_MAX_N = 300
 OPTIMIZER_CASES = 3
+# the optimizer must find the round 3-sphere's diameter pi this closely
+DIAMETER_TOLERANCE = 1e-3
+# A5 is simple, so its only normal cyclic subgroup is the trivial one
+ICOSAHEDRAL_CYCLIC_INDEX = 60
+# |GL(3, F_2)|, the automorphisms of the rank-3 odd lattice mod 2-torsion
+GL_3_2_ORDER = 168
+_NUMBER_WORDS = ("no", "one", "two", "three", "four", "five")
 
 
 @dataclass(frozen=True)
@@ -102,13 +120,7 @@ class CheckRecord:
             raise InvalidInputError("runtime must be nonnegative")
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -118,12 +130,7 @@ class VerifyConfig:
     ``seed`` draws the random cases (optimizer quotients, cyclic H^2
     pairs, abelian embeddings, Lefschetz batches).  ``cache``, when
     set, holds the H^2 tables and the two binary-cover comparisons
-    across runs; every other check is recomputed.  The sizes the
-    report states are module constants: the scan covers deck orders
-    ``EXTENT_SHARP_N`` to ``SCAN_MAX_N``, the optimizer check draws
-    ``OPTIMIZER_CASES`` quotients at ``ExtentConfig``'s default
-    restarts, and each Lefschetz batch takes the batch functions'
-    default count."""
+    across runs; every other check is recomputed."""
 
     seed: int = 0
     cache: ResultCache | None = None
@@ -144,23 +151,35 @@ def _cached(cache: ResultCache | None, key: str, compute):
     return value
 
 
+def _number(count: int) -> str:
+    return _NUMBER_WORDS[count] if count < len(_NUMBER_WORDS) else str(count)
+
+
+def _all_of(count: int) -> str:
+    return "both" if count == 2 else f"all {_number(count)}"
+
+
+def _series(items) -> str:
+    """'a and b', or 'a, b, and c'."""
+    *head, last = items
+    if len(head) < 2:
+        return " and ".join([*head, last])
+    return f"{', '.join(head)}, and {last}"
+
+
+def _set_text(values) -> str:
+    return "{" + ", ".join(map(str, values)) + "}"
+
+
 # ---------------------------------------------------------------- sphere
 
-def _check_extent_sharp_low(cfg):
-    n = EXTENT_SHARP_N - 1
+def _check_extent_sharp(n, cfg):
+    """The bound at deck order ``n`` is below pi/3 iff n >= EXTENT_SHARP_N."""
     value = extent_upper_bound(LensParams(n, 1, 1), EXTENT_Q)
-    ok = value >= EXTENT_THRESHOLD
-    return ("PASS" if ok else "FAIL",
-            f"upper bound at deck order {n} >= pi/3 = {_fmt(EXTENT_THRESHOLD)}",
-            _fmt(value))
-
-
-def _check_extent_sharp_high(cfg):
-    value = extent_upper_bound(LensParams(EXTENT_SHARP_N, 1, 1), EXTENT_Q)
-    ok = value < EXTENT_THRESHOLD
-    return ("PASS" if ok else "FAIL",
-            f"upper bound at deck order {EXTENT_SHARP_N} < pi/3 = {_fmt(EXTENT_THRESHOLD)}",
-            _fmt(value))
+    below = n >= EXTENT_SHARP_N
+    return ("PASS" if (value < EXTENT_THRESHOLD) == below else "FAIL",
+            f"upper bound at deck order {n} {'<' if below else '>='} pi/3 = "
+            f"{_fmt(EXTENT_THRESHOLD)}", _fmt(value))
 
 
 def _check_extent_scan(cfg):
@@ -180,10 +199,10 @@ def _check_budget(cfg):
     budget = isolated_fixed_point_budget(bound)
     ok = budget["contradiction"]
     return ("PASS" if ok else "FAIL",
-            "six isolated fixed points need total angle > 20*pi, yet "
-            "60 angles of at most the extent bound cannot exceed it",
-            f"60 * {_fmt(bound)} = {_fmt(budget['six_point_budget'])} vs "
-            f"20*pi = {_fmt(20 * math.pi)}; contradiction={ok}")
+            f"six isolated fixed points need total angle > {BUDGET_TRIANGLES}*pi, yet "
+            f"{BUDGET_ANGLES} angles of at most the extent bound cannot exceed it",
+            f"{BUDGET_ANGLES} * {_fmt(bound)} = {_fmt(budget['six_point_budget'])} vs "
+            f"{BUDGET_TRIANGLES}*pi = {_fmt(BUDGET_TRIANGLES * math.pi)}; contradiction={ok}")
 
 
 def _check_optimizer_consistency(cfg):
@@ -198,24 +217,24 @@ def _check_optimizer_consistency(cfg):
             if math.gcd(k, n) == 1 and math.gcd(l, n) == 1:
                 break
         params = canonicalize_lens(n, k, l)
-        ecfg = ExtentConfig(q=EXTENT_Q, seed=int(rng.integers(2**63)))
-        report = extent_lower_bound(params, ecfg)
-        gap = report.lower_bound - report.upper_bound
-        worst_gap = max(worst_gap, gap)
+        seed = int(rng.integers(2**63))
+        report = extent_lower_bound(params, ExtentConfig(q=EXTENT_Q, seed=seed))
+        worst_gap = max(worst_gap, report.lower_bound - report.upper_bound)
         cases.append(f"({params.n},{params.k},{params.l})")
-    ok = worst_gap <= 1e-9
+    ok = worst_gap <= LOWER_BOUND_SLACK
     return ("PASS" if ok else "FAIL",
             "optimized spread never exceeds the closed-form bound "
-            "(tolerance 1e-9)",
+            f"(tolerance {_tolerance_text(LOWER_BOUND_SLACK)})",
             f"worst lower-upper gap {_fmt(worst_gap)} over {', '.join(cases)}")
 
 
 def _check_sphere_diameter(cfg):
-    report = extent_lower_bound(LensParams(1, 1, 1),
-                                ExtentConfig(q=2, seed=cfg.seed))
-    ok = report.lower_bound >= math.pi - 1e-3
+    ecfg = ExtentConfig(q=2, seed=cfg.seed)
+    report = extent_lower_bound(LensParams(1, 1, 1), ecfg)
+    ok = report.lower_bound >= math.pi - DIAMETER_TOLERANCE
     return ("PASS" if ok else "FAIL",
-            "2-point extent of the round 3-sphere reaches pi within 1e-3",
+            f"{ecfg.q}-point extent of the round 3-sphere reaches pi within "
+            f"{_tolerance_text(DIAMETER_TOLERANCE)}",
             _fmt(report.lower_bound))
 
 
@@ -273,15 +292,13 @@ def _h2_verdict(rows, factors):
     """Worst tag over rows (label, family, parameter, m) of H2_TABLE, the
     predicted values as text, and the failing rows; ``factors(group, m)``
     computes H^2."""
-    built = {}
+    row_group = functools.cache(_row_group)  # each group table built once
     tags = []
     wanted = []
     bad = []
     for label, family, parameter, m in rows:
-        if (family, parameter) not in built:
-            built[family, parameter] = _row_group(family, parameter)
         computed, advertised = H2_TABLE[family](parameter, m)
-        got = tuple(factors(built[family, parameter], m))
+        got = tuple(factors(row_group(family, parameter), m))
         tags.append(h2_tag(got, computed, advertised))
         wanted.append(f"{label} m={m} -> {computed}")
         if tags[-1] == "FAIL":
@@ -324,265 +341,234 @@ def _check_h2_cyclic_rule(cfg):
 # ------------------------------------------------------------ extensions
 
 def _check_extensions_icosahedral(cfg):
+    m = 2
     a5 = alternating(5)
-    classes = classify_central_extensions(a5, 2)
-    split = direct_product(cyclic(2), a5)
-    binary = binary_icosahedral()
-    names = []
-    found_split = found_binary = False
-    for cls in classes:
-        if is_isomorphic(cls.group, split):
-            found_split = True
-            names.append("Z2 x A5")
-        elif is_isomorphic(cls.group, binary):
-            found_binary = True
-            names.append("binary icosahedral")
-        else:
-            names.append(f"unrecognized order {cls.group.size}")
-    ok = len(classes) == 2 and found_split and found_binary
+    classes = classify_central_extensions(a5, m)
+    models = ((f"Z{m} x A5", f"the product Z{m} x A5", direct_product(cyclic(m), a5)),
+              ("binary icosahedral", "the binary icosahedral double cover",
+               binary_icosahedral()))
+    names = [next((name for name, _, model in models if is_isomorphic(c.group, model)),
+                  f"unrecognized order {c.group.size}") for c in classes]
+    ok = len(classes) == len(models) and all(name in names for name, _, _ in models)
     # names in a fixed order, whatever the order of the listing
     return ("PASS" if ok else "FAIL",
-            "exactly two isomorphism types: the product Z2 x A5 and the "
-            "binary icosahedral double cover",
+            f"exactly {_number(len(models))} isomorphism types: "
+            f"{_series(text for _, text, _ in models)}",
             f"{len(classes)} types: {', '.join(sorted(names))}")
 
 
 def _check_extensions_octahedral(cfg):
+    m = 2
     s4 = symmetric(4)
-    classes = classify_central_extensions(s4, 2)
-    split = direct_product(cyclic(2), s4)
+    classes = classify_central_extensions(s4, m)
+    split = direct_product(cyclic(m), s4)
     binary = binary_octahedral()
     found_split = any(is_isomorphic(c.group, split) for c in classes)
     found_binary = any(is_isomorphic(c.group, binary) for c in classes)
     total = sum(c.class_count for c in classes)
-    ok = found_split and found_binary and total == 4
+    # the classes number |H^2(S4; Z_m)|, the computed value of the table
+    want = math.prod(H2_TABLE["octa"](None, m)[0])
+    ok = found_split and found_binary and total == want
     return ("PASS" if ok else "FAIL",
             "the binary octahedral double cover and the split product both "
-            "occur among the 4 cohomology classes",
+            f"occur among the {want} cohomology classes",
             f"{total} classes in {len(classes)} isomorphism types; "
             f"split={found_split}, binary={found_binary}")
 
 
-def _check_extension_binary_covers(cfg):
-    base = None  # A5, built when the first cache key misses and classified for both moduli
-
-    def covered(m):
-        nonlocal base
-        if base is None:
-            base = alternating(5)
-        found = unique_nontrivial_extension(base, m)
-        return found is not None and is_isomorphic(
-            found, cyclic_central_product(m, binary_icosahedral()))
-
-    bad = []
-    for m in (2, 4):
-        if not _cached(cfg.cache, f"ext-double-cover-icosa-m{m}", partial(covered, m)):
-            bad.append(f"icosa m={m}")
-    expected = ("unique nontrivial extension of the icosahedral group by "
-                "Z_m is Z_m joined with its binary double cover over the "
-                "common central involution, m in {2, 4}")
-    if not bad:
-        return "PASS", expected, "both central-product models verified"
-    return "FAIL", expected, f"mismatch at {', '.join(bad)}"
+def _icosahedral_covers():
+    ms = (2, 4)
+    a5 = functools.cache(partial(alternating, 5))  # built once, if a row computes
+    return ("unique nontrivial extension of the icosahedral group by Z_m is Z_m "
+            "joined with its binary double cover over the common central "
+            f"involution, m in {_set_text(ms)}",
+            [(f"icosa m={m}", a5, m, binary_icosahedral) for m in ms])
 
 
-def _check_extension_klein_exponent(cfg):
-    found = unique_nontrivial_extension(alternating(4), 3)
-    printed = found is not None and is_isomorphic(found, klein_by_cyclic3(1))
-    corrected = found is not None and is_isomorphic(found, klein_by_cyclic3(2))
-    if printed is False and corrected is True:
-        return ("DISCREPANCY",
-                "advertised 3-power extension of the tetrahedral group "
-                "keeps the same cyclic exponent 3^r",
-                "realized group needs exponent 3^(r+1): printed model "
-                "False, corrected model True at r=1")
-    return ("FAIL",
-            "printed model False and corrected model True at r=1",
-            f"printed={printed}, corrected={corrected}")
+def _dicyclic_covers():
+    m, ks = 2, (3, 5)
+    return ("nontrivial extension of the dihedral group of order 2k by "
+            f"Z_{m} is the dicyclic group of order 4k, k in {_set_text(ks)}",
+            [(f"k={k}", partial(dihedral, 2 * k), m, partial(binary_dihedral, 4 * k))
+             for k in ks])
 
 
-def _check_extension_dicyclic_m2(cfg):
-    bad = []
-    for k in (3, 5):
-        found = unique_nontrivial_extension(dihedral(2 * k), 2)
-        if found is None or not is_isomorphic(found, binary_dihedral(4 * k)):
-            bad.append(f"k={k}")
-    expected = ("nontrivial extension of the dihedral group of order 2k by "
-                "Z_2 is the dicyclic group of order 4k, k in {3, 5}")
-    if not bad:
-        return "PASS", expected, "both dicyclic models verified"
-    return "FAIL", expected, f"mismatch at {', '.join(bad)}"
+def _is_unique_extension(base, m, cover) -> bool:
+    found = unique_nontrivial_extension(base(), m)
+    return found is not None and is_isomorphic(found, cyclic_central_product(m, cover()))
 
 
-def _check_extension_dicyclic_m4(cfg):
-    found = unique_nontrivial_extension(dihedral(6), 4)
+def _check_extension_models(case, models, cache_prefix, cfg):
+    """Z_m joined with ``cover()`` over the central involution is the unique
+    nontrivial extension of Z_m by ``base()`` on every row (label, base, m,
+    cover) of ``case()``; with ``cache_prefix`` each row's verdict is
+    cached under ``{cache_prefix}-m{m}``."""
+    expected, rows = case()
+    cache = cfg.cache if cache_prefix else None
+    bad = [label for label, base, m, cover in rows
+           if not _cached(cache, f"{cache_prefix}-m{m}",
+                          partial(_is_unique_extension, base, m, cover))]
+    if bad:
+        return "FAIL", expected, f"mismatch at {', '.join(bad)}"
+    return "PASS", expected, f"{_all_of(len(rows))} {models} models verified"
+
+
+def _klein_exponent(r):
+    return (alternating(4), 3**r, klein_by_cyclic3(r), klein_by_cyclic3(r + 1),
+            ("advertised 3-power extension of the tetrahedral group keeps the "
+             "same cyclic exponent 3^r",
+             "realized group needs exponent 3^(r+1): printed model False, "
+             f"corrected model True at r={r}"))
+
+
+def _dicyclic_split(m, k):
     # the printed model reads the order-4k factor as the dicyclic group;
     # with the ordinary dihedral group the product is already the split
     # extension, so only this reading can hold at all
-    printed = found is not None and is_isomorphic(
-        found, cyclic_central_product(4, binary_dihedral(12)))
-    corrected = found is not None and is_isomorphic(found, inverted_odd_cycle(3, 4))
+    dicyclic = binary_dihedral(4 * k)
+    return (dihedral(2 * k), m, cyclic_central_product(m, dicyclic), inverted_odd_cycle(k, m),
+            (f"advertised model at m={m}, k={k} is Z_{m} joined with the "
+             f"dicyclic group of order {dicyclic.size} over the central involution",
+             "that central product is already the split extension once 4 "
+             f"divides m; the realized group is Z_{k} acted on by Z_{2 * (m & -m)} "
+             "through inversion (printed False, corrected True)"))
+
+
+def _check_printed_model(case, params, cfg):
+    """DISCREPANCY when the unique nontrivial extension is the corrected
+    model, not the printed one; ``case(**params)`` gives (base, m,
+    printed, corrected, the discrepancy's expected and actual texts)."""
+    base, m, printed_model, corrected_model, discrepancy = case(**params)
+    found = unique_nontrivial_extension(base, m)
+    printed = found is not None and is_isomorphic(found, printed_model)
+    corrected = found is not None and is_isomorphic(found, corrected_model)
     if printed is False and corrected is True:
-        return ("DISCREPANCY",
-                "advertised model at m=4, k=3 is Z_4 joined with the "
-                "dicyclic group of order 12 over the central involution",
-                "that central product is already the split extension once "
-                "4 divides m; the realized group is Z_3 acted on by Z_8 "
-                "through inversion (printed False, corrected True)")
-    return ("FAIL",
-            "printed model False and corrected model True at m=4, k=3",
+        return ("DISCREPANCY", *discrepancy)
+    where = ", ".join(f"{name}={value}" for name, value in params.items())
+    return ("FAIL", f"printed model False and corrected model True at {where}",
             f"printed={printed}, corrected={corrected}")
 
 
 # ------------------------------------------------------------ embeddings
 
-def _embed_ok(group, hint):
-    rep = embed_into_so5(group, hint)
-    return is_faithful_rep(rep), float(rep.homomorphism_residual())
-
-
-def _check_embed_abelian(cfg):
+def _abelian_sample(cfg):
+    samples, max_order = 10, 100
     rng = np.random.default_rng(cfg.seed + 2)
-    worst = 0.0
-    bad = []
-    for i in range(10):
+    rows = []
+    for _ in range(samples):
         a = int(rng.integers(1, 11))
-        b = int(rng.integers(1, 100 // a + 1))
-        group = abelian([a, b])
-        ok, residual = _embed_ok(group, {"kind": "abelian"})
-        worst = max(worst, residual)
-        if not ok:
-            bad.append(f"Z{a} x Z{b}")
-    expected = ("10 sampled abelian groups of rank at most 2 and order at "
-                "most 100 embed faithfully in SO(5), residual < 1e-9")
-    if not bad:
-        return "PASS", expected, f"10/10 faithful, max residual {worst:.2e}"
-    return "FAIL", expected, f"not faithful: {', '.join(bad)}"
+        b = int(rng.integers(1, max_order // a + 1))
+        rows.append((f"Z{a} x Z{b}", abelian([a, b]), {"kind": "abelian"}))
+    return (f"{len(rows)} sampled abelian groups of rank at most 2 and order at "
+            f"most {max_order} embed faithfully in SO(5), residual < "
+            f"{_tolerance_text(DEFAULT_TOLERANCE)}", rows)
 
 
-def _check_embed_central_products(cfg):
-    bad = []
+def _central_products(cfg):
+    ms = (2, 4)
+    lifts = (("octa", binary_octahedral()), ("icosa", binary_icosahedral()))
+    rows = [(f"{poly} m={m}", cyclic_central_product(m, lift),
+             {"kind": "central-product", "poly": poly, "m": m})
+            for poly, lift in lifts for m in ms]
+    return ("Z_m joined with the binary octahedral/icosahedral group over the "
+            "central involution embeds faithfully in SO(5), m in "
+            f"{_set_text(ms)}", rows)
+
+
+def _klein_family(cfg):
+    cases = ((1, 1), (1, 5), (1, 7), (2, 1))
+    rows = [(f"(r,m+)=({r},{m_plus})", direct_product(klein_by_cyclic3(r), cyclic(m_plus)),
+             {"kind": "klein-3power", "power": r, "m_plus": m_plus})
+            for r, m_plus in cases]
+    return ("rank-2 elementary 2-group rotations twisted by a 3-power cycle, "
+            "times a coprime cyclic factor, embed faithfully in SO(5) for "
+            f"3^r * m+ up to {max(3**r * m_plus for r, m_plus in cases)}", rows)
+
+
+def _quaternion_u2(cfg):
+    r, s = 1, 1
+    cycle = 3 ** (s + 1)
+    return (f"the quaternion group extended by a {cycle}-cycle acts unitarily "
+            "on C^2; the realified model embeds faithfully in SO(5)",
+            [(f"Q8 by Z{cycle}", q8_by_cyclic3(s + 1),
+              {"kind": "u2-mixed", "r": r, "s": s, "m_plus": 1})])
+
+
+def _dihedral_mixed(cfg):
+    m, k = 2, 3
+    group = binary_dihedral(2 * k * m)
+    return (f"the dicyclic group of order {group.size} (m={m}, k={k} mixed "
+            "dihedral case) embeds faithfully in SO(5)",
+            [(f"dicyclic{group.size}", group, {"kind": "dihedral-mixed", "m": m, "k": k})])
+
+
+def _check_embeddings(case, passed, cfg):
+    """Every row (label, group, hint) of ``case(cfg)``, which also gives
+    the expected text, embeds faithfully in SO(5); ``passed`` formats the
+    PASS text from n (rows), order (last group) and residual (largest)."""
+    expected, rows = case(cfg)
     worst = 0.0
-    for poly, lift in (("octa", binary_octahedral()),
-                       ("icosa", binary_icosahedral())):
-        zh = int(np.flatnonzero(lift.element_orders == 2)[0])
-        for m in (2, 4):
-            group = central_product(cyclic(m), lift, m // 2, zh)
-            ok, residual = _embed_ok(group, {"kind": "central-product",
-                                             "poly": poly, "m": m})
-            worst = max(worst, residual)
-            if not ok:
-                bad.append(f"{poly} m={m}")
-    expected = ("Z_m joined with the binary octahedral/icosahedral group "
-                "over the central involution embeds faithfully in SO(5), "
-                "m in {2, 4}")
-    if not bad:
-        return "PASS", expected, f"4/4 faithful, max residual {worst:.2e}"
-    return "FAIL", expected, f"not faithful: {', '.join(bad)}"
-
-
-def _check_embed_klein_family(cfg):
     bad = []
-    worst = 0.0
-    cases = [(1, 1), (1, 5), (1, 7), (2, 1)]
-    for r, m_plus in cases:
-        group = direct_product(klein_by_cyclic3(r), cyclic(m_plus))
-        ok, residual = _embed_ok(group, {"kind": "klein-3power",
-                                         "power": r, "m_plus": m_plus})
-        worst = max(worst, residual)
-        if not ok:
-            bad.append(f"(r,m+)=({r},{m_plus})")
-    expected = ("rank-2 elementary 2-group rotations twisted by a 3-power "
-                "cycle, times a coprime cyclic factor, embed faithfully in "
-                "SO(5) for 3^r * m+ up to 21")
-    if not bad:
-        return "PASS", expected, f"{len(cases)} cases faithful, max residual {worst:.2e}"
-    return "FAIL", expected, f"not faithful: {', '.join(bad)}"
-
-
-def _check_embed_quaternion_u2(cfg):
-    group = q8_by_cyclic3(2)
-    ok, residual = _embed_ok(group, {"kind": "u2-mixed",
-                                     "r": 1, "s": 1, "m_plus": 1})
-    expected = ("the quaternion group extended by a 9-cycle acts unitarily "
-                "on C^2; the realified model embeds faithfully in SO(5)")
-    if ok:
-        return "PASS", expected, f"order {group.size} faithful, residual {residual:.2e}"
-    return "FAIL", expected, f"not faithful (residual {residual:.2e})"
-
-
-def _check_embed_dihedral_mixed(cfg):
-    group = binary_dihedral(12)
-    ok, residual = _embed_ok(group, {"kind": "dihedral-mixed", "m": 2, "k": 3})
-    expected = ("the dicyclic group of order 12 (m=2, k=3 mixed dihedral "
-                "case) embeds faithfully in SO(5)")
-    if ok:
-        return "PASS", expected, f"faithful, residual {residual:.2e}"
-    return "FAIL", expected, f"not faithful (residual {residual:.2e})"
+    for label, group, hint in rows:
+        rep = embed_into_so5(group, hint)
+        worst = max(worst, float(rep.homomorphism_residual()))
+        if not is_faithful_rep(rep):
+            bad.append(label)
+    if bad:
+        return "FAIL", expected, f"not faithful: {', '.join(bad)}"
+    return "PASS", expected, passed.format(n=len(rows), order=group.size, residual=worst)
 
 
 def _check_embed_two_group(cfg):
-    group = abelian([2, 2, 2])
     try:
-        embed_into_so5(group, {"kind": "two-group"})
+        embed_into_so5(abelian([2, 2, 2]), {"kind": "two-group"})
     except UnsupportedCaseError as exc:
         return ("UNSUPPORTED",
                 "2-groups with an index-2 cyclic subgroup have no explicit "
                 "recipe and must be refused, not mis-embedded",
                 str(exc))
-    return ("FAIL",
-            "unsupported-case error for the 2-group hint",
-            "no error raised")
+    return "FAIL", "unsupported-case error for the 2-group hint", "no error raised"
 
 
 # ----------------------------------------------------------- fixed points
 
-def _batch_seed(cfg, offset):
+def _check_lefschetz_batch(batch, offset, lefschetz, maps, cfg):
+    """chi(Fix) = ``lefschetz`` on a ``batch`` of random ``maps``."""
     # the batches take 64-bit seeds; below 2^64 - offset this is seed + offset
-    return (cfg.seed + offset) % 2**64
-
-
-def _check_fixedpoint_sphere_batch(cfg):
-    result = batch_lefschetz_s4(seed=_batch_seed(cfg, 3))
-    ok = result["all_pass"]
-    return ("PASS" if ok else "FAIL",
-            f"chi(Fix) = 2 = Lefschetz number for {result['count']} random "
-            "rotations of the 4-sphere",
-            f"{result['count'] - len(result['failures'])}/{result['count']} pass")
-
-
-def _check_fixedpoint_plane_batch(cfg):
-    result = batch_lefschetz_cp2(seed=_batch_seed(cfg, 4))
-    ok = result["all_pass"]
-    return ("PASS" if ok else "FAIL",
-            f"chi(Fix) = 3 = Lefschetz number for {result['count']} random "
-            "unitary maps of the projective plane",
-            f"{result['count'] - len(result['failures'])}/{result['count']} pass")
+    result = batch(seed=(cfg.seed + offset) % 2**64)
+    count, failures = result["count"], result["failures"]
+    expected = f"chi(Fix) = {lefschetz} = Lefschetz number for {count} random {maps}"
+    tally = f"{count - len(failures)}/{count} pass"
+    if failures:
+        return "FAIL", expected, f"{tally}; first failing draw {failures[0]}"
+    return "PASS", expected, tally
 
 
 def _check_involution_catalog(cfg):
     entries = involution_catalog()
     bad = [e["label"] for e in entries
            if e["result"]["eq_pass"] != e["expected_pass"]]
+    # the conjugation of CP^2 fixes RP^2: chi = 1 and [F]^2 = -1
+    euler, square = 1, -1
     conj = next(e for e in entries if e["label"] == "cp2-conjugation")
-    conj_ok = (conj["data"].fix_euler == 1
-               and conj["result"]["derived_self_intersection"] == -1)
+    conj_ok = (conj["data"].fix_euler == euler
+               and conj["result"]["derived_self_intersection"] == square)
     expected = ("chi(Fix) = 2 + [Fix]^2 holds for the conjugation and "
                 "holomorphic involutions and rules out the free one; the "
-                "conjugation record reads 1 = 2 + (-1)")
+                f"conjugation record reads {euler} = 2 + ({square})")
     if not bad and conj_ok:
-        return "PASS", expected, "3/3 catalog entries as predicted"
+        return "PASS", expected, f"{len(entries)}/{len(entries)} catalog entries as predicted"
     return "FAIL", expected, f"mismatched entries: {bad or 'conjugation record'}"
 
 
 # ------------------------------------------------------- group structure
 
 def _check_gl_order(cfg):
-    value = order_gl(3, 2)
-    ok = value == 168
-    return ("PASS" if ok else "FAIL",
-            "|GL(3, F_2)| = (2^3-1)(2^3-2)(2^3-4) = 168",
-            str(value))
+    n, p = 3, 2
+    value = order_gl(n, p)
+    factors = "".join(f"({p}^{n}-{p**i})" for i in range(n))
+    return ("PASS" if value == GL_3_2_ORDER else "FAIL",
+            f"|GL({n}, F_{p})| = {factors} = {GL_3_2_ORDER}", str(value))
 
 
 # the groups of cyclic-normal-index-catalog, as (name, constructor)
@@ -601,15 +587,15 @@ CYCLIC_INDEX_CATALOG = (
 
 
 def _check_cyclic_index_catalog(cfg):
+    claim = next(record for _, record in _STATEMENTS
+                 if record.id == "normal-cyclic-index-120")
+    bound = dict(claim.bounds)["cyclic_normal_index"]
     indices = {name: max_cyclic_normal_index(build()) for name, build in CYCLIC_INDEX_CATALOG}
-    worst = max(indices.values())
-    a5 = indices["A5"]
-    ok = worst <= 120 and a5 == 60
-    listing = ", ".join(f"{name}={idx}" for name, idx in indices.items())
+    ok = max(indices.values()) <= bound and indices["A5"] == ICOSAHEDRAL_CYCLIC_INDEX
     return ("PASS" if ok else "FAIL",
             "every catalog group has a normal cyclic subgroup of index at "
-            "most 120, with the icosahedral group at exactly 60",
-            listing)
+            f"most {bound}, with the icosahedral group at exactly {ICOSAHEDRAL_CYCLIC_INDEX}",
+            ", ".join(f"{name}={idx}" for name, idx in indices.items()))
 
 
 def _check_family_membership(cfg):
@@ -634,35 +620,38 @@ def _check_family_membership(cfg):
 
 
 def _check_classification_lookup(cfg):
-    wanted = {
-        (1, "odd"): ("odd-order-structure", "odd-nonabelian-projective-plane"),
-        (2, "odd"): ("odd-b2-2-cyclic",),
-        (0, "odd"): ("odd-b2-0-abelian",),
-    }
+    parity = "odd"
+    # (b2, the records the lookup must contain, what they state)
+    wanted = (
+        (1, ("odd-order-structure", "odd-nonabelian-projective-plane"),
+         "the structure dichotomy"),
+        (2, ("odd-b2-2-cyclic",), "the cyclic branch"),
+        (0, ("odd-b2-0-abelian",), "the rank-2 abelian statement"),
+    )
     bad = []
-    for (b2, parity), ids in wanted.items():
+    for b2, ids, _ in wanted:
         got = {r.id for r in classify(ClassificationQuery(b2=b2, order_parity=parity))}
         missing = [i for i in ids if i not in got]
         if missing:
             bad.append(f"(b2={b2}, {parity}) lacks {missing}")
-    expected = ("the decision table returns the structure dichotomy at "
-                "b2=1, the cyclic branch at b2=2, and the rank-2 abelian "
-                "statement at b2=0 for odd order")
+    expected = ("the decision table returns "
+                f"{_series(f'{what} at b2={b2}' for b2, _, what in wanted)} "
+                f"for {parity} order")
     if not bad:
-        return "PASS", expected, "all three lookups contain the required records"
+        return "PASS", expected, f"{_all_of(len(wanted))} lookups contain the required records"
     return "FAIL", expected, "; ".join(bad)
 
 
 _SUITE = (
-    ("extent-sharp-at-60", _check_extent_sharp_low,
+    ("extent-sharp-at-60", partial(_check_extent_sharp, EXTENT_SHARP_N - 1),
      "The closed-form 5-point extent bound on the lens quotient of deck "
      "order 60 with both rotation exponents 1 is at least pi/3."),
-    ("extent-sharp-at-61", _check_extent_sharp_high,
+    ("extent-sharp-at-61", partial(_check_extent_sharp, EXTENT_SHARP_N),
      "The closed-form 5-point extent bound on the lens quotient of deck "
      "order 61 with both rotation exponents 1 is strictly below pi/3."),
     ("extent-scan-range", _check_extent_scan,
-     "Every canonical lens quotient with deck order in the configured "
-     "range has 5-point extent bound strictly below pi/3."),
+     f"Every canonical lens quotient with deck order from {EXTENT_SHARP_N} "
+     f"to {SCAN_MAX_N} has 5-point extent bound strictly below pi/3."),
     ("fixed-point-budget", _check_budget,
      "Six isolated fixed points of an isometric circle-commuting action "
      "would span twenty geodesic triangles whose angle sum exceeds "
@@ -722,47 +711,59 @@ _SUITE = (
      "The central extensions of the octahedral group by Z_2 comprise "
      "four cohomology classes and include the split product and the "
      "binary octahedral group."),
-    ("extension-binary-covers", _check_extension_binary_covers,
+    ("extension-binary-covers",
+     partial(_check_extension_models, _icosahedral_covers, "central-product",
+             "ext-double-cover-icosa"),
      "The unique nontrivial central extension of the icosahedral group "
      "by Z_m (m = 2, 4) is the central product of Z_m with the binary "
      "icosahedral group over the shared involution."),
-    ("extension-klein-exponent", _check_extension_klein_exponent,
+    ("extension-klein-exponent", partial(_check_printed_model, _klein_exponent, {"r": 1}),
      "The nontrivial central extension of the tetrahedral group by a "
      "3-power: the advertised model keeps exponent 3^r, the realized "
      "group requires 3^(r+1)."),
-    ("extension-dicyclic-m2", _check_extension_dicyclic_m2,
+    ("extension-dicyclic-m2", partial(_check_extension_models, _dicyclic_covers, "dicyclic", None),
      "The nontrivial central extension of the dihedral group of order "
      "2k by Z_2 is the dicyclic group of order 4k, for odd k."),
-    ("extension-dicyclic-m4", _check_extension_dicyclic_m4,
+    ("extension-dicyclic-m4", partial(_check_printed_model, _dicyclic_split, {"m": 4, "k": 3}),
      "The advertised central-product model for the nontrivial extension "
      "of the dihedral group of order 2k by Z_m degenerates once 4 "
      "divides m; the realized group is an odd cycle inverted by a "
      "2-power cycle."),
-    ("embed-abelian-sample", _check_embed_abelian,
+    ("embed-abelian-sample",
+     partial(_check_embeddings, _abelian_sample, "{n}/{n} faithful, max residual {residual:.2e}"),
      "Abelian groups of rank at most 2 act orthogonally on R^5 through "
      "two rotation planes and a fixed axis."),
-    ("embed-central-products", _check_embed_central_products,
+    ("embed-central-products",
+     partial(_check_embeddings, _central_products,
+             "{n}/{n} faithful, max residual {residual:.2e}"),
      "Central products of a cyclic 2-power with a binary polyhedral "
      "group act on R^4 by left/right quaternion multiplication, hence "
      "orthogonally on R^5."),
-    ("embed-klein-family", _check_embed_klein_family,
+    ("embed-klein-family",
+     partial(_check_embeddings, _klein_family, "{n} cases faithful, max residual {residual:.2e}"),
      "The rank-2 elementary 2-group twisted by a 3-power cycle, times a "
      "coprime cyclic factor, acts as rotations on R^3 plus a plane "
      "rotation, hence orthogonally on R^5."),
-    ("embed-quaternion-u2", _check_embed_quaternion_u2,
+    ("embed-quaternion-u2",
+     partial(_check_embeddings, _quaternion_u2, "order {order} faithful, residual {residual:.2e}"),
      "The quaternion group extended by a 9-cycle is a unitary subgroup "
      "of U(2); realifying gives a faithful orthogonal action on R^5."),
-    ("embed-dihedral-mixed", _check_embed_dihedral_mixed,
+    ("embed-dihedral-mixed",
+     partial(_check_embeddings, _dihedral_mixed, "faithful, residual {residual:.2e}"),
      "The dicyclic group of order 12 sits in U(2) as the mixed dihedral "
      "case m=2, k=3; realifying gives a faithful orthogonal action on "
      "R^5."),
     ("embed-two-group-unsupported", _check_embed_two_group,
      "2-groups with an index-2 cyclic subgroup carry no printed matrix "
      "recipe; the embedding front end must refuse them explicitly."),
-    ("fixedpoint-sphere-batch", _check_fixedpoint_sphere_batch,
+    ("fixedpoint-sphere-batch",
+     partial(_check_lefschetz_batch, batch_lefschetz_s4, 3, _LEFSCHETZ_S4,
+             "rotations of the 4-sphere"),
      "A nontrivial rotation of the 4-sphere fixes a point set of Euler "
      "characteristic 2, its Lefschetz number."),
-    ("fixedpoint-plane-batch", _check_fixedpoint_plane_batch,
+    ("fixedpoint-plane-batch",
+     partial(_check_lefschetz_batch, batch_lefschetz_cp2, 4, _LEFSCHETZ_CP2,
+             "unitary maps of the projective plane"),
      "A unitary map of the projective plane fixes a point set of Euler "
      "characteristic 3, its Lefschetz number."),
     ("fixedpoint-involution-catalog", _check_involution_catalog,
@@ -789,11 +790,9 @@ def verify_all(config: VerifyConfig | None = None) -> dict:
     cfg = config if config is not None else VerifyConfig()
     checks = []
     legend = {}
-    seen = set()
     for check_id, fn, anchor in _SUITE:
-        if check_id in seen:
+        if check_id in legend:
             raise InvalidInputError(f"duplicate check id {check_id!r}")
-        seen.add(check_id)
         start = time.perf_counter()
         try:
             status, expected, actual = fn(cfg)

@@ -48,11 +48,11 @@ from isom4.groups import (
     symmetric,
 )
 from isom4.snf import solve_mod_prime_power
-from isom4.verify import (
-    VerifyConfig,
-    _check_extension_dicyclic_m4,
-    _check_extension_klein_exponent,
-)
+from isom4.verify import _SUITE, VerifyConfig
+
+_CHECKS = {check_id: check for check_id, check, _ in _SUITE}
+_check_extension_klein_exponent = _CHECKS["extension-klein-exponent"]
+_check_extension_dicyclic_m4 = _CHECKS["extension-dicyclic-m4"]
 
 
 def factors(group, m):
@@ -513,14 +513,16 @@ def test_extension_checks_classify_once(check, monkeypatch):
 
 def test_tstar_model():
     # A4 by Z_2, class order exactly 2: the binary tetrahedral group
-    found = unique_nontrivial_extension(alternating(4), 2, order_filter=lambda o: o == 2)
-    assert is_isomorphic(found, binary_tetrahedral())
+    found = [c.group for c in classify_central_extensions(alternating(4), 2)
+             if 2 in c.class_orders]
+    assert len(found) == 1 and is_isomorphic(found[0], binary_tetrahedral())
 
 
 def test_q8_mixed_model():
     # A4 by Z_6, class order divisible by 6: Q8 extended by a 9-cycle
-    found = unique_nontrivial_extension(alternating(4), 6, order_filter=lambda o: o % 6 == 0)
-    assert is_isomorphic(found, q8_by_cyclic3(2))
+    found = [c.group for c in classify_central_extensions(alternating(4), 6)
+             if any(o % 6 == 0 for o in c.class_orders)]
+    assert len(found) == 1 and is_isomorphic(found[0], q8_by_cyclic3(2))
 
 
 # --- guardrails and records ----------------------------------------------------

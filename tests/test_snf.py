@@ -136,7 +136,7 @@ def test_module_presentation_cyclic_factors():
 
 
 def test_module_presentation_free_case():
-    orders, _ = module_presentation_local(None, 2, 3, dim=2)
+    orders, _ = module_presentation_local(np.zeros((2, 0), dtype=np.int64), 2, 3)
     assert sorted(orders) == [8, 8]
 
 
@@ -181,7 +181,7 @@ local_relations = st.tuples(
 def test_module_presentation_matches_integer_snf(case):
     rel, (p, k) = case
     d = rel.shape[0]
-    orders, gens = module_presentation_local(rel, p, k, dim=d)
+    orders, gens = module_presentation_local(rel, p, k)
     # independent route: (Z/p^k)^d / span(rel) is the cokernel over Z
     # of [rel | p^k I]
     full = np.hstack([rel, p**k * np.eye(d, dtype=np.int64)])
@@ -238,7 +238,7 @@ def _presentation_reference(rel, p, k):
 @given(local_relations)
 def test_module_presentation_matches_loop_reference(case):
     rel, (p, k) = case
-    orders, gens = module_presentation_local(rel, p, k, dim=rel.shape[0])
+    orders, gens = module_presentation_local(rel, p, k)
     want_orders, want_gens = _presentation_reference(rel, p, k)
     assert orders == want_orders
     assert gens.tolist() == want_gens
@@ -254,7 +254,7 @@ def test_local_elimination_reduces_before_narrowing(p, k, d):
     mod = p**k
     rng = np.random.default_rng(p + k + d)
     rel = mod * rng.integers(-2**20, 2**20, size=(d, 4)) + p * rng.integers(0, mod, size=(d, 4)) % mod
-    orders, gens = module_presentation_local(rel, p, k, dim=d)
+    orders, gens = module_presentation_local(rel, p, k)
     want_orders, want_gens = _presentation_reference(rel, p, k)
     assert orders == want_orders
     assert gens.tolist() == want_gens
@@ -331,16 +331,11 @@ def test_drop_redundant_rows_matches_unique(p, m, n, seed):
     assert np.array_equal(got, want)
 
 
-def test_module_presentation_needs_rel_or_dim():
-    with pytest.raises(InvalidInputError):
-        module_presentation_local(None, 2, 1)
-
-
 def test_prime_validation():
     with pytest.raises(InvalidParametersError):
         kernel_mod_p(np.eye(2, dtype=np.int64), 4)
     with pytest.raises(InvalidParametersError):
-        module_presentation_local(None, 6, 1, dim=1)
+        module_presentation_local(np.zeros((1, 0), dtype=np.int64), 6, 1)
 
 
 def test_ragged_input_refused():

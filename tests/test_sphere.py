@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -272,9 +273,9 @@ PINNED_OPTIMIZER = [
         ["-0x1.9ba5f6fec8175p-20", "-0x1.b6e2b11f86058p-20",
          "-0x1.1c1d405b521a2p-8", "-0x1.fffec4aeaf3f1p-1"],
     ]),
-    # max_iters not a multiple of the 16 sweeps drawn at once, every
+    # a sweep cap not a multiple of the 16 sweeps drawn at once, every
     # restart running to the cap: the last draw is a short one
-    ((11, 2, 3), dict(q=4, restarts=5, max_iters=37, seed=3, step_tolerance=1e-7),
+    ((11, 2, 3), dict(q=4, restarts=5, seed=3, MAX_SWEEPS=37, STEP_TOLERANCE=1e-7),
      "0x1.246cade78b761p+0", 185, [
         ["-0x1.8bfcd87410c7bp-14", "0x1.582032f84d3ddp-18",
          "-0x1.c6f830b5d492ep-1", "-0x1.d5aabc5d3a06ap-2"],
@@ -290,8 +291,13 @@ PINNED_OPTIMIZER = [
 
 @pytest.mark.parametrize("nkl,cfg,lower,iterations,config", PINNED_OPTIMIZER,
                          ids=["17-2-5", "9-1-2", "1-1-1", "73-5-22", "11-2-3-short-draw"])
-def test_optimizer_outputs_pinned(nkl, cfg, lower, iterations, config):
-    params, cfg = LensParams(*nkl), ExtentConfig(**cfg)
+def test_optimizer_outputs_pinned(nkl, cfg, lower, iterations, config, monkeypatch):
+    # upper-case keys set the sweep budget, a module constant
+    for name, value in cfg.items():
+        if name.isupper():
+            monkeypatch.setattr(sphere, name, value)
+    params = LensParams(*nkl)
+    cfg = ExtentConfig(**{name: value for name, value in cfg.items() if not name.isupper()})
     report = extent_lower_bound(params, cfg)
     assert report.lower_bound.hex() == lower
     assert report.iterations_used == iterations
@@ -428,9 +434,18 @@ def test_restarts_are_independent(params, q, restarts, seed):
     more = extent_lower_bound(params, ExtentConfig(q=q, restarts=r2, seed=seed))
     assert more.lower_bound >= fewer.lower_bound
     assert more.iterations_used >= fewer.iterations_used
-    one_sweep = extent_lower_bound(
-        params, ExtentConfig(q=q, restarts=r2, seed=seed, max_iters=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere, "MAX_SWEEPS", 1)
+        one_sweep = extent_lower_bound(params, ExtentConfig(q=q, restarts=r2, seed=seed))
     assert one_sweep.iterations_used == r2
+
+
+def test_extent_config_holds_one_run():
+    # the sweep budget is sphere.MAX_SWEEPS and sphere.STEP_TOLERANCE
+    assert [f.name for f in dataclasses.fields(ExtentConfig)] == ["q", "restarts", "seed"]
+    for bad in (dict(q=1), dict(q=5, restarts=0), dict(q=5, seed=-1), dict(q=5, seed=2**64)):
+        with pytest.raises(InvalidParametersError):
+            ExtentConfig(**bad)
 
 
 def test_non_canonical_params_refused():
@@ -477,7 +492,5 @@ def test_float_inputs_refuse_non_finite(bad):
         scan_extent(61, 62, 5, bad)
     with pytest.raises(InvalidInputError):
         scan_extent_threshold(61, 62, 5, bad)
-    with pytest.raises(InvalidInputError):
-        ExtentConfig(q=5, step_tolerance=bad)
     with pytest.raises(InvalidInputError):
         isolated_fixed_point_budget(bad)

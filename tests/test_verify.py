@@ -9,23 +9,29 @@ import pytest
 
 import isom4
 
-from isom4 import cohomology, verify
+from isom4 import cohomology, fixedpoints, verify
 from isom4.cache import ResultCache
 from isom4.errors import InvalidInputError
-from isom4.groups import alternating
+from isom4.groups import alternating, binary_tetrahedral, cyclic, klein_by_cyclic3
+from isom4.sphere import EXTENT_THRESHOLD
 from isom4.verify import (
+    _SUITE,
     REPORT_VERSION,
     STATUSES,
     CheckRecord,
     VerifyConfig,
-    _check_extension_binary_covers,
-    _check_extension_dicyclic_m2,
     _check_extent_scan,
-    _check_fixedpoint_plane_batch,
-    _check_fixedpoint_sphere_batch,
     exit_code,
     h2_record,
 )
+
+# the suite's checks by id: checks of one shape are one function bound
+# to their case data
+CHECKS = {check_id: check for check_id, check, _ in _SUITE}
+_check_extension_binary_covers = CHECKS["extension-binary-covers"]
+_check_extension_dicyclic_m2 = CHECKS["extension-dicyclic-m2"]
+_check_fixedpoint_sphere_batch = CHECKS["fixedpoint-sphere-batch"]
+_check_fixedpoint_plane_batch = CHECKS["fixedpoint-plane-batch"]
 
 EXPECTED_NON_PASS = {
     "h2-octahedral-discrepancy": "DISCREPANCY",
@@ -95,6 +101,70 @@ def test_scan_check_fails_below_sharp_threshold(monkeypatch):
     status, _, actual = _check_extent_scan(VerifyConfig())
     assert status == "FAIL"
     assert "60" in actual
+
+
+def test_sharp_threshold_fails_naming_its_deck_order(monkeypatch):
+    # a bound of exactly pi/3 is at least pi/3 at 60 but not below it at 61
+    monkeypatch.setattr(verify, "extent_upper_bound", lambda params, q: EXTENT_THRESHOLD)
+    assert CHECKS["extent-sharp-at-60"](VerifyConfig()) == (
+        "PASS", "upper bound at deck order 60 >= pi/3 = 1.0471975512", "1.0471975512")
+    assert CHECKS["extent-sharp-at-61"](VerifyConfig()) == (
+        "FAIL", "upper bound at deck order 61 < pi/3 = 1.0471975512", "1.0471975512")
+
+
+@pytest.mark.parametrize("check_id,order,actual", [
+    ("embed-abelian-sample", 30, "not faithful: Z2 x Z15, Z6 x Z5"),
+    ("embed-central-products", 96, "not faithful: octa m=4"),
+    ("embed-klein-family", 60, "not faithful: (r,m+)=(1,5)"),
+    ("embed-quaternion-u2", 72, "not faithful: Q8 by Z9"),
+    ("embed-dihedral-mixed", 12, "not faithful: dicyclic12"),
+])
+def test_embedding_sweep_fails_naming_its_case(monkeypatch, check_id, order, actual):
+    # the reps of one order are declared unfaithful; the record names
+    # those rows only (seed 0 draws two abelian groups of order 30)
+    monkeypatch.setattr(verify, "is_faithful_rep", lambda rep: rep.group.size != order)
+    status, _, got = CHECKS[check_id](VerifyConfig())
+    assert (status, got) == ("FAIL", actual)
+
+
+def test_extension_models_fail_naming_their_rows(monkeypatch):
+    # the cyclic group of order 4k in place of the dicyclic cover, and
+    # the binary tetrahedral group in place of the binary icosahedral one
+    monkeypatch.setattr(verify, "binary_dihedral", cyclic)
+    monkeypatch.setattr(verify, "binary_icosahedral", binary_tetrahedral)
+    assert CHECKS["extension-dicyclic-m2"](VerifyConfig()) == (
+        "FAIL", "nontrivial extension of the dihedral group of order 2k by Z_2 is "
+        "the dicyclic group of order 4k, k in {3, 5}", "mismatch at k=3, k=5")
+    status, _, actual = CHECKS["extension-binary-covers"](VerifyConfig())
+    assert (status, actual) == ("FAIL", "mismatch at icosa m=2, icosa m=4")
+
+
+def test_printed_model_checks_fail_naming_their_parameters(monkeypatch):
+    # printed model shifted to the realized exponent: the printed model holds
+    monkeypatch.setattr(verify, "klein_by_cyclic3", lambda r: klein_by_cyclic3(r + 1))
+    assert CHECKS["extension-klein-exponent"](VerifyConfig()) == (
+        "FAIL", "printed model False and corrected model True at r=1",
+        "printed=True, corrected=False")
+    # no unique extension: neither model holds
+    monkeypatch.setattr(verify, "unique_nontrivial_extension", lambda group, m: None)
+    assert CHECKS["extension-dicyclic-m4"](VerifyConfig()) == (
+        "FAIL", "printed model False and corrected model True at m=4, k=3",
+        "printed=False, corrected=False")
+
+
+def test_lefschetz_batch_fails_naming_its_draw(monkeypatch):
+    # draw 7 reported with a 2-dimensional fixed space: a circle, chi 0
+    unit = fixedpoints._unit_multiplicity
+
+    def one_circle(eigvals):
+        keys = unit(eigvals).copy()
+        keys[7] = 2
+        return keys
+
+    monkeypatch.setattr(fixedpoints, "_unit_multiplicity", one_circle)
+    assert _check_fixedpoint_sphere_batch(VerifyConfig()) == (
+        "FAIL", "chi(Fix) = 2 = Lefschetz number for 1000 random rotations of the 4-sphere",
+        "999/1000 pass; first failing draw 7")
 
 
 def test_fixedpoint_checks_take_the_largest_seed():
