@@ -1,15 +1,17 @@
 """Explicit matrix models for the group families in this package.
 
-Covers the polyhedral rotation groups in SO(3), the unit-quaternion
-double cover of SO(4), five block/unitary recipes that land every
-supported central extension inside SO(5) (``embed_into_so5`` calls the
-one its structure hint names), and the diagonal-plus-shift projective
-model in PU(3).
+Covers the polyhedral rotation groups in SO(3) (named as the group
+table of ``groups`` names them), the unit-quaternion double cover of
+SO(4), five block/unitary recipes that land every supported central
+extension inside SO(5) (``embed_into_so5`` calls the one its structure
+hint names), and the diagonal-plus-shift projective model in PU(3).
 
-Nothing here is taken on faith: every returned representation is
-closed under products, checked against the abstract multiplication
-table (up to a unit scalar for projective reps), and checked for
-injectivity at a fixed dedup margin.
+A recipe supplies only generators and the order of the group they
+generate; ``groups._close_unitary`` closes them, refuses an order above
+the cap and a closure of any other order, and checks the table against
+every product.  Every returned representation is also checked against
+its multiplication table (up to a unit scalar for projective reps), and
+``is_faithful_rep`` checks injectivity at a fixed margin.
 """
 
 from __future__ import annotations
@@ -29,13 +31,17 @@ from .groups import (
     DEFAULT_TOLERANCE,
     ORDER_CAP,
     FiniteGroup,
-    GroupKind,
     _BINARY_QUAT_GENS,
     _QI,
     _QJ,
+    _QW,
     _close_unitary,
+    _group_key,
+    _left_mul,
     _require_within,
+    _right_mul,
     _table_residual,
+    _unitary_drift,
     build_metacyclic,
     find_isomorphism,
     pu3_presentation_valid,
@@ -78,29 +84,14 @@ class QuatPair:
             object.__setattr__(self, name, raw)
 
 
-def _quat_mul(p, q):
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-
-
 def quat_pair_to_so4(pair: QuatPair) -> np.ndarray:
     """Matrix of x -> p*x*conj(q) on quaternion coordinates (1, i, j, k).
 
     The pair map is a surjection onto SO(4) with kernel {(1,1), (-1,-1)},
     so pushing a subgroup of pairs through it realizes the quotient by
     that shared sign."""
-    p, q = pair.p, pair.q
-    qc = (q[0], -q[1], -q[2], -q[3])
-    basis = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-             (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    cols = [_quat_mul(_quat_mul(p, e), qc) for e in basis]
-    return np.array(cols, dtype=np.float64).T
+    q = pair.q
+    return _left_mul(pair.p) @ _right_mul((q[0], -q[1], -q[2], -q[3]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +154,7 @@ class MatrixRep:
         n = self.group.size
         if mats.ndim != 3 or mats.shape[0] != n or not 0 < mats.shape[1] == mats.shape[2]:
             raise InvalidInputError("need one square matrix per element")
-        gram = np.einsum("nji,njk->nik", mats.conj(), mats)
-        _require_within(np.max(np.abs(gram - np.eye(mats.shape[1]))), DEFAULT_TOLERANCE,
+        _require_within(_unitary_drift(mats), DEFAULT_TOLERANCE,
                         "matrices must be orthogonal/unitary within tolerance")
         if not np.iscomplexobj(mats):
             dets = np.linalg.det(mats)
@@ -217,14 +207,13 @@ def _phase_normalized(mats: np.ndarray) -> np.ndarray:
 
 
 def is_faithful_rep(rep: MatrixRep) -> bool:
-    """Homomorphism identity on all pairs plus injectivity.
+    """Injectivity of a rep, whose construction already refused a
+    homomorphism residual above ``DEFAULT_TOLERANCE``.
 
     Injectivity asks every pair of distinct elements to sit farther
     apart than ten times ``DEFAULT_TOLERANCE``, after phase normalization
     when the rep is projective.  The distances are formed in row blocks
     of about ``snf._BLOCK_ENTRIES`` entries."""
-    if not rep.homomorphism_residual() <= DEFAULT_TOLERANCE:
-        return False
     mats = _phase_normalized(rep.matrices) if rep.projective else rep.matrices
     n = mats.shape[0]
     if n == 1:
@@ -238,15 +227,11 @@ def is_faithful_rep(rep: MatrixRep) -> bool:
     return gap > _INJECTIVITY_MARGIN * DEFAULT_TOLERANCE
 
 
-def _closed_rep(generators, expected_order: int) -> MatrixRep:
-    """The linear rep that closing the generators gives, on the
-    closure's own matrices, so it reads the residual the closure
-    measured."""
-    group, mats, residual = _close_unitary(generators)
-    if group.size != expected_order:
-        raise InvalidInputError(
-            f"closure has order {group.size}, expected {expected_order}")
-    return MatrixRep._measured(group, mats, residual)
+def _closed_rep(generators, order: int) -> MatrixRep:
+    """The linear rep that closing the generators into the group of the
+    stated order gives, on the closure's own matrices, so it reads the
+    residual the closure measured."""
+    return MatrixRep._measured(*_close_unitary(generators, order))
 
 
 # ---------------------------------------------------------------------------
@@ -303,60 +288,59 @@ def _rot3_z(theta: float) -> np.ndarray:
     return _block_diag(_rot2(theta), np.eye(1))
 
 
-def _so3_generators(kind: GroupKind) -> tuple[list[np.ndarray], int]:
-    tag = kind.tag
-    if tag == "cyclic":
-        if kind.order_param is None:
-            raise InvalidParametersError("cyclic kind needs an order")
-        j = kind.order_param
+def _so3_generators(name: str, *params: int) -> tuple[list[np.ndarray], int]:
+    """Rotation generators of the polyhedral group a group-table name
+    and its parameters denote, with the group's order."""
+    key = _group_key(name, params)
+    if key == "cyclic":
+        j = params[0]
+        if j < 1:
+            raise InvalidParametersError("cyclic order must be positive")
         return [_rot3_z(2.0 * math.pi / j)], j
-    if tag == "dihedral":
-        if kind.order_param is None:
-            raise InvalidParametersError("dihedral kind needs an order")
-        order = kind.order_param
+    if key == "dihedral":
+        order = params[0]
         if order < 2 or order % 2:
             raise InvalidParametersError("dihedral order must be even and >= 2")
         k = order // 2
         return [_rot3_z(2.0 * math.pi / k), np.diag([1.0, -1.0, -1.0])], order
-    if tag == "tetra":
+    if key == "tetra":
         return [*_KLEIN_SIGNS, _P3], 12
-    if tag == "octa":
+    if key == "octa":
         return [*_KLEIN_SIGNS, _P3, _ROTZ4], 24
-    if tag == "icosa":
+    if key == "icosa":
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         rot5 = _rodrigues(np.array([0.0, 1.0, phi]), 2.0 * math.pi / 5.0)
         return [_P3, rot5], 60
-    raise InvalidInputError(f"no rotation model for group kind {tag!r}")
+    raise InvalidInputError(f"no rotation model for group {key!r}")
 
 
-def polyhedral_so3(kind: GroupKind) -> MatrixRep:
-    """Faithful 3-dimensional rotation model of a polyhedral group.
+def polyhedral_so3(name: str, *params: int) -> MatrixRep:
+    """Faithful 3-dimensional rotation model of a polyhedral group, named
+    as ``build_group`` names it: ``polyhedral_so3("A4")``,
+    ``polyhedral_so3("dihedral", 8)``.
 
     Cyclic groups rotate about the z-axis, dihedral groups add the
     half-turn about x, the tetrahedral and octahedral groups are signed
     coordinate permutations, and the icosahedral group combines the
     coordinate 3-cycle with a 5-fold golden-ratio vertex rotation."""
-    gens, expected = _so3_generators(kind)
-    return _closed_rep(gens, expected_order=expected)
+    return _closed_rep(*_so3_generators(name, *params))
 
 
 # ---------------------------------------------------------------------------
 # the block and unitary recipes into SO(4)/SO(5)
 
 
-def so3_times_rotation(kind: GroupKind, cyclic_order: int) -> MatrixRep:
-    """A polyhedral rotation group in SO(3) times the cyclic group of
-    rotations by 2pi/cyclic_order in SO(2), block diagonal in SO(5)."""
+def so3_times_rotation(cyclic_order: int, name: str, *params: int) -> MatrixRep:
+    """The polyhedral rotation group ``polyhedral_so3(name, *params)`` in
+    SO(3) times the cyclic group of rotations by 2pi/cyclic_order in
+    SO(2), block diagonal in SO(5)."""
     t = int(cyclic_order)
     if t < 1:
         raise InvalidParametersError("cyclic order must be positive")
-    so3_gens, poly_order = _so3_generators(kind)
-    expected = poly_order * t
-    if expected > ORDER_CAP:
-        raise BudgetError("product order exceeds the group cap")
+    so3_gens, poly_order = _so3_generators(name, *params)
     gens = [_block_diag(g, np.eye(2)) for g in so3_gens]
     gens.append(_block_diag(np.eye(3), _rot2(2.0 * math.pi / t)))
-    return _closed_rep(gens, expected_order=expected)
+    return _closed_rep(gens, poly_order * t)
 
 
 def klein_twist(power: int, m_plus: int) -> MatrixRep:
@@ -369,20 +353,18 @@ def klein_twist(power: int, m_plus: int) -> MatrixRep:
     if mp < 1 or math.gcd(mp, 6) != 1:
         raise InvalidParametersError("m_plus must be positive and prime to 6")
     t = 3**r * mp
-    expected = 4 * t
-    if expected > ORDER_CAP:
-        raise BudgetError("product order exceeds the group cap")
     gens = [_block_diag(g, np.eye(2)) for g in _KLEIN_SIGNS]
     # one generator carries the 3-cycle and the rotation together,
     # so only a third of the rotation block commutes with the signs
     gens.append(_block_diag(_P3, _rot2(2.0 * math.pi / t)))
-    return _closed_rep(gens, expected_order=expected)
+    return _closed_rep(gens, 4 * t)
 
 
 def so4_central_product(kind: str, m: int) -> MatrixRep:
     """Z_m joined with a binary polyhedral group over the central
-    involution, in SO(4): the images of the quaternion pairs (zeta_m, 1)
-    and (1, g) for the binary generators g.  The shared sign in the
+    involution, in SO(4): left multiplication by zeta_m and right
+    multiplication by conj(g) for the binary generators g, the images of
+    the quaternion pairs (zeta_m, 1) and (1, g).  The shared sign in the
     kernel of the pair map realizes the central product."""
     if kind not in _BINARY_QUAT_GENS:
         raise InvalidInputError(f"no binary quaternion model for kind {kind!r}")
@@ -390,17 +372,9 @@ def so4_central_product(kind: str, m: int) -> MatrixRep:
     if m < 2 or m % 2:
         raise InvalidParametersError("m must be even and >= 2")
     quat_gens, lift_order = _BINARY_QUAT_GENS[kind]
-    expected = m * lift_order // 2
-    if expected > ORDER_CAP:
-        raise BudgetError("central product order exceeds the group cap")
-    one = (1.0, 0.0, 0.0, 0.0)
-    zeta = (math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m), 0.0, 0.0)
-    gens = [quat_pair_to_so4(QuatPair(zeta, one))]
-    gens.extend(quat_pair_to_so4(QuatPair(one, g)) for g in quat_gens)
-    return _closed_rep(gens, expected_order=expected)
-
-
-_W_QUAT = (-0.5, 0.5, 0.5, 0.5)
+    gens = [_left_mul((math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m), 0.0, 0.0))]
+    gens.extend(_right_mul((g[0], -g[1], -g[2], -g[3])) for g in quat_gens)
+    return _closed_rep(gens, m * lift_order // 2)
 
 
 def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
@@ -414,13 +388,10 @@ def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
         raise InvalidParametersError("s must be >= 0")
     if mp < 1 or math.gcd(mp, 6) != 1:
         raise InvalidParametersError("m_plus must be positive and prime to 6")
-    expected = 2 ** (r + 2) * 3 ** (s + 1) * mp
-    if expected > ORDER_CAP:
-        raise BudgetError("unitary closure order exceeds the group cap")
     lam = np.exp(2j * np.pi / 3 ** (s + 1))
     scalar = np.exp(2j * np.pi / (2**r * mp)) * np.eye(2)
-    gens = [scalar, _su2(_QI), _su2(_QJ), lam * _su2(_W_QUAT)]
-    unitary = _closed_rep(gens, expected_order=expected)
+    gens = [scalar, _su2(_QI), _su2(_QJ), lam * _su2(_QW)]
+    unitary = _closed_rep(gens, 2 ** (r + 2) * 3 ** (s + 1) * mp)
     # realified matrices are a new matrix set, so this rep forms its own residual
     mats = np.stack([_realify(c) for c in unitary.matrices])
     return MatrixRep(group=unitary.group, matrices=mats, projective=False)
@@ -436,9 +407,6 @@ def o4_in_so5(m: int, k: int) -> MatrixRep:
         raise InvalidParametersError("k must be odd and >= 3")
     if m < 1:
         raise InvalidParametersError("m must be positive")
-    expected = 2 * k * m
-    if expected > ORDER_CAP:
-        raise BudgetError("closure order exceeds the group cap")
     if m % 2:
         # split case: two independent O(2) blocks
         gens4 = [
@@ -464,7 +432,7 @@ def o4_in_so5(m: int, k: int) -> MatrixRep:
         det = float(np.linalg.det(g))
         _require_within(abs(abs(det) - 1.0), DEFAULT_TOLERANCE, "generators must be orthogonal")
         padded.append(_block_diag(g, np.array([[1.0 if det > 0 else -1.0]])))
-    return _closed_rep(padded, expected_order=expected)
+    return _closed_rep(padded, 2 * k * m)
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +504,19 @@ def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
         gens.append(block)
     if not gens:
         gens.append(np.eye(5))
-    return _closed_rep(gens, expected_order=g.size)
+    return _closed_rep(gens, g.size)
 
 
 # hint kind -> (required fields, optional fields with their defaults,
-# the recipe called with every field); ``poly`` names a polyhedral
-# kind, every other field is an integer
+# the recipe called with every field); ``poly`` is a name, of the group
+# table for a polyhedral product and of a binary cover for a central
+# product, every other field is an integer
 _HINTS = {
     "abelian": ((), {}, _abelian_rank2_rep),
     "polyhedral-product": (
         ("poly",), {"order_param": None, "cyclic_order": 1},
         lambda g, poly, order_param, cyclic_order: so3_times_rotation(
-            GroupKind(poly, order_param), cyclic_order)),
+            cyclic_order, poly, *(() if order_param is None else (order_param,)))),
     "klein-3power": (
         ("power",), {"m_plus": 1},
         lambda g, power, m_plus: klein_twist(power, m_plus)),
@@ -579,6 +548,11 @@ def _hint_fields(kind: str, hint: dict) -> dict:
         if name != "poly" and (not isinstance(value, (int, np.integer))
                                or isinstance(value, bool)):
             raise InvalidInputError(f"hint field {name!r} must be an integer")
+        # every integer field is a factor or an exponent of the model's
+        # order, so a larger one names no model under the cap; refused
+        # here, it never reaches a float conversion that would overflow
+        if name != "poly" and value > ORDER_CAP:
+            raise BudgetError(f"hint field {name!r} exceeds the order cap {ORDER_CAP}")
     return {**optional, **hint}
 
 

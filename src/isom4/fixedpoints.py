@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParametersError
-from .groups import _require_within, _tolerance_text
+from .groups import _require_within, _tolerance_text, _unitary_drift
 
 __all__ = [
     "CLUSTER_TOL",
@@ -92,10 +92,7 @@ class InvolutionTraceData:
 def _require_special_orthogonal(mats: np.ndarray) -> None:
     """Refuse a stack (N, 5, 5) unless every matrix is orthogonal and of
     determinant +1 within the cluster tolerance."""
-    # a non-finite matrix is refused below; numpy need not warn first
-    with np.errstate(invalid="ignore", over="ignore"):
-        gram = np.swapaxes(mats, 1, 2) @ mats
-    _require_within(np.max(np.abs(gram - np.eye(5))), CLUSTER_TOL,
+    _require_within(_unitary_drift(mats), CLUSTER_TOL,
                     f"matrix must be orthogonal within {_tolerance_text(CLUSTER_TOL)}")
     _require_within(np.max(np.abs(np.linalg.det(mats) - 1.0)), CLUSTER_TOL,
                     "matrix must have determinant +1")
@@ -104,9 +101,7 @@ def _require_special_orthogonal(mats: np.ndarray) -> None:
 def _require_unitary(mats: np.ndarray) -> None:
     """Refuse a stack (N, 3, 3) unless every matrix is unitary within the
     cluster tolerance."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        gram = np.swapaxes(mats, 1, 2).conj() @ mats
-    _require_within(np.max(np.abs(gram - np.eye(3))), CLUSTER_TOL,
+    _require_within(_unitary_drift(mats), CLUSTER_TOL,
                     f"matrix must be unitary within {_tolerance_text(CLUSTER_TOL)}")
 
 

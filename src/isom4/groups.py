@@ -10,7 +10,8 @@ the binary polyhedral groups (built from unit-quaternion models and
 exactified into tables), metacyclic presentations, direct/semidirect
 products, and central products over a shared involution.  The named
 groups live in one table, read through :func:`build_group`, and every
-matrix or quaternion model is closed into a table by one routine.
+matrix or quaternion model is closed into a table of the order its
+caller states by one routine, the only one that checks that order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ ORDER_CAP = 512
 
 __all__ = [
     "FiniteGroup",
-    "GroupKind",
     "build_group",
     "canonical_group_name",
     "cyclic",
@@ -308,16 +308,6 @@ class FiniteGroup:
         return tuple(factors[::-1])
 
 
-@dataclass(frozen=True)
-class GroupKind:
-    tag: str
-    order_param: int | None = None
-
-    def __post_init__(self):
-        if self.order_param is not None and self.order_param < 1:
-            raise InvalidParametersError("order parameter must be positive")
-
-
 def structural_invariants(g: FiniteGroup) -> dict:
     return {
         "order": g.size,
@@ -335,6 +325,8 @@ def structural_invariants(g: FiniteGroup) -> dict:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParametersError("cyclic order must be positive")
+    if n > ORDER_CAP:
+        raise BudgetError(f"group order {n} exceeds cap {ORDER_CAP}")
     idx = np.arange(n)
     return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
@@ -492,8 +484,25 @@ def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
     return float(worst)
 
 
-def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray, float]:
-    """Close square orthogonal/unitary generators under multiplication.
+def _unitary_drift(mats: np.ndarray) -> float:
+    """max |M^H M - I| over a stack of square matrices: how far they lie
+    from orthogonal/unitary.  Every caller compares it with its own
+    tolerance; a non-finite entry makes it NaN or inf, which
+    ``_require_within`` refuses, so numpy need not warn first."""
+    mats = np.asarray(mats)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(mats, 1, 2).conj() @ mats
+        return float(np.max(np.abs(gram - np.eye(mats.shape[1]))))
+
+
+def _close_unitary(generators, order: int) -> tuple[FiniteGroup, np.ndarray, float]:
+    """Close square orthogonal/unitary generators into the group of the
+    stated ``order``.
+
+    The order is decided here and nowhere else: an order above
+    ``ORDER_CAP`` raises BudgetError before any product is formed, a
+    closure that finds an element past ``order`` is refused at that
+    product, and one that stops short of ``order`` is refused as well.
 
     Breadth first: each level multiplies the new elements on the right
     by every generator, in order, and keeps the products whose key is
@@ -510,6 +519,8 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray, float]:
     representation.  Returns (group, matrices, that all-pairs residual):
     a caller that keeps these very matrices reads the residual instead
     of forming the n^2 products again."""
+    if order > ORDER_CAP:
+        raise BudgetError(f"closure order {order} exceeds the order cap {ORDER_CAP}")
     gens = [np.asarray(g) for g in generators]
     dtype = np.complex128 if any(np.iscomplexobj(g) for g in gens) else np.float64
     d = gens[0].shape[0]
@@ -517,11 +528,8 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray, float]:
         raise InvalidInputError("generators must be square and equally sized")
     gens = np.stack(gens).astype(dtype)
     k = gens.shape[0]
+    _require_within(_unitary_drift(gens), DEFAULT_TOLERANCE, "generators must be orthogonal/unitary")
     eye = np.eye(d, dtype=dtype)
-    # a non-finite generator is refused below; numpy need not warn first
-    with np.errstate(invalid="ignore", over="ignore"):
-        drift = np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - eye))
-    _require_within(drift, DEFAULT_TOLERANCE, "generators must be orthogonal/unitary")
     index = {_matrix_keys(eye[None])[0].tobytes(): 0}
     levels, right, parent, via = [eye[None]], [], [0], [0]
     while levels[-1].shape[0]:
@@ -532,8 +540,8 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray, float]:
         for i, key in enumerate(_matrix_keys(prods)):
             key = key.tobytes()
             if key not in index:
-                if len(index) >= ORDER_CAP:
-                    raise BudgetError("matrix closure exceeds the order cap")
+                if len(index) >= order:
+                    raise InvalidInputError(f"closure grows past its order {order}")
                 index[key] = len(index)
                 fresh.append(i)
                 parent.append(first + i // k)
@@ -541,9 +549,11 @@ def _close_unitary(generators) -> tuple[FiniteGroup, np.ndarray, float]:
             found[i] = index[key]
         right.append(found.reshape(-1, k))
         levels.append(prods[fresh])
+    n = len(index)
+    if n != order:
+        raise InvalidInputError(f"closure has order {n}, expected {order}")
     mats = np.concatenate(levels)
     right = np.concatenate(right)
-    n = mats.shape[0]
     table = np.empty((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
     for b in range(1, n):
@@ -562,20 +572,28 @@ def _left_mul(q) -> np.ndarray:
     return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
 
 
-def group_from_quaternions(generators) -> tuple[FiniteGroup, np.ndarray]:
-    """Close a set of unit quaternions under multiplication and return
-    the abstract group together with the quaternion per element.
+def _right_mul(q) -> np.ndarray:
+    """4x4 matrix of x -> x q; its first column is q itself."""
+    a, b, c, d = (float(x) for x in q)
+    return np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
+
+
+def group_from_quaternions(generators, order: int) -> tuple[FiniteGroup, np.ndarray]:
+    """Close a set of unit quaternions into the group of the stated
+    order and return it together with the quaternion per element.
 
     The closure runs on the left-multiplication matrices, whose entries
     are the coordinates up to sign, so coordinates are deduplicated at
     1e-6, far coarser than the float error of these short products."""
-    group, mats, _ = _close_unitary([_left_mul(q) for q in generators])
+    group, mats, _ = _close_unitary([_left_mul(q) for q in generators], order)
     return group, np.ascontiguousarray(mats[:, :, 0])
 
 
 _HALF = (0.5, 0.5, 0.5, 0.5)
 _QI = (0.0, 1.0, 0.0, 0.0)
 _QJ = (0.0, 0.0, 1.0, 0.0)
+# (-1+i+j+k)/2, whose conjugation cycles the axes i -> j -> k
+_QW = (-0.5, 0.5, 0.5, 0.5)
 _R2 = 1.0 / math.sqrt(2.0)
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _ICOSA_AXIS = np.array([0.0, 1.0, _PHI]) / math.sqrt(2.0 + _PHI)
@@ -591,7 +609,7 @@ _BINARY_QUAT_GENS = {
 
 
 def quaternion_group() -> FiniteGroup:
-    return group_from_quaternions([_QI, _QJ])[0]
+    return group_from_quaternions([_QI, _QJ], 8)[0]
 
 
 def binary_dihedral(order: int) -> FiniteGroup:
@@ -600,30 +618,19 @@ def binary_dihedral(order: int) -> FiniteGroup:
         raise InvalidParametersError("binary dihedral order must be a multiple of 4")
     k = order // 4
     a = (math.cos(math.pi / k), math.sin(math.pi / k), 0.0, 0.0)
-    g, _ = group_from_quaternions([a, _QJ])
-    if g.size != order:
-        raise InvalidInputError("quaternion closure produced the wrong order")
-    return g
-
-
-def _binary_polyhedral(kind: str) -> FiniteGroup:
-    gens, expected = _BINARY_QUAT_GENS[kind]
-    g, _ = group_from_quaternions(gens)
-    if g.size != expected:
-        raise InvalidInputError(f"quaternion closure has order {g.size}, expected {expected}")
-    return g
+    return group_from_quaternions([a, _QJ], order)[0]
 
 
 def binary_tetrahedral() -> FiniteGroup:
-    return _binary_polyhedral("tetra")
+    return group_from_quaternions(*_BINARY_QUAT_GENS["tetra"])[0]
 
 
 def binary_octahedral() -> FiniteGroup:
-    return _binary_polyhedral("octa")
+    return group_from_quaternions(*_BINARY_QUAT_GENS["octa"])[0]
 
 
 def binary_icosahedral() -> FiniteGroup:
-    return _binary_polyhedral("icosa")
+    return group_from_quaternions(*_BINARY_QUAT_GENS["icosa"])[0]
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -639,6 +646,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def semidirect_product(n: FiniteGroup, h: FiniteGroup, action: np.ndarray) -> FiniteGroup:
     """Semidirect product N x| H for action[b] the automorphism of N
     attached to b in H; element index is a * |H| + b."""
+    if n.size * h.size > ORDER_CAP:
+        raise BudgetError("semidirect product exceeds the order cap")
     action = np.asarray(action, dtype=np.int64)
     if action.shape != (h.size, n.size):
         raise InvalidInputError("action must map each H element to an N permutation")
@@ -654,8 +663,6 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action: np.ndarray) -> Fi
     comp = action[:, action]  # comp[b1, b2] = action[b1] o action[b2]
     if not np.array_equal(action[h.table], comp.reshape(h.size, h.size, n.size)):
         raise InvalidInputError("action must be a homomorphism")
-    if n.size * h.size > ORDER_CAP:
-        raise BudgetError("semidirect product exceeds the order cap")
     a1 = np.arange(n.size)[:, None, None, None]
     b1 = np.arange(h.size)[None, :, None, None]
     a2 = np.arange(n.size)[None, None, :, None]
@@ -705,6 +712,17 @@ def cyclic_central_product(m: int, g: FiniteGroup) -> FiniteGroup:
     return central_product(cyclic(m), g, m // 2, int(involutions[0]))
 
 
+def _cyclic_extension(base: FiniteGroup, automorphism, order: int) -> FiniteGroup:
+    """base x| Z_order, the generator of Z_order acting on base as the
+    permutation ``automorphism``: b acts as its b-th power."""
+    h = cyclic(order)
+    automorphism = np.asarray(automorphism, dtype=np.int64)
+    action = [np.arange(base.size)]
+    for _ in range(1, order):
+        action.append(automorphism[action[-1]])
+    return semidirect_product(base, h, np.array(action))
+
+
 def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
     """(Z_k x| Z_{2^(r+1)}) x Z_{m'} for odd k >= 3 and even m = 2^r m'
     with m' odd, the 2-power cycle inverting Z_k through its quotient
@@ -716,10 +734,7 @@ def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
         raise InvalidParametersError("m must be even and >= 2")
     r = (m & -m).bit_length() - 1
     m_odd = m >> r
-    order_h = 2 ** (r + 1)
-    act = np.tile(np.arange(k, dtype=np.int64), (order_h, 1))
-    act[1::2] = (-act[1::2]) % k
-    target = semidirect_product(cyclic(k), cyclic(order_h), act)
+    target = _cyclic_extension(cyclic(k), -np.arange(k) % k, 2 ** (r + 1))
     if m_odd > 1:
         target = direct_product(target, cyclic(m_odd))
     return target
@@ -734,16 +749,8 @@ def build_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
         raise InvalidParametersError("metacyclic twist must satisfy r^n = 1 mod m")
     if m * n > ORDER_CAP:
         raise BudgetError("metacyclic group exceeds the order cap")
-    powers = np.array([pow(r, b, m) for b in range(n)], dtype=np.int64)
-    # b acts on Z_m as multiplication by r^b
-    return semidirect_product(cyclic(m), cyclic(n), powers[:, None] * np.arange(m) % m)
-
-
-def _powers_of_permutation(perm: np.ndarray, count: int) -> list[np.ndarray]:
-    out = [np.arange(len(perm))]
-    for _ in range(count - 1):
-        out.append(perm[out[-1]])
-    return out
+    # the generator of Z_n acts on Z_m as multiplication by r
+    return _cyclic_extension(cyclic(m), r % m * np.arange(m) % m, n)
 
 
 def klein_by_cyclic3(power: int) -> FiniteGroup:
@@ -751,12 +758,7 @@ def klein_by_cyclic3(power: int) -> FiniteGroup:
     involutions; the action factors through Z_3 (trivial for power 0)."""
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
-    v = abelian([2, 2])
-    h = cyclic(3**power)
-    cyc = np.array([0, 2, 3, 1])
-    pows = _powers_of_permutation(cyc, 3)
-    action = np.array([pows[b % 3] for b in range(h.size)])
-    return semidirect_product(v, h, action)
+    return _cyclic_extension(abelian([2, 2]), [0, 2, 3, 1], 3**power)
 
 
 def q8_by_cyclic3(power: int) -> FiniteGroup:
@@ -765,13 +767,10 @@ def q8_by_cyclic3(power: int) -> FiniteGroup:
     action factors through Z_3."""
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
-    q8, mats, _ = _close_unitary([_left_mul(_QI), _left_mul(_QJ)])
-    conj = _left_mul((-0.5, 0.5, 0.5, 0.5)) @ mats @ _left_mul((-0.5, -0.5, -0.5, -0.5))
-    cyc = _key_index(_matrix_keys(mats))(_matrix_keys(conj))
-    h = cyclic(3**power)
-    pows = _powers_of_permutation(cyc, 3)
-    action = np.array([pows[b % 3] for b in range(h.size)])
-    return semidirect_product(q8, h, action)
+    q8, mats, _ = _close_unitary([_left_mul(_QI), _left_mul(_QJ)], 8)
+    w = _left_mul(_QW)  # orthogonal, so w.T is the matrix of its inverse
+    cyc = _key_index(_matrix_keys(mats))(_matrix_keys(w @ mats @ w.T))
+    return _cyclic_extension(q8, cyc, 3**power)
 
 
 # The one table of group names: canonical name -> (parameter count,
@@ -804,16 +803,20 @@ def canonical_group_name(name: str) -> str:
     return key
 
 
+def _group_key(name: str, params) -> str:
+    """Table name of ``name`` once ``params`` fits its parameter count."""
+    key = canonical_group_name(name)
+    arity = _GROUP_TABLE[key][0]
+    if not (bool(params) if arity is None else len(params) == arity):
+        want = "one or more" if arity is None else arity
+        raise InvalidParametersError(f"{key} takes {want} parameter(s), got {len(params)}")
+    return key
+
+
 def build_group(name: str, *params: int) -> FiniteGroup:
     """The group a table name (or alias) and its integer parameters
     denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``."""
-    key = canonical_group_name(name)
-    arity, build = _GROUP_TABLE[key]
-    fits = bool(params) if arity is None else len(params) == arity
-    if not fits:
-        want = "one or more" if arity is None else arity
-        raise InvalidParametersError(f"{key} takes {want} parameter(s), got {len(params)}")
-    return build(*params)
+    return _GROUP_TABLE[_group_key(name, params)][1](*params)
 
 
 def pu3_presentation_valid(m: int, n: int, r: int) -> bool:

@@ -26,12 +26,12 @@ from isom4.embeddings import (
     u2_mixed,
 )
 from isom4.errors import (
+    BudgetError,
     InvalidInputError,
     InvalidParametersError,
     UnsupportedCaseError,
 )
 from isom4.groups import (
-    GroupKind,
     abelian,
     alternating,
     binary_dihedral,
@@ -102,13 +102,38 @@ def test_quat_pair_refuses_non_finite(bad, position):
 
 
 def test_polyhedral_so3_models():
-    tetra = polyhedral_so3(GroupKind("tetra"))
+    tetra = polyhedral_so3("tetra")
     assert tetra.group.size == 12
     assert is_faithful_rep(tetra)
-    icosa = polyhedral_so3(GroupKind("icosa"))
+    icosa = polyhedral_so3("icosa")
     assert icosa.group.size == 60
     assert is_faithful_rep(icosa)
     assert icosa.homomorphism_residual() < DEFAULT_TOLERANCE
+
+
+def test_polyhedral_models_read_group_table_names():
+    # names, aliases and parameter counts are read as build_group reads them
+    for alias, name in (("A4", "tetra"), ("s4", "octa"), ("A5", "icosa")):
+        rep, same = polyhedral_so3(alias), polyhedral_so3(name)
+        assert np.array_equal(rep.group.table, same.group.table)
+        assert np.array_equal(rep.matrices, same.matrices)
+    assert np.array_equal(so3_times_rotation(3, "A4").matrices,
+                          so3_times_rotation(3, "tetra").matrices)
+    assert polyhedral_so3("dihedral", 8).group.size == 8
+    for call, message in (
+            (lambda: polyhedral_so3("tetra", 3), r"^tetra takes 0 parameter\(s\), got 1$"),
+            (lambda: polyhedral_so3("dihedral"), r"^dihedral takes 1 parameter\(s\), got 0$"),
+            (lambda: so3_times_rotation(2, "cyclic"), r"^cyclic takes 1 parameter\(s\), got 0$")):
+        with pytest.raises(InvalidParametersError, match=message):
+            call()
+    with pytest.raises(InvalidInputError, match=r"^unknown group name 'frieze'$"):
+        polyhedral_so3("frieze")
+    with pytest.raises(InvalidInputError, match=r"^no rotation model for group 'q8'$"):
+        polyhedral_so3("q8")
+    a4 = alternating(4)
+    assert embed_into_so5(a4, {"kind": "polyhedral-product", "poly": "A4"}).group is a4
+    with pytest.raises(InvalidParametersError):
+        embed_into_so5(a4, {"kind": "polyhedral-product", "poly": "tetra", "order_param": 3})
 
 
 def test_rep_rejects_non_orthogonal():
@@ -159,13 +184,13 @@ def test_rep_reads_dimension_and_field_off_the_matrices():
 
 
 def test_rep_matrices_frozen():
-    rep = polyhedral_so3(GroupKind("tetra"))
+    rep = polyhedral_so3("tetra")
     with pytest.raises(ValueError):
         rep.matrices[0, 0, 0] = 5.0
 
 
 def test_rep_fields_frozen():
-    rep = polyhedral_so3(GroupKind("tetra"))
+    rep = polyhedral_so3("tetra")
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.matrices = np.tile(np.eye(3), (12, 1, 1))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -348,7 +373,7 @@ def test_blocked_projective_residual_is_one_pass_bitwise(pu3_309):
 
 def test_recipe_parameter_validation():
     with pytest.raises(InvalidParametersError):
-        so3_times_rotation(GroupKind("tetra"), 0)
+        so3_times_rotation(0, "tetra")
     with pytest.raises(InvalidParametersError):
         klein_twist(0, 1)
     with pytest.raises(InvalidParametersError):
@@ -363,6 +388,15 @@ def test_recipe_parameter_validation():
         so4_central_product("cube", 2)
     with pytest.raises(InvalidParametersError):
         so4_central_product("tetra", 3)
+
+
+def test_recipe_orders_are_capped_by_the_closure():
+    # 4 * 3^5 = 972 elements: refused before any product is formed
+    with pytest.raises(BudgetError, match=r"^closure order 972 exceeds the order cap 512$"):
+        klein_twist(5, 1)
+    # a hint integer past the cap names no model; 3^700 would overflow a float
+    with pytest.raises(BudgetError, match=r"^hint field 'power' exceeds the order cap 512$"):
+        embed_into_so5(klein_by_cyclic3(1), {"kind": "klein-3power", "power": 700})
 
 
 def check_embedding(group, hint):

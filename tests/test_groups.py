@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from isom4.cli import parse_group_spec
 from isom4.cohomology import group_digest
 from isom4 import embeddings, groups
-from isom4.embeddings import so3_times_rotation, so4_central_product, u2_mixed
+from isom4.embeddings import polyhedral_so3, so3_times_rotation, so4_central_product, u2_mixed
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
     _GROUP_ALIASES,
     _GROUP_TABLE,
     ORDER_CAP,
     FiniteGroup,
-    GroupKind,
     abelian,
     alternating,
     binary_dihedral,
@@ -202,6 +201,9 @@ def test_order_cap_enforced():
         cyclic(ORDER_CAP + 1)
     with pytest.raises(BudgetError):
         direct_product(cyclic(32), cyclic(32))
+    # refused before a table of (3^30)^2 entries is allocated
+    with pytest.raises(BudgetError, match=r"^group order 205891132094649 exceeds cap 512$"):
+        klein_by_cyclic3(30)
 
 
 # --- constructors ---------------------------------------------------------
@@ -242,7 +244,7 @@ def test_quaternion_closure_refuses_non_finite(bad, position):
     q = [0.0, 1.0, 0.0, 0.0]
     q[position] = bad
     with pytest.raises(InvalidInputError, match="not finite"):
-        group_from_quaternions([(0.0, 0.0, 1.0, 0.0), tuple(q)])
+        group_from_quaternions([(0.0, 0.0, 1.0, 0.0), tuple(q)], 8)
 
 
 def test_permutation_groups():
@@ -293,7 +295,7 @@ def test_build_group_dispatch():
     with pytest.raises(InvalidInputError):
         build_group("frieze")
     with pytest.raises(InvalidParametersError):
-        GroupKind("cyclic", 0)
+        polyhedral_so3("cyclic", 0)
 
 
 # one sample parameter text per parametric name of the group table
@@ -329,7 +331,7 @@ def test_every_group_name_parses():
     (lambda: so4_central_product("icosa", 4).group, "19b53a10ec482a41"),
     (lambda: so4_central_product("octa", 2).group, "df7cea5aa4d11193"),
     (lambda: u2_mixed(1, 1, 1).group, "2f07e781817ea7b8"),
-    (lambda: so3_times_rotation(GroupKind("icosa"), 1).group, "36e352eb6fae211f"),
+    (lambda: so3_times_rotation(1, "icosa").group, "36e352eb6fae211f"),
 ], ids=["binary-icosa", "binary-octa", "binary-tetra", "q8", "binary-dihedral-12",
         "q8-by-3power-2", "octa", "icosa", "so4-icosa-4", "so4-octa-2", "u2-1-1",
         "so3xso2-icosa"])
@@ -347,7 +349,7 @@ def test_closure_tables_are_pinned(build, digest):
     lambda: so4_central_product("icosa", 4),
     lambda: so4_central_product("octa", 2),
     lambda: u2_mixed(1, 1, 1),
-    lambda: so3_times_rotation(GroupKind("icosa"), 1),
+    lambda: so3_times_rotation(1, "icosa"),
 ], ids=["binary-icosa", "binary-octa", "binary-tetra", "q8", "binary-dihedral-12",
         "q8-by-3power-2", "so4-icosa-4", "so4-octa-2", "u2-1-1", "so3xso2-icosa"])
 def test_closure_tables_match_all_pairs(build, monkeypatch):
@@ -357,8 +359,8 @@ def test_closure_tables_match_all_pairs(build, monkeypatch):
     closures = []
     close = groups._close_unitary
 
-    def recording(generators):
-        closures.append(close(generators))
+    def recording(generators, order):
+        closures.append(close(generators, order))
         return closures[-1]
 
     monkeypatch.setattr(groups, "_close_unitary", recording)
@@ -372,15 +374,56 @@ def test_closure_tables_match_all_pairs(build, monkeypatch):
         assert np.array_equal(group.table, lookup(groups._matrix_keys(pairs)).reshape(n, n))
 
 
+def _rotation(theta: float) -> np.ndarray:
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
 def test_closure_refuses_merged_elements(monkeypatch):
     # at 0 decimals the powers of a 2pi/7 rotation share keys, so the
-    # closure stops early and some product is no element of it
+    # closure stops early and some product is no element of it; it stops
+    # at four elements, so stating order 4 leaves the product check to
+    # refuse it
     monkeypatch.setattr(groups, "DEDUP_DECIMALS", 0)
-    theta = 2.0 * math.pi / 7.0
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
     with pytest.raises(InvalidInputError, match="outside the closed element set"):
-        groups._close_unitary([rot])
+        groups._close_unitary([_rotation(2.0 * math.pi / 7.0)], 4)
+
+
+def test_closure_decides_its_stated_order():
+    # an order above the cap is refused before any product is formed:
+    # a generator that is no rotation would be refused otherwise
+    with pytest.raises(BudgetError, match=rf"^closure order {ORDER_CAP + 1} exceeds "
+                                          rf"the order cap {ORDER_CAP}$"):
+        groups._close_unitary([2.0 * np.eye(2)], ORDER_CAP + 1)
+    # a rotation by one radian generates an infinite group: the closure
+    # stops at the product that passes the stated order
+    with pytest.raises(InvalidInputError, match=r"^closure grows past its order 5$"):
+        groups._close_unitary([_rotation(1.0)], 5)
+    with pytest.raises(InvalidInputError, match=r"^closure grows past its order 6$"):
+        group_from_quaternions([(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)], 6)
+    with pytest.raises(InvalidInputError, match=r"^closure has order 7, expected 9$"):
+        groups._close_unitary([_rotation(2.0 * math.pi / 7.0)], 9)
+    group, mats, _ = groups._close_unitary([_rotation(2.0 * math.pi / 7.0)], 7)
+    assert group.size == mats.shape[0] == 7
+
+
+# the tables of the semidirect builders, each a cyclic group acting
+# through the powers of one automorphism, pinned as the closures are
+@pytest.mark.parametrize("build,digest", [
+    (lambda: klein_by_cyclic3(0), "256d294984150588"),
+    (lambda: klein_by_cyclic3(1), "63fec905102d5a58"),
+    (lambda: klein_by_cyclic3(3), "810464932eebc24d"),
+    (lambda: build_metacyclic(7, 3, 2), "a29b1ccf85e3b58b"),
+    (lambda: build_metacyclic(7, 9, 2), "771a750c63dcc36f"),
+    (lambda: build_metacyclic(9, 6, 4), "f0ee4519c131eb25"),
+    (lambda: build_metacyclic(1, 5, 0), "95487095eff0b8ac"),
+    (lambda: inverted_odd_cycle(3, 2), "174aeb1588bd8992"),
+    (lambda: inverted_odd_cycle(3, 4), "994368261b96505b"),
+    (lambda: inverted_odd_cycle(5, 12), "5bf4facbcccd5e8c"),
+], ids=["klein-0", "klein-1", "klein-3", "meta-7-3-2", "meta-7-9-2", "meta-9-6-4",
+        "meta-1-5-0", "inverted-3-2", "inverted-3-4", "inverted-5-12"])
+def test_semidirect_tables_are_pinned(build, digest):
+    assert group_digest(build()) == digest
 
 
 # --- products and extensions ----------------------------------------------

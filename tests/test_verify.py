@@ -9,7 +9,7 @@ import pytest
 
 import isom4
 
-from isom4 import cohomology, fixedpoints, verify
+from isom4 import cohomology, fixedpoints, sphere, verify
 from isom4.cache import ResultCache
 from isom4.errors import InvalidInputError
 from isom4.groups import alternating, binary_tetrahedral, cyclic, klein_by_cyclic3
@@ -150,6 +150,15 @@ def test_printed_model_checks_fail_naming_their_parameters(monkeypatch):
     assert CHECKS["extension-dicyclic-m4"](VerifyConfig()) == (
         "FAIL", "printed model False and corrected model True at m=4, k=3",
         "printed=False, corrected=False")
+
+
+def test_optimizer_consistency_fails_naming_its_gap(monkeypatch):
+    # an upper bound of 0.5 lies below every optimized spread: the check
+    # itself reports the violation, no report refuses it first
+    monkeypatch.setattr(sphere, "extent_upper_bound", lambda params, q: 0.5)
+    assert CHECKS["extent-optimizer-consistency"](VerifyConfig(seed=1)) == (
+        "FAIL", "optimized spread never exceeds the closed-form bound (tolerance 1e-9)",
+        "worst lower-upper gap 0.501380029377 over (96,17,25), (84,5,13), (16,3,7)")
 
 
 def test_lefschetz_batch_fails_naming_its_draw(monkeypatch):
