@@ -6,12 +6,13 @@ SO(4), five block/unitary recipes that land every supported central
 extension inside SO(5) (``embed_into_so5`` calls the one its structure
 hint names), and the diagonal-plus-shift projective model in PU(3).
 
-A recipe supplies only generators and the order of the group they
-generate; ``groups._close_unitary`` closes them, refuses an order above
-the cap and a closure of any other order, and checks the table against
-every product.  Every returned representation is also checked against
-its multiplication table (up to a unit scalar for projective reps), and
-``is_faithful_rep`` checks injectivity at a fixed margin.
+A recipe states its generators once, as a cyclotomic source (see
+``groups.SOURCE_DENOMINATOR``), and ``groups._close_unitary`` closes
+them exactly modulo a prime: the table is exact and the rep faithful,
+with no all-pairs pass.  The source at e^(2 pi i/n) gives the float
+matrices of the ``MatrixRep``, whose all-pairs residual is a cross-check
+formed on demand.  A rep on a caller's own matrices is checked in
+floats: every product, and a margin between distinct elements.
 """
 
 from __future__ import annotations
@@ -31,18 +32,20 @@ from .groups import (
     DEFAULT_TOLERANCE,
     ORDER_CAP,
     FiniteGroup,
-    _BINARY_QUAT_GENS,
-    _QI,
-    _QJ,
-    _QW,
+    _BINARY_ORDERS,
+    _binary_quaternions,
     _close_unitary,
+    _const,
+    _cos_sin,
     _group_key,
+    _icosa_numbers,
     _left_mul,
+    _power,
     _require_within,
-    _right_mul,
     _table_residual,
     _unitary_drift,
-    build_metacyclic,
+    _zeta_order,
+    canonical_group_name,
     find_isomorphism,
     pu3_presentation_valid,
 )
@@ -50,9 +53,7 @@ from .snf import _row_blocks
 
 __all__ = [
     "MatrixRep",
-    "QuatPair",
     "DEFAULT_TOLERANCE",
-    "quat_pair_to_so4",
     "polyhedral_so3",
     "so3_times_rotation",
     "klein_twist",
@@ -67,33 +68,6 @@ __all__ = [
 _INJECTIVITY_MARGIN = 10.0
 
 
-@dataclass(frozen=True)
-class QuatPair:
-    """A pair of unit quaternions, the two-sided rotation data on R^4."""
-
-    p: tuple[float, float, float, float]
-    q: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        for name in ("p", "q"):
-            raw = tuple(float(x) for x in getattr(self, name))
-            if len(raw) != 4:
-                raise InvalidInputError("quaternions have four coordinates")
-            _require_within(abs(math.sqrt(sum(x * x for x in raw)) - 1.0), 1e-12,
-                            "quaternions must be unit norm")
-            object.__setattr__(self, name, raw)
-
-
-def quat_pair_to_so4(pair: QuatPair) -> np.ndarray:
-    """Matrix of x -> p*x*conj(q) on quaternion coordinates (1, i, j, k).
-
-    The pair map is a surjection onto SO(4) with kernel {(1,1), (-1,-1)},
-    so pushing a subgroup of pairs through it realizes the quotient by
-    that shared sign."""
-    q = pair.q
-    return _left_mul(pair.p) @ _right_mul((q[0], -q[1], -q[2], -q[3]))
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
     """A checked matrix representation aligned with a group table.
@@ -103,36 +77,34 @@ class MatrixRep:
     Construction verifies orthogonality/unitarity, determinant +1 for
     real reps, and the homomorphism identity on all pairs, each within
     ``DEFAULT_TOLERANCE``; projective reps may be off by a unit scalar
-    per pair.  The rep is frozen and its matrices are read-only, so the
-    residual computed here stays the rep's residual.
+    per pair.  The rep is frozen and its matrices are read-only.
 
-    Inside this module the all-pairs residual is formed once per
-    distinct matrix set (``_measured``): a rep on the matrices
-    ``_close_unitary`` returned reads the residual the closure measured
-    on them, and ``embed_into_so5``'s relabelled rep carries its model's
-    residual through an explicit isomorphism.  Every other check runs
-    on every rep.
-    """
+    The recipes here build their reps by an exact closure modulo
+    ``prime`` (``_closed``), faithful by construction; their n^2 products
+    are formed only when ``homomorphism_residual`` asks for them.
+    ``prime`` is None on a caller's matrices."""
 
     group: FiniteGroup
     matrices: np.ndarray
     projective: bool
-    _residual: float = field(init=False, repr=False)
+    prime: int | None = field(default=None, init=False)
+    _residual: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self._validate(None)
+        self._validate()
+        residual = self.homomorphism_residual()
+        _require_within(residual, DEFAULT_TOLERANCE, f"homomorphism residual {residual:.3e} "
+                        f"exceeds tolerance {DEFAULT_TOLERANCE:.3e}")
 
     @classmethod
-    def _measured(cls, group: FiniteGroup, matrices: np.ndarray, residual: float) -> "MatrixRep":
-        """The linear rep of ``group`` on ``matrices``, whose all-pairs
-        residual against ``group.table`` is already known to be
-        ``residual`` to the bit: every check of the constructor runs
-        except that pass over the n^2 products."""
+    def _closed(cls, group, matrices, projective: bool, prime: int) -> "MatrixRep":
+        """The rep on the float matrices of a closure modulo ``prime``,
+        indexed by its exact table; every per-matrix check runs."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "group", group)
-        object.__setattr__(rep, "matrices", matrices)
-        object.__setattr__(rep, "projective", False)
-        rep._validate(residual)
+        for name, value in (("group", group), ("matrices", matrices),
+                            ("projective", projective), ("prime", prime), ("_residual", None)):
+            object.__setattr__(rep, name, value)
+        rep._validate()
         return rep
 
     @property
@@ -143,9 +115,8 @@ class MatrixRep:
     def field_tag(self) -> str:
         return "complex" if np.iscomplexobj(self.matrices) else "real"
 
-    def _validate(self, residual: float | None):
-        """The constructor's checks; the all-pairs residual is formed
-        here unless it is passed in."""
+    def _validate(self):
+        """The per-matrix checks of the constructor."""
         try:
             mats = np.asarray(self.matrices)
             mats = np.asarray(mats, np.complex128 if np.iscomplexobj(mats) else np.float64)
@@ -160,18 +131,16 @@ class MatrixRep:
             dets = np.linalg.det(mats)
             _require_within(np.max(np.abs(dets - 1.0)), DEFAULT_TOLERANCE,
                             "real matrices must have determinant +1")
-        if residual is None:
-            residual = _homomorphism_residual(self.group.table, mats, self.projective)
-        _require_within(
-            residual, DEFAULT_TOLERANCE,
-            f"homomorphism residual {residual:.3e} exceeds tolerance {DEFAULT_TOLERANCE:.3e}")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "_residual", residual)
 
     def homomorphism_residual(self) -> float:
         """Worst deviation from the homomorphism identity over all pairs,
-        as computed when the rep was validated."""
+        formed once: when a caller's matrices are validated, and on a
+        closed rep, whose table is exact, as a float cross-check."""
+        if self._residual is None:
+            object.__setattr__(self, "_residual", _homomorphism_residual(
+                self.group.table, self.matrices, self.projective))
         return self._residual
 
 
@@ -196,56 +165,55 @@ def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool
     return float(worst)
 
 
-def _phase_normalized(mats: np.ndarray) -> np.ndarray:
-    """Scale each matrix so its first nonzero entry (row-major) is real
-    positive, turning projective equality into plain comparison."""
-    flat = mats.reshape(mats.shape[0], -1)
-    first = np.argmax(np.abs(flat) > 1e-8, axis=1)
-    lead = flat[np.arange(flat.shape[0]), first]
-    lead = np.where(np.abs(lead) < 1e-8, 1.0, lead)
-    return (flat * (np.abs(lead) / lead)[:, None]).reshape(mats.shape)
-
-
 def is_faithful_rep(rep: MatrixRep) -> bool:
     """Injectivity of a rep, whose construction already refused a
     homomorphism residual above ``DEFAULT_TOLERANCE``.
 
-    Injectivity asks every pair of distinct elements to sit farther
-    apart than ten times ``DEFAULT_TOLERANCE``, after phase normalization
-    when the rep is projective.  The distances are formed in row blocks
-    of about ``snf._BLOCK_ENTRIES`` entries."""
-    mats = _phase_normalized(rep.matrices) if rep.projective else rep.matrices
-    n = mats.shape[0]
-    if n == 1:
+    A closed rep is faithful by construction: its elements are distinct
+    matrices modulo its prime.  On a caller's matrices, every pair of
+    distinct elements must sit farther apart than ten times
+    ``DEFAULT_TOLERANCE``: M_a - M_b, or for a projective rep M_a^H M_b
+    less its nearest scalar.  The distances are formed in row blocks of
+    about ``snf._BLOCK_ENTRIES`` entries."""
+    if rep.prime is not None:
         return True
+    mats, n, d = rep.matrices, rep.group.size, rep.dimension
     gap = math.inf
-    for blk in _row_blocks(n, n * rep.dimension**2):
-        dist = np.max(np.abs(mats[blk, None] - mats[None, :]), axis=(2, 3))
-        rows = np.arange(blk.start, blk.stop)
-        dist[np.arange(rows.size), rows] = math.inf
+    for blk in _row_blocks(n, n * d * d):
+        if rep.projective:
+            diff = np.einsum("aij,bik->abjk", mats[blk].conj(), mats)
+            diff -= np.einsum("abjj->ab", diff)[..., None, None] / d * np.eye(d)
+        else:
+            diff = mats[blk, None] - mats[None, :]
+        dist = np.max(np.abs(diff), axis=(2, 3))
+        dist[np.arange(dist.shape[0]), np.arange(blk.start, blk.stop)] = math.inf
         gap = min(gap, float(dist.min()))
     return gap > _INJECTIVITY_MARGIN * DEFAULT_TOLERANCE
 
 
-def _closed_rep(generators, order: int) -> MatrixRep:
-    """The linear rep that closing the generators into the group of the
-    stated order gives, on the closure's own matrices, so it reads the
-    residual the closure measured."""
-    return MatrixRep._measured(*_close_unitary(generators, order))
+def _closed_rep(source, order: int) -> MatrixRep:
+    """The rep closing the generators of ``source`` to ``order`` gives."""
+    table, mats, _, prime = _close_unitary(source, order)
+    return MatrixRep._closed(FiniteGroup(table), mats, False, prime)
 
 
 # ---------------------------------------------------------------------------
-# elementary blocks
+# elementary blocks, as sources over zeta_n
 
 
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
+def _rot2(n: int, m: int) -> np.ndarray:
+    """Rotation by 2pi/m."""
+    c, s = _cos_sin(n, m)
     return np.array([[c, -s], [s, c]])
+
+
+def _eye(k: int, n: int) -> np.ndarray:
+    return _const(np.eye(k, dtype=np.int64), n)
 
 
 def _block_diag(*blocks) -> np.ndarray:
     dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim))
+    out = np.zeros((dim, dim) + blocks[0].shape[2:], dtype=blocks[0].dtype)
     at = 0
     for b in blocks:
         k = b.shape[0]
@@ -254,63 +222,51 @@ def _block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    cross = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return math.cos(theta) * np.eye(3) + math.sin(theta) * cross \
-        + (1.0 - math.cos(theta)) * np.outer(axis, axis)
-
-
 def _su2(q) -> np.ndarray:
-    """2x2 unitary of the unit quaternion a+bi+cj+dk."""
+    """[[a + bi, c + di], [-c + di, a - bi]] of a quaternion source q."""
     a, b, c, d = q
-    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+    ib, id_ = (np.roll(x, a.shape[-1] // 4) for x in (b, d))
+    return np.array([[a + ib, c + id_], [-c + id_, a - ib]])
 
 
-def _realify(mat: np.ndarray) -> np.ndarray:
-    """Orthogonal 4x4 of a 2x2 unitary on coordinates (x1, x2, y1, y2)."""
-    a, b = mat.real, mat.imag
-    return np.block([[a, -b], [b, a]])
+def _realified(unitary: MatrixRep) -> MatrixRep:
+    """A closed unitary rep realified on coordinates (x1, x2, y1, y2)."""
+    a, b = unitary.matrices.real, unitary.matrices.imag
+    return MatrixRep._closed(unitary.group, np.block([[a, -b], [b, a]]), False, unitary.prime)
 
 
-_KLEIN_SIGNS = (np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]))
+_KLEIN_SIGNS = (np.diag([1, -1, -1]), np.diag([-1, 1, -1]))
 # coordinate 3-cycle x -> y -> z -> x, the rotation by 2pi/3 about (1,1,1)
-_P3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-_ROTZ4 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+_P3 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+_ROTZ4 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 
 
-def _rot3_z(theta: float) -> np.ndarray:
-    return _block_diag(_rot2(theta), np.eye(1))
-
-
-def _so3_generators(name: str, *params: int) -> tuple[list[np.ndarray], int]:
-    """Rotation generators of the polyhedral group a group-table name
-    and its parameters denote, with the group's order."""
+def _so3_generators(name: str, *params: int):
+    """The order of the polyhedral group a group-table name and its
+    parameters denote, and n -> the source of its rotation generators."""
     key = _group_key(name, params)
     if key == "cyclic":
         j = params[0]
         if j < 1:
             raise InvalidParametersError("cyclic order must be positive")
-        return [_rot3_z(2.0 * math.pi / j)], j
+        return j, lambda n: [_block_diag(_rot2(n, j), _eye(1, n))]
     if key == "dihedral":
         order = params[0]
         if order < 2 or order % 2:
             raise InvalidParametersError("dihedral order must be even and >= 2")
-        k = order // 2
-        return [_rot3_z(2.0 * math.pi / k), np.diag([1.0, -1.0, -1.0])], order
+        return order, lambda n: [_block_diag(_rot2(n, order // 2), _eye(1, n)),
+                                 _const(np.diag([1, -1, -1]), n)]
     if key == "tetra":
-        return [*_KLEIN_SIGNS, _P3], 12
+        return 12, lambda n: _const([*_KLEIN_SIGNS, _P3], n)
     if key == "octa":
-        return [*_KLEIN_SIGNS, _P3, _ROTZ4], 24
+        return 24, lambda n: _const([*_KLEIN_SIGNS, _P3, _ROTZ4], n)
     if key == "icosa":
-        phi = (1.0 + math.sqrt(5.0)) / 2.0
-        rot5 = _rodrigues(np.array([0.0, 1.0, phi]), 2.0 * math.pi / 5.0)
-        return [_P3, rot5], 60
+        def icosa(n):
+            # the rotation by 2pi/5 about the vertex (0, 1, golden ratio)
+            minus, plus, half = _icosa_numbers(n)
+            return [_const(_P3, n), np.array([[minus, -plus, half], [plus, half, minus],
+                                              [-half, minus, plus]])]
+        return 60, icosa
     raise InvalidInputError(f"no rotation model for group {key!r}")
 
 
@@ -323,11 +279,13 @@ def polyhedral_so3(name: str, *params: int) -> MatrixRep:
     half-turn about x, the tetrahedral and octahedral groups are signed
     coordinate permutations, and the icosahedral group combines the
     coordinate 3-cycle with a 5-fold golden-ratio vertex rotation."""
-    return _closed_rep(*_so3_generators(name, *params))
+    order, gens = _so3_generators(name, *params)
+    return _closed_rep(gens(_zeta_order(order)), order)
 
 
 # ---------------------------------------------------------------------------
-# the block and unitary recipes into SO(4)/SO(5)
+# the block and unitary recipes into SO(4)/SO(5); each sizes its source
+# by its order first, so an order above the cap builds nothing
 
 
 def so3_times_rotation(cyclic_order: int, name: str, *params: int) -> MatrixRep:
@@ -337,10 +295,10 @@ def so3_times_rotation(cyclic_order: int, name: str, *params: int) -> MatrixRep:
     t = int(cyclic_order)
     if t < 1:
         raise InvalidParametersError("cyclic order must be positive")
-    so3_gens, poly_order = _so3_generators(name, *params)
-    gens = [_block_diag(g, np.eye(2)) for g in so3_gens]
-    gens.append(_block_diag(np.eye(3), _rot2(2.0 * math.pi / t)))
-    return _closed_rep(gens, poly_order * t)
+    poly_order, so3_gens = _so3_generators(name, *params)
+    n = _zeta_order(poly_order * t)
+    return _closed_rep([*(_block_diag(g, _eye(2, n)) for g in so3_gens(n)),
+                        _block_diag(_eye(3, n), _rot2(n, t))], poly_order * t)
 
 
 def klein_twist(power: int, m_plus: int) -> MatrixRep:
@@ -353,11 +311,11 @@ def klein_twist(power: int, m_plus: int) -> MatrixRep:
     if mp < 1 or math.gcd(mp, 6) != 1:
         raise InvalidParametersError("m_plus must be positive and prime to 6")
     t = 3**r * mp
-    gens = [_block_diag(g, np.eye(2)) for g in _KLEIN_SIGNS]
+    n = _zeta_order(4 * t)
     # one generator carries the 3-cycle and the rotation together,
     # so only a third of the rotation block commutes with the signs
-    gens.append(_block_diag(_P3, _rot2(2.0 * math.pi / t)))
-    return _closed_rep(gens, 4 * t)
+    return _closed_rep([*(_block_diag(_const(g, n), _eye(2, n)) for g in _KLEIN_SIGNS),
+                        _block_diag(_const(_P3, n), _rot2(n, t))], 4 * t)
 
 
 def so4_central_product(kind: str, m: int) -> MatrixRep:
@@ -365,16 +323,21 @@ def so4_central_product(kind: str, m: int) -> MatrixRep:
     involution, in SO(4): left multiplication by zeta_m and right
     multiplication by conj(g) for the binary generators g, the images of
     the quaternion pairs (zeta_m, 1) and (1, g).  The shared sign in the
-    kernel of the pair map realizes the central product."""
-    if kind not in _BINARY_QUAT_GENS:
+    kernel of the pair map realizes the central product; x -> x conj(g)
+    is C L_g C, C = diag(1, -1, -1, -1).  ``kind`` names the rotation
+    group the cover double-covers, as ``build_group`` names it."""
+    kind = canonical_group_name(kind)
+    if kind not in _BINARY_ORDERS:
         raise InvalidInputError(f"no binary quaternion model for kind {kind!r}")
     m = int(m)
     if m < 2 or m % 2:
         raise InvalidParametersError("m must be even and >= 2")
-    quat_gens, lift_order = _BINARY_QUAT_GENS[kind]
-    gens = [_left_mul((math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m), 0.0, 0.0))]
-    gens.extend(_right_mul((g[0], -g[1], -g[2], -g[3])) for g in quat_gens)
-    return _closed_rep(gens, m * lift_order // 2)
+    order = m * _BINARY_ORDERS[kind] // 2
+    n = _zeta_order(order)
+    c, s = _cos_sin(n, m)
+    conj = np.outer([1, -1, -1, -1], [1, -1, -1, -1])[:, :, None]
+    return _closed_rep([_left_mul([c, s, 0 * c, 0 * c]),
+                        *(conj * _left_mul(q) for q in _binary_quaternions(kind, n))], order)
 
 
 def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
@@ -388,13 +351,13 @@ def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
         raise InvalidParametersError("s must be >= 0")
     if mp < 1 or math.gcd(mp, 6) != 1:
         raise InvalidParametersError("m_plus must be positive and prime to 6")
-    lam = np.exp(2j * np.pi / 3 ** (s + 1))
-    scalar = np.exp(2j * np.pi / (2**r * mp)) * np.eye(2)
-    gens = [scalar, _su2(_QI), _su2(_QJ), lam * _su2(_QW)]
-    unitary = _closed_rep(gens, 2 ** (r + 2) * 3 ** (s + 1) * mp)
-    # realified matrices are a new matrix set, so this rep forms its own residual
-    mats = np.stack([_realify(c) for c in unitary.matrices])
-    return MatrixRep(group=unitary.group, matrices=mats, projective=False)
+    order = 2 ** (r + 2) * 3 ** (s + 1) * mp
+    n = _zeta_order(order)
+    qi, qj, w = (_su2(_const(q, n)) for q in ([0, 1, 0, 0], [0, 0, 1, 0], [-0.5, 0.5, 0.5, 0.5]))
+    # a scalar root of unity times a source shifts its coefficients
+    scalar = np.roll(_eye(2, n), n // (2**r * mp), axis=-1)
+    return _realified(_closed_rep([scalar, qi, qj, np.roll(w, n // 3 ** (s + 1), axis=-1)],
+                                  order))
 
 
 def o4_in_so5(m: int, k: int) -> MatrixRep:
@@ -407,32 +370,23 @@ def o4_in_so5(m: int, k: int) -> MatrixRep:
         raise InvalidParametersError("k must be odd and >= 3")
     if m < 1:
         raise InvalidParametersError("m must be positive")
+    n = _zeta_order(2 * k * m)
     if m % 2:
-        # split case: two independent O(2) blocks
-        gens4 = [
-            _block_diag(_rot2(2.0 * math.pi / m), np.eye(2)),
-            _block_diag(np.eye(2), _rot2(2.0 * math.pi / k)),
-            _block_diag(np.eye(2), np.diag([1.0, -1.0])),
-        ]
-    else:
-        # nonsplit case: a unitary pair with the swap twisted by a
-        # 2-power phase, inverting the rotation eigenvalues
-        r = (m & -m).bit_length() - 1
-        m_odd = m >> r
-        omega = np.exp(2j * np.pi / k)
-        cgens = [
-            np.diag([omega, omega.conjugate()]),
-            np.exp(2j * np.pi / 2 ** (r + 1)) * np.array([[0.0, 1.0], [1.0, 0.0]]),
-        ]
-        if m_odd > 1:
-            cgens.append(np.exp(2j * np.pi / m_odd) * np.eye(2))
-        gens4 = [_realify(c) for c in cgens]
-    padded = []
-    for g in gens4:
-        det = float(np.linalg.det(g))
-        _require_within(abs(abs(det) - 1.0), DEFAULT_TOLERANCE, "generators must be orthogonal")
-        padded.append(_block_diag(g, np.array([[1.0 if det > 0 else -1.0]])))
-    return _closed_rep(padded, 2 * k * m)
+        # split case: two independent O(2) blocks, the reflection padded
+        # by its determinant -1
+        return _closed_rep([_block_diag(_rot2(n, m), _eye(3, n)),
+                            _block_diag(_eye(2, n), _rot2(n, k), _eye(1, n)),
+                            _const(np.diag([1, 1, 1, -1, -1]), n)], 2 * k * m)
+    # nonsplit case: a unitary pair with the swap twisted by a 2-power
+    # phase, inverting the rotation eigenvalues; realified, each
+    # generator has determinant |det|^2 = 1
+    r = (m & -m).bit_length() - 1
+    omega = _power(n, n // k)
+    gens = [np.array([[omega, 0 * omega], [0 * omega, _power(n, -(n // k))]]),
+            np.roll(_const([[0, 1], [1, 0]], n), n // 2 ** (r + 1), axis=-1)]
+    if m >> r > 1:
+        gens.append(np.roll(_eye(2, n), n // (m >> r), axis=-1))
+    return _padded_to_so5(_realified(_closed_rep(gens, 2 * k * m)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +397,13 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
     """Diagonal-plus-shift projective unitary model of the metacyclic
     group with presentation A^m = B^3 = 1, B A B^-1 = A^r.
 
-    A maps to diag(zeta, zeta^r, zeta^(r^2)) and B to the coordinate
-    shift; the twist relation then holds linearly, not only up to
-    scalar, so the residual is pure float noise.  Only n = 3 is
-    supported: the cube condition r^3 = 1 mod m is exactly what lets
-    a 3-cycle of the diagonal realize the twist."""
+    A maps to diag(zeta, zeta^r, zeta^(r^2)), zeta = e^(2pi i/m), and B to
+    the coordinate shift; the twist relation then holds linearly, not
+    only up to scalar.  The linear lift is closed exactly and meets the
+    scalars only in the identity; it satisfies the presentation, so the
+    words A^a B^b index it as ``build_metacyclic`` indexes the group.
+    Only n = 3 is supported: the cube condition r^3 = 1 mod m is exactly
+    what lets a 3-cycle of the diagonal realize the twist."""
     m, n, r = int(m), int(n), int(r)
     if n != 3:
         raise InvalidInputError("the diagonal-plus-shift model needs n = 3")
@@ -457,37 +413,42 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
         r = 0
     elif not pu3_presentation_valid(m, n, r):
         raise InvalidParametersError("parameters fail the presentation side conditions")
-    group = build_metacyclic(m, 3, r)
-    shift = np.zeros((3, 3), dtype=np.complex128)
-    for i in range(3):
-        shift[i, (i + 1) % 3] = 1.0
-    shift_pows = [np.eye(3, dtype=np.complex128), shift, shift @ shift]
-    exps = np.outer(np.arange(m), np.array([1, r % m, (r * r) % m])) % m
-    mats = np.zeros((group.size, 3, 3), dtype=np.complex128)
-    for a in range(m):
-        diag = np.exp(2j * np.pi * exps[a] / m)
-        for b in range(3):
-            mats[a * 3 + b] = diag[:, None] * shift_pows[b]
-    return MatrixRep(group=group, matrices=mats, projective=True)
+    z = _zeta_order(3 * m)
+    diag = np.zeros((3, 3, z), dtype=np.int64)
+    for i, e in enumerate((1, r, r * r)):
+        diag[i, i] = _power(z, e * (z // m))
+    t, mats, exact, prime = _close_unitary([diag, _const(np.roll(np.eye(3), 1, axis=1), z)], 3 * m)
+    # its one scalar is the identity (an element that reduces to a scalar
+    # is one), so the lift maps isomorphically onto its image in PU(3)
+    if np.count_nonzero(np.all(exact == exact[:, :1, :1] * np.eye(3, dtype=int), axis=(1, 2))) > 1:
+        raise InvalidInputError("the model meets the scalars of U(3)")
+    # A^m = B^3 = 1 and B A = A^r B hold for A, B labelled 1, 2 (or B as 1
+    # when A = 1): the closure, of order 3m, is then the metacyclic group,
+    # and the words A^i B^j index it as build_metacyclic does
+    a, b = (1, 2) if m > 1 else (0, 1)
+    powers = [0]
+    for _ in range(m):
+        powers.append(t[powers[-1], a])
+    if not (powers[m] == 0 and t[t[b, b], b] == 0 and t[b, a] == t[powers[r % m], b]):
+        raise InvalidInputError("the closure does not satisfy the metacyclic presentation")
+    col = np.array(powers[:m])
+    phi = np.stack([col, t[col, b], t[t[col, b], b]], axis=1).ravel()
+    group = FiniteGroup(np.argsort(phi)[t[phi][:, phi]])
+    return MatrixRep._closed(group, mats[phi], True, prime)
 
 
 # ---------------------------------------------------------------------------
 # top-level dispatch
 
 
-def _padded_to_so5(rep: MatrixRep) -> np.ndarray:
-    """The rep's matrices with an identity block below them, up to 5x5.
-
-    Padding keeps orthogonality, determinant and the homomorphism
-    residual to the bit: every product entry gains only exact zero
-    terms, and the new entries are exactly those of the identity."""
-    if rep.field_tag != "real" or rep.projective:
-        raise InvalidInputError("only real non-projective reps can be padded")
+def _padded_to_so5(rep: MatrixRep) -> MatrixRep:
+    """A closed real rep with an identity block below its matrices, up to
+    5x5: padding keeps orthogonality, determinant and the table."""
     if rep.dimension == 5:
-        return rep.matrices
+        return rep
     mats = np.tile(np.eye(5), (rep.group.size, 1, 1))
     mats[:, : rep.dimension, : rep.dimension] = rep.matrices
-    return mats
+    return MatrixRep._closed(rep.group, mats, False, rep.prime)
 
 
 def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
@@ -497,20 +458,16 @@ def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
     if len(invariants) > 2:
         raise UnsupportedCaseError(
             "abelian groups of rank above 2 do not fit two rotation blocks")
-    gens = []
-    for slot, order in enumerate(invariants):
-        block = _block_diag(np.eye(2 * slot), _rot2(2.0 * math.pi / order),
-                            np.eye(3 - 2 * slot))
-        gens.append(block)
-    if not gens:
-        gens.append(np.eye(5))
-    return _closed_rep(gens, g.size)
+    n = _zeta_order(g.size)
+    # one rotation plane per invariant, then the identity on the rest
+    gens = [_block_diag(_eye(2 * slot, n), _rot2(n, order), _eye(3 - 2 * slot, n))
+            for slot, order in enumerate(invariants)]
+    return _closed_rep(gens or [_eye(5, n)], g.size)
 
 
 # hint kind -> (required fields, optional fields with their defaults,
-# the recipe called with every field); ``poly`` is a name, of the group
-# table for a polyhedral product and of a binary cover for a central
-# product, every other field is an integer
+# the recipe called with every field); ``poly`` is a name of the group
+# table, every other field is an integer
 _HINTS = {
     "abelian": ((), {}, _abelian_rank2_rep),
     "polyhedral-product": (
@@ -549,8 +506,7 @@ def _hint_fields(kind: str, hint: dict) -> dict:
                                or isinstance(value, bool)):
             raise InvalidInputError(f"hint field {name!r} must be an integer")
         # every integer field is a factor or an exponent of the model's
-        # order, so a larger one names no model under the cap; refused
-        # here, it never reaches a float conversion that would overflow
+        # order, so a larger one names no model under the cap
         if name != "poly" and value > ORDER_CAP:
             raise BudgetError(f"hint field {name!r} exceeds the order cap {ORDER_CAP}")
     return {**optional, **hint}
@@ -586,8 +542,7 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
             "2-groups with an index-2 cyclic subgroup have no explicit recipe here")
     if kind not in _HINTS:
         raise UnsupportedCaseError(f"no embedding recipe for structure hint {kind!r}")
-    rep = _HINTS[kind][2](g, **_hint_fields(kind, hint))
-    mats = _padded_to_so5(rep)
+    rep = _padded_to_so5(_HINTS[kind][2](g, **_hint_fields(kind, hint)))
     phi = find_isomorphism(g, rep.group)
     # phi must be a bijection onto the model that maps g.table onto the
     # model's table
@@ -596,4 +551,4 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
             and np.array_equal(np.sort(phi), np.arange(g.size))
             and np.array_equal(rep.group.table[np.ix_(phi, phi)], phi[g.table])):
         raise InvalidInputError("structure hint does not match the group")
-    return MatrixRep._measured(g, mats[phi], rep.homomorphism_residual())
+    return MatrixRep._closed(g, rep.matrices[phi], False, rep.prime)

@@ -6,12 +6,12 @@ capped at 512: each family needed here fits, and table form turns every
 structural question into a finite scan.
 
 Constructors cover cyclic, abelian, dihedral, symmetric/alternating,
-the binary polyhedral groups (built from unit-quaternion models and
-exactified into tables), metacyclic presentations, direct/semidirect
-products, and central products over a shared involution.  The named
-groups live in one table, read through :func:`build_group`, and every
-matrix or quaternion model is closed into a table of the order its
-caller states by one routine, the only one that checks that order.
+the binary polyhedral groups (from unit-quaternion models), metacyclic
+presentations, direct/semidirect products, and central products over a
+shared involution.  The named groups live in one table, read through
+:func:`build_group`, and every matrix or quaternion model is closed
+exactly, modulo a prime, into a table of the order its caller states
+by one routine, the only one that checks that order.
 """
 
 from __future__ import annotations
@@ -392,9 +392,6 @@ def _permutation_group(perms) -> FiniteGroup:
 
 # --- closing generators into a table ----------------------------------------
 
-# matrix entries are short trig/golden-ratio expressions, so 1e-6 is a
-# comfortable dedup scale while float error stays near machine epsilon
-DEDUP_DECIMALS = 6
 # float residual below which a matrix identity counts as exact
 DEFAULT_TOLERANCE = 1e-9
 
@@ -451,15 +448,6 @@ def _cayley_table(keys: np.ndarray, products) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def _matrix_keys(mats: np.ndarray) -> np.ndarray:
-    """Dedup key per matrix: its entries (real, then imaginary parts)
-    rounded to DEDUP_DECIMALS, with -0.0 folded into 0.0."""
-    flat = mats.reshape(mats.shape[0], -1)
-    if np.iscomplexobj(flat):
-        flat = np.hstack([flat.real, flat.imag])
-    return np.round(flat, DEDUP_DECIMALS) + 0.0
-
-
 def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
     """Worst entry of |M_a M_b - M_table[a, b]| over all pairs a, b.
 
@@ -495,50 +483,105 @@ def _unitary_drift(mats: np.ndarray) -> float:
         return float(np.max(np.abs(gram - np.eye(mats.shape[1]))))
 
 
-def _close_unitary(generators, order: int) -> tuple[FiniteGroup, np.ndarray, float]:
-    """Close square orthogonal/unitary generators into the group of the
-    stated ``order``.
+# A source states matrices exactly: the integer array (..., n) of the
+# coefficients of SOURCE_DENOMINATOR times their entries over the powers
+# of zeta_n = e^(2 pi i/n).  Cos and sin of 2pi/m are (z + 1/z)/2 and
+# (z - 1/z)/2i for z = zeta_m, 1/sqrt2 is cos(2pi/8), and sqrt5 is the
+# Gauss sum zeta_5 - zeta_5^2 - zeta_5^3 + zeta_5^4.
+SOURCE_DENOMINATOR = 4
 
-    The order is decided here and nowhere else: an order above
-    ``ORDER_CAP`` raises BudgetError before any product is formed, a
-    closure that finds an element past ``order`` is refused at that
-    product, and one that stops short of ``order`` is refused as well.
 
-    Breadth first: each level multiplies the new elements on the right
-    by every generator, in order, and keeps the products whose key is
-    new.  Recording the index of every such product gives right
-    multiplication by each generator s as a permutation R_s, and each
-    new element b as parent[b] * via[b], a spanning tree of the Cayley
-    graph.  Column b of the table is then R_via[b] applied to column
-    parent[b], from column 0 of the identity: n^2 integer gathers and
-    no further matrix products (the Schreier-tree construction, D. F.
-    Holt, B. Eick and E. A. O'Brien, *Handbook of Computational Group
-    Theory*, 2005).  The whole table is then checked against the
-    matrices, |M_a M_b - M_table[a, b]| <= DEFAULT_TOLERANCE for all
-    pairs, so the returned matrices (one per element) form a faithful
-    representation.  Returns (group, matrices, that all-pairs residual):
-    a caller that keeps these very matrices reads the residual instead
-    of forming the n^2 products again."""
+def _power(n: int, k: int, c: int = SOURCE_DENOMINATOR) -> np.ndarray:
+    """The source of c/SOURCE_DENOMINATOR times zeta_n^k."""
+    return c * (np.arange(n) == k % n)
+
+
+def _const(values, n: int) -> np.ndarray:
+    """The source over zeta_n of an array of multiples of 1/4."""
+    values = SOURCE_DENOMINATOR * np.asarray(values)
+    return np.pad(values[..., None], [(0, 0)] * values.ndim + [(0, n - 1)])
+
+
+def _cos_sin(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sources of cos(2pi/m) and sin(2pi/m) over zeta_n, lcm(4, m) | n."""
+    j, q = n // m, n // 4
+    return (_power(n, j, 2) + _power(n, -j, 2),
+            _power(n, j - q, 2) + _power(n, q - j, 2))
+
+
+def _icosa_numbers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sources of (sqrt5 - 1)/4, (sqrt5 + 1)/4 and 1/2 over zeta_n, 5 | n."""
+    j = n // 5
+    root5 = sum(_power(n, i * j, c) for i, c in ((1, 1), (2, -1), (3, -1), (4, 1)))
+    return root5 - _power(n, 0, 1), root5 + _power(n, 0, 1), _power(n, 0, 2)
+
+
+def _source_prime(n: int, d: int) -> tuple[int, np.ndarray]:
+    """The least odd prime p = 1 (mod n), prime to n and to 4, whose d x d
+    products sum exactly in int64, and the powers 1, w, ..., w^(n-1) mod
+    p of the first w = g^((p-1)/n), g = 2, 3, ..., of order exactly n."""
+    p = n + 1
+    while p % 2 == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+        p += n
+    if d * (p - 1) ** 2 >= 2**63:
+        raise BudgetError(f"the prime {p} for zeta_{n} overflows int64 products")
+    w = next(w for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
+             if all(pow(w, n // q, p) != 1 for q in range(2, n + 1) if n % q == 0))
+    return p, np.fromiter(itertools.accumulate(range(1, n), lambda x, _: x * w % p, initial=1),
+                          np.int64, n)
+
+
+def _zeta_order(order: int) -> int:
+    """n = lcm(4, order): every entry of a model here of a group of that
+    order lies in Z[zeta_n, 1/2].  An order above ``ORDER_CAP`` raises
+    BudgetError, so no source is built for it."""
     if order > ORDER_CAP:
         raise BudgetError(f"closure order {order} exceeds the order cap {ORDER_CAP}")
-    gens = [np.asarray(g) for g in generators]
-    dtype = np.complex128 if any(np.iscomplexobj(g) for g in gens) else np.float64
-    d = gens[0].shape[0]
-    if any(g.shape != (d, d) for g in gens):
-        raise InvalidInputError("generators must be square and equally sized")
-    gens = np.stack(gens).astype(dtype)
-    k = gens.shape[0]
-    _require_within(_unitary_drift(gens), DEFAULT_TOLERANCE, "generators must be orthogonal/unitary")
-    eye = np.eye(d, dtype=dtype)
-    index = {_matrix_keys(eye[None])[0].tobytes(): 0}
+    return math.lcm(4, order)
+
+
+def _close_unitary(source, order: int):
+    """Close orthogonal/unitary generators, k stacked d x d matrices
+    given by their ``source``, into the group of the stated ``order``,
+    exactly.  The order is decided here and nowhere else: one above the
+    cap is refused first, a closure that finds an element past ``order``
+    at that product, and one that stops short of it as well.
+
+    At zeta_n the source gives the float generators, which must be
+    orthogonal/unitary; at a primitive n-th root of unity mod p
+    (``_source_prime``) it gives the integer matrices the closure runs
+    on, keyed by their bytes.  Reduction mod an odd unramified prime is
+    injective on a finite matrix group over Z[zeta_n, 1/2] (Minkowski's
+    lemma; J.-P. Serre, "Bounds for the orders of the finite subgroups
+    of G(k)", 2007), so the closure has the complex group's table.
+
+    Breadth first, each level times every generator on the right, in
+    order: each new element b is parent[b] * via[b], a spanning tree of
+    the Cayley graph (the Schreier-tree construction, D. F. Holt, B. Eick
+    and E. A. O'Brien, *Handbook of Computational Group Theory*, 2005).
+    Column b of the table is right multiplication by via[b] applied to
+    column parent[b], and the float matrix of b is parent[b]'s times
+    via[b]'s.  Returns (table, float matrices, matrices mod p, p); the
+    table is a group's by construction, and its keeper validates it."""
+    _zeta_order(order)
+    source = np.asarray(source)
+    k, d, n = source.shape[0], source.shape[1], source.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        floats = source @ np.exp(2j * np.pi * np.arange(n) / n) / SOURCE_DENOMINATOR
+    if np.array_equal(source, source[..., -np.arange(n) % n]):
+        floats = floats.real  # every entry equals its complex conjugate
+    _require_within(_unitary_drift(floats), DEFAULT_TOLERANCE,
+                    "generators must be orthogonal/unitary")
+    p, powers = _source_prime(n, d)
+    gens = source.astype(np.int64) @ powers % p * pow(SOURCE_DENOMINATOR, -1, p) % p
+    eye = np.eye(d, dtype=np.int64)
+    index = {eye.tobytes(): 0}
     levels, right, parent, via = [eye[None]], [], [0], [0]
     while levels[-1].shape[0]:
         first = len(index) - levels[-1].shape[0]  # index of the level's first element
-        prods = (levels[-1][:, None] @ gens[None]).reshape(-1, d, d)
-        found = np.empty(prods.shape[0], dtype=np.int64)
-        fresh = []
-        for i, key in enumerate(_matrix_keys(prods)):
-            key = key.tobytes()
+        prods = (levels[-1][:, None] @ gens[None]).reshape(-1, d, d) % p
+        found, fresh = [], []
+        for i, key in enumerate(_key_rows(prods.reshape(prods.shape[0], -1)).tolist()):
             if key not in index:
                 if len(index) >= order:
                     raise InvalidInputError(f"closure grows past its order {order}")
@@ -546,91 +589,89 @@ def _close_unitary(generators, order: int) -> tuple[FiniteGroup, np.ndarray, flo
                 fresh.append(i)
                 parent.append(first + i // k)
                 via.append(i % k)
-            found[i] = index[key]
-        right.append(found.reshape(-1, k))
+            found.append(index[key])
+        right.append(np.array(found).reshape(-1, k))
         levels.append(prods[fresh])
-    n = len(index)
-    if n != order:
-        raise InvalidInputError(f"closure has order {n}, expected {order}")
-    mats = np.concatenate(levels)
+    size = len(index)
+    if size != order:
+        raise InvalidInputError(f"closure has order {size}, expected {order}")
     right = np.concatenate(right)
-    table = np.empty((n, n), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    for b in range(1, n):
-        table[:, b] = right[table[:, parent[b]], via[b]]
-    residual = _table_residual(table, mats)
-    _require_within(residual, DEFAULT_TOLERANCE, "a product falls outside the closed element set")
-    return FiniteGroup(table), mats, residual
+    parent, via = np.array(parent), np.array(via)
+    cols = np.empty((size, size), dtype=np.int64)  # cols[b] is column b of the table
+    cols[0] = np.arange(size)
+    mats = np.empty((size, d, d), dtype=floats.dtype)
+    mats[0] = np.eye(d)
+    start = 1
+    for level in levels[1:]:  # the parents of a level lie in the levels before it
+        new = slice(start, start + level.shape[0])
+        cols[new] = right[cols[parent[new]], via[new, None]]
+        mats[new] = mats[parent[new]] @ floats[via[new]]
+        start = new.stop
+    return cols.T, mats, np.concatenate(levels), p
 
 
 # --- unit-quaternion models -------------------------------------------------
 
+# x -> q x on coordinates (1, i, j, k): entry (r, c) is its sign times
+# coordinate _QUAT_INDEX[r, c] of q
+_QUAT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGNS = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
+
 
 def _left_mul(q) -> np.ndarray:
-    """4x4 matrix of x -> q x; its first column is q itself."""
-    a, b, c, d = (float(x) for x in q)
-    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+    """Source of x -> q x for a quaternion source q of shape (4, n)."""
+    return _LEFT_SIGNS[:, :, None] * np.asarray(q)[_QUAT_INDEX]
 
 
-def _right_mul(q) -> np.ndarray:
-    """4x4 matrix of x -> x q; its first column is q itself."""
-    a, b, c, d = (float(x) for x in q)
-    return np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
+def group_from_quaternions(source, order: int) -> FiniteGroup:
+    """Close unit quaternions, a (k, 4, n) source, into the group of the
+    stated order, through their left multiplications on R^4."""
+    return FiniteGroup(_close_unitary([_left_mul(q) for q in source], order)[0])
 
 
-def group_from_quaternions(generators, order: int) -> tuple[FiniteGroup, np.ndarray]:
-    """Close a set of unit quaternions into the group of the stated
-    order and return it together with the quaternion per element.
+def _binary_quaternions(kind: str, n: int) -> np.ndarray:
+    """Unit-quaternion generators, a source over zeta_n, of the binary
+    cover of the rotation group ``kind``: (1 + i + j + k)/2 and i, with
+    (1 + i)/sqrt2 for the octahedral group; the icosahedral group pairs
+    (1 + i + j + k)/2 with cos(pi/5) + sin(pi/5) u, u the unit axis along
+    (0, 1, golden ratio), which is ((sqrt5 + 1) + (sqrt5 - 1) j + 2k)/4."""
+    half, qi = _const([0.5] * 4, n), _const([0, 1, 0, 0], n)
+    if kind == "tetra":
+        return np.stack([half, qi])
+    if kind == "octa":
+        r2 = _cos_sin(n, 8)[0]
+        return np.stack([half, qi, [r2, r2, 0 * r2, 0 * r2]])
+    minus, plus, one_half = _icosa_numbers(n)
+    return np.stack([half, [plus, 0 * plus, minus, one_half]])
 
-    The closure runs on the left-multiplication matrices, whose entries
-    are the coordinates up to sign, so coordinates are deduplicated at
-    1e-6, far coarser than the float error of these short products."""
-    group, mats, _ = _close_unitary([_left_mul(q) for q in generators], order)
-    return group, np.ascontiguousarray(mats[:, :, 0])
 
-
-_HALF = (0.5, 0.5, 0.5, 0.5)
-_QI = (0.0, 1.0, 0.0, 0.0)
-_QJ = (0.0, 0.0, 1.0, 0.0)
-# (-1+i+j+k)/2, whose conjugation cycles the axes i -> j -> k
-_QW = (-0.5, 0.5, 0.5, 0.5)
-_R2 = 1.0 / math.sqrt(2.0)
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
-_ICOSA_AXIS = np.array([0.0, 1.0, _PHI]) / math.sqrt(2.0 + _PHI)
-_SIN5 = math.sin(math.pi / 5.0)
-
-# unit-quaternion generators of each binary polyhedral group, keyed by
-# the rotation group it double-covers, with the order of their closure
-_BINARY_QUAT_GENS = {
-    "tetra": ((_HALF, _QI), 24),
-    "octa": ((_HALF, _QI, (_R2, _R2, 0.0, 0.0)), 48),
-    "icosa": ((_HALF, (math.cos(math.pi / 5.0), *(_SIN5 * _ICOSA_AXIS))), 120),
-}
+_BINARY_ORDERS = {"tetra": 24, "octa": 48, "icosa": 120}  # of each binary cover
 
 
 def quaternion_group() -> FiniteGroup:
-    return group_from_quaternions([_QI, _QJ], 8)[0]
+    return group_from_quaternions(_const([[0, 1, 0, 0], [0, 0, 1, 0]], _zeta_order(8)), 8)
 
 
 def binary_dihedral(order: int) -> FiniteGroup:
-    """Binary dihedral (dicyclic) group of the given order 4k."""
+    """Binary dihedral (dicyclic) group of order 4k: cos(pi/k) + sin(pi/k) i and j."""
     if order < 4 or order % 4:
         raise InvalidParametersError("binary dihedral order must be a multiple of 4")
-    k = order // 4
-    a = (math.cos(math.pi / k), math.sin(math.pi / k), 0.0, 0.0)
-    return group_from_quaternions([a, _QJ], order)[0]
+    n = _zeta_order(order)
+    c, s = _cos_sin(n, order // 2)
+    return group_from_quaternions(np.stack([[c, s, 0 * c, 0 * c], _const([0, 0, 1, 0], n)]),
+                                  order)
 
 
 def binary_tetrahedral() -> FiniteGroup:
-    return group_from_quaternions(*_BINARY_QUAT_GENS["tetra"])[0]
+    return group_from_quaternions(_binary_quaternions("tetra", _zeta_order(24)), 24)
 
 
 def binary_octahedral() -> FiniteGroup:
-    return group_from_quaternions(*_BINARY_QUAT_GENS["octa"])[0]
+    return group_from_quaternions(_binary_quaternions("octa", _zeta_order(48)), 48)
 
 
 def binary_icosahedral() -> FiniteGroup:
-    return group_from_quaternions(*_BINARY_QUAT_GENS["icosa"])[0]
+    return group_from_quaternions(_binary_quaternions("icosa", _zeta_order(120)), 120)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -763,14 +804,14 @@ def klein_by_cyclic3(power: int) -> FiniteGroup:
 
 def q8_by_cyclic3(power: int) -> FiniteGroup:
     """Q8 x| Z_{3^power}, the cyclic factor conjugating by the unit
-    quaternion (-1+i+j+k)/2, which cycles the axes i -> j -> k; the
+    quaternion (-1+i+j+k)/2, which cycles the axes i -> k -> j; the
     action factors through Z_3."""
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
-    q8, mats, _ = _close_unitary([_left_mul(_QI), _left_mul(_QJ)], 8)
-    w = _left_mul(_QW)  # orthogonal, so w.T is the matrix of its inverse
-    cyc = _key_index(_matrix_keys(mats))(_matrix_keys(w @ mats @ w.T))
-    return _cyclic_extension(q8, cyc, 3**power)
+    q8 = quaternion_group()
+    # the closure labels i and j as 1 and 2; the conjugation sends i to
+    # k = ij and j to i
+    return _cyclic_extension(q8, _induced_map(q8, q8, [1, 2], [q8.op(1, 2), 1]), 3**power)
 
 
 # The one table of group names: canonical name -> (parameter count,
@@ -815,8 +856,14 @@ def _group_key(name: str, params) -> str:
 
 def build_group(name: str, *params: int) -> FiniteGroup:
     """The group a table name (or alias) and its integer parameters
-    denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``."""
-    return _GROUP_TABLE[_group_key(name, params)][1](*params)
+    denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``.
+    Each parameter is a factor, exponent or residue of an order under
+    the cap, so one above ``ORDER_CAP`` is refused before any builder
+    runs."""
+    key = _group_key(name, params)
+    if any(value > ORDER_CAP for value in params):
+        raise BudgetError(f"a {key} parameter exceeds the order cap {ORDER_CAP}")
+    return _GROUP_TABLE[key][1](*params)
 
 
 def pu3_presentation_valid(m: int, n: int, r: int) -> bool:

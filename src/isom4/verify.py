@@ -505,18 +505,15 @@ def _dihedral_mixed(cfg):
 def _check_embeddings(case, passed, cfg):
     """Every row (label, group, hint) of ``case(cfg)``, which also gives
     the expected text, embeds faithfully in SO(5); ``passed`` formats the
-    PASS text from n (rows), order (last group) and residual (largest)."""
+    PASS text from n (rows), order (last group) and the primes modulo
+    which the closures decided the models' tables exactly."""
     expected, rows = case(cfg)
-    worst = 0.0
-    bad = []
-    for label, group, hint in rows:
-        rep = embed_into_so5(group, hint)
-        worst = max(worst, float(rep.homomorphism_residual()))
-        if not is_faithful_rep(rep):
-            bad.append(label)
+    reps = [(label, embed_into_so5(group, hint)) for label, group, hint in rows]
+    bad = [label for label, rep in reps if not is_faithful_rep(rep)]
     if bad:
         return "FAIL", expected, f"not faithful: {', '.join(bad)}"
-    return "PASS", expected, passed.format(n=len(rows), order=group.size, residual=worst)
+    primes = ", ".join(map(str, sorted({rep.prime for _, rep in reps})))
+    return "PASS", expected, passed.format(n=len(rows), order=rows[-1][1].size, primes=primes)
 
 
 def _check_embed_two_group(cfg):
@@ -730,26 +727,27 @@ _SUITE = (
      "divides m; the realized group is an odd cycle inverted by a "
      "2-power cycle."),
     ("embed-abelian-sample",
-     partial(_check_embeddings, _abelian_sample, "{n}/{n} faithful, max residual {residual:.2e}"),
+     partial(_check_embeddings, _abelian_sample, "{n}/{n} faithful, exact closure modulo {primes}"),
      "Abelian groups of rank at most 2 act orthogonally on R^5 through "
      "two rotation planes and a fixed axis."),
     ("embed-central-products",
      partial(_check_embeddings, _central_products,
-             "{n}/{n} faithful, max residual {residual:.2e}"),
+             "{n}/{n} faithful, exact closure modulo {primes}"),
      "Central products of a cyclic 2-power with a binary polyhedral "
      "group act on R^4 by left/right quaternion multiplication, hence "
      "orthogonally on R^5."),
     ("embed-klein-family",
-     partial(_check_embeddings, _klein_family, "{n} cases faithful, max residual {residual:.2e}"),
+     partial(_check_embeddings, _klein_family, "{n} cases faithful, exact closure modulo {primes}"),
      "The rank-2 elementary 2-group twisted by a 3-power cycle, times a "
      "coprime cyclic factor, acts as rotations on R^3 plus a plane "
      "rotation, hence orthogonally on R^5."),
     ("embed-quaternion-u2",
-     partial(_check_embeddings, _quaternion_u2, "order {order} faithful, residual {residual:.2e}"),
+     partial(_check_embeddings, _quaternion_u2,
+             "order {order} faithful, exact closure modulo {primes}"),
      "The quaternion group extended by a 9-cycle is a unitary subgroup "
      "of U(2); realifying gives a faithful orthogonal action on R^5."),
     ("embed-dihedral-mixed",
-     partial(_check_embeddings, _dihedral_mixed, "faithful, residual {residual:.2e}"),
+     partial(_check_embeddings, _dihedral_mixed, "faithful, exact closure modulo {primes}"),
      "The dicyclic group of order 12 sits in U(2) as the mixed dihedral "
      "case m=2, k=3; realifying gives a faithful orthogonal action on "
      "R^5."),

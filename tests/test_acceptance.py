@@ -196,15 +196,17 @@ def test_criterion_08_so5_embeddings(report_and_rerun):
                      "embed-quaternion-u2", "embed-dihedral-mixed",
                      "embed-two-group-unsupported")
     refused = checks.pop("embed-two-group-unsupported")
-    residuals = [float(r) for c in checks.values()
-                 for r in re.findall(r"residual (\S+)", c["actual"])]
+    # each PASS names the exact route and the odd primes it closed modulo
+    primes = [[int(p) for p in found.group(1).split(", ")]
+              for c in checks.values()
+              if (found := re.search(r"exact closure modulo (\d+(?:, \d+)*)$", c["actual"]))]
     ok = (all(c["status"] == "PASS" for c in checks.values())
-          and len(residuals) == len(checks)
-          and max(residuals) < 1e-9
+          and len(primes) == len(checks)
+          and all(p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1))
+                  for ps in primes for p in ps)
           and refused["status"] == "UNSUPPORTED")
     report(8, ok,
            "; ".join(f"{cid} {c['status']}: {c['actual']}" for cid, c in checks.items())
-           + f"; max residual {max(residuals, default=math.inf):.2e} (tol 1e-9)"
            + f"; 2-group hint {refused['status']}: {refused['actual']}")
 
 

@@ -413,6 +413,15 @@ def test_refused_input_exits_two(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name", ["binary-dihedral", "dihedral"])
+def test_group_parameter_past_the_cap_exits_two(capsys, name):
+    # a 400-digit order used to end in an OverflowError or ValueError traceback
+    assert main(["h2", "--group", f"{name}:{'8' * 400}", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a {name} parameter exceeds the order cap 512\n"
+
+
 def test_verify_all_command_csv(capsys, tmp_path, report_and_rerun):
     out = tmp_path / "report.csv"
     code, echo = run(capsys, "verify-all", "--format", "csv", "--out", str(out))

@@ -13,14 +13,12 @@ from isom4 import embeddings, groups, verify
 from isom4.embeddings import (
     DEFAULT_TOLERANCE,
     MatrixRep,
-    QuatPair,
     embed_into_so5,
     is_faithful_rep,
     klein_twist,
     o4_in_so5,
     polyhedral_so3,
     pu3_metacyclic,
-    quat_pair_to_so4,
     so3_times_rotation,
     so4_central_product,
     u2_mixed,
@@ -49,53 +47,7 @@ EMBEDDING_RESIDUALS = (Path(__file__).resolve().parent.parent / "scripts"
                        / "embedding_residuals.py")
 
 
-def random_unit_quat(rng):
-    v = rng.normal(size=4)
-    return tuple(v / np.linalg.norm(v))
-
-
-# --- quaternion pairs -------------------------------------------------------
-
-
-def test_quat_pairs_land_in_so4():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        pair = QuatPair(random_unit_quat(rng), random_unit_quat(rng))
-        mat = quat_pair_to_so4(pair)
-        assert np.allclose(mat.T @ mat, np.eye(4), atol=1e-12)
-        assert abs(np.linalg.det(mat) - 1.0) < 1e-12
-
-
-def test_quat_pair_sign_kernel():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        p, q = random_unit_quat(rng), random_unit_quat(rng)
-        neg_p = tuple(-x for x in p)
-        neg_q = tuple(-x for x in q)
-        same = quat_pair_to_so4(QuatPair(neg_p, neg_q))
-        assert np.allclose(quat_pair_to_so4(QuatPair(p, q)), same, atol=1e-15)
-        # flipping only one side moves the matrix: the kernel is the
-        # shared sign and nothing else
-        half = quat_pair_to_so4(QuatPair(p, neg_q))
-        assert not np.allclose(quat_pair_to_so4(QuatPair(p, q)), half, atol=1e-6)
-
-
-def test_quat_pair_validation():
-    with pytest.raises(InvalidInputError):
-        QuatPair((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(InvalidInputError):
-        QuatPair((2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-
-
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-
-
-@given(NON_FINITE, st.integers(min_value=0, max_value=7))
-def test_quat_pair_refuses_non_finite(bad, position):
-    coords = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-    coords[position] = bad
-    with pytest.raises(InvalidInputError, match="not finite"):
-        QuatPair(tuple(coords[:4]), tuple(coords[4:]))
 
 
 # --- checked reps -----------------------------------------------------------
@@ -214,24 +166,18 @@ def test_stored_residual_is_fresh_residual(group, hint):
     assert rep.homomorphism_residual().hex() == fresh.hex()
 
 
-# (order, float.hex of the stored residual) of every rep the embed-*
-# checks build at seed 1, in suite order
-EMBED_RESIDUALS_SEED1 = [
-    (9, "0x1.0000000000000p-50"), (24, "0x1.6000000000000p-50"),
-    (82, "0x1.5000000000000p-49"), (63, "0x1.4000000000000p-50"),
-    (10, "0x1.0000000000000p-52"), (44, "0x1.6000000000000p-49"),
-    (49, "0x1.4000000000000p-51"), (18, "0x1.e8930a2f4f66ap-51"),
-    (77, "0x1.0800000000000p-48"), (12, "0x1.6000000000000p-50"),
-    (48, "0x1.b504f333f9de5p-52"), (96, "0x1.0000000000000p-51"),
-    (120, "0x1.8000000000000p-51"), (240, "0x1.e000000000000p-51"),
-    (12, "0x1.6000000000000p-51"), (60, "0x1.4000000000000p-50"),
-    (84, "0x1.a000000000000p-50"), (36, "0x1.0000000000000p-50"),
-    (72, "0x1.c000000000000p-50"), (12, "0x1.c000000000000p-51"),
+# (order, prime) of every rep the embed-* checks build at seed 1, in
+# suite order: p is the least odd prime = 1 mod lcm(4, order)
+EMBED_PRIMES_SEED1 = [
+    (9, 37), (24, 73), (82, 821), (63, 757), (10, 41), (44, 89), (49, 197),
+    (18, 37), (77, 617), (12, 13), (48, 97), (96, 97), (120, 241), (240, 241),
+    (12, 13), (60, 61), (84, 337), (36, 37), (72, 73), (12, 13),
 ]
 
 
-def test_embed_check_residuals_pinned(monkeypatch):
-    # the report prints these residuals; their arithmetic must not drift
+def test_embed_check_primes_pinned(monkeypatch):
+    # the report names these primes; the float matrices of each rep,
+    # indexed by its exact table, pass the float cross-check
     reps = []
 
     def recording(group, hint):
@@ -243,15 +189,14 @@ def test_embed_check_residuals_pinned(monkeypatch):
     for check_id, check, _ in verify._SUITE:
         if check_id.startswith("embed-"):
             check(cfg)
-    assert [(rep.group.size, rep.homomorphism_residual().hex()) for rep in reps] \
-        == EMBED_RESIDUALS_SEED1
+    assert [(rep.group.size, rep.prime) for rep in reps] == EMBED_PRIMES_SEED1
+    assert max(rep.homomorphism_residual() for rep in reps) <= DEFAULT_TOLERANCE
 
 
 def test_embedding_validates_recipe_and_result_only(monkeypatch):
-    # one all-pairs residual per distinct matrix set: the closure forms
-    # it, the recipe rep on the closure's matrices reads it, and the
-    # padded, relabelled 5x5 rep carries it; u2 realifies its unitary
-    # closure, a second matrix set with a pass of its own
+    # the exact closure decides every table: embedding forms no
+    # all-pairs residual, and a rep forms its float cross-check once,
+    # when asked
     dicyclic, group = binary_dihedral(12), q8_by_cyclic3(2)
     calls = []
     residual = groups._table_residual
@@ -262,14 +207,46 @@ def test_embedding_validates_recipe_and_result_only(monkeypatch):
 
     monkeypatch.setattr(groups, "_table_residual", counting)
     monkeypatch.setattr(embeddings, "_table_residual", counting)
-    rep = embed_into_so5(dicyclic, {"kind": "dihedral-mixed", "m": 2, "k": 3})
-    assert calls == [(12, 5, 5)]
-    calls.clear()
+    embed_into_so5(dicyclic, {"kind": "dihedral-mixed", "m": 2, "k": 3})
     rep = embed_into_so5(group, {"kind": "u2-mixed", "r": 1, "s": 1, "m_plus": 1})
-    assert calls == [(group.size, 2, 2), (group.size, 4, 4)]
+    assert calls == []
     assert is_faithful_rep(rep)
     assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
-    assert len(calls) == 2
+    assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
+    assert calls == [(group.size, 5, 5)]
+
+
+# every recipe of this module, each stated by one cyclotomic source
+RECIPES = {
+    "so3-cyclic-7": lambda: polyhedral_so3("cyclic", 7),
+    "so3-dihedral-10": lambda: polyhedral_so3("dihedral", 10),
+    "so3-tetra": lambda: polyhedral_so3("tetra"),
+    "so3-octa": lambda: polyhedral_so3("octa"),
+    "so3-icosa": lambda: polyhedral_so3("icosa"),
+    "so3xso2-icosa-3": lambda: so3_times_rotation(3, "icosa"),
+    "klein-1-5": lambda: klein_twist(1, 5),
+    "klein-2-1": lambda: klein_twist(2, 1),
+    "so4-tetra-4": lambda: so4_central_product("tetra", 4),
+    "so4-octa-2": lambda: so4_central_product("octa", 2),
+    "so4-icosa-4": lambda: so4_central_product("icosa", 4),
+    "u2-1-1-1": lambda: u2_mixed(1, 1, 1),
+    "u2-2-0-5": lambda: u2_mixed(2, 0, 5),
+    "o4-3-5": lambda: o4_in_so5(3, 5),
+    "o4-12-3": lambda: o4_in_so5(12, 3),
+    "abelian-4-15": lambda: embeddings._abelian_rank2_rep(abelian([4, 15])),
+    "pu3-13-3-3": lambda: pu3_metacyclic(13, 3, 3),
+}
+
+
+@pytest.mark.parametrize("build", RECIPES.values(), ids=RECIPES.keys())
+def test_recipe_float_matrices_pass_the_exact_table(build):
+    # the float gate: the source evaluated at e^(2 pi i/n), indexed by the
+    # table its closure mod p decided, passes the all-pairs residual
+    rep = build()
+    n = math.lcm(4, rep.group.size)
+    assert rep.prime % n == 1 and is_faithful_rep(rep)
+    assert embeddings._homomorphism_residual(
+        rep.group.table, rep.matrices, rep.projective) <= DEFAULT_TOLERANCE
 
 
 # --- the projective unitary model ---------------------------------------------
@@ -348,9 +325,25 @@ def test_injectivity_checked_across_row_blocks():
     assert is_faithful_rep(_rotation_rep(2 * m, math.pi / m))
 
 
+def test_projective_injectivity_of_a_callers_rep():
+    # a caller's projective rep is judged up to a unit scalar per element:
+    # the PU(3) model with each matrix given a phase stays faithful, and
+    # Z_6 acting through the three powers of the shift, with phases, is not
+    rep = pu3_metacyclic(7, 3, 2)
+    phases = np.exp(1j * np.arange(rep.group.size))[:, None, None]
+    assert is_faithful_rep(MatrixRep(group=rep.group, matrices=rep.matrices * phases,
+                                     projective=True))
+    shift = np.roll(np.eye(3), 1, axis=1)
+    mats = [np.linalg.matrix_power(shift, i % 3) * np.exp(2j * np.pi * i / 6) for i in range(6)]
+    assert not is_faithful_rep(MatrixRep(group=cyclic(6), matrices=mats, projective=True))
+
+
 def test_all_pairs_kernels_stay_within_block_budget(central_product_240, pu3_309):
     assert central_product_240.group.size == 240 and pu3_309.group.size == 309
-    assert _traced_peak(lambda: is_faithful_rep(central_product_240)) < ALL_PAIRS_TRACED_BOUND
+    # the same matrices as a caller's rep, which the injectivity scan decides
+    outside = MatrixRep(group=central_product_240.group, matrices=central_product_240.matrices,
+                        projective=False)
+    assert _traced_peak(lambda: is_faithful_rep(outside)) < ALL_PAIRS_TRACED_BOUND
     table, mats = pu3_309.group.table, pu3_309.matrices
     assert _traced_peak(
         lambda: embeddings._homomorphism_residual(table, mats, True)) < ALL_PAIRS_TRACED_BOUND
@@ -441,6 +434,14 @@ def test_embed_central_products():
     for m in (2, 4):
         g = central_product(cyclic(m), lift, m // 2, zh)
         check_embedding(g, {"kind": "central-product", "poly": "tetra", "m": m})
+
+
+def test_central_product_names_its_cover_as_build_group_does():
+    # A4 is the table's alias of tetra, as for a polyhedral product
+    lift = binary_tetrahedral()
+    check_embedding(lift, {"kind": "central-product", "poly": "A4", "m": 2})
+    with pytest.raises(InvalidInputError, match=r"^no binary quaternion model for kind 'q8'$"):
+        so4_central_product("Q8", 2)
 
 
 def test_embed_unitary_mixed():

@@ -244,7 +244,7 @@ def test_quaternion_closure_refuses_non_finite(bad, position):
     q = [0.0, 1.0, 0.0, 0.0]
     q[position] = bad
     with pytest.raises(InvalidInputError, match="not finite"):
-        group_from_quaternions([(0.0, 0.0, 1.0, 0.0), tuple(q)], 8)
+        group_from_quaternions(groups._const([[0.0, 0.0, 1.0, 0.0], q], 8), 8)
 
 
 def test_permutation_groups():
@@ -355,56 +355,64 @@ def test_closure_tables_are_pinned(build, digest):
 def test_closure_tables_match_all_pairs(build, monkeypatch):
     # the matrix closures pinned above (octa and icosa are permutation
     # tables): each table, derived from generator steps, equals the one
-    # read off every product's key
+    # read off every product's exact key
     closures = []
     close = groups._close_unitary
 
-    def recording(generators, order):
-        closures.append(close(generators, order))
+    def recording(source, order):
+        closures.append(close(source, order))
         return closures[-1]
 
     monkeypatch.setattr(groups, "_close_unitary", recording)
     monkeypatch.setattr(embeddings, "_close_unitary", recording)
     build()
     assert closures
-    for group, mats, _ in closures:
-        n, d = mats.shape[0], mats.shape[1]
-        lookup = groups._key_index(groups._matrix_keys(mats))
-        pairs = (mats[:, None] @ mats[None]).reshape(-1, d, d)
-        assert np.array_equal(group.table, lookup(groups._matrix_keys(pairs)).reshape(n, n))
+    for table, mats, exact, p in closures:
+        # every product of the exact matrices mod p, looked up by its bytes
+        n, d = exact.shape[0], exact.shape[1]
+        lookup = groups._key_index(exact.reshape(n, -1))
+        pairs = (exact[:, None] @ exact[None]).reshape(n * n, -1) % p
+        assert np.array_equal(table, lookup(pairs).reshape(n, n))
+        # the float gate: the float matrices pass the same table
+        assert groups._table_residual(table, mats) <= groups.DEFAULT_TOLERANCE
 
 
-def _rotation(theta: float) -> np.ndarray:
-    return np.array([[math.cos(theta), -math.sin(theta)],
-                     [math.sin(theta), math.cos(theta)]])
+def _rotation(order: int, m: int) -> np.ndarray:
+    """The source of the rotation by 2pi/m over zeta_n, n = lcm(4, order)."""
+    return embeddings._rot2(math.lcm(4, order), m)
 
 
 def test_closure_refuses_merged_elements(monkeypatch):
-    # at 0 decimals the powers of a 2pi/7 rotation share keys, so the
-    # closure stops early and some product is no element of it; it stops
-    # at four elements, so stating order 4 leaves the product check to
-    # refuse it
-    monkeypatch.setattr(groups, "DEDUP_DECIMALS", 0)
-    with pytest.raises(InvalidInputError, match="outside the closed element set"):
-        groups._close_unitary([_rotation(2.0 * math.pi / 7.0)], 4)
+    # zeta sent to 1 instead of a primitive root merges elements: every
+    # power of diag(zeta_7, 1/zeta_7) then reduces to the identity, so the
+    # closure stops short of the stated order and is refused
+    prime = groups._source_prime
+    monkeypatch.setattr(groups, "_source_prime",
+                        lambda n, d: (prime(n, d)[0], np.ones(n, dtype=np.int64)))
+    zeta, inverse = groups._power(28, 4), groups._power(28, -4)
+    with pytest.raises(InvalidInputError, match=r"^closure has order 1, expected 7$"):
+        groups._close_unitary([[[zeta, 0 * zeta], [0 * zeta, inverse]]], 7)
 
 
 def test_closure_decides_its_stated_order():
-    # an order above the cap is refused before any product is formed:
-    # a generator that is no rotation would be refused otherwise
+    # an order above the cap is refused before any product is formed: a
+    # generator that is no rotation would be refused otherwise
+    not_unitary = [2 * groups._const(np.eye(2), 4)]
     with pytest.raises(BudgetError, match=rf"^closure order {ORDER_CAP + 1} exceeds "
                                           rf"the order cap {ORDER_CAP}$"):
-        groups._close_unitary([2.0 * np.eye(2)], ORDER_CAP + 1)
-    # a rotation by one radian generates an infinite group: the closure
-    # stops at the product that passes the stated order
-    with pytest.raises(InvalidInputError, match=r"^closure grows past its order 5$"):
-        groups._close_unitary([_rotation(1.0)], 5)
+        groups._close_unitary(not_unitary, ORDER_CAP + 1)
+    # a quarter turn generates four elements: the closure stops at the
+    # product that passes a stated order of 3
+    with pytest.raises(InvalidInputError, match=r"^closure grows past its order 3$"):
+        groups._close_unitary([_rotation(3, 4)], 3)
     with pytest.raises(InvalidInputError, match=r"^closure grows past its order 6$"):
-        group_from_quaternions([(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)], 6)
-    with pytest.raises(InvalidInputError, match=r"^closure has order 7, expected 9$"):
-        groups._close_unitary([_rotation(2.0 * math.pi / 7.0)], 9)
-    group, mats, _ = groups._close_unitary([_rotation(2.0 * math.pi / 7.0)], 7)
-    assert group.size == mats.shape[0] == 7
+        group_from_quaternions(groups._const([[0, 1, 0, 0], [0, 0, 1, 0]], 12), 6)
+    with pytest.raises(InvalidInputError, match=r"^closure has order 3, expected 9$"):
+        groups._close_unitary([_rotation(9, 3)], 9)
+    with pytest.raises(InvalidInputError, match="^generators must be orthogonal/unitary$"):
+        groups._close_unitary(not_unitary, 2)
+    table, mats, exact, p = groups._close_unitary([_rotation(7, 7)], 7)
+    assert table.shape == (7, 7) and mats.shape[0] == exact.shape[0] == 7 and p == 29
 
 
 # the tables of the semidirect builders, each a cyclic group acting
