@@ -14,8 +14,18 @@ roundoff.  Run it as ``PYTHONPATH=src python scripts/embedding_residuals.py``.
 """
 
 import sys
+from functools import partial
 
-from isom4.embeddings import embed_into_so5, is_faithful_rep
+from isom4.embeddings import (
+    abelian_so5,
+    embed_into_so5,
+    is_faithful_rep,
+    klein_twist,
+    o4_in_so5,
+    so4_central_product,
+    so5_model,
+    u2_mixed,
+)
 from isom4.errors import UnsupportedCaseError
 from isom4.groups import (
     DEFAULT_TOLERANCE,
@@ -29,36 +39,35 @@ from isom4.groups import (
     direct_product,
     klein_by_cyclic3,
     q8_by_cyclic3,
+    quaternion_group,
 )
 
 
 def cases():
-    yield "abelian Z4 x Z15", abelian([4, 15]), {"kind": "abelian"}
-    yield "cyclic Z97", cyclic(97), {"kind": "abelian"}
+    """(label, group, model thunk) of every supported embedding case."""
+    yield "abelian Z4 x Z15", abelian([4, 15]), partial(abelian_so5, (4, 15))
+    yield "cyclic Z97", cyclic(97), partial(abelian_so5, (97,))
     for poly, lift in (("octa", binary_octahedral()),
                        ("icosa", binary_icosahedral())):
         for m in (2, 4):
             yield (f"Z{m} x_Z2 binary-{poly}", cyclic_central_product(m, lift),
-                   {"kind": "central-product", "poly": poly, "m": m})
+                   partial(so4_central_product, poly, m))
     for r, m_plus in ((1, 1), (1, 5), (2, 1)):
         group = direct_product(klein_by_cyclic3(r), cyclic(m_plus))
-        yield (f"klein twist r={r} m+={m_plus}", group,
-               {"kind": "klein-3power", "power": r, "m_plus": m_plus})
-    yield ("Q8 by 9-cycle", q8_by_cyclic3(2),
-           {"kind": "u2-mixed", "r": 1, "s": 1, "m_plus": 1})
-    yield ("dicyclic-12", binary_dihedral(12),
-           {"kind": "dihedral-mixed", "m": 2, "k": 3})
-    yield ("D6 mixed", dihedral(6), {"kind": "dihedral-mixed", "m": 1, "k": 3})
-    # refused on purpose: no printed recipe covers 2-groups
-    yield "Z2^3 (expect refusal)", abelian([2, 2, 2]), {"kind": "two-group"}
+        yield f"klein twist r={r} m+={m_plus}", group, partial(klein_twist, r, m_plus)
+    yield "Q8 by 9-cycle", q8_by_cyclic3(2), partial(u2_mixed, 1, 1, 1)
+    yield "dicyclic-12", binary_dihedral(12), partial(o4_in_so5, 2, 3)
+    yield "D6 mixed", dihedral(6), partial(o4_in_so5, 1, 3)
 
 
 def main():
     worst = 0.0
     print(f"{'case':>28} {'order':>6} {'prime':>6} {'residual':>10} {'faithful':>9}")
-    for label, group, hint in cases():
+    # Q8 is refused on purpose: no printed recipe covers 2-groups
+    refused = ("Q8 (expect refusal)", quaternion_group(), partial(so5_model, "q8"))
+    for label, group, model in [*cases(), refused]:
         try:
-            rep = embed_into_so5(group, hint)
+            rep = embed_into_so5(group, model())
         except UnsupportedCaseError as exc:
             print(f"{label:>28} {group.size:>6} {'--':>6} {'--':>10} {'refused':>9}  ({exc})")
             continue

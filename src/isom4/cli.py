@@ -19,7 +19,7 @@ import sys
 from .cache import ResultCache
 from .claims import ClassificationQuery, classify
 from .cohomology import classify_central_extensions, group_digest
-from .embeddings import embed_into_so5, is_faithful_rep
+from .embeddings import embed_into_so5, is_faithful_rep, so5_model
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import BATCH_COUNT, batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
 from .groups import FiniteGroup, build_group, canonical_group_name
@@ -54,20 +54,6 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     metacyclic:7,3,2, klein-by-3power:1, q8-by-3power:2."""
     name, params = _split_spec(spec)
     return build_group(name, *params)
-
-
-def parse_hint_spec(spec: str) -> dict:
-    """Parse 'kind:key=val,key=val' into an embedding structure hint."""
-    kind, _, tail = spec.partition(":")
-    hint = {"kind": kind.strip()}
-    if tail:
-        for piece in tail.split(","):
-            key, sep, value = piece.partition("=")
-            if not sep:
-                raise InvalidInputError(f"hint field {piece!r} is not key=value")
-            value = value.strip()
-            hint[key.strip()] = int(value) if value.lstrip("-").isdigit() else value
-    return hint
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -197,10 +183,10 @@ def _cmd_extensions(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    group = parse_group_spec(args.group)
-    hint = parse_hint_spec(args.hint)
+    name, params = _split_spec(args.group)
+    group = build_group(name, *params)
     try:
-        rep = embed_into_so5(group, hint)
+        rep = embed_into_so5(group, so5_model(name, *params))
     except UnsupportedCaseError as exc:
         _emit_json({"status": "UNSUPPORTED", "reason": str(exc)}, args)
         return 0
@@ -208,7 +194,7 @@ def _cmd_embed(args) -> int:
         "status": "PASS" if is_faithful_rep(rep) else "FAIL",
         "order": group.size,
         "dimension": rep.dimension,
-        "residual": rep.homomorphism_residual(),
+        "prime": rep.prime,
     }
     _emit_json(record, args)
     return 0 if record["status"] == "PASS" else 1
@@ -325,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = _subcommand(subparsers, "embed", _cmd_embed, "faithful SO(5) model of a hinted group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--hint", required=True,
-                   help="structure hint, e.g. abelian or central-product:poly=octa,m=2")
+    p = _subcommand(subparsers, "embed", _cmd_embed, "faithful SO(5) model of a group")
+    p.add_argument("--group", required=True,
+                   help="group spec, e.g. binary-icosa; its name picks the recipe")
 
     p = _subcommand(subparsers, "fixedpoint", _cmd_fixedpoint,
                     "Lefschetz fixed-point batches", ("--seed",))

@@ -2,9 +2,10 @@
 
 Covers the polyhedral rotation groups in SO(3) (named as the group
 table of ``groups`` names them), the unit-quaternion double cover of
-SO(4), five block/unitary recipes that land every supported central
-extension inside SO(5) (``embed_into_so5`` calls the one its structure
-hint names), and the diagonal-plus-shift projective model in PU(3).
+SO(4), the block/unitary recipes that land every supported central
+extension inside SO(5) (``so5_model`` reads a group's recipe off its
+table name, ``embed_into_so5`` relabels a model onto the group), and
+the diagonal-plus-shift projective model in PU(3).
 
 A recipe states its generators once, as a cyclotomic source (see
 ``groups.SOURCE_DENOMINATOR``), and ``groups._close_unitary`` closes
@@ -17,20 +18,19 @@ floats: every product, and a margin between distinct elements.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    BudgetError,
     InvalidInputError,
     InvalidParametersError,
     UnsupportedCaseError,
 )
 from .groups import (
     DEFAULT_TOLERANCE,
-    ORDER_CAP,
     FiniteGroup,
     _BINARY_ORDERS,
     _binary_quaternions,
@@ -61,6 +61,8 @@ __all__ = [
     "u2_mixed",
     "o4_in_so5",
     "pu3_metacyclic",
+    "abelian_so5",
+    "so5_model",
     "is_faithful_rep",
     "embed_into_so5",
 ]
@@ -438,7 +440,7 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
 
 
 # ---------------------------------------------------------------------------
-# top-level dispatch
+# the SO(5) front end
 
 
 def _padded_to_so5(rep: MatrixRep) -> MatrixRep:
@@ -451,98 +453,80 @@ def _padded_to_so5(rep: MatrixRep) -> MatrixRep:
     return MatrixRep._closed(rep.group, mats, False, rep.prime)
 
 
-def _abelian_rank2_rep(g: FiniteGroup) -> MatrixRep:
-    if not np.array_equal(g.table, g.table.T):
-        raise InvalidInputError("hint says abelian but the table is not commutative")
-    invariants = g.abelian_invariants
+def abelian_so5(orders) -> MatrixRep:
+    """Z_{k1} x ... x Z_{kr} in SO(5): one rotation plane per invariant
+    factor d, by 2pi/d, then the identity on the rest.  Rank above 2 is
+    refused, since two planes hold at most two factors."""
+    factors = sorted(int(k) for k in orders)
+    if any(k < 1 for k in factors):
+        raise InvalidParametersError("cyclic order must be positive")
+    # (gcd, lcm) pairwise leaves each factor dividing the ones after it
+    for i, j in itertools.combinations(range(len(factors)), 2):
+        factors[i], factors[j] = math.gcd(factors[i], factors[j]), math.lcm(factors[i], factors[j])
+    invariants = [k for k in factors if k > 1]
     if len(invariants) > 2:
         raise UnsupportedCaseError(
             "abelian groups of rank above 2 do not fit two rotation blocks")
-    n = _zeta_order(g.size)
-    # one rotation plane per invariant, then the identity on the rest
-    gens = [_block_diag(_eye(2 * slot, n), _rot2(n, order), _eye(3 - 2 * slot, n))
-            for slot, order in enumerate(invariants)]
-    return _closed_rep(gens or [_eye(5, n)], g.size)
+    order = math.prod(invariants)
+    n = _zeta_order(order)
+    gens = [_block_diag(_eye(2 * slot, n), _rot2(n, k), _eye(3 - 2 * slot, n))
+            for slot, k in enumerate(invariants)]
+    return _closed_rep(gens or [_eye(5, n)], order)
 
 
-# hint kind -> (required fields, optional fields with their defaults,
-# the recipe called with every field); ``poly`` is a name of the group
-# table, every other field is an integer
-_HINTS = {
-    "abelian": ((), {}, _abelian_rank2_rep),
-    "polyhedral-product": (
-        ("poly",), {"order_param": None, "cyclic_order": 1},
-        lambda g, poly, order_param, cyclic_order: so3_times_rotation(
-            cyclic_order, poly, *(() if order_param is None else (order_param,)))),
-    "klein-3power": (
-        ("power",), {"m_plus": 1},
-        lambda g, power, m_plus: klein_twist(power, m_plus)),
-    "central-product": (
-        ("poly", "m"), {},
-        lambda g, poly, m: so4_central_product(poly, m)),
-    "u2-mixed": (
-        ("r", "s"), {"m_plus": 1},
-        lambda g, r, s, m_plus: u2_mixed(r, s, m_plus)),
-    "dihedral-mixed": (
-        ("m", "k"), {},
-        lambda g, m, k: o4_in_so5(m, k)),
-}
+def so5_model(name: str, *params: int) -> MatrixRep:
+    """The SO(k) recipe, k <= 5, for ``build_group(name, *params)``,
+    read off the group-table name:
 
+      cyclic, abelian                 ``abelian_so5`` on the orders
+      dihedral, tetra, octa, icosa    ``polyhedral_so3``
+      binary-tetra/octa/icosa         ``so4_central_product(kind, 2)``
+      klein-by-3power:r               ``klein_twist(r, 1)``
+      q8-by-3power:p, p >= 1          ``u2_mixed(1, p - 1, 1)``
+      binary-dihedral:4k, k odd >= 3  ``o4_in_so5(2, k)``
 
-def _hint_fields(kind: str, hint: dict) -> dict:
-    """The hint's fields with defaults filled in; a missing, unknown or
-    mistyped field raises InvalidInputError."""
-    required, optional, _ = _HINTS[kind]
-    missing = [name for name in required if name not in hint]
-    if missing:
-        raise InvalidInputError(f"hint {kind!r} lacks field {missing[0]!r}")
-    unknown = [name for name in hint if name not in required and name not in optional]
-    if unknown:
-        raise InvalidInputError(f"hint {kind!r} has no field {unknown[0]!r}")
-    for name, value in hint.items():
-        if name == "poly" and not isinstance(value, str):
-            raise InvalidInputError("hint field 'poly' must be a name")
-        if name != "poly" and (not isinstance(value, (int, np.integer))
-                               or isinstance(value, bool)):
-            raise InvalidInputError(f"hint field {name!r} must be an integer")
-        # every integer field is a factor or an exponent of the model's
-        # order, so a larger one names no model under the cap
-        if name != "poly" and value > ORDER_CAP:
-            raise BudgetError(f"hint field {name!r} exceeds the order cap {ORDER_CAP}")
-    return {**optional, **hint}
-
-
-def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
-    """Faithful special-orthogonal 5-dimensional rep of ``g``.
-
-    The hint names which construction produced the group; the recipe
-    builds the matrix model, the model's closure group is matched to
-    ``g`` by an explicit isomorphism, and the matrices are relabeled
-    so the returned rep is indexed by ``g`` itself.  The isomorphism is
-    checked on the integer tables, so it permutes the pairs of elements
-    and the relabelled rep carries the model's all-pairs residual
-    instead of forming the products again.  Hints (fields in brackets
-    are optional):
-
-      {"kind": "abelian"}                          rank <= 2
-      {"kind": "polyhedral-product", "poly", ["order_param", "cyclic_order"]}
-      {"kind": "klein-3power", "power", ["m_plus"]}
-      {"kind": "central-product", "poly", "m"}
-      {"kind": "u2-mixed", "r", "s", ["m_plus"]}
-      {"kind": "dihedral-mixed", "m", "k"}
-
-    A missing, unknown or mistyped field raises InvalidInputError.
-    2-groups with an index-2 cyclic subgroup have no printed recipe
-    and raise the unsupported-case error, as does any unknown hint.
-    """
-    hint = dict(structure_hint)
-    kind = hint.pop("kind", None)
-    if kind == "two-group":
+    Q8 and the binary dihedral 2-groups have no printed recipe and raise
+    the unsupported-case error, as does every other group."""
+    key = _group_key(name, params)
+    if key in ("cyclic", "abelian"):
+        return abelian_so5(params)
+    if key in ("dihedral", "tetra", "octa", "icosa"):
+        return polyhedral_so3(key, *params)
+    if key in ("binary-tetra", "binary-octa", "binary-icosa"):
+        return so4_central_product(key.removeprefix("binary-"), 2)
+    if key == "klein-by-3power":
+        return klein_twist(params[0], 1)
+    if key == "q8-by-3power" and params[0] != 0:
+        return u2_mixed(1, params[0] - 1, 1)
+    if key == "binary-dihedral":
+        k, rest = divmod(params[0], 4)
+        if k < 1 or rest:
+            raise InvalidParametersError("binary dihedral order must be a multiple of 4")
+        if k % 2 and k >= 3:
+            return o4_in_so5(2, k)
+    # q8-by-3power gets here at p = 0 only, binary-dihedral at k = 1 or even
+    if key in ("q8", "q8-by-3power") or key == "binary-dihedral" and k & (k - 1) == 0:
         raise UnsupportedCaseError(
             "2-groups with an index-2 cyclic subgroup have no explicit recipe here")
-    if kind not in _HINTS:
-        raise UnsupportedCaseError(f"no embedding recipe for structure hint {kind!r}")
-    rep = _padded_to_so5(_HINTS[kind][2](g, **_hint_fields(kind, hint)))
+    spec = key + (":" + ",".join(map(str, params)) if params else "")
+    raise UnsupportedCaseError(f"no SO(5) recipe for {spec}")
+
+
+def embed_into_so5(g: FiniteGroup, model: MatrixRep) -> MatrixRep:
+    """Faithful special-orthogonal 5-dimensional rep of ``g`` from a
+    closed real ``model`` of it in SO(k), k <= 5: any recipe here, or
+    the one ``so5_model`` reads off g's table name.
+
+    The model is padded to 5x5 by an identity block, its closure group
+    is matched to ``g`` by an explicit isomorphism, and the matrices are
+    relabeled so the returned rep is indexed by ``g`` itself.  The
+    isomorphism is checked on the integer tables, so the relabeled rep
+    keeps the model's exact table and prime; a model of another group
+    raises InvalidInputError.
+    """
+    if model.projective or model.field_tag != "real" or model.dimension > 5:
+        raise InvalidInputError("the model must be real and at most 5-dimensional")
+    rep = _padded_to_so5(model)
     phi = find_isomorphism(g, rep.group)
     # phi must be a bijection onto the model that maps g.table onto the
     # model's table
@@ -550,5 +534,5 @@ def embed_into_so5(g: FiniteGroup, structure_hint: dict) -> MatrixRep:
             rep.group.size == g.size
             and np.array_equal(np.sort(phi), np.arange(g.size))
             and np.array_equal(rep.group.table[np.ix_(phi, phi)], phi[g.table])):
-        raise InvalidInputError("structure hint does not match the group")
+        raise InvalidInputError("the model is not a model of the group")
     return MatrixRep._closed(g, rep.matrices[phi], False, rep.prime)

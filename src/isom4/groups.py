@@ -845,25 +845,24 @@ def canonical_group_name(name: str) -> str:
 
 
 def _group_key(name: str, params) -> str:
-    """Table name of ``name`` once ``params`` fits its parameter count."""
+    """Table name of ``name`` once ``params`` fits its parameter count.
+    Each parameter is a factor, exponent or residue of an order under
+    the cap, so one above ``ORDER_CAP`` is refused before any builder
+    or model runs."""
     key = canonical_group_name(name)
     arity = _GROUP_TABLE[key][0]
     if not (bool(params) if arity is None else len(params) == arity):
         want = "one or more" if arity is None else arity
         raise InvalidParametersError(f"{key} takes {want} parameter(s), got {len(params)}")
+    if any(value > ORDER_CAP for value in params):
+        raise BudgetError(f"a {key} parameter exceeds the order cap {ORDER_CAP}")
     return key
 
 
 def build_group(name: str, *params: int) -> FiniteGroup:
     """The group a table name (or alias) and its integer parameters
-    denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``.
-    Each parameter is a factor, exponent or residue of an order under
-    the cap, so one above ``ORDER_CAP`` is refused before any builder
-    runs."""
-    key = _group_key(name, params)
-    if any(value > ORDER_CAP for value in params):
-        raise BudgetError(f"a {key} parameter exceeds the order cap {ORDER_CAP}")
-    return _GROUP_TABLE[key][1](*params)
+    denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``."""
+    return _GROUP_TABLE[_group_key(name, params)][1](*params)
 
 
 def pu3_presentation_valid(m: int, n: int, r: int) -> bool:

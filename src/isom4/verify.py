@@ -31,7 +31,16 @@ from .cohomology import (
     second_cohomology,
     unique_nontrivial_extension,
 )
-from .embeddings import embed_into_so5, is_faithful_rep
+from .embeddings import (
+    abelian_so5,
+    embed_into_so5,
+    is_faithful_rep,
+    klein_twist,
+    o4_in_so5,
+    so4_central_product,
+    so5_model,
+    u2_mixed,
+)
 from .errors import InvalidInputError, UnsupportedCaseError
 from .fixedpoints import (
     _LEFSCHETZ_CP2,
@@ -41,7 +50,6 @@ from .fixedpoints import (
     involution_catalog,
 )
 from .groups import (
-    DEFAULT_TOLERANCE,
     _tolerance_text,
     abelian,
     alternating,
@@ -458,17 +466,16 @@ def _abelian_sample(cfg):
     for _ in range(samples):
         a = int(rng.integers(1, 11))
         b = int(rng.integers(1, max_order // a + 1))
-        rows.append((f"Z{a} x Z{b}", abelian([a, b]), {"kind": "abelian"}))
+        rows.append((f"Z{a} x Z{b}", abelian([a, b]), partial(abelian_so5, (a, b))))
     return (f"{len(rows)} sampled abelian groups of rank at most 2 and order at "
-            f"most {max_order} embed faithfully in SO(5), residual < "
-            f"{_tolerance_text(DEFAULT_TOLERANCE)}", rows)
+            f"most {max_order} embed faithfully in SO(5)", rows)
 
 
 def _central_products(cfg):
     ms = (2, 4)
     lifts = (("octa", binary_octahedral()), ("icosa", binary_icosahedral()))
     rows = [(f"{poly} m={m}", cyclic_central_product(m, lift),
-             {"kind": "central-product", "poly": poly, "m": m})
+             partial(so4_central_product, poly, m))
             for poly, lift in lifts for m in ms]
     return ("Z_m joined with the binary octahedral/icosahedral group over the "
             "central involution embeds faithfully in SO(5), m in "
@@ -478,7 +485,7 @@ def _central_products(cfg):
 def _klein_family(cfg):
     cases = ((1, 1), (1, 5), (1, 7), (2, 1))
     rows = [(f"(r,m+)=({r},{m_plus})", direct_product(klein_by_cyclic3(r), cyclic(m_plus)),
-             {"kind": "klein-3power", "power": r, "m_plus": m_plus})
+             partial(klein_twist, r, m_plus))
             for r, m_plus in cases]
     return ("rank-2 elementary 2-group rotations twisted by a 3-power cycle, "
             "times a coprime cyclic factor, embed faithfully in SO(5) for "
@@ -491,7 +498,7 @@ def _quaternion_u2(cfg):
     return (f"the quaternion group extended by a {cycle}-cycle acts unitarily "
             "on C^2; the realified model embeds faithfully in SO(5)",
             [(f"Q8 by Z{cycle}", q8_by_cyclic3(s + 1),
-              {"kind": "u2-mixed", "r": r, "s": s, "m_plus": 1})])
+              partial(u2_mixed, r, s, 1))])
 
 
 def _dihedral_mixed(cfg):
@@ -499,16 +506,17 @@ def _dihedral_mixed(cfg):
     group = binary_dihedral(2 * k * m)
     return (f"the dicyclic group of order {group.size} (m={m}, k={k} mixed "
             "dihedral case) embeds faithfully in SO(5)",
-            [(f"dicyclic{group.size}", group, {"kind": "dihedral-mixed", "m": m, "k": k})])
+            [(f"dicyclic{group.size}", group, partial(o4_in_so5, m, k))])
 
 
 def _check_embeddings(case, passed, cfg):
-    """Every row (label, group, hint) of ``case(cfg)``, which also gives
-    the expected text, embeds faithfully in SO(5); ``passed`` formats the
-    PASS text from n (rows), order (last group) and the primes modulo
-    which the closures decided the models' tables exactly."""
+    """Every row (label, group, model thunk) of ``case(cfg)``, which also
+    gives the expected text, embeds faithfully in SO(5) by the recipe its
+    thunk builds; ``passed`` formats the PASS text from n (rows), order
+    (last group) and the primes modulo which the closures decided the
+    models' tables exactly."""
     expected, rows = case(cfg)
-    reps = [(label, embed_into_so5(group, hint)) for label, group, hint in rows]
+    reps = [(label, embed_into_so5(group, model())) for label, group, model in rows]
     bad = [label for label, rep in reps if not is_faithful_rep(rep)]
     if bad:
         return "FAIL", expected, f"not faithful: {', '.join(bad)}"
@@ -518,13 +526,13 @@ def _check_embeddings(case, passed, cfg):
 
 def _check_embed_two_group(cfg):
     try:
-        embed_into_so5(abelian([2, 2, 2]), {"kind": "two-group"})
+        so5_model("q8")
     except UnsupportedCaseError as exc:
         return ("UNSUPPORTED",
                 "2-groups with an index-2 cyclic subgroup have no explicit "
                 "recipe and must be refused, not mis-embedded",
                 str(exc))
-    return "FAIL", "unsupported-case error for the 2-group hint", "no error raised"
+    return "FAIL", "unsupported-case error for the SO(5) model of Q8", "no error raised"
 
 
 # ----------------------------------------------------------- fixed points

@@ -207,7 +207,7 @@ def test_criterion_08_so5_embeddings(report_and_rerun):
           and refused["status"] == "UNSUPPORTED")
     report(8, ok,
            "; ".join(f"{cid} {c['status']}: {c['actual']}" for cid, c in checks.items())
-           + f"; 2-group hint {refused['status']}: {refused['actual']}")
+           + f"; Q8 model {refused['status']}: {refused['actual']}")
 
 
 def test_criterion_09_lefschetz_batches():

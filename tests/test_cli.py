@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
-from isom4.cli import build_parser, main, parse_group_spec, parse_hint_spec
+from isom4.cli import build_parser, main, parse_group_spec
 from isom4.cohomology import group_digest
 from isom4.errors import InvalidInputError
 from isom4.fixedpoints import batch_lefschetz_s4
+from isom4 import groups
 from isom4.groups import build_group, is_isomorphic, quaternion_group
 from isom4.verify import _SUITE, _check_h2_table, _row_group
 
@@ -59,14 +60,6 @@ def test_parse_group_spec_errors():
         parse_group_spec("cyclic:x")
     with pytest.raises(InvalidInputError):
         parse_group_spec("frieze:3")
-
-
-def test_parse_hint_spec():
-    hint = parse_hint_spec("central-product:poly=octa,m=2")
-    assert hint == {"kind": "central-product", "poly": "octa", "m": 2}
-    assert parse_hint_spec("abelian") == {"kind": "abelian"}
-    with pytest.raises(InvalidInputError):
-        parse_hint_spec("u2-mixed:r")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -203,25 +196,58 @@ def test_extensions_command_reports_key_ties(capsys):
 
 
 def test_embed_command_pass(capsys):
-    code, data = run_json(capsys, "embed", "--group", "cyclic:12",
-                          "--hint", "abelian")
+    code, data = run_json(capsys, "embed", "--group", "cyclic:12")
     assert code == 0
-    assert data["status"] == "PASS"
-    assert data["dimension"] == 5
-    assert data["residual"] < 1e-9
+    # 13 is the least odd prime = 1 mod lcm(4, 12)
+    assert data == {"status": "PASS", "order": 12, "dimension": 5, "prime": 13}
 
 
 def test_embed_command_unsupported(capsys):
-    code, data = run_json(capsys, "embed", "--group", "abelian:2,2,2",
-                          "--hint", "two-group")
+    code, data = run_json(capsys, "embed", "--group", "abelian:2,2,2")
     assert code == 0
-    assert data["status"] == "UNSUPPORTED"
+    assert data == {"status": "UNSUPPORTED",
+                    "reason": "abelian groups of rank above 2 do not fit two rotation blocks"}
 
 
-def test_embed_command_hint_mismatch(capsys):
-    code, _ = run(capsys, "embed", "--group", "cyclic:12",
-                  "--hint", "klein-3power:power=1")
-    assert code == 2
+# one spec per name of the group table, small parameters: the recipe
+# follows from the name, and Q8, the binary dihedral 2-groups and the
+# groups without a recipe are refused
+EMBED_STATUS = {
+    "cyclic:12": "PASS",
+    "abelian:3,9": "PASS",
+    "dihedral:8": "PASS",
+    "tetra": "PASS",
+    "octa": "PASS",
+    "icosa": "PASS",
+    "q8": "UNSUPPORTED",
+    "binary-tetra": "PASS",
+    "binary-octa": "PASS",
+    "binary-icosa": "PASS",
+    "binary-dihedral:12": "PASS",
+    "binary-dihedral:8": "UNSUPPORTED",
+    "binary-dihedral:24": "UNSUPPORTED",
+    "metacyclic:7,3,2": "UNSUPPORTED",
+    "klein-by-3power:1": "PASS",
+    "q8-by-3power:0": "UNSUPPORTED",
+    "q8-by-3power:2": "PASS",
+}
+
+
+def test_embed_status_covers_the_group_table():
+    assert {spec.partition(":")[0] for spec in EMBED_STATUS} == set(groups._GROUP_TABLE)
+
+
+@pytest.mark.parametrize("spec, status", EMBED_STATUS.items())
+def test_embed_command_reads_the_recipe_off_the_name(capsys, spec, status):
+    code, data = run_json(capsys, "embed", "--group", spec)
+    assert (code, data["status"]) == (0, status)
+    if status == "PASS":
+        assert data["order"] == parse_group_spec(spec).size
+    # the structure hint of earlier versions is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--group", spec, "--hint", "abelian"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hint abelian" in capsys.readouterr().err
 
 
 def test_fixedpoint_catalog(capsys):
@@ -304,7 +330,7 @@ OPTIONS = {
     "scan-extent": {"--out", "--format", "--min", "--max", "--q", "--threshold"},
     "h2": {"--out", "--cache-dir", "--group", "--m"},
     "extensions": {"--out", "--group", "--m"},
-    "embed": {"--out", "--group", "--hint"},
+    "embed": {"--out", "--group"},
     "fixedpoint": {"--out", "--seed", "--manifold", "--count", "--catalog"},
     "classify": {"--out", "--b2", "--parity", "--pseudofree", "--form"},
     "verify-all": {"--out", "--seed", "--format", "--cache-dir"},
@@ -325,7 +351,7 @@ def declared_options() -> dict[str, set[str]]:
 def test_subcommand_options():
     declared = declared_options()
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 35
+    assert sum(map(len, declared.values())) == 34
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -367,7 +393,7 @@ HEADS = {
     "scan-extent": ["scan-extent", "--min", "61", "--max", "62"],
     "h2": ["h2", "--group", "A4", "--m", "2"],
     "extensions": ["extensions", "--group", "A4", "--m", "2"],
-    "embed": ["embed", "--group", "cyclic:12", "--hint", "abelian"],
+    "embed": ["embed", "--group", "cyclic:12"],
     "fixedpoint": ["fixedpoint", "--catalog"],
     "classify": ["classify", "--b2", "2", "--parity", "odd"],
 }
@@ -389,22 +415,13 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["embed", "--group", "binary-octa", "--hint", "central-product"],
-     "hint 'central-product' lacks field 'poly'"),
-    (["embed", "--group", "binary-octa", "--hint", "central-product:poly=octa,m=x"],
-     "hint field 'm' must be an integer"),
-    (["embed", "--group", "binary-octa", "--hint", "central-product:poly=2,m=2"],
-     "hint field 'poly' must be a name"),
-    (["embed", "--group", "q8-by-3power:2", "--hint", "u2-mixed:r=1,s=1,bogus=3"],
-     "hint 'u2-mixed' has no field 'bogus'"),
     (["extent", "2", "1", "1"], "closed-form bound requires deck order >= 3"),
     (["extent", "61", "1", "1", "--restarts", "0", "--seed", "7"],
      "--restarts, --seed: read only with --optimize"),
     (["fixedpoint", "--catalog", "--manifold", "cp2", "--count", "5", "--seed", "3"],
      "--manifold, --count, --seed: not read with --catalog"),
     (["fixedpoint", "--catalog", "--seed", "0"], "--seed: not read with --catalog"),
-], ids=["hint-missing-field", "hint-non-integer", "hint-poly-not-a-name",
-        "hint-unknown-field", "extent-n-2-unsupported", "extent-optimizer-options-alone",
+], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone",
         "fixedpoint-catalog-with-batch-options", "fixedpoint-catalog-with-default-seed"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2

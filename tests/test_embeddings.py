@@ -13,6 +13,7 @@ from isom4 import embeddings, groups, verify
 from isom4.embeddings import (
     DEFAULT_TOLERANCE,
     MatrixRep,
+    abelian_so5,
     embed_into_so5,
     is_faithful_rep,
     klein_twist,
@@ -21,6 +22,7 @@ from isom4.embeddings import (
     pu3_metacyclic,
     so3_times_rotation,
     so4_central_product,
+    so5_model,
     u2_mixed,
 )
 from isom4.errors import (
@@ -34,6 +36,7 @@ from isom4.groups import (
     alternating,
     binary_dihedral,
     binary_tetrahedral,
+    build_metacyclic,
     central_product,
     cyclic,
     dihedral,
@@ -83,9 +86,9 @@ def test_polyhedral_models_read_group_table_names():
     with pytest.raises(InvalidInputError, match=r"^no rotation model for group 'q8'$"):
         polyhedral_so3("q8")
     a4 = alternating(4)
-    assert embed_into_so5(a4, {"kind": "polyhedral-product", "poly": "A4"}).group is a4
+    assert embed_into_so5(a4, so5_model("A4")).group is a4
     with pytest.raises(InvalidParametersError):
-        embed_into_so5(a4, {"kind": "polyhedral-product", "poly": "tetra", "order_param": 3})
+        so5_model("tetra", 3)
 
 
 def test_rep_rejects_non_orthogonal():
@@ -149,21 +152,28 @@ def test_rep_fields_frozen():
         rep.projective = True
 
 
-def _residual_script_cases():
+def _residual_script():
     spec = importlib.util.spec_from_file_location("embedding_residuals",
                                                   EMBEDDING_RESIDUALS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [pytest.param(group, hint, id=label) for label, group, hint in module.cases()
-            if hint["kind"] != "two-group"]
+    return module
 
 
-@pytest.mark.parametrize("group,hint", _residual_script_cases())
-def test_stored_residual_is_fresh_residual(group, hint):
-    rep = embed_into_so5(group, hint)
+@pytest.mark.parametrize("group,model", [pytest.param(group, model, id=label)
+                                         for label, group, model in _residual_script().cases()])
+def test_stored_residual_is_fresh_residual(group, model):
+    rep = embed_into_so5(group, model())
     fresh = embeddings._homomorphism_residual(rep.group.table, rep.matrices,
                                               rep.projective)
     assert rep.homomorphism_residual().hex() == fresh.hex()
+
+
+def test_residual_script_passes(capsys):
+    # the script's float cross-check, with its Q8 refusal row, gates Tier-1
+    assert _residual_script().main() == 0
+    out = capsys.readouterr().out
+    assert "Q8 (expect refusal)" in out and "refused" in out
 
 
 # (order, prime) of every rep the embed-* checks build at seed 1, in
@@ -180,8 +190,8 @@ def test_embed_check_primes_pinned(monkeypatch):
     # indexed by its exact table, pass the float cross-check
     reps = []
 
-    def recording(group, hint):
-        reps.append(embed_into_so5(group, hint))
+    def recording(group, model):
+        reps.append(embed_into_so5(group, model))
         return reps[-1]
 
     monkeypatch.setattr(verify, "embed_into_so5", recording)
@@ -207,8 +217,8 @@ def test_embedding_validates_recipe_and_result_only(monkeypatch):
 
     monkeypatch.setattr(groups, "_table_residual", counting)
     monkeypatch.setattr(embeddings, "_table_residual", counting)
-    embed_into_so5(dicyclic, {"kind": "dihedral-mixed", "m": 2, "k": 3})
-    rep = embed_into_so5(group, {"kind": "u2-mixed", "r": 1, "s": 1, "m_plus": 1})
+    embed_into_so5(dicyclic, o4_in_so5(2, 3))
+    rep = embed_into_so5(group, u2_mixed(1, 1, 1))
     assert calls == []
     assert is_faithful_rep(rep)
     assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
@@ -233,7 +243,7 @@ RECIPES = {
     "u2-2-0-5": lambda: u2_mixed(2, 0, 5),
     "o4-3-5": lambda: o4_in_so5(3, 5),
     "o4-12-3": lambda: o4_in_so5(12, 3),
-    "abelian-4-15": lambda: embeddings._abelian_rank2_rep(abelian([4, 15])),
+    "abelian-4-15": lambda: abelian_so5((4, 15)),
     "pu3-13-3-3": lambda: pu3_metacyclic(13, 3, 3),
 }
 
@@ -387,13 +397,14 @@ def test_recipe_orders_are_capped_by_the_closure():
     # 4 * 3^5 = 972 elements: refused before any product is formed
     with pytest.raises(BudgetError, match=r"^closure order 972 exceeds the order cap 512$"):
         klein_twist(5, 1)
-    # a hint integer past the cap names no model; 3^700 would overflow a float
-    with pytest.raises(BudgetError, match=r"^hint field 'power' exceeds the order cap 512$"):
-        embed_into_so5(klein_by_cyclic3(1), {"kind": "klein-3power", "power": 700})
+    # a table parameter past the cap names no model; 3^700 would overflow a float
+    with pytest.raises(BudgetError,
+                       match=r"^a klein-by-3power parameter exceeds the order cap 512$"):
+        so5_model("klein-by-3power", 700)
 
 
-def check_embedding(group, hint):
-    rep = embed_into_so5(group, hint)
+def check_embedding(group, model):
+    rep = embed_into_so5(group, model)
     assert rep.group is group
     assert rep.dimension == 5
     assert rep.field_tag == "real"
@@ -403,29 +414,34 @@ def check_embedding(group, hint):
 
 
 def test_embed_abelian_rank_two():
-    check_embedding(abelian([4, 5]), {"kind": "abelian"})
-    check_embedding(cyclic(17), {"kind": "abelian"})
+    check_embedding(abelian([4, 5]), abelian_so5((4, 5)))
+    check_embedding(cyclic(17), abelian_so5((17,)))
+    # the planes follow the invariant factors: Z2 x Z3 x Z5 is Z30
+    check_embedding(abelian([2, 3, 5]), abelian_so5((2, 3, 5)))
+    check_embedding(abelian([6, 4]), abelian_so5((6, 4)))
 
 
 def test_embed_abelian_rank_three_unsupported():
-    with pytest.raises(UnsupportedCaseError):
-        embed_into_so5(abelian([2, 2, 2]), {"kind": "abelian"})
+    with pytest.raises(UnsupportedCaseError, match="rank above 2"):
+        abelian_so5((2, 2, 2))
+    with pytest.raises(UnsupportedCaseError, match="rank above 2"):
+        abelian_so5((2, 6, 10, 1))
 
 
 def test_embed_abelian_hint_mismatch():
-    with pytest.raises(InvalidInputError):
-        embed_into_so5(dihedral(6), {"kind": "abelian"})
+    # a model of another group fails in the isomorphism match
+    with pytest.raises(InvalidInputError, match="^the model is not a model of the group$"):
+        embed_into_so5(dihedral(6), abelian_so5((6,)))
 
 
 def test_embed_polyhedral_product():
     g = direct_product(alternating(4), cyclic(5))
-    check_embedding(g, {"kind": "polyhedral-product", "poly": "tetra",
-                        "cyclic_order": 5})
+    check_embedding(g, so3_times_rotation(5, "tetra"))
 
 
 def test_embed_klein_family():
     g = direct_product(klein_by_cyclic3(1), cyclic(5))
-    check_embedding(g, {"kind": "klein-3power", "power": 1, "m_plus": 5})
+    check_embedding(g, klein_twist(1, 5))
 
 
 def test_embed_central_products():
@@ -433,36 +449,43 @@ def test_embed_central_products():
     zh = int(np.flatnonzero(lift.element_orders == 2)[0])
     for m in (2, 4):
         g = central_product(cyclic(m), lift, m // 2, zh)
-        check_embedding(g, {"kind": "central-product", "poly": "tetra", "m": m})
+        check_embedding(g, so4_central_product("tetra", m))
 
 
 def test_central_product_names_its_cover_as_build_group_does():
     # A4 is the table's alias of tetra, as for a polyhedral product
     lift = binary_tetrahedral()
-    check_embedding(lift, {"kind": "central-product", "poly": "A4", "m": 2})
+    check_embedding(lift, so4_central_product("A4", 2))
     with pytest.raises(InvalidInputError, match=r"^no binary quaternion model for kind 'q8'$"):
         so4_central_product("Q8", 2)
 
 
 def test_embed_unitary_mixed():
-    check_embedding(q8_by_cyclic3(2), {"kind": "u2-mixed",
-                                       "r": 1, "s": 1, "m_plus": 1})
+    check_embedding(q8_by_cyclic3(2), u2_mixed(1, 1, 1))
 
 
 def test_embed_dihedral_mixed():
-    check_embedding(binary_dihedral(12), {"kind": "dihedral-mixed",
-                                          "m": 2, "k": 3})
-    check_embedding(dihedral(6), {"kind": "dihedral-mixed", "m": 1, "k": 3})
+    check_embedding(binary_dihedral(12), o4_in_so5(2, 3))
+    check_embedding(dihedral(6), o4_in_so5(1, 3))
 
 
 def test_embed_two_group_refused():
-    with pytest.raises(UnsupportedCaseError):
-        embed_into_so5(abelian([2, 2, 2]), {"kind": "two-group"})
-    with pytest.raises(UnsupportedCaseError):
-        embed_into_so5(cyclic(2), {"kind": "mystery"})
+    two_group = r"^2-groups with an index-2 cyclic subgroup have no explicit recipe here$"
+    for spec in (("q8",), ("quaternion8",), ("q8-by-3power", 0), ("binary-dihedral", 4),
+                 ("binary-dihedral", 16)):
+        with pytest.raises(UnsupportedCaseError, match=two_group):
+            so5_model(*spec)
+    with pytest.raises(UnsupportedCaseError, match=r"^no SO\(5\) recipe for binary-dihedral:24$"):
+        so5_model("binary-dihedral", 24)
+    with pytest.raises(UnsupportedCaseError, match=r"^no SO\(5\) recipe for metacyclic:7,3,2$"):
+        so5_model("metacyclic", 7, 3, 2)
+    with pytest.raises(InvalidInputError, match=r"^unknown group name 'mystery'$"):
+        so5_model("mystery")
 
 
 def test_embed_wrong_group_for_hint():
-    with pytest.raises(InvalidInputError):
-        embed_into_so5(cyclic(12), {"kind": "klein-3power",
-                                    "power": 1, "m_plus": 1})
+    with pytest.raises(InvalidInputError, match="^the model is not a model of the group$"):
+        embed_into_so5(cyclic(12), klein_twist(1, 1))
+    # the model must be a real one that fits SO(5)
+    with pytest.raises(InvalidInputError, match="^the model must be real"):
+        embed_into_so5(build_metacyclic(7, 3, 2), pu3_metacyclic(7, 3, 2))
