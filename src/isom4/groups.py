@@ -859,6 +859,11 @@ def _group_key(name: str, params) -> str:
     return key
 
 
+def _spec_text(name: str, params) -> str:
+    """The group spec 'name:p1,p2' of a name and its parameters."""
+    return name + (":" + ",".join(map(str, params)) if params else "")
+
+
 def build_group(name: str, *params: int) -> FiniteGroup:
     """The group a table name (or alias) and its integer parameters
     denote, e.g. ``build_group("A5")`` or ``build_group("dihedral", 8)``."""

@@ -8,7 +8,7 @@ design.  For a fixed seed the report is deterministic modulo the
 runtime fields.  A record's text formats every count, case, bound and
 tolerance from the value its check computes with, and checks of one
 shape (sharp threshold, SO(5) sweep, printed versus corrected model,
-unique extension, Lefschetz batch) share one function.
+unique extension, Lefschetz sweep) share one function.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .cohomology import (
     unique_nontrivial_extension,
 )
 from .embeddings import (
+    _padded_to_so5,
     abelian_so5,
     embed_into_so5,
-    is_faithful_rep,
     klein_twist,
     o4_in_so5,
+    pu3_metacyclic,
     so4_central_product,
     so5_model,
     u2_mixed,
@@ -45,11 +46,12 @@ from .errors import InvalidInputError, UnsupportedCaseError
 from .fixedpoints import (
     _LEFSCHETZ_CP2,
     _LEFSCHETZ_S4,
-    batch_lefschetz_cp2,
-    batch_lefschetz_s4,
     involution_catalog,
+    lefschetz_sweep_cp2,
+    lefschetz_sweep_s4,
 )
 from .groups import (
+    _spec_text,
     _tolerance_text,
     abelian,
     alternating,
@@ -110,6 +112,11 @@ DIAMETER_TOLERANCE = 1e-3
 ICOSAHEDRAL_CYCLIC_INDEX = 60
 # |GL(3, F_2)|, the automorphisms of the rank-3 odd lattice mod 2-torsion
 GL_3_2_ORDER = 168
+# the closed groups the Lefschetz checks sweep: so5_model specs, padded
+# to 5x5 as embed_into_so5 pads them, and pu3_metacyclic's (m, n, r)
+LEFSCHETZ_SO5_SPECS = (("abelian", 4, 6), ("dihedral", 10), ("icosa",), ("binary-icosa",),
+                       ("klein-by-3power", 2), ("q8-by-3power", 2), ("binary-dihedral", 12))
+LEFSCHETZ_PU3_PARAMS = ((7, 3, 2), (13, 3, 3), (31, 3, 5))
 _NUMBER_WORDS = ("no", "one", "two", "three", "four", "five")
 
 
@@ -136,7 +143,7 @@ class VerifyConfig:
     """The two inputs of a run; the suite itself has one size.
 
     ``seed`` draws the random cases (optimizer quotients, cyclic H^2
-    pairs, abelian embeddings, Lefschetz batches).  ``cache``, when
+    pairs, abelian embeddings).  ``cache``, when
     set, holds the H^2 tables and the two binary-cover comparisons
     across runs; every other check is recomputed."""
 
@@ -512,15 +519,21 @@ def _dihedral_mixed(cfg):
 def _check_embeddings(case, passed, cfg):
     """Every row (label, group, model thunk) of ``case(cfg)``, which also
     gives the expected text, embeds faithfully in SO(5) by the recipe its
-    thunk builds; ``passed`` formats the PASS text from n (rows), order
-    (last group) and the primes modulo which the closures decided the
-    models' tables exactly."""
+    thunk builds: a closed model is faithful, so a row fails when
+    ``embed_into_so5`` refuses its model as another group's.  ``passed``
+    formats the PASS text from n (rows), order (last group) and the
+    primes modulo which the closures decided the models' tables exactly."""
     expected, rows = case(cfg)
-    reps = [(label, embed_into_so5(group, model())) for label, group, model in rows]
-    bad = [label for label, rep in reps if not is_faithful_rep(rep)]
+    primes, bad = set(), []
+    for label, group, model in rows:
+        model = model()
+        try:
+            primes.add(embed_into_so5(group, model).prime)
+        except InvalidInputError:  # the model is not a model of the group
+            bad.append(label)
     if bad:
         return "FAIL", expected, f"not faithful: {', '.join(bad)}"
-    primes = ", ".join(map(str, sorted({rep.prime for _, rep in reps})))
+    primes = ", ".join(map(str, sorted(primes)))
     return "PASS", expected, passed.format(n=len(rows), order=rows[-1][1].size, primes=primes)
 
 
@@ -537,16 +550,37 @@ def _check_embed_two_group(cfg):
 
 # ----------------------------------------------------------- fixed points
 
-def _check_lefschetz_batch(batch, offset, lefschetz, maps, cfg):
-    """chi(Fix) = ``lefschetz`` on a ``batch`` of random ``maps``."""
-    # the batches take 64-bit seeds; below 2^64 - offset this is seed + offset
-    result = batch(seed=(cfg.seed + offset) % 2**64)
+def _so5_models():
+    return ("SO(5) models", [(_spec_text(name, params),
+                              _padded_to_so5(so5_model(name, *params)).matrices)
+                             for name, *params in LEFSCHETZ_SO5_SPECS])
+
+
+def _pu3_models():
+    return ("PU(3) models", [(_spec_text("metacyclic", params), pu3_metacyclic(*params).matrices)
+                             for params in LEFSCHETZ_PU3_PARAMS])
+
+
+def _check_lefschetz_sweep(case, sweep, lefschetz, cfg):
+    """chi(Fix) = ``lefschetz`` on every element of the closed groups
+    ``case()`` gives as (kind, [(spec, matrices)]), classified by one
+    ``sweep`` over their stacked matrices; a failure is named by its
+    group and its index there."""
+    kind, rows = case()
+    result = sweep(np.concatenate([mats for _, mats in rows]))
     count, failures = result["count"], result["failures"]
-    expected = f"chi(Fix) = {lefschetz} = Lefschetz number for {count} random {maps}"
+    expected = (f"chi(Fix) = {lefschetz} = Lefschetz number for every element of the "
+                f"{kind} {_series([spec for spec, _ in rows])}")
     tally = f"{count - len(failures)}/{count} pass"
     if failures:
-        return "FAIL", expected, f"{tally}; first failing draw {failures[0]}"
-    return "PASS", expected, tally
+        index = failures[0]
+        for spec, mats in rows:
+            if index < len(mats):
+                break
+            index -= len(mats)
+        return "FAIL", expected, f"{tally}; first failing element {index} of {spec}"
+    strata = ", ".join(f"{label} {n}" for label, n in result["strata"].items())
+    return "PASS", expected, f"{tally}; {strata}"
 
 
 def _check_involution_catalog(cfg):
@@ -763,15 +797,17 @@ _SUITE = (
      "2-groups with an index-2 cyclic subgroup carry no printed matrix "
      "recipe; the embedding front end must refuse them explicitly."),
     ("fixedpoint-sphere-batch",
-     partial(_check_lefschetz_batch, batch_lefschetz_s4, 3, _LEFSCHETZ_S4,
-             "rotations of the 4-sphere"),
-     "A nontrivial rotation of the 4-sphere fixes a point set of Euler "
-     "characteristic 2, its Lefschetz number."),
+     partial(_check_lefschetz_sweep, _so5_models, lefschetz_sweep_s4, _LEFSCHETZ_S4),
+     "Every rotation of the 4-sphere, the identity included, fixes a point "
+     f"set of Euler characteristic {_LEFSCHETZ_S4}, its Lefschetz number; the "
+     f"sweep covers every element of {_number(len(LEFSCHETZ_SO5_SPECS))} closed "
+     "groups that the SO(5) recipes build."),
     ("fixedpoint-plane-batch",
-     partial(_check_lefschetz_batch, batch_lefschetz_cp2, 4, _LEFSCHETZ_CP2,
-             "unitary maps of the projective plane"),
-     "A unitary map of the projective plane fixes a point set of Euler "
-     "characteristic 3, its Lefschetz number."),
+     partial(_check_lefschetz_sweep, _pu3_models, lefschetz_sweep_cp2, _LEFSCHETZ_CP2),
+     "Every unitary map of the projective plane fixes a point set of Euler "
+     f"characteristic {_LEFSCHETZ_CP2}, its Lefschetz number; the sweep covers "
+     f"every element of {_number(len(LEFSCHETZ_PU3_PARAMS))} metacyclic "
+     "PU(3) models."),
     ("fixedpoint-involution-catalog", _check_involution_catalog,
      "For a locally linear involution with 2-dimensional fixed set F, "
      "chi(F) = 2 + [F]^2; the conjugation involution realizes "

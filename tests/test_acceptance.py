@@ -14,12 +14,7 @@ import numpy as np
 from isom4.claims import ClassificationQuery, classify
 from isom4.cohomology import classify_central_extensions, unique_nontrivial_extension
 from isom4.embeddings import is_faithful_rep, pu3_metacyclic
-from isom4.fixedpoints import (
-    batch_lefschetz_cp2,
-    batch_lefschetz_s4,
-    involution_catalog,
-    lefschetz_check_cp2,
-)
+from isom4.fixedpoints import involution_catalog, lefschetz_check_cp2
 from isom4.groups import (
     alternating,
     binary_dihedral,
@@ -210,19 +205,22 @@ def test_criterion_08_so5_embeddings(report_and_rerun):
            + f"; Q8 model {refused['status']}: {refused['actual']}")
 
 
-def test_criterion_09_lefschetz_batches():
-    s4 = batch_lefschetz_s4(1000, seed=3)
-    cp2 = batch_lefschetz_cp2(1000, seed=4)
+def test_criterion_09_lefschetz_batches(report_and_rerun):
+    checks = records(report_and_rerun, "fixedpoint-sphere-batch", "fixedpoint-plane-batch")
+    # each record's tally reads "passed/swept pass; <stratum> <count>, ..."
+    tallies = [re.match(r"(\d+)/(\d+) pass; ", c["actual"]) for c in checks.values()]
     conj = next(e for e in involution_catalog()
                 if e["label"] == "cp2-conjugation")
     conj_ok = (conj["data"].fix_euler == 1
                and conj["result"]["eq_pass"]
                and conj["result"]["derived_self_intersection"] == -1)
-    ok = s4["all_pass"] and cp2["all_pass"] and conj_ok
+    ok = (all(c["status"] == "PASS" for c in checks.values())
+          and all(t is not None and t[1] == t[2] for t in tallies)
+          and conj_ok)
     report(9, ok,
-           f"1000/1000 rotations give chi(Fix) = 2; 1000/1000 unitaries "
-           f"give chi(Fix) = 3; conjugation involution satisfies "
-           f"1 = 2 + (-1) with self-intersection -1")
+           "; ".join(f"{cid} {c['status']}: {c['actual']}" for cid, c in checks.items())
+           + "; conjugation involution satisfies 1 = 2 + (-1) with "
+           f"self-intersection -1 = {conj_ok}")
 
 
 def test_criterion_10_order_bounds(report_and_rerun):

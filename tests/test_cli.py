@@ -9,7 +9,6 @@ from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
 from isom4.cli import build_parser, main, parse_group_spec
 from isom4.cohomology import group_digest
 from isom4.errors import InvalidInputError
-from isom4.fixedpoints import batch_lefschetz_s4
 from isom4 import groups
 from isom4.groups import build_group, is_isomorphic, quaternion_group
 from isom4.verify import _SUITE, _check_h2_table, _row_group
@@ -210,8 +209,9 @@ def test_embed_command_unsupported(capsys):
 
 
 # one spec per name of the group table, small parameters: the recipe
-# follows from the name, and Q8, the binary dihedral 2-groups and the
-# groups without a recipe are refused
+# follows from the name, and Q8, the binary dihedral 2-groups of order 8
+# and more and the groups without a recipe are refused; Z2 x Z2 and Z4,
+# the smallest klein-by-3power and binary-dihedral groups, are abelian
 EMBED_STATUS = {
     "cyclic:12": "PASS",
     "abelian:3,9": "PASS",
@@ -223,10 +223,12 @@ EMBED_STATUS = {
     "binary-tetra": "PASS",
     "binary-octa": "PASS",
     "binary-icosa": "PASS",
+    "binary-dihedral:4": "PASS",
     "binary-dihedral:12": "PASS",
     "binary-dihedral:8": "UNSUPPORTED",
     "binary-dihedral:24": "UNSUPPORTED",
     "metacyclic:7,3,2": "UNSUPPORTED",
+    "klein-by-3power:0": "PASS",
     "klein-by-3power:1": "PASS",
     "q8-by-3power:0": "UNSUPPORTED",
     "q8-by-3power:2": "PASS",
@@ -251,7 +253,7 @@ def test_embed_command_reads_the_recipe_off_the_name(capsys, spec, status):
 
 
 def test_fixedpoint_catalog(capsys):
-    code, data = run_json(capsys, "fixedpoint", "--catalog")
+    code, data = run_json(capsys, "fixedpoint")
     assert code == 0
     labels = {e["label"] for e in data}
     assert labels == {"cp2-conjugation", "cp2-holomorphic-split",
@@ -259,33 +261,6 @@ def test_fixedpoint_catalog(capsys):
     conj = next(e for e in data if e["label"] == "cp2-conjugation")
     assert conj["fix_euler"] == 1
     assert conj["derived_self_intersection"] == -1
-
-
-def test_fixedpoint_batches(capsys):
-    code, data = run_json(capsys, "fixedpoint", "--manifold", "cp2",
-                          "--count", "20", "--seed", "5")
-    assert code == 0
-    assert data["all_pass"]
-    code, data = run_json(capsys, "fixedpoint", "--count", "20")
-    assert code == 0
-    assert data["count"] == 20
-    code, data = run_json(capsys, "fixedpoint")
-    assert code == 0
-    assert data == batch_lefschetz_s4(1000, 0)
-
-
-@pytest.mark.parametrize("manifold", ["s4", "cp2"])
-@pytest.mark.parametrize("argv,message", [
-    (["--count", "-5"], "batch count must be positive"),
-    (["--count", "0"], "batch count must be positive"),
-    (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
-    (["--seed", str(2**64)], "seed must fit in 64 unsigned bits"),
-], ids=["count-negative", "count-zero", "seed-negative", "seed-2^64"])
-def test_fixedpoint_refuses_bad_batches(capsys, manifold, argv, message):
-    assert main(["fixedpoint", "--manifold", manifold, *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
 
 
 def test_classify_command(capsys):
@@ -331,7 +306,7 @@ OPTIONS = {
     "h2": {"--out", "--cache-dir", "--group", "--m"},
     "extensions": {"--out", "--group", "--m"},
     "embed": {"--out", "--group"},
-    "fixedpoint": {"--out", "--seed", "--manifold", "--count", "--catalog"},
+    "fixedpoint": {"--out"},
     "classify": {"--out", "--b2", "--parity", "--pseudofree", "--form"},
     "verify-all": {"--out", "--seed", "--format", "--cache-dir"},
 }
@@ -351,7 +326,7 @@ def declared_options() -> dict[str, set[str]]:
 def test_subcommand_options():
     declared = declared_options()
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 34
+    assert sum(map(len, declared.values())) == 30
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -394,7 +369,7 @@ HEADS = {
     "h2": ["h2", "--group", "A4", "--m", "2"],
     "extensions": ["extensions", "--group", "A4", "--m", "2"],
     "embed": ["embed", "--group", "cyclic:12"],
-    "fixedpoint": ["fixedpoint", "--catalog"],
+    "fixedpoint": ["fixedpoint"],
     "classify": ["classify", "--b2", "2", "--parity", "odd"],
 }
 UNREAD = [(name, flag) for name in HEADS
@@ -418,11 +393,7 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
     (["extent", "2", "1", "1"], "closed-form bound requires deck order >= 3"),
     (["extent", "61", "1", "1", "--restarts", "0", "--seed", "7"],
      "--restarts, --seed: read only with --optimize"),
-    (["fixedpoint", "--catalog", "--manifold", "cp2", "--count", "5", "--seed", "3"],
-     "--manifold, --count, --seed: not read with --catalog"),
-    (["fixedpoint", "--catalog", "--seed", "0"], "--seed: not read with --catalog"),
-], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone",
-        "fixedpoint-catalog-with-batch-options", "fixedpoint-catalog-with-default-seed"])
+], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

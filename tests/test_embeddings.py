@@ -471,7 +471,7 @@ def test_embed_dihedral_mixed():
 
 def test_embed_two_group_refused():
     two_group = r"^2-groups with an index-2 cyclic subgroup have no explicit recipe here$"
-    for spec in (("q8",), ("quaternion8",), ("q8-by-3power", 0), ("binary-dihedral", 4),
+    for spec in (("q8",), ("quaternion8",), ("q8-by-3power", 0), ("binary-dihedral", 8),
                  ("binary-dihedral", 16)):
         with pytest.raises(UnsupportedCaseError, match=two_group):
             so5_model(*spec)

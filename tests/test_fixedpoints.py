@@ -6,27 +6,41 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isom4 import fixedpoints
-from isom4.errors import InvalidInputError, InvalidParametersError
+from isom4.errors import InvalidInputError
 from isom4.fixedpoints import (
     FixComponent,
     FixedSetDescriptor,
     InvolutionTraceData,
-    batch_lefschetz_cp2,
-    batch_lefschetz_s4,
     fixed_set_cp2,
     fixed_set_s4,
     involution_catalog,
     involution_identity_check,
     lefschetz_check_cp2,
     lefschetz_check_s4,
-    random_so5,
-    random_u3,
+    lefschetz_sweep_cp2,
+    lefschetz_sweep_s4,
 )
 
 
 def rot2(theta):
     return np.array([[math.cos(theta), -math.sin(theta)],
                      [math.sin(theta), math.cos(theta)]])
+
+
+def random_so5(rng):
+    """A random rotation: QR of a Gaussian matrix, reflected into SO(5)."""
+    q, r = np.linalg.qr(rng.normal(size=(5, 5)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def random_u3(rng):
+    """A random unitary: QR of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    d = np.diag(r)
+    return q * (d.conjugate() / np.abs(d))
 
 
 def block_diag(*blocks):
@@ -124,63 +138,35 @@ def test_cp2_rejects_non_unitary():
         fixed_set_cp2(np.eye(2))
 
 
-# --- batches --------------------------------------------------------------------
+# --- sweeps ---------------------------------------------------------------------
 
 
-def test_batch_s4_small():
-    out = batch_lefschetz_s4(50, seed=1)
-    assert out == {"count": 50, "failures": [], "all_pass": True}
+def test_sweep_s4_counts_each_stratum():
+    mats = np.stack([np.eye(5), block_diag(rot2(0.4), np.eye(3)),
+                     block_diag(rot2(0.7), rot2(1.3), np.eye(1)),
+                     block_diag(rot2(0.9), rot2(0.2), np.eye(1))])
+    assert lefschetz_sweep_s4(mats) == {
+        "count": 4, "strata": {"S^0": 2, "S^2": 1, "S^4": 1}, "failures": []}
 
 
-def test_batch_cp2_small():
-    out = batch_lefschetz_cp2(50, seed=1)
-    assert out == {"count": 50, "failures": [], "all_pass": True}
+def test_sweep_cp2_counts_each_stratum():
+    mats = np.stack([np.diag(np.exp(2j * np.pi * np.array([0.0, 1.0, 2.0]) / 3.0)),
+                     np.diag([1.0, 1.0, -1.0]), 1j * np.eye(3)]).astype(np.complex128)
+    assert lefschetz_sweep_cp2(mats) == {
+        "count": 3, "strata": {"3 x point": 1, "CP^1 + point": 1, "CP^2": 1},
+        "failures": []}
 
 
-def test_batches_deterministic():
-    assert batch_lefschetz_s4(10, seed=3) == batch_lefschetz_s4(10, seed=3)
+@pytest.mark.parametrize("sweep, k", [(lefschetz_sweep_s4, 5), (lefschetz_sweep_cp2, 3)])
+def test_sweeps_refuse_bad_stacks(sweep, k):
+    for bad in (np.eye(k), np.zeros((0, k, k)), np.stack([np.eye(k + 1)])):
+        with pytest.raises(InvalidInputError, match=f"expected one or more {k}x{k} matrices"):
+            sweep(bad)
+    with pytest.raises(InvalidInputError, match="within 1e-9"):
+        sweep(np.stack([np.eye(k), 2.0 * np.eye(k)]))
 
 
-@pytest.mark.parametrize("batch", [batch_lefschetz_s4, batch_lefschetz_cp2])
-@pytest.mark.parametrize("count,seed,message", [
-    (0, 1, "batch count must be positive"),
-    (-5, 1, "batch count must be positive"),
-    (3, -1, "seed must fit in 64 unsigned bits"),
-    (3, 2**64, "seed must fit in 64 unsigned bits"),
-])
-def test_batches_refuse_bad_inputs(batch, count, seed, message):
-    with pytest.raises(InvalidParametersError, match=message):
-        batch(count, seed)
-
-
-def test_batches_accept_seed_range_ends():
-    assert batch_lefschetz_s4(2, 0)["all_pass"]
-    assert batch_lefschetz_cp2(2, 2**64 - 1)["all_pass"]
-
-
-# the per-matrix code the stacked batches replaced, kept as the reference
-
-
-def _reference_so5(rng):
-    q, r = np.linalg.qr(rng.normal(size=(5, 5)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def _reference_u3(rng):
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d.conjugate() / np.abs(d))
-
-
-def _reference_euler_s4(mat):
-    d = int(np.count_nonzero(np.abs(np.linalg.eigvals(mat) - 1.0) < 1e-9))
-    return 2 if d > 0 and (d - 1) % 2 == 0 else 0
-
-
+# the greedy clustering rule, one eigenvalue at a time, as the reference
 def _reference_clusters(eigvals):
     clusters = []
     for lam in eigvals:
@@ -191,55 +177,6 @@ def _reference_clusters(eigvals):
         else:
             clusters.append([lam])
     return clusters
-
-
-def _reference_euler_cp2(mat):
-    pattern = sorted(len(c) for c in _reference_clusters(np.linalg.eigvals(mat)))
-    return {(1, 1, 1): 1 + 1 + 1, (1, 2): 2 + 1, (3,): 3}[tuple(pattern)]
-
-
-REFERENCES = {
-    "s4": (batch_lefschetz_s4, fixedpoints._so5_stack, _reference_so5,
-           _reference_euler_s4, 2),
-    "cp2": (batch_lefschetz_cp2, fixedpoints._u3_stack, _reference_u3,
-            _reference_euler_cp2, 3),
-}
-
-
-def _check_against_reference(manifold, count, seed, chunk):
-    batch, stack, sample, euler, lefschetz = REFERENCES[manifold]
-    rng = np.random.default_rng(seed)
-    reference = [sample(rng) for _ in range(count)]
-    failures = [i for i, mat in enumerate(reference) if euler(mat) != lefschetz]
-    rng = np.random.default_rng(seed)
-    stacked = np.concatenate([stack(rng, min(chunk, count - start))
-                              for start in range(0, count, chunk)])
-    assert np.array_equal(stacked, np.stack(reference))
-    assert batch(count, seed) == {"count": count, "failures": failures,
-                                  "all_pass": not failures}
-
-
-@pytest.mark.parametrize("manifold", ["s4", "cp2"])
-@pytest.mark.parametrize("count", [1, 7, 12])
-@pytest.mark.parametrize("seed", range(5))
-def test_stacked_batches_match_per_matrix_code(monkeypatch, manifold, count, seed):
-    # a 5-matrix chunk makes count 12 cross two chunk boundaries
-    monkeypatch.setattr(fixedpoints, "_BATCH_CHUNK", 5)
-    _check_against_reference(manifold, count, seed, 5)
-
-
-@pytest.mark.parametrize("manifold", ["s4", "cp2"])
-def test_stacked_batches_cross_the_real_chunk(manifold):
-    chunk = fixedpoints._BATCH_CHUNK
-    _check_against_reference(manifold, chunk + 1, 0, chunk)
-
-
-def test_single_samplers_are_the_stacked_ones():
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        ref = np.random.default_rng(seed)
-        assert np.array_equal(random_so5(rng), _reference_so5(ref))
-        assert np.array_equal(random_u3(rng), _reference_u3(ref))
 
 
 near_unit = st.sampled_from([0.0, 1e-10, -4e-10, 6e-10, 2e-9, 0.3, -0.3, 1.0])

@@ -11,6 +11,7 @@ import isom4
 
 from isom4 import cohomology, fixedpoints, sphere, verify
 from isom4.cache import ResultCache
+from isom4.embeddings import abelian_so5
 from isom4.errors import InvalidInputError
 from isom4.groups import alternating, binary_tetrahedral, cyclic, klein_by_cyclic3
 from isom4.sphere import EXTENT_THRESHOLD
@@ -120,9 +121,12 @@ def test_sharp_threshold_fails_naming_its_deck_order(monkeypatch):
     ("embed-dihedral-mixed", 12, "not faithful: dicyclic12"),
 ])
 def test_embedding_sweep_fails_naming_its_case(monkeypatch, check_id, order, actual):
-    # the reps of one order are declared unfaithful; the record names
-    # those rows only (seed 0 draws two abelian groups of order 30)
-    monkeypatch.setattr(verify, "is_faithful_rep", lambda rep: rep.group.size != order)
+    # the rows of one order get the model of Z2, another group's, which
+    # embed_into_so5 refuses; the record names those rows only (seed 0
+    # draws two abelian groups of order 30)
+    embed = verify.embed_into_so5
+    monkeypatch.setattr(verify, "embed_into_so5", lambda group, model: embed(
+        group, abelian_so5((2,)) if group.size == order else model))
     status, _, got = CHECKS[check_id](VerifyConfig())
     assert (status, got) == ("FAIL", actual)
 
@@ -161,27 +165,36 @@ def test_optimizer_consistency_fails_naming_its_gap(monkeypatch):
         "worst lower-upper gap 0.501380029377 over (96,17,25), (84,5,13), (16,3,7)")
 
 
-def test_lefschetz_batch_fails_naming_its_draw(monkeypatch):
-    # draw 7 reported with a 2-dimensional fixed space: a circle, chi 0
+SPHERE_SWEEP = ("chi(Fix) = 2 = Lefschetz number for every element of the SO(5) models "
+                "abelian:4,6, dihedral:10, icosa, binary-icosa, klein-by-3power:2, "
+                "q8-by-3power:2, and binary-dihedral:12")
+PLANE_SWEEP = ("chi(Fix) = 3 = Lefschetz number for every element of the PU(3) models "
+               "metacyclic:7,3,2, metacyclic:13,3,3, and metacyclic:31,3,5")
+
+
+def test_lefschetz_sweeps_reach_every_stratum():
+    # one identity per group fixes the whole space; a rotation with one
+    # plane fixes S^2; the seed draws nothing here
+    for seed in (0, 2**64 - 1):
+        assert _check_fixedpoint_sphere_batch(VerifyConfig(seed=seed)) == (
+            "PASS", SPHERE_SWEEP, "334/334 pass; S^0 242, S^2 85, S^4 7")
+        assert _check_fixedpoint_plane_batch(VerifyConfig(seed=seed)) == (
+            "PASS", PLANE_SWEEP, "153/153 pass; 3 x point 150, CP^2 3")
+
+
+def test_lefschetz_sweep_fails_naming_its_element(monkeypatch):
+    # element 30 of the stack, past the 24 of abelian:4,6, reported with
+    # a 2-dimensional fixed space: a circle, chi 0
     unit = fixedpoints._unit_multiplicity
 
     def one_circle(eigvals):
         keys = unit(eigvals).copy()
-        keys[7] = 2
+        keys[30] = 2
         return keys
 
     monkeypatch.setattr(fixedpoints, "_unit_multiplicity", one_circle)
     assert _check_fixedpoint_sphere_batch(VerifyConfig()) == (
-        "FAIL", "chi(Fix) = 2 = Lefschetz number for 1000 random rotations of the 4-sphere",
-        "999/1000 pass; first failing draw 7")
-
-
-def test_fixedpoint_checks_take_the_largest_seed():
-    # the batches take 64-bit seeds, so the check's seed offset wraps
-    cfg = VerifyConfig(seed=2**64 - 1)
-    for check in (_check_fixedpoint_sphere_batch, _check_fixedpoint_plane_batch):
-        status, _, actual = check(cfg)
-        assert (status, actual) == ("PASS", "1000/1000 pass")
+        "FAIL", SPHERE_SWEEP, "333/334 pass; first failing element 6 of dihedral:10")
 
 
 def test_check_record_validation():
