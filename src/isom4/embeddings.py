@@ -12,15 +12,14 @@ A recipe states its generators once, as a cyclotomic source (see
 them exactly modulo a prime: the table is exact and the rep faithful,
 with no all-pairs pass.  The source at e^(2 pi i/n) gives the float
 matrices of the ``MatrixRep``, whose all-pairs residual is a cross-check
-formed on demand.  A rep on a caller's own matrices is checked in
-floats: every product, and a margin between distinct elements.
+formed on demand.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .groups import (
     find_isomorphism,
     pu3_presentation_valid,
 )
-from .snf import _row_blocks
 
 __all__ = [
     "MatrixRep",
@@ -64,62 +62,26 @@ __all__ = [
     "pu3_metacyclic",
     "abelian_so5",
     "so5_model",
-    "is_faithful_rep",
     "embed_into_so5",
 ]
 
-_INJECTIVITY_MARGIN = 10.0
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
-    """A checked matrix representation aligned with a group table.
+    """A matrix representation aligned with the exact table of a group.
 
-    ``matrices[i]`` is the image of element ``i``; the dimension and
-    the field (real or complex) are read off their shape and dtype.
-    Construction verifies orthogonality/unitarity, determinant +1 for
-    real reps, and the homomorphism identity on all pairs, each within
-    ``DEFAULT_TOLERANCE``; projective reps may be off by a unit scalar
-    per pair.  The rep is frozen and its matrices are read-only.
-
-    The recipes here build their reps by an exact closure modulo
-    ``prime`` (``_closed``), faithful by construction; their n^2 products
-    are formed only when ``homomorphism_residual`` asks for them.
-    ``prime`` is None on a caller's matrices."""
+    ``matrices[i]`` is the float image of element ``i``; the dimension
+    and the field (real or complex) are read off their shape and dtype.
+    ``prime`` is the prime the closure decided the table modulo: reduction
+    modulo it is injective on the group, so the rep is faithful by
+    construction.  Construction checks each matrix alone: orthogonal or
+    unitary, determinant +1 when real, within ``DEFAULT_TOLERANCE``.  The
+    rep is frozen and its matrices are read-only."""
 
     group: FiniteGroup
     matrices: np.ndarray
-    projective: bool
-    prime: int | None = field(default=None, init=False)
-    _residual: float | None = field(default=None, init=False, repr=False)
+    prime: int
 
     def __post_init__(self):
-        self._validate()
-        residual = self.homomorphism_residual()
-        _require_within(residual, DEFAULT_TOLERANCE, f"homomorphism residual {residual:.3e} "
-                        f"exceeds tolerance {DEFAULT_TOLERANCE:.3e}")
-
-    @classmethod
-    def _closed(cls, group, matrices, projective: bool, prime: int) -> "MatrixRep":
-        """The rep on the float matrices of a closure modulo ``prime``,
-        indexed by its exact table; every per-matrix check runs."""
-        rep = object.__new__(cls)
-        for name, value in (("group", group), ("matrices", matrices),
-                            ("projective", projective), ("prime", prime), ("_residual", None)):
-            object.__setattr__(rep, name, value)
-        rep._validate()
-        return rep
-
-    @property
-    def dimension(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def field_tag(self) -> str:
-        return "complex" if np.iscomplexobj(self.matrices) else "real"
-
-    def _validate(self):
-        """The per-matrix checks of the constructor."""
         try:
             mats = np.asarray(self.matrices)
             mats = np.asarray(mats, np.complex128 if np.iscomplexobj(mats) else np.float64)
@@ -137,67 +99,24 @@ class MatrixRep:
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
+    @property
+    def dimension(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def field_tag(self) -> str:
+        return "complex" if np.iscomplexobj(self.matrices) else "real"
+
     def homomorphism_residual(self) -> float:
-        """Worst deviation from the homomorphism identity over all pairs,
-        formed once: when a caller's matrices are validated, and on a
-        closed rep, whose table is exact, as a float cross-check."""
-        if self._residual is None:
-            object.__setattr__(self, "_residual", _homomorphism_residual(
-                self.group.table, self.matrices, self.projective))
-        return self._residual
-
-
-def _homomorphism_residual(table: np.ndarray, mats: np.ndarray, projective: bool) -> float:
-    """Worst deviation from M_a M_b = M_ab over all pairs; a projective
-    rep may be off by a unit scalar per pair.  Both branches run over
-    row blocks of about ``snf._BLOCK_ENTRIES`` product entries, and
-    every entry is formed within one block, so the value is the one of
-    a single pass over all pairs."""
-    if not projective:
-        return _table_residual(table, mats)
-    n, d = mats.shape[0], mats.shape[1]
-    # np.maximum, unlike Python's max, keeps a NaN block maximum
-    worst = 0.0
-    for blk in _row_blocks(n, n * d * d):
-        prod = np.einsum("aij,bjk->abik", mats[blk], mats)
-        tgt = mats[table[blk]]
-        lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / d
-        worst = np.maximum(worst, np.max(np.abs(np.abs(lam) - 1.0)))
-        prod -= lam[..., None, None] * tgt
-        worst = np.maximum(worst, np.max(np.abs(prod)))
-    return float(worst)
-
-
-def is_faithful_rep(rep: MatrixRep) -> bool:
-    """Injectivity of a rep, whose construction already refused a
-    homomorphism residual above ``DEFAULT_TOLERANCE``.
-
-    A closed rep is faithful by construction: its elements are distinct
-    matrices modulo its prime.  On a caller's matrices, every pair of
-    distinct elements must sit farther apart than ten times
-    ``DEFAULT_TOLERANCE``: M_a - M_b, or for a projective rep M_a^H M_b
-    less its nearest scalar.  The distances are formed in row blocks of
-    about ``snf._BLOCK_ENTRIES`` entries."""
-    if rep.prime is not None:
-        return True
-    mats, n, d = rep.matrices, rep.group.size, rep.dimension
-    gap = math.inf
-    for blk in _row_blocks(n, n * d * d):
-        if rep.projective:
-            diff = np.einsum("aij,bik->abjk", mats[blk].conj(), mats)
-            diff -= np.einsum("abjj->ab", diff)[..., None, None] / d * np.eye(d)
-        else:
-            diff = mats[blk, None] - mats[None, :]
-        dist = np.max(np.abs(diff), axis=(2, 3))
-        dist[np.arange(dist.shape[0]), np.arange(blk.start, blk.stop)] = math.inf
-        gap = min(gap, float(dist.min()))
-    return gap > _INJECTIVITY_MARGIN * DEFAULT_TOLERANCE
+        """Worst deviation from M_a M_b = M_ab over all pairs of the
+        exact table: a float cross-check, formed on each call."""
+        return _table_residual(self.group.table, self.matrices)
 
 
 def _closed_rep(source, order: int) -> MatrixRep:
     """The rep closing the generators of ``source`` to ``order`` gives."""
     table, mats, _, prime = _close_unitary(source, order)
-    return MatrixRep._closed(FiniteGroup(table), mats, False, prime)
+    return MatrixRep(FiniteGroup(table), mats, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +154,7 @@ def _su2(q) -> np.ndarray:
 def _realified(unitary: MatrixRep) -> MatrixRep:
     """A closed unitary rep realified on coordinates (x1, x2, y1, y2)."""
     a, b = unitary.matrices.real, unitary.matrices.imag
-    return MatrixRep._closed(unitary.group, np.block([[a, -b], [b, a]]), False, unitary.prime)
+    return MatrixRep(unitary.group, np.block([[a, -b], [b, a]]), unitary.prime)
 
 
 _KLEIN_SIGNS = (np.diag([1, -1, -1]), np.diag([-1, 1, -1]))
@@ -404,7 +323,8 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
     the coordinate shift; the twist relation then holds linearly, not
     only up to scalar.  The linear lift is closed exactly and meets the
     scalars only in the identity; it satisfies the presentation, so the
-    words A^a B^b index it as ``build_metacyclic`` indexes the group.
+    words A^a B^b index it as ``build_metacyclic`` indexes the group, and
+    the rep returned is that linear lift, whose table is the group's.
     Only n = 3 is supported: the cube condition r^3 = 1 mod m is exactly
     what lets a 3-cycle of the diagonal realize the twist."""
     m, n, r = int(m), int(n), int(r)
@@ -437,7 +357,7 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
     col = np.array(powers[:m])
     phi = np.stack([col, t[col, b], t[t[col, b], b]], axis=1).ravel()
     group = FiniteGroup(np.argsort(phi)[t[phi][:, phi]])
-    return MatrixRep._closed(group, mats[phi], True, prime)
+    return MatrixRep(group, mats[phi], prime)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +371,7 @@ def _padded_to_so5(rep: MatrixRep) -> MatrixRep:
         return rep
     mats = np.tile(np.eye(5), (rep.group.size, 1, 1))
     mats[:, : rep.dimension, : rep.dimension] = rep.matrices
-    return MatrixRep._closed(rep.group, mats, False, rep.prime)
+    return MatrixRep(rep.group, mats, rep.prime)
 
 
 def abelian_so5(orders) -> MatrixRep:
@@ -529,7 +449,7 @@ def embed_into_so5(g: FiniteGroup, model: MatrixRep) -> MatrixRep:
     keeps the model's exact table and prime; a model of another group
     raises InvalidInputError.
     """
-    if model.projective or model.field_tag != "real" or model.dimension > 5:
+    if model.field_tag != "real" or model.dimension > 5:
         raise InvalidInputError("the model must be real and at most 5-dimensional")
     rep = _padded_to_so5(model)
     phi = find_isomorphism(g, rep.group)
@@ -540,4 +460,4 @@ def embed_into_so5(g: FiniteGroup, model: MatrixRep) -> MatrixRep:
             and np.array_equal(np.sort(phi), np.arange(g.size))
             and np.array_equal(rep.group.table[np.ix_(phi, phi)], phi[g.table])):
         raise InvalidInputError("the model is not a model of the group")
-    return MatrixRep._closed(g, rep.matrices[phi], False, rep.prime)
+    return MatrixRep(g, rep.matrices[phi], rep.prime)

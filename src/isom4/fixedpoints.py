@@ -38,9 +38,9 @@ __all__ = [
     "lefschetz_sweep_cp2",
 ]
 
-# catalog matrices have exactly representable or trigonometric entries,
-# so true eigenvalue gaps are O(1) and this threshold only has to beat
-# float noise
+# the swept stacks are closed finite groups of roots of unity: their
+# eigenvalues agree to float noise (1e-15) or differ by O(1) (0.2 at
+# least), as Tier-1 asserts, so this threshold only has to beat noise
 CLUSTER_TOL = 1e-9
 
 _ALLOWED_DIMENSIONS = (0, 1, 2, 4)

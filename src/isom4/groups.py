@@ -467,7 +467,9 @@ def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
         term = np.empty_like(prod)
         for j in range(1, d):
             prod += np.multiply.outer(rows[j], cols[j], out=term)
-        prod -= mats[table[blk]].transpose(0, 2, 1, 3).reshape(prod.shape)
+        # entry ((a, i), (b, k)) less M_table[a, b][i, k], subtracted
+        # through a strided view, not a transposed copy
+        prod.reshape(-1, d, n, d)[...] -= mats[table[blk]].transpose(0, 2, 1, 3)
         worst = np.maximum(worst, np.max(np.abs(prod)))
     return float(worst)
 

@@ -116,6 +116,11 @@ GL_3_2_ORDER = 168
 # to 5x5 as embed_into_so5 pads them, and pu3_metacyclic's (m, n, r)
 LEFSCHETZ_SO5_SPECS = (("abelian", 4, 6), ("dihedral", 10), ("icosa",), ("binary-icosa",),
                        ("klein-by-3power", 2), ("q8-by-3power", 2), ("binary-dihedral", 12))
+# No metacyclic element fixes CP^1 + point, as none but the identity has
+# a repeated eigenvalue: A^i, i != 0 mod m, has the distinct exponents
+# i, ir, ir^2 mod m (r - 1 and r + 1 = -r^2 are units), and A^i B^j,
+# j != 0 mod 3, is monomial with characteristic polynomial x^3 - c.  The
+# involution catalog's diag(1, 1, -1) reaches that stratum instead.
 LEFSCHETZ_PU3_PARAMS = ((7, 3, 2), (13, 3, 3), (31, 3, 5))
 _NUMBER_WORDS = ("no", "one", "two", "three", "four", "five")
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from isom4.claims import ClassificationQuery, classify
 from isom4.cohomology import classify_central_extensions, unique_nontrivial_extension
-from isom4.embeddings import is_faithful_rep, pu3_metacyclic
-from isom4.fixedpoints import involution_catalog, lefschetz_check_cp2
+from isom4.embeddings import pu3_metacyclic
+from isom4.fixedpoints import involution_catalog, lefschetz_sweep_cp2
 from isom4.groups import (
     alternating,
     binary_dihedral,
@@ -167,21 +167,31 @@ def test_criterion_06_dicyclic_products():
            f"model = {corrected_43}: DISCREPANCY documented")
 
 
+def _projective_gap(mats: np.ndarray) -> float:
+    """min over a != b of max |M_a^H M_b - tr(M_a^H M_b)/3 I|: how far
+    the elements' matrices stay from differing by a unit scalar."""
+    prods = np.einsum("aji,bjk->abik", mats.conj(), mats)
+    prods -= np.einsum("abii->ab", prods)[..., None, None] / 3 * np.eye(3)
+    dist = np.max(np.abs(prods), axis=(2, 3))
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
+
+
 def test_criterion_07_projective_unitary_models():
     worst = 0.0
-    all_faithful = True
+    gap = math.inf
     all_lefschetz = True
     for m, n, r in ((7, 3, 2), (13, 3, 3), (31, 3, 5)):
         rep = pu3_metacyclic(m, n, r)
         worst = max(worst, rep.homomorphism_residual())
-        all_faithful = all_faithful and is_faithful_rep(rep)
-        for mat in rep.matrices:
-            if not lefschetz_check_cp2(mat)["pass"]:
-                all_lefschetz = False
+        # faithful in PU(3): no two distinct elements differ by a scalar
+        gap = min(gap, _projective_gap(rep.matrices))
+        all_lefschetz = all_lefschetz and not lefschetz_sweep_cp2(rep.matrices)["failures"]
+    all_faithful = gap > 1e-8
     ok = worst < 1e-12 and all_faithful and all_lefschetz
     report(7, ok,
            f"3 metacyclic models: max residual {worst:.2e} (tol 1e-12), "
-           f"faithful = {all_faithful}, every element has chi(Fix) = 3 "
+           f"faithful = {all_faithful} (min scalar gap {gap:.2f}), every element has chi(Fix) = 3 "
            f"on the projective plane = {all_lefschetz}")
 
 

@@ -15,7 +15,6 @@ from isom4.embeddings import (
     MatrixRep,
     abelian_so5,
     embed_into_so5,
-    is_faithful_rep,
     klein_twist,
     o4_in_so5,
     polyhedral_so3,
@@ -51,6 +50,9 @@ EMBEDDING_RESIDUALS = (Path(__file__).resolve().parent.parent / "scripts"
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# a prime = 1 mod lcm(4, |G|) for the small cyclic groups the
+# constructor tests hand their own matrices
+PRIME = 13
 
 
 # --- checked reps -----------------------------------------------------------
@@ -59,10 +61,8 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 def test_polyhedral_so3_models():
     tetra = polyhedral_so3("tetra")
     assert tetra.group.size == 12
-    assert is_faithful_rep(tetra)
     icosa = polyhedral_so3("icosa")
     assert icosa.group.size == 60
-    assert is_faithful_rep(icosa)
     assert icosa.homomorphism_residual() < DEFAULT_TOLERANCE
 
 
@@ -93,49 +93,39 @@ def test_polyhedral_models_read_group_table_names():
 
 def test_rep_rejects_non_orthogonal():
     with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(1), matrices=[2.0 * np.eye(2)], projective=False)
+        MatrixRep(group=cyclic(1), matrices=[2.0 * np.eye(2)], prime=PRIME)
 
 
 def test_rep_rejects_negative_determinant():
     mats = [np.eye(2), np.diag([1.0, -1.0])]
     with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(2), matrices=mats, projective=False)
-
-
-def test_rep_rejects_non_homomorphism():
-    theta = 2.0 * math.pi / 3.0
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    with pytest.raises(InvalidInputError):
-        MatrixRep(group=cyclic(3), matrices=[np.eye(2), rot, rot], projective=False)
+        MatrixRep(group=cyclic(2), matrices=mats, prime=PRIME)
 
 
 # every tolerance test is written "not err <= tol", which NaN fails; an
 # all-NaN rep used to pass with residual 0.0
-@given(NON_FINITE, st.sampled_from(["real", "complex"]), st.booleans(),
-       st.integers(min_value=0, max_value=7))
-def test_rep_refuses_non_finite(bad, field_tag, projective, position):
+@given(NON_FINITE, st.sampled_from(["real", "complex"]), st.integers(min_value=0, max_value=7))
+def test_rep_refuses_non_finite(bad, field_tag, position):
     mats = np.stack([np.eye(2), -np.eye(2)]).astype(
         np.float64 if field_tag == "real" else np.complex128)
     mats.reshape(-1)[position] = bad
     with pytest.raises(InvalidInputError, match="not finite"):
-        MatrixRep(group=cyclic(2), matrices=mats, projective=projective)
+        MatrixRep(group=cyclic(2), matrices=mats, prime=PRIME)
 
 
 def test_residual_keeps_nan():
     mats = np.full((2, 2, 2), np.nan)
-    for projective in (False, True):
-        assert math.isnan(embeddings._homomorphism_residual(cyclic(2).table, mats, projective))
+    assert math.isnan(groups._table_residual(cyclic(2).table, mats))
 
 
 def test_rep_reads_dimension_and_field_off_the_matrices():
-    real = MatrixRep(group=cyclic(1), matrices=[np.eye(3)], projective=False)
+    real = MatrixRep(group=cyclic(1), matrices=[np.eye(3)], prime=PRIME)
     assert (real.dimension, real.field_tag) == (3, "real")
-    unitary = MatrixRep(group=cyclic(1), matrices=[np.eye(2, dtype=complex)], projective=False)
+    unitary = MatrixRep(group=cyclic(1), matrices=[np.eye(2, dtype=complex)], prime=PRIME)
     assert (unitary.dimension, unitary.field_tag) == (2, "complex")
     for bad in (np.ones((1, 2, 3)), np.ones((1, 0, 0)), np.eye(2), np.ones((2, 1, 1))):
         with pytest.raises(InvalidInputError, match="one square matrix per element"):
-            MatrixRep(group=cyclic(1), matrices=bad, projective=False)
+            MatrixRep(group=cyclic(1), matrices=bad, prime=PRIME)
 
 
 def test_rep_matrices_frozen():
@@ -149,7 +139,7 @@ def test_rep_fields_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.matrices = np.tile(np.eye(3), (12, 1, 1))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        rep.projective = True
+        rep.prime = 37
 
 
 def _residual_script():
@@ -158,15 +148,6 @@ def _residual_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.mark.parametrize("group,model", [pytest.param(group, model, id=label)
-                                         for label, group, model in _residual_script().cases()])
-def test_stored_residual_is_fresh_residual(group, model):
-    rep = embed_into_so5(group, model())
-    fresh = embeddings._homomorphism_residual(rep.group.table, rep.matrices,
-                                              rep.projective)
-    assert rep.homomorphism_residual().hex() == fresh.hex()
 
 
 def test_residual_script_passes(capsys):
@@ -205,8 +186,8 @@ def test_embed_check_primes_pinned(monkeypatch):
 
 def test_embedding_validates_recipe_and_result_only(monkeypatch):
     # the exact closure decides every table: embedding forms no
-    # all-pairs residual, and a rep forms its float cross-check once,
-    # when asked
+    # all-pairs residual, and a rep forms its float cross-check each
+    # time it is asked
     dicyclic, group = binary_dihedral(12), q8_by_cyclic3(2)
     calls = []
     residual = groups._table_residual
@@ -220,10 +201,9 @@ def test_embedding_validates_recipe_and_result_only(monkeypatch):
     embed_into_so5(dicyclic, o4_in_so5(2, 3))
     rep = embed_into_so5(group, u2_mixed(1, 1, 1))
     assert calls == []
-    assert is_faithful_rep(rep)
     assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
     assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
-    assert calls == [(group.size, 5, 5)]
+    assert calls == [(group.size, 5, 5)] * 2
 
 
 # every recipe of this module, each stated by one cyclotomic source
@@ -254,9 +234,8 @@ def test_recipe_float_matrices_pass_the_exact_table(build):
     # table its closure mod p decided, passes the all-pairs residual
     rep = build()
     n = math.lcm(4, rep.group.size)
-    assert rep.prime % n == 1 and is_faithful_rep(rep)
-    assert embeddings._homomorphism_residual(
-        rep.group.table, rep.matrices, rep.projective) <= DEFAULT_TOLERANCE
+    assert rep.prime % n == 1
+    assert rep.homomorphism_residual() <= DEFAULT_TOLERANCE
 
 
 # --- the projective unitary model ---------------------------------------------
@@ -267,16 +246,15 @@ def test_pu3_metacyclic_faithful(m, n, r):
     rep = pu3_metacyclic(m, n, r)
     assert rep.group.size == 3 * m
     assert rep.dimension == 3
-    assert rep.projective
     assert rep.field_tag == "complex"
+    # the linear lift satisfies the group's own table
     assert rep.homomorphism_residual() < 1e-12
-    assert is_faithful_rep(rep)
 
 
 def test_pu3_degenerate_m1():
     rep = pu3_metacyclic(1, 3, 0)
     assert rep.group.size == 3
-    assert is_faithful_rep(rep)
+    assert rep.homomorphism_residual() < 1e-12
 
 
 def test_pu3_validation():
@@ -288,13 +266,12 @@ def test_pu3_validation():
         pu3_metacyclic(7, 3, 1)  # trivial twist
 
 
-# --- all-pairs kernels in row blocks -------------------------------------------
+# --- the all-pairs residual in row blocks ------------------------------------
 
-# tracemalloc peak of one all-pairs kernel above what was allocated
-# before the call.  With 2^20-entry blocks the injectivity scan of the
-# order-240 central product traced 14.1 MB and the projective residual
-# of the order-309 PU(3) model 53.9 MB; with 2^16-entry blocks they
-# trace 1.0 MB and 3.2 MB
+# tracemalloc peak of the all-pairs residual above what was allocated
+# before the call.  Its blocks hold about 2^16 product entries: the
+# order-240 central product traces 1.7 MB and the order-309 PU(3)
+# model 3.4 MB
 ALL_PAIRS_TRACED_BOUND = 4 << 20
 
 
@@ -318,57 +295,20 @@ def pu3_309():
     return pu3_metacyclic(103, 3, 46)
 
 
-def _rotation_rep(order: int, angle: float) -> MatrixRep:
-    """Z_order -> SO(2), i -> rotation by i * angle."""
-    c, s = np.cos(np.arange(order) * angle), np.sin(np.arange(order) * angle)
-    mats = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
-    return MatrixRep(group=cyclic(order), matrices=mats, projective=False)
-
-
-def test_injectivity_checked_across_row_blocks():
-    # i -> rot(2 pi i / m) on Z_2m sends i and i + m to one rotation; at
-    # m = 128 a row block holds at most m rows, so each such pair lies
-    # in two different blocks
-    m = 128
-    assert max(b.stop - b.start for b in _row_blocks(2 * m, 2 * m * 2 * 2)) <= m
-    assert not is_faithful_rep(_rotation_rep(2 * m, 2 * math.pi / m))
-    assert is_faithful_rep(_rotation_rep(2 * m, math.pi / m))
-
-
-def test_projective_injectivity_of_a_callers_rep():
-    # a caller's projective rep is judged up to a unit scalar per element:
-    # the PU(3) model with each matrix given a phase stays faithful, and
-    # Z_6 acting through the three powers of the shift, with phases, is not
-    rep = pu3_metacyclic(7, 3, 2)
-    phases = np.exp(1j * np.arange(rep.group.size))[:, None, None]
-    assert is_faithful_rep(MatrixRep(group=rep.group, matrices=rep.matrices * phases,
-                                     projective=True))
-    shift = np.roll(np.eye(3), 1, axis=1)
-    mats = [np.linalg.matrix_power(shift, i % 3) * np.exp(2j * np.pi * i / 6) for i in range(6)]
-    assert not is_faithful_rep(MatrixRep(group=cyclic(6), matrices=mats, projective=True))
-
-
 def test_all_pairs_kernels_stay_within_block_budget(central_product_240, pu3_309):
     assert central_product_240.group.size == 240 and pu3_309.group.size == 309
-    # the same matrices as a caller's rep, which the injectivity scan decides
-    outside = MatrixRep(group=central_product_240.group, matrices=central_product_240.matrices,
-                        projective=False)
-    assert _traced_peak(lambda: is_faithful_rep(outside)) < ALL_PAIRS_TRACED_BOUND
-    table, mats = pu3_309.group.table, pu3_309.matrices
-    assert _traced_peak(
-        lambda: embeddings._homomorphism_residual(table, mats, True)) < ALL_PAIRS_TRACED_BOUND
+    for rep in (central_product_240, pu3_309):
+        assert _traced_peak(rep.homomorphism_residual) < ALL_PAIRS_TRACED_BOUND
 
 
-def test_blocked_projective_residual_is_one_pass_bitwise(pu3_309):
-    table, mats = pu3_309.group.table, pu3_309.matrices
-    assert len(_row_blocks(mats.shape[0], mats.shape[0] * 9)) > 1
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    tgt = mats[table]
-    lam = np.einsum("abij,abij->ab", tgt.conj(), prod) / 3
-    one_pass = max(np.max(np.abs(np.abs(lam) - 1.0)),
-                   np.max(np.abs(prod - lam[..., None, None] * tgt)))
-    blocked = embeddings._homomorphism_residual(table, mats, True)
-    assert blocked.hex() == float(one_pass).hex()
+def test_blocked_residual_is_one_pass_bitwise(central_product_240, pu3_309):
+    # both fixtures span several row blocks; the blocked residual is the
+    # one of np.einsum over all pairs at once, bit for bit
+    for rep in (central_product_240, pu3_309):
+        table, mats = rep.group.table, rep.matrices
+        assert len(_row_blocks(mats.shape[0], mats.shape[0] * mats.shape[1] ** 2)) > 1
+        one_pass = np.max(np.abs(np.einsum("aij,bjk->abik", mats, mats) - mats[table]))
+        assert rep.homomorphism_residual().hex() == float(one_pass).hex()
 
 
 # --- recipes into SO(5) --------------------------------------------------------
@@ -409,7 +349,6 @@ def check_embedding(group, model):
     assert rep.dimension == 5
     assert rep.field_tag == "real"
     assert rep.homomorphism_residual() < DEFAULT_TOLERANCE
-    assert is_faithful_rep(rep)
     return rep
 
 

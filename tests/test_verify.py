@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import isom4
@@ -195,6 +196,20 @@ def test_lefschetz_sweep_fails_naming_its_element(monkeypatch):
     monkeypatch.setattr(fixedpoints, "_unit_multiplicity", one_circle)
     assert _check_fixedpoint_sphere_batch(VerifyConfig()) == (
         "FAIL", SPHERE_SWEEP, "333/334 pass; first failing element 6 of dihedral:10")
+
+
+def test_cluster_tolerance_decides_no_swept_verdict():
+    # on the swept stacks every eigenvalue gap the sweeps compare is
+    # float noise or O(1), so CLUSTER_TOL anywhere in [1e-12, 0.1] gives
+    # the same strata: the largest noise gap is 1.1e-15 (SO(5)) and 0
+    # (PU(3)), the smallest true gap 0.347 and 0.202
+    def eigvals(models):
+        return np.linalg.eigvals(np.concatenate([mats for _, mats in models()[1]]))
+
+    i, j = np.triu_indices(3, 1)
+    plane = eigvals(verify._pu3_models)
+    for gap in (np.abs(eigvals(verify._so5_models) - 1.0), np.abs(plane[:, i] - plane[:, j])):
+        assert np.all((gap <= 1e-12) | (gap >= 0.1))
 
 
 def test_check_record_validation():
