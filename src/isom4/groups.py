@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
-from .snf import _require_prime, _row_blocks, kernel_mod_p
+from .snf import _require_prime, _row_blocks, kernel_mod_prime_power
 
 ORDER_CAP = 512
 
@@ -1065,7 +1065,7 @@ def index_two_subgroups(g: FiniteGroup) -> list[np.ndarray]:
             row[j] += 1
             row[ab.table[i, j]] += 1
             rows.append(row % 2)
-    hom_basis = kernel_mod_p(np.array(rows, dtype=np.int64), 2)
+    hom_basis = kernel_mod_prime_power(np.array(rows, dtype=np.int64), 2, 1)
     out = []
     seen = set()
     for bits in itertools.product((0, 1), repeat=hom_basis.shape[1]):

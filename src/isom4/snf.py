@@ -1,17 +1,24 @@
-"""Exact linear algebra over Z, GF(p), and Z/p^k.
+"""Exact linear algebra over Z and Z/p^k.
 
-Integer Smith normal form is pure Python with arbitrary precision
-arithmetic and is only meant for small matrices.  The mod-p and mod-p^k
-routines are vectorized with numpy; they are the workhorses behind the
+One kernel serves every modulus p^k: ``kernel_mod_prime_power`` runs a
+single elimination over the local ring Z/p^k, which pivots on entries
+of least p-adic valuation, for every modulus but 2, where rows are
+packed into bits and eliminated by XOR.  The same local elimination
+gives the cyclic decomposition of a quotient module.  These routines
+are vectorized with numpy; they are the workhorses behind the
 cohomology computations, where relation matrices reach a few thousand
 rows and columns.  Systems are reduced into the narrowest integer dtype
 that holds [0, p^k) and duplicate rows are dropped by comparing each row
-as one byte string.  Over Z/p^k with k >= 2 a single elimination, which
-pivots on entries of least p-adic valuation, serves both the kernel and
-the cyclic decomposition of a quotient module.
+as one byte string.  Integer Smith normal form and the Bareiss
+determinant are pure Python with arbitrary precision arithmetic, for
+small matrices: they are the exact references the tests compare
+against.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -20,9 +27,6 @@ from .errors import InvalidInputError, InvalidParametersError
 __all__ = [
     "smith_normal_form",
     "det_exact",
-    "rref_mod_p",
-    "rank_mod_p",
-    "kernel_mod_p",
     "kernel_mod_prime_power",
     "solve_mod_prime_power",
     "module_presentation_local",
@@ -40,14 +44,20 @@ def _as_int_matrix(a):
 
 
 def _require_prime(p):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not isinstance(p, numbers.Integral):
+        raise InvalidParametersError(f"modulus {p!r} is not an integer")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise InvalidParametersError(f"modulus {p} is not prime")
 
 
-def _inverse_table(p):
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1:] = [pow(x, p - 2, p) for x in range(1, p)]
-    return inv
+def _prime_power(p, k):
+    """``(p, k, p^k)`` as Python integers, once p is prime and k is an
+    integer of at least 1."""
+    _require_prime(p)
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise InvalidParametersError(f"exponent {k!r} is not an integer of at least 1")
+    p, k = int(p), int(k)
+    return p, k, p**k
 
 
 def _reduce(a, mod):
@@ -241,44 +251,6 @@ def det_exact(a):
     return sign * mat[n - 1][n - 1]
 
 
-def rref_mod_p(a, p):
-    """Row echelon form over GF(p).
-
-    Returns ``(r, pivot_cols)``.  Forward elimination only: pivots are
-    normalized to 1 and cleared below, not above.
-    """
-    _require_prime(p)
-    # products below stay within (p-1)^2, so int16 is safe for small p
-    r = _reduce(a, p).astype(np.int16 if p < 128 else np.int64)
-    m, n = r.shape
-    inv = _inverse_table(p)
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            r[[row, i]] = r[[i, row]]
-        piv = int(r[row, col])
-        if piv != 1:
-            r[row, col:] = (r[row, col:] * inv[piv]) % p
-        below = np.nonzero(r[row + 1 :, col])[0]
-        if below.size:
-            idx = below + row + 1
-            r[idx, col:] = (r[idx, col:] - np.outer(r[idx, col], r[row, col:])) % p
-        pivots.append(col)
-        row += 1
-    return r, pivots
-
-
-def rank_mod_p(a, p):
-    return len(rref_mod_p(a, p)[1])
-
-
 def _drop_redundant_rows(a, p):
     """The distinct nonzero rows of ``a`` (entries in [0, p)), in
     lexicographic order of their entries.
@@ -300,43 +272,12 @@ def _drop_redundant_rows(a, p):
     return a
 
 
-def kernel_mod_p(a, p):
-    """Basis of the right kernel over GF(p), as columns with entries in
-    [0, p)."""
-    _require_prime(p)
-    a = _reduce(a, p)
-    if p == 2:
-        return _kernel_gf2(a)
-    a = _drop_redundant_rows(a, p)
-    r, pivots = rref_mod_p(a, p)
-    n = r.shape[1]
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    k = len(free)
-    ker = np.zeros((n, k), dtype=np.int64)
-    if k == 0:
-        return ker
-    ker[free, np.arange(k)] = 1
-    nr = len(pivots)
-    if nr:
-        pc = np.array(pivots, dtype=np.int64)
-        x = np.zeros((nr, k), dtype=np.int64)
-        for i in range(nr - 1, -1, -1):
-            acc = r[i, free].astype(np.int64)
-            if i + 1 < nr:
-                acc += r[i, pc[i + 1 :]] @ x[i + 1 :]
-            x[i] = (-acc) % p
-        ker[pc] = x
-    return ker
-
-
 def _kernel_gf2(a):
-    """GF(2) kernel with rows packed into bytes; XOR elimination."""
-    a = _drop_redundant_rows(a, 2)
+    """GF(2) kernel of a 0/1 matrix with rows packed into bytes; XOR
+    elimination."""
     m, n = a.shape
     if m == 0 or n == 0:
-        ker = np.eye(n, dtype=np.int64)
-        return ker
+        return np.eye(n, dtype=np.int64)
     words = np.packbits(a.astype(np.uint8), axis=1)
     pivots = []
     row = 0
@@ -433,20 +374,18 @@ def kernel_mod_prime_power(a, p, k):
 
     The columns generate the solution module over Z/p^k; there are at
     most n of them (n = a.shape[1]) and none is zero, but they are not
-    in general independent.  For k >= 2 one local elimination of the
-    transpose gives P a^T Q = diag(p^v) with P invertible, so x = P^T y
-    solves the system exactly when p^(v_i) y_i = 0 for every i: the
-    kernel is generated by the columns p^(k - v_i) P[i]^T with v_i > 0,
-    where v_i = k for rows of P never pivoted.  At k = 1 the mod-p kernel is
-    a basis already.
+    in general independent.  One local elimination of the transpose
+    gives P a^T Q = diag(p^v) with P invertible, so x = P^T y solves the
+    system exactly when p^(v_i) y_i = 0 for every i: the kernel is
+    generated by the columns p^(k - v_i) P[i]^T with v_i > 0, where
+    v_i = k for rows of P never pivoted.  At k = 1 these are the
+    unpivoted rows of P, so the mod-p kernel is a basis already; at
+    p^k = 2 packed XOR elimination finds one.
     """
-    _require_prime(p)
-    if k < 1:
-        raise InvalidParametersError("exponent must be at least 1")
-    if k == 1:
-        return kernel_mod_p(a, p)
-    mod = p**k
+    p, k, mod = _prime_power(p, k)
     a = _drop_redundant_rows(_reduce(a, mod), mod)
+    if mod == 2:
+        return _kernel_gf2(a)
     vals, pmat, _ = _local_elimination(a.T, p, k)
     keep = np.nonzero(vals > 0)[0]
     scale = np.array([p ** (k - int(v)) for v in vals[keep]], dtype=pmat.dtype)
@@ -455,7 +394,7 @@ def kernel_mod_prime_power(a, p, k):
 
 def solve_mod_prime_power(a, b, p, k):
     """One solution of a @ x == b mod p^k, or None if none exists."""
-    mod = p**k
+    p, k, mod = _prime_power(p, k)
     # kept in _reduce's narrow dtype: no int64 copy of a is made
     a = _reduce(a, mod)
     b = _reduce(np.asarray(b).reshape(-1, 1), mod)
@@ -478,7 +417,7 @@ def module_presentation_local(rel, p, k):
     P rel Q = diag(p^v) makes the columns of P^(-1) the factor
     generators.
     """
-    _require_prime(p)
+    p, k, _ = _prime_power(p, k)
     vals, _, pinv = _local_elimination(np.asarray(rel, dtype=np.int64), p, k)
     keep = np.nonzero(vals > 0)[0]
     orders = [p ** int(v) for v in vals[keep]]

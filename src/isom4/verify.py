@@ -110,8 +110,22 @@ OPTIMIZER_CASES = 3
 DIAMETER_TOLERANCE = 1e-3
 # A5 is simple, so its only normal cyclic subgroup is the trivial one
 ICOSAHEDRAL_CYCLIC_INDEX = 60
-# |GL(3, F_2)|, the automorphisms of the rank-3 odd lattice mod 2-torsion
+# the paper's bound on that index, as its statement record states it
+CYCLIC_INDEX_BOUND = dict(next(
+    record for _, record in _STATEMENTS if record.id == "normal-cyclic-index-120"
+).bounds)["cyclic_normal_index"]
+# |GL(3, F_2)|, the automorphisms of the rank-3 odd lattice mod 2-torsion,
+# and its factors (p^n - p^i)
+GL_DEGREE, GL_PRIME = 3, 2
 GL_3_2_ORDER = 168
+_GL_FACTORS = "".join(f"({GL_PRIME}^{GL_DEGREE}-{GL_PRIME**i})" for i in range(GL_DEGREE))
+# embed-quaternion-u2 models u2_mixed(r, s, 1), Q8 extended by a
+# 3^(s+1)-cycle; embed-dihedral-mixed models o4_in_so5(m, k), the
+# dicyclic group of order 2km
+QUATERNION_U2_RS = (1, 1)
+QUATERNION_U2_CYCLE = 3 ** (QUATERNION_U2_RS[1] + 1)
+DIHEDRAL_MIXED_MK = (2, 3)
+DIHEDRAL_MIXED_ORDER = 2 * DIHEDRAL_MIXED_MK[0] * DIHEDRAL_MIXED_MK[1]
 # the closed groups the Lefschetz checks sweep: so5_model specs, padded
 # to 5x5 as embed_into_so5 pads them, and pu3_metacyclic's (m, n, r)
 LEFSCHETZ_SO5_SPECS = (("abelian", 4, 6), ("dihedral", 10), ("icosa",), ("binary-icosa",),
@@ -505,17 +519,16 @@ def _klein_family(cfg):
 
 
 def _quaternion_u2(cfg):
-    r, s = 1, 1
-    cycle = 3 ** (s + 1)
-    return (f"the quaternion group extended by a {cycle}-cycle acts unitarily "
+    r, s = QUATERNION_U2_RS
+    return (f"the quaternion group extended by a {QUATERNION_U2_CYCLE}-cycle acts unitarily "
             "on C^2; the realified model embeds faithfully in SO(5)",
-            [(f"Q8 by Z{cycle}", q8_by_cyclic3(s + 1),
+            [(f"Q8 by Z{QUATERNION_U2_CYCLE}", q8_by_cyclic3(s + 1),
               partial(u2_mixed, r, s, 1))])
 
 
 def _dihedral_mixed(cfg):
-    m, k = 2, 3
-    group = binary_dihedral(2 * k * m)
+    m, k = DIHEDRAL_MIXED_MK
+    group = binary_dihedral(DIHEDRAL_MIXED_ORDER)
     return (f"the dicyclic group of order {group.size} (m={m}, k={k} mixed "
             "dihedral case) embeds faithfully in SO(5)",
             [(f"dicyclic{group.size}", group, partial(o4_in_so5, m, k))])
@@ -608,11 +621,9 @@ def _check_involution_catalog(cfg):
 # ------------------------------------------------------- group structure
 
 def _check_gl_order(cfg):
-    n, p = 3, 2
-    value = order_gl(n, p)
-    factors = "".join(f"({p}^{n}-{p**i})" for i in range(n))
+    value = order_gl(GL_DEGREE, GL_PRIME)
     return ("PASS" if value == GL_3_2_ORDER else "FAIL",
-            f"|GL({n}, F_{p})| = {factors} = {GL_3_2_ORDER}", str(value))
+            f"|GL({GL_DEGREE}, F_{GL_PRIME})| = {_GL_FACTORS} = {GL_3_2_ORDER}", str(value))
 
 
 # the groups of cyclic-normal-index-catalog, as (name, constructor)
@@ -631,14 +642,13 @@ CYCLIC_INDEX_CATALOG = (
 
 
 def _check_cyclic_index_catalog(cfg):
-    claim = next(record for _, record in _STATEMENTS
-                 if record.id == "normal-cyclic-index-120")
-    bound = dict(claim.bounds)["cyclic_normal_index"]
     indices = {name: max_cyclic_normal_index(build()) for name, build in CYCLIC_INDEX_CATALOG}
-    ok = max(indices.values()) <= bound and indices["A5"] == ICOSAHEDRAL_CYCLIC_INDEX
+    ok = (max(indices.values()) <= CYCLIC_INDEX_BOUND
+          and indices["A5"] == ICOSAHEDRAL_CYCLIC_INDEX)
     return ("PASS" if ok else "FAIL",
             "every catalog group has a normal cyclic subgroup of index at "
-            f"most {bound}, with the icosahedral group at exactly {ICOSAHEDRAL_CYCLIC_INDEX}",
+            f"most {CYCLIC_INDEX_BOUND}, with the icosahedral group at exactly "
+            f"{ICOSAHEDRAL_CYCLIC_INDEX}",
             ", ".join(f"{name}={idx}" for name, idx in indices.items()))
 
 
@@ -689,17 +699,17 @@ def _check_classification_lookup(cfg):
 _SUITE = (
     ("extent-sharp-at-60", partial(_check_extent_sharp, EXTENT_SHARP_N - 1),
      "The closed-form 5-point extent bound on the lens quotient of deck "
-     "order 60 with both rotation exponents 1 is at least pi/3."),
+     f"order {EXTENT_SHARP_N - 1} with both rotation exponents 1 is at least pi/3."),
     ("extent-sharp-at-61", partial(_check_extent_sharp, EXTENT_SHARP_N),
      "The closed-form 5-point extent bound on the lens quotient of deck "
-     "order 61 with both rotation exponents 1 is strictly below pi/3."),
+     f"order {EXTENT_SHARP_N} with both rotation exponents 1 is strictly below pi/3."),
     ("extent-scan-range", _check_extent_scan,
      f"Every canonical lens quotient with deck order from {EXTENT_SHARP_N} "
      f"to {SCAN_MAX_N} has 5-point extent bound strictly below pi/3."),
     ("fixed-point-budget", _check_budget,
      "Six isolated fixed points of an isometric circle-commuting action "
      "would span twenty geodesic triangles whose angle sum exceeds "
-     "20*pi, contradicting the extent bound; hence at most five."),
+     f"{BUDGET_TRIANGLES}*pi, contradicting the extent bound; hence at most five."),
     ("extent-optimizer-consistency", _check_optimizer_consistency,
      "A maximized q-point spread found by local search never exceeds the "
      "closed-form upper bound on the same quotient."),
@@ -791,13 +801,13 @@ _SUITE = (
     ("embed-quaternion-u2",
      partial(_check_embeddings, _quaternion_u2,
              "order {order} faithful, exact closure modulo {primes}"),
-     "The quaternion group extended by a 9-cycle is a unitary subgroup "
+     f"The quaternion group extended by a {QUATERNION_U2_CYCLE}-cycle is a unitary subgroup "
      "of U(2); realifying gives a faithful orthogonal action on R^5."),
     ("embed-dihedral-mixed",
      partial(_check_embeddings, _dihedral_mixed, "faithful, exact closure modulo {primes}"),
-     "The dicyclic group of order 12 sits in U(2) as the mixed dihedral "
-     "case m=2, k=3; realifying gives a faithful orthogonal action on "
-     "R^5."),
+     f"The dicyclic group of order {DIHEDRAL_MIXED_ORDER} sits in U(2) as the mixed dihedral "
+     f"case m={DIHEDRAL_MIXED_MK[0]}, k={DIHEDRAL_MIXED_MK[1]}; realifying gives a faithful "
+     "orthogonal action on R^5."),
     ("embed-two-group-unsupported", _check_embed_two_group,
      "2-groups with an index-2 cyclic subgroup carry no printed matrix "
      "recipe; the embedding front end must refuse them explicitly."),
@@ -819,10 +829,11 @@ _SUITE = (
      "1 = 2 + (-1)."),
     ("gl-order-check", _check_gl_order,
      "The integral automorphisms of the rank-3 odd intersection lattice "
-     "have order (2^3-1)(2^3-2)(2^3-4) = 168 up to 2-torsion."),
+     f"have order {_GL_FACTORS} = {GL_3_2_ORDER} up to 2-torsion."),
     ("cyclic-normal-index-catalog", _check_cyclic_index_catalog,
      "Each catalog group contains a normal cyclic subgroup of index at "
-     "most 120; the icosahedral group realizes exactly 60."),
+     f"most {CYCLIC_INDEX_BOUND}; the icosahedral group realizes exactly "
+     f"{ICOSAHEDRAL_CYCLIC_INDEX}."),
     ("family-membership-spot-checks", _check_family_membership,
      "The structural family tags recognize hand-checked member and "
      "non-member groups."),

@@ -7,16 +7,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isom4.errors import InvalidInputError, InvalidParametersError
+from isom4.groups import alternating, sylow_subgroup
 from isom4.snf import (
     _drop_redundant_rows,
     _imatmul,
     _row_blocks,
     det_exact,
-    kernel_mod_p,
     kernel_mod_prime_power,
     module_presentation_local,
-    rank_mod_p,
-    rref_mod_p,
     smith_normal_form,
     solve_mod_prime_power,
 )
@@ -61,14 +59,28 @@ def test_det_exact_no_overflow():
     assert det_exact(a) == 10**18 - 1
 
 
+def _rank_mod(a, p):
+    """Rank over GF(p), read off the integer Smith form: its transforms
+    are unimodular, so the rank is the number of diagonal entries prime
+    to p.  Independent of both kernel routes."""
+    if a.size == 0:
+        return 0
+    d, _, _ = smith_normal_form(a.tolist())
+    return sum(1 for i in range(min(d.shape)) if d[i, i] % p)
+
+
 @given(int_matrices, st.sampled_from([2, 3, 5, 7]))
+@example([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2)  # packed GF(2) path
+@example([[1, 2, 0], [0, 1, 1], [1, 0, 1]], 3)  # local elimination
 def test_kernel_mod_p(rows, p):
     a = np.array(rows, dtype=np.int64)
-    ker = kernel_mod_p(a, p)
+    ker = kernel_mod_prime_power(a, p, 1)
     assert ker.shape[0] == a.shape[1]
     assert np.all((a.astype(object) @ ker.astype(object)) % p == 0)
     # completeness: rank-nullity over the field
-    assert ker.shape[1] == a.shape[1] - rank_mod_p(a, p)
+    assert ker.shape[1] == a.shape[1] - _rank_mod(a, p)
+    # at k = 1 the columns are a basis, not just a generating set
+    assert _rank_mod(ker, p) == ker.shape[1]
 
 
 @given(int_matrices, st.sampled_from([(2, 3), (3, 2), (5, 2)]))
@@ -118,14 +130,6 @@ def test_solve_mod_prime_power_on_images(rows, pk):
 
 def test_solve_mod_prime_power_detects_no_solution():
     assert solve_mod_prime_power([[2]], [1], 2, 2) is None
-
-
-def test_rref_mod_p_is_idempotent():
-    a = np.array([[2, 1, 0], [4, 2, 1]], dtype=np.int64)
-    r1, piv1 = rref_mod_p(a, 5)
-    r2, piv2 = rref_mod_p(r1, 5)
-    assert np.array_equal(r1, r2)
-    assert piv1 == piv2
 
 
 def test_module_presentation_cyclic_factors():
@@ -314,9 +318,10 @@ def test_kernel_mod_p_above_byte_range(rows):
     # p = 131 has residues above 127, where rows are compared as
     # big-endian 16-bit records; repeat rows to exercise the dedup
     a = np.array(rows + rows[:3], dtype=np.int64)
-    ker = kernel_mod_p(a, 131)
+    ker = kernel_mod_prime_power(a, 131, 1)
     assert np.all((a.astype(object) @ ker.astype(object)) % 131 == 0)
-    assert ker.shape[1] == a.shape[1] - rank_mod_p(a, 131)
+    assert ker.shape[1] == a.shape[1] - _rank_mod(a, 131)
+    assert _rank_mod(ker, 131) == ker.shape[1]
 
 
 @given(st.sampled_from([2, 3, 127, 131, 65537]),
@@ -332,10 +337,21 @@ def test_drop_redundant_rows_matches_unique(p, m, n, seed):
 
 
 def test_prime_validation():
+    eye = np.eye(2, dtype=np.int64)
     with pytest.raises(InvalidParametersError):
-        kernel_mod_p(np.eye(2, dtype=np.int64), 4)
+        kernel_mod_prime_power(eye, 4, 1)
     with pytest.raises(InvalidParametersError):
         module_presentation_local(np.zeros((1, 0), dtype=np.int64), 6, 1)
+    # a modulus that is not an integer is refused, not truncated
+    with pytest.raises(InvalidParametersError):
+        kernel_mod_prime_power(eye, 3.0, 2)
+    with pytest.raises(InvalidParametersError):
+        kernel_mod_prime_power(eye, 3, 2.0)
+    with pytest.raises(InvalidParametersError):
+        sylow_subgroup(alternating(4), 2.5)
+    # numpy integers are integers
+    assert kernel_mod_prime_power(eye, np.int64(3), 2).shape == (2, 0)
+    assert sylow_subgroup(alternating(4), np.int64(3)).size == 3
 
 
 def test_ragged_input_refused():
