@@ -24,10 +24,7 @@ from .errors import (
 from .fixedpoints import (
     FixedSetDescriptor,
     fixed_set_cp2,
-    fixed_set_s4,
     involution_catalog,
-    lefschetz_check_cp2,
-    lefschetz_check_s4,
     lefschetz_sweep_cp2,
     lefschetz_sweep_s4,
 )
@@ -50,7 +47,6 @@ from .sphere import (
     extent_lower_bound,
     extent_upper_bound,
     isolated_fixed_point_budget,
-    lens_distance,
     scan_extent,
     scan_extent_threshold,
 )
@@ -89,15 +85,11 @@ __all__ = [
     "extent_upper_bound",
     "find_isomorphism",
     "fixed_set_cp2",
-    "fixed_set_s4",
     "involution_catalog",
     "is_isomorphic",
     "isolated_fixed_point_budget",
-    "lefschetz_check_cp2",
-    "lefschetz_check_s4",
     "lefschetz_sweep_cp2",
     "lefschetz_sweep_s4",
-    "lens_distance",
     "matches_family",
     "max_cyclic_normal_index",
     "order_gl",

@@ -146,7 +146,12 @@ class CohomologyResult:
 
 @dataclass(frozen=True)
 class ExtensionClass:
-    """One isomorphism type among the central extensions of Z_m by Q."""
+    """One isomorphism type among the central extensions of Z_m by Q.
+
+    ``group`` is the table of the type's first class, so it is defined
+    only up to isomorphism: which class comes first follows the H^2
+    basis the kernel returns.  ``key``, ``class_count`` and
+    ``class_orders`` depend on the type alone."""
 
     group: FiniteGroup
     class_count: int
@@ -595,7 +600,11 @@ def classify_central_extensions(group: FiniteGroup, m: int) -> list[ExtensionCla
     Builds one group per cohomology class and merges isomorphic ones,
     keeping the number of classes behind each type visible.  Types are
     listed by ``ExtensionClass.key``; types with equal keys keep the
-    order in which their first class appears.
+    order in which their first class appears.  Each type's ``group`` is
+    the table of its first class, defined only up to isomorphism: the
+    classes follow the H^2 basis the kernel returns, which a relabelling
+    of Q can change, while the sorted (key, class count, class orders)
+    of the types cannot.
     """
     reps = cocycle_representatives(group, m)
     out: list[dict] = []

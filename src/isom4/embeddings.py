@@ -54,7 +54,6 @@ __all__ = [
     "MatrixRep",
     "DEFAULT_TOLERANCE",
     "polyhedral_so3",
-    "so3_times_rotation",
     "klein_twist",
     "so4_central_product",
     "u2_mixed",
@@ -208,19 +207,6 @@ def polyhedral_so3(name: str, *params: int) -> MatrixRep:
 # ---------------------------------------------------------------------------
 # the block and unitary recipes into SO(4)/SO(5); each sizes its source
 # by its order first, so an order above the cap builds nothing
-
-
-def so3_times_rotation(cyclic_order: int, name: str, *params: int) -> MatrixRep:
-    """The polyhedral rotation group ``polyhedral_so3(name, *params)`` in
-    SO(3) times the cyclic group of rotations by 2pi/cyclic_order in
-    SO(2), block diagonal in SO(5)."""
-    t = int(cyclic_order)
-    if t < 1:
-        raise InvalidParametersError("cyclic order must be positive")
-    poly_order, so3_gens = _so3_generators(name, *params)
-    n = _zeta_order(poly_order * t)
-    return _closed_rep([*(_block_diag(g, _eye(2, n)) for g in so3_gens(n)),
-                        _block_diag(_eye(3, n), _rot2(n, t))], poly_order * t)
 
 
 def klein_twist(power: int, m_plus: int) -> MatrixRep:

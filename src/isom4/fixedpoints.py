@@ -9,8 +9,9 @@ That number is not computed from the action: it is the constant every
 orientation-preserving map of S^4 has (2) or every unitary map of CP^2
 has (3), since such maps act trivially on rational cohomology.  A
 sweep classifies a whole stack of matrices, such as every element of
-a closed group, by the same rule as the one-matrix functions and
-counts the matrices per fixed-set stratum.
+a closed group, and counts the matrices per fixed-set stratum; one
+matrix is a stack of one.  ``fixed_set_cp2`` classifies a single
+unitary by the same rule, for the involution catalog.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ __all__ = [
     "FixComponent",
     "FixedSetDescriptor",
     "InvolutionTraceData",
-    "fixed_set_s4",
-    "lefschetz_check_s4",
     "fixed_set_cp2",
-    "lefschetz_check_cp2",
     "involution_identity_check",
     "involution_catalog",
     "lefschetz_sweep_s4",
@@ -140,31 +138,6 @@ def _s4_fixed_set(d: int) -> FixedSetDescriptor:
     return FixedSetDescriptor((FixComponent(sphere_dim, euler, f"S^{sphere_dim}"),))
 
 
-def fixed_set_s4(g) -> FixedSetDescriptor:
-    """Fixed set on the unit sphere: the eigenvalue-1 eigenspace of
-    dimension d meets the sphere in S^(d-1).
-
-    An orientation-preserving isometry of an odd-dimensional space has
-    odd eigenvalue-1 multiplicity, so the fixed set is never empty and
-    its sphere has even dimension."""
-    mats = _as_stack(np.asarray(g)[None], 5, np.float64)
-    _require_special_orthogonal(mats)
-    return _s4_fixed_set(int(_unit_multiplicity(np.linalg.eigvals(mats))[0]))
-
-
-def lefschetz_check_s4(g) -> dict:
-    """Trace prediction vs fixed-set count on the sphere.
-
-    Orientation-preserving maps act trivially on top cohomology, so
-    the alternating trace sum collapses to 1 + 1 = 2."""
-    fix = fixed_set_s4(g)
-    return {
-        "lefschetz": _LEFSCHETZ_S4,
-        "fix_euler": fix.euler_char,
-        "pass": fix.euler_char == _LEFSCHETZ_S4,
-    }
-
-
 def _cluster_count(eigvals: np.ndarray) -> np.ndarray:
     """Number of eigenvalue clusters per row of a stack (..., k).
 
@@ -202,19 +175,6 @@ def fixed_set_cp2(u) -> FixedSetDescriptor:
     mats = _as_stack(np.asarray(u)[None], 3, np.complex128)
     _require_unitary(mats)
     return _cp2_fixed_set(int(_cluster_count(np.linalg.eigvals(mats))[0]))
-
-
-def lefschetz_check_cp2(u) -> dict:
-    """Trace prediction vs fixed-set count on the projective plane.
-
-    Unitary (hence homologically trivial) actions have alternating
-    trace sum 1 + 1 + 1 = 3 over the three even cohomology groups."""
-    fix = fixed_set_cp2(u)
-    return {
-        "lefschetz": _LEFSCHETZ_CP2,
-        "fix_euler": fix.euler_char,
-        "pass": fix.euler_char == _LEFSCHETZ_CP2,
-    }
 
 
 def involution_identity_check(data: InvolutionTraceData) -> dict:
@@ -261,9 +221,9 @@ def involution_catalog() -> list[dict]:
 
 
 def _sweep(mats: np.ndarray, invariant, fixed_set, lefschetz: int) -> dict:
-    """Classify every matrix of a validated stack as the one-matrix
-    functions do: ``invariant`` maps the stack's eigenvalues to the
-    integers ``fixed_set`` classifies, once per distinct integer.  The
+    """Classify every matrix of a validated stack: ``invariant`` maps
+    the stack's eigenvalues to the integers ``fixed_set`` classifies,
+    once per distinct integer.  The
     strata are counted by fixed-set label, in label order."""
     keys = invariant(np.linalg.eigvals(mats)).tolist()
     fixed = {key: fixed_set(key) for key in set(keys)}
@@ -273,19 +233,31 @@ def _sweep(mats: np.ndarray, invariant, fixed_set, lefschetz: int) -> dict:
 
 
 def lefschetz_sweep_s4(mats) -> dict:
-    """:func:`lefschetz_check_s4` on every rotation of a stack (N, 5, 5):
-    the count, the count per fixed-set stratum ('S^0', 'S^2', 'S^4') and
-    the indices whose fixed set misses the Lefschetz number."""
+    """Fixed set against the Lefschetz number on every rotation of a
+    stack (N, 5, 5): the count, the count per fixed-set stratum ('S^0',
+    'S^2', 'S^4') and the indices whose fixed set misses the Lefschetz
+    number.
+
+    A rotation whose eigenvalue 1 has multiplicity d fixes S^(d-1) on
+    the unit sphere.  Orientation-preserving maps act trivially on top
+    cohomology, so the alternating trace sum collapses to 1 + 1 = 2; an
+    orientation-preserving isometry of an odd-dimensional space has odd
+    eigenvalue-1 multiplicity, so its fixed sphere has even dimension
+    and Euler characteristic 2."""
     mats = _as_stack(mats, 5, np.float64)
     _require_special_orthogonal(mats)
     return _sweep(mats, _unit_multiplicity, _s4_fixed_set, _LEFSCHETZ_S4)
 
 
 def lefschetz_sweep_cp2(mats) -> dict:
-    """:func:`lefschetz_check_cp2` on every unitary of a stack (N, 3, 3):
-    the count, the count per fixed-set stratum ('3 x point',
-    'CP^1 + point', 'CP^2') and the indices whose fixed set misses the
-    Lefschetz number."""
+    """Fixed set against the Lefschetz number on every unitary of a
+    stack (N, 3, 3): the count, the count per fixed-set stratum
+    ('3 x point', 'CP^1 + point', 'CP^2', as :func:`fixed_set_cp2`
+    classifies one unitary) and the indices whose fixed set misses the
+    Lefschetz number.
+
+    Unitary (hence homologically trivial) actions have alternating
+    trace sum 1 + 1 + 1 = 3 over the three even cohomology groups."""
     mats = _as_stack(mats, 3, np.complex128)
     _require_unitary(mats)
     return _sweep(mats, _cluster_count, _cp2_fixed_set, _LEFSCHETZ_CP2)

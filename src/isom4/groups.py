@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -887,10 +888,20 @@ def pu3_presentation_valid(m: int, n: int, r: int) -> bool:
 
 
 def order_gl(n: int, p: int) -> int:
+    """Order of GL(n, F_p): the product of p^n - p^i over i < n.  Only a
+    prime power p is the order of a field, so anything else is refused."""
     if n < 1 or n > 64:
         raise InvalidParametersError("dimension out of the exact-mode range")
-    if p < 2:
-        raise InvalidParametersError("p must be at least 2")
+    if not isinstance(p, numbers.Integral) or p < 2:
+        raise InvalidParametersError(f"field order {p!r} is not an integer of at least 2")
+    p = int(p)
+    # the least divisor above 1 is prime; p must be a power of it
+    prime = next((d for d in range(2, math.isqrt(p) + 1) if p % d == 0), p)
+    rest = p
+    while rest % prime == 0:
+        rest //= prime
+    if rest != 1:
+        raise InvalidParametersError(f"field order {p} is not a prime power")
     pn = p**n
     out = 1
     for i in range(n):

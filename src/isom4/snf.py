@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and Z/p^k.
+"""Exact linear algebra over Z/p^k.
 
 One kernel serves every modulus p^k: ``kernel_mod_prime_power`` runs a
 single elimination over the local ring Z/p^k, which pivots on entries
@@ -9,10 +9,9 @@ are vectorized with numpy; they are the workhorses behind the
 cohomology computations, where relation matrices reach a few thousand
 rows and columns.  Systems are reduced into the narrowest integer dtype
 that holds [0, p^k) and duplicate rows are dropped by comparing each row
-as one byte string.  Integer Smith normal form and the Bareiss
-determinant are pure Python with arbitrary precision arithmetic, for
-small matrices: they are the exact references the tests compare
-against.
+as one byte string.  The exact integer references the tests compare
+against, Smith normal form and the Bareiss determinant, live in the
+test suite's ``reference`` module.
 """
 
 from __future__ import annotations
@@ -22,25 +21,13 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParametersError
+from .errors import InvalidParametersError
 
 __all__ = [
-    "smith_normal_form",
-    "det_exact",
     "kernel_mod_prime_power",
     "solve_mod_prime_power",
     "module_presentation_local",
 ]
-
-
-def _as_int_matrix(a):
-    mat = [[int(x) for x in row] for row in a]
-    if not mat or not mat[0]:
-        raise InvalidInputError("matrix must be nonempty")
-    width = len(mat[0])
-    if any(len(row) != width for row in mat):
-        raise InvalidInputError("matrix rows have unequal lengths")
-    return mat
 
 
 def _require_prime(p):
@@ -128,127 +115,6 @@ def _imatmul(x, y):
     for rows in _row_blocks(x.shape[0], x.shape[1] + y.shape[1]):
         out[rows] = x[rows].astype(dt) @ y
     return out
-
-
-def smith_normal_form(a):
-    """Diagonalize an integer matrix over Z.
-
-    Returns ``(d, u, v)`` with ``u @ a @ v == d``, where ``u`` and ``v``
-    are unimodular and the diagonal of ``d`` is nonnegative with each
-    entry dividing the next.  All three are object-dtype arrays so the
-    identity can be checked without overflow.
-    """
-    mat = _as_int_matrix(a)
-    m, n = len(mat), len(mat[0])
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            mat[i], mat[j] = mat[j], mat[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        rd, rs = mat[dst], mat[src]
-        for j in range(n):
-            rd[j] += c * rs[j]
-        rd, rs = u[dst], u[src]
-        for j in range(m):
-            rd[j] += c * rs[j]
-
-    def add_col(dst, src, c):
-        for row in mat:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        mat[i] = [-x for x in mat[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        while True:
-            # re-pivot every round: smallest nonzero entry of the block
-            pivot, best = None, 0
-            for i in range(t, m):
-                row = mat[i]
-                for j in range(t, n):
-                    x = row[j]
-                    if x and (pivot is None or abs(x) < best):
-                        pivot, best = (i, j), abs(x)
-            if pivot is None:
-                return _finish(mat, u, v, t)
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            if mat[t][t] < 0:
-                negate_row(t)
-            d = mat[t][t]
-            # balanced remainders: any leftover has magnitude <= d/2, so
-            # the next round's pivot at least halves and entries stay small
-            cleared = True
-            for i in range(t + 1, m):
-                if mat[i][t]:
-                    add_row(i, t, -((mat[i][t] + d // 2) // d))
-                    cleared = cleared and mat[i][t] == 0
-            for j in range(t + 1, n):
-                if mat[t][j]:
-                    add_col(j, t, -((mat[t][j] + d // 2) // d))
-                    cleared = cleared and mat[t][j] == 0
-            if not cleared:
-                continue
-            # the pivot must divide the whole trailing block before we
-            # can move on, otherwise d_t | d_{t+1} can fail later
-            bad = None
-            for i in range(t + 1, m):
-                if any(x % d for x in mat[i][t + 1 :]):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        t += 1
-
-    return _finish(mat, u, v, t)
-
-
-def _finish(mat, u, v, rank):
-    for i in range(rank):
-        if mat[i][i] < 0:
-            mat[i] = [-x for x in mat[i]]
-            u[i] = [-x for x in u[i]]
-    d = np.array(mat, dtype=object)
-    return d, np.array(u, dtype=object), np.array(v, dtype=object)
-
-
-def det_exact(a):
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    mat = _as_int_matrix(a)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise InvalidInputError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
 
 
 def _drop_redundant_rows(a, p):

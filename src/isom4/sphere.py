@@ -26,15 +26,10 @@ __all__ = [
     "LensParams",
     "ExtentConfig",
     "ExtentReport",
-    "CanonicalMap",
-    "s3_distance",
-    "deck_transform",
-    "lens_distance",
     "alpha_q",
     "extent_upper_bound",
     "extent_lower_bound",
     "canonicalize_lens",
-    "canonicalize_lens_with_map",
     "scan_extent",
     "scan_extent_threshold",
     "isolated_fixed_point_budget",
@@ -166,46 +161,6 @@ class ExtentReport:
             raise InvalidInputError("best_config must hold q points")
 
 
-@dataclass(frozen=True)
-class CanonicalMap:
-    """Sphere isometry carrying one lens presentation to its canonical one.
-
-    Applied in order: conjugate z1, conjugate z2, swap the two complex
-    coordinates.  Each flag records whether the move was used.
-    """
-
-    conjugate_z1: bool
-    conjugate_z2: bool
-    swap: bool
-
-    def apply(self, p: SpherePoint) -> SpherePoint:
-        x0, x1, x2, x3 = p.coords
-        if self.conjugate_z1:
-            x1 = -x1
-        if self.conjugate_z2:
-            x3 = -x3
-        if self.swap:
-            x0, x1, x2, x3 = x2, x3, x0, x1
-        return SpherePoint((x0, x1, x2, x3))
-
-
-def s3_distance(p: SpherePoint, q: SpherePoint) -> float:
-    """Geodesic distance on the round unit 3-sphere."""
-    dot = sum(a * b for a, b in zip(p.coords, q.coords))
-    return math.acos(max(-1.0, min(1.0, dot)))
-
-
-def deck_transform(params: LensParams, j: int, p: SpherePoint) -> SpherePoint:
-    """Apply the j-th deck rotation to a point of S^3."""
-    if not 0 <= j < params.n:
-        raise InvalidInputError(f"deck index {j} outside [0, {params.n})")
-    a1 = 2.0 * math.pi * j * params.k / params.n
-    a2 = 2.0 * math.pi * j * params.l / params.n
-    z1 = p.z1 * complex(math.cos(a1), math.sin(a1))
-    z2 = p.z2 * complex(math.cos(a2), math.sin(a2))
-    return SpherePoint((z1.real, z1.imag, z2.real, z2.imag))
-
-
 def _deck_phases(params: LensParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rotation phases (w1^j, w2^j) of the n deck transformations and
     their (4, n) real table [Re w1; -Im w1; Re w2; -Im w2]; callers
@@ -284,12 +239,6 @@ def _orbit_dots(phases: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray
     return dots.reshape(shape)
 
 
-def lens_distance(params: LensParams, p: SpherePoint, q: SpherePoint) -> float:
-    """Quotient distance: min over the deck orbit of q of the S^3 distance."""
-    best = _orbit_dots(_deck_phases(params), p.as_array(), q.as_array())
-    return math.acos(max(-1.0, min(1.0, float(best))))
-
-
 def alpha_q(q: int) -> float:
     """Reference comparison angle pi / (2 (2 - 1/floor((q+1)/2)))."""
     if q < 2:
@@ -321,12 +270,7 @@ def extent_upper_bound(params: LensParams, q: int) -> float:
 
 
 def canonicalize_lens(n: int, k: int, l: int) -> LensParams:
-    """Reduce raw exponents to the canonical window 0 < k <= l < n/2."""
-    return canonicalize_lens_with_map(n, k, l)[0]
-
-
-def canonicalize_lens_with_map(n: int, k: int, l: int) -> tuple[LensParams, CanonicalMap]:
-    """Canonicalize and also return the sphere isometry realizing it.
+    """Reduce raw exponents to the canonical window 0 < k <= l < n/2.
 
     Moves used, mirroring the allowed lens-space isometries: negating an
     exponent mod n conjugates the matching complex coordinate, and
@@ -340,17 +284,9 @@ def canonicalize_lens_with_map(n: int, k: int, l: int) -> tuple[LensParams, Cano
     if math.gcd(k, n) != 1 or math.gcd(l, n) != 1:
         raise InvalidInputError("rotation exponents must be coprime to n")
     if n <= 2:
-        return LensParams(n, 1, 1), CanonicalMap(False, False, False)
-    conj1 = 2 * k > n
-    if conj1:
-        k = n - k
-    conj2 = 2 * l > n
-    if conj2:
-        l = n - l
-    swap = k > l
-    if swap:
-        k, l = l, k
-    return LensParams(n, k, l), CanonicalMap(conj1, conj2, swap)
+        return LensParams(n, 1, 1)
+    k, l = min(k, n - k), min(l, n - l)
+    return LensParams(n, min(k, l), max(k, l))
 
 
 def _canonical_exponents(n: int) -> list[int]:

@@ -459,6 +459,26 @@ def test_dihedral_listing_ignores_representative_order(monkeypatch, m):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("build, m", [(lambda: abelian((3, 3)), 3),
+                                      (lambda: alternating(4), 2)],
+                         ids=["z3xz3-m3", "a4-m2"])
+def test_classification_ignores_element_labels(build, m):
+    # each type's group is its first class's table, which follows the
+    # H^2 basis; the types themselves do not depend on how Q's elements
+    # are numbered
+    group = build()
+    sigma = np.random.default_rng(3).permutation(group.size)
+    relabelled = np.empty_like(group.table)
+    relabelled[np.ix_(sigma, sigma)] = sigma[group.table]
+
+    def types(q):
+        return sorted((c.key, c.class_count, c.class_orders)
+                      for c in classify_central_extensions(q, m))
+
+    assert not np.array_equal(relabelled, group.table)
+    assert types(FiniteGroup(relabelled)) == types(group)
+
+
 def test_octahedral_classification():
     classes = classify_central_extensions(symmetric(4), 2)
     assert len(classes) == 4

@@ -19,7 +19,6 @@ from isom4.embeddings import (
     o4_in_so5,
     polyhedral_so3,
     pu3_metacyclic,
-    so3_times_rotation,
     so4_central_product,
     so5_model,
     u2_mixed,
@@ -44,6 +43,7 @@ from isom4.groups import (
     q8_by_cyclic3,
 )
 from isom4.snf import _row_blocks
+from reference import so3_times_rotation
 
 EMBEDDING_RESIDUALS = (Path(__file__).resolve().parent.parent / "scripts"
                        / "embedding_residuals.py")

@@ -12,11 +12,8 @@ from isom4.fixedpoints import (
     FixedSetDescriptor,
     InvolutionTraceData,
     fixed_set_cp2,
-    fixed_set_s4,
     involution_catalog,
     involution_identity_check,
-    lefschetz_check_cp2,
-    lefschetz_check_s4,
     lefschetz_sweep_cp2,
     lefschetz_sweep_s4,
 )
@@ -53,52 +50,59 @@ def block_diag(*blocks):
     return out
 
 
+def sweep_one_s4(g):
+    """The sphere sweep of one rotation, a stack of one: its stratum
+    names the fixed sphere, and an empty failure list says the fixed
+    set's Euler characteristic is the Lefschetz number 2."""
+    return lefschetz_sweep_s4(np.asarray(g)[None])
+
+
+def sweep_one_cp2(u):
+    """The plane sweep of one unitary, a stack of one."""
+    return lefschetz_sweep_cp2(np.asarray(u)[None])
+
+
 # --- sphere side -------------------------------------------------------------
 
 
 def test_identity_fixes_whole_sphere():
-    fix = fixed_set_s4(np.eye(5))
-    assert fix.euler_char == 2
-    assert fix.components[0].dimension == 4
+    assert sweep_one_s4(np.eye(5)) == {"count": 1, "strata": {"S^4": 1}, "failures": []}
 
 
 def test_two_rotation_blocks_fix_two_points():
     g = block_diag(rot2(0.7), rot2(1.3), np.eye(1))
-    fix = fixed_set_s4(g)
-    assert [c.dimension for c in fix.components] == [0]
-    assert fix.euler_char == 2
+    assert sweep_one_s4(g) == {"count": 1, "strata": {"S^0": 1}, "failures": []}
 
 
 def test_single_rotation_block_fixes_2sphere():
     g = block_diag(rot2(0.4), np.eye(3))
-    fix = fixed_set_s4(g)
-    assert [c.dimension for c in fix.components] == [2]
-    assert fix.euler_char == 2
+    assert sweep_one_s4(g) == {"count": 1, "strata": {"S^2": 1}, "failures": []}
 
 
 def test_eigenvalue_near_one_still_clusters():
     # a rotation by 1e-13 is below the cluster threshold: treated as
     # the identity rather than a spurious isolated pair
     g = block_diag(rot2(1e-13), np.eye(3))
-    assert fixed_set_s4(g).components[0].dimension == 4
+    assert sweep_one_s4(g)["strata"] == {"S^4": 1}
 
 
 def test_lefschetz_check_s4_passes_on_samples():
+    assert fixedpoints._LEFSCHETZ_S4 == 2
     rng = np.random.default_rng(5)
     for _ in range(25):
-        record = lefschetz_check_s4(random_so5(rng))
-        assert record["lefschetz"] == 2
-        assert record["pass"]
+        record = sweep_one_s4(random_so5(rng))
+        assert record["count"] == 1
+        assert record["failures"] == []
 
 
 def test_sphere_rejects_bad_matrices():
     with pytest.raises(InvalidInputError):
-        fixed_set_s4(np.eye(4))
+        sweep_one_s4(np.eye(4))
     with pytest.raises(InvalidInputError):
-        fixed_set_s4(2.0 * np.eye(5))
+        sweep_one_s4(2.0 * np.eye(5))
     reflect = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(InvalidInputError):
-        fixed_set_s4(reflect)
+        sweep_one_s4(reflect)
 
 
 # --- projective plane side -----------------------------------------------------
@@ -124,11 +128,12 @@ def test_scalar_fixes_whole_plane():
 
 
 def test_lefschetz_check_cp2_passes_on_samples():
+    assert fixedpoints._LEFSCHETZ_CP2 == 3
     rng = np.random.default_rng(9)
     for _ in range(25):
-        record = lefschetz_check_cp2(random_u3(rng))
-        assert record["lefschetz"] == 3
-        assert record["pass"]
+        record = sweep_one_cp2(random_u3(rng))
+        assert record["count"] == 1
+        assert record["failures"] == []
 
 
 def test_cp2_rejects_non_unitary():
@@ -194,21 +199,20 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 # NaN makes every "err > tol" test False, so an all-NaN matrix used to
-# be accepted and fixed_set_s4 of it died in numpy's eigvals
+# be accepted and classifying it died in numpy's eigvals
 @given(NON_FINITE, st.integers(min_value=0, max_value=24))
 def test_sphere_inputs_refuse_non_finite(bad, position):
     mat = np.eye(5)
     mat.reshape(-1)[position] = bad
-    for build in (fixed_set_s4, lefschetz_check_s4):
-        with pytest.raises(InvalidInputError, match="not finite"):
-            build(mat)
+    with pytest.raises(InvalidInputError, match="not finite"):
+        sweep_one_s4(mat)
 
 
 @given(NON_FINITE, st.integers(min_value=0, max_value=8), st.booleans())
 def test_plane_inputs_refuse_non_finite(bad, position, imaginary):
     mat = np.eye(3, dtype=np.complex128)
     mat.reshape(-1)[position] = complex(0.0, bad) if imaginary else bad
-    for build in (fixed_set_cp2, lefschetz_check_cp2):
+    for build in (fixed_set_cp2, sweep_one_cp2):
         with pytest.raises(InvalidInputError, match="not finite"):
             build(mat)
 
@@ -218,12 +222,12 @@ def test_fixed_set_s4_refuses_skewed_and_reflected():
     skewed = good.copy()
     skewed[0, 0] += 1e-6
     with pytest.raises(InvalidInputError, match="orthogonal within 1e-9"):
-        fixed_set_s4(skewed)
+        sweep_one_s4(skewed)
     reflected = good.copy()
     reflected[:, 0] *= -1.0
     with pytest.raises(InvalidInputError, match="determinant \\+1"):
-        fixed_set_s4(reflected)
-    assert fixed_set_s4(good).euler_char == 2
+        sweep_one_s4(reflected)
+    assert sweep_one_s4(good)["failures"] == []
 
 
 # --- involution identities --------------------------------------------------------

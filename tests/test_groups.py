@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from isom4.cli import parse_group_spec
 from isom4.cohomology import group_digest
 from isom4 import embeddings, groups
-from isom4.embeddings import polyhedral_so3, so3_times_rotation, so4_central_product, u2_mixed
+from isom4.embeddings import polyhedral_so3, so4_central_product, u2_mixed
 from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
 from isom4.groups import (
     _GROUP_ALIASES,
@@ -51,8 +51,8 @@ from isom4.groups import (
     semidirect_product,
     symmetric,
 )
-from isom4.snf import smith_normal_form
 from isom4.verify import CYCLIC_INDEX_CATALOG, H2_TABLE
+from reference import smith_normal_form, so3_times_rotation
 
 
 # --- table validation ---------------------------------------------------
@@ -602,6 +602,13 @@ def test_order_gl_values():
         order_gl(0, 2)
     with pytest.raises(InvalidParametersError):
         order_gl(2, 1)
+    # a prime power is a field order; 2.5 and 6 are not
+    assert order_gl(2, 4) == 180
+    assert order_gl(3, np.int64(2)) == 168
+    with pytest.raises(InvalidParametersError, match="not an integer"):
+        order_gl(3, 2.5)
+    with pytest.raises(InvalidParametersError, match="not a prime power"):
+        order_gl(2, 6)
 
 
 def test_package_import_loads_only_numpy_beyond_stdlib():

@@ -1,5 +1,6 @@
 """No module imports a name it never uses, no private helper is left
-behind, and no ``__all__`` entry names something that is gone.
+behind, no ``__all__`` entry names something that is gone, and the
+library defines nothing that only the tests reach.
 
 A stdlib ``ast`` scan over the package, the scripts and the tests: every
 name an import binds must be referenced somewhere in the same module,
@@ -7,14 +8,20 @@ or be listed in the module's ``__all__`` (a re-export).  A second scan
 over the package: every module-level ``_private`` function or class must
 be referenced somewhere in the package besides its definition.  A third
 scan over the package: every ``__all__`` entry must name something its
-module defines or imports at top level.
+module defines or imports at top level.  A fourth scan: every
+module-level function or class of the package must be read, as a bare
+name or an attribute, outside its own definition somewhere in the
+package, the scripts or the benchmark harness; ``__all__`` strings and
+docstrings are not reads.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src/isom4", "scripts", "tests")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -62,15 +69,18 @@ def test_no_unused_imports():
 def private_definitions(source: str) -> list[tuple[int, str]]:
     """(line, name) of every module-level ``_private`` function or class."""
     return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if isinstance(node, DEFINITIONS)
             and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def referenced_names(source: str) -> set[str]:
     """Names ``source`` reads, bare or as an attribute."""
-    tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return _names_read(ast.parse(source))
 
 
 def test_scan_flags_unreferenced_private_helpers():
@@ -99,7 +109,7 @@ def bound_names(source: str) -> set[str]:
     """Names the top level of ``source`` defines, assigns or imports."""
     names = set()
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, DEFINITIONS):
             names.add(node.name)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
@@ -125,4 +135,40 @@ def test_every_export_is_bound():
         for text in [path.read_text(encoding="utf-8")]
         for name in sorted(_exported(ast.parse(text)) - bound_names(text))
     ]
+    assert found == []
+
+
+def unreferenced_definitions(library: dict, readers: dict) -> list[tuple]:
+    """(key, line, name) of every module-level function or class of the
+    ``library`` sources that no top-level statement but its own
+    definition reads, in the library or in the ``readers`` sources."""
+    outside = set().union(*(referenced_names(text) for text in readers.values()))
+    statements = [(key, node, _names_read(node))
+                  for key, text in library.items() for node in ast.parse(text).body]
+    reads = Counter(name for _, _, names in statements for name in names)
+    return [(key, node.lineno, node.name) for key, node, names in statements
+            if isinstance(node, DEFINITIONS) and node.name not in outside
+            and reads[node.name] == (node.name in names)]
+
+
+def test_scan_flags_test_only_definitions():
+    library = {
+        "a": ('def used():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n'
+              'class Kept:\n    pass\ndef documented():\n    """Calls used()."""\n'
+              'def for_scripts():\n    pass\n__all__ = ["documented"]\nX = used()\n'),
+        "b": "from a import documented\ndef orphan():\n    return m.Kept\n",
+    }
+    readers = {"script": "import a\na.for_scripts()\n"}
+    assert unreferenced_definitions(library, readers) == [
+        ("a", 3, "recursive"), ("a", 7, "documented"), ("b", 2, "orphan")]
+
+
+def test_every_definition_is_reached():
+    library = {path.relative_to(ROOT): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src/isom4").rglob("*.py"))}
+    readers = {path: path.read_text(encoding="utf-8")
+               for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    found = [f"{path}:{line} {name}"
+             for path, line, name in unreferenced_definitions(library, readers)]
     assert found == []

