@@ -22,8 +22,6 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .fixedpoints import (
-    FixedSetDescriptor,
-    fixed_set_cp2,
     involution_catalog,
     lefschetz_sweep_cp2,
     lefschetz_sweep_s4,
@@ -61,7 +59,6 @@ __all__ = [
     "ExtentConfig",
     "ExtentReport",
     "FiniteGroup",
-    "FixedSetDescriptor",
     "InvalidInputError",
     "InvalidParametersError",
     "LensParams",
@@ -84,7 +81,6 @@ __all__ = [
     "extent_lower_bound",
     "extent_upper_bound",
     "find_isomorphism",
-    "fixed_set_cp2",
     "involution_catalog",
     "is_isomorphic",
     "isolated_fixed_point_budget",

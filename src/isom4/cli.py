@@ -203,21 +203,8 @@ def _cmd_embed(args) -> int:
 
 def _cmd_fixedpoint(args) -> int:
     entries = involution_catalog()
-    _emit_json([
-        {
-            "label": e["label"],
-            "trace_h2": e["data"].trace_h2,
-            "fix_euler": e["data"].fix_euler,
-            "expected_pass": e["expected_pass"],
-            "eq_pass": e["result"]["eq_pass"],
-            "derived_self_intersection":
-                e["result"]["derived_self_intersection"],
-        }
-        for e in entries
-    ], args)
-    mismatch = any(e["result"]["eq_pass"] != e["expected_pass"]
-                   for e in entries)
-    return 1 if mismatch else 0
+    _emit_json(entries, args)
+    return 1 if any(e["eq_pass"] != e["expected_pass"] for e in entries) else 0
 
 
 def _cmd_classify(args) -> int:

@@ -14,6 +14,7 @@ constants, which verify-all's record texts print.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,10 @@ SCAN_ROW_CAP = 1_500_000
 # once its step falls below STEP_TOLERANCE
 MAX_SWEEPS = 200
 STEP_TOLERANCE = 1e-5
+# the largest tuple size and restart count of one optimizer run: its
+# arrays grow with both, so larger values are refused before any is built
+MAX_Q = 16
+MAX_RESTARTS = 1024
 # how far an optimized lower bound may exceed the closed-form upper
 # bound before verify-all's optimizer check reports FAIL
 LOWER_BOUND_SLACK = 1e-9
@@ -93,6 +98,13 @@ class SpherePoint:
         return complex(self.coords[2], self.coords[3])
 
 
+def _require_integers(**values) -> None:
+    """Refuse any value that is not an integer; numpy integers pass."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParametersError(f"{name} = {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class LensParams:
     """Canonical parameters (n, k, l) of a free cyclic quotient of S^3.
@@ -108,6 +120,7 @@ class LensParams:
     l: int
 
     def __post_init__(self):
+        _require_integers(n=self.n, k=self.k, l=self.l)
         n, k, l = int(self.n), int(self.k), int(self.l)
         if n < 1 or k < 1 or l < 1:
             raise InvalidParametersError("lens parameters must be positive")
@@ -129,25 +142,30 @@ class LensParams:
 
 @dataclass(frozen=True)
 class ExtentConfig:
-    """One optimizer run: tuple size, restarts and seed; the sweep budget
-    is ``MAX_SWEEPS`` and ``STEP_TOLERANCE``."""
+    """One optimizer run: tuple size, restarts and seed, integers all; the
+    sweep budget is ``MAX_SWEEPS`` and ``STEP_TOLERANCE``, and a q above
+    ``MAX_Q`` or restarts above ``MAX_RESTARTS`` is a ``BudgetError``."""
 
     q: int
     restarts: int = 32
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(q=self.q, restarts=self.restarts, seed=self.seed)
         if self.q < 2:
             raise InvalidParametersError("tuple size q must be at least 2")
+        if self.q > MAX_Q:
+            raise BudgetError(f"tuple size q = {self.q} exceeds the cap {MAX_Q}")
         if self.restarts < 1:
             raise InvalidParametersError("restarts must be positive")
+        if self.restarts > MAX_RESTARTS:
+            raise BudgetError(f"restarts = {self.restarts} exceeds the cap {MAX_RESTARTS}")
         if not 0 <= self.seed < 2**64:
             raise InvalidParametersError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
 class ExtentReport:
-    params: LensParams
     q: int
     upper_bound: float
     lower_bound: float
@@ -470,7 +488,6 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
         upper = math.pi  # diameter bound; the closed form needs n >= 3
     config = tuple(SpherePoint.from_array(row) for row in pts[best])
     return ExtentReport(
-        params=params,
         q=q,
         upper_bound=upper,
         lower_bound=min(means[best], math.pi),

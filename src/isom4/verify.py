@@ -603,13 +603,11 @@ def _check_lefschetz_sweep(case, sweep, lefschetz, cfg):
 
 def _check_involution_catalog(cfg):
     entries = involution_catalog()
-    bad = [e["label"] for e in entries
-           if e["result"]["eq_pass"] != e["expected_pass"]]
+    bad = [e["label"] for e in entries if e["eq_pass"] != e["expected_pass"]]
     # the conjugation of CP^2 fixes RP^2: chi = 1 and [F]^2 = -1
     euler, square = 1, -1
     conj = next(e for e in entries if e["label"] == "cp2-conjugation")
-    conj_ok = (conj["data"].fix_euler == euler
-               and conj["result"]["derived_self_intersection"] == square)
+    conj_ok = conj["fix_euler"] == euler and conj["derived_self_intersection"] == square
     expected = ("chi(Fix) = 2 + [Fix]^2 holds for the conjugation and "
                 "holomorphic involutions and rules out the free one; the "
                 f"conjugation record reads {euler} = 2 + ({square})")

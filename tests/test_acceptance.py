@@ -221,9 +221,9 @@ def test_criterion_09_lefschetz_batches(report_and_rerun):
     tallies = [re.match(r"(\d+)/(\d+) pass; ", c["actual"]) for c in checks.values()]
     conj = next(e for e in involution_catalog()
                 if e["label"] == "cp2-conjugation")
-    conj_ok = (conj["data"].fix_euler == 1
-               and conj["result"]["eq_pass"]
-               and conj["result"]["derived_self_intersection"] == -1)
+    conj_ok = (conj["fix_euler"] == 1
+               and conj["eq_pass"]
+               and conj["derived_self_intersection"] == -1)
     ok = (all(c["status"] == "PASS" for c in checks.values())
           and all(t is not None and t[1] == t[2] for t in tallies)
           and conj_ok)

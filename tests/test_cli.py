@@ -253,14 +253,15 @@ def test_embed_command_reads_the_recipe_off_the_name(capsys, spec, status):
 
 
 def test_fixedpoint_catalog(capsys):
-    code, data = run_json(capsys, "fixedpoint")
+    # the whole output, key order included: three records of six keys
+    code, out = run(capsys, "fixedpoint")
     assert code == 0
-    labels = {e["label"] for e in data}
-    assert labels == {"cp2-conjugation", "cp2-holomorphic-split",
-                      "free-involution-hypothetical"}
-    conj = next(e for e in data if e["label"] == "cp2-conjugation")
-    assert conj["fix_euler"] == 1
-    assert conj["derived_self_intersection"] == -1
+    keys = ["label", "trace_h2", "fix_euler", "expected_pass", "eq_pass",
+            "derived_self_intersection"]
+    rows = [("cp2-conjugation", -1, 1, True, True, -1),
+            ("cp2-holomorphic-split", 1, 3, True, True, 1),
+            ("free-involution-hypothetical", 0, 0, False, False, 0)]
+    assert out == json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
 
 
 def test_classify_command(capsys):
@@ -393,7 +394,13 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
     (["extent", "2", "1", "1"], "closed-form bound requires deck order >= 3"),
     (["extent", "61", "1", "1", "--restarts", "0", "--seed", "7"],
      "--restarts, --seed: read only with --optimize"),
-], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone"])
+    # these used to run for minutes building RNGs, or die in a MemoryError
+    (["extent", "61", "1", "1", "--optimize", "--restarts", "1000000000000"],
+     "restarts = 1000000000000 exceeds the cap 1024"),
+    (["extent", "61", "1", "1", "--optimize", "--q", "30000"],
+     "tuple size q = 30000 exceeds the cap 16"),
+], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone",
+        "extent-restarts-past-the-cap", "extent-q-past-the-cap"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

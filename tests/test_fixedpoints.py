@@ -7,16 +7,7 @@ from hypothesis import strategies as st
 
 from isom4 import fixedpoints
 from isom4.errors import InvalidInputError
-from isom4.fixedpoints import (
-    FixComponent,
-    FixedSetDescriptor,
-    InvolutionTraceData,
-    fixed_set_cp2,
-    involution_catalog,
-    involution_identity_check,
-    lefschetz_sweep_cp2,
-    lefschetz_sweep_s4,
-)
+from isom4.fixedpoints import involution_catalog, lefschetz_sweep_cp2, lefschetz_sweep_s4
 
 
 def rot2(theta):
@@ -58,7 +49,9 @@ def sweep_one_s4(g):
 
 
 def sweep_one_cp2(u):
-    """The plane sweep of one unitary, a stack of one."""
+    """The plane sweep of one unitary, a stack of one: its stratum names
+    the fixed set, and an empty failure list says the fixed set's Euler
+    characteristic is the Lefschetz number 3."""
     return lefschetz_sweep_cp2(np.asarray(u)[None])
 
 
@@ -110,21 +103,25 @@ def test_sphere_rejects_bad_matrices():
 
 def test_distinct_eigenvalues_fix_three_points():
     u = np.diag(np.exp(2j * np.pi * np.array([0.0, 1.0, 2.0]) / 3.0))
-    fix = fixed_set_cp2(u)
-    assert len(fix.components) == 3
-    assert fix.euler_char == 3
+    assert sweep_one_cp2(u) == {"count": 1, "strata": {"3 x point": 1}, "failures": []}
 
 
 def test_repeated_eigenvalue_fixes_line_and_point():
-    fix = fixed_set_cp2(np.diag([1.0, 1.0, -1.0]))
-    assert sorted(c.dimension for c in fix.components) == [0, 2]
-    assert fix.euler_char == 3
+    assert sweep_one_cp2(np.diag([1.0, 1.0, -1.0])) == {
+        "count": 1, "strata": {"CP^1 + point": 1}, "failures": []}
 
 
 def test_scalar_fixes_whole_plane():
-    fix = fixed_set_cp2(1j * np.eye(3))
-    assert [c.dimension for c in fix.components] == [4]
-    assert fix.euler_char == 3
+    assert sweep_one_cp2(1j * np.eye(3)) == {"count": 1, "strata": {"CP^2": 1}, "failures": []}
+
+
+def test_strata_euler_characteristics():
+    # S^(d-1) for eigenvalue-1 multiplicity d: the even spheres count 2
+    assert [fixedpoints._s4_fixed_set(d) for d in range(6)] == [
+        ("empty", 0), ("S^0", 2), ("S^1", 0), ("S^2", 2), ("S^3", 0), ("S^4", 2)]
+    # three points, a line and a point, the plane: each counts 3
+    assert fixedpoints._CP2_FIXED_SETS == {
+        3: ("3 x point", 3), 2: ("CP^1 + point", 3), 1: ("CP^2", 3)}
 
 
 def test_lefschetz_check_cp2_passes_on_samples():
@@ -138,9 +135,9 @@ def test_lefschetz_check_cp2_passes_on_samples():
 
 def test_cp2_rejects_non_unitary():
     with pytest.raises(InvalidInputError):
-        fixed_set_cp2(np.ones((3, 3)))
+        sweep_one_cp2(np.ones((3, 3)))
     with pytest.raises(InvalidInputError):
-        fixed_set_cp2(np.eye(2))
+        sweep_one_cp2(np.eye(2))
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -212,9 +209,8 @@ def test_sphere_inputs_refuse_non_finite(bad, position):
 def test_plane_inputs_refuse_non_finite(bad, position, imaginary):
     mat = np.eye(3, dtype=np.complex128)
     mat.reshape(-1)[position] = complex(0.0, bad) if imaginary else bad
-    for build in (fixed_set_cp2, sweep_one_cp2):
-        with pytest.raises(InvalidInputError, match="not finite"):
-            build(mat)
+    with pytest.raises(InvalidInputError, match="not finite"):
+        sweep_one_cp2(mat)
 
 
 def test_fixed_set_s4_refuses_skewed_and_reflected():
@@ -234,15 +230,14 @@ def test_fixed_set_s4_refuses_skewed_and_reflected():
 
 
 def test_involution_identity_arithmetic():
-    data = InvolutionTraceData(trace_h2=-1, signature_g=-1, fix_euler=1)
-    result = involution_identity_check(data)
-    assert result["eq_pass"]
-    assert result["derived_self_intersection"] == -1
-
-
-def test_involution_data_validation():
-    with pytest.raises(InvalidInputError):
-        InvolutionTraceData(trace_h2=1, signature_g=-1, fix_euler=1)
+    # chi(Fix) = 2 + trace, the trace standing in for the signature and
+    # the self-intersection on a definite form
+    for record in involution_catalog():
+        assert record["eq_pass"] == (record["fix_euler"] == 2 + record["trace_h2"])
+        assert record["derived_self_intersection"] == record["trace_h2"]
+    conj = involution_catalog()[0]
+    assert (conj["trace_h2"], conj["fix_euler"], conj["eq_pass"]) == (-1, 1, True)
+    assert conj["derived_self_intersection"] == -1
 
 
 def test_involution_catalog_entries():
@@ -253,21 +248,15 @@ def test_involution_catalog_entries():
     conj = by_label["cp2-conjugation"]
     # real locus count 1 = 2 + (-1): the fixed surface carries
     # self-intersection -1 through the signature term
-    assert conj["data"].fix_euler == 1
-    assert conj["result"]["eq_pass"]
-    assert conj["result"]["derived_self_intersection"] == -1
+    assert conj["fix_euler"] == 1
+    assert conj["eq_pass"]
+    assert conj["derived_self_intersection"] == -1
     holo = by_label["cp2-holomorphic-split"]
-    assert holo["data"].fix_euler == 3
-    assert holo["result"]["eq_pass"]
+    # the count of diag(1, 1, -1), read off its plane stratum
+    assert holo["fix_euler"] == 3
+    assert holo["eq_pass"]
     free = by_label["free-involution-hypothetical"]
-    assert not free["result"]["eq_pass"]
+    assert not free["eq_pass"]
     assert not free["expected_pass"]
     for entry in entries:
-        assert entry["result"]["eq_pass"] == entry["expected_pass"]
-
-
-def test_component_dimension_validation():
-    with pytest.raises(InvalidInputError):
-        FixComponent(3, 0, "bad")
-    desc = FixedSetDescriptor((FixComponent(0, 1, "pt"), FixComponent(2, 2, "S^2")))
-    assert desc.euler_char == 3
+        assert entry["eq_pass"] == entry["expected_pass"]

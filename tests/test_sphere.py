@@ -440,9 +440,37 @@ def test_restarts_are_independent(params, q, restarts, seed):
 def test_extent_config_holds_one_run():
     # the sweep budget is sphere.MAX_SWEEPS and sphere.STEP_TOLERANCE
     assert [f.name for f in dataclasses.fields(ExtentConfig)] == ["q", "restarts", "seed"]
-    for bad in (dict(q=1), dict(q=5, restarts=0), dict(q=5, seed=-1), dict(q=5, seed=2**64)):
+    # q = 5.5 or restarts = 2.5 used to fail as a bare TypeError inside
+    # the optimizer
+    for bad in (dict(q=1), dict(q=5, restarts=0), dict(q=5, seed=-1), dict(q=5, seed=2**64),
+                dict(q=5.5), dict(q=5, restarts=2.5), dict(q=5, seed=1.5), dict(q="5")):
         with pytest.raises(InvalidParametersError):
             ExtentConfig(**bad)
+    assert ExtentConfig(np.int64(3), np.int32(2), np.uint64(7)) == ExtentConfig(3, 2, 7)
+
+
+def test_extent_config_caps_q_and_restarts():
+    assert (sphere.MAX_Q, sphere.MAX_RESTARTS) == (16, 1024)
+    ExtentConfig(q=sphere.MAX_Q, restarts=sphere.MAX_RESTARTS)
+    # refused at construction, before the optimizer allocates anything
+    for bad, message in ((dict(q=sphere.MAX_Q + 1), "tuple size q = 17 exceeds the cap 16"),
+                         (dict(q=30000), "tuple size q = 30000 exceeds the cap 16"),
+                         (dict(q=5, restarts=sphere.MAX_RESTARTS + 1),
+                          "restarts = 1025 exceeds the cap 1024"),
+                         (dict(q=5, restarts=10**12),
+                          "restarts = 1000000000000 exceeds the cap 1024")):
+        with pytest.raises(BudgetError, match=message):
+            ExtentConfig(**bad)
+
+
+def test_lens_params_refuse_non_integers():
+    # 7.5 and 1.5 used to truncate silently to (7, 1, 2)
+    for bad in ((7.5, 1, 2), (7, 1.5, 2), (7, 1, 2.0), ("7", 1, 2)):
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            LensParams(*bad)
+    params = LensParams(np.int64(7), np.int32(1), np.uint8(2))
+    assert params == LensParams(7, 1, 2)
+    assert all(type(x) is int for x in (params.n, params.k, params.l))
 
 
 def test_non_canonical_params_refused():
