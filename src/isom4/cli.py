@@ -107,7 +107,7 @@ def _cmd_extent(args) -> int:
     params = LensParams(args.n, args.k, args.l)
     record = {
         "n": params.n, "k": params.k, "l": params.l, "q": args.q,
-        "upper_bound": extent_upper_bound(params, args.q),
+        "upper_bound": extent_upper_bound(params.n, args.q),
     }
     if args.optimize:
         cfg = ExtentConfig(q=args.q, **optimizer)

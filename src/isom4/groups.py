@@ -7,11 +7,13 @@ structural question into a finite scan.
 
 Constructors cover cyclic, abelian, dihedral, symmetric/alternating,
 the binary polyhedral groups (from unit-quaternion models), metacyclic
-presentations, direct/semidirect products, and central products over a
-shared involution.  The named groups live in one table, read through
-:func:`build_group`, and every matrix or quaternion model is closed
-exactly, modulo a prime, into a table of the order its caller states
-by one routine, the only one that checks that order.
+presentations, direct products, cyclic extensions (a cyclic group
+acting through the powers of one automorphism), and central products
+with a cyclic group over a shared involution.  The named groups live in
+one table, read through :func:`build_group`, and every matrix or
+quaternion model is closed exactly, modulo a prime, into a table of the
+order its caller states by one routine, the only one that checks that
+order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
-from .snf import _require_prime, _row_blocks, kernel_mod_prime_power
+from .snf import _require_prime, _row_blocks
 
 ORDER_CAP = 512
 
@@ -45,8 +47,6 @@ __all__ = [
     "binary_octahedral",
     "binary_icosahedral",
     "direct_product",
-    "semidirect_product",
-    "central_product",
     "cyclic_central_product",
     "inverted_odd_cycle",
     "klein_by_cyclic3",
@@ -64,6 +64,13 @@ __all__ = [
     "matches_family",
     "order_gl",
 ]
+
+
+def _require_order(n: int) -> None:
+    """Refuse a group order above ``ORDER_CAP``, before any table of it
+    is built."""
+    if n > ORDER_CAP:
+        raise BudgetError(f"group order {n} exceeds cap {ORDER_CAP}")
 
 
 def _index_mask(n: int, indices) -> np.ndarray:
@@ -125,8 +132,7 @@ class FiniteGroup:
         n = table.shape[0]
         if n == 0:
             raise InvalidInputError("group must be nonempty")
-        if n > ORDER_CAP:
-            raise BudgetError(f"group order {n} exceeds cap {ORDER_CAP}")
+        _require_order(n)
         if table.min() < 0 or table.max() >= n:
             raise InvalidInputError("table entries must be element indices")
         # a row or column of n entries in [0, n) is a permutation exactly
@@ -326,8 +332,7 @@ def structural_invariants(g: FiniteGroup) -> dict:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParametersError("cyclic order must be positive")
-    if n > ORDER_CAP:
-        raise BudgetError(f"group order {n} exceeds cap {ORDER_CAP}")
+    _require_order(n)
     idx = np.arange(n)
     return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
@@ -354,6 +359,7 @@ def dihedral(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order 2k."""
     if order < 2 or order % 2:
         raise InvalidParametersError("dihedral order must be even and >= 2")
+    _require_order(order)
     k = order // 2
     a, b = np.divmod(np.arange(order), k)  # element index = b + k*a is (rot b, flip a)
     a1, a2 = a[:, None], a[None, :]
@@ -364,12 +370,13 @@ def dihedral(order: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
+    _require_order(math.factorial(max(n, 0)))
     return _permutation_group(itertools.permutations(range(n)))
 
 
 def alternating(n: int) -> FiniteGroup:
-    perms = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
-    return _permutation_group(perms)
+    _require_order(max(1, math.factorial(max(n, 0)) // 2))
+    return _permutation_group(p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1)
 
 
 def _perm_sign(p) -> int:
@@ -382,13 +389,18 @@ def _perm_sign(p) -> int:
 
 
 def _permutation_group(perms) -> FiniteGroup:
-    perms = sorted(perms)
-    if len(perms) > ORDER_CAP:
-        raise BudgetError("permutation group exceeds the order cap")
-    # the empty permutation (of no points) keys as the identity of one point
-    perms = np.array([p or (0,) for p in perms], dtype=np.int64)
-    # (p q)(x) = p(q(x)); the permutation itself is its key
-    return _cayley_table(perms, lambda s, t: perms[s:t, perms].reshape(-1, perms.shape[1]))
+    """Table of a group of permutations of k points, element i the i-th
+    in sorted order.  Read as a base-k number, most significant image
+    first, a permutation's code ascends with that order, so one
+    np.searchsorted finds every product (p q)(x) = p(q(x)), formed in
+    row blocks of about ``snf._BLOCK_ENTRIES`` entries."""
+    perms = np.array(sorted(perms), dtype=np.int64)
+    n, k = perms.shape
+    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    products = np.empty((n, n), dtype=np.int64)
+    for rows in _row_blocks(n, n * k):
+        products[rows] = perms[rows][:, perms] @ weights
+    return FiniteGroup(np.searchsorted(perms @ weights, products))
 
 
 # --- closing generators into a table ----------------------------------------
@@ -417,36 +429,6 @@ def _key_rows(keys: np.ndarray) -> np.ndarray:
     """Each row of a 2-D array as one byte-string record."""
     keys = np.ascontiguousarray(keys)
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-
-
-def _key_index(keys: np.ndarray):
-    """Lookup from key rows to the index of the equal row of ``keys``,
-    through one sort of the byte records."""
-    records = _key_rows(keys)
-    order = np.argsort(records)
-    ordered = records[order]
-
-    def lookup(queries: np.ndarray) -> np.ndarray:
-        found = _key_rows(queries)
-        pos = np.minimum(np.searchsorted(ordered, found), ordered.size - 1)
-        if not np.array_equal(ordered[pos], found):
-            raise InvalidInputError("a product falls outside the closed element set")
-        return order[pos]
-
-    return lookup
-
-
-def _cayley_table(keys: np.ndarray, products) -> FiniteGroup:
-    """Table of the group whose element i has key row ``keys[i]``;
-    ``products(s, t)`` gives the key rows of elements s..t-1 times every
-    element, row-major, in blocks of about ``snf._BLOCK_ENTRIES`` key
-    entries."""
-    n = keys.shape[0]
-    lookup = _key_index(keys)
-    table = np.empty((n, n), dtype=np.int32)
-    for rows in _row_blocks(n, n * keys.shape[1]):
-        table[rows] = lookup(products(rows.start, rows.stop)).reshape(-1, n)
-    return FiniteGroup(table)
 
 
 def _table_residual(table: np.ndarray, mats: np.ndarray) -> float:
@@ -687,65 +669,15 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def semidirect_product(n: FiniteGroup, h: FiniteGroup, action: np.ndarray) -> FiniteGroup:
-    """Semidirect product N x| H for action[b] the automorphism of N
-    attached to b in H; element index is a * |H| + b."""
-    if n.size * h.size > ORDER_CAP:
-        raise BudgetError("semidirect product exceeds the order cap")
-    action = np.asarray(action, dtype=np.int64)
-    if action.shape != (h.size, n.size):
-        raise InvalidInputError("action must map each H element to an N permutation")
-    idx = np.arange(n.size)
-    if not np.array_equal(action[h.identity], idx):
-        raise InvalidInputError("identity must act trivially")
-    for b in range(h.size):
-        perm = action[b]
-        if not np.array_equal(np.sort(perm), idx):
-            raise InvalidInputError("action rows must be permutations")
-        if not np.array_equal(n.table[np.ix_(perm, perm)], perm[n.table]):
-            raise InvalidInputError("action rows must be automorphisms")
-    comp = action[:, action]  # comp[b1, b2] = action[b1] o action[b2]
-    if not np.array_equal(action[h.table], comp.reshape(h.size, h.size, n.size)):
-        raise InvalidInputError("action must be a homomorphism")
-    a1 = np.arange(n.size)[:, None, None, None]
-    b1 = np.arange(h.size)[None, :, None, None]
-    a2 = np.arange(n.size)[None, None, :, None]
-    b2 = np.arange(h.size)[None, None, None, :]
-    twisted = action[b1, a2]
-    prod_a = n.table[a1, twisted]
-    prod_b = h.table[b1, b2]
-    table = prod_a.astype(np.int64) * h.size + prod_b
-    size = n.size * h.size
-    return FiniteGroup(np.broadcast_to(table, (n.size, h.size, n.size, h.size)).reshape(size, size))
-
-
-def central_product(g: FiniteGroup, h: FiniteGroup, zg: int, zh: int) -> FiniteGroup:
-    """Quotient of G x H identifying the central involutions zg and zh."""
-    for grp, z in ((g, zg), (h, zh)):
-        if z not in grp.center or grp.element_orders[z] != 2:
-            raise InvalidInputError("identified elements must be central of order 2")
-    nh = h.size
-    total = g.size * nh
-    if total // 2 > ORDER_CAP:
-        raise BudgetError("central product exceeds the order cap")
-    pair = np.arange(total, dtype=np.int64)
-    a, b = np.divmod(pair, nh)
-    partner = g.table[a, zg].astype(np.int64) * nh + h.table[b, zh]
-    rep = np.minimum(pair, partner)
-    is_rep = _index_mask(total, rep)
-    reps = np.flatnonzero(is_rep)
-    pos = np.cumsum(is_rep) - 1  # pos[x]: the rank of x in reps
-    ra, rb = np.divmod(reps, nh)
-    prod = (g.table[np.ix_(ra, ra)].astype(np.int64) * nh + h.table[np.ix_(rb, rb)]).ravel()
-    table = pos[rep[prod]].reshape(reps.size, reps.size)
-    return FiniteGroup(table)
-
-
 def cyclic_central_product(m: int, g: FiniteGroup) -> FiniteGroup:
     """Z_m joined with g over the central involution, for even m and a
-    group g with a single involution (which is therefore central); g
+    group g with a single involution z (which is therefore central); g
     itself at m = 2.  The binary polyhedral covers, the printed dicyclic
-    models and the Q8 twist are compared in this form."""
+    models and the Q8 twist are compared in this form.
+
+    Element a * |g| + b is the pair (a, b) with a < m/2, which stands
+    for itself and for (a + m/2, b z): the least pair of each class of
+    Z_m x g modulo (m/2, z), numbered as the quotient table numbers it."""
     if m < 2 or m % 2:
         raise InvalidParametersError("m must be even and >= 2")
     involutions = np.flatnonzero(g.element_orders == 2)
@@ -753,18 +685,40 @@ def cyclic_central_product(m: int, g: FiniteGroup) -> FiniteGroup:
         raise InvalidInputError("group must have exactly one involution")
     if m == 2:
         return g
-    return central_product(cyclic(m), g, m // 2, int(involutions[0]))
+    half, size = m // 2, g.size
+    _require_order(half * size)
+    a, b = np.divmod(np.arange(half * size), size)
+    a = a[:, None] + a[None, :]
+    b = g.table[b[:, None], b[None, :]].astype(np.int64)
+    # a past m/2 folds back through (m/2, z)
+    wrap = a >= half
+    b[wrap] = g.table[b[wrap], int(involutions[0])]
+    return FiniteGroup(np.where(wrap, a - half, a) * size + b)
 
 
 def _cyclic_extension(base: FiniteGroup, automorphism, order: int) -> FiniteGroup:
-    """base x| Z_order, the generator of Z_order acting on base as the
-    permutation ``automorphism``: b acts as its b-th power."""
-    h = cyclic(order)
-    automorphism = np.asarray(automorphism, dtype=np.int64)
-    action = [np.arange(base.size)]
+    """base x| Z_order, the generator s of Z_order acting on base as the
+    permutation ``automorphism``, so b acts as s^b; element a * order + b
+    is the pair (a, b), and (a1, b1)(a2, b2) = (a1 s^b1(a2), b1 + b2).
+    The permutation must be an automorphism of base with s^order = 1,
+    unless order is 1, where it acts trivially whatever it is."""
+    for size in (order, base.size * order):
+        _require_order(size)
+    s = np.asarray(automorphism, dtype=np.int64)
+    if s.shape != (base.size,) or not _index_mask(base.size, s).all():
+        raise InvalidInputError("the action must be a permutation of the base")
+    if not np.array_equal(base.table[np.ix_(s, s)], s[base.table]):
+        raise InvalidInputError("the action must be an automorphism of the base")
+    powers = [np.arange(base.size)]  # powers[b] = s^b
     for _ in range(1, order):
-        action.append(automorphism[action[-1]])
-    return semidirect_product(base, h, np.array(action))
+        powers.append(s[powers[-1]])
+    if order > 1 and not np.array_equal(s[powers[-1]], powers[0]):
+        raise InvalidInputError(f"the action's order must divide {order}")
+    powers = np.array(powers)
+    a, b = np.divmod(np.arange(base.size * order), order)
+    twisted = powers[b[:, None], a[None, :]]  # s^b1(a2)
+    table = base.table[a[:, None], twisted].astype(np.int64) * order
+    return FiniteGroup(table + (b[:, None] + b[None, :]) % order)
 
 
 def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
@@ -1065,34 +1019,15 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
 
 
 def index_two_subgroups(g: FiniteGroup) -> list[np.ndarray]:
-    """Element sets of all index-2 subgroups (kernels of maps onto Z_2,
-    found through the abelianization)."""
-    ab, proj = g.quotient(g.commutator_subgroup)
-    rows = []
-    for i in range(ab.size):
-        for j in range(ab.size):
-            row = np.zeros(ab.size, dtype=np.int64)
-            row[i] += 1
-            row[j] += 1
-            row[ab.table[i, j]] += 1
-            rows.append(row % 2)
-    hom_basis = kernel_mod_prime_power(np.array(rows, dtype=np.int64), 2, 1)
-    out = []
-    seen = set()
-    for bits in itertools.product((0, 1), repeat=hom_basis.shape[1]):
-        if not any(bits):
-            continue
-        chi = np.zeros(ab.size, dtype=np.int64)
-        for b, col in zip(bits, hom_basis.T):
-            chi = (chi + b * col) % 2
-        if not chi.any():
-            continue
-        members = np.nonzero(chi[proj] == 0)[0]
-        key = members.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(members)
-    return out
+    """Element sets of all index-2 subgroups, the kernels of the maps
+    onto Z_2.  A map is fixed by its images of the generators, so each
+    nonzero choice of them that extends to a homomorphism
+    (``_induced_map`` finds no conflict) is one map, met once."""
+    gens = minimal_generating_set(g)
+    z2 = cyclic(2)
+    maps = (_induced_map(g, z2, gens, images)
+            for images in itertools.product((0, 1), repeat=len(gens)) if any(images))
+    return [np.flatnonzero(phi == 0) for phi in maps if phi is not None]
 
 
 def _is_cyclic(g: FiniteGroup) -> bool:

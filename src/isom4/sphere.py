@@ -58,6 +58,10 @@ STEP_TOLERANCE = 1e-5
 # arrays grow with both, so larger values are refused before any is built
 MAX_Q = 16
 MAX_RESTARTS = 1024
+# the largest restarts x q x deck order n of one optimizer run: its
+# orbit screen is a (9 restarts (q - 1), n) float matrix, so a larger
+# product is refused before any array is built
+MAX_ORBIT_WORK = 2**20
 # how far an optimized lower bound may exceed the closed-form upper
 # bound before verify-all's optimizer check reports FAIL
 LOWER_BOUND_SLACK = 1e-9
@@ -144,7 +148,9 @@ class LensParams:
 class ExtentConfig:
     """One optimizer run: tuple size, restarts and seed, integers all; the
     sweep budget is ``MAX_SWEEPS`` and ``STEP_TOLERANCE``, and a q above
-    ``MAX_Q`` or restarts above ``MAX_RESTARTS`` is a ``BudgetError``."""
+    ``MAX_Q`` or restarts above ``MAX_RESTARTS`` is a ``BudgetError``, as
+    is, in :func:`extent_lower_bound`, restarts x q x n above
+    ``MAX_ORBIT_WORK``."""
 
     q: int
     restarts: int = 32
@@ -166,8 +172,6 @@ class ExtentConfig:
 
 @dataclass(frozen=True)
 class ExtentReport:
-    q: int
-    upper_bound: float
     lower_bound: float
     best_config: tuple[SpherePoint, ...]
     iterations_used: int
@@ -175,8 +179,6 @@ class ExtentReport:
     def __post_init__(self):
         if not 0.0 <= self.lower_bound <= math.pi:
             raise InvalidInputError("lower bound outside [0, pi]")
-        if len(self.best_config) != self.q:
-            raise InvalidInputError("best_config must hold q points")
 
 
 def _deck_phases(params: LensParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,18 +267,19 @@ def alpha_q(q: int) -> float:
     return math.pi / (2.0 * (2.0 - 1.0 / half))
 
 
-def extent_upper_bound(params: LensParams, q: int) -> float:
-    """Closed-form upper bound for the q-extent of the quotient.
-
-    The value depends only on (n, q); the full parameter triple is taken
-    for interface uniformity.  Only the canonical range n >= 3 is
-    covered by the derivation, so smaller n is refused.
-    """
-    if params.n < 3:
+def extent_upper_bound(n: int, q: int) -> float:
+    """Closed-form upper bound for the q-extent of every quotient of deck
+    order n: the value does not depend on the exponents (k, l).  A deck
+    order that is no integer or above ``DECK_ORDER_CAP`` is refused as
+    ``LensParams`` refuses it; the derivation covers n >= 3 only, so
+    smaller n is unsupported."""
+    _require_integers(n=n)
+    if n > DECK_ORDER_CAP:
+        raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
+    if n < 3:
         raise UnsupportedCaseError("closed-form bound requires deck order >= 3")
     if q < 2:
         raise InvalidInputError("tuple size q must be at least 2")
-    n = params.n
     a = alpha_q(q)
     c_small = math.cos(math.pi / math.sqrt(n))
     c_big = math.cos(math.pi / n)
@@ -341,8 +344,7 @@ def _require_scan_range(n_min: int, n_max: int, threshold: float) -> None:
 
 def _bounds_by_n(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
     # the bound depends only on (n, q): one evaluation per deck order
-    return [(n, extent_upper_bound(LensParams(n, 1, 1), q))
-            for n in range(n_min, n_max + 1)]
+    return [(n, extent_upper_bound(n, q)) for n in range(n_min, n_max + 1)]
 
 
 def _rows_at(n: int, q: int, value: float, threshold: float) -> list[ScanEntry]:
@@ -423,9 +425,15 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     step and stopping rule, so the result is the one restarts run one
     after another would give.  Reported value is the best mean over all
     restarts; it is a certified lower bound because the achieving
-    configuration is returned with it.
+    configuration is returned with it.  A run whose restarts x q x n
+    exceeds ``MAX_ORBIT_WORK`` is a ``BudgetError``, raised before any
+    array is built.
     """
     q = cfg.q
+    work = cfg.restarts * q * params.n
+    if work > MAX_ORBIT_WORK:
+        raise BudgetError(f"restarts x q x deck order = {work} exceeds the budget "
+                          f"{MAX_ORBIT_WORK}")
     phases = _deck_phases(params)
     rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
     pts = np.stack([rng.standard_normal((q, 4)) for rng in rngs])
@@ -482,15 +490,8 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     # another order and moves the last bit
     means = [_pairwise_mean(phases, p) for p in pts]
     best = int(np.argmax(means))
-    if params.n >= 3:
-        upper = extent_upper_bound(params, q)
-    else:
-        upper = math.pi  # diameter bound; the closed form needs n >= 3
-    config = tuple(SpherePoint.from_array(row) for row in pts[best])
     return ExtentReport(
-        q=q,
-        upper_bound=upper,
         lower_bound=min(means[best], math.pi),
-        best_config=config,
+        best_config=tuple(SpherePoint.from_array(row) for row in pts[best]),
         iterations_used=sweeps_total,
     )

@@ -209,7 +209,7 @@ def _set_text(values) -> str:
 
 def _check_extent_sharp(n, cfg):
     """The bound at deck order ``n`` is below pi/3 iff n >= EXTENT_SHARP_N."""
-    value = extent_upper_bound(LensParams(n, 1, 1), EXTENT_Q)
+    value = extent_upper_bound(n, EXTENT_Q)
     below = n >= EXTENT_SHARP_N
     return ("PASS" if (value < EXTENT_THRESHOLD) == below else "FAIL",
             f"upper bound at deck order {n} {'<' if below else '>='} pi/3 = "
@@ -229,7 +229,7 @@ def _check_extent_scan(cfg):
 
 
 def _check_budget(cfg):
-    bound = extent_upper_bound(LensParams(EXTENT_SHARP_N, 1, 1), EXTENT_Q)
+    bound = extent_upper_bound(EXTENT_SHARP_N, EXTENT_Q)
     budget = isolated_fixed_point_budget(bound)
     ok = budget["contradiction"]
     return ("PASS" if ok else "FAIL",
@@ -253,7 +253,8 @@ def _check_optimizer_consistency(cfg):
         params = canonicalize_lens(n, k, l)
         seed = int(rng.integers(2**63))
         report = extent_lower_bound(params, ExtentConfig(q=EXTENT_Q, seed=seed))
-        worst_gap = max(worst_gap, report.lower_bound - report.upper_bound)
+        worst_gap = max(worst_gap,
+                        report.lower_bound - extent_upper_bound(params.n, EXTENT_Q))
         cases.append(f"({params.n},{params.k},{params.l})")
     ok = worst_gap <= LOWER_BOUND_SLACK
     return ("PASS" if ok else "FAIL",

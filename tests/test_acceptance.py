@@ -69,7 +69,7 @@ def test_criterion_01_scan_range():
 
 
 def test_criterion_02_fixed_point_budget():
-    bound = extent_upper_bound(LensParams(61, 1, 1), 5)
+    bound = extent_upper_bound(61, 5)
     budget = isolated_fixed_point_budget(bound)
     ok = (budget["contradiction"]
           and abs(bound - BOUND_61) < 1e-12
@@ -91,7 +91,7 @@ def test_criterion_03_optimizer_sound():
         if math.gcd(k, n) != 1 or math.gcd(l, n) != 1:
             k = l = 1
         params = canonicalize_lens(n, k, l)
-        upper = extent_upper_bound(params, 5)
+        upper = extent_upper_bound(params.n, 5)
         lower = extent_lower_bound(
             params, ExtentConfig(q=5, restarts=6, seed=i)).lower_bound
         worst_gap = max(worst_gap, lower - upper)

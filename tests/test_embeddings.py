@@ -35,8 +35,8 @@ from isom4.groups import (
     binary_dihedral,
     binary_tetrahedral,
     build_metacyclic,
-    central_product,
     cyclic,
+    cyclic_central_product,
     dihedral,
     direct_product,
     klein_by_cyclic3,
@@ -385,10 +385,8 @@ def test_embed_klein_family():
 
 def test_embed_central_products():
     lift = binary_tetrahedral()
-    zh = int(np.flatnonzero(lift.element_orders == 2)[0])
     for m in (2, 4):
-        g = central_product(cyclic(m), lift, m // 2, zh)
-        check_embedding(g, so4_central_product("tetra", m))
+        check_embedding(cyclic_central_product(m, lift), so4_central_product("tetra", m))
 
 
 def test_central_product_names_its_cover_as_build_group_does():

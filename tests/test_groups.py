@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from functools import partial
 
 import numpy as np
@@ -29,7 +30,6 @@ from isom4.groups import (
     build_group,
     build_metacyclic,
     canonical_group_name,
-    central_product,
     cyclic,
     cyclic_central_product,
     dihedral,
@@ -48,7 +48,6 @@ from isom4.groups import (
     pu3_presentation_valid,
     q8_by_cyclic3,
     quaternion_group,
-    semidirect_product,
     symmetric,
 )
 from isom4.verify import CYCLIC_INDEX_CATALOG, H2_TABLE
@@ -204,6 +203,24 @@ def test_order_cap_enforced():
     # refused before a table of (3^30)^2 entries is allocated
     with pytest.raises(BudgetError, match=r"^group order 205891132094649 exceeds cap 512$"):
         klein_by_cyclic3(30)
+
+
+@pytest.mark.parametrize("build,order", [
+    (lambda: dihedral(514), 514),
+    (lambda: dihedral(100000), 100000),
+    (lambda: symmetric(7), 5040),
+    (lambda: symmetric(10), 3628800),
+    (lambda: alternating(7), 2520),
+    (lambda: alternating(10), 1814400),
+], ids=["dihedral-514", "dihedral-100000", "s7", "s10", "a7", "a10"])
+def test_builders_refuse_from_the_order(build, order):
+    # refused from the order alone: dihedral(100000) used to ask for a
+    # 74.5 GiB table, and alternating(10) to list all 10! permutations
+    # for 15 s first
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=rf"^group order {order} exceeds cap 512$"):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 # --- constructors ---------------------------------------------------------
@@ -368,10 +385,11 @@ def test_closure_tables_match_all_pairs(build, monkeypatch):
     assert closures
     for table, mats, exact, p in closures:
         # every product of the exact matrices mod p, looked up by its bytes
-        n, d = exact.shape[0], exact.shape[1]
-        lookup = groups._key_index(exact.reshape(n, -1))
+        n = exact.shape[0]
+        index = {key.tobytes(): i for i, key in enumerate(exact.reshape(n, -1))}
         pairs = (exact[:, None] @ exact[None]).reshape(n * n, -1) % p
-        assert np.array_equal(table, lookup(pairs).reshape(n, n))
+        assert np.array_equal(table, np.array([index[pair.tobytes()] for pair in pairs])
+                              .reshape(n, n))
         # the float gate: the float matrices pass the same table
         assert groups._table_residual(table, mats) <= groups.DEFAULT_TOLERANCE
 
@@ -503,43 +521,43 @@ def test_abelian_invariants_of_nonabelian_products(build, invariants):
 
 
 def test_semidirect_trivial_action_is_direct():
-    n, h = cyclic(5), cyclic(4)
-    action = np.tile(np.arange(5), (4, 1))
-    assert is_isomorphic(semidirect_product(n, h, action), cyclic(20))
+    assert is_isomorphic(groups._cyclic_extension(cyclic(5), np.arange(5), 4), cyclic(20))
 
 
 def test_semidirect_validates_action():
-    n, h = cyclic(5), cyclic(4)
-    with pytest.raises(InvalidInputError):
-        semidirect_product(n, h, np.tile(np.arange(5), (3, 1)))
-    bad = np.tile(np.arange(5), (4, 1))
-    bad[1] = [0, 2, 1, 3, 4]  # a permutation but not an automorphism of Z5
-    with pytest.raises(InvalidInputError):
-        semidirect_product(n, h, bad)
-    nonhom = np.tile(np.arange(5), (4, 1))
-    nonhom[1] = [0, 2, 4, 1, 3]  # x -> 2x, but then powers of the action
-    with pytest.raises(InvalidInputError):  # would need h-compatibility
-        semidirect_product(n, h, nonhom)
+    z5 = cyclic(5)
+    for bad in ([0, 1, 1, 3, 4], [0, 1, 2, 3], [0, 1, 2, 3, 4, 0]):  # no permutation of Z5
+        with pytest.raises(InvalidInputError):
+            groups._cyclic_extension(z5, bad, 4)
+    with pytest.raises(InvalidInputError):  # a permutation but not an automorphism of Z5
+        groups._cyclic_extension(z5, [0, 2, 1, 3, 4], 4)
+    with pytest.raises(InvalidInputError):  # x -> 2x has order 4, so Z_2 cannot act by it
+        groups._cyclic_extension(z5, [0, 2, 4, 1, 3], 2)
+    assert groups._cyclic_extension(z5, [0, 2, 4, 1, 3], 4).size == 20
+    # Z_1 acts trivially whatever the automorphism
+    assert groups._cyclic_extension(z5, [0, 2, 4, 1, 3], 1).is_abelian
 
 
 def test_central_product_identifies_involutions():
-    q = quaternion_group()
-    z4 = cyclic(4)
-    zq = int(np.nonzero(q.element_orders == 2)[0][0])
-    g = central_product(z4, q, 2, zq)
+    # Z4 and Q8 joined over their involutions: the Pauli group, of order
+    # 16 = 32/2, centre Z4 and abelianization Z2^3
+    g = cyclic_central_product(4, quaternion_group())
     assert g.size == 16
-    with pytest.raises(InvalidInputError):
-        central_product(z4, q, 1, zq)  # order 4, not an involution
+    assert g.center.size == 4 and g.abelian_invariants == (2, 2, 2)
 
 
 def test_cyclic_central_product_is_the_central_product():
-    # a comparison target built either way has one table, so an
-    # isomorphism search against it tries the same candidates
-    lift = binary_octahedral()
-    zh = int(np.flatnonzero(lift.element_orders == 2)[0])
+    # the table is the quotient of Z_m x G by {1, (m/2, z)}, numbered as
+    # the quotient numbers it: a comparison target built either way has
+    # one table, so an isomorphism search against it tries the same
+    # candidates
+    for m, lift in ((4, binary_octahedral()), (6, binary_tetrahedral()),
+                    (4, quaternion_group()), (8, binary_dihedral(12))):
+        zh = int(np.flatnonzero(lift.element_orders == 2)[0])
+        pair = [lift.identity, m // 2 * lift.size + zh]
+        assert np.array_equal(cyclic_central_product(m, lift).table,
+                              direct_product(cyclic(m), lift).quotient(pair)[0].table)
     assert cyclic_central_product(2, lift) is lift
-    assert np.array_equal(cyclic_central_product(4, lift).table,
-                          central_product(cyclic(4), lift, 2, zh).table)
 
 
 def test_model_constructors_refuse_bad_parameters():
@@ -651,9 +669,7 @@ def test_isomorphism_negatives():
 
 def test_isomorphism_nonabelian_positive():
     assert is_isomorphic(binary_octahedral(), binary_octahedral())
-    assert is_isomorphic(semidirect_product(
-        cyclic(3), cyclic(2),
-        np.array([[0, 1, 2], [0, 2, 1]])), symmetric(3))
+    assert is_isomorphic(build_metacyclic(3, 2, 2), symmetric(3))
 
 
 # --- subgroup structure ------------------------------------------------------
@@ -702,6 +718,24 @@ def test_index_two_subgroups():
     assert is_isomorphic(sub, alternating(4))
     assert index_two_subgroups(alternating(4)) == []
     assert len(index_two_subgroups(dihedral(8))) == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(8), lambda: cyclic(9), lambda: abelian([2, 4]), lambda: abelian([2, 2, 2]),
+    lambda: dihedral(8), lambda: dihedral(12), quaternion_group, lambda: symmetric(4),
+    lambda: alternating(4), lambda: binary_dihedral(12), lambda: build_metacyclic(7, 3, 2),
+], ids=["z8", "z9", "z2xz4", "z2^3", "d8", "d12", "q8", "s4", "a4", "dicyclic12",
+        "metacyclic-7-3-2"])
+def test_index_two_subgroups_are_the_maps_onto_z2(build):
+    # Hom(G, Z2) = Hom(G/G', Z2) has 2^r elements, r the number of even
+    # invariant factors of G/G'; each nonzero one has its own kernel
+    g = build()
+    rank = sum(1 for factor in g.abelian_invariants if factor % 2 == 0)
+    subgroups = index_two_subgroups(g)
+    assert len(subgroups) == 2**rank - 1
+    assert len({members.tobytes() for members in subgroups}) == len(subgroups)
+    for members in subgroups:
+        assert 2 * members.size == g.size and g.is_normal(members)
 
 
 # element-set entry points and the index lists they must refuse: a

@@ -48,7 +48,7 @@ def test_scan_bounds_small_range(scan_bounds, capsys):
 
 
 def test_scan_bounds_warns_when_a_lower_bound_passes_the_upper(scan_bounds, monkeypatch, capsys):
-    monkeypatch.setattr(sphere, "extent_upper_bound", lambda params, q: 0.5)
+    monkeypatch.setattr(sphere, "extent_upper_bound", lambda n, q: 0.5)
     assert scan_bounds.main(["--n-min", "5", "--n-max", "5", "--restarts", "1"]) == 1
     assert capsys.readouterr().err == "WARNING: lower bound exceeded upper bound\n"
 

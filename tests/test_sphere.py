@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isom4 import sphere
-from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
+from isom4.errors import (
+    BudgetError,
+    InvalidInputError,
+    InvalidParametersError,
+    UnsupportedCaseError,
+)
 from isom4.sphere import (
     ExtentConfig,
     LensParams,
@@ -64,15 +69,15 @@ params_st = st.builds(
 
 
 def test_frozen_bounds():
-    assert extent_upper_bound(LensParams(61, 1, 1), 5) == pytest.approx(BOUND_61, abs=1e-14)
-    assert extent_upper_bound(LensParams(60, 1, 1), 5) == pytest.approx(BOUND_60, abs=1e-14)
-    assert extent_upper_bound(LensParams(100, 1, 1), 5) == pytest.approx(BOUND_100, abs=1e-14)
-    assert extent_upper_bound(LensParams(1000, 1, 1), 5) == pytest.approx(BOUND_1000, abs=1e-14)
+    assert extent_upper_bound(61, 5) == pytest.approx(BOUND_61, abs=1e-14)
+    assert extent_upper_bound(60, 5) == pytest.approx(BOUND_60, abs=1e-14)
+    assert extent_upper_bound(100, 5) == pytest.approx(BOUND_100, abs=1e-14)
+    assert extent_upper_bound(1000, 5) == pytest.approx(BOUND_1000, abs=1e-14)
 
 
 def test_threshold_is_sharp_at_61():
-    assert extent_upper_bound(LensParams(60, 1, 1), 5) >= THRESHOLD
-    assert extent_upper_bound(LensParams(61, 1, 1), 5) < THRESHOLD
+    assert extent_upper_bound(60, 5) >= THRESHOLD
+    assert extent_upper_bound(61, 5) < THRESHOLD
 
 
 def test_alpha_5_reference_angle():
@@ -81,7 +86,7 @@ def test_alpha_5_reference_angle():
 
 
 def test_bound_decreases_in_n():
-    values = [extent_upper_bound(LensParams(n, 1, 1), 5) for n in range(3, 200)]
+    values = [extent_upper_bound(n, 5) for n in range(3, 200)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -151,14 +156,25 @@ def test_canonicalization_preserves_distance(n, raw_k, raw_l, p, q):
 
 
 def test_bound_is_kl_independent():
+    # every canonical quotient of deck order n carries the bound of n
     for n in (7, 12, 61):
-        values = {
-            extent_upper_bound(params, 5)
-            for params in (canonicalize_lens(n, k, l)
-                           for k in range(1, n) for l in range(1, n)
-                           if math.gcd(k, n) == 1 and math.gcd(l, n) == 1)
-        }
-        assert len(values) == 1
+        rows = scan_extent(n, n, 5, THRESHOLD)
+        assert rows and all(row.upper_bound == extent_upper_bound(n, 5) for row in rows)
+
+
+def test_upper_bound_refuses_what_lens_params_refuse():
+    # a deck order LensParams refuses, the bound refuses alike
+    for bad in (61.0, "61", 61.5):
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            extent_upper_bound(bad, 5)
+    with pytest.raises(InvalidParametersError, match="deck order capped at 100000"):
+        extent_upper_bound(sphere.DECK_ORDER_CAP + 1, 5)
+    for small in (2, 1, 0, -7):
+        with pytest.raises(UnsupportedCaseError, match="requires deck order >= 3"):
+            extent_upper_bound(small, 5)
+    with pytest.raises(InvalidInputError, match="q must be at least 2"):
+        extent_upper_bound(61, 1)
+    assert extent_upper_bound(np.int64(61), 5) == extent_upper_bound(61, 5)
 
 
 def test_scan_clean_above_61():
@@ -198,7 +214,7 @@ def test_scan_counts_rows_before_building_any(monkeypatch):
 
 
 def test_budget_contradiction_at_61():
-    bound = extent_upper_bound(LensParams(61, 1, 1), 5)
+    bound = extent_upper_bound(61, 5)
     budget = isolated_fixed_point_budget(bound)
     assert budget["contradiction"] is True
     assert budget["six_point_budget"] == pytest.approx(60.0 * BOUND_61, rel=1e-12)
@@ -219,7 +235,7 @@ def test_budget_rejects_silly_bounds():
 def test_optimizer_respects_upper_bound():
     report = extent_lower_bound(LensParams(17, 2, 5),
                                 ExtentConfig(q=5, restarts=8, seed=3))
-    assert report.lower_bound <= report.upper_bound + 1e-9
+    assert report.lower_bound <= extent_upper_bound(17, 5) + 1e-9
     assert len(report.best_config) == 5
 
 
@@ -461,6 +477,25 @@ def test_extent_config_caps_q_and_restarts():
                           "restarts = 1000000000000 exceeds the cap 1024")):
         with pytest.raises(BudgetError, match=message):
             ExtentConfig(**bad)
+
+
+def test_optimizer_budget_bounds_restarts_q_and_n(monkeypatch):
+    # the screen grows with restarts x q x n, which the caps on q and
+    # restarts alone do not bound: (32, 5, 99991) used to need about
+    # 0.9 GB; it is refused before the deck phases are built
+    assert sphere.MAX_ORBIT_WORK == 2**20
+    assert 32 * 5 * 200 <= sphere.MAX_ORBIT_WORK  # verify-all's largest run
+
+    def unreachable(params):
+        raise AssertionError("deck phases built past the budget")
+
+    monkeypatch.setattr(sphere, "_deck_phases", unreachable)
+    for nkl, cfg, work in (((99991, 1, 2), ExtentConfig(q=5), 15998560),
+                           ((6563, 1, 2), ExtentConfig(q=5), 1050080),
+                           ((65, 1, 2), ExtentConfig(q=16, restarts=1024), 1064960)):
+        with pytest.raises(BudgetError, match=rf"^restarts x q x deck order = {work} "
+                                              rf"exceeds the budget 1048576$"):
+            extent_lower_bound(LensParams(*nkl), cfg)
 
 
 def test_lens_params_refuse_non_integers():

@@ -10,7 +10,7 @@ import pytest
 
 import isom4
 
-from isom4 import cohomology, fixedpoints, sphere, verify
+from isom4 import cohomology, fixedpoints, verify
 from isom4.cache import ResultCache
 from isom4.embeddings import abelian_so5
 from isom4.errors import InvalidInputError
@@ -107,7 +107,7 @@ def test_scan_check_fails_below_sharp_threshold(monkeypatch):
 
 def test_sharp_threshold_fails_naming_its_deck_order(monkeypatch):
     # a bound of exactly pi/3 is at least pi/3 at 60 but not below it at 61
-    monkeypatch.setattr(verify, "extent_upper_bound", lambda params, q: EXTENT_THRESHOLD)
+    monkeypatch.setattr(verify, "extent_upper_bound", lambda n, q: EXTENT_THRESHOLD)
     assert CHECKS["extent-sharp-at-60"](VerifyConfig()) == (
         "PASS", "upper bound at deck order 60 >= pi/3 = 1.0471975512", "1.0471975512")
     assert CHECKS["extent-sharp-at-61"](VerifyConfig()) == (
@@ -160,7 +160,7 @@ def test_printed_model_checks_fail_naming_their_parameters(monkeypatch):
 def test_optimizer_consistency_fails_naming_its_gap(monkeypatch):
     # an upper bound of 0.5 lies below every optimized spread: the check
     # itself reports the violation, no report refuses it first
-    monkeypatch.setattr(sphere, "extent_upper_bound", lambda params, q: 0.5)
+    monkeypatch.setattr(verify, "extent_upper_bound", lambda n, q: 0.5)
     assert CHECKS["extent-optimizer-consistency"](VerifyConfig(seed=1)) == (
         "FAIL", "optimized spread never exceeds the closed-form bound (tolerance 1e-9)",
         "worst lower-upper gap 0.501380029377 over (96,17,25), (84,5,13), (16,3,7)")
