@@ -13,14 +13,15 @@ with status 2 and the error message.
 import argparse
 import csv
 import sys
+from itertools import combinations_with_replacement
 
 from isom4.errors import BudgetError, InvalidInputError
 from isom4.sphere import (
     EXTENT_Q,
-    EXTENT_THRESHOLD,
     LOWER_BOUND_SLACK,
     ExtentConfig,
     LensParams,
+    canonical_exponents,
     extent_lower_bound,
     scan_extent,
 )
@@ -40,14 +41,13 @@ def main(argv=None):
     try:
         cfg = ExtentConfig(q=args.q, restarts=args.restarts, seed=args.seed)
         # the optimizer's budget grows with n, so a range may pass it midway
-        for entry in scan_extent(args.n_min, args.n_max, args.q, EXTENT_THRESHOLD):
-            report = extent_lower_bound(LensParams(entry.n, entry.k, entry.l), cfg)
-            gap = entry.upper_bound - report.lower_bound
-            rows.append((entry.n, entry.k, entry.l, entry.upper_bound,
-                         report.lower_bound, gap))
-            print(f"n={entry.n:4d} (k,l)=({entry.k},{entry.l})  "
-                  f"upper={entry.upper_bound:.9f}  "
-                  f"lower={report.lower_bound:.9f}  gap={gap:.2e}")
+        for n, upper in scan_extent(args.n_min, args.n_max, args.q):
+            for k, l in combinations_with_replacement(canonical_exponents(n), 2):
+                report = extent_lower_bound(LensParams(n, k, l), cfg)
+                gap = upper - report.lower_bound
+                rows.append((n, k, l, upper, report.lower_bound, gap))
+                print(f"n={n:4d} (k,l)=({k},{l})  upper={upper:.9f}  "
+                      f"lower={report.lower_bound:.9f}  gap={gap:.2e}")
     except (InvalidInputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

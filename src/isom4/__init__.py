@@ -46,7 +46,6 @@ from .sphere import (
     extent_upper_bound,
     isolated_fixed_point_budget,
     scan_extent,
-    scan_extent_threshold,
 )
 from .verify import CheckRecord, VerifyConfig, exit_code, verify_all
 
@@ -92,7 +91,6 @@ __all__ = [
     "polyhedral_so3",
     "pu3_metacyclic",
     "scan_extent",
-    "scan_extent_threshold",
     "second_cohomology",
     "unique_nontrivial_extension",
     "verify_all",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 
@@ -71,17 +70,14 @@ def _emit_json(data, args) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=False), args.out)
 
 
-def _emit_csv(rows, args) -> None:
+def _emit_csv(rows: list[dict], args) -> None:
     """One header line of the first row's keys, then one line per row;
-    booleans print as true/false.  ``rows`` may be a generator, so a
-    long scan is never held as dicts."""
-    rows = iter(rows)
-    first = next(rows)
+    booleans print as true/false."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(first)
+    writer.writerow(rows[0])
     writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row.values()]
-                     for row in itertools.chain([first], rows))
+                     for row in rows)
     _emit(buf.getvalue(), args.out)
 
 
@@ -119,16 +115,14 @@ def _cmd_extent(args) -> int:
 
 
 def _cmd_scan_extent(args) -> int:
-    rows = scan_extent(args.min, args.max, args.q, args.threshold)
-    failures = sum(not row.passes for row in rows)
+    rows = [{"n": n, "upper_bound": value, "pass": value < EXTENT_THRESHOLD}
+            for n, value in scan_extent(args.min, args.max, args.q)]
+    failures = sum(not row["pass"] for row in rows)
     if args.format == "csv":
-        _emit_csv((row.to_json() for row in rows), args)
+        _emit_csv(rows, args)
     else:
-        _emit_json({
-            "threshold": args.threshold,
-            "rows": [row.to_json() for row in rows],
-            "violations": failures,
-        }, args)
+        _emit_json({"q": args.q, "threshold": EXTENT_THRESHOLD, "rows": rows,
+                    "violations": failures}, args)
     return 1 if failures else 0
 
 
@@ -276,12 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optimizer restarts (default 32)")
 
     p = _subcommand(subparsers, "scan-extent", _cmd_scan_extent,
-                    "bound every canonical quotient in a range", ("--format",))
+                    "extent bound of every deck order in a range against pi/3",
+                    ("--format",))
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--q", type=int, default=EXTENT_Q)
-    p.add_argument("--threshold", type=float, default=EXTENT_THRESHOLD,
-                   help="pass threshold (default pi/3)")
 
     p = _subcommand(subparsers, "h2", _cmd_h2,
                     "degree-2 cohomology of a group with Z_m coefficients", ("--cache-dir",))

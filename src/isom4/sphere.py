@@ -31,8 +31,8 @@ __all__ = [
     "extent_upper_bound",
     "extent_lower_bound",
     "canonicalize_lens",
+    "canonical_exponents",
     "scan_extent",
-    "scan_extent_threshold",
     "isolated_fixed_point_budget",
     "EXTENT_Q",
     "EXTENT_THRESHOLD",
@@ -48,8 +48,6 @@ EXTENT_SHARP_N = 61
 # six isolated fixed points span twenty geodesic triangles, sixty angles
 BUDGET_TRIANGLES = 20
 BUDGET_ANGLES = 3 * BUDGET_TRIANGLES
-# rows one scan_extent call may build; [3, 400] holds 1,152,548
-SCAN_ROW_CAP = 1_500_000
 # the optimizer's budget: a restart stops after MAX_SWEEPS sweeps or
 # once its step falls below STEP_TOLERANCE
 MAX_SWEEPS = 200
@@ -271,15 +269,16 @@ def extent_upper_bound(n: int, q: int) -> float:
     """Closed-form upper bound for the q-extent of every quotient of deck
     order n: the value does not depend on the exponents (k, l).  A deck
     order that is no integer or above ``DECK_ORDER_CAP`` is refused as
-    ``LensParams`` refuses it; the derivation covers n >= 3 only, so
-    smaller n is unsupported."""
-    _require_integers(n=n)
+    ``LensParams`` refuses it, and a tuple size q that is no integer or
+    below 2 as ``ExtentConfig`` refuses it; the derivation covers n >= 3
+    only, so smaller n is unsupported."""
+    _require_integers(n=n, q=q)
     if n > DECK_ORDER_CAP:
         raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
     if n < 3:
         raise UnsupportedCaseError("closed-form bound requires deck order >= 3")
     if q < 2:
-        raise InvalidInputError("tuple size q must be at least 2")
+        raise InvalidParametersError("tuple size q must be at least 2")
     a = alpha_q(q)
     c_small = math.cos(math.pi / math.sqrt(n))
     c_big = math.cos(math.pi / n)
@@ -295,8 +294,10 @@ def canonicalize_lens(n: int, k: int, l: int) -> LensParams:
 
     Moves used, mirroring the allowed lens-space isometries: negating an
     exponent mod n conjugates the matching complex coordinate, and
-    swapping the exponents swaps the coordinates.
+    swapping the exponents swaps the coordinates.  Each of n, k and l
+    must be an integer, as in ``LensParams``.
     """
+    _require_integers(n=n, k=k, l=l)
     n = int(n)
     if n < 1:
         raise InvalidParametersError("deck order must be positive")
@@ -310,76 +311,24 @@ def canonicalize_lens(n: int, k: int, l: int) -> LensParams:
     return LensParams(n, min(k, l), max(k, l))
 
 
-def _canonical_exponents(n: int) -> list[int]:
+def canonical_exponents(n: int) -> list[int]:
+    """The exponents 0 < k < n/2 coprime to n: the canonical quotients of
+    deck order n >= 3 are the pairs k <= l of them."""
     return [k for k in range(1, (n - 1) // 2 + 1) if math.gcd(k, n) == 1]
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    n: int
-    k: int
-    l: int
-    q: int
-    upper_bound: float
-    threshold: float
-
-    @property
-    def passes(self) -> bool:
-        return self.upper_bound < self.threshold
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "l": self.l, "q": self.q,
-                "upper_bound": self.upper_bound, "threshold": self.threshold,
-                "pass": self.passes}
-
-
-def _require_scan_range(n_min: int, n_max: int, threshold: float) -> None:
-    if not math.isfinite(threshold):
-        raise InvalidInputError("scan threshold must be finite")
+def scan_extent(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
+    """(n, bound) for every deck order n in [n_min, n_max]: every canonical
+    quotient of deck order n carries the bound of n.  A range that starts
+    below 3, is empty or ends above ``DECK_ORDER_CAP`` is refused before
+    any bound is evaluated."""
     if n_min < 3:
         raise InvalidInputError("scan starts at deck order 3")
     if n_max < n_min:
         raise InvalidInputError("empty scan range")
-
-
-def _bounds_by_n(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
-    # the bound depends only on (n, q): one evaluation per deck order
+    if n_max > DECK_ORDER_CAP:
+        raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
     return [(n, extent_upper_bound(n, q)) for n in range(n_min, n_max + 1)]
-
-
-def _rows_at(n: int, q: int, value: float, threshold: float) -> list[ScanEntry]:
-    exps = _canonical_exponents(n)
-    return [ScanEntry(n, k, l, q, value, threshold)
-            for i, k in enumerate(exps) for l in exps[i:]]
-
-
-def scan_extent(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
-    """Evaluate the closed-form bound on every canonical quotient in range.
-
-    The rows are counted first, c(c+1)/2 for c canonical exponents at
-    each deck order, and a range of more than ``SCAN_ROW_CAP`` rows is
-    refused before any is built: the count grows as n_max^3."""
-    _require_scan_range(n_min, n_max, threshold)
-    rows = 0
-    for n in range(n_min, n_max + 1):
-        c = len(_canonical_exponents(n))
-        rows += c * (c + 1) // 2
-        if rows > SCAN_ROW_CAP:
-            raise BudgetError(f"scan of deck orders [{n_min}, {n_max}] exceeds "
-                              f"{SCAN_ROW_CAP} rows")
-    return [row for n, value in _bounds_by_n(n_min, n_max, q)
-            for row in _rows_at(n, q, value, threshold)]
-
-
-def scan_extent_threshold(n_min: int, n_max: int, q: int, threshold: float) -> list[ScanEntry]:
-    """Entries of :func:`scan_extent` at or above the threshold.
-
-    An empty return certifies the bound on the whole range.
-    """
-    _require_scan_range(n_min, n_max, threshold)
-    return [row for n, value in _bounds_by_n(n_min, n_max, q)
-            if not value < threshold
-            for row in _rows_at(n, q, value, threshold)]
 
 
 def isolated_fixed_point_budget(extent_bound: float) -> dict:

@@ -88,7 +88,7 @@ from .sphere import (
     extent_lower_bound,
     extent_upper_bound,
     isolated_fixed_point_budget,
-    scan_extent_threshold,
+    scan_extent,
 )
 
 __all__ = [
@@ -217,15 +217,15 @@ def _check_extent_sharp(n, cfg):
 
 
 def _check_extent_scan(cfg):
-    bad = scan_extent_threshold(EXTENT_SHARP_N, SCAN_MAX_N, EXTENT_Q, EXTENT_THRESHOLD)
+    bad = [(n, value) for n, value in scan_extent(EXTENT_SHARP_N, SCAN_MAX_N, EXTENT_Q)
+           if not value < EXTENT_THRESHOLD]
     expected = (f"0 quotients with bound >= pi/3 for deck order in "
                 f"[{EXTENT_SHARP_N}, {SCAN_MAX_N}]")
     if not bad:
         return "PASS", expected, "0 violations"
-    worst = max(bad, key=lambda row: row.upper_bound)
+    worst = max(value for _, value in bad)
     return ("FAIL", expected,
-            f"{len(bad)} violations, e.g. (n,k,l)=({worst.n},{worst.k},{worst.l}) "
-            f"bound {_fmt(worst.upper_bound)}")
+            f"deck orders {_set_text(n for n, _ in bad)} violate, worst bound {_fmt(worst)}")
 
 
 def _check_budget(cfg):

@@ -35,7 +35,6 @@ from isom4.sphere import (
     extent_upper_bound,
     isolated_fixed_point_budget,
     scan_extent,
-    scan_extent_threshold,
 )
 
 THRESHOLD = math.pi / 3.0
@@ -56,16 +55,13 @@ def report(num, ok, detail):
 
 def test_criterion_01_scan_range():
     start = time.perf_counter()
-    violations = scan_extent_threshold(61, 300, 5, THRESHOLD)
+    violations = [n for n, value in scan_extent(61, 300, 5) if not value < THRESHOLD]
     elapsed = time.perf_counter() - start
-    below = scan_extent(60, 60, 5, THRESHOLD)
-    ok = (not violations
-          and any(not row.passes for row in below)
-          and elapsed < 60.0)
+    [(_, at_60)] = scan_extent(60, 60, 5)
+    ok = not violations and at_60 >= THRESHOLD and elapsed < 60.0
     report(1, ok,
            f"0 violations in [61, 300] expected, found {len(violations)}; "
-           f"n=60 exceeds pi/3 at {sum(not r.passes for r in below)}/"
-           f"{len(below)} quotients; scan took {elapsed:.1f}s (< 60s)")
+           f"n=60 bound {at_60:.10f} >= pi/3; scan took {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_02_fixed_point_budget():

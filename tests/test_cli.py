@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -87,14 +88,18 @@ def test_extent_rejects_non_canonical(capsys):
 def test_scan_extent_json(capsys):
     code, data = run_json(capsys, "scan-extent", "--min", "61", "--max", "65")
     assert code == 0
+    assert data["q"] == 5 and data["threshold"] == math.pi / 3
     assert data["violations"] == 0
-    assert all(row["pass"] for row in data["rows"])
+    assert [row["n"] for row in data["rows"]] == [61, 62, 63, 64, 65]
+    assert all(set(row) == {"n", "upper_bound", "pass"} and row["pass"]
+               for row in data["rows"])
 
 
 def test_scan_extent_detects_violation(capsys):
     code, data = run_json(capsys, "scan-extent", "--min", "60", "--max", "61")
     assert code == 1
-    assert data["violations"] > 0
+    assert data["violations"] == 1
+    assert [(row["n"], row["pass"]) for row in data["rows"]] == [(60, False), (61, True)]
 
 
 def test_scan_extent_csv_header(capsys, tmp_path):
@@ -103,9 +108,9 @@ def test_scan_extent_csv_header(capsys, tmp_path):
                   "--format", "csv", "--out", str(out))
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "n,k,l,q,upper_bound,threshold,pass"
-    assert len(lines) > 1
-    assert lines[1].endswith("true")
+    assert lines[0] == "n,upper_bound,pass"
+    assert len(lines) == 4
+    assert lines[1].startswith("61,") and lines[1].endswith(",true")
 
 
 def test_h2_command_pass(capsys):
@@ -278,19 +283,11 @@ def test_classify_rejects_bad_b2(capsys):
     assert code == 2
 
 
-def test_scan_extent_refuses_a_range_past_the_row_cap(capsys):
-    assert main(["scan-extent", "--min", "3", "--max", "100000"]) == 2
+def test_scan_extent_refuses_a_range_past_the_deck_order_cap(capsys):
+    assert main(["scan-extent", "--min", "61", "--max", "100001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: scan of deck orders [3, 100000] exceeds 1500000 rows\n"
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_scan_extent_refuses_non_finite_threshold(capsys, bad):
-    assert main(["scan-extent", "--min", "61", "--max", "62", f"--threshold={bad}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: scan threshold must be finite\n"
+    assert captured.err == "error: deck order capped at 100000\n"
 
 
 def test_usage_error_exits_two(capsys):
@@ -303,7 +300,7 @@ def test_usage_error_exits_two(capsys):
 
 OPTIONS = {
     "extent": {"--out", "--seed", "--q", "--optimize", "--restarts"},
-    "scan-extent": {"--out", "--format", "--min", "--max", "--q", "--threshold"},
+    "scan-extent": {"--out", "--format", "--min", "--max", "--q"},
     "h2": {"--out", "--cache-dir", "--group", "--m"},
     "extensions": {"--out", "--group", "--m"},
     "embed": {"--out", "--group"},
@@ -327,7 +324,7 @@ def declared_options() -> dict[str, set[str]]:
 def test_subcommand_options():
     declared = declared_options()
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 30
+    assert sum(map(len, declared.values())) == 29
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -34,9 +34,10 @@ def report_fingerprint():
     (["--n-min", "2"], "scan starts at deck order 3"),
     (["--n-min", "5", "--n-max", "4"], "empty scan range"),
     (["--q", "1"], "tuple size q must be at least 2"),
-    (["--n-min", "3", "--n-max", "100000"],
-     "scan of deck orders [3, 100000] exceeds 1500000 rows"),
-], ids=["below-3", "empty", "q-1", "past-row-cap"])
+    # 8 restarts x q = 5 x n = 30000 passes the optimizer's 2^20 at the first quotient
+    (["--n-min", "30000", "--n-max", "30001"],
+     "restarts x q x deck order = 1200000 exceeds the budget 1048576"),
+], ids=["below-3", "empty", "q-1", "past-orbit-budget"])
 def test_scan_bounds_refuses_bad_input(scan_bounds, capsys, argv, message):
     assert scan_bounds.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

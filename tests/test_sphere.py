@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from isom4.sphere import (
     extent_upper_bound,
     isolated_fixed_point_budget,
     scan_extent,
-    scan_extent_threshold,
 )
 from reference import canonicalize_lens_with_map, deck_transform, lens_distance, s3_distance
 
@@ -156,10 +154,10 @@ def test_canonicalization_preserves_distance(n, raw_k, raw_l, p, q):
 
 
 def test_bound_is_kl_independent():
-    # every canonical quotient of deck order n carries the bound of n
-    for n in (7, 12, 61):
-        rows = scan_extent(n, n, 5, THRESHOLD)
-        assert rows and all(row.upper_bound == extent_upper_bound(n, 5) for row in rows)
+    # one scan row per deck order, with the value of the closed form there
+    assert scan_extent(7, 12, 5) == [(n, extent_upper_bound(n, 5)) for n in range(7, 13)]
+    assert sphere.canonical_exponents(12) == [1, 5]
+    assert sphere.canonical_exponents(7) == [1, 2, 3]
 
 
 def test_upper_bound_refuses_what_lens_params_refuse():
@@ -172,45 +170,50 @@ def test_upper_bound_refuses_what_lens_params_refuse():
     for small in (2, 1, 0, -7):
         with pytest.raises(UnsupportedCaseError, match="requires deck order >= 3"):
             extent_upper_bound(small, 5)
-    with pytest.raises(InvalidInputError, match="q must be at least 2"):
+    with pytest.raises(InvalidParametersError, match="q must be at least 2"):
         extent_upper_bound(61, 1)
-    assert extent_upper_bound(np.int64(61), 5) == extent_upper_bound(61, 5)
+    # 2.5 and 5.9 used to be read as the bound at q = 2 and q = 5
+    for bad in (2.5, 5.9):
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            extent_upper_bound(61, bad)
+    assert extent_upper_bound(np.int64(61), np.int64(5)) == extent_upper_bound(61, 5)
 
 
 def test_scan_clean_above_61():
-    rows = scan_extent(61, 80, 5, THRESHOLD)
-    assert rows and all(r.passes for r in rows)
-    assert scan_extent_threshold(61, 80, 5, THRESHOLD) == []
+    rows = scan_extent(61, 80, 5)
+    assert [n for n, _ in rows] == list(range(61, 81))
+    assert all(value < THRESHOLD for _, value in rows)
 
 
 def test_scan_catches_60():
-    bad = scan_extent_threshold(60, 61, 5, THRESHOLD)
-    exps = [k for k in range(1, 30) if math.gcd(k, 60) == 1]
-    canonical = [(60, k, l) for i, k in enumerate(exps) for l in exps[i:]]
-    assert len(canonical) == 36
-    assert [(r.n, r.k, r.l) for r in bad] == canonical
+    (n60, at_60), (n61, at_61) = scan_extent(60, 61, 5)
+    assert (n60, n61) == (60, 61)
+    assert at_60 >= THRESHOLD > at_61
 
 
 def test_scan_rejects_degenerate_ranges():
-    with pytest.raises(InvalidInputError):
-        scan_extent(2, 10, 5, THRESHOLD)
-    with pytest.raises(InvalidInputError):
-        scan_extent(10, 9, 5, THRESHOLD)
+    with pytest.raises(InvalidInputError, match="starts at deck order 3"):
+        scan_extent(2, 10, 5)
+    with pytest.raises(InvalidInputError, match="empty scan range"):
+        scan_extent(10, 9, 5)
 
 
-def test_scan_counts_rows_before_building_any(monkeypatch):
-    # the rows grow as n_max^3: [3, 400] holds 1,152,548 and is admitted,
-    # [3, 100000] is refused before a row is built
-    built = []
-    monkeypatch.setattr(sphere, "_rows_at", lambda n, *rest: built.append(n) or [])
-    assert scan_extent(3, 400, 5, THRESHOLD) == []
-    assert built == list(range(3, 401))
-    built.clear()
-    start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"\[3, 100000\] exceeds 1500000 rows"):
-        scan_extent(3, 100000, 5, THRESHOLD)
-    assert time.perf_counter() - start < 1.0
-    assert built == []
+def test_scan_reaches_the_deck_order_cap():
+    rows = scan_extent(3, sphere.DECK_ORDER_CAP, 5)
+    assert len(rows) == 99_998
+    assert rows[-1] == (sphere.DECK_ORDER_CAP, extent_upper_bound(sphere.DECK_ORDER_CAP, 5))
+
+
+def test_scan_refuses_past_the_cap_before_any_bound(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(sphere, "extent_upper_bound",
+                        lambda n, q: evaluated.append(n) or 0.0)
+    with pytest.raises(InvalidParametersError, match="deck order capped at 100000"):
+        scan_extent(61, sphere.DECK_ORDER_CAP + 1, 5)
+    for refused in ((2, 10), (10, 9)):
+        with pytest.raises(InvalidInputError):
+            scan_extent(*refused, 5)
+    assert evaluated == []
 
 
 def test_budget_contradiction_at_61():
@@ -508,6 +511,16 @@ def test_lens_params_refuse_non_integers():
     assert all(type(x) is int for x in (params.n, params.k, params.l))
 
 
+def test_canonicalize_refuses_non_integers():
+    # (61.7, 1.9, 2.2) used to truncate to (61, 1, 2), and strings to parse
+    for bad in ((61.7, 1.9, 2.2), ("61", "1", "3"), (61, 1.0, 3), (61, 1, "3")):
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            canonicalize_lens(*bad)
+    params = canonicalize_lens(np.int64(61), np.int32(60), np.uint8(3))
+    assert params == LensParams(61, 1, 3)
+    assert all(type(x) is int for x in (params.n, params.k, params.l))
+
+
 def test_non_canonical_params_refused():
     with pytest.raises(InvalidParametersError):
         LensParams(10, 3, 1)  # k > l
@@ -548,9 +561,5 @@ def test_sphere_point_refuses_non_finite(bad, position):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_float_inputs_refuse_non_finite(bad):
-    with pytest.raises(InvalidInputError):
-        scan_extent(61, 62, 5, bad)
-    with pytest.raises(InvalidInputError):
-        scan_extent_threshold(61, 62, 5, bad)
     with pytest.raises(InvalidInputError):
         isolated_fixed_point_budget(bad)

@@ -98,11 +98,11 @@ def test_warm_rerun_identical_modulo_runtime(report_and_rerun):
 
 
 def test_scan_check_fails_below_sharp_threshold(monkeypatch):
-    # deck order 60 holds the 36 canonical quotients whose bound reaches pi/3
+    # deck order 60 is the one deck order of [60, 300] whose bound reaches pi/3
     monkeypatch.setattr(verify, "EXTENT_SHARP_N", 60)
-    status, _, actual = _check_extent_scan(VerifyConfig())
-    assert status == "FAIL"
-    assert "60" in actual
+    assert _check_extent_scan(VerifyConfig()) == (
+        "FAIL", "0 quotients with bound >= pi/3 for deck order in [60, 300]",
+        "deck orders {60} violate, worst bound 1.04721724417")
 
 
 def test_sharp_threshold_fails_naming_its_deck_order(monkeypatch):
