@@ -40,6 +40,7 @@ from .groups import (
     _icosa_numbers,
     _left_mul,
     _power,
+    _require_integers,
     _require_within,
     _spec_text,
     _table_residual,
@@ -313,7 +314,7 @@ def pu3_metacyclic(m: int, n: int, r: int) -> MatrixRep:
     the rep returned is that linear lift, whose table is the group's.
     Only n = 3 is supported: the cube condition r^3 = 1 mod m is exactly
     what lets a 3-cycle of the diagonal realize the twist."""
-    m, n, r = int(m), int(n), int(r)
+    m, n, r = _require_integers(m=m, n=n, r=r)
     if n != 3:
         raise InvalidInputError("the diagonal-plus-shift model needs n = 3")
     if m < 1:

@@ -59,7 +59,6 @@ __all__ = [
     "is_isomorphic",
     "normal_cyclic_subgroups",
     "max_cyclic_normal_index",
-    "index_two_subgroups",
     "sylow_subgroup",
     "matches_family",
     "order_gl",
@@ -71,6 +70,14 @@ def _require_order(n: int) -> None:
     is built."""
     if n > ORDER_CAP:
         raise BudgetError(f"group order {n} exceeds cap {ORDER_CAP}")
+
+
+def _require_integers(**values) -> tuple[int, ...]:
+    """The values as ints, in order; a non-integer is refused, numpy integers pass."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParametersError(f"{name} = {value!r} is not an integer")
+    return tuple(int(value) for value in values.values())
 
 
 def _index_mask(n: int, indices) -> np.ndarray:
@@ -740,7 +747,8 @@ def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
 
 def build_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
     """Z_m x| Z_n on pairs (a, b) with (a1,b1)(a2,b2) = (a1 + r^b1 a2,
-    b1 + b2), a mod m and b mod n; requires r^n = 1 mod m."""
+    b1 + b2), a mod m and b mod n; requires integers with r^n = 1 mod m."""
+    m, n, r = _require_integers(m=m, n=n, r=r)
     if m < 1 or n < 1:
         raise InvalidParametersError("metacyclic orders must be positive")
     if pow(r, n, m) != 1 % m:
@@ -803,14 +811,15 @@ def canonical_group_name(name: str) -> str:
 
 def _group_key(name: str, params) -> str:
     """Table name of ``name`` once ``params`` fits its parameter count.
-    Each parameter is a factor, exponent or residue of an order under
-    the cap, so one above ``ORDER_CAP`` is refused before any builder
-    or model runs."""
+    Each parameter is an integer, a factor, exponent or residue of an
+    order under the cap, so a non-integer or one above ``ORDER_CAP`` is
+    refused before any builder or model runs."""
     key = canonical_group_name(name)
     arity = _GROUP_TABLE[key][0]
     if not (bool(params) if arity is None else len(params) == arity):
         want = "one or more" if arity is None else arity
         raise InvalidParametersError(f"{key} takes {want} parameter(s), got {len(params)}")
+    _require_integers(**{f"{key} parameter {i + 1}": value for i, value in enumerate(params)})
     if any(value > ORDER_CAP for value in params):
         raise BudgetError(f"a {key} parameter exceeds the order cap {ORDER_CAP}")
     return key
@@ -828,8 +837,9 @@ def build_group(name: str, *params: int) -> FiniteGroup:
 
 
 def pu3_presentation_valid(m: int, n: int, r: int) -> bool:
-    """Side conditions of the odd-order metacyclic presentation:
-    gcd(n(r-1), m) = 1, r^3 = 1 mod m, r != 1 mod m, and m, n odd."""
+    """Side conditions of the odd-order metacyclic presentation on
+    integers: gcd(n(r-1), m) = 1, r^3 = 1 mod m, r != 1 mod m, m, n odd."""
+    m, n, r = _require_integers(m=m, n=n, r=r)
     if m < 1 or n < 1 or r < 0:
         return False
     return (
@@ -1018,140 +1028,127 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
     return sub
 
 
-def index_two_subgroups(g: FiniteGroup) -> list[np.ndarray]:
-    """Element sets of all index-2 subgroups, the kernels of the maps
-    onto Z_2.  A map is fixed by its images of the generators, so each
-    nonzero choice of them that extends to a homomorphism
-    (``_induced_map`` finds no conflict) is one map, met once."""
-    gens = minimal_generating_set(g)
-    z2 = cyclic(2)
-    maps = (_induced_map(g, z2, gens, images)
-            for images in itertools.product((0, 1), repeat=len(gens)) if any(images))
-    return [np.flatnonzero(phi == 0) for phi in maps if phi is not None]
-
-
 def _is_cyclic(g: FiniteGroup) -> bool:
     return int(g.element_orders.max()) == g.size
 
 
-def _match_odd_cyclic_by(g: FiniteGroup, quotient_model: FiniteGroup) -> bool:
-    qsize = quotient_model.size
-    if g.size % qsize or (g.size // qsize) % 2 == 0:
+# --- family certificates ------------------------------------------------------
+
+
+def _powers(g: FiniteGroup, x: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(k-1), k the order of x."""
+    k = int(g.element_orders[x])
+    return np.fromiter(itertools.accumulate(range(1, k), lambda y, _: g.table[y, x],
+                                            initial=g.identity), np.int64, k)
+
+
+def _odd_core_index(g: FiniteGroup) -> int:
+    """The 2-part of |G| if the odd-order elements form a cyclic subgroup
+    N of that index (one has the order of their count), else 0.  A normal
+    subgroup of odd order and 2-power index is a normal Hall subgroup, so
+    N is the only one; gN in G/N has the 2-part of the order of g."""
+    odd = g.element_orders[g.element_orders % 2 == 1]
+    two_part = g.size & -g.size
+    return two_part if odd.size * two_part == g.size and int(odd.max()) == odd.size else 0
+
+
+def _odd_metacyclic_2power_by_z2(g: FiniteGroup) -> bool:
+    """|G| = 2^(k+2) |N|, k odd and > 1, and an x of order divisible by
+    2^(k+1): N<x> (N<x^2> if that is G) is then an index-2 H with H/N
+    cyclic of order 2^(k+1); conversely a generator of H/N lifts to such an x."""
+    two_part = _odd_core_index(g)
+    k = two_part.bit_length() - 3
+    return k > 1 and k % 2 == 1 and bool(np.any(g.element_orders % (two_part // 2) == 0))
+
+
+def _dihedral_relations_hold(g: FiniteGroup, inside: np.ndarray, twisted: bool) -> bool:
+    """Whether a, the first element of the mask ``inside`` of order h =
+    |inside|/2, and b, its first element outside <a>, satisfy
+    b a b^-1 = a^-1 and b^2 = 1 (b^2 = a^(h/2) if ``twisted``).  These
+    present the dihedral (dicyclic) group of order 2h, and <a, b> holds
+    <a> and b<a>, so then <a, b> is that group; in that group every such
+    a and b satisfy them (a generates the cyclic subgroup of index 2,
+    except in Z2, the Klein group and Q8, where any choice does)."""
+    half = int(np.count_nonzero(inside)) // 2
+    found = np.flatnonzero(inside & (g.element_orders == half))
+    if found.size == 0:
         return False
-    target = g.size // qsize
-    for sub in normal_cyclic_subgroups(g):
-        if sub.size != target:
-            continue
-        quo, _ = g.quotient(sub)
-        if is_isomorphic(quo, quotient_model):
-            return True
-    return False
+    a, powers = int(found[0]), _powers(g, int(found[0]))
+    b = int(np.argmax(inside & ~_index_mask(g.size, powers)))
+    square = powers[half // 2] if twisted else g.identity
+    return bool(g.table[b, b] == square and g.table[g.table[b, a], g.inverses[b]] == g.inverses[a])
 
 
-def _match_metacyclic_projective(g: FiniteGroup) -> bool:
+def _binary_dihedral_times_odd(g: FiniteGroup) -> bool:
+    """G = P x C, C the central odd-order elements (cyclic) and P those of
+    order prime to |C|, 8 <= |P| = 0 mod 4, dicyclic by its relations,
+    which also make P a subgroup: the dicyclic <a, b> lies in P."""
+    orders = g.element_orders
+    core = g.center[orders[g.center] % 2 == 1]
+    inside = np.gcd(orders, core.size) == 1
+    size = int(np.count_nonzero(inside))
+    return (int(orders[core].max()) == core.size and size * core.size == g.size
+            and math.gcd(size, core.size) == 1 and size >= 8 and size % 4 == 0
+            and _dihedral_relations_hold(g, inside, twisted=True))
+
+
+def _metacyclic_certificate(g: FiniteGroup) -> tuple[int, int, int] | None:
+    """(m, n, r) if g is <A, B | A^m = B^n = 1, B A B^-1 = A^r> under the
+    side conditions of ``pu3_presentation_valid``, else None.  These make
+    [B, A] = A^(r-1) generate <A> = G', so G' is cyclic of order m > 1 and
+    G/G' cyclic of order n > 1 prime to m; an element b of order n spans a
+    complement (Schur-Zassenhaus), and b a b^-1 = a^r for a generator a of
+    G'.  Another b turns r into r^j, j a unit mod n; a valid r has order 3
+    mod m and 3 | n, so 3 does not divide j and the test is unchanged."""
     if g.size % 2 == 0:
-        return False
-    orders = g.element_orders
-    for sub in normal_cyclic_subgroups(g):
-        m = int(sub.size)
-        n = g.size // m
-        if n == 1 or m == 1 or math.gcd(m, n) != 1:
-            continue
-        quo, proj = g.quotient(sub)
-        if not _is_cyclic(quo):
-            continue
-        x = int(sub[np.argmax(orders[sub])])  # a generator of the subgroup
-        powers = [g.identity]
-        while len(powers) < m:
-            powers.append(g.op(powers[-1], x))
-        power_index = {p: e for e, p in enumerate(powers)}
-        for hcand in np.nonzero(orders == n)[0]:
-            if int(quo.element_orders[proj[hcand]]) != n:
-                continue
-            conj = g.op(g.op(int(hcand), x), int(g.inverses[hcand]))
-            r = power_index[conj]
-            if pu3_presentation_valid(m, n, r):
-                return True
-    return False
+        return None
+    orders, derived = g.element_orders, g.commutator_subgroup
+    m, invariants = derived.size, g.abelian_invariants
+    if (m == 1 or int(orders[derived].max()) != m or len(invariants) != 1
+            or math.gcd(m, invariants[0]) != 1):
+        return None
+    n = invariants[0]
+    a, b = int(derived[np.argmax(orders[derived] == m)]), int(np.argmax(orders == n))
+    r = np.flatnonzero(_powers(g, a) == g.table[g.table[b, a], g.inverses[b]])[0]
+    return (m, n, int(r)) if pu3_presentation_valid(m, n, r) else None
 
 
-def _match_binary_dihedral_times_odd(g: FiniteGroup) -> bool:
-    orders = g.element_orders
-    central_odd = [int(i) for i in g.center if orders[i] % 2 == 1]
-    core = g.closure(central_odd)
-    csub, _ = g.restrict(core)
-    if not _is_cyclic(csub):
-        return False
-    m_plus = csub.size
-    if m_plus % 2 == 0:
-        return False
-    p_els = np.nonzero([math.gcd(int(o), m_plus) == 1 for o in orders])[0]
-    if p_els.size * m_plus != g.size or math.gcd(int(p_els.size), m_plus) != 1:
-        return False
-    if not g.is_subgroup(p_els):
-        return False
-    if p_els.size < 8 or p_els.size % 4:
-        return False
-    psub, _ = g.restrict(p_els)
-    return is_isomorphic(psub, binary_dihedral(psub.size))
-
-
-def _match_odd_metacyclic_2power_by_z2(g: FiniteGroup) -> bool:
-    order = g.size
-    v2 = 0
-    while order % 2 == 0:
-        order //= 2
-        v2 += 1
-    n = v2 - 2
-    if n <= 1 or n % 2 == 0:
-        return False
-    odd_part = order
-    for members in index_two_subgroups(g):
-        sub, _ = g.restrict(members)
-        for nsub in normal_cyclic_subgroups(sub):
-            if nsub.size != odd_part:
-                continue
-            quo, _ = sub.quotient(nsub)
-            if quo.size == 2 ** (n + 1) and _is_cyclic(quo):
-                return True
-    return False
-
-
-def _match_polyhedral(g: FiniteGroup) -> bool:
-    if _is_cyclic(g):
-        return True
+def _polyhedral(g: FiniteGroup) -> bool:
+    """Cyclic, dihedral by its relations, A4, S4 or A5.  Among the groups
+    of order 12 and 24 (H. U. Besche, B. Eick and E. A. O'Brien, "A
+    millennium project: constructing small groups", 2002), A4 and S4
+    alone have trivial centre; a perfect group of order 60 is simple, as
+    every smaller group is solvable, and A5 is the one such group."""
     n = g.size
-    if n % 2 == 0 and is_isomorphic(g, dihedral(n)):
+    if _is_cyclic(g) or (n % 2 == 0 and _dihedral_relations_hold(g, np.ones(n, bool), False)):
         return True
-    if n == 12:
-        return is_isomorphic(g, alternating(4))
-    if n == 24:
-        return is_isomorphic(g, symmetric(4))
-    if n == 60:
-        return is_isomorphic(g, alternating(5))
-    return False
+    if n in (12, 24):
+        return g.center.size == 1
+    return n == 60 and g.commutator_subgroup.size == n
 
 
 _FAMILY_TESTS = {
     "cyclic": _is_cyclic,
     "abelian-rank-le-2": lambda g: g.is_abelian and len(g.abelian_invariants) <= 2,
-    "polyhedral": _match_polyhedral,
+    "polyhedral": _polyhedral,
     "odd-cyclic": lambda g: g.size % 2 == 1 and _is_cyclic(g),
-    "odd-cyclic-by-z2": lambda g: _match_odd_cyclic_by(g, cyclic(2)),
-    "odd-cyclic-by-z4": lambda g: _match_odd_cyclic_by(g, cyclic(4)),
-    "odd-cyclic-by-klein": lambda g: _match_odd_cyclic_by(g, abelian([2, 2])),
-    "metacyclic-odd-projective": _match_metacyclic_projective,
-    "binary-dihedral-times-odd-cyclic": _match_binary_dihedral_times_odd,
-    "odd-metacyclic-2power-by-z2": _match_odd_metacyclic_2power_by_z2,
+    "odd-cyclic-by-z2": lambda g: _odd_core_index(g) == 2,
+    "odd-cyclic-by-z4": lambda g: _odd_core_index(g) == 4 and np.any(g.element_orders % 4 == 0),
+    "odd-cyclic-by-klein": lambda g: _odd_core_index(g) == 4 and np.all(g.element_orders % 4),
+    "metacyclic-odd-projective": lambda g: _metacyclic_certificate(g) is not None,
+    "binary-dihedral-times-odd-cyclic": _binary_dihedral_times_odd,
+    "odd-metacyclic-2power-by-z2": _odd_metacyclic_2power_by_z2,
 }
 
 
 def matches_family(g: FiniteGroup, family: str) -> bool:
-    """Structural membership test for the classification families.
-
-    Each family is recognized through normal-subgroup shape: a normal
-    cyclic piece of the demanded order and parity plus the demanded
-    quotient, with the stated coprimality side conditions."""
+    """Structural membership test for the classification families.  Each
+    tag is a certificate on element orders, the centre, G' and G/G', and
+    at most one two-generator presentation check: a cyclic subgroup of
+    odd-order elements (odd-cyclic-by-*, odd-metacyclic-2power-by-z2),
+    (m, n, r) off G' (metacyclic-odd-projective), dicyclic or dihedral
+    relations (binary-dihedral-times-odd-cyclic, polyhedral).  An
+    unknown tag raises InvalidInputError."""
     try:
         test = _FAMILY_TESTS[family]
     except KeyError:

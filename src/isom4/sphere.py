@@ -14,13 +14,12 @@ constants, which verify-all's record texts print.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError, UnsupportedCaseError
-from .groups import _require_within
+from .groups import _require_integers, _require_within
 
 __all__ = [
     "SpherePoint",
@@ -56,10 +55,20 @@ STEP_TOLERANCE = 1e-5
 # arrays grow with both, so larger values are refused before any is built
 MAX_Q = 16
 MAX_RESTARTS = 1024
-# the largest restarts x q x deck order n of one optimizer run: its
-# orbit screen is a (9 restarts (q - 1), n) float matrix, so a larger
-# product is refused before any array is built
-MAX_ORBIT_WORK = 2**20
+# the largest restarts x q^2 x deck order n of one optimizer run, the
+# work of one sweep (q points, 9 positions each, scored against q - 1
+# others over n deck elements); a larger product is refused before any
+# array is built.  It bounds the memory too, with restarts <= MAX_RESTARTS:
+# - the orbit screen, a (9 restarts (q - 1), n) float matrix, holds under
+#   9 MAX_SWEEP_WORK / q <= 4.5 MAX_SWEEP_WORK floats (9.4 MB);
+# - the ``drawn`` buffer, restarts x 16 x q x 8 x 4 floats, has
+#   restarts q <= min(1024 q, MAX_SWEEP_WORK / q) <= 32 sqrt(MAX_SWEEP_WORK)
+#   = 16384, so at most 2^23 floats (64 MiB).
+# Along the edge of this budget the slowest run measured is (restarts,
+# q, n) = (1024, 15, 1), 31-36 s on a 2-vCPU VM, and no run with n >= 2
+# took over 11 s.  At n = 1 the caps on restarts and q bind first, and
+# at odd q almost every restart runs all MAX_SWEEPS sweeps.
+MAX_SWEEP_WORK = 2**18
 # how far an optimized lower bound may exceed the closed-form upper
 # bound before verify-all's optimizer check reports FAIL
 LOWER_BOUND_SLACK = 1e-9
@@ -100,13 +109,6 @@ class SpherePoint:
         return complex(self.coords[2], self.coords[3])
 
 
-def _require_integers(**values) -> None:
-    """Refuse any value that is not an integer; numpy integers pass."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise InvalidParametersError(f"{name} = {value!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class LensParams:
     """Canonical parameters (n, k, l) of a free cyclic quotient of S^3.
@@ -122,8 +124,7 @@ class LensParams:
     l: int
 
     def __post_init__(self):
-        _require_integers(n=self.n, k=self.k, l=self.l)
-        n, k, l = int(self.n), int(self.k), int(self.l)
+        n, k, l = _require_integers(n=self.n, k=self.k, l=self.l)
         if n < 1 or k < 1 or l < 1:
             raise InvalidParametersError("lens parameters must be positive")
         if math.gcd(k, n) != 1 or math.gcd(l, n) != 1:
@@ -147,8 +148,8 @@ class ExtentConfig:
     """One optimizer run: tuple size, restarts and seed, integers all; the
     sweep budget is ``MAX_SWEEPS`` and ``STEP_TOLERANCE``, and a q above
     ``MAX_Q`` or restarts above ``MAX_RESTARTS`` is a ``BudgetError``, as
-    is, in :func:`extent_lower_bound`, restarts x q x n above
-    ``MAX_ORBIT_WORK``."""
+    is, in :func:`extent_lower_bound`, restarts x q^2 x n above
+    ``MAX_SWEEP_WORK``."""
 
     q: int
     restarts: int = 32
@@ -297,12 +298,11 @@ def canonicalize_lens(n: int, k: int, l: int) -> LensParams:
     swapping the exponents swaps the coordinates.  Each of n, k and l
     must be an integer, as in ``LensParams``.
     """
-    _require_integers(n=n, k=k, l=l)
-    n = int(n)
+    n, k, l = _require_integers(n=n, k=k, l=l)
     if n < 1:
         raise InvalidParametersError("deck order must be positive")
-    k = int(k) % n if n > 1 else 1
-    l = int(l) % n if n > 1 else 1
+    k = k % n if n > 1 else 1
+    l = l % n if n > 1 else 1
     if math.gcd(k, n) != 1 or math.gcd(l, n) != 1:
         raise InvalidInputError("rotation exponents must be coprime to n")
     if n <= 2:
@@ -374,15 +374,15 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     step and stopping rule, so the result is the one restarts run one
     after another would give.  Reported value is the best mean over all
     restarts; it is a certified lower bound because the achieving
-    configuration is returned with it.  A run whose restarts x q x n
-    exceeds ``MAX_ORBIT_WORK`` is a ``BudgetError``, raised before any
+    configuration is returned with it.  A run whose restarts x q^2 x n
+    exceeds ``MAX_SWEEP_WORK`` is a ``BudgetError``, raised before any
     array is built.
     """
     q = cfg.q
-    work = cfg.restarts * q * params.n
-    if work > MAX_ORBIT_WORK:
-        raise BudgetError(f"restarts x q x deck order = {work} exceeds the budget "
-                          f"{MAX_ORBIT_WORK}")
+    work = cfg.restarts * q * q * params.n
+    if work > MAX_SWEEP_WORK:
+        raise BudgetError(f"restarts x q^2 x deck order = {work} exceeds the budget "
+                          f"{MAX_SWEEP_WORK}")
     phases = _deck_phases(params)
     rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
     pts = np.stack([rng.standard_normal((q, 4)) for rng in rngs])

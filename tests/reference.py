@@ -5,12 +5,15 @@ tests: integer Smith normal form and the Bareiss determinant (the exact
 oracles of the kernel and presentation tests), the round distance on
 S^3, the deck rotations and the quotient distance (the geometric
 definitions ``sphere._orbit_dots`` is checked through), the sphere
-isometry that realizes ``canonicalize_lens``, and the block recipe of a
-polyhedral rotation group times a plane rotation in SO(5).
+isometry that realizes ``canonicalize_lens``, the block recipe of a
+polyhedral rotation group times a plane rotation in SO(5), and the
+subgroup and isomorphism searches that decided the family tags before
+``groups.matches_family`` read them off certificates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +28,23 @@ from isom4.embeddings import (
     _so3_generators,
 )
 from isom4.errors import InvalidInputError, InvalidParametersError
-from isom4.groups import _zeta_order
+from isom4.groups import (
+    FiniteGroup,
+    _induced_map,
+    _is_cyclic,
+    _zeta_order,
+    abelian,
+    alternating,
+    binary_dihedral,
+    cyclic,
+    dihedral,
+    is_isomorphic,
+    matches_family,
+    minimal_generating_set,
+    normal_cyclic_subgroups,
+    pu3_presentation_valid,
+    symmetric,
+)
 from isom4.sphere import LensParams, SpherePoint, _deck_phases, _orbit_dots, canonicalize_lens
 
 # ---------------------------------------------------------------------------
@@ -246,3 +265,137 @@ def so3_times_rotation(cyclic_order: int, name: str, *params: int) -> MatrixRep:
     n = _zeta_order(poly_order * t)
     return _closed_rep([*(_block_diag(g, _eye(2, n)) for g in so3_gens(n)),
                         _block_diag(_eye(3, n), _rot2(n, t))], poly_order * t)
+
+
+# ---------------------------------------------------------------------------
+# family tags by search
+
+
+def index_two_subgroups(g: FiniteGroup) -> list[np.ndarray]:
+    """Element sets of all index-2 subgroups, the kernels of the maps
+    onto Z_2.  A map is fixed by its images of the generators, so each
+    nonzero choice of them that extends to a homomorphism
+    (``_induced_map`` finds no conflict) is one map, met once."""
+    gens = minimal_generating_set(g)
+    z2 = cyclic(2)
+    maps = (_induced_map(g, z2, gens, images)
+            for images in itertools.product((0, 1), repeat=len(gens)) if any(images))
+    return [np.flatnonzero(phi == 0) for phi in maps if phi is not None]
+
+
+def _match_odd_cyclic_by(g: FiniteGroup, quotient_model: FiniteGroup) -> bool:
+    qsize = quotient_model.size
+    if g.size % qsize or (g.size // qsize) % 2 == 0:
+        return False
+    target = g.size // qsize
+    for sub in normal_cyclic_subgroups(g):
+        if sub.size != target:
+            continue
+        quo, _ = g.quotient(sub)
+        if is_isomorphic(quo, quotient_model):
+            return True
+    return False
+
+
+def _match_metacyclic_projective(g: FiniteGroup) -> bool:
+    if g.size % 2 == 0:
+        return False
+    orders = g.element_orders
+    for sub in normal_cyclic_subgroups(g):
+        m = int(sub.size)
+        n = g.size // m
+        if n == 1 or m == 1 or math.gcd(m, n) != 1:
+            continue
+        quo, proj = g.quotient(sub)
+        if not _is_cyclic(quo):
+            continue
+        x = int(sub[np.argmax(orders[sub])])  # a generator of the subgroup
+        powers = [g.identity]
+        while len(powers) < m:
+            powers.append(g.op(powers[-1], x))
+        power_index = {p: e for e, p in enumerate(powers)}
+        for hcand in np.nonzero(orders == n)[0]:
+            if int(quo.element_orders[proj[hcand]]) != n:
+                continue
+            conj = g.op(g.op(int(hcand), x), int(g.inverses[hcand]))
+            r = power_index[conj]
+            if pu3_presentation_valid(m, n, r):
+                return True
+    return False
+
+
+def _match_binary_dihedral_times_odd(g: FiniteGroup) -> bool:
+    orders = g.element_orders
+    central_odd = [int(i) for i in g.center if orders[i] % 2 == 1]
+    core = g.closure(central_odd)
+    csub, _ = g.restrict(core)
+    if not _is_cyclic(csub):
+        return False
+    m_plus = csub.size
+    if m_plus % 2 == 0:
+        return False
+    p_els = np.nonzero([math.gcd(int(o), m_plus) == 1 for o in orders])[0]
+    if p_els.size * m_plus != g.size or math.gcd(int(p_els.size), m_plus) != 1:
+        return False
+    if not g.is_subgroup(p_els):
+        return False
+    if p_els.size < 8 or p_els.size % 4:
+        return False
+    psub, _ = g.restrict(p_els)
+    return is_isomorphic(psub, binary_dihedral(psub.size))
+
+
+def _match_odd_metacyclic_2power_by_z2(g: FiniteGroup) -> bool:
+    order = g.size
+    v2 = 0
+    while order % 2 == 0:
+        order //= 2
+        v2 += 1
+    n = v2 - 2
+    if n <= 1 or n % 2 == 0:
+        return False
+    odd_part = order
+    for members in index_two_subgroups(g):
+        sub, _ = g.restrict(members)
+        for nsub in normal_cyclic_subgroups(sub):
+            if nsub.size != odd_part:
+                continue
+            quo, _ = sub.quotient(nsub)
+            if quo.size == 2 ** (n + 1) and _is_cyclic(quo):
+                return True
+    return False
+
+
+def _match_polyhedral(g: FiniteGroup) -> bool:
+    if _is_cyclic(g):
+        return True
+    n = g.size
+    if n % 2 == 0 and is_isomorphic(g, dihedral(n)):
+        return True
+    if n == 12:
+        return is_isomorphic(g, alternating(4))
+    if n == 24:
+        return is_isomorphic(g, symmetric(4))
+    if n == 60:
+        return is_isomorphic(g, alternating(5))
+    return False
+
+
+# the quotient models, built once; the tags decided without a search in
+# the library too are their own oracle
+_Z2, _Z4, _KLEIN = cyclic(2), cyclic(4), abelian([2, 2])
+_FAMILY_SEARCHES = {
+    "polyhedral": _match_polyhedral,
+    "odd-cyclic-by-z2": lambda g: _match_odd_cyclic_by(g, _Z2),
+    "odd-cyclic-by-z4": lambda g: _match_odd_cyclic_by(g, _Z4),
+    "odd-cyclic-by-klein": lambda g: _match_odd_cyclic_by(g, _KLEIN),
+    "metacyclic-odd-projective": _match_metacyclic_projective,
+    "binary-dihedral-times-odd-cyclic": _match_binary_dihedral_times_odd,
+    "odd-metacyclic-2power-by-z2": _match_odd_metacyclic_2power_by_z2,
+}
+
+
+def family_by_search(g: FiniteGroup, family: str) -> bool:
+    """``matches_family`` as the subgroup and isomorphism searches decide it."""
+    search = _FAMILY_SEARCHES.get(family)
+    return matches_family(g, family) if search is None else bool(search(g))

@@ -74,6 +74,14 @@ def test_even_order_suppresses_odd_records():
     assert "homologically-trivial-structure" in ids
 
 
+def test_b2_one_lookup():
+    # odd order at b2 = 1: the structure dichotomy and CP^2's projective
+    # plane family, the one lookup of the dichotomy not asserted above
+    ids = ids_for(b2=1, order_parity="odd")
+    assert "odd-order-structure" in ids
+    assert "odd-nonabelian-projective-plane" in ids
+
+
 def test_b2_two_lookup():
     ids = ids_for(b2=2, order_parity="odd")
     assert "odd-b2-2-cyclic" in ids
@@ -147,6 +155,21 @@ def test_records_are_table_constants(q):
     assert [r.id for r in first].count("homologically-trivial-structure") == 1
 
 
+# a member of each family tag the table can name (None: no witness)
+FAMILY_WITNESSES = {
+    "cyclic": cyclic(5),
+    "abelian-rank-le-2": abelian([3, 9]),
+    "polyhedral": alternating(4),
+    "odd-cyclic": cyclic(7),
+    "odd-cyclic-by-z2": dihedral(6),
+    "odd-cyclic-by-z4": build_metacyclic(5, 4, 2),
+    "odd-cyclic-by-klein": abelian([3, 2, 2]),
+    "metacyclic-odd-projective": build_metacyclic(7, 3, 2),
+    "binary-dihedral-times-odd-cyclic": None,
+    "odd-metacyclic-2power-by-z2": None,
+}
+
+
 def test_all_declared_family_tags_resolve():
     tags = set()
     for b2 in range(B2_MAX + 1):
@@ -158,20 +181,8 @@ def test_all_declared_family_tags_resolve():
                 for r in classify(q):
                     tags.update(r.families)
     # every tag the table mentions must be a real recognizer
-    witnesses = {
-        "cyclic": cyclic(5),
-        "abelian-rank-le-2": abelian([3, 9]),
-        "polyhedral": alternating(4),
-        "odd-cyclic": cyclic(7),
-        "odd-cyclic-by-z2": dihedral(6),
-        "odd-cyclic-by-z4": build_metacyclic(5, 4, 2),
-        "odd-cyclic-by-klein": abelian([3, 2, 2]),
-        "metacyclic-odd-projective": build_metacyclic(7, 3, 2),
-        "binary-dihedral-times-odd-cyclic": None,
-        "odd-metacyclic-2power-by-z2": None,
-    }
-    assert tags <= set(witnesses)
+    assert tags <= set(FAMILY_WITNESSES)
     for tag in sorted(tags):
-        g = witnesses[tag]
+        g = FAMILY_WITNESSES[tag]
         if g is not None:
             assert matches_family(g, tag), tag

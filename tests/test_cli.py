@@ -396,12 +396,14 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
      "restarts = 1000000000000 exceeds the cap 1024"),
     (["extent", "61", "1", "1", "--optimize", "--q", "30000"],
      "tuple size q = 30000 exceeds the cap 16"),
-    # this one used to take about 0.9 GB and minutes
+    # these used to take about 0.9 GB and minutes, or 94 s
     (["extent", "99991", "1", "2", "--optimize"],
-     "restarts x q x deck order = 15998560 exceeds the budget 1048576"),
+     "restarts x q^2 x deck order = 79992800 exceeds the budget 262144"),
+    (["extent", "64", "1", "1", "--optimize", "--restarts", "1024", "--q", "16"],
+     "restarts x q^2 x deck order = 16777216 exceeds the budget 262144"),
 ], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone",
         "extent-restarts-past-the-cap", "extent-q-past-the-cap",
-        "extent-past-the-orbit-budget"])
+        "extent-past-the-orbit-budget", "extent-past-the-sweep-budget"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -36,7 +36,6 @@ from isom4.groups import (
     direct_product,
     find_isomorphism,
     group_from_quaternions,
-    index_two_subgroups,
     inverted_odd_cycle,
     is_isomorphic,
     klein_by_cyclic3,
@@ -51,7 +50,8 @@ from isom4.groups import (
     symmetric,
 )
 from isom4.verify import CYCLIC_INDEX_CATALOG, H2_TABLE
-from reference import smith_normal_form, so3_times_rotation
+from reference import family_by_search, index_two_subgroups, smith_normal_form, so3_times_rotation
+from test_claims import FAMILY_WITNESSES
 
 
 # --- table validation ---------------------------------------------------
@@ -612,6 +612,30 @@ def test_pu3_presentation_conditions():
     assert not pu3_presentation_valid(9, 3, 4)   # gcd(n(r-1), m) = 3
 
 
+# the metacyclic parameters are integers: numpy integers pass, anything
+# else is refused (r = 2.7 used to truncate silently to the order-21
+# model, and a numpy r died in three-argument pow)
+METACYCLIC_CALLS = {
+    "build_metacyclic": lambda m, n, r: build_metacyclic(m, n, r).size == 21,
+    "build_group": lambda m, n, r: build_group("metacyclic", m, n, r).size == 21,
+    "pu3_presentation_valid": pu3_presentation_valid,
+    "pu3_metacyclic": lambda m, n, r: embeddings.pu3_metacyclic(m, n, r).group.size == 21,
+}
+
+
+@pytest.mark.parametrize("call", METACYCLIC_CALLS.values(), ids=METACYCLIC_CALLS.keys())
+@pytest.mark.parametrize("params, accepted", [
+    ((7, 3, np.int64(2)), True), ((np.int32(7), np.int64(3), 2), True),
+    ((7, 3, 2.0), False), ((7, 3, 2.7), False), ((7.0, 3, 2), False), ((7, "3", 2), False),
+], ids=["numpy-r", "numpy-m-n", "float-r", "fractional-r", "float-m", "text-n"])
+def test_metacyclic_parameters_are_integers(call, params, accepted):
+    if accepted:
+        assert call(*params)
+    else:
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            call(*params)
+
+
 def test_order_gl_values():
     assert order_gl(3, 2) == 168
     assert order_gl(2, 3) == 48
@@ -863,3 +887,51 @@ def test_family_membership(family, group, expected):
 def test_unknown_family_tag():
     with pytest.raises(InvalidInputError):
         matches_family(cyclic(2), "frieze")
+
+
+def test_family_tags_run_no_search(monkeypatch):
+    # every tag is decided by its certificate: the subgroup and
+    # isomorphism searches (is_isomorphic calls find_isomorphism) are
+    # never reached
+    def search(*args):
+        raise AssertionError("a family tag ran a search")
+
+    monkeypatch.setattr(groups, "normal_cyclic_subgroups", search)
+    monkeypatch.setattr(groups, "find_isomorphism", search)
+    for family, group, expected in FAMILY_CASES:
+        assert matches_family(group, family) == expected, family
+    for family, group in FAMILY_WITNESSES.items():
+        if group is not None:
+            assert matches_family(group, family), family
+
+
+def metacyclic_triples(limit):
+    """Every (m, n, r) with m n <= limit, 0 <= r < m, gcd(r, m) = 1 and
+    r^n = 1 mod m: each a valid ``build_metacyclic`` input."""
+    return [(m, mn // m, r) for mn in range(1, limit + 1) for m in range(1, mn + 1)
+            if mn % m == 0 for r in range(m)
+            if math.gcd(r, m) == 1 and pow(r, mn // m, m) == 1 % m]
+
+
+ORACLE_GROUPS = {
+    "family-cases": lambda: [group for _, group, _ in FAMILY_CASES],
+    "metacyclic-mn-le-96": lambda: [build_metacyclic(*t) for t in metacyclic_triples(96)],
+    "dihedral-le-48": lambda: [dihedral(order) for order in range(2, 49, 2)],
+    "dicyclic-le-48": lambda: [binary_dihedral(order) for order in range(4, 49, 4)],
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
+def test_family_certificates_agree_with_the_searches(build):
+    disagree = [(i, g.size, family)
+                for i, g in enumerate(build()) for family in groups._FAMILY_TESTS
+                if matches_family(g, family) != family_by_search(g, family)]
+    assert disagree == []
+
+
+def test_metacyclic_certificate_reads_m_n_r():
+    m, n, r = groups._metacyclic_certificate(build_metacyclic(7, 3, 2))
+    assert (m, n) == (7, 3) and pu3_presentation_valid(m, n, r)
+    # cyclic: G' is trivial; A4: even order; G/G' = Z3 x Z3 is not cyclic
+    for g in (cyclic(21), alternating(4), direct_product(build_metacyclic(7, 3, 2), cyclic(3))):
+        assert groups._metacyclic_certificate(g) is None

@@ -483,21 +483,33 @@ def test_extent_config_caps_q_and_restarts():
 
 
 def test_optimizer_budget_bounds_restarts_q_and_n(monkeypatch):
-    # the screen grows with restarts x q x n, which the caps on q and
+    # one sweep costs restarts x q^2 x n, which the caps on q and
     # restarts alone do not bound: (32, 5, 99991) used to need about
-    # 0.9 GB; it is refused before the deck phases are built
-    assert sphere.MAX_ORBIT_WORK == 2**20
-    assert 32 * 5 * 200 <= sphere.MAX_ORBIT_WORK  # verify-all's largest run
+    # 0.9 GB and (1024, 16, 64) 94 s; both are refused before the deck
+    # phases are built
+    assert sphere.MAX_SWEEP_WORK == 2**18
+    assert 32 * 5**2 * 200 <= sphere.MAX_SWEEP_WORK  # verify-all's largest run
 
-    def unreachable(params):
-        raise AssertionError("deck phases built past the budget")
+    class Reached(Exception):
+        pass
 
-    monkeypatch.setattr(sphere, "_deck_phases", unreachable)
-    for nkl, cfg, work in (((99991, 1, 2), ExtentConfig(q=5), 15998560),
-                           ((6563, 1, 2), ExtentConfig(q=5), 1050080),
-                           ((65, 1, 2), ExtentConfig(q=16, restarts=1024), 1064960)):
-        with pytest.raises(BudgetError, match=rf"^restarts x q x deck order = {work} "
-                                              rf"exceeds the budget 1048576$"):
+    def reached(params):
+        raise Reached
+
+    monkeypatch.setattr(sphere, "_deck_phases", reached)
+    # on the edge, and verify-all's runs: accepted
+    for nkl, cfg in (((64, 1, 1), ExtentConfig(q=16, restarts=16)),
+                     ((1, 1, 1), ExtentConfig(q=16, restarts=1024)),
+                     ((199, 1, 2), ExtentConfig(q=5)),
+                     ((1, 1, 1), ExtentConfig(q=2))):
+        with pytest.raises(Reached):
+            extent_lower_bound(LensParams(*nkl), cfg)
+    for nkl, cfg, work in (((99991, 1, 2), ExtentConfig(q=5), 79992800),
+                           ((64, 1, 1), ExtentConfig(q=16, restarts=1024), 16777216),
+                           ((64, 1, 1), ExtentConfig(q=16, restarts=17), 278528),
+                           ((329, 1, 2), ExtentConfig(q=5), 263200)):
+        with pytest.raises(BudgetError, match=rf"^restarts x q\^2 x deck order = {work} "
+                                              rf"exceeds the budget 262144$"):
             extent_lower_bound(LensParams(*nkl), cfg)
 
 
