@@ -39,6 +39,7 @@ import numpy as np
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .groups import (
     FiniteGroup,
+    _require_integers,
     is_isomorphic,
     minimal_generating_set,
     sylow_subgroup,
@@ -92,27 +93,15 @@ class Cochain2:
         n = self.group.size
         if vals.shape != (n, n):
             raise InvalidInputError("cochain table must be |Q| x |Q|")
-        if self.modulus < 1:
+        (modulus,) = _require_integers(modulus=self.modulus)
+        if modulus < 1:
             raise InvalidParametersError("modulus must be positive")
-        vals %= self.modulus
+        vals %= modulus
         e = self.group.identity
         if vals[e, :].any() or vals[:, e].any():
             raise InvalidInputError("cochain must vanish at the identity")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def is_cocycle(self) -> bool:
-        """Exact check of f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 mod m,
-        over blocks of g of about ``snf._BLOCK_ENTRIES`` triples."""
-        f = self.values
-        t = self.group.table
-        n = f.shape[0]
-        for g in _row_blocks(n, n * n):
-            # axes (g, h, k): f[t[g]][g,h,k] = f(gh, k); f[g][:, t][g,h,k] = f(g, hk)
-            lhs = f[None, :, :] - f[t[g]] + f[g][:, t] - f[g][:, :, None]
-            if (lhs % self.modulus).any():
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -308,6 +297,9 @@ def _local_cohomology(group: FiniteGroup, p: int, a: int) -> tuple:
 
 
 def _check_caps(group: FiniteGroup, m: int):
+    """Refuse a group above ``GROUP_ORDER_CAP`` and a modulus that is no
+    integer or lies outside [1, ``MODULUS_CAP``], before any solve."""
+    _require_integers(m=m)
     if group.size > GROUP_ORDER_CAP:
         raise BudgetError(f"group order capped at {GROUP_ORDER_CAP}")
     if not 1 <= m <= MODULUS_CAP:
@@ -554,7 +546,7 @@ def build_central_extension(group: FiniteGroup, m: int, f: Cochain2) -> FiniteGr
     """
     if f.group is not group and not np.array_equal(f.group.table, group.table):
         raise InvalidInputError("cochain belongs to a different group")
-    if f.modulus != m:
+    if f.modulus != _require_integers(m=m)[0]:
         raise InvalidInputError("cochain modulus mismatch")
     n = group.size
     if m * n > EXTENSION_ORDER_CAP:

@@ -214,7 +214,7 @@ def klein_twist(power: int, m_plus: int) -> MatrixRep:
     """The Klein four-group of diagonal signs on R^3, joined with
     diag(P3, R(2pi/(3^power * m_plus))), P3 the coordinate 3-cycle:
     (Z2 + Z2) x| Z_{3^power} times Z_{m_plus}, block diagonal in SO(5)."""
-    r, mp = int(power), int(m_plus)
+    r, mp = _require_integers(power=power, m_plus=m_plus)
     if r < 1:
         raise InvalidParametersError("power must be >= 1")
     if mp < 1 or math.gcd(mp, 6) != 1:
@@ -238,7 +238,7 @@ def so4_central_product(kind: str, m: int) -> MatrixRep:
     kind = canonical_group_name(kind)
     if kind not in _BINARY_ORDERS:
         raise InvalidInputError(f"no binary quaternion model for kind {kind!r}")
-    m = int(m)
+    (m,) = _require_integers(m=m)
     if m < 2 or m % 2:
         raise InvalidParametersError("m must be even and >= 2")
     order = m * _BINARY_ORDERS[kind] // 2
@@ -253,7 +253,7 @@ def u2_mixed(r: int, s: int, m_plus: int) -> MatrixRep:
     """Scalars of order 2^r * m_plus joined with the quaternion group and
     the twisted 3-power element exp(2pi i/3^(s+1)) W inside U(2), W the
     unit quaternion cycling i -> j -> k, realified to SO(4)."""
-    r, s, mp = int(r), int(s), int(m_plus)
+    r, s, mp = _require_integers(r=r, s=s, m_plus=m_plus)
     if r < 1:
         raise InvalidParametersError("r must be >= 1")
     if s < 0:
@@ -274,7 +274,7 @@ def o4_in_so5(m: int, k: int) -> MatrixRep:
     4 x 4 blocks padded by the determinant to land in SO(5): two O(2)
     blocks for odd m, a unitary pair whose swap carries a 2-power phase
     for even m."""
-    m, k = int(m), int(k)
+    m, k = _require_integers(m=m, k=k)
     if k < 3 or k % 2 == 0:
         raise InvalidParametersError("k must be odd and >= 3")
     if m < 1:
@@ -365,7 +365,7 @@ def abelian_so5(orders) -> MatrixRep:
     """Z_{k1} x ... x Z_{kr} in SO(5): one rotation plane per invariant
     factor d, by 2pi/d, then the identity on the rest.  Rank above 2 is
     refused, since two planes hold at most two factors."""
-    factors = sorted(int(k) for k in orders)
+    factors = sorted(_require_integers(**{f"order {i + 1}": k for i, k in enumerate(orders)}))
     if any(k < 1 for k in factors):
         raise InvalidParametersError("cyclic order must be positive")
     # (gcd, lcm) pairwise leaves each factor dividing the ones after it

@@ -241,19 +241,6 @@ class FiniteGroup:
         els = np.flatnonzero(inside)
         return bool(inside[self.identity] and inside[self.table[np.ix_(els, els)]].all())
 
-    def _is_normal(self, inside: np.ndarray) -> bool:
-        """Whether the masked element set is a normal subgroup."""
-        if not self._is_closed(inside):
-            return False
-        conj = self.table[self.table[:, np.flatnonzero(inside)], self.inverses[:, None]]
-        return bool(inside[conj].all())
-
-    def is_subgroup(self, elements) -> bool:
-        return self._is_closed(_index_mask(self.size, elements))
-
-    def is_normal(self, elements) -> bool:
-        return self._is_normal(_index_mask(self.size, elements))
-
     def restrict(self, elements) -> tuple["FiniteGroup", np.ndarray]:
         """Subgroup on the given (closed) element set, reindexed densely."""
         inside = _index_mask(self.size, elements)
@@ -263,18 +250,6 @@ class FiniteGroup:
         pos = np.cumsum(inside) - 1  # pos[x]: the rank of x in els
         sub = pos[self.table[np.ix_(els, els)]]
         return FiniteGroup(sub), els
-
-    def quotient(self, normal_elements) -> tuple["FiniteGroup", np.ndarray]:
-        """Quotient by a normal subgroup; returns (group, projection)."""
-        inside = _index_mask(self.size, normal_elements)
-        if not self._is_normal(inside):
-            raise InvalidInputError("quotient requires a normal subgroup")
-        rep = self.table[:, np.flatnonzero(inside)].min(axis=1)
-        is_rep = _index_mask(self.size, rep)
-        reps = np.flatnonzero(is_rep)
-        proj = (np.cumsum(is_rep) - 1)[rep]
-        qtable = proj[self.table[np.ix_(reps, reps)]]
-        return FiniteGroup(qtable), proj
 
     @cached_property
     def abelian_invariants(self) -> tuple[int, ...]:
@@ -337,6 +312,7 @@ def structural_invariants(g: FiniteGroup) -> dict:
 
 
 def cyclic(n: int) -> FiniteGroup:
+    (n,) = _require_integers(n=n)
     if n < 1:
         raise InvalidParametersError("cyclic order must be positive")
     _require_order(n)
@@ -348,7 +324,7 @@ def abelian(invariants) -> FiniteGroup:
     """Z_{k1} x ... x Z_{kr} in one mixed-radix table, the last
     coordinate running fastest, so its elements come in the order of
     ``direct_product`` chained from ``cyclic(1)``."""
-    orders = [int(k) for k in invariants]
+    orders = _require_integers(**{f"invariant {i + 1}": k for i, k in enumerate(invariants)})
     if any(k < 1 for k in orders):
         raise InvalidParametersError("cyclic order must be positive")
     if math.prod(orders) > ORDER_CAP:
@@ -364,6 +340,7 @@ def abelian(invariants) -> FiniteGroup:
 
 def dihedral(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order 2k."""
+    (order,) = _require_integers(order=order)
     if order < 2 or order % 2:
         raise InvalidParametersError("dihedral order must be even and >= 2")
     _require_order(order)
@@ -377,11 +354,13 @@ def dihedral(order: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
+    (n,) = _require_integers(n=n)
     _require_order(math.factorial(max(n, 0)))
     return _permutation_group(itertools.permutations(range(n)))
 
 
 def alternating(n: int) -> FiniteGroup:
+    (n,) = _require_integers(n=n)
     _require_order(max(1, math.factorial(max(n, 0)) // 2))
     return _permutation_group(p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1)
 
@@ -646,6 +625,7 @@ def quaternion_group() -> FiniteGroup:
 
 def binary_dihedral(order: int) -> FiniteGroup:
     """Binary dihedral (dicyclic) group of order 4k: cos(pi/k) + sin(pi/k) i and j."""
+    (order,) = _require_integers(order=order)
     if order < 4 or order % 4:
         raise InvalidParametersError("binary dihedral order must be a multiple of 4")
     n = _zeta_order(order)
@@ -685,6 +665,7 @@ def cyclic_central_product(m: int, g: FiniteGroup) -> FiniteGroup:
     Element a * |g| + b is the pair (a, b) with a < m/2, which stands
     for itself and for (a + m/2, b z): the least pair of each class of
     Z_m x g modulo (m/2, z), numbered as the quotient table numbers it."""
+    (m,) = _require_integers(m=m)
     if m < 2 or m % 2:
         raise InvalidParametersError("m must be even and >= 2")
     involutions = np.flatnonzero(g.element_orders == 2)
@@ -733,6 +714,7 @@ def inverted_odd_cycle(k: int, m: int) -> FiniteGroup:
     with m' odd, the 2-power cycle inverting Z_k through its quotient
     of order 2: the group the nontrivial central extension of Z_m by the
     dihedral group of order 2k realizes, for every even m."""
+    k, m = _require_integers(k=k, m=m)
     if k < 3 or k % 2 == 0:
         raise InvalidParametersError("k must be odd and >= 3")
     if m < 2 or m % 2:
@@ -762,6 +744,7 @@ def build_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
 def klein_by_cyclic3(power: int) -> FiniteGroup:
     """(Z2 + Z2) x| Z_{3^power}, the cyclic factor rotating the three
     involutions; the action factors through Z_3 (trivial for power 0)."""
+    (power,) = _require_integers(power=power)
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
     return _cyclic_extension(abelian([2, 2]), [0, 2, 3, 1], 3**power)
@@ -771,6 +754,7 @@ def q8_by_cyclic3(power: int) -> FiniteGroup:
     """Q8 x| Z_{3^power}, the cyclic factor conjugating by the unit
     quaternion (-1+i+j+k)/2, which cycles the axes i -> k -> j; the
     action factors through Z_3."""
+    (power,) = _require_integers(power=power)
     if power < 0:
         raise InvalidParametersError("power must be nonnegative")
     q8 = quaternion_group()
@@ -854,6 +838,7 @@ def pu3_presentation_valid(m: int, n: int, r: int) -> bool:
 def order_gl(n: int, p: int) -> int:
     """Order of GL(n, F_p): the product of p^n - p^i over i < n.  Only a
     prime power p is the order of a field, so anything else is refused."""
+    (n,) = _require_integers(n=n)
     if n < 1 or n > 64:
         raise InvalidParametersError("dimension out of the exact-mode range")
     if not isinstance(p, numbers.Integral) or p < 2:

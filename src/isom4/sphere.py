@@ -51,24 +51,23 @@ BUDGET_ANGLES = 3 * BUDGET_TRIANGLES
 # once its step falls below STEP_TOLERANCE
 MAX_SWEEPS = 200
 STEP_TOLERANCE = 1e-5
-# the largest tuple size and restart count of one optimizer run: its
-# arrays grow with both, so larger values are refused before any is built
-MAX_Q = 16
-MAX_RESTARTS = 1024
-# the largest restarts x q^2 x deck order n of one optimizer run, the
-# work of one sweep (q points, 9 positions each, scored against q - 1
-# others over n deck elements); a larger product is refused before any
-# array is built.  It bounds the memory too, with restarts <= MAX_RESTARTS:
+# the largest restarts x q^2 x max(n, SWEEP_DECK_FLOOR) of one optimizer
+# run, n the deck order: one sweep scores 9 positions of each of the q
+# points against the q - 1 others over the deck orbit, and the orbit
+# kernel takes as long per call at n = 16 as at n = 96, so a deck order
+# below the floor counts as the floor.  A larger product is refused
+# before any array is built.  It bounds the run's size with it:
+# - restarts <= MAX_SWEEP_WORK / (4 SWEEP_DECK_FLOOR) = 1024 and q <= 64;
 # - the orbit screen, a (9 restarts (q - 1), n) float matrix, holds under
 #   9 MAX_SWEEP_WORK / q <= 4.5 MAX_SWEEP_WORK floats (9.4 MB);
 # - the ``drawn`` buffer, restarts x 16 x q x 8 x 4 floats, has
-#   restarts q <= min(1024 q, MAX_SWEEP_WORK / q) <= 32 sqrt(MAX_SWEEP_WORK)
-#   = 16384, so at most 2^23 floats (64 MiB).
-# Along the edge of this budget the slowest run measured is (restarts,
-# q, n) = (1024, 15, 1), 31-36 s on a 2-vCPU VM, and no run with n >= 2
-# took over 11 s.  At n = 1 the caps on restarts and q bind first, and
-# at odd q almost every restart runs all MAX_SWEEPS sweeps.
+#   restarts q <= MAX_SWEEP_WORK / (q SWEEP_DECK_FLOOR) <= 2048, so at
+#   most 2^20 floats (8 MiB).
+# Along the edge (the most restarts the budget allows, q 2-64, n
+# 1-65,536, seed 1) the slowest run measured is (restarts, q, n) =
+# (1, 64, 64), 1.5-2.8 s and 39 MB on a 2-vCPU VM; no peak RSS passed 56 MB.
 MAX_SWEEP_WORK = 2**18
+SWEEP_DECK_FLOOR = 64
 # how far an optimized lower bound may exceed the closed-form upper
 # bound before verify-all's optimizer check reports FAIL
 LOWER_BOUND_SLACK = 1e-9
@@ -96,17 +95,6 @@ class SpherePoint:
     @staticmethod
     def from_array(arr) -> "SpherePoint":
         return SpherePoint(tuple(float(x) for x in arr))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords)
-
-    @property
-    def z1(self) -> complex:
-        return complex(self.coords[0], self.coords[1])
-
-    @property
-    def z2(self) -> complex:
-        return complex(self.coords[2], self.coords[3])
 
 
 @dataclass(frozen=True)
@@ -145,11 +133,10 @@ class LensParams:
 
 @dataclass(frozen=True)
 class ExtentConfig:
-    """One optimizer run: tuple size, restarts and seed, integers all; the
-    sweep budget is ``MAX_SWEEPS`` and ``STEP_TOLERANCE``, and a q above
-    ``MAX_Q`` or restarts above ``MAX_RESTARTS`` is a ``BudgetError``, as
-    is, in :func:`extent_lower_bound`, restarts x q^2 x n above
-    ``MAX_SWEEP_WORK``."""
+    """One optimizer run: tuple size q >= 2, restarts >= 1 and a 64-bit
+    unsigned seed, integers all.  The sweep budget is ``MAX_SWEEPS`` and
+    ``STEP_TOLERANCE``; the size of a run depends on the deck order too,
+    so :func:`extent_lower_bound` alone refuses it (``MAX_SWEEP_WORK``)."""
 
     q: int
     restarts: int = 32
@@ -159,12 +146,8 @@ class ExtentConfig:
         _require_integers(q=self.q, restarts=self.restarts, seed=self.seed)
         if self.q < 2:
             raise InvalidParametersError("tuple size q must be at least 2")
-        if self.q > MAX_Q:
-            raise BudgetError(f"tuple size q = {self.q} exceeds the cap {MAX_Q}")
         if self.restarts < 1:
             raise InvalidParametersError("restarts must be positive")
-        if self.restarts > MAX_RESTARTS:
-            raise BudgetError(f"restarts = {self.restarts} exceeds the cap {MAX_RESTARTS}")
         if not 0 <= self.seed < 2**64:
             raise InvalidParametersError("seed must fit in 64 unsigned bits")
 
@@ -322,6 +305,7 @@ def scan_extent(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
     quotient of deck order n carries the bound of n.  A range that starts
     below 3, is empty or ends above ``DECK_ORDER_CAP`` is refused before
     any bound is evaluated."""
+    n_min, n_max = _require_integers(n_min=n_min, n_max=n_max)
     if n_min < 3:
         raise InvalidInputError("scan starts at deck order 3")
     if n_max < n_min:
@@ -374,15 +358,15 @@ def extent_lower_bound(params: LensParams, cfg: ExtentConfig) -> ExtentReport:
     step and stopping rule, so the result is the one restarts run one
     after another would give.  Reported value is the best mean over all
     restarts; it is a certified lower bound because the achieving
-    configuration is returned with it.  A run whose restarts x q^2 x n
-    exceeds ``MAX_SWEEP_WORK`` is a ``BudgetError``, raised before any
-    array is built.
+    configuration is returned with it.  A run whose restarts x q^2 x
+    max(n, ``SWEEP_DECK_FLOOR``) exceeds ``MAX_SWEEP_WORK`` is a
+    ``BudgetError``, raised before the deck phases or any array is built.
     """
     q = cfg.q
-    work = cfg.restarts * q * q * params.n
+    work = cfg.restarts * q * q * max(params.n, SWEEP_DECK_FLOOR)
     if work > MAX_SWEEP_WORK:
-        raise BudgetError(f"restarts x q^2 x deck order = {work} exceeds the budget "
-                          f"{MAX_SWEEP_WORK}")
+        raise BudgetError(f"restarts x q^2 x max(deck order, {SWEEP_DECK_FLOOR}) = {work} "
+                          f"exceeds the budget {MAX_SWEEP_WORK}")
     phases = _deck_phases(params)
     rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
     pts = np.stack([rng.standard_normal((q, 4)) for rng in rngs])

@@ -51,6 +51,7 @@ from .fixedpoints import (
     lefschetz_sweep_s4,
 )
 from .groups import (
+    _require_integers,
     _spec_text,
     _tolerance_text,
     abelian,
@@ -170,7 +171,8 @@ class VerifyConfig:
     cache: ResultCache | None = None
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        (seed,) = _require_integers(seed=self.seed)
+        if not 0 <= seed < 2**64:
             raise InvalidInputError("seed must fit in 64 unsigned bits")
 
 

@@ -5,10 +5,11 @@ tests: integer Smith normal form and the Bareiss determinant (the exact
 oracles of the kernel and presentation tests), the round distance on
 S^3, the deck rotations and the quotient distance (the geometric
 definitions ``sphere._orbit_dots`` is checked through), the sphere
-isometry that realizes ``canonicalize_lens``, the block recipe of a
-polyhedral rotation group times a plane rotation in SO(5), and the
-subgroup and isomorphism searches that decided the family tags before
-``groups.matches_family`` read them off certificates.
+isometry that realizes ``canonicalize_lens``, the subgroup, normality
+and quotient tests on element sets, the cocycle identity, the block
+recipe of a polyhedral rotation group times a plane rotation in SO(5),
+and the subgroup and isomorphism searches that decided the family tags
+before ``groups.matches_family`` read them off certificates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from isom4.cohomology import Cochain2
 from isom4.embeddings import (
     MatrixRep,
     _block_diag,
@@ -30,6 +32,7 @@ from isom4.embeddings import (
 from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.groups import (
     FiniteGroup,
+    _index_mask,
     _induced_map,
     _is_cyclic,
     _zeta_order,
@@ -192,20 +195,25 @@ def s3_distance(p: SpherePoint, q: SpherePoint) -> float:
     return math.acos(max(-1.0, min(1.0, dot)))
 
 
+def rotate_planes(p: SpherePoint, a1: float, a2: float) -> SpherePoint:
+    """Rotate the two complex coordinates of p by the angles a1 and a2."""
+    x0, x1, x2, x3 = p.coords
+    z1 = complex(x0, x1) * complex(math.cos(a1), math.sin(a1))
+    z2 = complex(x2, x3) * complex(math.cos(a2), math.sin(a2))
+    return SpherePoint((z1.real, z1.imag, z2.real, z2.imag))
+
+
 def deck_transform(params: LensParams, j: int, p: SpherePoint) -> SpherePoint:
     """Apply the j-th deck rotation to a point of S^3."""
     if not 0 <= j < params.n:
         raise InvalidInputError(f"deck index {j} outside [0, {params.n})")
-    a1 = 2.0 * math.pi * j * params.k / params.n
-    a2 = 2.0 * math.pi * j * params.l / params.n
-    z1 = p.z1 * complex(math.cos(a1), math.sin(a1))
-    z2 = p.z2 * complex(math.cos(a2), math.sin(a2))
-    return SpherePoint((z1.real, z1.imag, z2.real, z2.imag))
+    return rotate_planes(p, 2.0 * math.pi * j * params.k / params.n,
+                         2.0 * math.pi * j * params.l / params.n)
 
 
 def lens_distance(params: LensParams, p: SpherePoint, q: SpherePoint) -> float:
     """Quotient distance: min over the deck orbit of q of the S^3 distance."""
-    best = _orbit_dots(_deck_phases(params), p.as_array(), q.as_array())
+    best = _orbit_dots(_deck_phases(params), np.array(p.coords), np.array(q.coords))
     return math.acos(max(-1.0, min(1.0, float(best))))
 
 
@@ -251,6 +259,40 @@ def canonicalize_lens_with_map(n: int, k: int, l: int) -> tuple[LensParams, Cano
 
 
 # ---------------------------------------------------------------------------
+# element sets of a group, and the cocycle identity
+
+
+def is_subgroup(g: FiniteGroup, elements) -> bool:
+    return g._is_closed(_index_mask(g.size, elements))
+
+
+def is_normal(g: FiniteGroup, elements) -> bool:
+    inside = _index_mask(g.size, elements)
+    if not g._is_closed(inside):
+        return False
+    conj = g.table[g.table[:, np.flatnonzero(inside)], g.inverses[:, None]]
+    return bool(inside[conj].all())
+
+
+def quotient(g: FiniteGroup, normal_elements) -> tuple[FiniteGroup, np.ndarray]:
+    """Quotient by a normal subgroup; returns (group, projection)."""
+    if not is_normal(g, normal_elements):
+        raise InvalidInputError("quotient requires a normal subgroup")
+    rep = g.table[:, np.asarray(normal_elements)].min(axis=1)
+    is_rep = _index_mask(g.size, rep)
+    proj = (np.cumsum(is_rep) - 1)[rep]
+    reps = np.flatnonzero(is_rep)
+    return FiniteGroup(proj[g.table[np.ix_(reps, reps)]]), proj
+
+
+def is_cocycle(f: Cochain2) -> bool:
+    """Exact check of f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 mod m."""
+    v, t = f.values, f.group.table
+    # axes (g, h, k): v[t][g,h,k] = f(gh, k); v[:, t][g,h,k] = f(g, hk)
+    return not ((v[None, :, :] - v[t] + v[:, t] - v[:, :, None]) % f.modulus).any()
+
+
+# ---------------------------------------------------------------------------
 # a block recipe into SO(5)
 
 
@@ -291,7 +333,7 @@ def _match_odd_cyclic_by(g: FiniteGroup, quotient_model: FiniteGroup) -> bool:
     for sub in normal_cyclic_subgroups(g):
         if sub.size != target:
             continue
-        quo, _ = g.quotient(sub)
+        quo, _ = quotient(g, sub)
         if is_isomorphic(quo, quotient_model):
             return True
     return False
@@ -306,7 +348,7 @@ def _match_metacyclic_projective(g: FiniteGroup) -> bool:
         n = g.size // m
         if n == 1 or m == 1 or math.gcd(m, n) != 1:
             continue
-        quo, proj = g.quotient(sub)
+        quo, proj = quotient(g, sub)
         if not _is_cyclic(quo):
             continue
         x = int(sub[np.argmax(orders[sub])])  # a generator of the subgroup
@@ -337,7 +379,7 @@ def _match_binary_dihedral_times_odd(g: FiniteGroup) -> bool:
     p_els = np.nonzero([math.gcd(int(o), m_plus) == 1 for o in orders])[0]
     if p_els.size * m_plus != g.size or math.gcd(int(p_els.size), m_plus) != 1:
         return False
-    if not g.is_subgroup(p_els):
+    if not is_subgroup(g, p_els):
         return False
     if p_els.size < 8 or p_els.size % 4:
         return False
@@ -360,7 +402,7 @@ def _match_odd_metacyclic_2power_by_z2(g: FiniteGroup) -> bool:
         for nsub in normal_cyclic_subgroups(sub):
             if nsub.size != odd_part:
                 continue
-            quo, _ = sub.quotient(nsub)
+            quo, _ = quotient(sub, nsub)
             if quo.size == 2 ** (n + 1) and _is_cyclic(quo):
                 return True
     return False

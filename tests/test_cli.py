@@ -393,17 +393,20 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
      "--restarts, --seed: read only with --optimize"),
     # these used to run for minutes building RNGs, or die in a MemoryError
     (["extent", "61", "1", "1", "--optimize", "--restarts", "1000000000000"],
-     "restarts = 1000000000000 exceeds the cap 1024"),
+     "restarts x q^2 x max(deck order, 64) = 1600000000000000 exceeds the budget 262144"),
     (["extent", "61", "1", "1", "--optimize", "--q", "30000"],
-     "tuple size q = 30000 exceeds the cap 16"),
-    # these used to take about 0.9 GB and minutes, or 94 s
+     "restarts x q^2 x max(deck order, 64) = 1843200000000 exceeds the budget 262144"),
+    # these used to take about 0.9 GB and minutes, 94 s, or 10 s
     (["extent", "99991", "1", "2", "--optimize"],
-     "restarts x q^2 x deck order = 79992800 exceeds the budget 262144"),
+     "restarts x q^2 x max(deck order, 64) = 79992800 exceeds the budget 262144"),
     (["extent", "64", "1", "1", "--optimize", "--restarts", "1024", "--q", "16"],
-     "restarts x q^2 x deck order = 16777216 exceeds the budget 262144"),
+     "restarts x q^2 x max(deck order, 64) = 16777216 exceeds the budget 262144"),
+    (["extent", "3", "1", "1", "--optimize", "--restarts", "388", "--q", "15"],
+     "restarts x q^2 x max(deck order, 64) = 5587200 exceeds the budget 262144"),
 ], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone",
         "extent-restarts-past-the-cap", "extent-q-past-the-cap",
-        "extent-past-the-orbit-budget", "extent-past-the-sweep-budget"])
+        "extent-past-the-orbit-budget", "extent-past-the-sweep-budget",
+        "extent-small-deck-order-past-the-floor-budget"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -50,7 +50,15 @@ from isom4.groups import (
     symmetric,
 )
 from isom4.verify import CYCLIC_INDEX_CATALOG, H2_TABLE
-from reference import family_by_search, index_two_subgroups, smith_normal_form, so3_times_rotation
+from reference import (
+    family_by_search,
+    index_two_subgroups,
+    is_normal,
+    is_subgroup,
+    quotient,
+    smith_normal_form,
+    so3_times_rotation,
+)
 from test_claims import FAMILY_WITNESSES
 
 
@@ -556,7 +564,7 @@ def test_cyclic_central_product_is_the_central_product():
         zh = int(np.flatnonzero(lift.element_orders == 2)[0])
         pair = [lift.identity, m // 2 * lift.size + zh]
         assert np.array_equal(cyclic_central_product(m, lift).table,
-                              direct_product(cyclic(m), lift).quotient(pair)[0].table)
+                              quotient(direct_product(cyclic(m), lift), pair)[0].table)
     assert cyclic_central_product(2, lift) is lift
 
 
@@ -636,6 +644,42 @@ def test_metacyclic_parameters_are_integers(call, params, accepted):
             call(*params)
 
 
+# every constructor and recipe reads its parameters as integers:
+# cyclic(2.5) used to build Z_3, abelian([2.5, 3]) Z_6, and the recipes
+# truncated through int(), where the others died in a bare TypeError
+NON_INTEGER_BUILDS = {
+    "cyclic": lambda: cyclic(2.5),
+    "abelian": lambda: abelian([2.5, 3]),
+    "dihedral": lambda: dihedral(6.0),
+    "symmetric": lambda: symmetric(4.0),
+    "alternating": lambda: alternating("4"),
+    "binary_dihedral": lambda: binary_dihedral(12.0),
+    "klein_by_cyclic3": lambda: klein_by_cyclic3(1.5),
+    "q8_by_cyclic3": lambda: q8_by_cyclic3(1.0),
+    "inverted_odd_cycle": lambda: inverted_odd_cycle(3, 2.0),
+    "cyclic_central_product": lambda: cyclic_central_product(4.0, quaternion_group()),
+    "abelian_so5": lambda: embeddings.abelian_so5((2.5,)),
+    "klein_twist": lambda: embeddings.klein_twist(1.5, 1),
+    "so4_central_product": lambda: so4_central_product("icosa", 2.5),
+    "u2_mixed": lambda: u2_mixed(1.5, 1, 1),
+    "o4_in_so5": lambda: embeddings.o4_in_so5(2.5, 3),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_BUILDS.values(), ids=NON_INTEGER_BUILDS.keys())
+def test_constructors_refuse_non_integers(build):
+    with pytest.raises(InvalidParametersError, match="is not an integer"):
+        build()
+
+
+def test_constructors_take_numpy_integers():
+    assert cyclic(np.int64(5)).size == 5
+    assert abelian([np.int32(2), 3]).abelian_invariants == (6,)
+    assert q8_by_cyclic3(np.int64(1)).size == 24
+    assert embeddings.abelian_so5((np.int64(2), 3)).group.size == 6
+    assert embeddings.o4_in_so5(np.int64(2), np.int32(3)).group.size == 12
+
+
 def test_order_gl_values():
     assert order_gl(3, 2) == 168
     assert order_gl(2, 3) == 48
@@ -649,6 +693,8 @@ def test_order_gl_values():
     assert order_gl(3, np.int64(2)) == 168
     with pytest.raises(InvalidParametersError, match="not an integer"):
         order_gl(3, 2.5)
+    with pytest.raises(InvalidParametersError, match="not an integer"):
+        order_gl(2.5, 3)
     with pytest.raises(InvalidParametersError, match="not a prime power"):
         order_gl(2, 6)
 
@@ -701,7 +747,7 @@ def test_isomorphism_nonabelian_positive():
 
 def test_quotient_of_quaternion_by_center():
     q = quaternion_group()
-    quo, proj = q.quotient(q.center)
+    quo, proj = quotient(q, q.center)
     assert quo.size == 4
     assert quo.abelian_invariants == (2, 2)
     assert proj.shape == (8,)
@@ -711,7 +757,7 @@ def test_quotient_requires_normal():
     s3 = symmetric(3)
     flip = int(np.nonzero(s3.element_orders == 2)[0][0])
     with pytest.raises(InvalidInputError):
-        s3.quotient(s3.closure([flip]))
+        quotient(s3, s3.closure([flip]))
 
 
 def test_restrict_reindexes():
@@ -759,7 +805,7 @@ def test_index_two_subgroups_are_the_maps_onto_z2(build):
     assert len(subgroups) == 2**rank - 1
     assert len({members.tobytes() for members in subgroups}) == len(subgroups)
     for members in subgroups:
-        assert 2 * members.size == g.size and g.is_normal(members)
+        assert 2 * members.size == g.size and is_normal(g, members)
 
 
 # element-set entry points and the index lists they must refuse: a
@@ -767,10 +813,10 @@ def test_index_two_subgroups_are_the_maps_onto_z2(build):
 # out of bounds
 ELEMENT_SET_CALLS = {
     "closure": lambda g, els: g.closure(els),
-    "is_subgroup": lambda g, els: g.is_subgroup(els),
-    "is_normal": lambda g, els: g.is_normal(els),
+    "is_subgroup": is_subgroup,
+    "is_normal": is_normal,
     "restrict": lambda g, els: g.restrict(els),
-    "quotient": lambda g, els: g.quotient(els),
+    "quotient": quotient,
 }
 
 
@@ -785,8 +831,8 @@ def test_element_sets_refuse_indices_outside_the_group(call, elements):
 def test_element_sets_accept_repeats_and_any_order():
     g = cyclic(6)
     assert list(g.closure([4, 2, 4])) == [0, 2, 4]
-    assert g.is_subgroup([4, 0, 2, 2]) and g.is_normal(np.array([3, 0, 3]))
-    assert not g.is_subgroup([]) and not g.is_subgroup([2, 4])
+    assert is_subgroup(g, [4, 0, 2, 2]) and is_normal(g, np.array([3, 0, 3]))
+    assert not is_subgroup(g, []) and not is_subgroup(g, [2, 4])
     sub, members = g.restrict([3, 0, 3])
     assert sub.size == 2 and list(members) == [0, 3]
 
@@ -821,7 +867,7 @@ def reference_normal_cyclic_subgroups(g):
         sub = g.closure([x])
         if sub.tobytes() not in seen:
             seen.add(sub.tobytes())
-            if g.is_normal(sub):
+            if is_normal(g, sub):
                 out.append(sub)
     return out
 

@@ -9,7 +9,8 @@ over the package: every module-level ``_private`` function or class must
 be referenced somewhere in the package besides its definition.  A third
 scan over the package: every ``__all__`` entry must name something its
 module defines or imports at top level.  A fourth scan: every
-module-level function or class of the package must be read, as a bare
+module-level function or class of the package, and every method or
+property of its classes but the dunder ones, must be read, as a bare
 name or an attribute, outside its own definition somewhere in the
 package, the scripts or the benchmark harness; ``__all__`` strings and
 docstrings are not reads.
@@ -73,14 +74,15 @@ def private_definitions(source: str) -> list[tuple[int, str]]:
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
-def _names_read(tree: ast.AST) -> set[str]:
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+def _reads(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name, bare or as an attribute."""
+    return Counter([node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+                   + [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)])
 
 
 def referenced_names(source: str) -> set[str]:
     """Names ``source`` reads, bare or as an attribute."""
-    return _names_read(ast.parse(source))
+    return set(_reads(ast.parse(source)))
 
 
 def test_scan_flags_unreferenced_private_helpers():
@@ -138,17 +140,28 @@ def test_every_export_is_bound():
     assert found == []
 
 
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods and
+    properties of those classes; dunder methods are called implicitly."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (member for member in node.body if isinstance(member, DEFINITIONS)
+                        and not (member.name.startswith("__") and member.name.endswith("__")))
+
+
 def unreferenced_definitions(library: dict, readers: dict) -> list[tuple]:
     """(key, line, name) of every module-level function or class of the
-    ``library`` sources that no top-level statement but its own
-    definition reads, in the library or in the ``readers`` sources."""
+    ``library`` sources, and every method or property of those classes,
+    that nothing but its own definition reads, in the library or in the
+    ``readers`` sources."""
     outside = set().union(*(referenced_names(text) for text in readers.values()))
-    statements = [(key, node, _names_read(node))
-                  for key, text in library.items() for node in ast.parse(text).body]
-    reads = Counter(name for _, _, names in statements for name in names)
-    return [(key, node.lineno, node.name) for key, node, names in statements
-            if isinstance(node, DEFINITIONS) and node.name not in outside
-            and reads[node.name] == (node.name in names)]
+    trees = {key: ast.parse(text) for key, text in library.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [(key, node.lineno, node.name) for key, tree in trees.items()
+            for node in _definitions(tree)
+            if node.name not in outside and reads[node.name] == _reads(node)[node.name]]
 
 
 def test_scan_flags_test_only_definitions():
@@ -157,10 +170,15 @@ def test_scan_flags_test_only_definitions():
               'class Kept:\n    pass\ndef documented():\n    """Calls used()."""\n'
               'def for_scripts():\n    pass\n__all__ = ["documented"]\nX = used()\n'),
         "b": "from a import documented\ndef orphan():\n    return m.Kept\n",
+        "c": ("class Point:\n    def __init__(self):\n        self.x = self._half()\n"
+              "    def _half(self):\n        return 0.5\n    @property\n"
+              "    def norm(self):\n        return self.norm\n    def shown(self):\n"
+              "        pass\n    def orphan(self):\n        pass\n"),
     }
-    readers = {"script": "import a\na.for_scripts()\n"}
+    readers = {"script": "import a\na.for_scripts()\nc.Point().shown()\n"}
     assert unreferenced_definitions(library, readers) == [
-        ("a", 3, "recursive"), ("a", 7, "documented"), ("b", 2, "orphan")]
+        ("a", 3, "recursive"), ("a", 7, "documented"), ("b", 2, "orphan"),
+        ("c", 7, "norm"), ("c", 11, "orphan")]
 
 
 def test_every_definition_is_reached():

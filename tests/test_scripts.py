@@ -36,7 +36,7 @@ def report_fingerprint():
     (["--q", "1"], "tuple size q must be at least 2"),
     # 8 restarts x q^2 = 25 x n = 30000 passes the optimizer's 2^18 at the first quotient
     (["--n-min", "30000", "--n-max", "30001"],
-     "restarts x q^2 x deck order = 6000000 exceeds the budget 262144"),
+     "restarts x q^2 x max(deck order, 64) = 6000000 exceeds the budget 262144"),
 ], ids=["below-3", "empty", "q-1", "past-orbit-budget"])
 def test_scan_bounds_refuses_bad_input(scan_bounds, capsys, argv, message):
     assert scan_bounds.main(argv) == 2

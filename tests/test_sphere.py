@@ -25,7 +25,13 @@ from isom4.sphere import (
     isolated_fixed_point_budget,
     scan_extent,
 )
-from reference import canonicalize_lens_with_map, deck_transform, lens_distance, s3_distance
+from reference import (
+    canonicalize_lens_with_map,
+    deck_transform,
+    lens_distance,
+    rotate_planes,
+    s3_distance,
+)
 
 # frozen high-precision evaluations of the closed-form bound at q = 5
 BOUND_61 = 1.0455854008586938
@@ -113,7 +119,7 @@ def test_deck_composition(params, p, i_raw, j_raw):
     i, j = i_raw % params.n, j_raw % params.n
     one = deck_transform(params, (i + j) % params.n, p)
     two = deck_transform(params, i, deck_transform(params, j, p))
-    assert np.allclose(one.as_array(), two.as_array(), atol=1e-12)
+    assert np.allclose(one.coords, two.coords, atol=1e-12)
 
 
 @given(params_st, points, points, st.integers(min_value=0, max_value=10**6))
@@ -136,19 +142,8 @@ def test_canonicalization_preserves_distance(n, raw_k, raw_l, p, q):
     canonical, iso = canonicalize_lens_with_map(n, k, l)
     # the raw presentation needs a params object that skips the window
     # check, so measure in the raw quotient through its phase orbit
-    raw_d = min(
-        s3_distance(p, SpherePoint((
-            (q.z1 * complex(math.cos(2 * math.pi * j * k / n),
-                            math.sin(2 * math.pi * j * k / n))).real,
-            (q.z1 * complex(math.cos(2 * math.pi * j * k / n),
-                            math.sin(2 * math.pi * j * k / n))).imag,
-            (q.z2 * complex(math.cos(2 * math.pi * j * l / n),
-                            math.sin(2 * math.pi * j * l / n))).real,
-            (q.z2 * complex(math.cos(2 * math.pi * j * l / n),
-                            math.sin(2 * math.pi * j * l / n))).imag,
-        )))
-        for j in range(n)
-    )
+    raw_d = min(s3_distance(p, rotate_planes(q, 2 * math.pi * j * k / n, 2 * math.pi * j * l / n))
+                for j in range(n))
     mapped = lens_distance(canonical, iso.apply(p), iso.apply(q))
     assert mapped == pytest.approx(raw_d, abs=1e-7)
 
@@ -196,6 +191,10 @@ def test_scan_rejects_degenerate_ranges():
         scan_extent(2, 10, 5)
     with pytest.raises(InvalidInputError, match="empty scan range"):
         scan_extent(10, 9, 5)
+    # 61.5 used to die in a bare TypeError from range()
+    for bad in ((61.5, 70), (61, "70")):
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            scan_extent(*bad, 5)
 
 
 def test_scan_reaches_the_deck_order_cap():
@@ -468,28 +467,9 @@ def test_extent_config_holds_one_run():
     assert ExtentConfig(np.int64(3), np.int32(2), np.uint64(7)) == ExtentConfig(3, 2, 7)
 
 
-def test_extent_config_caps_q_and_restarts():
-    assert (sphere.MAX_Q, sphere.MAX_RESTARTS) == (16, 1024)
-    ExtentConfig(q=sphere.MAX_Q, restarts=sphere.MAX_RESTARTS)
-    # refused at construction, before the optimizer allocates anything
-    for bad, message in ((dict(q=sphere.MAX_Q + 1), "tuple size q = 17 exceeds the cap 16"),
-                         (dict(q=30000), "tuple size q = 30000 exceeds the cap 16"),
-                         (dict(q=5, restarts=sphere.MAX_RESTARTS + 1),
-                          "restarts = 1025 exceeds the cap 1024"),
-                         (dict(q=5, restarts=10**12),
-                          "restarts = 1000000000000 exceeds the cap 1024")):
-        with pytest.raises(BudgetError, match=message):
-            ExtentConfig(**bad)
-
-
-def test_optimizer_budget_bounds_restarts_q_and_n(monkeypatch):
-    # one sweep costs restarts x q^2 x n, which the caps on q and
-    # restarts alone do not bound: (32, 5, 99991) used to need about
-    # 0.9 GB and (1024, 16, 64) 94 s; both are refused before the deck
-    # phases are built
-    assert sphere.MAX_SWEEP_WORK == 2**18
-    assert 32 * 5**2 * 200 <= sphere.MAX_SWEEP_WORK  # verify-all's largest run
-
+def _refuse_before_the_phases(monkeypatch):
+    """Make the deck phases raise ``Reached``: a run the budget accepts
+    gets that far, and a refused one never does."""
     class Reached(Exception):
         pass
 
@@ -497,19 +477,57 @@ def test_optimizer_budget_bounds_restarts_q_and_n(monkeypatch):
         raise Reached
 
     monkeypatch.setattr(sphere, "_deck_phases", reached)
+    return Reached
+
+
+def _budget_message(work):
+    return rf"^restarts x q\^2 x max\(deck order, 64\) = {work} exceeds the budget 262144$"
+
+
+def test_optimizer_budget_counts_a_small_deck_order_as_the_floor(monkeypatch):
+    # the config takes any size: extent_lower_bound refuses a run, with
+    # the deck order that sets the rest of its size
+    assert ExtentConfig(q=30000).q == 30000
+    assert ExtentConfig(q=5, restarts=10**12).restarts == 10**12
+    assert sphere.SWEEP_DECK_FLOOR == 64
+    reached = _refuse_before_the_phases(monkeypatch)
+    # at n <= 64 the edge is restarts x q^2 = 2^18 / 64 = 4096, so
+    # restarts <= 1024 and q <= 64 at every deck order
+    for n in (1, 2, 3, 64):
+        for restarts, q in ((1024, 2), (16, 16), (4, 32), (1, 64)):
+            with pytest.raises(reached):
+                extent_lower_bound(LensParams(n, 1, 1), ExtentConfig(q=q, restarts=restarts))
+        for restarts, q in ((1025, 2), (17, 16), (5, 32), (1, 65), (32, 30000), (10**12, 5)):
+            with pytest.raises(BudgetError, match=_budget_message(restarts * q * q * 64)):
+                extent_lower_bound(LensParams(n, 1, 1), ExtentConfig(q=q, restarts=restarts))
+
+
+def test_optimizer_budget_bounds_restarts_q_and_n(monkeypatch):
+    # one sweep costs restarts x q^2 x n, and no less at n below the
+    # floor: (32, 5, 99991) used to need about 0.9 GB, (1024, 16, 64)
+    # 94 s, (388, 15, 3) 9.9 s and (1024, 15, 1) 30 s; all are refused
+    # before the deck phases are built
+    assert sphere.MAX_SWEEP_WORK == 2**18
+    assert 32 * 5**2 * 200 <= sphere.MAX_SWEEP_WORK  # verify-all's largest run
+    reached = _refuse_before_the_phases(monkeypatch)
     # on the edge, and verify-all's runs: accepted
     for nkl, cfg in (((64, 1, 1), ExtentConfig(q=16, restarts=16)),
-                     ((1, 1, 1), ExtentConfig(q=16, restarts=1024)),
+                     ((1024, 1, 1), ExtentConfig(q=16, restarts=1)),
+                     ((1, 1, 1), ExtentConfig(q=15, restarts=18)),
+                     ((3, 1, 1), ExtentConfig(q=32, restarts=4)),
                      ((199, 1, 2), ExtentConfig(q=5)),
                      ((1, 1, 1), ExtentConfig(q=2))):
-        with pytest.raises(Reached):
+        with pytest.raises(reached):
             extent_lower_bound(LensParams(*nkl), cfg)
     for nkl, cfg, work in (((99991, 1, 2), ExtentConfig(q=5), 79992800),
                            ((64, 1, 1), ExtentConfig(q=16, restarts=1024), 16777216),
                            ((64, 1, 1), ExtentConfig(q=16, restarts=17), 278528),
-                           ((329, 1, 2), ExtentConfig(q=5), 263200)):
-        with pytest.raises(BudgetError, match=rf"^restarts x q\^2 x deck order = {work} "
-                                              rf"exceeds the budget 262144$"):
+                           ((329, 1, 2), ExtentConfig(q=5), 263200),
+                           ((1025, 1, 1), ExtentConfig(q=16, restarts=1), 262400),
+                           ((1, 1, 1), ExtentConfig(q=16, restarts=1024), 16777216),
+                           ((3, 1, 1), ExtentConfig(q=15, restarts=388), 5587200),
+                           ((1, 1, 1), ExtentConfig(q=15, restarts=19), 273600)):
+        with pytest.raises(BudgetError, match=_budget_message(work)):
             extent_lower_bound(LensParams(*nkl), cfg)
 
 

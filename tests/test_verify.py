@@ -13,7 +13,7 @@ import isom4
 from isom4 import cohomology, fixedpoints, verify
 from isom4.cache import ResultCache
 from isom4.embeddings import abelian_so5
-from isom4.errors import InvalidInputError
+from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.groups import alternating, binary_tetrahedral, cyclic, klein_by_cyclic3
 from isom4.sphere import EXTENT_THRESHOLD
 from isom4.verify import (
@@ -234,6 +234,15 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(InvalidInputError):
             VerifyConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", -0.5, 2.0, None],
+                         ids=["fraction", "text", "negative-fraction", "float", "none"])
+def test_config_refuses_a_non_integer_seed(seed):
+    # these used to pass int(seed) and fail later inside the checks
+    with pytest.raises(InvalidParametersError, match="is not an integer"):
+        VerifyConfig(seed=seed)
+    assert VerifyConfig(seed=np.uint64(7)).seed == 7
 
 
 def test_cache_holds_only_h2(tmp_path):
