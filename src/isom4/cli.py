@@ -15,9 +15,8 @@ import io
 import json
 import sys
 
-from .cache import ResultCache
 from .claims import ClassificationQuery, classify
-from .cohomology import classify_central_extensions, group_digest
+from .cohomology import classify_central_extensions, group_digest, second_cohomology
 from .embeddings import embed_into_so5, so5_model
 from .errors import BudgetError, InvalidInputError, UnsupportedCaseError
 from .fixedpoints import involution_catalog
@@ -31,7 +30,7 @@ from .sphere import (
     extent_upper_bound,
     scan_extent,
 )
-from .verify import H2_TABLE, VerifyConfig, exit_code, h2_record, h2_tag, verify_all
+from .verify import H2_TABLE, VerifyConfig, exit_code, h2_tag, verify_all
 
 
 def _split_spec(spec: str) -> tuple[str, tuple[int, ...]]:
@@ -130,20 +129,18 @@ def _cmd_h2(args) -> int:
     name, params = _split_spec(args.group)
     family = canonical_group_name(name)
     group = build_group(family, *params)
-    cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
-    record = h2_record(group, args.m, cache)
+    result = second_cohomology(group, args.m)
     predicted = advertised = tag = None
     if family in H2_TABLE:
         predicted, advertised = H2_TABLE[family](params[0] if params else None, args.m)
-        tag = h2_tag(record["invariant_factors"], predicted, advertised)
-    # fixed field order so cached and fresh runs print identically
+        tag = h2_tag(result.invariant_factors, predicted, advertised)
     _emit_json({
         "group_id": group_digest(group),
         "m": args.m,
-        "invariant_factors": list(record["invariant_factors"]),
+        "invariant_factors": list(result.invariant_factors),
         # the central extension classes number |H^2|
-        "class_count": record["order"],
-        "route": record["route"],
+        "class_count": result.order,
+        "route": result.route,
         "predicted": None if predicted is None else list(predicted),
         "advertised": None if advertised is None else list(advertised),
         "tag": tag,
@@ -214,10 +211,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    kwargs = _given(args, "seed")
-    if args.cache_dir is not None:
-        kwargs["cache"] = ResultCache(args.cache_dir)
-    report = verify_all(VerifyConfig(**kwargs))
+    report = verify_all(VerifyConfig(**_given(args, "seed")))
     if args.format == "csv":
         _emit_csv(report["checks"], args)
     else:
@@ -235,7 +229,6 @@ def _cmd_verify_all(args) -> int:
 _SHARED = {
     "--seed": dict(type=int, default=None, help="RNG seed (default 0)"),
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--cache-dir": dict(default=None, help="directory for cached results"),
 }
 
 
@@ -277,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=EXTENT_Q)
 
     p = _subcommand(subparsers, "h2", _cmd_h2,
-                    "degree-2 cohomology of a group with Z_m coefficients", ("--cache-dir",))
+                    "degree-2 cohomology of a group with Z_m coefficients")
     p.add_argument("--group", required=True, help="group spec, e.g. A4 or dihedral:8")
     p.add_argument("--m", type=int, required=True)
 
@@ -300,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=("odd", "even", "definite"), default=None)
 
     _subcommand(subparsers, "verify-all", _cmd_verify_all, "run the whole check suite",
-                ("--seed", "--format", "--cache-dir"))
+                ("--seed", "--format"))
 
     return parser
 

@@ -40,12 +40,14 @@ from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .groups import (
     FiniteGroup,
     _require_integers,
+    _require_order,
     is_isomorphic,
     minimal_generating_set,
     sylow_subgroup,
 )
 from .snf import (
     _imatmul,
+    _prime_powers,
     _row_blocks,
     kernel_mod_prime_power,
     module_presentation_local,
@@ -59,7 +61,6 @@ __all__ = [
     "GROUP_ORDER_CAP",
     "MODULUS_CAP",
     "CLASS_ENUMERATION_CAP",
-    "EXTENSION_ORDER_CAP",
     "second_cohomology",
     "cocycle_representatives",
     "build_central_extension",
@@ -71,7 +72,6 @@ __all__ = [
 GROUP_ORDER_CAP = 60
 MODULUS_CAP = 64
 CLASS_ENUMERATION_CAP = 64
-EXTENSION_ORDER_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -160,21 +160,6 @@ def group_digest(group: FiniteGroup) -> str:
     """Stable content hash of the multiplication table."""
     payload = np.ascontiguousarray(group.table, dtype=np.int64).tobytes()
     return hashlib.sha1(payload).hexdigest()[:16]
-
-
-def _prime_powers(m: int) -> list[tuple[int, int]]:
-    out = []
-    rest = m
-    p = 2
-    while rest > 1:
-        if rest % p == 0:
-            a = 0
-            while rest % p == 0:
-                rest //= p
-                a += 1
-            out.append((p, a))
-        p += 1 if p == 2 else 2
-    return out
 
 
 def _nonidentity(group: FiniteGroup) -> np.ndarray:
@@ -549,8 +534,7 @@ def build_central_extension(group: FiniteGroup, m: int, f: Cochain2) -> FiniteGr
     if f.modulus != _require_integers(m=m)[0]:
         raise InvalidInputError("cochain modulus mismatch")
     n = group.size
-    if m * n > EXTENSION_ORDER_CAP:
-        raise BudgetError(f"extension order {m * n} exceeds {EXTENSION_ORDER_CAP}")
+    _require_order(m * n)
     a1 = np.arange(m)[:, None, None, None]
     q1 = np.arange(n)[None, :, None, None]
     a2 = np.arange(m)[None, None, :, None]

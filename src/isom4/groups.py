@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
-from .snf import _require_prime, _row_blocks
+from .snf import _prime_powers, _require_prime, _row_blocks
 
 ORDER_CAP = 512
 
@@ -274,19 +274,14 @@ class FiniteGroup:
             cur = self.table[cur, idx]
             orders[(orders == 0) & inside[cur]] = k
         factors: list[int] = []  # descending: the j-th largest at j
-        rest, p = n // derived, 2
-        while rest > 1:
-            if rest % p:
-                p += 1
-                continue
+        for p, a in _prime_powers(n // derived):
             at_least = []  # at_least[k-1]: factors of exponent >= k
             logged, pk = 0, 1
-            while rest % p == 0:
+            while logged < a:
                 pk *= p
                 count = int(np.count_nonzero(pk % orders == 0)) // derived
                 log = round(math.log(count, p))
                 at_least.append(log - logged)
-                rest //= p ** at_least[-1]
                 logged = log
             for j in range(at_least[0]):
                 power = p ** sum(1 for m in at_least if m > j)
@@ -327,8 +322,7 @@ def abelian(invariants) -> FiniteGroup:
     orders = _require_integers(**{f"invariant {i + 1}": k for i, k in enumerate(invariants)})
     if any(k < 1 for k in orders):
         raise InvalidParametersError("cyclic order must be positive")
-    if math.prod(orders) > ORDER_CAP:
-        raise BudgetError("abelian group exceeds the order cap")
+    _require_order(math.prod(orders))
     table = np.zeros((1, 1), dtype=np.int64)
     for k in orders:
         idx = np.arange(k)
@@ -492,12 +486,12 @@ def _source_prime(n: int, d: int) -> tuple[int, np.ndarray]:
     products sum exactly in int64, and the powers 1, w, ..., w^(n-1) mod
     p of the first w = g^((p-1)/n), g = 2, 3, ..., of order exactly n."""
     p = n + 1
-    while p % 2 == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+    while p % 2 == 0 or _prime_powers(p) != [(p, 1)]:
         p += n
     if d * (p - 1) ** 2 >= 2**63:
         raise BudgetError(f"the prime {p} for zeta_{n} overflows int64 products")
     w = next(w for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
-             if all(pow(w, n // q, p) != 1 for q in range(2, n + 1) if n % q == 0))
+             if all(pow(w, n // q, p) != 1 for q, _ in _prime_powers(n)))
     return p, np.fromiter(itertools.accumulate(range(1, n), lambda x, _: x * w % p, initial=1),
                           np.int64, n)
 
@@ -648,8 +642,7 @@ def binary_icosahedral() -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     ng, nh = g.size, h.size
-    if ng * nh > ORDER_CAP:
-        raise BudgetError("direct product exceeds the order cap")
+    _require_order(ng * nh)
     tg = g.table.astype(np.int64)
     th = h.table.astype(np.int64)
     table = (tg[:, None, :, None] * nh + th[None, :, None, :]).reshape(ng * nh, ng * nh)
@@ -735,8 +728,7 @@ def build_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
         raise InvalidParametersError("metacyclic orders must be positive")
     if pow(r, n, m) != 1 % m:
         raise InvalidParametersError("metacyclic twist must satisfy r^n = 1 mod m")
-    if m * n > ORDER_CAP:
-        raise BudgetError("metacyclic group exceeds the order cap")
+    _require_order(m * n)
     # the generator of Z_n acts on Z_m as multiplication by r
     return _cyclic_extension(cyclic(m), r % m * np.arange(m) % m, n)
 
@@ -844,12 +836,7 @@ def order_gl(n: int, p: int) -> int:
     if not isinstance(p, numbers.Integral) or p < 2:
         raise InvalidParametersError(f"field order {p!r} is not an integer of at least 2")
     p = int(p)
-    # the least divisor above 1 is prime; p must be a power of it
-    prime = next((d for d in range(2, math.isqrt(p) + 1) if p % d == 0), p)
-    rest = p
-    while rest % prime == 0:
-        rest //= prime
-    if rest != 1:
+    if len(_prime_powers(p)) != 1:
         raise InvalidParametersError(f"field order {p} is not a prime power")
     pn = p**n
     out = 1
@@ -997,10 +984,7 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> np.ndarray:
     order, and H<x> is again a p-subgroup.
     """
     _require_prime(p)
-    rest = g.size
-    while rest % p == 0:
-        rest //= p
-    full = g.size // rest  # the p-part of |G|
+    full = p ** dict(_prime_powers(g.size)).get(p, 0)  # the p-part of |G|
     # an element order divides |G|, so it is a power of p iff it divides full
     p_power = full % g.element_orders == 0
     sub = np.array([g.identity])

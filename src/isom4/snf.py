@@ -16,7 +16,6 @@ test suite's ``reference`` module.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -30,10 +29,29 @@ __all__ = [
 ]
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The factorization of n as (p, a) pairs, p ascending, by trial
+    division up to the square root of the unfactored part; [] for n < 2.
+    The package's one factorization."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            out.append((p, a))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _require_prime(p):
     if not isinstance(p, numbers.Integral):
         raise InvalidParametersError(f"modulus {p!r} is not an integer")
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if _prime_powers(int(p)) != [(p, 1)]:
         raise InvalidParametersError(f"modulus {p} is not prime")
 
 

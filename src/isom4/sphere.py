@@ -74,6 +74,15 @@ LOWER_BOUND_SLACK = 1e-9
 _UNIT_TOL = 1e-12
 
 
+def _deck_order(n) -> int:
+    """The one deck-order rule: n as an int, a non-integer or one above
+    ``DECK_ORDER_CAP`` refused before anything of size n is built."""
+    (n,) = _require_integers(n=n)
+    if n > DECK_ORDER_CAP:
+        raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
+    return n
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """Point of the unit 3-sphere, stored as four real coordinates.
@@ -124,8 +133,7 @@ class LensParams:
             raise InvalidParametersError(
                 f"(n,k,l)=({n},{k},{l}) is not canonical: need 0 < k <= l < n/2"
             )
-        if n > DECK_ORDER_CAP:
-            raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
+        _deck_order(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
@@ -256,9 +264,8 @@ def extent_upper_bound(n: int, q: int) -> float:
     ``LensParams`` refuses it, and a tuple size q that is no integer or
     below 2 as ``ExtentConfig`` refuses it; the derivation covers n >= 3
     only, so smaller n is unsupported."""
-    _require_integers(n=n, q=q)
-    if n > DECK_ORDER_CAP:
-        raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
+    n = _deck_order(n)
+    (q,) = _require_integers(q=q)
     if n < 3:
         raise UnsupportedCaseError("closed-form bound requires deck order >= 3")
     if q < 2:
@@ -296,7 +303,9 @@ def canonicalize_lens(n: int, k: int, l: int) -> LensParams:
 
 def canonical_exponents(n: int) -> list[int]:
     """The exponents 0 < k < n/2 coprime to n: the canonical quotients of
-    deck order n >= 3 are the pairs k <= l of them."""
+    deck order n >= 3 are the pairs k <= l of them.  A deck order that is
+    no integer or above ``DECK_ORDER_CAP`` is refused before any list."""
+    n = _deck_order(n)
     return [k for k in range(1, (n - 1) // 2 + 1) if math.gcd(k, n) == 1]
 
 
@@ -310,8 +319,7 @@ def scan_extent(n_min: int, n_max: int, q: int) -> list[tuple[int, float]]:
         raise InvalidInputError("scan starts at deck order 3")
     if n_max < n_min:
         raise InvalidInputError("empty scan range")
-    if n_max > DECK_ORDER_CAP:
-        raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
+    _deck_order(n_max)
     return [(n, extent_upper_bound(n, q)) for n in range(n_min, n_max + 1)]
 
 

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from isom4.claims import B2_MAX, ClassificationQuery, StatementRecord, classify
-from isom4.errors import InvalidInputError
+from isom4.errors import InvalidInputError, InvalidParametersError
 from isom4.groups import (
     abelian,
     alternating,
@@ -34,6 +35,11 @@ def test_query_rejects_bad_b2():
         ClassificationQuery(b2=-1, order_parity="odd")
     with pytest.raises(InvalidInputError):
         ClassificationQuery(b2=B2_MAX + 1, order_parity="odd")
+    # 1.7 and "2" used to be read as b2 = 1 and b2 = 2
+    for bad in (1.7, "2", 2.0):
+        with pytest.raises(InvalidParametersError, match="is not an integer"):
+            ClassificationQuery(b2=bad, order_parity="odd")
+    assert ClassificationQuery(b2=np.int64(2), order_parity="odd").b2 == 2
 
 
 def test_query_rejects_bad_enums():

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from isom4.cache import CACHE_FORMAT_VERSION, ResultCache
 from isom4.cli import build_parser, main, parse_group_spec
 from isom4.cohomology import group_digest
 from isom4.errors import InvalidInputError
@@ -114,10 +113,13 @@ def test_scan_extent_csv_header(capsys, tmp_path):
 
 
 def test_h2_command_pass(capsys):
-    code, data = run_json(capsys, "h2", "--group", "A4", "--m", "2")
+    # the whole output, key order included
+    code, out = run(capsys, "h2", "--group", "A4", "--m", "2")
     assert code == 0
-    assert data["invariant_factors"] == [2]
-    assert data["tag"] == "PASS"
+    assert out == json.dumps({
+        "group_id": group_digest(build_group("tetra")), "m": 2, "invariant_factors": [2],
+        "class_count": 2, "route": "uct", "predicted": [2], "advertised": [2], "tag": "PASS",
+    }, indent=2) + "\n"
 
 
 def test_h2_command_discrepancy(capsys):
@@ -140,42 +142,6 @@ def test_h2_command_tags_like_verify(capsys, report_and_rerun,
     assert data["tag"] == ("DISCREPANCY" if octa_even else "PASS")
     status = {c["id"]: c["status"] for c in report_and_rerun[0]["checks"]}
     assert status[check_id] == ("DISCREPANCY" if family == "octa" else "PASS")
-
-
-def test_h2_cache_round_trip(capsys, tmp_path):
-    argv = ("h2", "--group", "dihedral:8", "--m", "2",
-            "--cache-dir", str(tmp_path))
-    code1, out1 = run(capsys, *argv)
-    code2, out2 = run(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert list(tmp_path.glob("*.json"))
-
-
-def test_h2_recomputes_over_a_version_1_entry(capsys, tmp_path):
-    # a version-1 entry at the key holds the old summary record, with
-    # class counts and no order; it must miss, not raise KeyError.  The
-    # untagged key, where earlier versions stored cochain-route results,
-    # is never read, even when it holds a wrong value.
-    group = build_group("tetra")
-    key = f"h2-uct-{group_digest(group)}-m2"
-    old = {"version": 1, "key": key,
-           "payload": {"group_id": group_digest(group), "m": 2,
-                       "invariant_factors": [2], "class_count": 2,
-                       "iso_class_count": 2}}
-    cache = ResultCache(tmp_path)
-    path = cache._path(key)
-    path.write_text(json.dumps(old), encoding="utf-8")
-    cache.put(f"h2-{group_digest(group)}-m2", {"invariant_factors": [4], "order": 4})
-    code, data = run_json(capsys, "h2", "--group", "A4", "--m", "2",
-                          "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert data == {"group_id": group_digest(group), "m": 2,
-                    "invariant_factors": [2], "class_count": 2, "route": "uct",
-                    "predicted": [2], "advertised": [2], "tag": "PASS"}
-    entry = json.loads(path.read_text(encoding="utf-8"))
-    assert entry["version"] == CACHE_FORMAT_VERSION
-    assert entry["payload"] == {"invariant_factors": [2], "order": 2, "route": "uct"}
 
 
 def test_extensions_command(capsys):
@@ -301,12 +267,12 @@ def test_usage_error_exits_two(capsys):
 OPTIONS = {
     "extent": {"--out", "--seed", "--q", "--optimize", "--restarts"},
     "scan-extent": {"--out", "--format", "--min", "--max", "--q"},
-    "h2": {"--out", "--cache-dir", "--group", "--m"},
+    "h2": {"--out", "--group", "--m"},
     "extensions": {"--out", "--group", "--m"},
     "embed": {"--out", "--group"},
     "fixedpoint": {"--out"},
     "classify": {"--out", "--b2", "--parity", "--pseudofree", "--form"},
-    "verify-all": {"--out", "--seed", "--format", "--cache-dir"},
+    "verify-all": {"--out", "--seed", "--format"},
 }
 
 
@@ -324,7 +290,7 @@ def declared_options() -> dict[str, set[str]]:
 def test_subcommand_options():
     declared = declared_options()
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 29
+    assert sum(map(len, declared.values())) == 27
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -369,6 +335,7 @@ HEADS = {
     "embed": ["embed", "--group", "cyclic:12"],
     "fixedpoint": ["fixedpoint"],
     "classify": ["classify", "--b2", "2", "--parity", "odd"],
+    "verify-all": ["verify-all"],
 }
 UNREAD = [(name, flag) for name in HEADS
           for flag in ("--seed", "--format", "--cache-dir") if flag not in OPTIONS[name]]

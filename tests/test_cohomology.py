@@ -15,7 +15,6 @@ from isom4.cohomology import (
     _cochain_second_cohomology,
     _local_cohomology,
     _nonidentity,
-    _prime_powers,
     _verify_distinct_classes,
     build_central_extension,
     classify_central_extensions,
@@ -47,7 +46,7 @@ from isom4.groups import (
     sylow_subgroup,
     symmetric,
 )
-from isom4.snf import solve_mod_prime_power
+from isom4.snf import _prime_powers, solve_mod_prime_power
 from isom4.verify import _SUITE, VerifyConfig
 from reference import is_cocycle, is_subgroup, quotient
 
@@ -293,6 +292,14 @@ def test_extension_rejects_foreign_cochain():
     wrong_mod = Cochain2(s3, 2, np.zeros((6, 6), dtype=np.int64))
     with pytest.raises(InvalidInputError):
         build_central_extension(s3, 4, wrong_mod)
+
+
+def test_extension_refuses_an_order_past_the_group_cap():
+    # the one group-order rule of groups, before the m^2 |Q|^2 table
+    a5 = alternating(5)
+    zero = Cochain2(a5, 9, np.zeros((60, 60), dtype=np.int64))
+    with pytest.raises(BudgetError, match="^group order 540 exceeds cap 512$"):
+        build_central_extension(a5, 9, zero)
 
 
 def test_extension_rejects_non_cocycle():

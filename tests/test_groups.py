@@ -214,17 +214,21 @@ def test_order_cap_enforced():
 
 
 @pytest.mark.parametrize("build,order", [
+    (lambda: abelian([32, 32]), 1024),
+    (lambda: direct_product(cyclic(32), cyclic(32)), 1024),
+    (lambda: build_metacyclic(257, 2, 1), 514),
     (lambda: dihedral(514), 514),
     (lambda: dihedral(100000), 100000),
     (lambda: symmetric(7), 5040),
     (lambda: symmetric(10), 3628800),
     (lambda: alternating(7), 2520),
     (lambda: alternating(10), 1814400),
-], ids=["dihedral-514", "dihedral-100000", "s7", "s10", "a7", "a10"])
+], ids=["abelian-1024", "direct-product-1024", "metacyclic-514",
+        "dihedral-514", "dihedral-100000", "s7", "s10", "a7", "a10"])
 def test_builders_refuse_from_the_order(build, order):
     # refused from the order alone: dihedral(100000) used to ask for a
     # 74.5 GiB table, and alternating(10) to list all 10! permutations
-    # for 15 s first
+    # for 15 s first; every builder words the refusal alike
     start = time.perf_counter()
     with pytest.raises(BudgetError, match=rf"^group order {order} exceeds cap 512$"):
         build()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from isom4.groups import alternating, sylow_subgroup
 from isom4.snf import (
     _drop_redundant_rows,
     _imatmul,
+    _prime_powers,
     _row_blocks,
     kernel_mod_prime_power,
     module_presentation_local,
@@ -351,6 +353,19 @@ def test_prime_validation():
     # numpy integers are integers
     assert kernel_mod_prime_power(eye, np.int64(3), 2).shape == (2, 0)
     assert sylow_subgroup(alternating(4), np.int64(3)).size == 3
+
+
+def test_prime_powers_factor_by_trial_division():
+    # the one factorization; the primes ascend and each is prime by brute force
+    for n in range(1, 3000):
+        factors = _prime_powers(n)
+        assert math.prod(p**a for p, a in factors) == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(a >= 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+                   for p, a in factors)
+    assert _prime_powers(1_000_003) == [(1_000_003, 1)]
+    assert _prime_powers(3 * 2**31) == [(2, 31), (3, 1)]
+    assert _prime_powers(0) == _prime_powers(-4) == []
 
 
 def test_ragged_input_refused():

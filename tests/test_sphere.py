@@ -155,6 +155,18 @@ def test_bound_is_kl_independent():
     assert sphere.canonical_exponents(7) == [1, 2, 3]
 
 
+def test_canonical_exponents_follow_the_deck_order_rule(monkeypatch):
+    # 12.5 used to die in a bare TypeError from range(), and 10**7 to
+    # build a list of 2,000,000 ints; both are refused before any list
+    monkeypatch.setattr(sphere, "range", lambda *args: pytest.fail("range() called"),
+                        raising=False)
+    with pytest.raises(InvalidParametersError, match="is not an integer"):
+        sphere.canonical_exponents(12.5)
+    for big in (sphere.DECK_ORDER_CAP + 1, 10**7):
+        with pytest.raises(InvalidParametersError, match="^deck order capped at 100000$"):
+            sphere.canonical_exponents(big)
+
+
 def test_upper_bound_refuses_what_lens_params_refuse():
     # a deck order LensParams refuses, the bound refuses alike
     for bad in (61.0, "61", 61.5):
