@@ -8,7 +8,10 @@ P is injective on p-primary cohomology; K. Brown, *Cohomology of
 Groups*, III.10), so one small cochain solve on P and one solve on Q at
 the exponent of M(P) give M(Q)_p, the first alone when P = Q, and
 nothing is solved when P is cyclic.  The cochain route, one solve per
-prime power of m, stays as the independent second route.
+prime power of m, stays as the second route.  Both read each local
+solve H^2(Q; Z_{p^a}) through one memo per group object, so the two
+share a solve where they need the same (p, a) and are independent
+elsewhere.
 
 Cochains are normalized bar cochains: a 2-cochain is a map
 f : Q x Q -> Z_m vanishing whenever an argument is the identity, cut
@@ -48,6 +51,8 @@ from .groups import (
 from .snf import (
     _imatmul,
     _prime_powers,
+    _reduce,
+    _require_integer_array,
     _row_blocks,
     kernel_mod_prime_power,
     module_presentation_local,
@@ -89,14 +94,15 @@ class Cochain2:
     class_order: int | None = None
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.int64)
-        n = self.group.size
-        if vals.shape != (n, n):
-            raise InvalidInputError("cochain table must be |Q| x |Q|")
         (modulus,) = _require_integers(modulus=self.modulus)
         if modulus < 1:
             raise InvalidParametersError("modulus must be positive")
-        vals %= modulus
+        # reduced in the given dtype, so no entry wraps
+        vals = _reduce(_require_integer_array("cochain values", self.values),
+                       modulus).astype(np.int64)
+        n = self.group.size
+        if vals.shape != (n, n):
+            raise InvalidInputError("cochain table must be |Q| x |Q|")
         e = self.group.identity
         if vals[e, :].any() or vals[:, e].any():
             raise InvalidInputError("cochain must vanish at the identity")
@@ -310,10 +316,10 @@ def _exponent(orders) -> int:
 
 def _held_by_group(part: str):
     """Keep the value of a function of (group, p, ...) on the group
-    object, in ``group.cohomology_parts``: the Schur multiplier and the
-    local H^2 bases depend on the group and the prime power alone, not
-    on the modulus asked for, so one solve serves every modulus for as
-    long as the object lives."""
+    object, in ``group.cohomology_parts``: the Schur multiplier of a
+    Sylow subgroup and the local H^2 solves depend on the group and the
+    prime power alone, not on the modulus asked for, so one solve serves
+    every modulus for as long as the object lives."""
     def wrap(solve):
         @functools.wraps(solve)
         def held(group: FiniteGroup, *params):
@@ -323,6 +329,14 @@ def _held_by_group(part: str):
             return group.cohomology_parts[key]
         return held
     return wrap
+
+
+@_held_by_group("local")
+def _local_basis(group: FiniteGroup, p: int, a: int) -> tuple:
+    """``_local_cohomology(group, p, a)``, solved once per group object
+    for the Schur parts, class enumeration and the cochain route alike:
+    solving the same system again would check nothing new."""
+    return _local_cohomology(group, p, a)
 
 
 @_held_by_group("sylow")
@@ -337,11 +351,10 @@ def _sylow_schur(group: FiniteGroup, p: int) -> tuple[int, ...]:
     if int(group.element_orders[els].max()) == els.size:
         return ()
     sub = group if els.size == group.size else group.restrict(els)[0]
-    orders, _ = _local_cohomology(sub, p, _prime_powers(els.size)[0][1])
+    orders, _ = _local_basis(sub, p, _prime_powers(els.size)[0][1])
     return _without(orders, sub.abelian_invariants)
 
 
-@_held_by_group("group")
 def _schur_part(group: FiniteGroup, p: int) -> tuple[int, ...]:
     """Elementary divisors of M(Q)_p, the p-part of the Schur multiplier.
 
@@ -353,15 +366,9 @@ def _schur_part(group: FiniteGroup, p: int) -> tuple[int, ...]:
     if not schur or len(_prime_powers(group.size)) == 1:
         return schur
     e = _exponent(schur)
-    orders, _ = _local_cohomology(group, p, e)
+    orders, _ = _local_basis(group, p, e)
     return _without(orders, [math.gcd(h, p**e) for h in group.abelian_invariants
                              if h % p == 0])
-
-
-# the local solve behind class enumeration: moduli with the same
-# p-part exponent c (m = 2 and m = 4 for A5 both reach c = 1) read one
-# solve; the cochain route calls _local_cohomology itself and reads none
-_local_basis = _held_by_group("basis")(_local_cohomology)
 
 
 @dataclass(frozen=True)
@@ -441,7 +448,7 @@ def _cochain_second_cohomology(group: FiniteGroup, m: int) -> CohomologyResult:
     orders = []
     if group.size > 1:
         for p, a in _prime_powers(m):
-            orders.extend(_local_cohomology(group, p, a)[0])
+            orders.extend(_local_basis(group, p, a)[0])
     return CohomologyResult(_merge_invariant_factors(orders), route="cochain")
 
 

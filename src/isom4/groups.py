@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
-from .snf import _prime_powers, _require_prime, _row_blocks
+from .snf import _prime_powers, _require_integer_array, _require_prime, _row_blocks
 
 ORDER_CAP = 512
 
@@ -73,7 +73,8 @@ def _require_order(n: int) -> None:
 
 
 def _require_integers(**values) -> tuple[int, ...]:
-    """The values as ints, in order; a non-integer is refused, numpy integers pass."""
+    """The values as ints, in order; a non-integer is refused, numpy integers pass.
+    Arrays follow the same rule through ``snf._require_integer_array``."""
     for name, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise InvalidParametersError(f"{name} = {value!r} is not an integer")
@@ -126,22 +127,24 @@ def _require_associative(table: np.ndarray, identity: int) -> None:
 @dataclass(eq=False)
 class FiniteGroup:
     table: np.ndarray
-    # p-parts of the Schur multiplier M(Q), of Q and of its Sylow
-    # p-subgroup, and the local bases of H^2(Q; Z_{p^c}) that class
-    # enumeration reads, keyed by cohomology as (part, p, ...): they
-    # depend on the group alone, so each is solved once per group object
+    # the Schur multipliers of the Sylow subgroups and the local solves
+    # of H^2(Q; Z_{p^c}) that cohomology reads, keyed by cohomology as
+    # (part, p, ...): they depend on the group alone, so each is solved
+    # once per group object
     cohomology_parts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int32)
+        table = _require_integer_array("multiplication table", self.table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise InvalidInputError("multiplication table must be square")
         n = table.shape[0]
         if n == 0:
             raise InvalidInputError("group must be nonempty")
         _require_order(n)
+        # checked in the given dtype, so no entry wraps into range
         if table.min() < 0 or table.max() >= n:
             raise InvalidInputError("table entries must be element indices")
+        table = np.asarray(table, dtype=np.int32)
         # a row or column of n entries in [0, n) is a permutation exactly
         # when it holds every value: one boolean scatter per axis, marking
         # hit[r * n + v] when line r holds v
@@ -829,7 +832,8 @@ def pu3_presentation_valid(m: int, n: int, r: int) -> bool:
 
 def order_gl(n: int, p: int) -> int:
     """Order of GL(n, F_p): the product of p^n - p^i over i < n.  Only a
-    prime power p is the order of a field, so anything else is refused."""
+    prime power p is the order of a field, so anything else is refused,
+    and a p that ``snf._prime_powers`` cannot factor with ``BudgetError``."""
     (n,) = _require_integers(n=n)
     if n < 1 or n > 64:
         raise InvalidParametersError("dimension out of the exact-mode range")

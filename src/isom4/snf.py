@@ -12,6 +12,14 @@ that holds [0, p^k) and duplicate rows are dropped by comparing each row
 as one byte string.  The exact integer references the tests compare
 against, Smith normal form and the Bareiss determinant, live in the
 test suite's ``reference`` module.
+
+The domain is checked where input enters, and inside it every result is
+exact: integer (or boolean) arrays only, anything else refused with
+``InvalidParametersError``, and a prime power p^k <= ``PRIME_POWER_CAP``
+= 2^16 (the cohomology layer sends at most 64), a larger one refused
+with ``BudgetError`` before p is factored or p^k formed.  Residues then
+fit 16 bits and row sums of their products fit int64, so no
+Python-integer path remains.
 """
 
 from __future__ import annotations
@@ -20,31 +28,43 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidParametersError
+from .errors import BudgetError, InvalidParametersError
 
 __all__ = [
+    "PRIME_POWER_CAP",
     "kernel_mod_prime_power",
     "solve_mod_prime_power",
     "module_presentation_local",
 ]
 
+# the largest modulus p^k of the kernels: residues fit 16 bits
+PRIME_POWER_CAP = 1 << 16
+# trial division stops here, so it decides every cofactor up to 2^32
+_TRIAL_DIVISOR_CAP = 1 << 16
+
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """The factorization of n as (p, a) pairs, p ascending, by trial
-    division up to the square root of the unfactored part; [] for n < 2.
-    The package's one factorization."""
+    """The factorization of n as (p, a) pairs, p ascending; [] for n < 2.
+    The package's one factorization, by trial division up to the square
+    root of the unfactored part and never past 2^16: a cofactor that no
+    prime up to 2^16 divides is prime when it is at most 2^32, and one
+    above that is refused with ``BudgetError``."""
     out = []
+    rest = n
     p = 2
-    while p * p <= n:
-        if n % p == 0:
+    while p * p <= rest:
+        if p > _TRIAL_DIVISOR_CAP:
+            raise BudgetError(f"{n} keeps a cofactor above 2^32 that trial division "
+                              f"up to 2^16 cannot factor")
+        if rest % p == 0:
             a = 0
-            while n % p == 0:
-                n //= p
+            while rest % p == 0:
+                rest //= p
                 a += 1
             out.append((p, a))
         p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    if rest > 1:
+        out.append((rest, 1))
     return out
 
 
@@ -56,19 +76,39 @@ def _require_prime(p):
 
 
 def _prime_power(p, k):
-    """``(p, k, p^k)`` as Python integers, once p is prime and k is an
-    integer of at least 1."""
-    _require_prime(p)
+    """``(p, k, p^k)`` as Python integers, once k is an integer of at
+    least 1, p^k is at most ``PRIME_POWER_CAP`` and p is prime.  The cap
+    is checked first, from p and k alone, so a huge p is never factored
+    and a huge k never raises p to its power."""
+    if not isinstance(p, numbers.Integral):
+        raise InvalidParametersError(f"modulus {p!r} is not an integer")
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InvalidParametersError(f"exponent {k!r} is not an integer of at least 1")
     p, k = int(p), int(k)
+    # p^k >= 2^k, so k alone refuses a huge exponent before p**k is formed
+    if p >= 2 and (p > PRIME_POWER_CAP or k >= PRIME_POWER_CAP.bit_length()
+                   or p**k > PRIME_POWER_CAP):
+        raise BudgetError(f"modulus {p}^{k} exceeds the cap {PRIME_POWER_CAP}")
+    _require_prime(p)
     return p, k, p**k
 
 
-def _reduce(a, mod):
-    """Entries of ``a`` mod ``mod``, in the narrowest signed integer
-    dtype that holds [0, mod)."""
+def _require_integer_array(name: str, a) -> np.ndarray:
+    """``a`` as a numpy array, refused with ``InvalidParametersError``
+    unless its dtype is integer or boolean: floats, NaN, complex numbers,
+    strings and Python objects are refused, not truncated or parsed.  The
+    array twin of ``groups._require_integers``."""
     a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        raise InvalidParametersError(f"{name} is not an integer array (dtype {a.dtype})")
+    return a
+
+
+def _reduce(a, mod):
+    """Entries of the integer array ``a`` mod ``mod``, in the narrowest
+    signed integer dtype that holds [0, mod); where input enters, so a
+    non-integer array is refused here."""
+    a = _require_integer_array("matrix", a)
     if a.dtype.kind not in "iu" or np.iinfo(a.dtype).max < mod:
         a = a.astype(np.int64)
     narrow = next((t for t in (np.int8, np.int16, np.int32)
@@ -81,22 +121,20 @@ def _reduce(a, mod):
 
 def _work_dtype(mod, terms):
     """The narrowest of int16, int32 and int64 in which sums of
-    ``terms`` products of residues mod ``mod`` cannot overflow, else
-    exact Python integers."""
+    ``terms`` products of residues mod ``mod`` cannot overflow.  Under
+    ``PRIME_POWER_CAP`` int64 holds sums of 2^31 terms, more than the
+    rows of any d x d transform that fits in memory."""
     bound = terms * (mod - 1) ** 2
-    return next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max),
-                object)
+    return next((t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
 
 
 def _valuation(p, k):
-    """Elementwise p-adic valuation on Z/p^k, with v(0) = k."""
-    mod = p**k
-    if mod <= 1 << 16:
-        table = np.zeros(mod, dtype=np.int8)
-        for e in range(1, k + 1):
-            table[:: p**e] += 1
-        return table.take
-    return lambda x: sum((x % p**e == 0).astype(np.int64) for e in range(1, k + 1))
+    """Elementwise p-adic valuation on Z/p^k, with v(0) = k: a lookup
+    table of the p^k <= 2^16 residues."""
+    table = np.zeros(p**k, dtype=np.int8)
+    for e in range(1, k + 1):
+        table[:: p**e] += 1
+    return table.take
 
 
 # entries in one block of a blocked kernel: 2^16 float64 entries (512 KB)
@@ -113,12 +151,16 @@ def _row_blocks(rows, per_row):
 
 
 def _imatmul(x, y):
-    """Exact integer matrix product, through BLAS when bounds allow.
+    """Exact integer matrix product, through a float64 BLAS product.
 
-    x is converted and multiplied in row blocks of about _BLOCK_ENTRIES
-    entries (the one block budget of the blocked kernels), so no full
-    float64 or int64 copy of x is made.  Each entry of the product is
-    formed whole within its block, so the blocks change no bit."""
+    Below the bound max|x| max|y| cols = 2^52 float64 holds every
+    partial sum exactly; a larger bound is refused with ``BudgetError``
+    (its one caller, ``_local_cohomology``, stays below 2^21 under the
+    cohomology caps).  x is converted and multiplied in row blocks of
+    about _BLOCK_ENTRIES entries (the one block budget of the blocked
+    kernels), so no full float64 copy of x is made.  Each entry of the
+    product is formed whole within its block, so the blocks change no
+    bit."""
     x = np.asarray(x)
     y = np.asarray(y)
     out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
@@ -126,21 +168,20 @@ def _imatmul(x, y):
         return out
     bound = (max(-int(x.min()), int(x.max())) * max(-int(y.min()), int(y.max()))
              * x.shape[1])
-    # below 2^52 every partial sum is an integer the float product holds
-    # exactly
-    dt = np.float64 if bound < 2**52 else np.int64
-    y = y.astype(dt)
+    if bound >= 2**52:
+        raise BudgetError(f"integer product bound {bound} reaches 2^52, past exact float64")
+    y = y.astype(np.float64)
     for rows in _row_blocks(x.shape[0], x.shape[1] + y.shape[1]):
-        out[rows] = x[rows].astype(dt) @ y
+        out[rows] = x[rows].astype(np.float64) @ y
     return out
 
 
 def _drop_redundant_rows(a, p):
-    """The distinct nonzero rows of ``a`` (entries in [0, p)), in
-    lexicographic order of their entries.
+    """The distinct nonzero rows of ``a`` (entries in [0, p), p at most
+    ``PRIME_POWER_CAP``), in lexicographic order of their entries.
 
     Each row is compared as one opaque byte string, in a dtype whose
-    byte order is the numeric order: int8 below 128, big-endian
+    byte order is the numeric order: int8 below 128, big-endian 16-bit
     unsigned above.  The sorted records keep each first of a run of
     equal neighbours.
     """
@@ -148,7 +189,7 @@ def _drop_redundant_rows(a, p):
         return a
     a = a[np.any(a != 0, axis=1)]
     if a.shape[0] > 1:
-        dt = np.dtype(np.int8 if p < 128 else ">u2" if p <= 1 << 16 else ">u8")
+        dt = np.dtype(np.int8 if p < 128 else ">u2")
         rows = np.ascontiguousarray(a, dtype=dt)
         keys = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * dt.itemsize))).ravel())
         keys = keys[np.append(True, keys[1:] != keys[:-1])]
@@ -210,10 +251,11 @@ def _local_elimination(a, p, k):
     of ``pinv``; column operations need no record.
     """
     mod = p**k
-    d, r = a.shape
+    # reduced before it is narrowed to the work dtype, so no entry wraps
+    m = _reduce(a, mod)
+    d, r = m.shape
     dt = _work_dtype(mod, d + 1)
-    # reduced before it is narrowed to dt, so no entry wraps
-    m = np.asarray(a).astype(object) % mod if dt is object else _reduce(a, mod).astype(dt)
+    m = m.astype(dt)
     pmat = np.eye(d, dtype=dt)
     pinv = np.eye(d, dtype=dt)
     val = _valuation(p, k)
@@ -302,7 +344,7 @@ def module_presentation_local(rel, p, k):
     generators.
     """
     p, k, _ = _prime_power(p, k)
-    vals, _, pinv = _local_elimination(np.asarray(rel, dtype=np.int64), p, k)
+    vals, _, pinv = _local_elimination(rel, p, k)
     keep = np.nonzero(vals > 0)[0]
     orders = [p ** int(v) for v in vals[keep]]
     return orders, pinv[:, keep].astype(np.int64)

@@ -370,10 +370,15 @@ def test_unread_flag_exits_two(capsys, tmp_path, monkeypatch, name, flag):
      "restarts x q^2 x max(deck order, 64) = 16777216 exceeds the budget 262144"),
     (["extent", "3", "1", "1", "--optimize", "--restarts", "388", "--q", "15"],
      "restarts x q^2 x max(deck order, 64) = 5587200 exceeds the budget 262144"),
+    # the modulus cap of the cohomology layer, both ends
+    (["h2", "--group", "A4", "--m", "65"], "modulus must lie in [1, 64]"),
+    (["h2", "--group", "A4", "--m", "0"], "modulus must lie in [1, 64]"),
+    (["extensions", "--group", "A4", "--m", "65"], "modulus must lie in [1, 64]"),
 ], ids=["extent-n-2-unsupported", "extent-optimizer-options-alone",
         "extent-restarts-past-the-cap", "extent-q-past-the-cap",
         "extent-past-the-orbit-budget", "extent-past-the-sweep-budget",
-        "extent-small-deck-order-past-the-floor-budget"])
+        "extent-small-deck-order-past-the-floor-budget",
+        "h2-modulus-past-the-cap", "h2-modulus-zero", "extensions-modulus-past-the-cap"])
 def test_refused_input_exits_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

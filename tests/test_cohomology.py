@@ -158,15 +158,20 @@ def test_schur_multiplier_solved_once_per_group_object(monkeypatch):
     assert [(p, a) for g, p, a in calls if g.size == 60] == [(2, 1), (2, 1)]
 
 
-def test_cochain_route_solves_at_every_modulus(monkeypatch):
-    # the cross-check reads nothing the group object holds
+def test_cochain_route_reads_the_held_local_solves(monkeypatch):
+    # one solve per (group object, p, a): the cochain route reads the
+    # solve of A5 mod 2 that its Schur part made, solves mod 4 and mod 3
+    # once each, and a fresh A5 object solves again
     calls = counting_local_solves(monkeypatch)
     a5 = alternating(5)
     second_cohomology(a5, 2)
+    assert [(p, a) for g, p, a in calls if g is a5] == [(2, 1)]
     del calls[:]
-    for m in (2, 4, 6):
+    for m in (2, 4, 6, 4):
         _cochain_second_cohomology(a5, m)
-    assert [(p, a) for g, p, a in calls] == [(2, 1), (2, 2), (2, 1), (3, 1)]
+    assert [(p, a) for g, p, a in calls] == [(2, 2), (3, 1)]
+    _cochain_second_cohomology(alternating(5), 2)
+    assert [(p, a) for g, p, a in calls] == [(2, 2), (3, 1), (2, 1)]
 
 
 def test_class_basis_reads_the_held_sylow_part(monkeypatch):
@@ -570,6 +575,14 @@ def test_cochain_validation():
     bad = np.ones((3, 3), dtype=np.int64)
     with pytest.raises(InvalidInputError):
         Cochain2(z3, 2, bad)  # nonzero along the identity row
+    # 1.7 used to be stored as the value 1
+    for values in ([[0, 0], [0, 1.7]], [["0", "0"], ["0", "1"]]):
+        with pytest.raises(InvalidParametersError, match="is not an integer array"):
+            Cochain2(cyclic(2), 2, values)
+    assert Cochain2(cyclic(2), 2, [[0, 0], [0, np.int8(3)]]).values.tolist() == [[0, 0], [0, 1]]
+    # reduced before the int64 cast: 2^63 + 1 = 0 mod 3 came out 2
+    big = np.array([[0, 0], [0, 2**63 + 1]], dtype=np.uint64)
+    assert Cochain2(cyclic(2), 3, big).values.tolist() == [[0, 0], [0, 0]]
 
 
 def test_cohomology_result_validation():
@@ -604,8 +617,9 @@ def test_non_integer_modulus_is_refused(call, m):
         with pytest.raises(InvalidParametersError, match="is not an integer"):
             call(group, m)
     z3 = cyclic(3)
+    zero = np.zeros((3, 3), dtype=np.int64)
     with pytest.raises(InvalidParametersError, match="is not an integer"):
-        build_central_extension(z3, m, Cochain2(z3, 2, np.zeros((3, 3))))
+        build_central_extension(z3, m, Cochain2(z3, 2, zero))
     with pytest.raises(InvalidParametersError, match="is not an integer"):
-        Cochain2(z3, m, np.zeros((3, 3)))
+        Cochain2(z3, m, zero)
     assert second_cohomology(alternating(4), np.int64(2)) == second_cohomology(alternating(4), 2)

@@ -70,6 +70,27 @@ def test_rejects_non_square():
         FiniteGroup(np.zeros((2, 3), dtype=np.int32))
 
 
+@pytest.mark.parametrize("table", [[[0.0, 1.9], [1.2, 0.4]], [[0.0, 1.0], [1.0, 0.0]],
+                                   [["0", "1"], ["1", "0"]], [[0, 1j], [1j, 0]],
+                                   [[0, np.nan], [np.nan, 0]]],
+                         ids=["fraction", "float", "string", "complex", "nan"])
+def test_rejects_non_integer_tables(table):
+    # a float table was truncated and a string table parsed: both built Z_2
+    with pytest.raises(InvalidParametersError, match="is not an integer array"):
+        FiniteGroup(table)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+def test_integer_tables_pass(dtype):
+    z2 = [[0, 1], [1, 0]]
+    assert np.array_equal(FiniteGroup(np.array(z2, dtype=dtype)).table, z2)
+    assert np.array_equal(FiniteGroup([[np.int64(0), np.int16(1)], [1, 0]]).table, z2)
+    if np.iinfo(dtype).max > 2**32:
+        # range is checked before the narrowing to int32, so no entry wraps
+        with pytest.raises(InvalidInputError, match="element indices"):
+            FiniteGroup(np.array([[0, 2**32 + 1], [2**32 + 1, 0]], dtype=dtype))
+
+
 def test_rejects_non_latin():
     with pytest.raises(InvalidInputError):
         FiniteGroup([[0, 0], [1, 1]])

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from isom4.errors import InvalidInputError, InvalidParametersError
-from isom4.groups import alternating, sylow_subgroup
+from isom4.errors import BudgetError, InvalidInputError, InvalidParametersError
+from isom4.groups import alternating, cyclic, order_gl, sylow_subgroup
 from isom4.snf import (
+    PRIME_POWER_CAP,
     _drop_redundant_rows,
     _imatmul,
     _prime_powers,
@@ -249,7 +250,7 @@ def test_module_presentation_matches_loop_reference(case):
     assert gens.tolist() == want_gens
 
 
-@pytest.mark.parametrize("p,k,d", [(127, 1, 1), (127, 1, 2), (3, 9, 1), (3, 9, 5), (2, 20, 1)],
+@pytest.mark.parametrize("p,k,d", [(127, 1, 1), (127, 1, 2), (3, 9, 1), (3, 9, 5), (3, 10, 1)],
                          ids=["int16", "int32-rows", "int32", "int64", "int64-exponent"])
 def test_local_elimination_reduces_before_narrowing(p, k, d):
     # the work dtype is the narrowest holding (d + 1) (p^k - 1)^2; entries
@@ -268,42 +269,101 @@ def test_local_elimination_reduces_before_narrowing(p, k, d):
     assert orders
 
 
-@pytest.mark.parametrize("y_max", [50, 2**44], ids=["float", "int64"])
+@pytest.mark.parametrize("y_max", [50, 2**40], ids=["float", "float-near-2^52"])
 def test_imatmul_blocks_change_no_bit(y_max):
     rng = np.random.default_rng(y_max)
     x = rng.integers(-50, 50, size=(3000, 70), endpoint=True).astype(np.int16)
     y = rng.integers(-y_max, y_max, size=(70, 3), endpoint=True)
     x[0, 0], y[0, 0] = 50, y_max
-    # y_max = 2^44 puts the bound past 2^52, onto the int64 path
-    assert (50 * y_max * x.shape[1] < 2**52) == (y_max == 50)
+    # y_max = 2^40 puts the bound within a factor 1.2 of 2^52
+    assert 50 * y_max * x.shape[1] < 2**52
     assert len(_row_blocks(x.shape[0], x.shape[1] + y.shape[1])) > 2
     assert _imatmul(x, y).tolist() == (x.astype(object) @ y.astype(object)).tolist()
 
 
+@pytest.mark.parametrize("x, y", [([[2**40, 2**40]], [[2**40], [2**40]]),
+                                  ([[50] * 70], [[2**44]] * 70)], ids=["2^81", "int64-range"])
+def test_imatmul_refuses_a_bound_of_2_52(x, y):
+    # past 2^52 a float64 partial sum may round; the int64 product that
+    # served such bounds wrapped silently past 2^63 (2^81 came out 0)
+    with pytest.raises(BudgetError, match="reaches 2\\^52"):
+        _imatmul(np.array(x), np.array(y))
+
+
+KERNELS = [
+    kernel_mod_prime_power,
+    lambda a, p, k: solve_mod_prime_power(a, np.zeros(len(a), dtype=np.int64), p, k),
+    module_presentation_local,
+]
+
+
 def test_local_kernels_beyond_int64_products():
-    # products of residues mod 2^40 or 65537^2 overflow int64; both
-    # local reductions still come out exact
-    mod = 2**40
-    rel = np.array([[2**3, 2**20], [2**5, 2**39]], dtype=np.int64)
-    orders, _ = module_presentation_local(rel, 2, 40)
-    diag, _, _ = smith_normal_form(np.hstack([rel, mod * np.eye(2, dtype=np.int64)]).tolist())
-    assert orders == [int(diag[i, i]) for i in range(2) if diag[i, i] != 1]
-    # the same over Z/p^2 for p = 65537: 5p x + 3 y = 0 has the free
-    # solution module spanned by (1, -5p / 3), one generator with a
-    # unit first entry
-    p = 65537
-    a = np.array([[5 * p, 3]], dtype=np.int64)
-    gens = kernel_mod_prime_power(a, p, 2)
-    assert gens.shape == (2, 1) and gens[0, 0] % p != 0
-    assert np.all((a.astype(object) @ gens.astype(object)) % p**2 == 0)
+    # moduli whose residue products overflow int64 (2^40, 65537^2) lie
+    # past PRIME_POWER_CAP and are refused at once, before p is factored
+    # or p^k formed: so are p = 65537, p = 2^61 - 1 (past 5 s of trial
+    # division before) and k = 10^8 (past 20 s)
+    assert PRIME_POWER_CAP == 2**16
+    a = np.array([[5, 3]], dtype=np.int64)
+    for kernel in KERNELS:
+        for p, k in [(2, 40), (65537, 2), (65537, 1), (2**61 - 1, 1), (2, 10**8), (3, 11)]:
+            start = time.perf_counter()
+            with pytest.raises(BudgetError, match="exceeds the cap 65536"):
+                kernel(a, p, k)
+            assert time.perf_counter() - start < 0.1, (p, k)
 
 
-@pytest.mark.parametrize("k", [16, 40])
-def test_kernel_mod_prime_power_at_large_exponents(k):
+@pytest.mark.parametrize("bad", [[[1.0, 2.0]], [[1.7, 2.0]], [[np.nan, 1.0]], [[1 + 0j, 2]],
+                                 [["1", "2"]], np.array([[2**70, 1]], dtype=object)],
+                         ids=["float", "fraction", "nan", "complex", "string", "object"])
+@pytest.mark.parametrize("kernel", KERNELS, ids=["kernel", "solve", "presentation"])
+def test_kernels_refuse_non_integer_matrices(kernel, bad):
+    # floats used to be truncated (1.7 read as 1), strings parsed, and
+    # Python integers eliminated on an object path
+    with pytest.raises(InvalidParametersError, match="is not an integer array"):
+        kernel(bad, 3, 1)
+
+
+def test_solve_refuses_a_non_integer_right_side():
+    with pytest.raises(InvalidParametersError, match="is not an integer array"):
+        solve_mod_prime_power([[1, 2]], [0.5], 3, 1)
+
+
+def test_kernels_take_integer_and_boolean_arrays():
+    # every integer dtype and bool pass, and give the int64 result
+    rows = [[1, 1, 0], [0, 1, 1]]
+    want = kernel_mod_prime_power(np.array(rows, dtype=np.int64), 3, 2)
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint64, bool):
+        assert np.array_equal(kernel_mod_prime_power(np.array(rows, dtype=dtype), 3, 2), want)
+
+
+def test_factorization_refuses_past_trial_division():
+    # trial division stops at 2^16, so a cofactor above 2^32 is refused:
+    # 2^61 - 1 ran past 5 s in each of these before
+    for call in (lambda p: sylow_subgroup(cyclic(6), p), lambda p: order_gl(3, p),
+                 _prime_powers):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="cofactor above 2\\^32"):
+            call(2**61 - 1)
+        assert time.perf_counter() - start < 0.1
+    # within reach: the largest prime below 2^32, and 2^32 + 1, whose
+    # cofactor is below 2^32 once 641 is divided out
+    assert _prime_powers(2**32 - 5) == [(2**32 - 5, 1)]
+    assert _prime_powers(2**32 + 1) == [(641, 1), (6700417, 1)]
+    assert order_gl(1, 2**32 - 5) == 2**32 - 6
+
+
+@pytest.mark.parametrize("k, exact", [(16, True), (40, False)], ids=["16", "40"])
+def test_kernel_mod_prime_power_at_large_exponents(k, exact):
     # 3 is a unit, so y = -2^20 x / 3 and the solutions of [2^20, 3] form
-    # a free module of 2^k elements; one elimination step finds it
+    # a free module of 2^k elements; one elimination step finds it at the
+    # cap 2^16, and 2^40, past the cap, is refused at once
     a = np.array([[2**20, 3]])
     start = time.perf_counter()
+    if not exact:
+        with pytest.raises(BudgetError):
+            kernel_mod_prime_power(a, 2, k)
+        assert time.perf_counter() - start < 0.1
+        return
     gens = kernel_mod_prime_power(a, 2, k)
     assert time.perf_counter() - start < 1.0
     assert gens.shape[0] == 2 and 1 <= gens.shape[1] <= 2
@@ -325,7 +385,7 @@ def test_kernel_mod_p_above_byte_range(rows):
     assert _rank_mod(ker, 131) == ker.shape[1]
 
 
-@given(st.sampled_from([2, 3, 127, 131, 65537]),
+@given(st.sampled_from([2, 3, 127, 131, 65536]),
        st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=5),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_drop_redundant_rows_matches_unique(p, m, n, seed):
