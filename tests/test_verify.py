@@ -279,13 +279,17 @@ def test_binary_covers_build_a5_once_and_only_on_a_miss(tmp_path, monkeypatch):
 
 def test_verify_run_never_imports_numpy_ma():
     # np.unique reads np.ma.is_masked, so one call would import numpy.ma
-    # (about 13 ms) in a fresh process; element sets are masks instead
+    # (about 13 ms) in a fresh process; element sets are masks instead.
+    # verify_all runs the optimizer check in a forked child, whose imports
+    # this process never sees, so that check also runs here
     code = ("import sys\n"
-            "from isom4.verify import VerifyConfig, verify_all\n"
+            "from isom4.verify import VerifyConfig, _check_optimizer_consistency, verify_all\n"
             "verify_all(VerifyConfig(seed=1))\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "_check_optimizer_consistency(VerifyConfig(seed=1))\n"
             "print('numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(isom4.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
