@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .groups import _require_integers
+from .groups import _integer_fields
 
 __all__ = [
     "B2_MAX",
@@ -48,10 +48,9 @@ class ClassificationQuery:
     intersection_form: str | None = None
 
     def __post_init__(self):
-        (b2,) = _require_integers(b2=self.b2)
+        (b2,) = _integer_fields(self, "b2")
         if not 0 <= b2 <= B2_MAX:
             raise InvalidInputError(f"b2 must lie in [0, {B2_MAX}]")
-        object.__setattr__(self, "b2", b2)
         if self.order_parity not in _PARITIES:
             raise InvalidInputError("order_parity must be 'odd' or 'even'")
         if self.pseudofree is not None and not isinstance(self.pseudofree, bool):

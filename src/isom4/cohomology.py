@@ -42,6 +42,7 @@ import numpy as np
 from .errors import BudgetError, InvalidInputError, InvalidParametersError
 from .groups import (
     FiniteGroup,
+    _integer_fields,
     _require_integers,
     _require_order,
     is_isomorphic,
@@ -94,7 +95,7 @@ class Cochain2:
     class_order: int | None = None
 
     def __post_init__(self):
-        (modulus,) = _require_integers(modulus=self.modulus)
+        (modulus,) = _integer_fields(self, "modulus")
         if modulus < 1:
             raise InvalidParametersError("modulus must be positive")
         # reduced in the given dtype, so no entry wraps

@@ -81,6 +81,15 @@ def _require_integers(**values) -> tuple[int, ...]:
     return tuple(int(value) for value in values.values())
 
 
+def _integer_fields(obj, *names: str) -> tuple[int, ...]:
+    """The named fields of the frozen dataclass ``obj`` as ``_require_integers``
+    returns them, each stored back: the object keeps the ints it checked."""
+    values = _require_integers(**{name: getattr(obj, name) for name in names})
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+    return values
+
+
 def _index_mask(n: int, indices) -> np.ndarray:
     """The length-n boolean mask of an index list: the element set as
     numpy holds it without sorting.  Indices outside [0, n) are refused,

@@ -6,8 +6,8 @@ module provides exact-formula upper bounds and a seeded numerical
 optimizer for lower bounds on the q-extent (the maximal average
 pairwise distance among q points), plus the six-point angle budget that
 turns the q = 5 bound into a fixed-point count.  The published values
-(q = 5, pi/3, the sharp deck order 61, the budget's triangles and
-angles) and the optimizer's sweep budget and slack are module
+(q = 5, pi/3, the sharp deck order 61, the budget's triangles,
+angles and slack) and the optimizer's sweep budget and slack are module
 constants, which verify-all's record texts print.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidParametersError, UnsupportedCaseError
-from .groups import _require_integers, _require_within
+from .groups import _integer_fields, _require_integers, _require_within
 
 __all__ = [
     "SpherePoint",
@@ -71,6 +71,8 @@ SWEEP_DECK_FLOOR = 64
 # how far an optimized lower bound may exceed the closed-form upper
 # bound before verify-all's optimizer check reports FAIL
 LOWER_BOUND_SLACK = 1e-9
+# the six-point budget may exceed BUDGET_TRIANGLES x pi by this factor
+BUDGET_SLACK = 1e-12
 _UNIT_TOL = 1e-12
 
 
@@ -81,6 +83,12 @@ def _deck_order(n) -> int:
     if n > DECK_ORDER_CAP:
         raise InvalidParametersError(f"deck order capped at {DECK_ORDER_CAP}")
     return n
+
+
+def _require_seed(seed: int) -> None:
+    """The seed rule of ``ExtentConfig`` and ``verify.VerifyConfig``."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParametersError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ class LensParams:
     l: int
 
     def __post_init__(self):
-        n, k, l = _require_integers(n=self.n, k=self.k, l=self.l)
+        n, k, l = _integer_fields(self, "n", "k", "l")
         if n < 1 or k < 1 or l < 1:
             raise InvalidParametersError("lens parameters must be positive")
         if math.gcd(k, n) != 1 or math.gcd(l, n) != 1:
@@ -134,9 +142,6 @@ class LensParams:
                 f"(n,k,l)=({n},{k},{l}) is not canonical: need 0 < k <= l < n/2"
             )
         _deck_order(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,11 @@ class ExtentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(q=self.q, restarts=self.restarts, seed=self.seed)
-        if self.q < 2:
-            raise InvalidParametersError("tuple size q must be at least 2")
-        if self.restarts < 1:
+        q, restarts, seed = _integer_fields(self, "q", "restarts", "seed")
+        alpha_q(q)  # the one tuple-size rule, q >= 2
+        if restarts < 1:
             raise InvalidParametersError("restarts must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParametersError("seed must fit in 64 unsigned bits")
+        _require_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -250,26 +253,22 @@ def _orbit_dots(phases: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray
 
 
 def alpha_q(q: int) -> float:
-    """Reference comparison angle pi / (2 (2 - 1/floor((q+1)/2)))."""
+    """Reference comparison angle pi / (2 (2 - 1/floor((q+1)/2))); q >= 2."""
     if q < 2:
-        raise InvalidInputError("tuple size q must be at least 2")
+        raise InvalidParametersError("tuple size q must be at least 2")
     half = (q + 1) // 2
     return math.pi / (2.0 * (2.0 - 1.0 / half))
 
 
 def extent_upper_bound(n: int, q: int) -> float:
     """Closed-form upper bound for the q-extent of every quotient of deck
-    order n: the value does not depend on the exponents (k, l).  A deck
-    order that is no integer or above ``DECK_ORDER_CAP`` is refused as
-    ``LensParams`` refuses it, and a tuple size q that is no integer or
-    below 2 as ``ExtentConfig`` refuses it; the derivation covers n >= 3
-    only, so smaller n is unsupported."""
+    order n: the value does not depend on the exponents (k, l).  n and q
+    are refused as ``LensParams`` and ``ExtentConfig`` refuse them; the
+    derivation covers n >= 3 only, so smaller n is unsupported."""
     n = _deck_order(n)
     (q,) = _require_integers(q=q)
     if n < 3:
         raise UnsupportedCaseError("closed-form bound requires deck order >= 3")
-    if q < 2:
-        raise InvalidParametersError("tuple size q must be at least 2")
     a = alpha_q(q)
     c_small = math.cos(math.pi / math.sqrt(n))
     c_big = math.cos(math.pi / n)
@@ -294,7 +293,7 @@ def canonicalize_lens(n: int, k: int, l: int) -> LensParams:
     k = k % n if n > 1 else 1
     l = l % n if n > 1 else 1
     if math.gcd(k, n) != 1 or math.gcd(l, n) != 1:
-        raise InvalidInputError("rotation exponents must be coprime to n")
+        raise InvalidParametersError("rotation exponents must be coprime to n")
     if n <= 2:
         return LensParams(n, 1, 1)
     k, l = min(k, n - k), min(l, n - l)
@@ -336,7 +335,7 @@ def isolated_fixed_point_budget(extent_bound: float) -> dict:
     budget = BUDGET_ANGLES * extent_bound
     return {
         "six_point_budget": budget,
-        "contradiction": budget <= BUDGET_TRIANGLES * math.pi * (1.0 + 1e-12),
+        "contradiction": budget <= BUDGET_TRIANGLES * math.pi * (1.0 + BUDGET_SLACK),
     }
 
 

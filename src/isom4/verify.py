@@ -19,7 +19,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -54,7 +54,7 @@ from .fixedpoints import (
     lefschetz_sweep_s4,
 )
 from .groups import (
-    _require_integers,
+    _integer_fields,
     _spec_text,
     _tolerance_text,
     abelian,
@@ -88,6 +88,7 @@ from .sphere import (
     LOWER_BOUND_SLACK,
     ExtentConfig,
     LensParams,
+    _require_seed,
     canonicalize_lens,
     extent_lower_bound,
     extent_upper_bound,
@@ -175,9 +176,8 @@ class VerifyConfig:
     cache: ResultCache | None = None
 
     def __post_init__(self):
-        (seed,) = _require_integers(seed=self.seed)
-        if not 0 <= seed < 2**64:
-            raise InvalidInputError("seed must fit in 64 unsigned bits")
+        (seed,) = _integer_fields(self, "seed")
+        _require_seed(seed)
 
 
 def _fmt(value: float) -> str:
@@ -849,9 +849,9 @@ _SUITE = (
 
 
 # extent-optimizer-consistency runs in a forked child beside the other
-# checks: it reads only cfg.seed, writes no cache entry, reads no group
-# memo, and is 55-60 % of a run, so on two CPUs a run takes about as
-# long as the longer lane, not the sum of both
+# checks: it reads only cfg.seed, gets no cache, reads no group memo,
+# and is 55-60 % of a run, so on two CPUs a run takes about as long as
+# the longer lane, not the sum of both
 _SIDE_LANE = ("extent-optimizer-consistency",)
 
 
@@ -930,7 +930,7 @@ def verify_all(config: VerifyConfig | None = None) -> dict:
             raise InvalidInputError(f"duplicate check id {check_id!r}")
         legend[check_id] = anchor
     side = [row for row in _SUITE if row[0] in _SIDE_LANE]
-    lane = _fork_lane(side, cfg) if side else None
+    lane = _fork_lane(side, replace(cfg, cache=None)) if side else None
     forked = _SIDE_LANE if lane is not None else ()  # else one lane runs all
     side_records = []
     try:
@@ -950,6 +950,13 @@ def verify_all(config: VerifyConfig | None = None) -> dict:
         "checks": [by_id[check_id].to_json() for check_id in legend],
         "legend": legend,
     }
+
+
+def without_runtimes(report: dict) -> dict:
+    """The report without its ``runtime_ms`` fields: two runs give the same
+    report exactly when these are equal."""
+    return {**report, "checks": [{k: v for k, v in check.items() if k != "runtime_ms"}
+                                 for check in report["checks"]]}
 
 
 def exit_code(report: dict) -> int:

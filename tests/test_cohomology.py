@@ -580,6 +580,8 @@ def test_cochain_validation():
         with pytest.raises(InvalidParametersError, match="is not an integer array"):
             Cochain2(cyclic(2), 2, values)
     assert Cochain2(cyclic(2), 2, [[0, 0], [0, np.int8(3)]]).values.tolist() == [[0, 0], [0, 1]]
+    # the modulus is stored as the int it was checked as
+    assert type(Cochain2(cyclic(2), np.int64(2), np.zeros((2, 2), dtype=np.int64)).modulus) is int
     # reduced before the int64 cast: 2^63 + 1 = 0 mod 3 came out 2
     big = np.array([[0, 0], [0, 2**63 + 1]], dtype=np.uint64)
     assert Cochain2(cyclic(2), 3, big).values.tolist() == [[0, 0], [0, 0]]

@@ -10,12 +10,13 @@ import json
 import tempfile
 from pathlib import Path
 
+from isom4.verify import without_runtimes
+
 GOLDEN = Path(__file__).parent / "data" / "verify_report_seed0.json"
 
 
 def _pinned_text(report: dict) -> str:
-    checks = [{k: v for k, v in c.items() if k != "runtime_ms"} for c in report["checks"]]
-    return json.dumps({**report, "checks": checks}, indent=1, sort_keys=True) + "\n"
+    return json.dumps(without_runtimes(report), indent=1, sort_keys=True) + "\n"
 
 
 def test_report_matches_golden(report_and_rerun):

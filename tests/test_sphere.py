@@ -476,7 +476,26 @@ def test_extent_config_holds_one_run():
                 dict(q=5.5), dict(q=5, restarts=2.5), dict(q=5, seed=1.5), dict(q="5")):
         with pytest.raises(InvalidParametersError):
             ExtentConfig(**bad)
-    assert ExtentConfig(np.int64(3), np.int32(2), np.uint64(7)) == ExtentConfig(3, 2, 7)
+    cfg = ExtentConfig(np.int64(3), np.int32(2), np.uint64(7))
+    assert cfg == ExtentConfig(3, 2, 7)
+    assert all(type(getattr(cfg, f.name)) is int for f in dataclasses.fields(cfg))
+
+
+@pytest.mark.parametrize("refused,message", [
+    (lambda: ExtentConfig(q=1), "tuple size q must be at least 2"),
+    (lambda: alpha_q(1), "tuple size q must be at least 2"),
+    (lambda: extent_upper_bound(61, 1), "tuple size q must be at least 2"),
+    (lambda: ExtentConfig(q=5, seed=-1), "seed must fit in 64 unsigned bits"),
+    (lambda: ExtentConfig(q=5, seed=2**64), "seed must fit in 64 unsigned bits"),
+    (lambda: LensParams(10, 2, 3), "rotation exponents must be coprime to n"),
+    (lambda: canonicalize_lens(6, 2, 1), "rotation exponents must be coprime to n"),
+    (lambda: canonicalize_lens(2, 2, 1), "rotation exponents must be coprime to n"),
+], ids=["config-q", "alpha-q", "upper-bound-q", "config-seed-low", "config-seed-high",
+        "params-coprime", "canonicalize-coprime", "canonicalize-coprime-n2"])
+def test_one_error_type_per_range_rule(refused, message):
+    # each rule raises InvalidParametersError at every entry point that checks it
+    with pytest.raises(InvalidParametersError, match=f"^{message}$"):
+        refused()
 
 
 def _refuse_before_the_phases(monkeypatch):

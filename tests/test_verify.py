@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from isom4.verify import (
     _check_extent_scan,
     exit_code,
     h2_record,
+    verify_all,
+    without_runtimes,
 )
 
 # the suite's checks by id: checks of one shape are one function bound
@@ -87,14 +90,22 @@ def test_exit_code_zero_without_failures(report_and_rerun):
 
 def test_warm_rerun_identical_modulo_runtime(report_and_rerun):
     cold, warm = report_and_rerun
+    assert without_runtimes(cold) == without_runtimes(warm)
 
-    def strip(rep):
-        out = copy.deepcopy(rep)
-        for check in out["checks"]:
-            check.pop("runtime_ms")
-        return out
 
-    assert strip(cold) == strip(warm)
+@pytest.fixture(scope="module")
+def seed1_report():
+    return verify_all(VerifyConfig(seed=1))
+
+
+@pytest.mark.parametrize("seed", [np.int64(1), np.uint64(1)], ids=["int64", "uint64"])
+def test_numpy_seed_gives_the_json_report_of_its_int(seed1_report, seed):
+    # a numpy seed used to reach the report as a numpy scalar, which
+    # json.dumps refuses
+    report = verify_all(VerifyConfig(seed=seed))
+    json.dumps(report)
+    assert type(report["seed"]) is int and report["seed"] == 1
+    assert without_runtimes(report) == without_runtimes(seed1_report)
 
 
 def test_scan_check_fails_below_sharp_threshold(monkeypatch):
@@ -231,9 +242,12 @@ def test_config_holds_only_seed_and_cache():
 
 
 def test_config_validation():
+    # the seed rule of ExtentConfig, with its error type and message
     for seed in (-1, 2**64):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidParametersError, match="^seed must fit in 64 unsigned bits$"):
             VerifyConfig(seed=seed)
+    # a bool is an integer, stored and reported as the int it equals
+    assert type(VerifyConfig(seed=True).seed) is int and VerifyConfig(seed=True).seed == 1
 
 
 @pytest.mark.parametrize("seed", [1.5, "3", -0.5, 2.0, None],

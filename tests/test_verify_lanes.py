@@ -16,7 +16,16 @@ import pytest
 
 import isom4
 from isom4 import verify
-from isom4.verify import _SIDE_LANE, _SUITE, VerifyConfig, _run_check, verify_all
+from isom4.cache import ResultCache
+from isom4.verify import (
+    _SIDE_LANE,
+    _SUITE,
+    REPORT_VERSION,
+    VerifyConfig,
+    _run_check,
+    verify_all,
+    without_runtimes,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(isom4.__file__)))
 
@@ -28,12 +37,11 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _strip(checks):
-    return [{k: v for k, v in check.items() if k != "runtime_ms"} for check in checks]
-
-
 def _one_lane(cfg):
-    return [_run_check(check_id, fn, cfg).to_json() for check_id, fn, _ in _SUITE]
+    """The report of ``cfg`` with every check run in this process."""
+    return {"version": REPORT_VERSION, "seed": cfg.seed,
+            "checks": [_run_check(check_id, fn, cfg).to_json() for check_id, fn, _ in _SUITE],
+            "legend": {check_id: anchor for check_id, _, anchor in _SUITE}}
 
 
 def _run_python(code: str) -> str:
@@ -59,8 +67,7 @@ def test_two_lanes_give_the_one_lane_report(report_and_rerun):
     cold, _ = report_and_rerun
     seed1 = verify_all(VerifyConfig(seed=1))
     for report, seed in ((cold, 0), (seed1, 1)):
-        assert _strip(report["checks"]) == _strip(_one_lane(VerifyConfig(seed=seed)))
-        assert report["legend"] == {check_id: anchor for check_id, _, anchor in _SUITE}
+        assert without_runtimes(report) == without_runtimes(_one_lane(VerifyConfig(seed=seed)))
 
 
 def test_one_cpu_gives_the_same_report():
@@ -71,7 +78,7 @@ def test_one_cpu_gives_the_same_report():
                       "from isom4.verify import VerifyConfig, verify_all\n"
                       "print(json.dumps(verify_all(VerifyConfig(seed=1))))\n")
     report = json.loads(out)
-    assert _strip(report["checks"]) == _strip(verify_all(VerifyConfig(seed=1))["checks"])
+    assert without_runtimes(report) == without_runtimes(verify_all(VerifyConfig(seed=1)))
 
 
 def _exit_three(cfg):
@@ -88,7 +95,7 @@ def test_a_dead_child_fails_only_its_checks(monkeypatch, report_and_rerun, check
     cold, _ = report_and_rerun
     _with_lane_check(monkeypatch, check)
     report = verify_all(VerifyConfig())
-    for want, got in zip(_strip(cold["checks"]), _strip(report["checks"])):
+    for want, got in zip(without_runtimes(cold)["checks"], without_runtimes(report)["checks"]):
         if got["id"] in _SIDE_LANE:
             assert got == {"id": want["id"], "status": "FAIL", "expected": "check completes",
                            "actual": f"forked check process exited with status {code}"}
@@ -106,6 +113,13 @@ def test_a_child_that_sends_nothing_fails_its_checks(monkeypatch):
     _lane_only(monkeypatch, lambda cfg: os._exit(0))
     assert {(c["status"], c["actual"]) for c in verify_all(VerifyConfig())["checks"]} == {
         ("FAIL", "forked check process exited with status 0 and sent no readable record")}
+
+
+def test_the_side_lane_gets_no_cache(monkeypatch, tmp_path):
+    # the lane's checks run under the seed alone, so they write no entry
+    _lane_only(monkeypatch, lambda cfg: ("PASS" if cfg.cache is None else "FAIL", "e", "a"))
+    report = verify_all(VerifyConfig(seed=3, cache=ResultCache(tmp_path)))
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
 
 
 def test_parent_interrupt_kills_the_child_and_propagates(monkeypatch):
